@@ -3,7 +3,7 @@
 //!
 //! These keep the experiment entry points exercised under `cargo bench` and
 //! give wall-clock numbers for the simulator itself; the paper-style cycle
-//! tables are produced by the binaries in `src/bin/` (see EXPERIMENTS.md).
+//! tables are produced by the binaries in `src/bin/`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

@@ -7,30 +7,39 @@ use sva_kernels::KernelKind;
 use sva_soc::experiments::ablation;
 
 fn main() {
-    let iotlb = ablation::iotlb_size(KernelKind::Gesummv, 1000, &[1, 2, 4, 8, 16, 64])
-        .expect("IOTLB ablation failed");
-    with_banner("Ablation: IOTLB capacity (no LLC)", || iotlb.render());
-
-    let bypass =
-        ablation::dma_through_llc(KernelKind::Heat3d, 600).expect("bypass ablation failed");
-    with_banner(
-        "Ablation: device DMA bypassing vs traversing the LLC",
-        || bypass.render(),
-    );
-
-    let outstanding = ablation::dma_outstanding(KernelKind::Heat3d, 1000, &[1, 2, 4, 8])
-        .expect("outstanding ablation failed");
-    with_banner("Ablation: outstanding DMA bursts", || outstanding.render());
-
-    let buffering =
-        ablation::double_buffering(KernelKind::Gesummv, 600).expect("buffering ablation failed");
-    with_banner("Ablation: double vs single buffering", || {
-        buffering.render()
+    with_banner("Ablation: IOTLB capacity (no LLC)", || {
+        ablation::iotlb_size(KernelKind::Gesummv, 1000, &[1, 2, 4, 8, 16, 64])
+            .expect("IOTLB ablation failed")
+            .render()
     });
 
-    let flush = ablation::flush_before_map(1000).expect("flush ablation failed");
+    with_banner(
+        "Ablation: device DMA bypassing vs traversing the LLC",
+        || {
+            ablation::dma_through_llc(KernelKind::Heat3d, 600)
+                .expect("bypass ablation failed")
+                .render()
+        },
+    );
+
+    with_banner("Ablation: outstanding DMA bursts", || {
+        ablation::dma_outstanding(KernelKind::Heat3d, 1000, &[1, 2, 4, 8])
+            .expect("outstanding ablation failed")
+            .render()
+    });
+
+    with_banner("Ablation: double vs single buffering", || {
+        ablation::double_buffering(KernelKind::Gesummv, 600)
+            .expect("buffering ablation failed")
+            .render()
+    });
+
     with_banner(
         "Ablation: LLC flush before vs after create_iommu_mapping",
-        || flush.render(),
+        || {
+            ablation::flush_before_map(1000)
+                .expect("flush ablation failed")
+                .render()
+        },
     );
 }

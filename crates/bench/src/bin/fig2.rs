@@ -8,9 +8,10 @@ use sva_soc::experiments::{copy_vs_map, offload_breakdown};
 fn main() {
     let size = parse_args();
     let elems = if size.is_paper() { 32_768 } else { 8_192 };
-    let breakdown = offload_breakdown::run(elems, 200).expect("figure 2 (left) failed");
     with_banner("Figure 2 (left): axpy offload breakdown", || {
-        breakdown.render()
+        offload_breakdown::run(elems, 200)
+            .expect("figure 2 (left) failed")
+            .render()
     });
 
     let pages: &[u64] = if size == RunSize::Paper {
@@ -18,8 +19,9 @@ fn main() {
     } else {
         &[4, 16]
     };
-    let scaling = copy_vs_map::run(pages, &[200]).expect("figure 2 (right) failed");
     with_banner("Figure 2 (right): copy vs map time over input size", || {
-        scaling.render()
+        copy_vs_map::run(pages, &[200])
+            .expect("figure 2 (right) failed")
+            .render()
     });
 }

@@ -12,10 +12,10 @@ fn main() {
     } else {
         &[4, 16]
     };
-    let result = copy_vs_map::run(pages, &latencies).expect("figure 3 sweep failed");
     with_banner(
         "Figure 3: copy and map time with input size and DRAM latency",
         || {
+            let result = copy_vs_map::run(pages, &latencies).expect("figure 3 sweep failed");
             let mut out = result.render();
             if let (Some(c), Some(m)) = (
                 result.copy_scaling(16, 200, 1000),

@@ -8,9 +8,9 @@ use sva_soc::experiments::kernel_runtime;
 fn main() {
     let size = parse_args();
     let latencies = size.latencies();
-    let result = kernel_runtime::run(&KernelKind::TABLE2, &latencies, size.is_paper())
-        .expect("figure 4 sweep failed");
     with_banner("Figure 4: kernel execution relative to baseline", || {
-        result.render_fig4(&latencies)
+        kernel_runtime::run(&KernelKind::TABLE2, &latencies, size.is_paper())
+            .expect("figure 4 sweep failed")
+            .render_fig4(&latencies)
     });
 }

@@ -12,8 +12,9 @@ fn main() {
         vec![200, 1000]
     };
     let elems = if size.is_paper() { 32_768 } else { 8_192 };
-    let result = ptw_time::run(elems, &latencies).expect("figure 5 sweep failed");
     with_banner("Figure 5: average IOMMU page-table-walk time", || {
-        result.render()
+        ptw_time::run(elems, &latencies)
+            .expect("figure 5 sweep failed")
+            .render()
     });
 }

@@ -8,10 +8,12 @@ use sva_soc::experiments::kernel_runtime;
 fn main() {
     let size = parse_args();
     let latencies = size.latencies();
-    let result = kernel_runtime::run(&KernelKind::TABLE2, &latencies, size.is_paper())
-        .expect("table II sweep failed");
     with_banner(
         "Table II: total runtime in cycles for each kernel at variable memory latency",
-        || result.render_table2(&latencies),
+        || {
+            kernel_runtime::run(&KernelKind::TABLE2, &latencies, size.is_paper())
+                .expect("table II sweep failed")
+                .render_table2(&latencies)
+        },
     );
 }

@@ -7,8 +7,8 @@
 //! * `--small` — run reduced problem sizes for a quick functional check.
 //!
 //! The binaries print plain-text tables whose rows mirror the paper's
-//! artefacts; EXPERIMENTS.md records the output of a `--paper` run next to
-//! the published numbers.
+//! artefacts; where the paper states a headline number, the rendered text
+//! quotes it as `(paper: …)` next to the model's value.
 
 #![warn(missing_docs)]
 
@@ -51,12 +51,14 @@ pub fn parse_args() -> RunSize {
 }
 
 /// Runs `f`, printing its banner and wall-clock duration around its output.
+/// `f` should run the experiment as well as render it, so the printed time
+/// covers the sweep.
 pub fn with_banner<F: FnOnce() -> String>(title: &str, f: F) {
     println!("=== {title} ===");
     let start = Instant::now();
     let body = f();
     println!("{body}");
-    println!("(generated in {:.1} s)\n", start.elapsed().as_secs_f64());
+    println!("(generated in {:.3} s)\n", start.elapsed().as_secs_f64());
 }
 
 #[cfg(test)]

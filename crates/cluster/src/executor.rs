@@ -437,12 +437,17 @@ mod tests {
 
         fn compute_tile(&mut self, tile: usize, tcdm: &mut Tcdm) -> Result<Cycles> {
             let buf = (tile % 2) as u64 * self.tile_bytes;
-            for i in 0..self.tile_bytes / 4 {
-                let v = tcdm.read_f32(buf + i * 4);
-                tcdm.write_f32(buf + i * 4, v * 2.0);
-            }
+            double_in_place(tcdm, buf, self.tile_bytes)?;
             Ok(self.compute_per_tile)
         }
+    }
+
+    /// Doubles every `f32` of the `bytes`-long TCDM range at `offset`.
+    fn double_in_place(tcdm: &mut Tcdm, offset: u64, bytes: u64) -> Result<()> {
+        let mut values = vec![0.0f32; (bytes / 4) as usize];
+        tcdm.read_f32_slice(offset, &mut values)?;
+        values.iter_mut().for_each(|v| *v *= 2.0);
+        tcdm.write_f32_slice(offset, &values)
     }
 
     fn setup(latency: u64) -> (MemorySystem, Iommu) {
@@ -644,10 +649,7 @@ mod tests {
 
         fn compute_tile(&mut self, tile: usize, tcdm: &mut Tcdm) -> Result<Cycles> {
             let buf = (tile % 2) as u64 * self.tile_bytes;
-            for i in 0..self.tile_bytes / 4 {
-                let v = tcdm.read_f32(buf + i * 4);
-                tcdm.write_f32(buf + i * 4, v * 2.0);
-            }
+            double_in_place(tcdm, buf, self.tile_bytes)?;
             Ok(Cycles::new(100))
         }
     }

@@ -64,27 +64,6 @@ impl Tcdm {
         Ok(())
     }
 
-    /// Reads a little-endian `f32` at `offset`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the access is out of bounds (kernel tile layouts are static,
-    /// so an out-of-bounds access is a programming error, not a data error).
-    pub fn read_f32(&self, offset: u64) -> f32 {
-        let o = offset as usize;
-        f32::from_le_bytes(self.data[o..o + 4].try_into().expect("4-byte slice"))
-    }
-
-    /// Writes a little-endian `f32` at `offset`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the access is out of bounds.
-    pub fn write_f32(&mut self, offset: u64, value: f32) {
-        let o = offset as usize;
-        self.data[o..o + 4].copy_from_slice(&value.to_le_bytes());
-    }
-
     /// Reads a slice of `f32` starting at `offset`: one bounds check, then a
     /// chunked little-endian conversion over the raw bytes (no per-element
     /// indexing).
@@ -185,9 +164,6 @@ mod tests {
         t.read(10, &mut b).unwrap();
         assert_eq!(b, [1, 2, 3]);
 
-        t.write_f32(100, -2.5);
-        assert_eq!(t.read_f32(100), -2.5);
-
         let vals = [1.0f32, 2.0, 3.0, 4.0];
         t.write_f32_slice(200, &vals).unwrap();
         let mut back = [0f32; 4];
@@ -218,8 +194,10 @@ mod tests {
     #[test]
     fn clear_resets_contents() {
         let mut t = Tcdm::new(64);
-        t.write_f32(0, 5.0);
+        t.write_f32_slice(0, &[5.0, -2.5]).unwrap();
         t.clear();
-        assert_eq!(t.read_f32(0), 0.0);
+        let mut back = [1.0f32; 2];
+        t.read_f32_slice(0, &mut back).unwrap();
+        assert_eq!(back, [0.0; 2]);
     }
 }

@@ -3,8 +3,7 @@
 //! Every experiment exposes a `run` function taking explicit parameters
 //! (sweeps, problem sizes) and returning structured results, plus a
 //! `render`-style helper producing the paper-style text table. The benchmark
-//! binaries in `sva-bench` are thin wrappers around these entry points, and
-//! EXPERIMENTS.md records their output next to the paper's numbers.
+//! binaries in `sva-bench` are thin wrappers around these entry points.
 //!
 //! | Module | Paper artefact |
 //! |---|---|

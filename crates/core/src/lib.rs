@@ -17,8 +17,8 @@
 //!   traces scheduled onto the clusters with SLO percentile reporting;
 //! * [`experiments`] — one module per table/figure with a `run` entry point
 //!   returning structured results;
-//! * [`report`] — plain-text table rendering used by the benchmark binaries
-//!   and EXPERIMENTS.md.
+//! * [`report`] — plain-text table rendering used by the benchmark
+//!   binaries.
 //!
 //! # Quickstart
 //!

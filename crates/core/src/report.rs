@@ -1,7 +1,7 @@
 //! Plain-text table rendering for experiment results.
 //!
 //! The experiment binaries print their results in a layout close to the
-//! paper's tables so that EXPERIMENTS.md can quote them directly.
+//! paper's tables, so a run can be compared with the paper row by row.
 
 /// A simple fixed-width text table.
 #[derive(Clone, Debug, Default)]

@@ -8,7 +8,7 @@
 //! preserved (gemm most compute-bound, heat3d most memory-bound). The
 //! evaluation criterion of the reproduction is the *shape* of the results —
 //! relative overheads, trends with DRAM latency, effect of the LLC — which is
-//! insensitive to moderate changes in these constants (see EXPERIMENTS.md).
+//! insensitive to moderate changes in these constants.
 
 use sva_cluster::PeCost;
 

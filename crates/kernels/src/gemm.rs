@@ -8,6 +8,11 @@
 //! strided access pattern that makes the IOMMU's per-page translation
 //! visible), computes the block with all eight PEs and writes it back row by
 //! row.
+//!
+//! **Operation order.** Device and reference both run `matmul_acc`: every
+//! element of `C` starts at `0.0` and accumulates `a[i][k] * b[k][j]` in
+//! ascending `k`, one rounded multiply and one rounded add per step. Device
+//! results are therefore bit-identical to the reference.
 
 use sva_cluster::{DeviceKernel, DmaRequest, Tcdm, TileIo};
 use sva_common::rng::DeterministicRng;
@@ -95,14 +100,7 @@ impl Workload for GemmWorkload {
         let a = &initial[0];
         let b = &initial[1];
         let mut c = vec![0.0f32; n * n];
-        for i in 0..n {
-            for k in 0..n {
-                let aik = a[i * n + k];
-                for j in 0..n {
-                    c[i * n + j] += aik * b[k * n + j];
-                }
-            }
-        }
+        matmul_acc(a, b, &mut c, n, n);
         vec![a.clone(), b.clone(), c]
     }
 
@@ -112,6 +110,9 @@ impl Workload for GemmWorkload {
             a: device_ptrs[0],
             b: device_ptrs[1],
             c: device_ptrs[2],
+            a_panel: vec![0.0; BLOCK * self.n],
+            b_panel: vec![0.0; self.n * BLOCK],
+            c_block: vec![0.0; BLOCK * BLOCK],
         })
     }
 
@@ -131,12 +132,31 @@ impl Workload for GemmWorkload {
     }
 }
 
+/// `c += a · b` for row-major `a` (`rows × k`), `b` (`k × width`) and `c`
+/// (`rows × width`). Loops `i → k → j`, so each `c[i][j]` accumulates its
+/// products in ascending `k` while the `j` loop runs over whole rows and
+/// vectorizes.
+fn matmul_acc(a: &[f32], b: &[f32], c: &mut [f32], k: usize, width: usize) {
+    for (a_row, c_row) in a.chunks_exact(k).zip(c.chunks_exact_mut(width)) {
+        for (&aik, b_row) in a_row.iter().zip(b.chunks_exact(width)) {
+            for (cij, &bkj) in c_row.iter_mut().zip(b_row) {
+                *cij += aik * bkj;
+            }
+        }
+    }
+}
+
 /// Device-side blocked gemm.
 struct GemmDevice {
     n: usize,
     a: Iova,
     b: Iova,
     c: Iova,
+    /// Host copies of the TCDM-resident A panel, B panel and C block,
+    /// reused across tiles.
+    a_panel: Vec<f32>,
+    b_panel: Vec<f32>,
+    c_block: Vec<f32>,
 }
 
 impl GemmDevice {
@@ -204,17 +224,11 @@ impl DeviceKernel for GemmDevice {
     fn compute_tile(&mut self, tile: usize, tcdm: &mut Tcdm) -> Result<Cycles> {
         let n = self.n;
         let (a_off, b_off, c_off) = self.tcdm_offsets(tile);
-        for i in 0..BLOCK {
-            for j in 0..BLOCK {
-                let mut acc = 0.0f32;
-                for k in 0..n {
-                    let a = tcdm.read_f32(a_off + ((i * n + k) * 4) as u64);
-                    let b = tcdm.read_f32(b_off + ((k * BLOCK + j) * 4) as u64);
-                    acc += a * b;
-                }
-                tcdm.write_f32(c_off + ((i * BLOCK + j) * 4) as u64, acc);
-            }
-        }
+        tcdm.read_f32_slice(a_off, &mut self.a_panel)?;
+        tcdm.read_f32_slice(b_off, &mut self.b_panel)?;
+        self.c_block.fill(0.0);
+        matmul_acc(&self.a_panel, &self.b_panel, &mut self.c_block, n, BLOCK);
+        tcdm.write_f32_slice(c_off, &self.c_block)?;
         let macs = (BLOCK * BLOCK * n) as u64;
         Ok(cost::gemm_cost().parallel_region(macs))
     }

@@ -6,6 +6,11 @@
 //! implementation processes blocks of matrix rows per tile; the small `x`
 //! vector is re-fetched with each tile (it shares the double-buffered tile
 //! layout), and one partial `y` block is written back per tile.
+//!
+//! **Operation order.** Device and reference both run `gesummv_block` on
+//! each block of 8 rows. Each row's two dot products start at `0.0` and
+//! accumulate in ascending `j`; the 8 rows only interleave, so device
+//! results are bit-identical to the reference.
 
 use sva_cluster::{DeviceKernel, DmaRequest, Tcdm, TileIo};
 use sva_common::rng::DeterministicRng;
@@ -101,21 +106,25 @@ impl Workload for GesummvWorkload {
 
     fn expected(&self, initial: &[Vec<f32>]) -> Vec<Vec<f32>> {
         let n = self.n;
+        assert!(
+            n % ROWS_PER_TILE == 0,
+            "gesummv dimension must be a multiple of 8"
+        );
         let (a, b, x) = (&initial[0], &initial[1], &initial[2]);
         let mut y = vec![0.0f32; n];
-        for i in 0..n {
-            let mut ax = 0.0f32;
-            let mut bx = 0.0f32;
-            for j in 0..n {
-                ax += a[i * n + j] * x[j];
-                bx += b[i * n + j] * x[j];
-            }
-            y[i] = self.alpha * ax + self.beta * bx;
+        let block = ROWS_PER_TILE * n;
+        let blocks = a
+            .chunks_exact(block)
+            .zip(b.chunks_exact(block))
+            .zip(y.chunks_exact_mut(ROWS_PER_TILE));
+        for ((a_blk, b_blk), y_blk) in blocks {
+            gesummv_block(a_blk, b_blk, x, self.alpha, self.beta, y_blk);
         }
         vec![a.clone(), b.clone(), x.clone(), y]
     }
 
     fn device_kernel(&self, device_ptrs: &[Iova]) -> Box<dyn DeviceKernel> {
+        let block = ROWS_PER_TILE * self.n;
         Box::new(GesummvDevice {
             n: self.n,
             alpha: self.alpha,
@@ -124,6 +133,10 @@ impl Workload for GesummvWorkload {
             b: device_ptrs[1],
             x: device_ptrs[2],
             y: device_ptrs[3],
+            a_rows: vec![0.0; block],
+            b_rows: vec![0.0; block],
+            x_vec: vec![0.0; self.n],
+            y_block: [0.0; ROWS_PER_TILE],
         })
     }
 
@@ -136,6 +149,27 @@ impl Workload for GesummvWorkload {
     }
 }
 
+/// `y[r] = alpha * (A[r] · x) + beta * (B[r] · x)` for one block of
+/// [`ROWS_PER_TILE`] row-major rows of `a` and `b`. The rows interleave with
+/// 16 independent accumulators, each summing its products in ascending `j`.
+fn gesummv_block(a: &[f32], b: &[f32], x: &[f32], alpha: f32, beta: f32, y: &mut [f32]) {
+    let n = x.len();
+    let a_rows: [&[f32]; ROWS_PER_TILE] = std::array::from_fn(|r| &a[r * n..][..n]);
+    let b_rows: [&[f32]; ROWS_PER_TILE] = std::array::from_fn(|r| &b[r * n..][..n]);
+    let mut ax = [0.0f32; ROWS_PER_TILE];
+    let mut bx = [0.0f32; ROWS_PER_TILE];
+    for (j, &xj) in x.iter().enumerate() {
+        let rows = ax.iter_mut().zip(&mut bx).zip(a_rows.iter().zip(&b_rows));
+        for ((ax, bx), (a_row, b_row)) in rows {
+            *ax += a_row[j] * xj;
+            *bx += b_row[j] * xj;
+        }
+    }
+    for ((y, ax), bx) in y.iter_mut().zip(ax).zip(bx) {
+        *y = alpha * ax + beta * bx;
+    }
+}
+
 /// Device-side row-blocked gesummv.
 struct GesummvDevice {
     n: usize,
@@ -145,6 +179,11 @@ struct GesummvDevice {
     b: Iova,
     x: Iova,
     y: Iova,
+    /// Host copies of the TCDM-resident tile buffers, reused across tiles.
+    a_rows: Vec<f32>,
+    b_rows: Vec<f32>,
+    x_vec: Vec<f32>,
+    y_block: [f32; ROWS_PER_TILE],
 }
 
 impl GesummvDevice {
@@ -195,16 +234,18 @@ impl DeviceKernel for GesummvDevice {
     fn compute_tile(&mut self, tile: usize, tcdm: &mut Tcdm) -> Result<Cycles> {
         let n = self.n;
         let (a_off, b_off, x_off, y_off) = self.tcdm_offsets(tile);
-        for r in 0..ROWS_PER_TILE {
-            let mut ax = 0.0f32;
-            let mut bx = 0.0f32;
-            for j in 0..n {
-                let xj = tcdm.read_f32(x_off + (j * 4) as u64);
-                ax += tcdm.read_f32(a_off + ((r * n + j) * 4) as u64) * xj;
-                bx += tcdm.read_f32(b_off + ((r * n + j) * 4) as u64) * xj;
-            }
-            tcdm.write_f32(y_off + (r * 4) as u64, self.alpha * ax + self.beta * bx);
-        }
+        tcdm.read_f32_slice(a_off, &mut self.a_rows)?;
+        tcdm.read_f32_slice(b_off, &mut self.b_rows)?;
+        tcdm.read_f32_slice(x_off, &mut self.x_vec)?;
+        gesummv_block(
+            &self.a_rows,
+            &self.b_rows,
+            &self.x_vec,
+            self.alpha,
+            self.beta,
+            &mut self.y_block,
+        );
+        tcdm.write_f32_slice(y_off, &self.y_block)?;
         let macs = (2 * ROWS_PER_TILE * n) as u64;
         Ok(cost::gesummv_cost().parallel_region(macs))
     }

@@ -11,6 +11,12 @@
 //! input planes are fetched as contiguous plane transfers, while the output
 //! plane is written back row by row (the natural store pattern of the
 //! stencil), giving the short-burst traffic that exposes memory latency.
+//!
+//! **Operation order.** Device and reference both run `stencil_row` on
+//! every interior row and copy boundary rows and points unchanged. Each
+//! interior point is `C_CENTER * c + C_NEIGH * (zm + zp + ym + yp + xm + xp)`,
+//! summed left to right, so device results are bit-identical to the
+//! reference.
 
 use sva_cluster::{DeviceKernel, DmaRequest, Tcdm, TileIo};
 use sva_common::rng::DeterministicRng;
@@ -59,26 +65,59 @@ impl Heat3dWorkload {
     /// Applies one Jacobi step from `src` into `dst` (reference).
     fn step(&self, src: &[f32], dst: &mut [f32]) {
         let n = self.n;
-        let idx = |z: usize, y: usize, x: usize| (z * n + y) * n + x;
-        for z in 0..n {
-            for y in 0..n {
-                for x in 0..n {
-                    let i = idx(z, y, x);
-                    if z == 0 || z == n - 1 || y == 0 || y == n - 1 || x == 0 || x == n - 1 {
-                        dst[i] = src[i];
-                    } else {
-                        dst[i] = C_CENTER * src[i]
-                            + C_NEIGH
-                                * (src[idx(z - 1, y, x)]
-                                    + src[idx(z + 1, y, x)]
-                                    + src[idx(z, y - 1, x)]
-                                    + src[idx(z, y + 1, x)]
-                                    + src[idx(z, y, x - 1)]
-                                    + src[idx(z, y, x + 1)]);
-                    }
-                }
+        let plane = n * n;
+        for (z, dst_plane) in dst.chunks_exact_mut(plane).enumerate() {
+            let center = &src[z * plane..][..plane];
+            if z == 0 || z == n - 1 {
+                dst_plane.copy_from_slice(center);
+                continue;
             }
+            let below = &src[(z - 1) * plane..][..plane];
+            let above = &src[(z + 1) * plane..][..plane];
+            plane_step(dst_plane, below, center, above, n);
         }
+    }
+}
+
+/// One output z-plane of an interior z: boundary rows are copied from
+/// `center`, interior rows go through `stencil_row`. All planes are
+/// `n × n`, row-major.
+fn plane_step(out: &mut [f32], below: &[f32], center: &[f32], above: &[f32], n: usize) {
+    fn row(p: &[f32], y: usize, n: usize) -> &[f32] {
+        &p[y * n..][..n]
+    }
+    for (y, out_row) in out.chunks_exact_mut(n).enumerate() {
+        if y == 0 || y == n - 1 {
+            out_row.copy_from_slice(row(center, y, n));
+        } else {
+            stencil_row(
+                out_row,
+                row(center, y, n),
+                row(below, y, n),
+                row(above, y, n),
+                row(center, y - 1, n),
+                row(center, y + 1, n),
+            );
+        }
+    }
+}
+
+/// One interior row of the seven-point stencil: `c` is the row itself,
+/// `zm`/`zp` the same row in the planes below and above, `ym`/`yp` the
+/// neighbouring rows in the same plane. The two boundary points are copied.
+fn stencil_row(out: &mut [f32], c: &[f32], zm: &[f32], zp: &[f32], ym: &[f32], yp: &[f32]) {
+    let n = c.len();
+    out[0] = c[0];
+    out[n - 1] = c[n - 1];
+    let m = n - 2;
+    let inner = out[1..=m]
+        .iter_mut()
+        .zip(&c[1..=m])
+        .zip(c[..m].iter().zip(&c[2..2 + m]))
+        .zip(zm[1..=m].iter().zip(&zp[1..=m]))
+        .zip(ym[1..=m].iter().zip(&yp[1..=m]));
+    for ((((o, &c), (&xm, &xp)), (&zm, &zp)), (&ym, &yp)) in inner {
+        *o = C_CENTER * c + C_NEIGH * (zm + zp + ym + yp + xm + xp);
     }
 }
 
@@ -123,11 +162,14 @@ impl Workload for Heat3dWorkload {
     }
 
     fn device_kernel(&self, device_ptrs: &[Iova]) -> Box<dyn DeviceKernel> {
+        let plane = self.n * self.n;
         Box::new(Heat3dDevice {
             n: self.n,
             steps: self.steps,
             u: device_ptrs[0],
             u_tmp: device_ptrs[1],
+            planes: vec![0.0; 3 * plane],
+            out: vec![0.0; plane],
         })
     }
 
@@ -151,6 +193,10 @@ struct Heat3dDevice {
     steps: usize,
     u: Iova,
     u_tmp: Iova,
+    /// Host copies of the three TCDM input plane slots and the output
+    /// plane, reused across tiles.
+    planes: Vec<f32>,
+    out: Vec<f32>,
 }
 
 impl Heat3dDevice {
@@ -226,33 +272,21 @@ impl DeviceKernel for Heat3dDevice {
 
     fn compute_tile(&mut self, tile: usize, tcdm: &mut Tcdm) -> Result<Cycles> {
         let n = self.n;
+        let plane = n * n;
         let (_, z) = self.tile_coords(tile);
         let (in_off, out_off) = self.tcdm_offsets(tile);
-        let plane = self.plane_bytes();
-        let boundary_z = z == 0 || z == n - 1;
-        // Plane slots in the TCDM: when z > 0 the plane `z` itself sits in
-        // slot 1, otherwise in slot 0.
-        let center_slot = if z == 0 { 0u64 } else { 1u64 };
-        let at = |slot: u64, y: usize, x: usize| in_off + slot * plane + ((y * n + x) * 4) as u64;
-
-        for y in 0..n {
-            for x in 0..n {
-                let center = tcdm.read_f32(at(center_slot, y, x));
-                let value = if boundary_z || y == 0 || y == n - 1 || x == 0 || x == n - 1 {
-                    center
-                } else {
-                    C_CENTER * center
-                        + C_NEIGH
-                            * (tcdm.read_f32(at(center_slot - 1, y, x))
-                                + tcdm.read_f32(at(center_slot + 1, y, x))
-                                + tcdm.read_f32(at(center_slot, y - 1, x))
-                                + tcdm.read_f32(at(center_slot, y + 1, x))
-                                + tcdm.read_f32(at(center_slot, y, x - 1))
-                                + tcdm.read_f32(at(center_slot, y, x + 1)))
-                };
-                tcdm.write_f32(out_off + ((y * n + x) * 4) as u64, value);
-            }
+        if z == 0 || z == n - 1 {
+            // Boundary plane: a copy of plane `z`, which sits in slot 0 for
+            // z == 0 and in slot 1 (after plane z-1) for z == n-1.
+            let center_off = if z == 0 { 0 } else { self.plane_bytes() };
+            tcdm.read_f32_slice(in_off + center_off, &mut self.out)?;
+        } else {
+            tcdm.read_f32_slice(in_off, &mut self.planes)?;
+            let (below, rest) = self.planes.split_at(plane);
+            let (center, above) = rest.split_at(plane);
+            plane_step(&mut self.out, below, center, above, n);
         }
+        tcdm.write_f32_slice(out_off, &self.out)?;
         Ok(cost::heat3d_cost().parallel_region((n * n) as u64))
     }
 }

@@ -21,6 +21,13 @@
 //! Every pass streams the whole 256 KiB array in and out of the cluster, so
 //! the kernel is moderately memory-bound and — like the linear kernels —
 //! exposes the IOMMU translation cost when the page-table walks miss the LLC.
+//!
+//! **Operation order.** The local-sort tiles and the reference both order
+//! values with `sort_total`, i.e. by [`f32::total_cmp`]. The merge passes
+//! compare with `<=`, which agrees with `total_cmp` on inputs without NaNs
+//! or mixed-sign zeros (every input [`Workload::init`] generates). Sorting
+//! moves values without arithmetic, so device results are bit-identical to
+//! the reference.
 
 use std::collections::HashMap;
 
@@ -114,17 +121,12 @@ impl Workload for SortWorkload {
 
     fn expected(&self, initial: &[Vec<f32>]) -> Vec<Vec<f32>> {
         let mut sorted = initial[0].clone();
-        sorted.sort_by(f32::total_cmp);
+        sort_total(&mut sorted);
         vec![sorted, initial[1].clone()]
     }
 
     fn device_kernel(&self, device_ptrs: &[Iova]) -> Box<dyn DeviceKernel> {
-        Box::new(SortDevice {
-            n: self.n,
-            data: device_ptrs[0],
-            aux: device_ptrs[1],
-            ranges: HashMap::new(),
-        })
+        Box::new(SortDevice::new(self.n, device_ptrs[0], device_ptrs[1]))
     }
 
     fn host_cost(&self) -> HostKernelCost {
@@ -145,6 +147,60 @@ impl Workload for SortWorkload {
     }
 }
 
+/// Sorts `v` ascending under [`f32::total_cmp`] with a least-significant-
+/// digit radix sort (four 8-bit digits) over an order-preserving unsigned
+/// image of each value's bits. Values with equal images have identical
+/// bits, so the result is exactly that of `v.sort_by(f32::total_cmp)`.
+fn sort_total(v: &mut [f32]) {
+    // Negative values flip every bit, the others only the sign bit: the
+    // images then compare as unsigned integers in `total_cmp` order.
+    fn key(x: f32) -> u32 {
+        let bits = x.to_bits();
+        if bits >> 31 == 1 {
+            !bits
+        } else {
+            bits | 1 << 31
+        }
+    }
+    fn value(key: u32) -> f32 {
+        f32::from_bits(if key >> 31 == 1 {
+            key & !(1 << 31)
+        } else {
+            !key
+        })
+    }
+
+    let mut keys: Vec<u32> = v.iter().map(|&x| key(x)).collect();
+    let mut spare = vec![0u32; keys.len()];
+    let mut counts = [[0usize; 256]; 4];
+    for &k in &keys {
+        for (digit, count) in counts.iter_mut().enumerate() {
+            count[(k >> (8 * digit)) as usize & 0xff] += 1;
+        }
+    }
+    for (digit, count) in counts.iter_mut().enumerate() {
+        // A digit every key shares leaves the order unchanged.
+        if count.contains(&keys.len()) {
+            continue;
+        }
+        let mut start = 0;
+        for c in count.iter_mut() {
+            let len = *c;
+            *c = start;
+            start += len;
+        }
+        for &k in &keys {
+            let slot = &mut count[(k >> (8 * digit)) as usize & 0xff];
+            spare[*slot] = k;
+            *slot += 1;
+        }
+        std::mem::swap(&mut keys, &mut spare);
+    }
+    for (x, &k) in v.iter_mut().zip(&keys) {
+        *x = value(k);
+    }
+}
+
 /// Device-side two-phase parallel sort.
 struct SortDevice {
     n: usize,
@@ -155,9 +211,24 @@ struct SortDevice {
     /// consumed by [`DeviceKernel::tile_io`]/[`DeviceKernel::compute_tile`]:
     /// `(a_start, a_len, b_start, b_len)` in elements of the source array.
     ranges: HashMap<usize, (usize, usize, usize, usize)>,
+    /// Host copies of a tile's input runs and output block, reused across
+    /// tiles.
+    runs: Vec<f32>,
+    out: Vec<f32>,
 }
 
 impl SortDevice {
+    fn new(n: usize, data: Iova, aux: Iova) -> Self {
+        Self {
+            n,
+            data,
+            aux,
+            ranges: HashMap::new(),
+            runs: vec![0.0; CHUNK],
+            out: Vec::with_capacity(CHUNK),
+        }
+    }
+
     fn chunks(&self) -> usize {
         self.n / CHUNK
     }
@@ -346,10 +417,10 @@ impl DeviceKernel for SortDevice {
 
         if phase == 0 {
             // Local sort of one chunk.
-            let mut chunk = vec![0.0f32; CHUNK];
-            tcdm.read_f32_slice(a_off, &mut chunk)?;
-            chunk.sort_by(f32::total_cmp);
-            tcdm.write_f32_slice(out_off, &chunk)?;
+            let chunk = &mut self.runs;
+            tcdm.read_f32_slice(a_off, chunk)?;
+            sort_total(chunk);
+            tcdm.write_f32_slice(out_off, chunk)?;
             let comparisons = (CHUNK as u64) * (CHUNK as f64).log2().ceil() as u64;
             return Ok(cost::sort_local_cost().parallel_region(comparisons));
         }
@@ -364,11 +435,11 @@ impl DeviceKernel for SortDevice {
                 ),
             });
         }
-        let mut a = vec![0.0f32; a_len];
-        let mut b = vec![0.0f32; b_len];
-        tcdm.read_f32_slice(a_off, &mut a)?;
-        tcdm.read_f32_slice(b_off, &mut b)?;
-        let mut out = Vec::with_capacity(CHUNK);
+        let (a, b) = self.runs.split_at_mut(a_len);
+        tcdm.read_f32_slice(a_off, a)?;
+        tcdm.read_f32_slice(b_off, b)?;
+        let out = &mut self.out;
+        out.clear();
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
             if a[i] <= b[j] {
@@ -381,7 +452,7 @@ impl DeviceKernel for SortDevice {
         }
         out.extend_from_slice(&a[i..]);
         out.extend_from_slice(&b[j..]);
-        tcdm.write_f32_slice(out_off, &out)?;
+        tcdm.write_f32_slice(out_off, out)?;
 
         Ok(cost::sort_merge_cost().parallel_region(CHUNK as u64))
     }
@@ -399,6 +470,40 @@ mod tests {
         let exp = wl.expected(&init);
         assert!(exp[0].windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(exp[0].len(), 4096);
+    }
+
+    #[test]
+    fn sort_total_matches_the_comparison_sort_bit_for_bit() {
+        let mut rng = DeterministicRng::new(11);
+        let mut values = vec![0.0f32; 3000];
+        rng.fill_f32(&mut values, -1.0e6, 1.0e6);
+        // Duplicates, signed zeros, infinities, NaNs of both signs and
+        // payloads, subnormals and the extremes.
+        values.extend_from_within(..200);
+        values.extend_from_slice(&[
+            0.0,
+            -0.0,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fc0_0001),
+            f32::from_bits(0xffc0_0001),
+            f32::MIN_POSITIVE / 2.0,
+            -f32::MIN_POSITIVE / 2.0,
+            f32::MAX,
+            f32::MIN,
+        ]);
+        for len in [0, 1, 2, 17, values.len()] {
+            let mut radix = values[..len].to_vec();
+            let mut comparison = radix.clone();
+            sort_total(&mut radix);
+            comparison.sort_by(f32::total_cmp);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&radix), bits(&comparison), "len {len}");
+        }
     }
 
     #[test]
@@ -448,12 +553,7 @@ mod tests {
         let aux = Iova::new(0x2000_0000);
         for n in [4096usize, 16_384, 32_768, 65_536, 131_072] {
             let wl = SortWorkload::with_elems(n);
-            let dev = SortDevice {
-                n,
-                data,
-                aux,
-                ranges: HashMap::new(),
-            };
+            let dev = SortDevice::new(n, data, aux);
             assert_eq!(dev.pass_dst(dev.passes()), data, "n={n}: result in data");
             for pass in 1..=dev.passes() {
                 let (src, dst) = dev.pass_arrays(pass);

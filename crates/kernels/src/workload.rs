@@ -102,8 +102,11 @@ pub trait Workload {
     /// Verifies the final buffer contents against the expected contents.
     ///
     /// The default implementation compares result buffers element-wise with a
-    /// relative tolerance of `1e-3` (device and reference accumulate in
-    /// different orders).
+    /// relative tolerance of `1e-3` and rejects non-finite results. The
+    /// built-in kernels compute every result element with the same
+    /// operations in the same order as their reference (each kernel's module
+    /// doc states its order), so their device results match bit for bit;
+    /// the tolerance admits workloads that reorder their arithmetic.
     ///
     /// # Errors
     ///
