@@ -7,9 +7,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use sva_cluster::{DmaConfig, DmaEngine, DmaRequest, Tcdm};
-use sva_common::{Cycles, Iova, PhysAddr, PAGE_SIZE};
+use sva_common::{Cycles, InitiatorId, Iova, PhysAddr, PAGE_SIZE};
 use sva_iommu::{Iommu, IommuConfig};
-use sva_mem::{MemSysConfig, MemorySystem};
+use sva_mem::{MemReq, MemSysConfig, MemorySystem};
 use sva_vm::{AddressSpace, FrameAllocator, PteFlags};
 
 fn translation_setup() -> (MemorySystem, Iommu, Iova) {
@@ -95,8 +95,12 @@ fn bench_llc_host_access(c: &mut Criterion) {
         let mut mem = MemorySystem::default();
         let addr = PhysAddr::new(sva_axi::addrmap::DRAM_BASE + 0x8000);
         let mut buf = [0u8; 8];
-        mem.host_read(addr, &mut buf).unwrap();
-        b.iter(|| mem.host_read(addr, &mut buf).unwrap())
+        let mut read = |mem: &mut MemorySystem| {
+            mem.access(MemReq::read(InitiatorId::Host, addr, &mut buf))
+                .unwrap()
+        };
+        read(&mut mem);
+        b.iter(|| read(&mut mem))
     });
 }
 

@@ -21,7 +21,7 @@
 use serde::{Deserialize, Serialize};
 use sva_cluster::{block_partition, KernelRunStats, TileRange};
 use sva_common::rng::DeterministicRng;
-use sva_common::{Cycles, Error, Iova, PhysAddr, Result, VirtAddr};
+use sva_common::{Cycles, Error, Iova, PhysAddr, Result, VirtAddr, PAGE_SIZE};
 use sva_host::{
     FaultServicer, HostKernelRunner, HostRunStats, HostTrafficStats, MappingHandle, TrafficPhase,
 };
@@ -417,9 +417,11 @@ impl OffloadRunner {
                 &mut platform.frames,
                 spec.bytes(),
             )?;
-            platform
-                .space
-                .write_virt(&mut platform.mem, va, &f32s_to_bytes(data))?;
+            stage_out(data, |off, bytes| {
+                platform
+                    .space
+                    .write_virt(&mut platform.mem, va + off, bytes)
+            })?;
             out.push(UserBufferAlloc {
                 va,
                 bytes: spec.bytes(),
@@ -439,7 +441,7 @@ impl OffloadRunner {
         let mut out = Vec::with_capacity(specs.len());
         for (spec, data) in specs.iter().zip(initial) {
             let pa = platform.reserved.alloc_bytes(spec.bytes())?;
-            platform.mem.write_phys(pa, &f32s_to_bytes(data))?;
+            stage_out(data, |off, bytes| platform.mem.write_phys(pa + off, bytes))?;
             out.push(pa);
         }
         Ok(out)
@@ -454,11 +456,9 @@ impl OffloadRunner {
         let specs = workload.buffers();
         let mut out = Vec::with_capacity(specs.len());
         for (spec, buf) in specs.iter().zip(buffers) {
-            let mut bytes = vec![0u8; spec.bytes() as usize];
-            platform
-                .space
-                .read_virt(&platform.mem, buf.va, &mut bytes)?;
-            out.push(bytes_to_f32s(&bytes));
+            out.push(stage_in(spec.bytes(), |off, bytes| {
+                platform.space.read_virt(&platform.mem, buf.va + off, bytes)
+            })?);
         }
         Ok(out)
     }
@@ -471,10 +471,10 @@ impl OffloadRunner {
     ) -> Result<Vec<Vec<f32>>> {
         let specs = workload.buffers();
         let mut out = Vec::with_capacity(specs.len());
-        for (spec, pa) in specs.iter().zip(placements) {
-            let mut bytes = vec![0u8; spec.bytes() as usize];
-            platform.mem.read_phys(*pa, &mut bytes)?;
-            out.push(bytes_to_f32s(&bytes));
+        for (spec, &pa) in specs.iter().zip(placements) {
+            out.push(stage_in(spec.bytes(), |off, bytes| {
+                platform.mem.read_phys(pa + off, bytes)
+            })?);
         }
         Ok(out)
     }
@@ -514,9 +514,11 @@ impl OffloadRunner {
         let specs = workload.buffers();
         for ((spec, buf), data) in specs.iter().zip(buffers).zip(expected) {
             if spec.kind.is_result() {
-                platform
-                    .space
-                    .write_virt(&mut platform.mem, buf.va, &f32s_to_bytes(data))?;
+                stage_out(data, |off, bytes| {
+                    platform
+                        .space
+                        .write_virt(&mut platform.mem, buf.va + off, bytes)
+                })?;
             }
         }
         let actual = self.read_back_virtual(platform, workload, buffers)?;
@@ -720,17 +722,41 @@ struct UserBufferAlloc {
     kind: BufferKind,
 }
 
-/// Converts a slice of `f32` into little-endian bytes.
-fn f32s_to_bytes(values: &[f32]) -> Vec<u8> {
-    values.iter().flat_map(|v| v.to_le_bytes()).collect()
+/// Size of the runtime's staging buffer: one page.
+const STAGE_BYTES: usize = PAGE_SIZE as usize;
+
+/// Writes `values` as little-endian bytes through one page-sized staging
+/// buffer: `write(offset, bytes)` stores each staged page at its byte
+/// offset from the start of the buffer.
+fn stage_out(values: &[f32], mut write: impl FnMut(u64, &[u8]) -> Result<()>) -> Result<()> {
+    let mut page = [0u8; STAGE_BYTES];
+    for (i, chunk) in values.chunks(STAGE_BYTES / 4).enumerate() {
+        let bytes = &mut page[..chunk.len() * 4];
+        for (dst, v) in bytes.chunks_exact_mut(4).zip(chunk) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+        write((i * STAGE_BYTES) as u64, bytes)?;
+    }
+    Ok(())
 }
 
-/// Converts little-endian bytes into `f32` values.
-fn bytes_to_f32s(bytes: &[u8]) -> Vec<f32> {
-    bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-        .collect()
+/// Reads the little-endian `f32`s of a `len`-byte buffer through one
+/// page-sized staging buffer: `read(offset, bytes)` fills each page from
+/// its byte offset. A trailing partial element is dropped.
+fn stage_in(len: u64, mut read: impl FnMut(u64, &mut [u8]) -> Result<()>) -> Result<Vec<f32>> {
+    let len = len as usize / 4 * 4;
+    let mut page = [0u8; STAGE_BYTES];
+    let mut out = Vec::with_capacity(len / 4);
+    for off in (0..len).step_by(STAGE_BYTES) {
+        let bytes = &mut page[..(len - off).min(STAGE_BYTES)];
+        read(off as u64, bytes)?;
+        out.extend(
+            bytes
+                .chunks_exact(4)
+                .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
+        );
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -741,8 +767,30 @@ mod tests {
 
     #[test]
     fn bytes_roundtrip() {
-        let vals = vec![1.0f32, -2.5, 3.25, f32::MIN_POSITIVE];
-        assert_eq!(bytes_to_f32s(&f32s_to_bytes(&vals)), vals);
+        // Two full staging pages and a partial third.
+        let vals: Vec<f32> = (0..2 * STAGE_BYTES / 4 + 3)
+            .map(|i| i as f32 * -2.5)
+            .chain([f32::MIN_POSITIVE, f32::NAN])
+            .collect();
+        let mut store = vec![0u8; vals.len() * 4];
+        let mut writes = 0;
+        stage_out(&vals, |off, bytes| {
+            writes += 1;
+            store[off as usize..][..bytes.len()].copy_from_slice(bytes);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(writes, 3, "one write per staged page");
+        assert_eq!(store[4..8], (-2.5f32).to_le_bytes(), "little-endian");
+        // A trailing partial element is dropped on the way back.
+        store.push(0xFF);
+        let back = stage_in(store.len() as u64, |off, bytes| {
+            bytes.copy_from_slice(&store[off as usize..][..bytes.len()]);
+            Ok(())
+        })
+        .unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&vals));
     }
 
     #[test]

@@ -14,12 +14,15 @@
 //! proof: with host traffic disabled, one channel, round-robin and PTW
 //! batching off, the timed engine must reproduce the pre-clock (PR 2)
 //! counts bit for bit. A second table pins the timed engine itself — host
-//! traffic + 4 clusters + batched PTW.
+//! traffic + 4 clusters + batched PTW. A last table pins the three full
+//! application flows (host-only, copy-based, zero-copy), which exercise
+//! the host core, the copy engine and the driver.
 
 use sva_host::HostTrafficConfig;
 use sva_kernels::KernelKind;
+use sva_mem::llc::LlcRequester;
 use sva_soc::config::PlatformConfig;
-use sva_soc::offload::OffloadRunner;
+use sva_soc::offload::{OffloadMode, OffloadRunner};
 use sva_soc::platform::Platform;
 
 const GOLDEN_SEED: u64 = 0x601D;
@@ -98,6 +101,61 @@ const DEMAND_GOLDEN: &[(KernelKind, u64, u64)] = &[
 /// calibration, arrival trace generation, admission, dispatch, the event
 /// loop — is deterministic, so these must hold bit for bit.
 const SERVING_GOLDEN: (u64, u64, u64, u64, u64, u64) = (350, 330, 20, 330, 321_536, 1_005_568);
+
+/// The three application flows of Figure 2, in `APP_GOLDEN` column order.
+const APP_FLOWS: [OffloadMode; 3] = [
+    OffloadMode::HostOnly,
+    OffloadMode::CopyOffload,
+    OffloadMode::ZeroCopy,
+];
+
+/// Pinned full applications on `PlatformConfig::iommu_with_llc(200)`, one
+/// row per kernel and one entry per flow of [`APP_FLOWS`]: `[total,
+/// copy_or_map, host.memory, host accesses, L1 hits, L1 misses, LLC host
+/// hits, LLC host misses]`. The counts are read after the run, so they
+/// include the read-backs and, for zero-copy, the driver's map and unmap.
+const APP_GOLDEN: &[(KernelKind, [[u64; 8]; 3])] = &[
+    (
+        KernelKind::Gemm,
+        [
+            [1_377_536, 0, 197_888, 768, 512, 512, 0, 768],
+            [583_228, 278_784, 0, 1_536, 0, 512, 0, 768],
+            [359_530, 54_489, 0, 62, 22, 26, 33, 29],
+        ],
+    ),
+    (
+        KernelKind::Gesummv,
+        [
+            [677_904, 0, 530_448, 2_064, 0, 2_056, 0, 2_064],
+            [698_642, 600_312, 0, 4_128, 0, 2_056, 0, 2_064],
+            [183_069, 84_355, 0, 172, 66, 70, 93, 79],
+        ],
+    ),
+    (
+        KernelKind::Heat3d,
+        [
+            [155_136, 0, 73_216, 768, 768, 256, 512, 256],
+            [290_353, 142_336, 0, 1_024, 256, 256, 256, 256],
+            [187_605, 36_953, 0, 42, 14, 18, 21, 21],
+        ],
+    ),
+    (
+        KernelKind::Axpy,
+        [
+            [222_000, 0, 198_000, 1_125, 375, 750, 375, 750],
+            [394_816, 317_250, 0, 2_250, 375, 750, 375, 750],
+            [117_763, 39_612, 0, 62, 22, 26, 32, 30],
+        ],
+    ),
+    (
+        KernelKind::Sort,
+        [
+            [2_399_232, 0, 334_848, 6_144, 1_536, 3_072, 5_120, 1_024],
+            [1_990_138, 569_344, 0, 4_096, 512, 1_024, 1_024, 1_024],
+            [1_474_232, 52_907, 0, 162, 62, 66, 87, 75],
+        ],
+    ),
+];
 
 fn golden_config(clusters: usize) -> PlatformConfig {
     PlatformConfig::iommu_with_llc(GOLDEN_LATENCY)
@@ -418,6 +476,51 @@ fn shallow_queue_golden_counts_hold() {
     assert!(
         failures.is_empty(),
         "shallow-queue golden counts drifted:\n  {}",
+        failures.join("\n  ")
+    );
+}
+
+/// The application flows of Figure 2 locked down: every small workload ×
+/// {host-only, copy-based, zero-copy} verifies and reproduces its pinned
+/// totals, setup cost, host memory cycles and host-side cache traffic.
+#[test]
+fn app_flow_golden_counts_hold() {
+    let mut failures = Vec::new();
+    for &(kind, pins) in APP_GOLDEN {
+        for (mode, expected) in APP_FLOWS.into_iter().zip(pins) {
+            let wl = kind.small_workload();
+            let mut platform =
+                Platform::new(PlatformConfig::iommu_with_llc(GOLDEN_LATENCY)).unwrap();
+            let report = OffloadRunner::new(GOLDEN_SEED)
+                .run(&mut platform, wl.as_ref(), mode)
+                .unwrap();
+            assert!(report.verified, "{kind:?} {mode:?} must verify");
+            let l1 = platform.cpu.l1_stats();
+            let llc = platform
+                .mem
+                .llc()
+                .expect("IOMMU+LLC platform has an LLC")
+                .stats(LlcRequester::Host);
+            let actual = [
+                report.total.raw(),
+                report.copy_or_map.raw(),
+                report.host.map_or(0, |h| h.memory.raw()),
+                platform.mem.stats().host_accesses,
+                l1.hits,
+                l1.misses,
+                llc.hits,
+                llc.misses,
+            ];
+            if actual != expected {
+                failures.push(format!(
+                    "{kind:?} {mode:?}: pinned {expected:?}, measured {actual:?}"
+                ));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "app-flow golden counts drifted:\n  {}",
         failures.join("\n  ")
     );
 }

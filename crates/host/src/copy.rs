@@ -9,11 +9,12 @@
 //! this cost and its scaling with input size and DRAM latency.
 
 use serde::{Deserialize, Serialize};
-use sva_common::{Cycles, PhysAddr, Result, VirtAddr, CACHE_LINE_SIZE};
+use sva_common::{Cycles, PhysAddr, Result, VirtAddr, CACHE_LINE_SIZE, PAGE_SIZE};
 use sva_mem::MemorySystem;
 use sva_vm::AddressSpace;
 
 use crate::cpu::HostCpu;
+use crate::pages::LastPage;
 
 /// Statistics of one copy operation.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -28,6 +29,15 @@ pub struct CopyStats {
 /// DRAM area.
 #[derive(Clone, Debug, Default)]
 pub struct CopyEngine;
+
+/// Which way a copy moves data.
+#[derive(Copy, Clone, Debug)]
+enum Direction {
+    /// User buffer → device buffer.
+    ToDevice,
+    /// Device buffer → user buffer.
+    FromDevice,
+}
 
 impl CopyEngine {
     /// Creates a copy engine.
@@ -51,23 +61,7 @@ impl CopyEngine {
         dst_pa: PhysAddr,
         len: u64,
     ) -> Result<CopyStats> {
-        let mut cycles = Cycles::ZERO;
-        let mut offset = 0u64;
-        let mut line = vec![0u8; CACHE_LINE_SIZE as usize];
-        while offset < len {
-            let chunk = (len - offset).min(CACHE_LINE_SIZE) as usize;
-            let src_pa = space.translate(mem, src_va + offset)?;
-            // Functional move.
-            space.read_virt(mem, src_va + offset, &mut line[..chunk])?;
-            mem.write_phys(dst_pa + offset, &line[..chunk])?;
-            // Timing: cached read, posted uncached write.
-            cycles += cpu.load(mem, src_pa, chunk as u64)?;
-            cycles += cpu.store(mem, dst_pa + offset, chunk as u64)?;
-            // Loop overhead of the memcpy inner loop.
-            cycles += cpu.execute(4);
-            offset += chunk as u64;
-        }
-        Ok(CopyStats { cycles, bytes: len })
+        memcpy(cpu, mem, space, src_va, dst_pa, len, Direction::ToDevice)
     }
 
     /// Copies `len` bytes back from the contiguous device buffer at `src_pa`
@@ -85,29 +79,73 @@ impl CopyEngine {
         dst_va: VirtAddr,
         len: u64,
     ) -> Result<CopyStats> {
-        let mut cycles = Cycles::ZERO;
-        let mut offset = 0u64;
-        let mut line = vec![0u8; CACHE_LINE_SIZE as usize];
-        while offset < len {
-            let chunk = (len - offset).min(CACHE_LINE_SIZE) as usize;
-            let dst_pa = space.translate(mem, dst_va + offset)?;
-            // Functional move.
-            mem.read_phys(src_pa + offset, &mut line[..chunk])?;
-            space.write_virt(mem, dst_va + offset, &line[..chunk])?;
-            // Timing: uncached read (latency-bound), cached write.
-            cycles += cpu.load(mem, src_pa + offset, chunk as u64)?;
-            cycles += cpu.store(mem, dst_pa, chunk as u64)?;
-            cycles += cpu.execute(4);
-            offset += chunk as u64;
-        }
-        Ok(CopyStats { cycles, bytes: len })
+        memcpy(cpu, mem, space, dst_va, src_pa, len, Direction::FromDevice)
     }
+}
+
+/// The host `memcpy` of `len` bytes between the user buffer at `user` and
+/// the contiguous device buffer at `device`.
+///
+/// The functional payload moves once per user page, through one page-sized
+/// staging buffer. The timing follows the memcpy inner loop line by line:
+/// every 64-byte chunk from the start of the buffer is a timed load from the
+/// source, a timed store to the destination and the loop overhead. The
+/// chunks starting in a page are timed right after that page's payload
+/// moved, through the same memoised translation, so the stream walks the
+/// page table once per page.
+fn memcpy(
+    cpu: &mut HostCpu,
+    mem: &mut MemorySystem,
+    space: &AddressSpace,
+    user: VirtAddr,
+    device: PhysAddr,
+    len: u64,
+    dir: Direction,
+) -> Result<CopyStats> {
+    let mut pages = LastPage::default();
+    let mut staged = [0u8; PAGE_SIZE as usize];
+    let mut cycles = Cycles::ZERO;
+    let mut moved = 0u64;
+    let mut timed = 0u64;
+    while moved < len {
+        // Functional move of the rest of this user page.
+        let user_pa = pages.translate(space, mem, user + moved)?;
+        let n = (len - moved).min(PAGE_SIZE - (user + moved).page_offset());
+        let buf = &mut staged[..n as usize];
+        match dir {
+            Direction::ToDevice => {
+                mem.read_phys(user_pa, buf)?;
+                mem.write_phys(device + moved, buf)?;
+            }
+            Direction::FromDevice => {
+                mem.read_phys(device + moved, buf)?;
+                mem.write_phys(user_pa, buf)?;
+            }
+        }
+        moved += n;
+        // Timing of every line chunk that starts in this page. To the
+        // device: cached read, posted uncached write. From the device:
+        // uncached (latency-bound) read, cached write.
+        while timed < moved {
+            let chunk = (len - timed).min(CACHE_LINE_SIZE);
+            let user_pa = pages.translate(space, mem, user + timed)?;
+            let (src, dst) = match dir {
+                Direction::ToDevice => (user_pa, device + timed),
+                Direction::FromDevice => (device + timed, user_pa),
+            };
+            cycles += cpu.load(mem, src, chunk)?;
+            cycles += cpu.store(mem, dst, chunk)?;
+            // Loop overhead of the memcpy inner loop.
+            cycles += cpu.execute(4);
+            timed += chunk;
+        }
+    }
+    Ok(CopyStats { cycles, bytes: len })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sva_common::PAGE_SIZE;
     use sva_mem::MemSysConfig;
     use sva_vm::FrameAllocator;
 

@@ -7,11 +7,16 @@
 //! between. [`HostCpu`] provides exactly that: `load`/`store` return the
 //! cycles of one access, `execute` charges ALU/FPU work, and an internal
 //! counter accumulates the total so callers can read off elapsed time.
+//!
+//! `load` and `store` are timing-only ([`MemReq::timing`]): the simulated
+//! bytes are moved by whoever owns them (the copy engine, the runtime), so
+//! the core's memory path only times and counts its accesses.
 
 use serde::{Deserialize, Serialize};
-use sva_common::{Cycles, GlobalClock, PhysAddr, Result, CACHE_LINE_SIZE};
+use sva_axi::AccessKind;
+use sva_common::{Cycles, GlobalClock, InitiatorId, PhysAddr, Result, CACHE_LINE_SIZE};
 use sva_mem::cache::{Cache, CacheConfig};
-use sva_mem::MemorySystem;
+use sva_mem::{MemReq, MemorySystem};
 
 /// Configuration of the host CPU model.
 #[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -102,7 +107,8 @@ impl HostCpu {
 
     /// Performs a timed load of `len` bytes at physical address `addr`
     /// (`len` is expected to stay within one cache line, as real accesses
-    /// do).
+    /// do). An L1 miss on cacheable memory refills the whole line. Timing
+    /// only: no bytes are read.
     ///
     /// # Errors
     ///
@@ -112,12 +118,15 @@ impl HostCpu {
         let cacheable = mem.map().is_llc_cacheable(addr);
         if cacheable {
             if !self.l1d.access(addr, false).is_hit() {
-                let mut line = [0u8; CACHE_LINE_SIZE as usize];
-                cycles += mem.host_read(addr.cache_line_base(), &mut line)?;
+                cycles += host_latency(
+                    mem,
+                    AccessKind::Read,
+                    addr.cache_line_base(),
+                    CACHE_LINE_SIZE,
+                )?;
             }
         } else {
-            let mut buf = vec![0u8; len as usize];
-            cycles += mem.host_read(addr, &mut buf)?;
+            cycles += host_latency(mem, AccessKind::Read, addr, len)?;
         }
         Ok(self.charge(cycles))
     }
@@ -126,9 +135,9 @@ impl HostCpu {
     ///
     /// CVA6's L1 is write-through: the line is updated if present (no
     /// write-allocate) and the store always proceeds to the memory system.
-    /// The store is *timing only* — it re-writes the bytes already present so
-    /// functional contents (which callers manage through the untimed
-    /// interfaces) are never clobbered.
+    /// The store is *timing only* — it writes no bytes, so functional
+    /// contents (which callers manage through the untimed interfaces) are
+    /// never clobbered.
     ///
     /// # Errors
     ///
@@ -140,9 +149,7 @@ impl HostCpu {
             // Update the resident line (timing-wise free beyond the hit).
             self.l1d.access(addr, false);
         }
-        let mut current = vec![0u8; len as usize];
-        mem.read_phys(addr, &mut current)?;
-        cycles += mem.host_write(addr, &current)?;
+        cycles += host_latency(mem, AccessKind::Write, addr, len)?;
         Ok(self.charge(cycles))
     }
 
@@ -162,7 +169,9 @@ impl HostCpu {
         if mem.map().is_llc_cacheable(addr) && self.l1d.probe(addr) {
             self.l1d.access(addr, false);
         }
-        cycles += mem.host_write(addr, &value.to_le_bytes())?;
+        cycles += mem
+            .access(MemReq::write(InitiatorId::Host, addr, &value.to_le_bytes()))?
+            .latency();
         Ok(self.charge(cycles))
     }
 
@@ -179,6 +188,18 @@ impl Default for HostCpu {
     fn default() -> Self {
         Self::new(HostCpuConfig::default())
     }
+}
+
+/// Latency the host sees for a timing-only access (beyond its own L1).
+fn host_latency(
+    mem: &mut MemorySystem,
+    kind: AccessKind,
+    addr: PhysAddr,
+    len: u64,
+) -> Result<Cycles> {
+    Ok(mem
+        .access(MemReq::timing(InitiatorId::Host, kind, addr, len))?
+        .latency())
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@ use sva_mem::MemorySystem;
 use sva_vm::AddressSpace;
 
 use crate::cpu::HostCpu;
+use crate::pages::LastPage;
 
 /// Cost description of a kernel when run on the host core.
 #[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -81,16 +82,18 @@ impl HostKernelRunner {
     ) -> Result<HostRunStats> {
         let start = cpu.elapsed();
 
-        // Memory traffic: stream each buffer at cache-line granularity.
+        // Memory traffic: stream each buffer at cache-line granularity,
+        // translating once per page.
+        let mut pages = LastPage::default();
         let mut memory = Cycles::ZERO;
         for _ in 0..cost.read_passes {
             for &(va, len) in inputs {
-                memory += self.stream(cpu, mem, space, va, len, false)?;
+                memory += Self::stream(cpu, mem, space, &mut pages, va, len, false)?;
             }
         }
         for _ in 0..cost.write_passes {
             for &(va, len) in outputs {
-                memory += self.stream(cpu, mem, space, va, len, true)?;
+                memory += Self::stream(cpu, mem, space, &mut pages, va, len, true)?;
             }
         }
 
@@ -105,10 +108,10 @@ impl HostKernelRunner {
     }
 
     fn stream(
-        &self,
         cpu: &mut HostCpu,
         mem: &mut MemorySystem,
         space: &AddressSpace,
+        pages: &mut LastPage,
         va: VirtAddr,
         len: u64,
         is_write: bool,
@@ -116,7 +119,7 @@ impl HostKernelRunner {
         let mut total = Cycles::ZERO;
         let mut offset = 0u64;
         while offset < len {
-            let pa = space.translate(mem, va + offset)?;
+            let pa = pages.translate(space, mem, va + offset)?;
             total += if is_write {
                 cpu.store(mem, pa, 8)?
             } else {

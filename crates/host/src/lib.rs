@@ -26,6 +26,7 @@ pub mod copy;
 pub mod cpu;
 pub mod driver;
 pub mod exec;
+mod pages;
 pub mod serving;
 pub mod traffic;
 

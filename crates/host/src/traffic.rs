@@ -21,6 +21,7 @@
 //!   reproduction; the timed stream supersedes it for fabric sweeps.
 
 use serde::{Deserialize, Serialize};
+use sva_axi::AccessKind;
 use sva_common::{Cycles, GlobalClock, InitiatorId, PhysAddr, Result};
 use sva_mem::interference::InterferenceConfig;
 use sva_mem::{MemReq, MemorySystem};
@@ -230,7 +231,6 @@ impl HostTrafficStream {
         count: u64,
     ) -> Result<()> {
         let base = sva_axi::addrmap::DRAM_BASE + self.config.region_offset;
-        let mut buf = vec![0u8; self.config.len as usize];
         let n = count.min(self.remaining());
         for _ in 0..n {
             let i = self.next;
@@ -244,9 +244,17 @@ impl HostTrafficStream {
             // hart), distinct from the runtime's `InitiatorId::Host`
             // traffic, so host self-interference during offload setup is
             // observable instead of vanishing into the same-initiator
-            // exemption.
-            let rsp =
-                mem.access(MemReq::read(InitiatorId::HostStream, addr, &mut buf).at(issue))?;
+            // exemption. Nothing reads the streamed bytes, so the reads are
+            // timing-only.
+            let rsp = mem.access(
+                MemReq::timing(
+                    InitiatorId::HostStream,
+                    AccessKind::Read,
+                    addr,
+                    self.config.len,
+                )
+                .at(issue),
+            )?;
             self.next += 1;
             self.stats.issued += 1;
             self.stats.bytes += self.config.len;

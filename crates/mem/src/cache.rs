@@ -44,8 +44,9 @@ impl CacheConfig {
         (self.size_bytes / (self.line_bytes * self.ways as u64)) as usize
     }
 
-    /// Validates that the geometry is consistent (powers of two, at least one
-    /// set).
+    /// Validates that the geometry is consistent: a power-of-two line size,
+    /// at least one way, and a power-of-two number of sets (so a lookup
+    /// indexes with a shift and a mask).
     pub fn validate(&self) -> Result<(), String> {
         if !self.line_bytes.is_power_of_two() {
             return Err(format!(
@@ -64,6 +65,9 @@ impl CacheConfig {
         }
         if self.sets() == 0 {
             return Err("cache has zero sets".to_string());
+        }
+        if !self.sets().is_power_of_two() {
+            return Err(format!("set count {} is not a power of two", self.sets()));
         }
         Ok(())
     }
@@ -112,6 +116,10 @@ struct Line {
 pub struct Cache {
     config: CacheConfig,
     sets: Vec<Vec<Line>>,
+    /// `log2(line_bytes)`: address → line number.
+    line_shift: u32,
+    /// `log2(sets)`: line number → tag.
+    set_shift: u32,
     lru_clock: u64,
     stats: HitMiss,
     writebacks: u64,
@@ -130,6 +138,8 @@ impl Cache {
         Self {
             config,
             sets: vec![vec![Line::default(); config.ways]; config.sets()],
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: config.sets().trailing_zeros(),
             lru_clock: 0,
             stats: HitMiss::new(),
             writebacks: 0,
@@ -142,10 +152,14 @@ impl Cache {
     }
 
     fn index_and_tag(&self, addr: PhysAddr) -> (usize, u64) {
-        let line_addr = addr.raw() / self.config.line_bytes;
-        let set = (line_addr % self.sets.len() as u64) as usize;
-        let tag = line_addr / self.sets.len() as u64;
-        (set, tag)
+        let line_addr = addr.raw() >> self.line_shift;
+        let set = (line_addr & ((1 << self.set_shift) - 1)) as usize;
+        (set, line_addr >> self.set_shift)
+    }
+
+    /// Base address of the line with `tag` in set `set_idx`.
+    fn line_base(&self, tag: u64, set_idx: usize) -> PhysAddr {
+        PhysAddr::new(((tag << self.set_shift) | set_idx as u64) << self.line_shift)
     }
 
     /// Looks up the line containing `addr`, filling it on a miss.
@@ -156,14 +170,13 @@ impl Cache {
     pub fn access(&mut self, addr: PhysAddr, is_write: bool) -> CacheOutcome {
         self.lru_clock += 1;
         let (set_idx, tag) = self.index_and_tag(addr);
-        let num_sets = self.sets.len() as u64;
-        let line_bytes = self.config.line_bytes;
+        let write_back = self.config.write_back;
         let ways = &mut self.sets[set_idx];
 
         // Hit path.
         if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
             line.lru = self.lru_clock;
-            if is_write && self.config.write_back {
+            if is_write && write_back {
                 line.dirty = true;
             }
             self.stats.hit();
@@ -180,20 +193,13 @@ impl Cache {
             .expect("cache set has at least one way");
 
         let victim = ways[victim_idx];
-        let writeback = if victim.valid && victim.dirty {
-            Some(PhysAddr::new(
-                (victim.tag * num_sets + set_idx as u64) * line_bytes,
-            ))
-        } else {
-            None
-        };
-
         ways[victim_idx] = Line {
             valid: true,
-            dirty: is_write && self.config.write_back,
+            dirty: is_write && write_back,
             tag,
             lru: self.lru_clock,
         };
+        let writeback = (victim.valid && victim.dirty).then(|| self.line_base(victim.tag, set_idx));
         if writeback.is_some() {
             self.writebacks += 1;
         }
@@ -211,18 +217,12 @@ impl Cache {
     /// address if it was dirty (caller is responsible for writing it back).
     pub fn invalidate(&mut self, addr: PhysAddr) -> Option<PhysAddr> {
         let (set_idx, tag) = self.index_and_tag(addr);
-        let sets_len = self.sets.len() as u64;
-        let line_bytes = self.config.line_bytes;
-        for line in &mut self.sets[set_idx] {
-            if line.valid && line.tag == tag {
-                line.valid = false;
-                let was_dirty = line.dirty;
-                line.dirty = false;
-                return was_dirty
-                    .then(|| PhysAddr::new((tag * sets_len + set_idx as u64) * line_bytes));
-            }
-        }
-        None
+        let line = self.sets[set_idx]
+            .iter_mut()
+            .find(|l| l.valid && l.tag == tag)?;
+        line.valid = false;
+        let was_dirty = std::mem::take(&mut line.dirty);
+        was_dirty.then(|| self.line_base(tag, set_idx))
     }
 
     /// Invalidates the whole cache, returning the number of dirty lines that
@@ -301,6 +301,45 @@ mod tests {
         }
         .validate()
         .is_err());
+    }
+
+    #[test]
+    fn non_power_of_two_set_counts_are_rejected() {
+        // 96 KiB, 8-way, 64 B lines: 192 sets.
+        let odd = CacheConfig {
+            size_bytes: 96 * 1024,
+            ways: 8,
+            line_bytes: 64,
+            write_back: true,
+        };
+        assert_eq!(odd.sets(), 192);
+        let err = odd.validate().unwrap_err();
+        assert!(err.contains("192"), "{err}");
+        // Non-power-of-two associativity is fine while the sets stay a
+        // power of two (the LLC's SPM partitions do this).
+        let partitioned = CacheConfig {
+            size_bytes: 5 * 256 * 64,
+            ways: 5,
+            line_bytes: 64,
+            write_back: true,
+        };
+        assert_eq!(partitioned.sets(), 256);
+        assert!(partitioned.validate().is_ok());
+        assert!(CacheConfig::cva6_l1d().validate().is_ok());
+    }
+
+    #[test]
+    fn writeback_and_invalidate_addresses_round_trip_the_index() {
+        let mut c = small_cache(true);
+        // High address bits survive the shift/mask split into set and tag.
+        let a = PhysAddr::new(0x40_8765_4321);
+        c.access(a, true);
+        assert_eq!(c.invalidate(a), Some(a.cache_line_base()));
+        c.access(a, true);
+        let set_stride = 8 * 64;
+        c.access(a + set_stride, false);
+        let out = c.access(a + 2 * set_stride, false);
+        assert_eq!(out.writeback(), Some(a.cache_line_base()));
     }
 
     #[test]

@@ -33,8 +33,9 @@
 //! # Example
 //!
 //! ```
-//! use sva_mem::{MemorySystem, MemSysConfig};
-//! use sva_common::{Cycles, PhysAddr};
+//! use sva_axi::AccessKind;
+//! use sva_common::{Cycles, InitiatorId, PhysAddr};
+//! use sva_mem::{MemReq, MemSysConfig, MemorySystem};
 //!
 //! let mut mem = MemorySystem::new(MemSysConfig {
 //!     dram_latency: Cycles::new(200),
@@ -46,9 +47,15 @@
 //! let addr = PhysAddr::new(0x8000_0000);
 //! mem.write_phys(addr, &42u64.to_le_bytes()).unwrap();
 //! let mut buf = [0u8; 8];
-//! let lat = mem.host_read(addr, &mut buf).unwrap();
+//! let rsp = mem.access(MemReq::read(InitiatorId::Host, addr, &mut buf)).unwrap();
 //! assert_eq!(u64::from_le_bytes(buf), 42);
-//! assert!(lat.raw() > 0);
+//! assert!(rsp.latency().raw() > 0);
+//!
+//! // A timing-only host store: timed and counted, but no byte moves.
+//! let store = MemReq::timing(InitiatorId::Host, AccessKind::Write, addr, 8);
+//! mem.access(store).unwrap();
+//! assert_eq!(mem.stats().host_accesses, 2);
+//! assert_eq!(mem.read_u64_phys(addr).unwrap(), 42);
 //! ```
 
 #![warn(missing_docs)]
@@ -76,4 +83,4 @@ pub use llc::{Llc, LlcConfig};
 pub use naive_backing::NaiveSparseMemory;
 pub use naive_fabric::NaiveFabric;
 pub use spm::Scratchpad;
-pub use system::{BurstTiming, MemData, MemReq, MemRsp, MemSysConfig, MemSysStats, MemorySystem};
+pub use system::{MemData, MemReq, MemRsp, MemSysConfig, MemSysStats, MemorySystem};

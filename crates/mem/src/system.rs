@@ -3,7 +3,8 @@
 //!
 //! Every initiator reaches memory through the single [`MemorySystem::access`]
 //! entry point, presenting a [`MemReq`] that names the initiator
-//! ([`InitiatorId`]) and carries the payload buffer. The fabric routes the
+//! ([`InitiatorId`]) and carries the payload buffer, or no payload at all
+//! for a timing-only access ([`MemReq::timing`]). The fabric routes the
 //! access by the initiator's *class*:
 //!
 //! * **host** (CVA6 through its L1): cached DRAM goes through the LLC,
@@ -15,11 +16,7 @@
 //!   use the LLC-bypass window straight to DRAM; routing them through the
 //!   LLC is possible for ablation (`llc_serves_dma`).
 //!
-//! Arbitration and per-initiator accounting live in [`crate::fabric`];
-//! the legacy per-initiator entry points ([`MemorySystem::host_read`],
-//! [`MemorySystem::ptw_read`], [`MemorySystem::dma_read_burst`], …) are thin
-//! wrappers over [`MemorySystem::access`] kept so call sites can migrate
-//! incrementally.
+//! Arbitration and per-initiator accounting live in [`crate::fabric`].
 //!
 //! Every access arrives at a definite point on the platform's global
 //! simulation clock ([`sva_common::GlobalClock`], shared in via
@@ -28,8 +25,12 @@
 //! clock's current reading, and the clock advances to each access's
 //! completion — there is no untimed traffic.
 //!
-//! All timed accesses also move functional data, so kernels computing on the
-//! simulated memory can be verified bit-exactly against host references.
+//! Data-moving accesses also move functional data, so kernels computing on
+//! the simulated memory can be verified bit-exactly against host
+//! references. Timing-only accesses are timed and counted exactly like a
+//! data-moving access of the same length but copy nothing: the host core's
+//! loads and stores and the host-traffic stream use them, because the bytes
+//! they would move are never read.
 
 use serde::{Deserialize, Serialize};
 use sva_axi::addrmap::{AddressMap, RegionKind, DRAM_SIZE};
@@ -47,10 +48,6 @@ use crate::fabric::{Fabric, FabricConfig, InitiatorSnapshot};
 use crate::interference::{Interference, InterferenceConfig};
 use crate::llc::{Llc, LlcConfig, LlcRequester};
 use crate::spm::{Scratchpad, ScratchpadConfig};
-
-/// Timing of a DMA burst: latency to first data plus bus occupancy, so the
-/// DMA engine can model outstanding-transaction pipelining.
-pub type BurstTiming = DramTiming;
 
 /// Configuration of the whole memory system.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -98,23 +95,27 @@ impl Default for MemSysConfig {
     }
 }
 
-/// Payload of a fabric access: the buffer data moves through.
+/// Payload of a fabric access: the buffer data moves through, if any.
 ///
-/// The buffer length is authoritative for the access length.
+/// A buffer's length is authoritative for the access length.
 #[derive(Debug)]
 pub enum MemData<'a> {
     /// Read `buf.len()` bytes from memory into the buffer.
     ReadInto(&'a mut [u8]),
     /// Write the buffer's bytes to memory.
     WriteFrom(&'a [u8]),
+    /// Move nothing: an access of the port's `len` bytes in the port's
+    /// direction, timed and counted like a data-moving one.
+    Timing,
 }
 
 /// One access presented at the unified fabric port of [`MemorySystem`].
 #[derive(Debug)]
 pub struct MemReq<'a> {
     /// The access descriptor (initiator, direction, address, burstiness,
-    /// priority). Its `len` is overwritten from the payload buffer and its
-    /// `arrival` from [`MemReq::start`] (or the global clock).
+    /// priority). Its `len` is overwritten from the payload buffer, if there
+    /// is one, and its `arrival` from [`MemReq::start`] (or the global
+    /// clock).
     pub port: MemPortReq,
     /// Initiator-local issue time, when the caller tracks one (DMA bursts,
     /// page-table walks, the host-traffic stream). `None` does **not** mean
@@ -142,6 +143,22 @@ impl<'a> MemReq<'a> {
             port: MemPortReq::write(initiator, addr, buf.len() as u64),
             start: None,
             data: MemData::WriteFrom(buf),
+        }
+    }
+
+    /// A timing-only `kind` access of `len` bytes at `addr` on behalf of
+    /// `initiator`: decoded (with the same decode errors), routed, timed,
+    /// admitted and counted exactly like a read or write of `len` bytes, but
+    /// no byte moves.
+    pub fn timing(initiator: InitiatorId, kind: AccessKind, addr: PhysAddr, len: u64) -> Self {
+        let port = match kind {
+            AccessKind::Read => MemPortReq::read(initiator, addr, len),
+            AccessKind::Write => MemPortReq::write(initiator, addr, len),
+        };
+        Self {
+            port,
+            start: None,
+            data: MemData::Timing,
         }
     }
 
@@ -560,13 +577,14 @@ impl MemorySystem {
 
     /// The single timed entry point of the memory fabric.
     ///
-    /// Moves the payload functionally, computes the timing of the access
-    /// according to the initiator's class and the region's policy, passes the
-    /// grant through the fabric arbiter (per-initiator accounting, optional
-    /// contention charging) and updates the aggregate statistics. Every
-    /// access arrives at a definite point on the global clock: either the
-    /// caller's issue time ([`MemReq::start`]) or the clock's current
-    /// reading; the clock is advanced to the access's completion.
+    /// Moves the payload functionally (nothing for [`MemData::Timing`]),
+    /// computes the timing of the access according to the initiator's class
+    /// and the region's policy, passes the grant through the fabric arbiter
+    /// (per-initiator accounting, optional contention charging) and updates
+    /// the aggregate statistics. Every access arrives at a definite point on
+    /// the global clock: either the caller's issue time ([`MemReq::start`])
+    /// or the clock's current reading; the clock is advanced to the access's
+    /// completion.
     ///
     /// # Errors
     ///
@@ -581,6 +599,8 @@ impl MemorySystem {
         let (kind, len) = match &data {
             MemData::ReadInto(buf) => (AccessKind::Read, buf.len() as u64),
             MemData::WriteFrom(buf) => (AccessKind::Write, buf.len() as u64),
+            MemData::Timing if port.dir.is_write() => (AccessKind::Write, port.len),
+            MemData::Timing => (AccessKind::Read, port.len),
         };
         port.len = len;
         port.arrival = start.unwrap_or_else(|| self.clock.now());
@@ -593,6 +613,7 @@ impl MemorySystem {
         match data {
             MemData::ReadInto(buf) => self.read_backing(region, offset, buf)?,
             MemData::WriteFrom(buf) => self.write_backing(region, offset, buf)?,
+            MemData::Timing => {}
         }
 
         let class = port.initiator.class();
@@ -716,85 +737,6 @@ impl MemorySystem {
         }
     }
 
-    /// Timed + functional host read. Returns the latency seen by the host
-    /// (excluding its own L1, which is modelled by the host crate).
-    ///
-    /// Compatibility wrapper over [`MemorySystem::access`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error if `addr` is not memory-backed.
-    pub fn host_read(&mut self, addr: PhysAddr, buf: &mut [u8]) -> Result<Cycles> {
-        let rsp = self.access(MemReq::read(InitiatorId::Host, addr, buf))?;
-        Ok(rsp.latency())
-    }
-
-    /// Timed + functional host write.
-    ///
-    /// Writes to uncached regions are posted: the host only pays the bus
-    /// occupancy plus a small store-buffer cost, not the full DRAM latency.
-    ///
-    /// Compatibility wrapper over [`MemorySystem::access`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error if `addr` is not memory-backed.
-    pub fn host_write(&mut self, addr: PhysAddr, buf: &[u8]) -> Result<Cycles> {
-        let rsp = self.access(MemReq::write(InitiatorId::Host, addr, buf))?;
-        Ok(rsp.latency())
-    }
-
-    /// Timed + functional 8-byte read on the IOMMU page-table-walk port.
-    ///
-    /// Returns the page-table entry value and the latency of the access.
-    ///
-    /// Compatibility wrapper over [`MemorySystem::access`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error if `addr` is not memory-backed.
-    pub fn ptw_read(&mut self, addr: PhysAddr) -> Result<(u64, Cycles)> {
-        let mut buf = [0u8; 8];
-        let rsp = self.access(MemReq::read(InitiatorId::Ptw, addr, &mut buf))?;
-        Ok((u64::from_le_bytes(buf), rsp.latency()))
-    }
-
-    /// Timed + functional DMA burst read (device port).
-    ///
-    /// `addr` is the physical address after IOMMU translation (or the bypass
-    /// bus address when translation is disabled).
-    ///
-    /// Compatibility wrapper over [`MemorySystem::access`] presenting DMA
-    /// device 0; the cluster DMA engines call [`MemorySystem::access`]
-    /// directly with their own device identity and issue time.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error if the burst does not decode to memory.
-    pub fn dma_read_burst(&mut self, addr: PhysAddr, buf: &mut [u8]) -> Result<BurstTiming> {
-        let rsp = self.access(MemReq::read(InitiatorId::dma(0), addr, buf).burst())?;
-        Ok(BurstTiming {
-            latency: rsp.timing.latency,
-            occupancy: rsp.timing.occupancy,
-        })
-    }
-
-    /// Timed + functional DMA burst write (device port).
-    ///
-    /// Compatibility wrapper over [`MemorySystem::access`]; see
-    /// [`MemorySystem::dma_read_burst`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error if the burst does not decode to memory.
-    pub fn dma_write_burst(&mut self, addr: PhysAddr, buf: &[u8]) -> Result<BurstTiming> {
-        let rsp = self.access(MemReq::write(InitiatorId::dma(0), addr, buf).burst())?;
-        Ok(BurstTiming {
-            latency: rsp.timing.latency,
-            occupancy: rsp.timing.occupancy,
-        })
-    }
-
     fn dma_burst_timing(
         &mut self,
         kind: AccessKind,
@@ -802,9 +744,9 @@ impl MemorySystem {
         addr: PhysAddr,
         len: u64,
         hop: Cycles,
-    ) -> BurstTiming {
+    ) -> DramTiming {
         let mut timing = match region {
-            RegionKind::L2Spm => BurstTiming {
+            RegionKind::L2Spm => DramTiming {
                 latency: self.spm.access_latency(),
                 occupancy: Cycles::new(self.config.bus.beats_for(len)),
             },
@@ -814,7 +756,7 @@ impl MemorySystem {
                 // streaming window) — exactly the bandwidth loss the paper's
                 // bypass avoids.
                 let total = self.llc_access(LlcRequester::Dma, kind, addr, len);
-                BurstTiming {
+                DramTiming {
                     latency: total,
                     occupancy: Cycles::new(self.config.bus.beats_for(len)),
                 }
@@ -869,6 +811,37 @@ mod tests {
         })
     }
 
+    /// Host latency of an 8-byte read at `addr`.
+    fn host_read(m: &mut MemorySystem, addr: PhysAddr) -> Cycles {
+        let mut buf = [0u8; 8];
+        m.access(MemReq::read(InitiatorId::Host, addr, &mut buf))
+            .unwrap()
+            .latency()
+    }
+
+    /// Host latency of writing `buf` at `addr`.
+    fn host_write(m: &mut MemorySystem, addr: PhysAddr, buf: &[u8]) -> Cycles {
+        m.access(MemReq::write(InitiatorId::Host, addr, buf))
+            .unwrap()
+            .latency()
+    }
+
+    /// The page-table entry at `addr` and the walker's latency to read it.
+    fn ptw_read(m: &mut MemorySystem, addr: PhysAddr) -> (u64, Cycles) {
+        let mut buf = [0u8; 8];
+        let rsp = m
+            .access(MemReq::read(InitiatorId::Ptw, addr, &mut buf))
+            .unwrap();
+        (u64::from_le_bytes(buf), rsp.latency())
+    }
+
+    /// A DMA burst read by device 0.
+    fn dma_read(m: &mut MemorySystem, addr: PhysAddr, buf: &mut [u8]) -> PortTiming {
+        m.access(MemReq::read(InitiatorId::dma(0), addr, buf).burst())
+            .unwrap()
+            .timing
+    }
+
     #[test]
     fn functional_roundtrip_both_dram_windows() {
         let mut m = sys(200, true);
@@ -904,9 +877,8 @@ mod tests {
     fn host_read_hits_llc_after_first_access() {
         let mut m = sys(600, true);
         let addr = PhysAddr::new(DRAM_BASE + 0x4000);
-        let mut buf = [0u8; 8];
-        let cold = m.host_read(addr, &mut buf).unwrap();
-        let warm = m.host_read(addr, &mut buf).unwrap();
+        let cold = host_read(&mut m, addr);
+        let warm = host_read(&mut m, addr);
         assert!(cold.raw() > 600, "cold access should pay DRAM latency");
         assert!(warm.raw() < 40, "warm access should hit in the LLC");
     }
@@ -915,9 +887,8 @@ mod tests {
     fn host_read_without_llc_always_pays_dram_latency() {
         let mut m = sys(600, false);
         let addr = PhysAddr::new(DRAM_BASE + 0x4000);
-        let mut buf = [0u8; 8];
-        let first = m.host_read(addr, &mut buf).unwrap();
-        let second = m.host_read(addr, &mut buf).unwrap();
+        let first = host_read(&mut m, addr);
+        let second = host_read(&mut m, addr);
         assert!(first.raw() > 600);
         assert!(second.raw() > 600);
     }
@@ -926,9 +897,8 @@ mod tests {
     fn reserved_dram_is_uncached_for_host() {
         let mut m = sys(600, true);
         let addr = m.map().reserved_dram_base();
-        let mut buf = [0u8; 8];
-        let a = m.host_read(addr, &mut buf).unwrap();
-        let b = m.host_read(addr, &mut buf).unwrap();
+        let a = host_read(&mut m, addr);
+        let b = host_read(&mut m, addr);
         assert!(a.raw() > 600 && b.raw() > 600);
     }
 
@@ -936,7 +906,7 @@ mod tests {
     fn posted_uncached_writes_are_cheap() {
         let mut m = sys(1000, true);
         let addr = m.map().reserved_dram_base();
-        let lat = m.host_write(addr, &[0u8; 64]).unwrap();
+        let lat = host_write(&mut m, addr, &[0u8; 64]);
         assert!(
             lat.raw() < 100,
             "posted write should not pay full latency, got {lat}"
@@ -952,11 +922,10 @@ mod tests {
         without.write_u64_phys(pte_addr, 0x55).unwrap();
 
         // Warm the LLC the way the driver does (host writes the PTE).
-        let mut buf = [0u8; 8];
-        with_llc.host_read(pte_addr, &mut buf).unwrap();
+        host_read(&mut with_llc, pte_addr);
 
-        let (v1, t1) = with_llc.ptw_read(pte_addr).unwrap();
-        let (v2, t2) = without.ptw_read(pte_addr).unwrap();
+        let (v1, t1) = ptw_read(&mut with_llc, pte_addr);
+        let (v2, t2) = ptw_read(&mut without, pte_addr);
         assert_eq!(v1, 0x55);
         assert_eq!(v2, 0x55);
         assert!(
@@ -978,9 +947,8 @@ mod tests {
             ..MemSysConfig::default()
         });
         let pte_addr = PhysAddr::new(DRAM_BASE + 0x2000);
-        let mut buf = [0u8; 8];
-        m.host_read(pte_addr, &mut buf).unwrap();
-        let (_, t) = m.ptw_read(pte_addr).unwrap();
+        host_read(&mut m, pte_addr);
+        let (_, t) = ptw_read(&mut m, pte_addr);
         assert!(t.raw() > 1000);
     }
 
@@ -989,9 +957,12 @@ mod tests {
         let mut m = sys(200, true);
         let bypass = PhysAddr::new(DRAM_BASE + LLC_BYPASS_OFFSET + 0x10_0000);
         let data: Vec<u8> = (0..2048u32).map(|i| (i % 251) as u8).collect();
-        let tw = m.dma_write_burst(bypass, &data).unwrap();
+        let tw = m
+            .access(MemReq::write(InitiatorId::dma(0), bypass, &data).burst())
+            .unwrap()
+            .timing;
         let mut back = vec![0u8; 2048];
-        let tr = m.dma_read_burst(bypass, &mut back).unwrap();
+        let tr = dma_read(&mut m, bypass, &mut back);
         assert_eq!(back, data);
         assert_eq!(tr.occupancy, Cycles::new(256));
         assert!(tr.latency.raw() > 200);
@@ -1005,7 +976,7 @@ mod tests {
         let mut m = sys(200, true);
         let bypass = PhysAddr::new(DRAM_BASE + LLC_BYPASS_OFFSET);
         let mut buf = [0u8; 64];
-        m.dma_read_burst(bypass, &mut buf).unwrap();
+        dma_read(&mut m, bypass, &mut buf);
         assert_eq!(m.llc().unwrap().stats(LlcRequester::Dma).total(), 0);
     }
 
@@ -1020,9 +991,9 @@ mod tests {
         // Cached window address so the ablation path actually caches it.
         let addr = PhysAddr::new(DRAM_BASE + 0x20_0000);
         let mut buf = vec![0u8; 2048];
-        let t_ablate = ablate.dma_read_burst(addr, &mut buf).unwrap();
+        let t_ablate = dma_read(&mut ablate, addr, &mut buf);
         let bypass = PhysAddr::new(DRAM_BASE + LLC_BYPASS_OFFSET + 0x20_0000);
-        let t_normal = normal.dma_read_burst(bypass, &mut buf).unwrap();
+        let t_normal = dma_read(&mut normal, bypass, &mut buf);
         // Refilling 32 lines sequentially is far slower than one long burst.
         assert!(t_ablate.latency.raw() > 4 * t_normal.latency.raw());
         assert!(ablate.llc().unwrap().stats(LlcRequester::Dma).total() > 0);
@@ -1033,8 +1004,7 @@ mod tests {
         let mut m = sys(200, true);
         let empty_flush = m.flush_llc();
         for i in 0..64u64 {
-            m.host_write(PhysAddr::new(DRAM_BASE + i * 64), &[1u8; 8])
-                .unwrap();
+            host_write(&mut m, PhysAddr::new(DRAM_BASE + i * 64), &[1u8; 8]);
         }
         let dirty_flush = m.flush_llc();
         assert!(dirty_flush > empty_flush);
@@ -1057,7 +1027,7 @@ mod tests {
             }
             let mut total = 0;
             for i in 0..200u64 {
-                let (_, t) = m.ptw_read(pte_addr + i * 8).unwrap();
+                let (_, t) = ptw_read(&mut m, pte_addr + i * 8);
                 total += t.raw();
             }
             total
@@ -1080,7 +1050,7 @@ mod tests {
         let bypass = PhysAddr::new(DRAM_BASE + LLC_BYPASS_OFFSET + 0x10_0000);
         let mut buf = [0u8; 2048];
         for _ in 0..4 {
-            m.dma_read_burst(bypass, &mut buf).unwrap();
+            dma_read(&mut m, bypass, &mut buf);
             m.clock().advance(Cycles::new(2000));
         }
         m.compact_fabric_before(m.clock().now());
@@ -1093,16 +1063,133 @@ mod tests {
         assert_eq!(m.fabric().compacted_events(), folded, "run total survives");
         // Cycle 0 of the new window — far below the old watermark — takes a
         // fresh reservation without queueing.
-        m.dma_read_burst(bypass, &mut buf).unwrap();
+        dma_read(&mut m, bypass, &mut buf);
         assert_eq!(m.fabric().event_count(), 1);
         assert_eq!(m.fabric().total().queue_cycles, 0);
+    }
+
+    /// The [`MemReq::timing`] contract: on two fresh systems, a timing-only
+    /// access and a data-moving access of the same initiator, kind, address
+    /// and length return equal responses and leave equal statistics, LLC
+    /// state and fabric accounting — across host (cached, uncached, SPM),
+    /// PTW and DMA traffic on the timed, contended fabric.
+    #[test]
+    fn timing_only_access_times_and_counts_like_a_data_access() {
+        use sva_common::rng::DeterministicRng;
+        let config = MemSysConfig {
+            dram_latency: Cycles::new(300),
+            fabric: crate::fabric::FabricConfig {
+                timed_host_ptw: true,
+                contention_enabled: true,
+                ..crate::fabric::FabricConfig::default()
+            },
+            ..MemSysConfig::default()
+        };
+        let mut moving = MemorySystem::new(config.clone());
+        let mut timing = MemorySystem::new(config);
+        let reserved = moving.map().reserved_dram_base().raw();
+        let mut rng = DeterministicRng::new(0x7141);
+        for i in 0..400u64 {
+            let (initiator, base) = match rng.next_below(5) {
+                0 => (InitiatorId::Host, DRAM_BASE),
+                1 => (InitiatorId::Host, reserved),
+                2 => (InitiatorId::Host, L2_SPM_BASE),
+                3 => (InitiatorId::Ptw, DRAM_BASE),
+                _ => (InitiatorId::dma(1), DRAM_BASE + LLC_BYPASS_OFFSET),
+            };
+            let addr = PhysAddr::new(base + rng.next_below(1 << 14) * 8);
+            let len = 1 + rng.next_below(256);
+            let kind = if rng.next_below(2) == 0 {
+                AccessKind::Read
+            } else {
+                AccessKind::Write
+            };
+            let mut buf = vec![i as u8; len as usize];
+            let (data_req, timing_req) = match kind {
+                AccessKind::Read => (
+                    MemReq::read(initiator, addr, &mut buf),
+                    MemReq::timing(initiator, kind, addr, len),
+                ),
+                AccessKind::Write => (
+                    MemReq::write(initiator, addr, &buf),
+                    MemReq::timing(initiator, kind, addr, len),
+                ),
+            };
+            let (data_req, timing_req) = if initiator.class() == InitiatorClass::Device {
+                let at = Cycles::new(i * 40);
+                (data_req.burst().at(at), timing_req.burst().at(at))
+            } else {
+                (data_req, timing_req)
+            };
+            assert_eq!(
+                moving.access(data_req).unwrap(),
+                timing.access(timing_req).unwrap(),
+                "access {i}: {initiator} {kind:?} {len} B at {addr}"
+            );
+        }
+        assert_eq!(moving.stats(), timing.stats());
+        for requester in [LlcRequester::Host, LlcRequester::Ptw, LlcRequester::Dma] {
+            assert_eq!(
+                moving.llc().unwrap().stats(requester),
+                timing.llc().unwrap().stats(requester)
+            );
+        }
+        assert_eq!(
+            moving.llc().unwrap().writebacks(),
+            timing.llc().unwrap().writebacks()
+        );
+        assert_eq!(moving.fabric_stats(), timing.fabric_stats());
+        assert_eq!(moving.channel_stats(), timing.channel_stats());
+        assert_eq!(moving.host_stall_cycles(), timing.host_stall_cycles());
+        assert_eq!(moving.clock().now(), timing.clock().now());
+    }
+
+    /// A timing-only access changes no byte and populates no frame, and it
+    /// fails to decode exactly where a data-moving access would.
+    #[test]
+    fn timing_only_access_moves_no_bytes() {
+        let mut m = sys(200, true);
+        let written = PhysAddr::new(DRAM_BASE + 0x1000);
+        m.write_phys(written, &[0xA5; 64]).unwrap();
+        let frames = m.dram_store.resident_frames();
+        let targets = [
+            written,
+            PhysAddr::new(DRAM_BASE + 0x10_0000),
+            m.map().reserved_dram_base(),
+            PhysAddr::new(L2_SPM_BASE + 0x100),
+        ];
+        for addr in targets {
+            for kind in [AccessKind::Read, AccessKind::Write] {
+                m.access(MemReq::timing(InitiatorId::Host, kind, addr, 64))
+                    .unwrap();
+            }
+        }
+        assert_eq!(m.stats().host_accesses, 8, "every access was timed");
+        let mut back = [0u8; 64];
+        m.read_phys(written, &mut back).unwrap();
+        assert_eq!(back, [0xA5; 64], "no byte changed");
+        assert_eq!(m.dram_store.resident_frames(), frames, "no frame populated");
+        assert_eq!(m.spm.storage().resident_frames(), 0);
+
+        let mut buf = [0u8; 8];
+        for addr in [
+            PhysAddr::new(0x10),
+            PhysAddr::new(sva_axi::addrmap::IOMMU_REGS_BASE),
+        ] {
+            for kind in [AccessKind::Read, AccessKind::Write] {
+                let err = m.access(MemReq::timing(InitiatorId::Host, kind, addr, 8));
+                assert!(matches!(err, Err(Error::BusDecodeError { .. })), "{err:?}");
+            }
+            let err = m.access(MemReq::read(InitiatorId::Host, addr, &mut buf));
+            assert!(matches!(err, Err(Error::BusDecodeError { .. })), "{err:?}");
+        }
+        assert_eq!(m.stats().host_accesses, 8, "failed decodes are not counted");
     }
 
     #[test]
     fn stats_reset() {
         let mut m = sys(200, true);
-        let mut buf = [0u8; 8];
-        m.host_read(PhysAddr::new(DRAM_BASE), &mut buf).unwrap();
+        host_read(&mut m, PhysAddr::new(DRAM_BASE));
         assert_eq!(m.stats().host_accesses, 1);
         m.reset_stats();
         assert_eq!(m.stats().host_accesses, 0);

@@ -3,6 +3,7 @@
 //! pre-refactor execution path, and IOTLB behaviour under multi-device
 //! interleaving.
 
+use sva::axi::AccessKind;
 use sva::cluster::{ClusterConfig, ClusterExecutor};
 use sva::common::rng::DeterministicRng;
 use sva::common::{Cycles, InitiatorId, Iova, PhysAddr, PAGE_SIZE};
@@ -30,16 +31,19 @@ fn per_initiator_stats_sum_to_global() {
         let ops = 1 + case_rng.next_below(120) as usize;
         for _ in 0..ops {
             let addr = PhysAddr::new(DRAM_BASE + case_rng.next_below(1 << 20) * 64);
+            let mut buf = [0u8; 8];
             match case_rng.next_below(5) {
                 0 => {
-                    let mut buf = [0u8; 8];
-                    mem.host_read(addr, &mut buf).unwrap();
+                    mem.access(MemReq::read(InitiatorId::Host, addr, &mut buf))
+                        .unwrap();
                 }
                 1 => {
-                    mem.host_write(addr, &[1u8; 8]).unwrap();
+                    mem.access(MemReq::write(InitiatorId::Host, addr, &[1u8; 8]))
+                        .unwrap();
                 }
                 2 => {
-                    mem.ptw_read(addr).unwrap();
+                    mem.access(MemReq::read(InitiatorId::Ptw, addr, &mut buf))
+                        .unwrap();
                 }
                 _ => {
                     let device = 1 + 2 * case_rng.next_below(4) as u32;
@@ -79,11 +83,12 @@ fn per_initiator_stats_sum_to_global() {
     }
 }
 
-/// The compatibility wrappers and the unified `access` path are the same
-/// path: identical sequences produce identical latencies and stats.
+/// Timing-only and data-moving accesses are the same path through the
+/// unified `access` port: identical sequences produce identical latencies
+/// and stats.
 #[test]
-fn wrapper_and_access_paths_are_cycle_identical() {
-    let run = |unified: bool| -> (Vec<u64>, u64) {
+fn timing_only_and_data_paths_are_cycle_identical() {
+    let run = |timing_only: bool| -> (Vec<u64>, u64) {
         let mut mem = MemorySystem::new(MemSysConfig {
             dram_latency: Cycles::new(600),
             ..MemSysConfig::default()
@@ -92,17 +97,16 @@ fn wrapper_and_access_paths_are_cycle_identical() {
         for i in 0..32u64 {
             let addr = PhysAddr::new(DRAM_BASE + i * 4096);
             let mut buf = [0u8; 8];
-            let lat = if unified {
-                mem.access(MemReq::read(InitiatorId::Host, addr, &mut buf))
-                    .unwrap()
-                    .latency()
-                    .raw()
+            let req = if timing_only {
+                MemReq::timing(InitiatorId::Host, AccessKind::Read, addr, 8)
             } else {
-                mem.host_read(addr, &mut buf).unwrap().raw()
+                MemReq::read(InitiatorId::Host, addr, &mut buf)
             };
-            latencies.push(lat);
-            let (_, ptw) = mem.ptw_read(addr).unwrap();
-            latencies.push(ptw.raw());
+            latencies.push(mem.access(req).unwrap().latency().raw());
+            let ptw = mem
+                .access(MemReq::read(InitiatorId::Ptw, addr, &mut buf))
+                .unwrap();
+            latencies.push(ptw.latency().raw());
         }
         (
             latencies,
