@@ -8,12 +8,11 @@
 //! walk. This is the microarchitectural mechanism behind the bandwidth loss
 //! quantified in Section IV-B of the paper.
 
-use serde::{Deserialize, Serialize};
 use sva_common::{PhysAddr, PAGE_SIZE};
 
 /// A single AXI burst: a contiguous transfer that respects the 4 KiB boundary
 /// rule and the maximum burst length.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Burst {
     /// Start address of the burst. For DMA through the IOMMU this is an IO
     /// virtual address reinterpreted as a bus address prior to translation.
@@ -40,7 +39,7 @@ impl Burst {
 }
 
 /// The complete burst decomposition of one DMA transfer.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BurstPlan {
     bursts: Vec<Burst>,
 }

@@ -14,7 +14,6 @@
 //! queueing in front of DRAM is modelled by the fabric's per-channel
 //! response queues (see `sva_mem::fabric`).
 
-use serde::{Deserialize, Serialize};
 use sva_common::stats::Counter;
 use sva_common::Cycles;
 
@@ -22,7 +21,7 @@ use crate::txn::AccessKind;
 
 /// FIFO-based delay block inserted between the system crossbar and the DRAM
 /// controller.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AxiDelayer {
     delay: Cycles,
     reads_delayed: Counter,

@@ -1,10 +1,9 @@
 //! Memory transaction and bus-geometry types.
 
-use serde::{Deserialize, Serialize};
 use sva_common::PhysAddr;
 
 /// Direction of a memory access.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A read (AXI AR/R channels).
     Read,
@@ -24,7 +23,7 @@ impl AccessKind {
 ///
 /// Transactions carry no data; the functional payload is moved separately by
 /// the backing store so that timing models stay allocation-free.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct MemTxn {
     /// Start address of the access.
     pub addr: PhysAddr,
@@ -69,7 +68,7 @@ impl MemTxn {
 /// The prototype platform uses a 64-bit (8-byte) AXI data bus between the
 /// cluster, the IOMMU and the main crossbar, and AXI4 caps bursts at 256
 /// beats, i.e. 2 KiB per burst at this width.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct BusConfig {
     /// Width of the data bus in bytes per beat.
     pub bus_bytes: u64,

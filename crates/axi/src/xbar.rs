@@ -6,14 +6,13 @@
 //! modelled by the memory system on top (the only shared slave that matters
 //! for the evaluation is the DRAM/LLC path).
 
-use serde::{Deserialize, Serialize};
 use sva_common::stats::Counter;
 use sva_common::Cycles;
 
 use crate::txn::{AccessKind, MemTxn};
 
 /// Masters attached to the system crossbar.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum MasterPort {
     /// The CVA6 host core (through its L1 caches).
     Host,
@@ -38,7 +37,7 @@ impl MasterPort {
 }
 
 /// Per-master traffic statistics.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct PortStats {
     /// Number of read transactions issued by the master.
     pub reads: u64,
@@ -49,7 +48,7 @@ pub struct PortStats {
 }
 
 /// The system crossbar: routing latency plus per-master accounting.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Crossbar {
     hop_latency: Cycles,
     stats: [PortStats; 3],

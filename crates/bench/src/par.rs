@@ -8,14 +8,10 @@
 //!
 //! Work distribution is a single shared `AtomicUsize` cursor over a slot
 //! vector: workers `fetch_add` the next index and write the result into
-//! their own slot. Compared with the earlier `Mutex<Vec<…>>` job queue this
-//! removes both the per-item queue lock and the final sort — under the
-//! previous scheme short sweep points serialized on the queue mutex, which
-//! flattened the thread-scaling curve the `simspeed` bench measures.
+//! their own slot, so there is no per-item queue lock and no final sort.
 //!
 //! The worker count can be pinned with the `SVA_BENCH_THREADS` environment
-//! variable (scaling measurements, CI determinism); [`par_map_with`] takes
-//! the count explicitly for in-process scaling sweeps.
+//! variable (scaling measurements, CI determinism).
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -60,9 +56,8 @@ where
 }
 
 /// [`par_map`] with an explicit worker count (clamped to the item count and
-/// at least 1). The `simspeed` thread-scaling curve drives this directly so
-/// one process can measure every point of the curve.
-pub fn par_map_with<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
+/// at least 1).
+fn par_map_with<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,

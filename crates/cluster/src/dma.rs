@@ -17,7 +17,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
 use sva_axi::BurstPlan;
 use sva_common::{Cycles, Error, InitiatorId, Iova, PhysAddr, Result};
 use sva_iommu::{Iommu, PageRequestHandler};
@@ -26,7 +25,7 @@ use sva_mem::{MemReq, MemorySystem};
 use crate::tcdm::Tcdm;
 
 /// Direction of a DMA transfer.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// DRAM → TCDM (input tile refill).
     ToTcdm,
@@ -35,7 +34,7 @@ pub enum Direction {
 }
 
 /// One DMA transfer request as programmed by the kernel's DMA core.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct DmaRequest {
     /// Transfer direction.
     pub dir: Direction,
@@ -71,7 +70,7 @@ impl DmaRequest {
 }
 
 /// Configuration of the DMA engine.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct DmaConfig {
     /// Maximum bytes per AXI burst (256 beats × 8 B).
     pub max_burst_bytes: u64,
@@ -100,7 +99,7 @@ impl Default for DmaConfig {
 }
 
 /// Statistics accumulated by the DMA engine.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct DmaStats {
     /// Transfer requests executed.
     pub requests: u64,
@@ -139,7 +138,7 @@ pub struct DmaStats {
 }
 
 /// The cluster DMA engine.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct DmaEngine {
     config: DmaConfig,
     stats: DmaStats,

@@ -14,7 +14,6 @@
 //! LLC, translation stalls eat into the overlap and the DMA-wait region grows
 //! — that difference is Table II.
 
-use serde::{Deserialize, Serialize};
 use sva_common::{Cycles, Error, GlobalClock, Result};
 use sva_iommu::{Iommu, PageRequestHandler};
 use sva_mem::MemorySystem;
@@ -25,7 +24,7 @@ use crate::pe::ClusterGeometry;
 use crate::tcdm::Tcdm;
 
 /// Configuration of the cluster executor.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ClusterConfig {
     /// Cluster geometry (PE count, TCDM size).
     pub geometry: ClusterGeometry,
@@ -47,7 +46,7 @@ impl Default for ClusterConfig {
 }
 
 /// Timing breakdown of one kernel run on the cluster.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct KernelRunStats {
     /// Total runtime of the kernel on the device.
     pub total: Cycles,

@@ -7,11 +7,10 @@
 //! loop and SSR/FREP overheads). These helpers centralise the geometry so all
 //! kernels use the same conversion.
 
-use serde::{Deserialize, Serialize};
 use sva_common::{ClockDomain, Cycles};
 
 /// Geometry of the accelerator cluster.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ClusterGeometry {
     /// Number of compute PEs (the ninth, DMA-driving core is not counted).
     pub num_pes: u32,
@@ -37,7 +36,7 @@ impl Default for ClusterGeometry {
 
 /// Converts an operation count into host-domain cycles for a parallel region
 /// executed by all PEs of the cluster.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct PeCost {
     geometry: ClusterGeometry,
     /// Cluster cycles one PE spends per elementary operation (1.0 would be a

@@ -7,7 +7,6 @@
 //! compute on the data the DMA engine moved) and a simple bump allocator used
 //! by kernel implementations to lay out their tile buffers.
 
-use serde::{Deserialize, Serialize};
 use sva_common::{Error, Result, KIB};
 
 /// Default TCDM capacity of the evaluated cluster (128 KiB).
@@ -112,7 +111,7 @@ impl Default for Tcdm {
 }
 
 /// A bump allocator for laying out tile buffers inside the TCDM.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct TcdmAllocator {
     next: u64,
     capacity: u64,

@@ -19,8 +19,6 @@
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// log2 of the page size (4 KiB pages, as used by Sv39 and the RISC-V IOMMU).
 pub const PAGE_SHIFT: u64 = 12;
 
@@ -37,9 +35,7 @@ pub const CACHE_LINE_SIZE: u64 = 64;
 macro_rules! impl_addr {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
-        #[derive(
-            Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-        )]
+        #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(u64);
 
         impl $name {
@@ -241,7 +237,7 @@ pub fn pages_spanned(start_offset: u64, bytes: u64) -> u64 {
 }
 
 /// An inclusive-exclusive physical address range `[start, end)`.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct PhysRange {
     /// First address in the range.
     pub start: PhysAddr,

@@ -21,8 +21,6 @@
 //!   mean load, but with sustained peaks that saturate and troughs that
 //!   drain.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cycles::Cycles;
 use crate::rng::DeterministicRng;
 
@@ -37,7 +35,7 @@ pub const DIURNAL_AMPLITUDE: f64 = 0.8;
 pub const DIURNAL_PERIODS: f64 = 2.0;
 
 /// The shape of an open-loop arrival process; see the module docs.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ArrivalMix {
     /// Memoryless arrivals: exponential inter-arrival gaps.
     Poisson,

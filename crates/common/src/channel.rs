@@ -41,9 +41,10 @@
 //! bounded inside a measurement window: when the caller can guarantee no
 //! future arrival or query before an instant `w` (a monotone open-loop
 //! arrival process), every boundary before `w` collapses into a single
-//! base-occupancy constant. The cycle-exact naive model is retained as
-//! [`NaiveTimedQueue`] — the reference the property suite and the
-//! `simspeed` perf gate run the indexed engine against.
+//! base-occupancy constant. The cycle-exact linear-scan model the engine
+//! replaced lives on in the property suite's tree
+//! (`tests/reference/timed_queue.rs`), which drives both on randomized
+//! batches.
 //!
 //! [`ReservationIndex`] is the sibling engine for the fabric's
 //! **bus-reservation timelines**: overlapping, payload-carrying intervals
@@ -70,10 +71,8 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Depth configuration of one channel's request and response queues.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct QueueDepths {
     /// Request-queue depth (slots a grant occupies from admission until the
     /// bus starts serving it). `usize::MAX` means unbounded.
@@ -559,7 +558,7 @@ impl TimedQueue {
 
     /// Boundary events currently held by the index (2 per recorded entry
     /// minus shared/compacted boundaries) — the memory-bound observable the
-    /// compaction tests and the perf gate watch.
+    /// compaction tests watch.
     pub fn event_count(&self) -> usize {
         self.timeline.len()
     }
@@ -628,149 +627,6 @@ impl TimedQueue {
     pub fn reset(&mut self) {
         self.clear_entries();
         self.compacted_events = 0;
-        self.peak = 0;
-        self.stall_cycles = 0;
-        self.admissions = 0;
-    }
-}
-
-/// One occupancy interval held by a [`NaiveTimedQueue`].
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-struct QueueEntry {
-    /// First cycle the entry occupies a slot.
-    enter: u64,
-    /// First cycle the slot is free again (`exit > enter`).
-    exit: u64,
-}
-
-/// The retained linear-scan reference model of [`TimedQueue`].
-///
-/// This is the original engine — a flat interval list answering every query
-/// with a full scan. It is kept (not test-gated) as the executable
-/// specification the event-indexed engine is verified against: the property
-/// suite (`crates/common/tests/timed_queue.rs`) drives both on randomized
-/// out-of-order interval batches and demands identical admissions, stalls
-/// and peaks, and the `simspeed` perf gate records the indexed engine's
-/// throughput multiple over this baseline. Do not use it on hot paths.
-#[derive(Clone, Debug, Default)]
-pub struct NaiveTimedQueue {
-    depth: usize,
-    record: bool,
-    entries: Vec<QueueEntry>,
-    max_exit: u64,
-    peak: usize,
-    stall_cycles: u64,
-    admissions: u64,
-}
-
-impl NaiveTimedQueue {
-    /// Creates a queue of the given depth (0 is clamped to 1;
-    /// `usize::MAX` means unbounded).
-    pub fn new(depth: usize) -> Self {
-        Self {
-            depth: depth.max(1),
-            record: depth != usize::MAX,
-            ..Self::default()
-        }
-    }
-
-    /// The recording unbounded FIFO, mirroring
-    /// [`TimedQueue::unbounded_recording`].
-    pub fn unbounded_recording() -> Self {
-        Self {
-            depth: usize::MAX,
-            record: true,
-            ..Self::default()
-        }
-    }
-
-    /// Whether the queue is unbounded (depth `usize::MAX`).
-    pub const fn is_unbounded(&self) -> bool {
-        self.depth == usize::MAX
-    }
-
-    /// Number of recorded intervals covering `t` — a full scan.
-    pub fn occupancy_at(&self, t: u64) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.enter <= t && t < e.exit)
-            .count()
-    }
-
-    /// Earliest admission at or after `t` — repeated covering scans, one
-    /// per candidate exit.
-    pub fn admission_at(&self, t: u64) -> u64 {
-        if self.is_unbounded() || t >= self.max_exit {
-            return t;
-        }
-        let mut at = t;
-        loop {
-            let mut covering = 0usize;
-            let mut next_exit = u64::MAX;
-            for e in &self.entries {
-                if e.enter <= at && at < e.exit {
-                    covering += 1;
-                    next_exit = next_exit.min(e.exit);
-                }
-            }
-            if covering < self.depth {
-                return at;
-            }
-            debug_assert!(next_exit > at, "exit times strictly exceed covers");
-            at = next_exit;
-        }
-    }
-
-    /// Admits an entry arriving at `enter` held until `exit`; returns the
-    /// admission time and the occupancy including the new entry (the same
-    /// contract as [`TimedQueue::push`]).
-    pub fn push(&mut self, enter: u64, exit: u64) -> (u64, usize) {
-        let admitted = self.admission_at(enter);
-        self.stall_cycles += admitted - enter;
-        self.admissions += 1;
-        if !self.record {
-            return (admitted, 0);
-        }
-        let exit = exit.max(admitted + 1);
-        self.entries.push(QueueEntry {
-            enter: admitted,
-            exit,
-        });
-        self.max_exit = self.max_exit.max(exit);
-        let occupancy = self.occupancy_at(admitted);
-        self.peak = self.peak.max(occupancy);
-        (admitted, occupancy)
-    }
-
-    /// Highest occupancy observed at any admission.
-    pub const fn peak(&self) -> usize {
-        self.peak
-    }
-
-    /// Total admission delay accumulated across all pushes.
-    pub const fn stall_cycles(&self) -> u64 {
-        self.stall_cycles
-    }
-
-    /// Entries admitted so far.
-    pub const fn admissions(&self) -> u64 {
-        self.admissions
-    }
-
-    /// Recorded (never pruned) interval count.
-    pub fn entry_count(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Drops every recorded interval; statistics survive.
-    pub fn clear_entries(&mut self) {
-        self.entries.clear();
-        self.max_exit = 0;
-    }
-
-    /// Clears entries *and* statistics.
-    pub fn reset(&mut self) {
-        self.clear_entries();
         self.peak = 0;
         self.stall_cycles = 0;
         self.admissions = 0;
@@ -895,7 +751,7 @@ impl ReservationIndex {
     }
 
     /// Reservations currently held by the index — the memory-bound
-    /// observable the compaction tests and the perf gate watch.
+    /// observable the compaction tests watch.
     pub fn event_count(&self) -> usize {
         self.by_end.len()
     }
@@ -1170,34 +1026,6 @@ mod tests {
         }
         let all: Vec<_> = map.iter().map(|(k, &v)| (k, v)).collect();
         assert_eq!(all, reference.into_iter().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn naive_reference_matches_on_the_documented_cases() {
-        // The reference model must mirror every documented TimedQueue
-        // behaviour (the property suite covers randomized batches).
-        let mut q = NaiveTimedQueue::new(2);
-        q.push(0, 100);
-        q.push(0, 60);
-        assert_eq!(q.admission_at(10), 60);
-        let (admitted, occ) = q.push(10, 200);
-        assert_eq!((admitted, occ), (60, 2));
-        assert_eq!(q.stall_cycles(), 50);
-        assert_eq!(q.peak(), 2);
-        assert_eq!(q.entry_count(), 3);
-
-        let mut u = NaiveTimedQueue::new(usize::MAX);
-        let (admitted, occ) = u.push(5, 500);
-        assert_eq!((admitted, occ), (5, 0));
-
-        let mut r = NaiveTimedQueue::unbounded_recording();
-        r.push(0, 100);
-        r.push(10, 50);
-        assert_eq!(r.occupancy_at(20), 2);
-        assert_eq!(r.peak(), 2);
-        r.reset();
-        assert_eq!(r.occupancy_at(20), 0);
-        assert_eq!(r.admissions(), 0);
     }
 
     #[test]

@@ -11,8 +11,6 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Host-domain clock frequency of the FPGA prototype (Hz).
 pub const HOST_FREQ_HZ: u64 = 50_000_000;
 
@@ -20,7 +18,7 @@ pub const HOST_FREQ_HZ: u64 = 50_000_000;
 pub const CLUSTER_FREQ_HZ: u64 = 20_000_000;
 
 /// A duration (or point in time) measured in host-domain clock cycles.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycles(u64);
 
 impl Cycles {
@@ -145,7 +143,7 @@ impl From<Cycles> for u64 {
 }
 
 /// The two clock domains of the prototype platform.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum ClockDomain {
     /// 50 MHz domain: CVA6 host, interconnect, IOMMU, LLC, DRAM controller.
     Host,

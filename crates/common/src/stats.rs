@@ -7,12 +7,10 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::cycles::Cycles;
 
 /// A monotonically increasing event counter (e.g. cache hits).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct Counter(u64);
 
 impl Counter {
@@ -49,7 +47,7 @@ impl fmt::Display for Counter {
 }
 
 /// Hit/miss pair with convenience ratios, used by TLBs and caches.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct HitMiss {
     /// Number of hits observed.
     pub hits: u64,
@@ -116,7 +114,7 @@ impl fmt::Display for HitMiss {
 
 /// Streaming mean/min/max/sum over observed samples, used for per-event
 /// latencies such as the IOMMU page-table-walk time of Figure 5.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct RunningStats {
     count: u64,
     sum: u64,
@@ -213,7 +211,7 @@ impl fmt::Display for RunningStats {
 
 /// A histogram with fixed-width buckets plus an overflow bucket, used for
 /// latency distributions.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Histogram {
     bucket_width: u64,
     buckets: Vec<u64>,

@@ -1,5 +1,5 @@
-//! Property suite: the event-indexed [`TimedQueue`] against the retained
-//! linear-scan reference model [`NaiveTimedQueue`].
+//! Property suite: the event-indexed [`TimedQueue`] against the linear-scan
+//! reference model [`NaiveTimedQueue`] (`reference/timed_queue.rs`).
 //!
 //! Both engines are driven push-by-push on `DeterministicRng`-generated
 //! out-of-order interval batches across a spread of depths; admission
@@ -11,8 +11,12 @@
 //! the divergence — proving the suite has the power to catch exactly the
 //! class of bug the index could hide.
 
+#[path = "reference/timed_queue.rs"]
+mod reference;
+
+use reference::NaiveTimedQueue;
 use sva_common::rng::DeterministicRng;
-use sva_common::{NaiveTimedQueue, TimedQueue};
+use sva_common::TimedQueue;
 
 /// The behaviour surface the driver compares, implemented by both engines
 /// (and by the deliberately broken one).
@@ -334,4 +338,32 @@ fn compaction_preserves_results_and_bounds_the_index() {
             plain.event_count()
         );
     }
+}
+
+#[test]
+fn naive_reference_matches_on_the_documented_cases() {
+    // The reference model must mirror every documented TimedQueue
+    // behaviour (the property suite covers randomized batches).
+    let mut q = NaiveTimedQueue::new(2);
+    q.push(0, 100);
+    q.push(0, 60);
+    assert_eq!(q.admission_at(10), 60);
+    let (admitted, occ) = q.push(10, 200);
+    assert_eq!((admitted, occ), (60, 2));
+    assert_eq!(q.stall_cycles(), 50);
+    assert_eq!(q.peak(), 2);
+    assert_eq!(q.entry_count(), 3);
+
+    let mut u = NaiveTimedQueue::new(usize::MAX);
+    let (admitted, occ) = u.push(5, 500);
+    assert_eq!((admitted, occ), (5, 0));
+
+    let mut r = NaiveTimedQueue::unbounded_recording();
+    r.push(0, 100);
+    r.push(10, 50);
+    assert_eq!(r.occupancy_at(20), 2);
+    assert_eq!(r.peak(), 2);
+    r.reset();
+    assert_eq!(r.occupancy_at(20), 0);
+    assert_eq!(r.admissions(), 0);
 }

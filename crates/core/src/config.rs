@@ -14,7 +14,6 @@
 //! All variants share the DRAM-latency knob (the AXI delayer) swept over
 //! 200 / 600 / 1000 cycles.
 
-use serde::{Deserialize, Serialize};
 use sva_cluster::{ClusterConfig, DmaConfig};
 use sva_common::{ArbitrationPolicy, Cycles, QueueDepths};
 use sva_host::{DriverConfig, HostCpuConfig, HostTrafficConfig, InterferenceLevel};
@@ -22,7 +21,7 @@ use sva_iommu::{IommuConfig, IommuMode, TlbHierarchyConfig};
 use sva_mem::{DramChannelConfig, LlcConfig, MemSysConfig};
 
 /// The three platform variants of the evaluation.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum SocVariant {
     /// No IOMMU (physical addressing, copy-based offload only).
     Baseline,
@@ -64,7 +63,7 @@ impl SocVariant {
 pub const PAPER_LATENCIES: [u64; 3] = [200, 600, 1000];
 
 /// Full configuration of a platform instance.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PlatformConfig {
     /// Which of the paper's variants this is.
     pub variant: SocVariant,

@@ -13,8 +13,6 @@
 //!   ablation skips the flush, which leaves stale dirty lines but also shows
 //!   how much of the mapping cost the flush contributes.
 
-use serde::{Deserialize, Serialize};
-
 use sva_common::Result;
 use sva_kernels::{KernelKind, Workload};
 
@@ -24,7 +22,7 @@ use crate::platform::Platform;
 use crate::report::TextTable;
 
 /// A generic labelled measurement.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AblationPoint {
     /// Configuration label.
     pub label: String,
@@ -37,7 +35,7 @@ pub struct AblationPoint {
 }
 
 /// A set of ablation points.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct AblationResult {
     /// What was swept.
     pub name: String,

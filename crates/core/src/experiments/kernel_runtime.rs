@@ -8,8 +8,6 @@
 //! waiting for DMA; Figure 4 reports the same data normalised to the
 //! baseline, with the IOMMU overhead percentage annotated.
 
-use serde::{Deserialize, Serialize};
-
 use sva_kernels::KernelKind;
 
 use crate::config::{PlatformConfig, SocVariant};
@@ -19,7 +17,7 @@ use crate::report::{percent, sci, TextTable};
 use sva_common::Result;
 
 /// One measurement point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct KernelRuntimePoint {
     /// Kernel measured.
     pub kernel: String,
@@ -38,7 +36,7 @@ pub struct KernelRuntimePoint {
 }
 
 /// The full sweep.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct KernelRuntimeResult {
     /// All measurement points.
     pub points: Vec<KernelRuntimePoint>,

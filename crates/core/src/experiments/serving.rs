@@ -15,8 +15,6 @@
 //! the sweep's cost is dominated by the (cheap, purely event-driven)
 //! serving loops and stays bench-friendly.
 
-use serde::{Deserialize, Serialize};
-
 use sva_common::ArrivalMix;
 use sva_host::serving::DispatchPolicy;
 
@@ -34,7 +32,7 @@ pub const GRID_UTILIZATIONS: [f64; 2] = [0.7, 1.2];
 pub const SERVING_SEED: u64 = 0x5E4B;
 
 /// The full serving sweep: every grid point plus the shared calibration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ServingSweepResult {
     /// One report per grid point, in grid order.
     pub points: Vec<ServingReport>,

@@ -18,7 +18,6 @@
 //! platform variant and measures only the accelerator's runtime (used for
 //! Table II / Figure 4, which exclude offload and synchronisation time).
 
-use serde::{Deserialize, Serialize};
 use sva_cluster::{block_partition, KernelRunStats, TileRange};
 use sva_common::rng::DeterministicRng;
 use sva_common::{Cycles, Error, Iova, PhysAddr, Result, VirtAddr, PAGE_SIZE};
@@ -39,7 +38,7 @@ pub const OFFLOAD_TRIGGER_CYCLES: u64 = 25_000;
 pub const OFFLOAD_SYNC_CYCLES: u64 = 35_000;
 
 /// How a workload is executed.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum OffloadMode {
     /// Single-threaded execution on the CVA6 host.
     HostOnly,
@@ -61,7 +60,7 @@ impl OffloadMode {
 }
 
 /// Result of one application run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OffloadReport {
     /// Kernel name.
     pub kernel: String,
@@ -105,7 +104,7 @@ impl OffloadReport {
 }
 
 /// Result of a device-only measurement (Table II / Figures 4 and 5).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DeviceOnlyReport {
     /// Kernel name.
     pub kernel: String,

@@ -8,7 +8,6 @@
 //! posted uncached stores on the write side. Figures 2 and 3 measure exactly
 //! this cost and its scaling with input size and DRAM latency.
 
-use serde::{Deserialize, Serialize};
 use sva_common::{Cycles, PhysAddr, Result, VirtAddr, CACHE_LINE_SIZE, PAGE_SIZE};
 use sva_mem::MemorySystem;
 use sva_vm::AddressSpace;
@@ -17,7 +16,7 @@ use crate::cpu::HostCpu;
 use crate::pages::LastPage;
 
 /// Statistics of one copy operation.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CopyStats {
     /// Cycles spent by the host performing the copy.
     pub cycles: Cycles,

@@ -12,14 +12,13 @@
 //! bytes are moved by whoever owns them (the copy engine, the runtime), so
 //! the core's memory path only times and counts its accesses.
 
-use serde::{Deserialize, Serialize};
 use sva_axi::AccessKind;
 use sva_common::{Cycles, GlobalClock, InitiatorId, PhysAddr, Result, CACHE_LINE_SIZE};
 use sva_mem::cache::{Cache, CacheConfig};
 use sva_mem::{MemReq, MemorySystem};
 
 /// Configuration of the host CPU model.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct HostCpuConfig {
     /// Geometry of the L1 data cache (write-through on CVA6).
     pub l1d: CacheConfig,

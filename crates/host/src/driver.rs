@@ -17,7 +17,6 @@
 //! LLC — which is exactly why the IOMMU's later page-table walks hit there
 //! (Section IV-C of the paper).
 
-use serde::{Deserialize, Serialize};
 use sva_axi::addrmap::DRAM_BASE;
 use sva_common::{Cycles, Error, InitiatorId, Iova, PhysAddr, Result, VirtAddr, MIB, PAGE_SIZE};
 use sva_iommu::{Command, Iommu, PageRequestHandler};
@@ -34,7 +33,7 @@ const STRUCT_PAGE_ARRAY_BASE: u64 = DRAM_BASE + 16 * MIB;
 const DRIVER_ARENA_BASE: u64 = DRAM_BASE + 24 * MIB;
 
 /// Tunable costs of the driver model.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct DriverConfig {
     /// Fixed host cycles for an `ioctl` round trip (syscall entry/exit,
     /// argument copy, dispatch) on the 50 MHz CVA6 running Linux.
@@ -71,7 +70,7 @@ impl Default for DriverConfig {
 }
 
 /// Accounting of a mapping or unmapping operation.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct MappingCost {
     /// Host cycles the operation took.
     pub cycles: Cycles,
@@ -82,7 +81,7 @@ pub struct MappingCost {
 }
 
 /// A live IOVA mapping returned by [`IommuDriver::map_buffer`].
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct MappingHandle {
     /// First IO virtual address of the mapping (equal to the user virtual
     /// address of the buffer).

@@ -9,7 +9,6 @@
 //! hierarchy does not hide DRAM latency for streaming working sets — without
 //! simulating every host instruction.
 
-use serde::{Deserialize, Serialize};
 use sva_common::{Cycles, Result, VirtAddr, CACHE_LINE_SIZE};
 use sva_mem::MemorySystem;
 use sva_vm::AddressSpace;
@@ -18,7 +17,7 @@ use crate::cpu::HostCpu;
 use crate::pages::LastPage;
 
 /// Cost description of a kernel when run on the host core.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct HostKernelCost {
     /// Total arithmetic/control operations executed.
     pub ops: u64,
@@ -45,7 +44,7 @@ impl HostKernelCost {
 }
 
 /// Result of a host kernel run.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct HostRunStats {
     /// Total host cycles.
     pub total: Cycles,

@@ -17,13 +17,11 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use sva_common::Cycles;
 
 /// One tenant of the serving layer (a host process class issuing offload
 /// requests).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Tenant {
     /// Display name for reports ("tenant-a").
     pub name: String,
@@ -32,7 +30,7 @@ pub struct Tenant {
 }
 
 /// One open-loop offload request, tagged with its tenant.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ServingRequest {
     /// Monotone request ID (trace order).
     pub id: u64,
@@ -45,7 +43,7 @@ pub struct ServingRequest {
 }
 
 /// How the next free cluster picks among admitted requests.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum DispatchPolicy {
     /// Tenant-affine static sharding: tenant `i` only ever runs on cluster
     /// `i mod clusters` (placement decided at admission).
@@ -84,7 +82,7 @@ impl DispatchPolicy {
 /// Admission counters, overall and per tenant. `offered = admitted +
 /// rejected` always holds; the serving report's conservation invariant
 /// builds on these.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AdmissionStats {
     /// Requests presented to the admission queue.
     pub offered: u64,

@@ -9,7 +9,6 @@
 //! the evaluation — so only the first translation after an invalidation pays
 //! the directory walk.
 
-use serde::{Deserialize, Serialize};
 use sva_common::stats::HitMiss;
 use sva_common::{Cycles, Error, InitiatorId, PhysAddr, Result, PAGE_SHIFT};
 use sva_mem::{MemReq, MemorySystem};
@@ -19,7 +18,7 @@ use sva_vm::FrameAllocator;
 pub const DEVICE_CONTEXT_BYTES: u64 = 64;
 
 /// A decoded device context.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct DeviceContext {
     /// Valid bit of the context.
     pub valid: bool,
@@ -86,7 +85,7 @@ impl DeviceContext {
 
 /// The in-memory device directory plus the IOMMU's single-entry device
 /// context cache.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DeviceDirectory {
     base: PhysAddr,
     capacity: u32,

@@ -33,7 +33,6 @@
 
 use std::collections::BTreeSet;
 
-use serde::{Deserialize, Serialize};
 use sva_common::stats::{Histogram, HitMiss, RunningStats};
 use sva_common::{Cycles, Error, Iova, PhysAddr, ReplacementPolicy, Result, TimedQueue, TlbOrg};
 use sva_mem::MemorySystem;
@@ -52,7 +51,7 @@ const PRI_HIST_BUCKET: u64 = 512;
 const PRI_HIST_BUCKETS: usize = 256;
 
 /// Operating mode of the IOMMU instance.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum IommuMode {
     /// The IOMMU is not instantiated: device addresses are used as physical
     /// bus addresses unchanged and translation costs nothing. This is the
@@ -68,7 +67,7 @@ pub enum IommuMode {
 
 /// Geometry, policy and lookup cost of one level of the translation
 /// hierarchy.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct TlbLevelConfig {
     /// Organisation of the level (`sets × ways`).
     pub org: TlbOrg,
@@ -91,7 +90,7 @@ impl TlbLevelConfig {
 
 /// The two-level translation hierarchy: a private L1 ATC per device in
 /// front of a shared L2 IOTLB.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct TlbHierarchyConfig {
     /// The per-device L1 address-translation cache.
     pub l1: TlbLevelConfig,
@@ -120,7 +119,7 @@ impl Default for TlbHierarchyConfig {
 }
 
 /// Configuration of the IOMMU model.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct IommuConfig {
     /// Operating mode.
     pub mode: IommuMode,
@@ -194,7 +193,7 @@ impl IommuConfig {
 }
 
 /// Snapshot of the IOMMU's statistics.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct IommuStats {
     /// Translation requests served (including bypassed ones).
     pub translations: u64,
@@ -269,7 +268,8 @@ pub struct Iommu {
     /// pending request, maintained in lockstep with the queue on the
     /// push/pop paths (an overflow-dropped request is *not* pending). The
     /// per-page "already pending?" probe of a page-request group is one
-    /// set lookup instead of a queue scan.
+    /// set lookup instead of a queue scan; `tests/pri_dedup.rs` checks it
+    /// against a queue-scan model.
     pending_pages: BTreeSet<(u32, u64)>,
     /// Peak size of the dedup index over the measurement window.
     pending_pages_peak: usize,
@@ -780,40 +780,6 @@ impl Iommu {
         is_write: bool,
         now: Cycles,
     ) -> (u64, u64) {
-        self.enqueue_group(mem, device_id, start, len, is_write, now, false)
-    }
-
-    /// The pre-index page-request group path, retained verbatim as the
-    /// executable reference: the per-page "already pending?" probe scans
-    /// the whole queue instead of consulting the dedup index. The dedup
-    /// index is still maintained (it is queue state, not a statistic), so
-    /// a walker driven through this path stays observationally identical —
-    /// the `pri_group_storm` perf gate and the desync property suite
-    /// twin-run both paths.
-    #[doc(hidden)]
-    pub fn enqueue_page_requests_scan(
-        &mut self,
-        mem: &MemorySystem,
-        device_id: u32,
-        start: Iova,
-        len: u64,
-        is_write: bool,
-        now: Cycles,
-    ) -> (u64, u64) {
-        self.enqueue_group(mem, device_id, start, len, is_write, now, true)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn enqueue_group(
-        &mut self,
-        mem: &MemorySystem,
-        device_id: u32,
-        start: Iova,
-        len: u64,
-        is_write: bool,
-        now: Cycles,
-        scan: bool,
-    ) -> (u64, u64) {
         let mut enqueued = 0u64;
         let mut dropped = 0u64;
         let first = start.page_base();
@@ -824,13 +790,7 @@ impl Iommu {
             // Every pushed request's IOVA is a page base, and every push is
             // guarded by this probe — so pending `(device, page)` pairs are
             // unique in the queue and the dedup index mirrors it exactly.
-            let pending = if scan {
-                self.page_requests
-                    .iter()
-                    .any(|r| r.device_id == device_id && r.iova.page_base() == page.page_base())
-            } else {
-                self.pending_pages.contains(&(device_id, page.raw()))
-            };
+            let pending = self.pending_pages.contains(&(device_id, page.raw()));
             if unmapped && !pending {
                 if self.page_requests.push(PageRequest {
                     device_id,
@@ -943,16 +903,6 @@ impl Iommu {
             );
         }
         assert!(self.pending_pages_peak >= self.pending_pages.len());
-    }
-
-    /// Test hook: plants a stale `(device, page)` entry in the PRI dedup
-    /// index with no backing queue entry — the desync the property suite
-    /// must catch (a stale entry silently suppresses a legitimate
-    /// re-request after the page was popped and unmapped again).
-    #[doc(hidden)]
-    pub fn debug_inject_stale_pending_page(&mut self, device_id: u32, page: Iova) {
-        self.pending_pages
-            .insert((device_id, page.page_base().raw()));
     }
 
     /// Records a **terminal** IO page fault in the fault queue.
@@ -1428,6 +1378,20 @@ mod tests {
             .map(|r| (r.iova.raw() - iova.raw()) / PAGE_SIZE)
             .collect();
         assert_eq!(pages, vec![0, 1, 3, 4]);
+    }
+
+    /// The dedup validator flags a stale `(device, page)` entry: one the
+    /// index holds with no request behind it in the queue.
+    #[test]
+    #[should_panic(expected = "dedup index size diverged")]
+    fn validator_flags_an_injected_stale_entry() {
+        let mut iommu = Iommu::new(IommuConfig {
+            demand_paging: true,
+            ..IommuConfig::default()
+        });
+        iommu.debug_validate_page_requests();
+        iommu.pending_pages.insert((1, 0x4000_0000));
+        iommu.debug_validate_page_requests();
     }
 
     #[test]

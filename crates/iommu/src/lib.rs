@@ -56,6 +56,6 @@ pub use ddt::{DeviceContext, DeviceDirectory};
 pub use iommu::{Iommu, IommuConfig, IommuMode, IommuStats, TlbHierarchyConfig, TlbLevelConfig};
 pub use iotlb::{IoTlb, IoTlbEntry};
 pub use pri::{PageRequestHandler, PageRequestStats};
-pub use ptw::{NaiveWalkTable, PageTableWalker, PtwResult, WalkTable};
+pub use ptw::{PageTableWalker, PtwResult};
 pub use queues::{BoundedQueue, Command, FaultReason, FaultRecord, PageRequest};
 pub use regs::RegisterFile;

@@ -45,8 +45,8 @@
 //! Retaining completed records all window makes the table grow with the
 //! walk count, and the original store was a flat `Vec` scanned twice per
 //! PTE fetch (the coalescing probe and the in-flight concurrency count) —
-//! O(walks²) per measurement window on translation storms. [`WalkTable`]
-//! rebuilds the store as an index:
+//! O(walks²) per measurement window on translation storms. The walk table
+//! is an index instead:
 //!
 //! * **Coalescing probe** — a per-PTE-address `BTreeMap` of
 //!   `[issued, complete)` windows keyed by issue time: "is a read of this
@@ -64,10 +64,10 @@
 //! issues its own read at an instant no held window covers), so among the
 //! windows covering an instant the first-inserted is precisely the one
 //! with the greatest issue time — the one the backward floor-walk meets
-//! first. The pre-index algorithm is retained verbatim as
-//! [`NaiveWalkTable`], the executable reference the cycle-identity
-//! property suite (`crates/iommu/tests/ptw_identity.rs`) and the
-//! `ptw_walk_storm` perf gate drive against.
+//! first. The pre-index algorithm lives on as the reference table of this
+//! module's tests, which a randomized lockstep drives against the index the
+//! way the walker does; the walker-level outcomes are pinned by
+//! `crates/iommu/tests/ptw_identity.rs`.
 //!
 //! Like the fabric's reservation index, the live set is bounded by
 //! **watermark compaction**: [`PageTableWalker::compact_walk_table_before`]
@@ -83,7 +83,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use sva_common::stats::RunningStats;
 use sva_common::{Cycles, Error, InitiatorId, Iova, PhysAddr, Result, TimedQueue, VirtAddr};
 use sva_mem::{MemReq, MemorySystem};
@@ -94,7 +93,7 @@ use sva_vm::Pte;
 pub const DEFAULT_MSHR_ENTRIES: usize = 8;
 
 /// Outcome of one page-table walk.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct PtwResult {
     /// The leaf entry found by the walk.
     pub leaf: Pte,
@@ -108,24 +107,9 @@ pub struct PtwResult {
     pub coalesced: u32,
 }
 
-/// One in-flight PTE read held by the walk table.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-struct WalkEntry {
-    /// Physical address of the PTE being fetched.
-    pte_addr: u64,
-    /// The value the read returns.
-    value: u64,
-    /// Global-clock cycle at which the read was issued: a walk can only
-    /// latch onto a read that is already outstanding at its own time.
-    issued: u64,
-    /// Global-clock cycle at which the read completes; the entry is dead
-    /// (and reclaimable) from this point on.
-    complete: u64,
-}
-
 /// One recorded `[issued, complete)` window in the indexed store (the issue
 /// time is the map key).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 struct WalkWindow {
     /// The value the read returns.
     value: u64,
@@ -134,7 +118,7 @@ struct WalkWindow {
 }
 
 /// The window set of one PTE address.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 struct AddrWindows {
     /// Windows keyed by issue time. Keys are unique: a second read of the
     /// same address at the same instant would have coalesced onto the held
@@ -147,11 +131,10 @@ struct AddrWindows {
 
 /// The indexed MSHR walk-table store: per-address issue-time-keyed window
 /// maps for the coalescing probe plus a boundary-delta occupancy timeline
-/// for the in-flight concurrency bound. Cycle-identical to
-/// [`NaiveWalkTable`] (the property suite in
-/// `crates/iommu/tests/ptw_identity.rs` pins it).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct WalkTable {
+/// for the in-flight concurrency bound. Cycle-identical to the flat
+/// reference table the test module keeps.
+#[derive(Clone, Debug)]
+struct WalkTable {
     addrs: BTreeMap<u64, AddrWindows>,
     /// `[issued, complete)` residency of every held read: the MSHR
     /// concurrency bound is one `occupancy_at` floor lookup.
@@ -181,9 +164,7 @@ impl Default for WalkTable {
 
 impl WalkTable {
     /// The register whose read is outstanding at `now` for `pte_addr`, if
-    /// any: `(value, complete)`. `skew` widens every window's completion
-    /// edge (test-only, see [`PageTableWalker::debug_probe_skew`]; zero in
-    /// production).
+    /// any: `(value, complete)`.
     ///
     /// Backward floor-walk from the greatest issue time at or before `now`.
     /// The first *covering* window met is the naive table's first-inserted
@@ -192,15 +173,15 @@ impl WalkTable {
     /// windows with a later issue time than a covering one are possible
     /// (a short re-read nested inside a long out-of-order window) and are
     /// simply stepped over.
-    fn probe(&self, pte_addr: u64, now: u64, skew: u64) -> Option<(u64, u64)> {
+    fn probe(&self, pte_addr: u64, now: u64) -> Option<(u64, u64)> {
         let aw = self.addrs.get(&pte_addr)?;
-        if now >= aw.max_complete + skew {
+        if now >= aw.max_complete {
             return None;
         }
         aw.by_issue
             .range(..=now)
             .rev()
-            .find(|(_, w)| w.complete + skew > now)
+            .find(|(_, w)| w.complete > now)
             .map(|(_, w)| (w.value, w.complete))
     }
 
@@ -314,158 +295,8 @@ impl WalkTable {
     }
 }
 
-/// The pre-index walk table, retained **verbatim** as the executable
-/// specification of the MSHR semantics: a flat insertion-ordered `Vec`
-/// whose coalescing probe is a first-match scan and whose concurrency
-/// bound is a full-table filter. [`WalkTable`] must stay cycle-identical
-/// to it; the property suite and the `ptw_walk_storm` perf gate twin-run
-/// both engines on the same workloads.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct NaiveWalkTable {
-    table: Vec<WalkEntry>,
-    events_peak: usize,
-}
-
-impl NaiveWalkTable {
-    fn probe(&self, pte_addr: u64, now: u64, skew: u64) -> Option<(u64, u64)> {
-        self.table
-            .iter()
-            .find(|e| e.pte_addr == pte_addr && e.issued <= now && e.complete + skew > now)
-            .map(|e| (e.value, e.complete))
-    }
-
-    fn in_flight_at(&self, now: u64) -> usize {
-        self.table
-            .iter()
-            .filter(|e| e.issued <= now && e.complete > now)
-            .count()
-    }
-
-    fn hold(&mut self, pte_addr: u64, value: u64, issued: u64, complete: u64) {
-        self.table.push(WalkEntry {
-            pte_addr,
-            value,
-            issued,
-            complete,
-        });
-        self.events_peak = self.events_peak.max(self.table.len());
-    }
-
-    fn event_count(&self) -> usize {
-        self.table.len()
-    }
-
-    const fn events_peak(&self) -> usize {
-        self.events_peak
-    }
-
-    fn clear(&mut self) {
-        self.table.clear();
-    }
-
-    fn reset(&mut self) {
-        self.table.clear();
-        self.events_peak = 0;
-    }
-}
-
-/// The walk-table engine behind a batched walker: the indexed store or the
-/// retained linear-scan reference.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-enum WalkTableImpl {
-    Indexed(WalkTable),
-    Naive(NaiveWalkTable),
-}
-
-impl Default for WalkTableImpl {
-    fn default() -> Self {
-        Self::Indexed(WalkTable::default())
-    }
-}
-
-impl WalkTableImpl {
-    fn probe(&self, pte_addr: u64, now: u64, skew: u64) -> Option<(u64, u64)> {
-        match self {
-            Self::Indexed(t) => t.probe(pte_addr, now, skew),
-            Self::Naive(t) => t.probe(pte_addr, now, skew),
-        }
-    }
-
-    fn in_flight_at(&self, now: u64) -> usize {
-        match self {
-            Self::Indexed(t) => t.in_flight_at(now),
-            Self::Naive(t) => t.in_flight_at(now),
-        }
-    }
-
-    fn hold(&mut self, pte_addr: u64, value: u64, issued: u64, complete: u64) {
-        match self {
-            Self::Indexed(t) => t.hold(pte_addr, value, issued, complete),
-            Self::Naive(t) => t.hold(pte_addr, value, issued, complete),
-        }
-    }
-
-    fn compact_before(&mut self, w: u64) {
-        match self {
-            Self::Indexed(t) => t.compact_before(w),
-            // The reference keeps the full window history by design — its
-            // probe semantics *are* the spec the compaction contract must
-            // not disturb.
-            Self::Naive(_) => {}
-        }
-    }
-
-    fn event_count(&self) -> usize {
-        match self {
-            Self::Indexed(t) => t.event_count(),
-            Self::Naive(t) => t.event_count(),
-        }
-    }
-
-    fn events_peak(&self) -> usize {
-        match self {
-            Self::Indexed(t) => t.events_peak(),
-            Self::Naive(t) => t.events_peak(),
-        }
-    }
-
-    fn compacted_events(&self) -> u64 {
-        match self {
-            Self::Indexed(t) => t.compacted_events(),
-            Self::Naive(_) => 0,
-        }
-    }
-
-    fn watermark(&self) -> u64 {
-        match self {
-            Self::Indexed(t) => t.watermark(),
-            Self::Naive(_) => 0,
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Self::Indexed(t) => t.clear(),
-            Self::Naive(t) => t.clear(),
-        }
-    }
-
-    fn reset(&mut self) {
-        match self {
-            Self::Indexed(t) => t.reset(),
-            Self::Naive(t) => t.reset(),
-        }
-    }
-
-    fn debug_validate(&self) {
-        if let Self::Indexed(t) = self {
-            t.debug_validate();
-        }
-    }
-}
-
 /// The hardware page-table walker.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct PageTableWalker {
     walk_time: RunningStats,
     walks: u64,
@@ -478,11 +309,8 @@ pub struct PageTableWalker {
     batching: bool,
     /// Capacity of the walk table (ignored with batching off).
     mshr_entries: usize,
-    /// Test-only probe skew (see [`PageTableWalker::debug_probe_skew`]);
-    /// always zero in production walkers.
-    probe_skew: u64,
     /// The in-flight PTE reads.
-    table: WalkTableImpl,
+    table: WalkTable,
 }
 
 impl PageTableWalker {
@@ -497,19 +325,6 @@ impl PageTableWalker {
         Self {
             batching: true,
             mshr_entries: mshr_entries.max(1),
-            ..Self::default()
-        }
-    }
-
-    /// Creates a batched walker on the retained [`NaiveWalkTable`]
-    /// reference engine — the executable spec the cycle-identity suite and
-    /// the `ptw_walk_storm` perf gate twin-run against. Not for production
-    /// use: the flat store scans its whole window history on every fetch.
-    pub fn with_naive_batching(mshr_entries: usize) -> Self {
-        Self {
-            batching: true,
-            mshr_entries: mshr_entries.max(1),
-            table: WalkTableImpl::Naive(NaiveWalkTable::default()),
             ..Self::default()
         }
     }
@@ -541,9 +356,7 @@ impl PageTableWalker {
             // simulated sequentially, so arrival times interleave
             // arbitrarily) — they are only reclaimed by watermark
             // compaction or an invalidation.
-            if let Some((value, complete)) =
-                self.table.probe(pte_addr.raw(), now.raw(), self.probe_skew)
-            {
+            if let Some((value, complete)) = self.table.probe(pte_addr.raw(), now.raw()) {
                 self.coalesced_reads += 1;
                 return Ok((value, Cycles::new(complete), true));
             }
@@ -732,25 +545,12 @@ impl PageTableWalker {
     /// Folds every walk-table window completing at or before watermark `w`.
     /// Contract: no later walk will be stamped before `w` (the same
     /// no-earlier-arrival watermark `Fabric::compact_before` uses); applied
-    /// at sharded device-window boundaries. A no-op on the naive reference
-    /// engine, whose full retained history *is* the spec.
+    /// at sharded device-window boundaries.
     pub fn compact_walk_table_before(&mut self, w: Cycles) {
         self.table.compact_before(w.raw());
     }
 
-    /// Test hook: widens every held window's completion edge by `skew`
-    /// cycles at probe time, turning the walk table's half-open
-    /// `[issued, complete)` windows end-inclusive (a window with
-    /// `complete == now` wrongly serves the walk) — the injected
-    /// completion-window off-by-one the cycle-identity suite must prove it
-    /// catches.
-    #[doc(hidden)]
-    pub fn debug_probe_skew(&mut self, skew: u64) {
-        self.probe_skew = skew;
-    }
-
-    /// Checks the indexed walk table's internal invariants (no-op on the
-    /// naive reference).
+    /// Checks the indexed walk table's internal invariants.
     ///
     /// # Panics
     ///
@@ -780,6 +580,7 @@ impl PageTableWalker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sva_common::rng::DeterministicRng;
     use sva_common::PAGE_SIZE;
     use sva_mem::{MemSysConfig, MemorySystem};
     use sva_vm::{AddressSpace, FrameAllocator};
@@ -1166,5 +967,212 @@ mod tests {
         assert_eq!(ptw.walk_table_events_peak(), 0);
         assert_eq!(ptw.walk_table_compacted_events(), 0);
         assert_eq!(ptw.walk_table_watermark(), 0);
+    }
+
+    /// One PTE read held by the reference table.
+    #[derive(Copy, Clone, Debug)]
+    struct WalkEntry {
+        pte_addr: u64,
+        value: u64,
+        issued: u64,
+        complete: u64,
+    }
+
+    /// The pre-index walk table, kept as the executable specification of
+    /// the MSHR semantics: a flat insertion-ordered `Vec` whose coalescing
+    /// probe is a first-match scan and whose concurrency bound is a
+    /// full-table filter. `widen` moves every window's completion edge
+    /// that many cycles later at probe time: zero for the specification,
+    /// one for the off-by-one mutant the lockstep must catch.
+    #[derive(Default)]
+    struct NaiveWalkTable {
+        table: Vec<WalkEntry>,
+        events_peak: usize,
+        widen: u64,
+    }
+
+    /// The table operations the walker issues on a PTE fetch.
+    trait Table {
+        fn probe(&self, pte_addr: u64, now: u64) -> Option<(u64, u64)>;
+        fn in_flight_at(&self, now: u64) -> usize;
+        fn hold(&mut self, pte_addr: u64, value: u64, issued: u64, complete: u64);
+    }
+
+    impl Table for NaiveWalkTable {
+        fn probe(&self, pte_addr: u64, now: u64) -> Option<(u64, u64)> {
+            self.table
+                .iter()
+                .find(|e| {
+                    e.pte_addr == pte_addr && e.issued <= now && e.complete + self.widen > now
+                })
+                .map(|e| (e.value, e.complete))
+        }
+
+        fn in_flight_at(&self, now: u64) -> usize {
+            self.table
+                .iter()
+                .filter(|e| e.issued <= now && e.complete > now)
+                .count()
+        }
+
+        fn hold(&mut self, pte_addr: u64, value: u64, issued: u64, complete: u64) {
+            self.table.push(WalkEntry {
+                pte_addr,
+                value,
+                issued,
+                complete,
+            });
+            self.events_peak = self.events_peak.max(self.table.len());
+        }
+    }
+
+    impl Table for WalkTable {
+        fn probe(&self, pte_addr: u64, now: u64) -> Option<(u64, u64)> {
+            WalkTable::probe(self, pte_addr, now)
+        }
+
+        fn in_flight_at(&self, now: u64) -> usize {
+            WalkTable::in_flight_at(self, now)
+        }
+
+        fn hold(&mut self, pte_addr: u64, value: u64, issued: u64, complete: u64) {
+            WalkTable::hold(self, pte_addr, value, issued, complete);
+        }
+    }
+
+    /// What one fetch observed: the `(value, complete)` of the window that
+    /// served the probe, or the in-flight count at the issue instant and
+    /// whether the issued read was held.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Fetch {
+        Coalesced(u64, u64),
+        Issued { in_flight: usize, held: bool },
+    }
+
+    /// One fetch the way `PageTableWalker::fetch_pte` makes it: probe
+    /// first; on a miss, issue a read completing `latency` cycles later and
+    /// hold it while fewer than `limit` reads are in flight at `now`.
+    fn fetch(
+        t: &mut impl Table,
+        pte_addr: u64,
+        now: u64,
+        value: u64,
+        latency: u64,
+        limit: usize,
+    ) -> Fetch {
+        if let Some((value, complete)) = t.probe(pte_addr, now) {
+            return Fetch::Coalesced(value, complete);
+        }
+        let in_flight = t.in_flight_at(now);
+        let held = in_flight < limit && latency > 0;
+        if held {
+            t.hold(pte_addr, value, now, now + latency);
+        }
+        Fetch::Issued { in_flight, held }
+    }
+
+    /// Drives the indexed table and `reference` in lockstep over a
+    /// randomized fetch storm: shard cursors that advance independently and
+    /// sometimes restart at zero, arrivals landing exactly on recorded
+    /// completion instants, zero-latency reads, invalidations and window
+    /// resets. Returns the number of coalesced fetches and of reads the
+    /// limit kept out of the table, or the first divergence.
+    fn lockstep(
+        rng: &mut DeterministicRng,
+        limit: usize,
+        mut reference: NaiveWalkTable,
+    ) -> std::result::Result<(usize, usize), String> {
+        let mut indexed = WalkTable::default();
+        let shards = 1 + rng.next_below(4) as usize;
+        let mut cursors = vec![0u64; shards];
+        let mut completions: Vec<(u64, u64)> = Vec::new();
+        let (mut coalesced, mut refused) = (0, 0);
+        for i in 0..400usize {
+            let (pte_addr, now) = if !completions.is_empty() && rng.next_below(6) == 0 {
+                completions[rng.next_below(completions.len() as u64) as usize]
+            } else {
+                let shard = i % shards;
+                if rng.next_below(40) == 0 {
+                    cursors[shard] = 0;
+                }
+                cursors[shard] += rng.next_below(60);
+                (0x8000_0000 + 8 * rng.next_below(6), cursors[shard])
+            };
+            let value = rng.next_u64();
+            let latency = if rng.next_below(10) == 0 {
+                0
+            } else {
+                1 + rng.next_below(400)
+            };
+            let a = fetch(&mut indexed, pte_addr, now, value, latency, limit);
+            let b = fetch(&mut reference, pte_addr, now, value, latency, limit);
+            if a != b {
+                return Err(format!(
+                    "fetch {i} of {pte_addr:#x} at {now}: indexed {a:?} vs reference {b:?}"
+                ));
+            }
+            match a {
+                Fetch::Coalesced(..) => coalesced += 1,
+                Fetch::Issued { held: true, .. } => completions.push((pte_addr, now + latency)),
+                Fetch::Issued { held: false, .. } => refused += usize::from(latency > 0),
+            }
+            match rng.next_below(150) {
+                0 => {
+                    indexed.clear();
+                    reference.table.clear();
+                }
+                1 => {
+                    indexed.reset();
+                    reference.table.clear();
+                    reference.events_peak = 0;
+                }
+                _ => {}
+            }
+            indexed.debug_validate();
+            let counts = (indexed.event_count(), indexed.events_peak());
+            let expected = (reference.table.len(), reference.events_peak);
+            if counts != expected {
+                return Err(format!(
+                    "after fetch {i}: indexed (events, peak) {counts:?} vs reference {expected:?}"
+                ));
+            }
+        }
+        Ok((coalesced, refused))
+    }
+
+    /// The indexed walk table is cycle-identical to the flat reference on
+    /// every probe, in-flight count, hold decision and record count,
+    /// across MSHR limits.
+    #[test]
+    fn walk_table_is_cycle_identical_to_the_naive_reference() {
+        let mut rng = DeterministicRng::new(0x977A_7AB1);
+        let (mut coalesced, mut refused) = (0, 0);
+        for round in 0..8 {
+            for limit in [1usize, 2, 3, 8, 64] {
+                match lockstep(&mut rng, limit, NaiveWalkTable::default()) {
+                    Ok((c, r)) => (coalesced, refused) = (coalesced + c, refused + r),
+                    Err(err) => panic!("round {round}, limit {limit}: {err}"),
+                }
+            }
+        }
+        assert!(coalesced > 0, "the storm must coalesce");
+        assert!(refused > 0, "the storm must fill the table to its limit");
+    }
+
+    /// The lockstep has teeth: a reference whose windows serve one cycle
+    /// past their completion (`[issued, complete]` instead of
+    /// `[issued, complete)`) diverges once an arrival lands exactly on a
+    /// recorded completion instant.
+    #[test]
+    fn walk_table_lockstep_catches_a_widened_completion_edge() {
+        let mut rng = DeterministicRng::new(0x977A_0FF1);
+        let widened = || NaiveWalkTable {
+            widen: 1,
+            ..NaiveWalkTable::default()
+        };
+        assert!(
+            (0..4).any(|_| lockstep(&mut rng, 8, widened()).is_err()),
+            "the walk-table lockstep failed to catch a one-cycle completion-edge skew"
+        );
     }
 }

@@ -15,12 +15,11 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
 use sva_common::{Cycles, Iova};
 
 /// Commands accepted by the IOMMU command queue (the subset used by the
 /// Linux driver for first-stage translation).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Command {
     /// `IOTINVAL.VMA` — invalidate IOTLB entries. `None` fields mean
     /// "all" (global invalidation).
@@ -38,7 +37,7 @@ pub enum Command {
 }
 
 /// Why a fault was recorded.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum FaultReason {
     /// No valid leaf PTE for the IOVA.
     PageNotMapped,
@@ -49,7 +48,7 @@ pub enum FaultReason {
 }
 
 /// One record in the fault queue.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct FaultRecord {
     /// Device that caused the fault.
     pub device_id: u32,
@@ -66,7 +65,7 @@ pub struct FaultRecord {
 /// engine enqueues a **group** of these — the faulting page plus the rest
 /// of the transfer it is about to touch — then stalls until the host's
 /// group response (see `crate::pri`).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct PageRequest {
     /// Device that needs the page.
     pub device_id: u32,
@@ -80,7 +79,7 @@ pub struct PageRequest {
 }
 
 /// A bounded FIFO used for all three queues.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct BoundedQueue<T> {
     entries: VecDeque<T>,
     capacity: usize,

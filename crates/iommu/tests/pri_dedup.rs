@@ -1,32 +1,34 @@
 //! Lockstep property suite for the PRI `(device, page)` dedup index.
 //!
-//! `Iommu::enqueue_page_requests` replaced its per-page queue scan with a
-//! dedup set maintained in lockstep with the bounded page-request queue.
-//! The suite drives a twin pair — one IOMMU on the indexed path, one on
-//! the retained scan reference (`enqueue_page_requests_scan`) — through a
-//! `DeterministicRng` mix of page-request groups (overlapping ranges, two
-//! devices, mapped-page skips, queue overflow), host pops and
+//! `Iommu::enqueue_page_requests` answers its per-page "already pending?"
+//! probe from a dedup set maintained in lockstep with the bounded
+//! page-request queue. The suite drives one IOMMU and a [`QueueModel`] kept
+//! here (the bounded FIFO with the queue-scan probe the index replaced)
+//! through a `DeterministicRng` mix of page-request groups (overlapping
+//! ranges, two devices, mapped-page skips, queue overflow), host pops and
 //! measurement-window resets (`reset_stats`, which covers the queue's
 //! `reset_dropped` path while pending entries survive), asserting after
 //! every operation that
 //!
-//! * both paths agree on every `(enqueued, dropped)` outcome and every
-//!   popped request — the dedup index is observationally invisible — and
+//! * the IOMMU and the model agree on every `(enqueued, dropped)` outcome
+//!   and every popped request — the dedup index is observationally
+//!   invisible — and
 //! * the index mirrors the queue exactly (`debug_validate_page_requests`).
 //!
-//! Two teeth tests prove the harness catches an injected stale entry (a
-//! `(device, page)` left in the index with no backing queue entry): the
-//! stale entry suppresses a legitimate re-request, diverging from the scan
-//! reference, and the validator flags the desync directly.
+//! A teeth test proves the comparison catches a stale entry: one planted in
+//! the model suppresses a legitimate request the IOMMU enqueues.
+
+use std::collections::VecDeque;
 
 use sva_common::rng::DeterministicRng;
 use sva_common::{Cycles, Iova, VirtAddr, PAGE_SIZE};
-use sva_iommu::{Iommu, IommuConfig};
+use sva_iommu::{Iommu, IommuConfig, PageRequest};
 use sva_mem::MemorySystem;
 use sva_vm::{AddressSpace, FrameAllocator, PageTable, PteFlags};
 
 const PAGES: u64 = 8;
 const DEVICES: [u32; 2] = [1, 3];
+const QUEUE_ENTRIES: usize = 5;
 const OPS: usize = 600;
 
 struct Harness {
@@ -38,32 +40,26 @@ struct Harness {
     mapped: Vec<[bool; PAGES as usize]>,
 }
 
-/// One shared environment: a host space with `PAGES` backed pages and one
-/// initially-empty IO page table per device. Both twins read the same
-/// memory (the enqueue path only probes it), so their observable outcomes
-/// must match operation for operation.
-fn harness() -> (Harness, Iommu, Iommu) {
+/// A host space with `PAGES` backed pages, and an IOMMU with one
+/// initially-empty IO page table per device.
+fn harness() -> (Harness, Iommu) {
     let mut mem = MemorySystem::default();
     let mut frames = FrameAllocator::linux_pool();
     let mut space = AddressSpace::new(&mut mem, &mut frames).unwrap();
     let va = space
         .alloc_buffer(&mut mem, &mut frames, PAGES * PAGE_SIZE)
         .unwrap();
-    let config = IommuConfig {
+    let mut iommu = Iommu::new(IommuConfig {
         demand_paging: true,
-        page_request_entries: 5,
+        page_request_entries: QUEUE_ENTRIES,
         ..IommuConfig::default()
-    };
-    let mut indexed = Iommu::new(config);
-    let mut scan = Iommu::new(config);
+    });
     let mut io_tables = Vec::new();
     for &dev in &DEVICES {
         let io_table = PageTable::create(&mut frames).unwrap();
-        for iommu in [&mut indexed, &mut scan] {
-            iommu
-                .attach_device(&mut mem, &mut frames, dev, space.pscid(), io_table.root())
-                .unwrap();
-        }
+        iommu
+            .attach_device(&mut mem, &mut frames, dev, space.pscid(), io_table.root())
+            .unwrap();
         io_tables.push(io_table);
     }
     (
@@ -75,19 +71,69 @@ fn harness() -> (Harness, Iommu, Iommu) {
             va,
             mapped: vec![[false; PAGES as usize]; DEVICES.len()],
         },
-        indexed,
-        scan,
+        iommu,
     )
 }
 
+/// The page-request queue with the per-page queue scan the dedup index
+/// replaced: a FIFO of at most [`QUEUE_ENTRIES`] requests. A page needs a
+/// request when the harness has not mapped it into the device's IO table
+/// (mapped pages are read-write) and no queued request of the device
+/// covers it.
+#[derive(Default)]
+struct QueueModel {
+    queue: VecDeque<PageRequest>,
+}
+
+impl QueueModel {
+    fn enqueue(
+        &mut self,
+        h: &Harness,
+        dev_idx: usize,
+        start: Iova,
+        len: u64,
+        is_write: bool,
+        now: Cycles,
+    ) -> (u64, u64) {
+        let device_id = DEVICES[dev_idx];
+        let base = Iova::from_virt(h.va);
+        let (mut enqueued, mut dropped) = (0, 0);
+        let mut page = start.page_base();
+        while page < start + len.max(1) {
+            let idx = (page.raw() - base.raw()) / PAGE_SIZE;
+            let mapped = idx < PAGES && h.mapped[dev_idx][idx as usize];
+            let pending = self
+                .queue
+                .iter()
+                .any(|r| r.device_id == device_id && r.iova == page);
+            if !mapped && !pending {
+                if self.queue.len() < QUEUE_ENTRIES {
+                    self.queue.push_back(PageRequest {
+                        device_id,
+                        iova: page,
+                        is_write,
+                        issued_at: now,
+                    });
+                    enqueued += 1;
+                } else {
+                    dropped += 1;
+                }
+            }
+            page += PAGE_SIZE;
+        }
+        (enqueued, dropped)
+    }
+}
+
 /// The core lockstep property: the dedup index never desyncs from the
-/// queue, and the indexed path is observationally identical to the scan
-/// reference, across enqueue / overflow-drop / pop / map-page /
-/// window-reset interleavings.
+/// queue, and the IOMMU is observationally identical to the queue-scan
+/// model, across enqueue / overflow-drop / pop / map-page / window-reset
+/// interleavings.
 #[test]
 fn dedup_index_stays_in_lockstep_with_the_queue() {
     let mut rng = DeterministicRng::new(0x9B1_DED0);
-    let (mut h, mut indexed, mut scan) = harness();
+    let (mut h, mut iommu) = harness();
+    let mut model = QueueModel::default();
     let mut popped = 0u64;
     let mut overflowed = 0u64;
     let mut resets = 0u64;
@@ -102,34 +148,17 @@ fn dedup_index_stays_in_lockstep_with_the_queue() {
                 let start = Iova::from_virt(h.va) + page * PAGE_SIZE + rng.next_below(PAGE_SIZE);
                 let is_write = rng.next_below(3) == 0;
                 let t = Cycles::new(i as u64 * 7);
-                let a = indexed.enqueue_page_requests(
-                    &h.mem,
-                    DEVICES[dev_idx],
-                    start,
-                    len,
-                    is_write,
-                    t,
-                );
-                let b = scan.enqueue_page_requests_scan(
-                    &h.mem,
-                    DEVICES[dev_idx],
-                    start,
-                    len,
-                    is_write,
-                    t,
-                );
+                let a =
+                    iommu.enqueue_page_requests(&h.mem, DEVICES[dev_idx], start, len, is_write, t);
+                let b = model.enqueue(&h, dev_idx, start, len, is_write, t);
                 assert_eq!(a, b, "op {i}: group outcome diverged");
                 overflowed += a.1;
             }
-            // A host pop: both twins must surface the same request.
+            // A host pop: the IOMMU and the model surface the same request.
             6..=7 => {
-                let a = indexed.pop_page_request();
-                let b = scan.pop_page_request();
-                assert_eq!(
-                    format!("{a:?}"),
-                    format!("{b:?}"),
-                    "op {i}: popped request diverged"
-                );
+                let a = iommu.pop_page_request();
+                let b = model.queue.pop_front();
+                assert_eq!(a, b, "op {i}: popped request diverged");
                 popped += u64::from(a.is_some());
             }
             // The host maps a page into one device's IO table: later
@@ -150,65 +179,57 @@ fn dedup_index_stays_in_lockstep_with_the_queue() {
             // counter) restart, pending requests — and their dedup
             // entries — survive.
             _ => {
-                indexed.reset_stats();
-                scan.reset_stats();
+                iommu.reset_stats();
                 resets += 1;
                 assert_eq!(
-                    indexed.stats().page_request_pending_peak,
-                    indexed.pending_page_requests(),
+                    iommu.stats().page_request_pending_peak,
+                    iommu.pending_page_requests(),
                     "op {i}: peak restarts at the carried-over size"
                 );
             }
         }
-        indexed.debug_validate_page_requests();
+        iommu.debug_validate_page_requests();
         assert_eq!(
-            indexed.pending_page_requests(),
-            scan.pending_page_requests(),
+            iommu.pending_page_requests(),
+            model.queue.len(),
             "op {i}: queue lengths diverged"
         );
     }
     assert!(popped > 0, "the mix must exercise the pop path");
     assert!(overflowed > 0, "the mix must exercise the overflow path");
     assert!(resets > 0, "the mix must exercise the window reset");
-    // Drain both queues to the end: every remaining pop agrees and the
-    // index empties with the queue.
+    // Drain to the end: every remaining pop agrees and the index empties
+    // with the queue.
     loop {
-        let a = indexed.pop_page_request();
-        let b = scan.pop_page_request();
-        assert_eq!(format!("{a:?}"), format!("{b:?}"), "drain diverged");
-        indexed.debug_validate_page_requests();
+        let a = iommu.pop_page_request();
+        assert_eq!(a, model.queue.pop_front(), "drain diverged");
+        iommu.debug_validate_page_requests();
         if a.is_none() {
             break;
         }
     }
-    assert_eq!(indexed.pending_page_requests(), 0);
+    assert_eq!(iommu.pending_page_requests(), 0);
 }
 
-/// Teeth, part 1: a stale dedup entry silently suppresses a legitimate
-/// re-request — the twin comparison catches it as an enqueue-count
-/// divergence on the very next group.
+/// Teeth: a stale entry in the model — device 1 supposedly has page 0
+/// pending while the IOMMU's queue holds nothing — suppresses a legitimate
+/// request, and the comparison catches it as an enqueue-count divergence on
+/// the very next group.
 #[test]
 fn harness_catches_an_injected_stale_entry() {
-    let (h, mut indexed, mut scan) = harness();
+    let (h, mut iommu) = harness();
     let start = Iova::from_virt(h.va);
-    // The stale entry: device 1 supposedly has page 0 pending — but the
-    // queue holds nothing.
-    indexed.debug_inject_stale_pending_page(DEVICES[0], start);
-    let a =
-        indexed.enqueue_page_requests(&h.mem, DEVICES[0], start, PAGE_SIZE, false, Cycles::ZERO);
-    let b =
-        scan.enqueue_page_requests_scan(&h.mem, DEVICES[0], start, PAGE_SIZE, false, Cycles::ZERO);
+    let mut model = QueueModel::default();
+    model.queue.push_back(PageRequest {
+        device_id: DEVICES[0],
+        iova: start,
+        is_write: false,
+        issued_at: Cycles::ZERO,
+    });
+    let a = iommu.enqueue_page_requests(&h.mem, DEVICES[0], start, PAGE_SIZE, false, Cycles::ZERO);
+    let b = model.enqueue(&h, 0, start, PAGE_SIZE, false, Cycles::ZERO);
     assert_ne!(
         a, b,
         "the lockstep harness failed to catch a stale dedup entry"
     );
-}
-
-/// Teeth, part 2: the validator flags the desync directly.
-#[test]
-#[should_panic(expected = "dedup index size diverged")]
-fn validator_flags_an_injected_stale_entry() {
-    let (h, mut indexed, _) = harness();
-    indexed.debug_inject_stale_pending_page(DEVICES[1], Iova::from_virt(h.va));
-    indexed.debug_validate_page_requests();
 }

@@ -1,12 +1,13 @@
-//! Cycle-identity property suite for the indexed PTW walk table.
+//! Pinned walker-level outcomes of the batched PTW.
 //!
-//! The indexed walk table (per-PTE-address issue-time-keyed window maps +
-//! a boundary-delta in-flight counter) must be **bit-identical** to the
-//! retained [`sva_iommu::NaiveWalkTable`] reference (the original
-//! scan-twice-per-fetch flat table) on every walk: identical
-//! [`sva_iommu::PtwResult`]s — leaf, cycles, reads, coalesced levels —
-//! identical faults, identical walker statistics. The suite drives twin
-//! walkers against twin memory systems on `DeterministicRng` workloads
+//! The walk table's cycle identity with its reference engine is checked at
+//! the table level (the lockstep suite in `sva_iommu::ptw`'s test module).
+//! This suite pins what the whole walker produces on top of it: every
+//! [`sva_iommu::PtwResult`] — leaf, cycles, reads, coalesced levels — every
+//! fault, and the final walker statistics, folded into one digest per
+//! randomized round. The digests were recorded while the suite still
+//! twin-ran the indexed walker against a walker on the flat reference table
+//! and both produced them. The grid drives `DeterministicRng` walk storms
 //! across
 //!
 //! * batched (MSHR sizes 1, 2, 8, 64) and serial walkers,
@@ -17,18 +18,34 @@
 //!   arrivals landing on recorded completion instants,
 //! * mapped and unmapped pages (the fault path), LLC on and off,
 //!
-//! and additionally proves the harness has teeth by catching an injected
-//! completion-window off-by-one (the PR 6 `OffByOneQueue` / PR 8
-//! `OffByOneFabric` discipline), and that watermark compaction is
-//! outcome-neutral under its contract while bounding the live set.
+//! and additionally shows that watermark compaction is outcome-neutral
+//! under its contract while bounding the live set.
 
 use sva_common::rng::DeterministicRng;
-use sva_common::{Cycles, Iova, PAGE_SIZE};
+use sva_common::{Cycles, Error, Iova, PAGE_SIZE};
 use sva_iommu::PageTableWalker;
 use sva_mem::{FabricConfig, MemSysConfig, MemorySystem};
 use sva_vm::{AddressSpace, FrameAllocator};
 
 const PAGES: u64 = 6;
+
+/// Digest of each round of
+/// [`indexed_walk_table_is_cycle_identical_to_the_naive_reference`].
+const ROUND_DIGESTS: [u64; 6] = [
+    0x7d40_ac04_5de9_e509,
+    0xa814_7208_49b1_252d,
+    0xfc92_b5be_32e7_7fb1,
+    0xc00f_e848_dadb_cd79,
+    0x371e_3c86_bf04_304b,
+    0xa769_681f_cc67_2807,
+];
+
+/// Digest of each window of [`identity_holds_across_measurement_windows`].
+const WINDOW_DIGESTS: [u64; 3] = [
+    0xda27_d6f3_62fc_60af,
+    0xd9cc_8eb4_8782_1392,
+    0x5956_1934_defd_5965,
+];
 
 /// One timed walk request: which page (one slot past the mapped range is
 /// the deliberately unmapped faulting page), when, read or write.
@@ -39,9 +56,39 @@ struct WalkOp {
     is_write: bool,
 }
 
-/// A twin-able environment: a memory system and an address space with
-/// `PAGES` mapped pages. Construction is fully deterministic, so two calls
-/// with the same knobs yield bit-identical twins.
+/// 64-bit FNV-1a over little-endian words.
+struct Digest(u64);
+
+impl Digest {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn words<const N: usize>(&mut self, words: [u64; N]) {
+        for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Folds in the walker's final statistics.
+    fn stats(&mut self, ptw: &PageTableWalker) {
+        let time = ptw.walk_time();
+        self.words([
+            ptw.walks(),
+            ptw.faults(),
+            ptw.pte_reads(),
+            ptw.coalesced_reads(),
+            time.count(),
+            time.sum(),
+            time.min().unwrap_or(u64::MAX),
+            time.max().unwrap_or(u64::MAX),
+        ]);
+    }
+}
+
+/// A deterministic environment: a memory system and an address space with
+/// `PAGES` mapped pages. Two calls with the same knobs yield bit-identical
+/// environments.
 fn environment(
     llc: bool,
     req_queue_depth: usize,
@@ -96,15 +143,15 @@ fn workload(rng: &mut DeterministicRng, walks: usize) -> Vec<WalkOp> {
     out
 }
 
-/// Runs one op on one walker/environment, returning a comparable outcome
-/// string (leaf + cycles + reads + coalesced, or the fault).
+/// Runs one op, returning its comparable words: leaf, cycles, reads and
+/// coalesced levels, or the faulting IOVA and direction.
 fn step(
     ptw: &mut PageTableWalker,
     mem: &mut MemorySystem,
     space: &AddressSpace,
     base: Iova,
     op: WalkOp,
-) -> String {
+) -> [u64; 5] {
     match ptw.walk_at(
         mem,
         space.root(),
@@ -112,107 +159,114 @@ fn step(
         op.is_write,
         Cycles::new(op.t),
     ) {
-        Ok(res) => format!("{res:?}"),
-        Err(e) => format!("fault: {e:?}"),
+        Ok(res) => [
+            0,
+            res.leaf.raw(),
+            res.cycles.raw(),
+            u64::from(res.reads),
+            u64::from(res.coalesced),
+        ],
+        Err(Error::IoPageFault { iova, is_write }) => [1, iova.raw(), u64::from(is_write), 0, 0],
+        Err(e) => panic!("unexpected walk error: {e:?}"),
     }
 }
 
-/// Asserts both walkers agree on every walk and every statistic.
-fn assert_identical(
-    mut indexed: PageTableWalker,
-    mut naive: PageTableWalker,
+/// Runs `ops` on `ptw` in a fresh environment and folds every outcome and
+/// the final statistics into `digest`.
+fn run_cell(
+    mut ptw: PageTableWalker,
     llc: bool,
     req_queue_depth: usize,
     timed: bool,
     ops: &[WalkOp],
-    label: &str,
+    digest: &mut Digest,
 ) {
-    let (mut mem_a, space_a, base_a) = environment(llc, req_queue_depth, timed);
-    let (mut mem_b, space_b, base_b) = environment(llc, req_queue_depth, timed);
-    assert_eq!(base_a, base_b, "twin environments must be bit-identical");
-    for (i, &op) in ops.iter().enumerate() {
-        let x = step(&mut indexed, &mut mem_a, &space_a, base_a, op);
-        let y = step(&mut naive, &mut mem_b, &space_b, base_b, op);
-        assert_eq!(x, y, "{label}: walk {i} diverged ({op:?})");
+    let (mut mem, space, base) = environment(llc, req_queue_depth, timed);
+    for &op in ops {
+        digest.words(step(&mut ptw, &mut mem, &space, base, op));
     }
-    assert_eq!(indexed.walks(), naive.walks(), "{label}: walk counts");
-    assert_eq!(indexed.faults(), naive.faults(), "{label}: fault counts");
-    assert_eq!(indexed.pte_reads(), naive.pte_reads(), "{label}: PTE reads");
-    assert_eq!(
-        indexed.coalesced_reads(),
-        naive.coalesced_reads(),
-        "{label}: coalesced levels"
-    );
-    assert_eq!(
-        indexed.walk_time(),
-        naive.walk_time(),
-        "{label}: walk-time statistics"
-    );
-    indexed.debug_validate_walk_table();
+    digest.stats(&ptw);
+    ptw.debug_validate_walk_table();
 }
 
-/// The core identity property: randomized walk storms across
-/// MSHR sizes × {unbounded, shallow} queues × {untimed, timed} × LLC.
-#[test]
-fn indexed_walk_table_is_cycle_identical_to_the_naive_reference() {
+/// The per-round digests of the grid.
+fn round_digests() -> Vec<u64> {
     let mut rng = DeterministicRng::new(0x977A_B1E5);
-    for round in 0..6u64 {
-        let ops = workload(&mut rng, 150);
-        for &mshr in &[1usize, 2, 8, 64] {
-            for &req_depth in &[usize::MAX, 2, 1] {
-                for &timed in &[false, true] {
-                    let llc = round % 2 == 0;
-                    let label = format!(
-                        "round {round}, mshr={mshr}, req_depth={req_depth}, \
-                         timed={timed}, llc={llc}"
-                    );
-                    assert_identical(
-                        PageTableWalker::with_batching(mshr),
-                        PageTableWalker::with_naive_batching(mshr),
-                        llc,
-                        req_depth,
-                        timed,
-                        &ops,
-                        &label,
-                    );
+    (0..ROUND_DIGESTS.len())
+        .map(|round| {
+            let ops = workload(&mut rng, 150);
+            let llc = round % 2 == 0;
+            let mut digest = Digest::new();
+            for &mshr in &[1usize, 2, 8, 64] {
+                for &req_depth in &[usize::MAX, 2, 1] {
+                    for &timed in &[false, true] {
+                        run_cell(
+                            PageTableWalker::with_batching(mshr),
+                            llc,
+                            req_depth,
+                            timed,
+                            &ops,
+                            &mut digest,
+                        );
+                    }
                 }
             }
-        }
-        // Serial twins degenerate to the same walker; pin that the harness
-        // itself introduces no asymmetry.
-        assert_identical(
-            PageTableWalker::new(),
-            PageTableWalker::new(),
-            false,
-            usize::MAX,
-            false,
-            &ops,
-            &format!("round {round}, serial"),
-        );
-    }
+            run_cell(
+                PageTableWalker::new(),
+                false,
+                usize::MAX,
+                false,
+                &ops,
+                &mut digest,
+            );
+            digest.0
+        })
+        .collect()
 }
 
-/// Identity survives measurement-window boundaries: both walkers reset
-/// their statistics (which purges the table), then a second storm whose
-/// cursors restart at zero.
+/// The per-window digests of one walker across three measurement windows.
+fn window_digests() -> Vec<u64> {
+    let mut rng = DeterministicRng::new(0x977A_57AC);
+    let mut ptw = PageTableWalker::with_batching(8);
+    (0..WINDOW_DIGESTS.len())
+        .map(|_| {
+            let ops = workload(&mut rng, 120);
+            let (mut mem, space, base) = environment(false, usize::MAX, true);
+            let mut digest = Digest::new();
+            for &op in &ops {
+                digest.words(step(&mut ptw, &mut mem, &space, base, op));
+            }
+            digest.stats(&ptw);
+            ptw.debug_validate_walk_table();
+            ptw.reset_stats();
+            digest.0
+        })
+        .collect()
+}
+
+/// The indexed walker reproduces, walk for walk, the outcomes the walker on
+/// the flat reference table produced when the digests were recorded:
+/// randomized walk storms across MSHR sizes × {unbounded, shallow} queues ×
+/// {untimed, timed} × LLC, plus the serial walker, one digest per round.
+#[test]
+fn indexed_walk_table_is_cycle_identical_to_the_naive_reference() {
+    assert_eq!(
+        round_digests(),
+        ROUND_DIGESTS,
+        "walker outcomes moved from the pinned per-round digests"
+    );
+}
+
+/// The pinned outcomes survive measurement-window boundaries: the walker
+/// resets its statistics (which purges the table) between windows, and each
+/// window's storm restarts its cursors at zero.
 #[test]
 fn identity_holds_across_measurement_windows() {
-    let mut rng = DeterministicRng::new(0x977A_57AC);
-    let mut indexed = PageTableWalker::with_batching(8);
-    let mut naive = PageTableWalker::with_naive_batching(8);
-    for window in 0..3u64 {
-        let ops = workload(&mut rng, 120);
-        let (mut mem_a, space_a, base_a) = environment(false, usize::MAX, true);
-        let (mut mem_b, space_b, base_b) = environment(false, usize::MAX, true);
-        for (i, &op) in ops.iter().enumerate() {
-            let x = step(&mut indexed, &mut mem_a, &space_a, base_a, op);
-            let y = step(&mut naive, &mut mem_b, &space_b, base_b, op);
-            assert_eq!(x, y, "window {window}, walk {i} diverged");
-        }
-        indexed.debug_validate_walk_table();
-        indexed.reset_stats();
-        naive.reset_stats();
-    }
+    assert_eq!(
+        window_digests(),
+        WINDOW_DIGESTS,
+        "walker outcomes moved from the pinned per-window digests"
+    );
 }
 
 /// Watermark compaction is outcome-neutral under its contract and bounds
@@ -263,48 +317,5 @@ fn compaction_is_outcome_neutral_and_bounds_the_live_set() {
         "live set must stay far below the uncompacted table \
          (peak {peak} vs {})",
         reference.walk_table_events()
-    );
-}
-
-/// The harness has teeth: an injected completion-window off-by-one
-/// (probe-time completion edges widened by one cycle, turning
-/// `[issued, complete)` windows end-inclusive) diverges from the reference
-/// once a walk lands exactly on a recorded completion instant. The arrival
-/// sweep guarantees one does: every instant up to the first walk's
-/// completion is probed, and the root-level PTE read of every walk shares
-/// one address, so its window's completion instant is hit exactly.
-#[test]
-fn identity_harness_catches_an_injected_completion_window_off_by_one() {
-    let (mut mem_a, space_a, base_a) = environment(false, usize::MAX, false);
-    let (mut mem_b, space_b, base_b) = environment(false, usize::MAX, false);
-    let mut skewed = PageTableWalker::with_batching(8);
-    skewed.debug_probe_skew(1);
-    let mut naive = PageTableWalker::with_naive_batching(8);
-
-    let first = skewed
-        .walk_at(&mut mem_a, space_a.root(), base_a, false, Cycles::ZERO)
-        .unwrap();
-    let first_ref = naive
-        .walk_at(&mut mem_b, space_b.root(), base_b, false, Cycles::ZERO)
-        .unwrap();
-    assert_eq!(format!("{first:?}"), format!("{first_ref:?}"));
-
-    let mut caught = false;
-    for t in 1..=first.cycles.raw() {
-        let op = WalkOp {
-            page: 0,
-            t,
-            is_write: false,
-        };
-        let x = step(&mut skewed, &mut mem_a, &space_a, base_a, op);
-        let y = step(&mut naive, &mut mem_b, &space_b, base_b, op);
-        if x != y {
-            caught = true;
-            break;
-        }
-    }
-    assert!(
-        caught,
-        "the identity harness failed to catch a one-cycle completion-window skew"
     );
 }

@@ -5,8 +5,6 @@
 //! [`Workload`] objects. The experiment harness iterates this registry to
 //! regenerate the tables and figures.
 
-use serde::{Deserialize, Serialize};
-
 use crate::axpy::AxpyWorkload;
 use crate::gemm::GemmWorkload;
 use crate::gesummv::GesummvWorkload;
@@ -15,7 +13,7 @@ use crate::sort::SortWorkload;
 use crate::workload::Workload;
 
 /// The kernels of the evaluation.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum KernelKind {
     /// Generic vector-vector addition (`y = a*x + y`).
     Axpy,

@@ -6,14 +6,13 @@
 //! kernel once the buffers' device addresses are known, and how expensive the
 //! kernel is when executed on the host core instead.
 
-use serde::{Deserialize, Serialize};
 use sva_cluster::DeviceKernel;
 use sva_common::rng::DeterministicRng;
 use sva_common::{Error, Iova, Result};
 use sva_host::HostKernelCost;
 
 /// Role of a buffer in a kernel.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum BufferKind {
     /// Read by the kernel, never written.
     Input,
@@ -51,7 +50,7 @@ impl BufferKind {
 }
 
 /// Description of one kernel buffer.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct BufferSpec {
     /// Short name used in reports (e.g. `"A"`, `"x"`).
     pub name: &'static str,

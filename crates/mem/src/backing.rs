@@ -9,10 +9,10 @@
 //! The store is a **direct-map frame table**: frame index = `offset >> 12`
 //! into a lazily grown `Vec<Option<Box<[u8]>>>`, so touching a frame is one
 //! bounds-checked vector index instead of the former per-frame hash (the
-//! retained hash engine lives on as
-//! [`NaiveSparseMemory`](crate::NaiveSparseMemory), the executable reference
-//! the lockstep suite `crates/mem/tests/backing_identity.rs` twin-runs
-//! against). A generation-tagged last-frame memo carries cross-call locality
+//! hash engine lives on in `tests/reference/backing.rs`, the executable
+//! reference the lockstep suite `tests/backing_identity.rs` runs this
+//! store against). A
+//! generation-tagged last-frame memo carries cross-call locality
 //! — a sequential DMA burst touches the same frame for 64 beats in a row —
 //! and the typed accessors ([`SparseMemory::read_u64`] & friends) take a
 //! single-frame fast path whenever the access does not straddle a frame
@@ -60,9 +60,6 @@ pub struct SparseMemory {
     /// Bumped by [`SparseMemory::clear`]; tags [`FrameMemo`] validity.
     generation: u64,
     memo: Cell<FrameMemo>,
-    /// Test hook: when set, writes skip the memo refresh on frame
-    /// materialisation — the stale-memo bug the lockstep suite must catch.
-    debug_frozen_memo: bool,
 }
 
 impl SparseMemory {
@@ -80,7 +77,6 @@ impl SparseMemory {
                 frame: 0,
                 present: false,
             }),
-            debug_frozen_memo: false,
         }
     }
 
@@ -145,13 +141,11 @@ impl SparseMemory {
         if slot.is_none() {
             *slot = Some(vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
             self.resident += 1;
-            if !self.debug_frozen_memo {
-                self.memo.set(FrameMemo {
-                    generation: self.generation,
-                    frame: idx,
-                    present: true,
-                });
-            }
+            self.memo.set(FrameMemo {
+                generation: self.generation,
+                frame: idx,
+                present: true,
+            });
         }
         slot.as_deref_mut().expect("frame was just materialised")
     }
@@ -336,16 +330,6 @@ impl SparseMemory {
         self.generation += 1;
     }
 
-    /// Test hook: freezes the last-frame memo across writes, so a write
-    /// that materialises a memoised-absent frame leaves the stale "absent"
-    /// memo in place and later memoised reads of that frame wrongly return
-    /// zero — the injected bug the lockstep suite
-    /// (`crates/mem/tests/backing_identity.rs`) must prove it catches.
-    #[doc(hidden)]
-    pub fn debug_freeze_memo(&mut self) {
-        self.debug_frozen_memo = true;
-    }
-
     /// Checks the store's internal invariants: the resident counter matches
     /// the frame table and a present memo points at a resident frame.
     ///
@@ -481,16 +465,5 @@ mod tests {
         mem.write_u64(0x100, 9).unwrap();
         assert_eq!(mem.read_u64(0x100).unwrap(), 9);
         mem.debug_validate();
-    }
-
-    /// The frozen-memo debug hook produces exactly the stale-read bug the
-    /// lockstep suite is built to catch.
-    #[test]
-    fn frozen_memo_goes_stale() {
-        let mut mem = SparseMemory::new(1 << 16);
-        mem.debug_freeze_memo();
-        assert_eq!(mem.read_u64(0x100).unwrap(), 0); // memoise frame 0 absent
-        mem.write_u64(0x100, 7).unwrap(); // frozen: memo not refreshed
-        assert_eq!(mem.read_u64(0x100).unwrap(), 0, "stale memo serves zero");
     }
 }

@@ -10,12 +10,11 @@
 //! * the CVA6 32 KiB write-through L1 data cache (dirty bits never set),
 //! * the Cheshire 128 KiB write-back last-level cache ([`crate::llc`]).
 
-use serde::{Deserialize, Serialize};
 use sva_common::stats::HitMiss;
 use sva_common::{PhysAddr, CACHE_LINE_SIZE};
 
 /// Geometry of a cache.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -74,7 +73,7 @@ impl CacheConfig {
 }
 
 /// Result of a cache lookup.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum CacheOutcome {
     /// The line was present.
     Hit,
@@ -102,7 +101,7 @@ impl CacheOutcome {
     }
 }
 
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 struct Line {
     valid: bool,
     dirty: bool,
@@ -112,7 +111,7 @@ struct Line {
 }
 
 /// A set-associative cache with true-LRU replacement.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
     sets: Vec<Vec<Line>>,

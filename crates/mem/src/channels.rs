@@ -14,11 +14,10 @@
 //! Every address maps to exactly one channel, making the channels a
 //! *partition* of the address space — a property the test layer pins down.
 
-use serde::{Deserialize, Serialize};
 use sva_common::PhysAddr;
 
 /// Geometry of the multi-channel DRAM backend.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DramChannelConfig {
     /// Number of independent DRAM channels (clamped to at least 1). One
     /// channel reproduces the single shared data-bus timeline of the paper's
@@ -97,7 +96,7 @@ impl Default for DramChannelConfig {
 /// addressed to this channel's slice of memory", not as DRAM-controller
 /// throughput. Only timed grants (DMA bursts) additionally reserve the
 /// channel's data-bus timeline and can accumulate `queue_cycles`.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ChannelStats {
     /// Grants routed to the channel (timed and untimed).
     pub grants: u64,

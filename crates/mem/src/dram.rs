@@ -10,13 +10,12 @@
 //! access latency = controller latency + delayer latency + beats on the bus
 //! ```
 
-use serde::{Deserialize, Serialize};
 use sva_axi::{AccessKind, AxiDelayer, BusConfig};
 use sva_common::stats::Counter;
 use sva_common::Cycles;
 
 /// Configuration of the DRAM timing model.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct DramConfig {
     /// Fixed latency of the DDR controller and PHY as observed from the host
     /// clock domain (about 35 cycles at 50 MHz on the VCU128).
@@ -56,7 +55,7 @@ impl Default for DramConfig {
 
 /// Timing of one DRAM access, split into the latency to the first beat and
 /// the bus occupancy of the data transfer.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct DramTiming {
     /// Cycles until the first data beat (or write acceptance) returns.
     pub latency: Cycles,
@@ -73,7 +72,7 @@ impl DramTiming {
 }
 
 /// The DRAM controller + delayer timing model.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Dram {
     config: DramConfig,
     delayer: AxiDelayer,

@@ -123,10 +123,10 @@
 //! range probe returns the latest conflicting reservation end — finished
 //! history is invisible to the probe instead of being re-scanned on every
 //! retry — and the arbiter's slot/weight/membership lookups on the grant
-//! path are O(1) caches. The engine is cycle-identical to the retained
-//! reference implementation ([`crate::NaiveFabric`], the original
-//! scan-with-retry algorithm); the `fabric_identity` property suite pins
-//! that identity on randomized workloads across every arbitration policy.
+//! path are O(1) caches. The engine is cycle-identical to the original
+//! scan-with-retry algorithm, which the `fabric_identity` property suite
+//! keeps as its reference (`tests/reference/fabric.rs`) and runs against
+//! this engine on randomized workloads across every arbitration policy.
 //!
 //! Long open-loop windows additionally stay O(live reservations) rather
 //! than O(grants): a caller that guarantees no future grant arrives before
@@ -137,7 +137,6 @@
 //! [`Fabric::compacted_events`] / [`Fabric::watermark`], mirroring
 //! [`sva_common::TimedQueue`].
 
-use serde::{Deserialize, Serialize};
 use sva_common::{
     ArbitrationPolicy, Cycles, InitiatorClass, InitiatorId, InitiatorStats, MemPortReq, PortTiming,
     ReservationIndex, TimedQueue,
@@ -146,7 +145,7 @@ use sva_common::{
 use crate::channels::{ChannelStats, DramChannelConfig};
 
 /// Configuration of the fabric arbitration layer.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FabricConfig {
     /// When `true`, cross-initiator queueing delay (waiting for the shared
     /// data bus) is added to returned latencies. Off by default so
@@ -217,16 +216,8 @@ pub struct GrantOutcome {
     pub issue_stall: Cycles,
 }
 
-impl GrantOutcome {
-    /// Total delay between the access's arrival and the start of its bus
-    /// service.
-    pub fn total_delay(&self) -> Cycles {
-        self.queue + self.issue_stall
-    }
-}
-
 /// Snapshot of one initiator's accounting, labelled by identity.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct InitiatorSnapshot {
     /// Who the numbers belong to.
     pub id: InitiatorId,

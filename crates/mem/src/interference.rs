@@ -12,13 +12,12 @@
 //! bus utilisation of the host stream, and a matching number of random host
 //! lines are touched in the LLC to model capacity pressure.
 
-use serde::{Deserialize, Serialize};
 use sva_common::rng::DeterministicRng;
 use sva_common::stats::Counter;
 use sva_common::{Cycles, PhysAddr};
 
 /// Configuration of the synthetic host-interference stream.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct InterferenceConfig {
     /// Fraction of DRAM/bus service capacity consumed by the host stream,
     /// in `[0, 0.95]`. The default of 0.5 corresponds to the host issuing
@@ -42,7 +41,7 @@ impl Default for InterferenceConfig {
 }
 
 /// Statistics collected by the interference model.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct InterferenceStats {
     /// Total queueing cycles injected into device-side accesses.
     pub queue_cycles: u64,

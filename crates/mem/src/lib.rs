@@ -6,8 +6,6 @@
 //! * [`backing`] — a sparse, frame-granular byte store holding the functional
 //!   contents of DRAM and the L2 scratchpad, laid out as a direct-map frame
 //!   table with typed single-frame fast paths;
-//! * [`naive_backing`] — the retained hash-map store engine the direct-map
-//!   store is lockstep-tested against (`backing_identity`);
 //! * [`dram`] — the DRAM controller timing model, including the AXI delayer
 //!   the paper uses to sweep memory latency;
 //! * [`cache`] — a generic set-associative cache timing model (tags + LRU +
@@ -23,8 +21,6 @@
 //!   unified memory fabric (per-channel interval timelines, round-robin /
 //!   weighted / fixed-priority arbitration, contention measurement), placed
 //!   by an end-indexed reservation engine with watermark compaction;
-//! * [`naive_fabric`] — the retained linear-scan reference engine the
-//!   indexed fabric is property-tested against (cycle-identity);
 //! * [`system`] — [`MemorySystem`], the composition of all of the above
 //!   behind the unified [`MemorySystem::access`](system::MemorySystem::access)
 //!   fabric port used by the host, every cluster's DMA engine and the IOMMU
@@ -68,8 +64,6 @@ pub mod dram;
 pub mod fabric;
 pub mod interference;
 pub mod llc;
-pub mod naive_backing;
-pub mod naive_fabric;
 pub mod spm;
 pub mod system;
 
@@ -80,7 +74,5 @@ pub use dram::{Dram, DramConfig};
 pub use fabric::{Fabric, FabricConfig, GrantOutcome, InitiatorSnapshot};
 pub use interference::Interference;
 pub use llc::{Llc, LlcConfig};
-pub use naive_backing::NaiveSparseMemory;
-pub use naive_fabric::NaiveFabric;
 pub use spm::Scratchpad;
 pub use system::{MemData, MemReq, MemRsp, MemSysConfig, MemSysStats, MemorySystem};

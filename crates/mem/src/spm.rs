@@ -6,7 +6,6 @@
 //! synchronise offloads, so its (short, constant) access latency shows up in
 //! the offload/fork-join overhead of Figure 2.
 
-use serde::{Deserialize, Serialize};
 use sva_common::stats::Counter;
 use sva_common::{Cycles, Result, MIB};
 
@@ -23,7 +22,7 @@ pub struct Scratchpad {
 
 /// Serializable view of the scratchpad configuration (storage contents are
 /// not serialized).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ScratchpadConfig {
     /// Capacity in bytes.
     pub size_bytes: u64,

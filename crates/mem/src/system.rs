@@ -32,7 +32,6 @@
 //! loads and stores and the host-traffic stream use them, because the bytes
 //! they would move are never read.
 
-use serde::{Deserialize, Serialize};
 use sva_axi::addrmap::{AddressMap, RegionKind, DRAM_SIZE};
 use sva_axi::{AccessKind, BusConfig, Crossbar, MasterPort, MemTxn};
 use sva_common::stats::Counter;
@@ -50,7 +49,7 @@ use crate::llc::{Llc, LlcConfig, LlcRequester};
 use crate::spm::{Scratchpad, ScratchpadConfig};
 
 /// Configuration of the whole memory system.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MemSysConfig {
     /// Extra DRAM latency inserted by the AXI delayer (the paper's knob).
     pub dram_latency: Cycles,
@@ -185,7 +184,7 @@ impl<'a> MemReq<'a> {
 }
 
 /// Response of a fabric access.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemRsp {
     /// Latency to first data and data-bus occupancy of the access. When
     /// [`FabricConfig::contention_enabled`] is set, the latency includes the
@@ -217,7 +216,7 @@ impl MemRsp {
 }
 
 /// Aggregate statistics of the memory system.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemSysStats {
     /// Timed host accesses served.
     pub host_accesses: u64,

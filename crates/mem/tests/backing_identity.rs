@@ -2,8 +2,8 @@
 //!
 //! The direct-map [`SparseMemory`] (frame table + generation-tagged memo +
 //! typed single-frame fast paths) must be **observation-identical** to the
-//! retained [`NaiveSparseMemory`] reference (the original per-frame hash-map
-//! engine) on every operation: identical read-back bytes, identical typed
+//! [`NaiveSparseMemory`] reference (the original per-frame hash-map engine,
+//! kept in `reference/backing.rs`) on every operation: identical read-back bytes, identical typed
 //! values, identical error outcomes and identical resident-frame accounting.
 //! The suite drives both engines through `DeterministicRng` operation
 //! sequences covering
@@ -17,12 +17,18 @@
 //! * periodic `clear` (generation bump on the indexed engine),
 //! * out-of-bounds attempts, asserting both engines reject them,
 //!
-//! and proves the harness has teeth by catching an injected stale-memo bug
-//! (`debug_freeze_memo`, per the PR 8/9 discipline).
+//! and proves the harness has teeth by catching a store with the stale-memo
+//! bug injected ([`StaleMemoStore`]).
 
+#[path = "reference/backing.rs"]
+mod reference;
+
+use std::collections::BTreeSet;
+
+use reference::NaiveSparseMemory;
 use sva_common::rng::DeterministicRng;
-use sva_common::PAGE_SIZE;
-use sva_mem::{NaiveSparseMemory, SparseMemory};
+use sva_common::{Result, PAGE_SIZE};
+use sva_mem::SparseMemory;
 
 const CAPACITY: u64 = 64 * PAGE_SIZE;
 
@@ -184,21 +190,49 @@ fn direct_map_store_is_identical_to_naive_reference() {
     assert_ne!(total, 0, "lockstep sequences never observed any data");
 }
 
+/// The direct-map store with the stale-memo bug injected: once a read has
+/// found a frame absent, reads of that frame keep serving zeros until a read
+/// of another frame replaces the memo, even after a write has materialised
+/// it. The real memo never goes stale this way, because the write that
+/// materialises a frame refreshes it.
+struct StaleMemoStore {
+    store: SparseMemory,
+    written: BTreeSet<u64>,
+    /// The frame the last read found absent, if it found one.
+    absent_memo: Option<u64>,
+}
+
+impl StaleMemoStore {
+    fn read_u64(&mut self, offset: u64) -> Result<u64> {
+        let frame = offset / PAGE_SIZE;
+        if self.absent_memo == Some(frame) {
+            return Ok(0);
+        }
+        self.absent_memo = (!self.written.contains(&frame)).then_some(frame);
+        self.store.read_u64(offset)
+    }
+
+    fn write_u64(&mut self, offset: u64, value: u64) -> Result<u64> {
+        // The bug: materialising the frame leaves the memo untouched.
+        self.written.insert(offset / PAGE_SIZE);
+        self.store.write_u64(offset, value)
+    }
+}
+
 #[test]
 fn lockstep_catches_injected_stale_memo() {
-    // Teeth: freeze the memo refresh on the indexed engine (materialising
-    // writes stop updating the cached frame presence) and drive the exact
-    // staleness window through the same lockstep comparators: a read of an
-    // absent frame caches "absent" in the memo, a write then materialises
-    // the frame without refreshing it, and the read-back is served from the
-    // stale memo — zeros instead of the written bytes. This is precisely the
-    // class of bug the memo design must never exhibit (present-memos cannot
-    // go stale because frames only vanish via `clear`, which bumps the
-    // generation); the suite must detect it the moment it is injected.
+    // Teeth: drive the exact staleness window through the lockstep
+    // comparators. A read of an absent frame memoises "absent", a write
+    // then materialises the frame, and the read-back is served from the
+    // stale memo: zeros instead of the written bytes. The suite must detect
+    // this the moment such a store stands in for the direct-map engine.
     let caught = std::panic::catch_unwind(|| {
-        let mut indexed = SparseMemory::new(CAPACITY);
+        let mut indexed = StaleMemoStore {
+            store: SparseMemory::new(CAPACITY),
+            written: BTreeSet::new(),
+            absent_memo: None,
+        };
         let mut naive = NaiveSparseMemory::new(CAPACITY);
-        indexed.debug_freeze_memo();
         for frame in 0..CAPACITY / PAGE_SIZE {
             let offset = frame * PAGE_SIZE + 8;
             // 1. Observe the absent frame (both engines agree: zero).
@@ -209,7 +243,7 @@ fn lockstep_catches_injected_stale_memo() {
             // 2. Materialise it with a nonzero value on both engines.
             indexed.write_u64(offset, 0xDEAD_BEEF_0000 + frame).unwrap();
             naive.write_u64(offset, 0xDEAD_BEEF_0000 + frame).unwrap();
-            // 3. Lockstep read-back: the frozen memo serves stale zeros.
+            // 3. Lockstep read-back: the stale memo serves zeros.
             assert_eq!(
                 indexed.read_u64(offset).unwrap(),
                 naive.read_u64(offset).unwrap(),
@@ -222,4 +256,21 @@ fn lockstep_catches_injected_stale_memo() {
         caught,
         "lockstep suite failed to catch the injected stale-memo bug"
     );
+}
+
+#[test]
+fn reference_engine_roundtrip_and_zero_fill_no_op() {
+    let mut mem = NaiveSparseMemory::new(1 << 20);
+    let data: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
+    mem.write(PAGE_SIZE - 100, &data).unwrap();
+    let mut back = vec![0u8; 10_000];
+    mem.read(PAGE_SIZE - 100, &mut back).unwrap();
+    assert_eq!(back, data);
+    assert_eq!(mem.resident_frames(), 4);
+    mem.clear();
+    mem.fill(0, 1 << 20, 0).unwrap();
+    assert_eq!(mem.resident_frames(), 0, "spec fix applies to the twin");
+    mem.write_u64(8, 0x77).unwrap();
+    assert_eq!(mem.read_u64(8).unwrap(), 0x77);
+    assert!(mem.read_u64((1 << 20) - 4).is_err());
 }

@@ -1,8 +1,9 @@
 //! Cycle-identity property suite for the indexed fabric placement engine.
 //!
 //! The indexed [`Fabric`] (end-indexed reservation probe, per-slot arbiter
-//! caches) must be **bit-identical** to the retained [`NaiveFabric`]
-//! reference (the original scan-with-retry algorithm) on every grant:
+//! caches) must be **bit-identical** to the [`NaiveFabric`] reference (the
+//! original scan-with-retry algorithm, kept in `reference/fabric.rs`) on
+//! every grant:
 //! identical [`GrantOutcome`]s, identical per-initiator and per-channel
 //! statistics, identical grant/switch counters. The suite drives both
 //! engines on `DeterministicRng` workloads across
@@ -20,10 +21,14 @@
 //! placement off-by-one (the PR 6 `OffByOneQueue` discipline), and that
 //! watermark compaction is outcome-neutral under its contract.
 
+#[path = "reference/fabric.rs"]
+mod reference;
+
+use reference::NaiveFabric;
 use sva_common::rng::DeterministicRng;
 use sva_common::{ArbitrationPolicy, Cycles, InitiatorId, MemPortReq, PhysAddr, PortTiming};
 use sva_mem::channels::DramChannelConfig;
-use sva_mem::{Fabric, FabricConfig, GrantOutcome, NaiveFabric};
+use sva_mem::{Fabric, FabricConfig, GrantOutcome};
 
 /// One timed access: the request and its port timing.
 #[derive(Clone, Debug)]

@@ -1,21 +1,15 @@
-//! The retained hash-map sparse-store engine, kept as the executable
-//! reference for the direct-map [`SparseMemory`](crate::SparseMemory).
+//! `NaiveSparseMemory`: the per-frame hash-map store engine
+//! `sva_mem::SparseMemory` replaced, kept as the executable reference the
+//! lockstep suite (`tests/backing_identity.rs`) runs the direct-map store
+//! against.
 //!
-//! This is the pre-PR-10 per-frame `HashMap` engine verbatim: every touched
-//! frame costs a hash probe and every access runs the generic byte-chunk
-//! loop (the typed accessors are thin wrappers over it, exactly as they
-//! were). The one deliberate deviation from the old code is the shared
-//! **spec fix** to [`NaiveSparseMemory::fill`]: zero-filling an absent frame
-//! is a no-op on both engines (absent frames already read as zero), so the
-//! resident-frame accounting the lockstep suite compares agrees by
+//! Every touched frame costs a hash probe and every access runs the
+//! generic byte-chunk loop (the typed accessors are thin wrappers over it).
+//! The one deliberate deviation from the original engine is the shared
+//! **spec fix** to [`NaiveSparseMemory::fill`]: zero-filling an absent
+//! frame is a no-op on both engines (absent frames already read as zero),
+//! so the resident-frame accounting the suite compares agrees by
 //! construction rather than by accident.
-//!
-//! The lockstep property suite (`crates/mem/tests/backing_identity.rs`)
-//! drives randomized operation sequences through both engines and asserts
-//! every observable — read-back bytes, typed values, error outcomes and
-//! resident-frame counts — is identical; the `simspeed` stress points
-//! `backing_stream` and `backing_scatter` twin-run the engines under a
-//! digest cross-check and gate the direct-map store's speedup.
 
 use std::collections::HashMap;
 
@@ -36,11 +30,6 @@ impl NaiveSparseMemory {
             frames: HashMap::new(),
             capacity,
         }
-    }
-
-    /// Capacity in bytes.
-    pub const fn capacity(&self) -> u64 {
-        self.capacity
     }
 
     /// Number of frames that have been touched (allocated) so far.
@@ -184,27 +173,5 @@ impl NaiveSparseMemory {
     /// Drops all contents, returning the store to the all-zero state.
     pub fn clear(&mut self) {
         self.frames.clear();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn reference_engine_roundtrip_and_zero_fill_no_op() {
-        let mut mem = NaiveSparseMemory::new(1 << 20);
-        let data: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
-        mem.write(PAGE_SIZE - 100, &data).unwrap();
-        let mut back = vec![0u8; 10_000];
-        mem.read(PAGE_SIZE - 100, &mut back).unwrap();
-        assert_eq!(back, data);
-        assert_eq!(mem.resident_frames(), 4);
-        mem.clear();
-        mem.fill(0, 1 << 20, 0).unwrap();
-        assert_eq!(mem.resident_frames(), 0, "spec fix applies to the twin");
-        mem.write_u64(8, 0x77).unwrap();
-        assert_eq!(mem.read_u64(8).unwrap(), 0x77);
-        assert!(mem.read_u64((1 << 20) - 4).is_err());
     }
 }

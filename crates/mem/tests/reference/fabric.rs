@@ -1,9 +1,7 @@
-//! The retained linear-scan reference placement engine of the fabric.
-//!
-//! [`NaiveFabric`] is the original [`crate::Fabric`] placement algorithm,
-//! kept verbatim (not test-gated) as the **executable specification** the
-//! indexed engine is verified against — exactly the discipline
-//! `sva_common::NaiveTimedQueue` established for the queue engine:
+//! `NaiveFabric`: the original scan-with-retry placement algorithm of
+//! `sva_mem::Fabric`, kept as the executable specification the
+//! cycle-identity suite (`tests/fabric_identity.rs`) runs the indexed
+//! engine against.
 //!
 //! * the per-channel reservation timeline is a `BTreeMap` keyed by
 //!   `(start, seq)`, and every placement retry range-scans the start window
@@ -15,14 +13,9 @@
 //!   position inside the conflict predicate, and membership is checked with
 //!   `timed_order.contains` on every occupying grant.
 //!
-//! The property suite (`crates/mem/tests/fabric_identity.rs`) drives this
-//! model and the indexed [`crate::Fabric`] on randomized workloads across
-//! every arbitration policy and demands bit-identical grant outcomes and
-//! statistics; the `simspeed` perf gate records the indexed engine's
-//! throughput multiple over this baseline. Do not use it on hot paths, and
-//! keep its placement semantics frozen — behavioural changes belong in
-//! [`crate::Fabric`] *with* a matching update here only when the simulated
-//! timing model itself is deliberately changed.
+//! Keep its placement semantics frozen: a behavioural change belongs in
+//! `Fabric`, with a matching update here only when the simulated timing
+//! model itself is deliberately changed.
 
 use std::collections::BTreeMap;
 
@@ -30,9 +23,7 @@ use sva_common::{
     ArbitrationPolicy, Cycles, InitiatorClass, InitiatorId, InitiatorStats, MemPortReq, PortTiming,
     TimedQueue,
 };
-
-use crate::channels::ChannelStats;
-use crate::fabric::{FabricConfig, GrantOutcome};
+use sva_mem::{ChannelStats, FabricConfig, GrantOutcome};
 
 /// The data-bus timeline, channel queues and accounting of one DRAM channel
 /// under the reference engine.
@@ -78,12 +69,6 @@ pub struct NaiveFabric {
     grant_switches: u64,
 }
 
-impl Default for NaiveFabric {
-    fn default() -> Self {
-        Self::new(FabricConfig::default())
-    }
-}
-
 impl NaiveFabric {
     /// Creates a reference fabric with the given configuration.
     pub fn new(config: FabricConfig) -> Self {
@@ -101,11 +86,6 @@ impl NaiveFabric {
             grants: 0,
             grant_switches: 0,
         }
-    }
-
-    /// The configuration this fabric was built with.
-    pub const fn config(&self) -> &FabricConfig {
-        &self.config
     }
 
     /// Registers `id` if needed and returns its slot index — the linear
@@ -146,14 +126,8 @@ impl NaiveFabric {
         }
     }
 
-    /// Grants one access, discarding the issue-stall component (mirrors
-    /// [`crate::Fabric::grant`]).
-    pub fn grant(&mut self, req: &MemPortReq, timing: PortTiming) -> Cycles {
-        self.admit(req, timing).queue
-    }
-
     /// Admits one access through the split-transaction flow of its channel
-    /// — the exact contract of [`crate::Fabric::admit`], placed by the
+    /// — the exact contract of `Fabric::admit`, placed by the
     /// original one-conflict-at-a-time start-window scan.
     pub fn admit(&mut self, req: &MemPortReq, timing: PortTiming) -> GrantOutcome {
         let slot = self.slot(req.initiator);
@@ -272,12 +246,6 @@ impl NaiveFabric {
         }
     }
 
-    /// Records the final latency the initiator observed.
-    pub fn note_latency(&mut self, id: InitiatorId, latency: Cycles) {
-        let slot = self.slot(id);
-        self.initiators[slot].1.latency_cycles += latency.raw();
-    }
-
     /// Statistics of one initiator, if it has accessed the fabric.
     pub fn initiator_stats(&self, id: InitiatorId) -> Option<InitiatorStats> {
         self.initiators
@@ -295,11 +263,6 @@ impl NaiveFabric {
         total
     }
 
-    /// Number of distinct initiators that have accessed the fabric.
-    pub fn initiator_count(&self) -> usize {
-        self.initiators.len()
-    }
-
     /// Per-channel statistics, indexed by channel.
     pub fn channel_stats(&self) -> Vec<ChannelStats> {
         self.channels.iter().map(|c| c.stats).collect()
@@ -315,14 +278,8 @@ impl NaiveFabric {
         self.grant_switches
     }
 
-    /// Clears all statistics and every channel timeline.
-    pub fn reset(&mut self) {
-        let config = self.config.clone();
-        *self = Self::new(config);
-    }
-
     /// Drops every channel's reservations while keeping all accumulated
-    /// statistics (mirrors [`crate::Fabric::clear_timelines`]).
+    /// statistics (mirrors `Fabric::clear_timelines`).
     pub fn clear_timelines(&mut self) {
         for ch in &mut self.channels {
             ch.reservations.clear();

@@ -8,13 +8,12 @@
 //! instantiated for the Linux-managed half of DRAM and for the reserved
 //! contiguous area.
 
-use serde::{Deserialize, Serialize};
 use sva_axi::addrmap::{DRAM_BASE, DRAM_SIZE};
 use sva_common::addr::PhysRange;
 use sva_common::{Error, PhysAddr, Result, MIB, PAGE_SIZE};
 
 /// A bump allocator handing out 4 KiB physical frames from a fixed range.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FrameAllocator {
     range: PhysRange,
     next: PhysAddr,

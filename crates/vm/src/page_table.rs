@@ -6,7 +6,6 @@
 //! page-table walker later *time* its three dependent reads against the same
 //! memory hierarchy the paper measures.
 
-use serde::{Deserialize, Serialize};
 use sva_common::{Error, PhysAddr, Result, VirtAddr, PAGE_SIZE};
 use sva_mem::MemorySystem;
 
@@ -42,7 +41,7 @@ pub fn pte_address(table_base: PhysAddr, va: VirtAddr, level: usize) -> PhysAddr
 /// Accounting of a mapping operation, used by the driver cost model: each
 /// table allocation and each PTE store is an access the CVA6 performs through
 /// its cache hierarchy.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct MapStats {
     /// Number of page-table pages that had to be allocated.
     pub tables_allocated: u64,
@@ -62,7 +61,7 @@ impl MapStats {
 }
 
 /// The PTE addresses and values touched by a full table walk of one address.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WalkPath {
     /// `(pte_address, pte_value)` for each level visited, root first.
     pub entries: Vec<(PhysAddr, Pte)>,
@@ -81,7 +80,7 @@ impl WalkPath {
 }
 
 /// An Sv39 page table rooted at a physical page.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct PageTable {
     root: PhysAddr,
 }

@@ -8,11 +8,10 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
 use sva_common::{PhysAddr, PAGE_SHIFT};
 
 /// Permission and status flags of a PTE (low 8 bits of the entry).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct PteFlags(u8);
 
 impl PteFlags {
@@ -97,7 +96,7 @@ impl fmt::Display for PteFlags {
 }
 
 /// A raw Sv39 page-table entry.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Pte(u64);
 
 impl Pte {
