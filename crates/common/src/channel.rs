@@ -15,36 +15,35 @@
 //!
 //! # The event-indexed engine
 //!
-//! Early revisions stored the raw interval list and answered every query with
-//! a full linear scan — O(entries) per push and O(n²) per measurement window,
-//! which became the simulator's bottleneck at serving scale. The engine is
-//! now an **event-indexed occupancy timeline**: an ordered map of boundary
-//! events (`+1` delta at an interval's enter, `−1` at its exit) that
-//! eagerly maintains the **running prefix** of those deltas — each
-//! boundary stores the occupancy level holding on `[boundary, next
-//! boundary)`. Queries become O(log n) range walks from the query point:
+//! The timeline is an ordered map of boundary events (`+1` delta at an
+//! interval's enter, `−1` at its exit) that eagerly maintains the **running
+//! prefix** of those deltas: each boundary stores the occupancy level
+//! holding on `[boundary, next boundary)`. Every query locates once and
+//! walks forward from there:
 //!
-//! * [`TimedQueue::occupancy_at`] is one floor lookup;
-//! * [`TimedQueue::admission_at`] walks boundaries forward from the arrival
-//!   until the level drops below the depth (occupancy only changes at a
-//!   boundary, so the admission point is the arrival itself or a boundary);
-//! * [`TimedQueue::push`] finds its admission point with [`TimedQueue::admit_at`]
-//!   (which also yields the level holding there) and splices the new
-//!   interval in with one forward pass over the boundaries it covers —
-//!   O(log n + overlap), where the overlap is bounded by the queue's depth
-//!   for bounded queues rather than by history length. Callers that query
-//!   admission first and commit later (the fabric reads both channel
-//!   queues while it places a grant) hand the query's result to
-//!   [`TimedQueue::push_admitted`], so the commit does not search again.
+//! * [`TimedQueue::occupancy_at`] locates the first boundary past `t` and
+//!   reads the level of the one before it;
+//! * [`TimedQueue::admit_at`] reads that same level and, while it is at the
+//!   depth, walks boundaries forward until the level drops below it
+//!   (occupancy only changes at a boundary, so the admission point is the
+//!   arrival itself or a boundary). It returns the admission point and the
+//!   level holding there; [`TimedQueue::admission_at`] keeps the first;
+//! * [`TimedQueue::push`] admits with `admit_at` and splices the new
+//!   interval in with one forward pass from its enter boundary: it raises
+//!   every boundary in `[enter, exit)` by one level and inserts a missing
+//!   enter or exit boundary at the position the pass has reached. The pass
+//!   covers as many boundaries as the interval overlaps, which a bounded
+//!   queue's depth keeps short. Callers that query admission first and
+//!   commit later (the fabric reads both channel queues while it places a
+//!   grant) hand the query's result to [`TimedQueue::push_admitted`].
 //!
 //! **Watermark compaction** ([`TimedQueue::compact_before`]) keeps memory
 //! bounded inside a measurement window: when the caller can guarantee no
 //! future arrival or query before an instant `w` (a monotone open-loop
 //! arrival process), every boundary before `w` collapses into a single
-//! base-occupancy constant. The cycle-exact linear-scan model the engine
-//! replaced lives on in the property suite's tree
-//! (`tests/reference/timed_queue.rs`), which drives both on randomized
-//! batches.
+//! base-occupancy constant. A cycle-exact linear-scan model lives in the
+//! property suite's tree (`tests/reference/timed_queue.rs`), which drives
+//! both on randomized batches.
 //!
 //! [`ReservationIndex`] is the sibling engine for the fabric's
 //! **bus-reservation timelines**: overlapping, payload-carrying intervals
@@ -52,13 +51,24 @@
 //! their *end* so finished history is invisible to the probe, and carries
 //! the same watermark-compaction discipline (see its type docs).
 //!
-//! Both engines keep their ordered map as a list of short sorted chunks
-//! rather than a `BTreeMap`. A measurement window cannot be compacted
-//! while cluster shards restart their cursors at zero, so these maps hold
-//! the whole window (tens of thousands of entries), and a grant on a
-//! bounded-queue fabric makes about a dozen lookups or inserts in them.
-//! Two binary searches over contiguous arrays touch fewer cache lines than
-//! a walk down a chain of tree nodes.
+//! # Chunked maps with a finger
+//!
+//! Both engines keep their ordered map as a list of short sorted chunks. A
+//! measurement window cannot be compacted while cluster shards restart
+//! their cursors at zero, so these maps hold the whole window (tens of
+//! thousands of entries). Each shard, though, sweeps them in time order,
+//! so nearly every operation lands next to where the previous operation
+//! on the same map ended. Each map therefore keeps a **finger** at that
+//! position. A lookup checks first whether its key falls in the finger's
+//! chunk — bounded by that chunk's first key and the next chunk's — and
+//! then walks a few entries from the finger's index; only when either
+//! check fails does it binary search the chunks' first keys and then the
+//! chunk. The finger is a hint checked on every use, so a stale one costs
+//! a search, never a wrong answer. Walks and inserts take the position a
+//! lookup returned, so each operation on the grant path locates once:
+//! admission reads its level and walks from one lookup, the splice inserts
+//! its boundaries at the positions its pass reaches, and the reservation
+//! probe walks from one lookup.
 //!
 //! The queues are plain values: the fabric owns one request and one
 //! response queue per DRAM channel, so cloning a platform clones its queue
@@ -69,6 +79,7 @@
 //! reproduces the pure reservation model cycle-for-cycle (nothing ever
 //! stalls, and the queue machinery is skipped entirely).
 
+use core::cell::Cell;
 use core::fmt;
 
 /// Depth configuration of one channel's request and response queues.
@@ -138,7 +149,7 @@ struct Boundary {
     /// Net interval enters minus exits at exactly this instant (the raw
     /// delta of the event index; kept so the maintained prefix below is
     /// checkable — see [`TimedQueue::debug_validate`]).
-    delta: i64,
+    delta: i32,
     /// The maintained running prefix: occupancy holding on
     /// `[this boundary, next boundary)`.
     occ: u32,
@@ -147,35 +158,37 @@ struct Boundary {
 /// Entries per chunk of a [`ChunkMap`] before it splits in two.
 const CHUNK: usize = 64;
 
-/// One sorted run of a [`ChunkMap`]: keys and values side by side.
-#[derive(Clone, Debug)]
-struct Chunk<K, V> {
-    keys: Vec<K>,
-    vals: Vec<V>,
+/// Keys a [`ChunkMap`] lookup steps over from the finger, either way,
+/// before it falls back to a binary search of the chunk.
+const WALK: usize = 4;
+
+/// A position in a [`ChunkMap`]: entry `i` of chunk `c`. `i` may equal the
+/// chunk's length, the gap before the next chunk's first entry.
+#[derive(Copy, Clone, Debug, Default)]
+struct Pos {
+    c: usize,
+    i: usize,
 }
 
-impl<K: Copy, V: Copy> Chunk<K, V> {
-    fn with(keys: &[K], vals: &[V]) -> Self {
-        let mut c = Chunk {
-            keys: Vec::with_capacity(CHUNK + 1),
-            vals: Vec::with_capacity(CHUNK + 1),
-        };
-        c.keys.extend_from_slice(keys);
-        c.vals.extend_from_slice(vals);
-        c
-    }
-}
-
-/// An ordered map stored as a list of short sorted chunks. A lookup is one
-/// binary search over the chunks' first keys (a small contiguous array)
-/// and one within a chunk, so it touches a few cache lines where a
-/// `BTreeMap` walks a chain of nodes.
+/// An ordered map stored as a list of short sorted chunks of entries, with
+/// a finger at the position where the last operation ended.
+///
+/// A lookup ([`ChunkMap::locate`]) first checks the finger: when the key
+/// falls in the finger's chunk (the chunk's first key and the next chunk's
+/// first key bound it), it walks at most [`WALK`] entries from the
+/// finger's index. Otherwise it binary searches the chunks' first keys (a
+/// small contiguous array) and then the chunk. Walks and inserts take the
+/// position a lookup returned, so an operation that locates once reads,
+/// walks and inserts without searching again.
 #[derive(Clone, Debug)]
 struct ChunkMap<K, V> {
     /// First key of each chunk; chunks are non-empty, sorted and disjoint.
     firsts: Vec<K>,
-    chunks: Vec<Chunk<K, V>>,
+    chunks: Vec<Vec<(K, V)>>,
     len: usize,
+    /// Where the last operation ended: only a hint, checked on every use,
+    /// so a stale finger costs a search and never a wrong answer.
+    finger: Cell<Pos>,
 }
 
 impl<K, V> Default for ChunkMap<K, V> {
@@ -184,6 +197,7 @@ impl<K, V> Default for ChunkMap<K, V> {
             firsts: Vec::new(),
             chunks: Vec::new(),
             len: 0,
+            finger: Cell::default(),
         }
     }
 }
@@ -197,125 +211,185 @@ impl<K: Copy + Ord, V: Copy> ChunkMap<K, V> {
         self.firsts.clear();
         self.chunks.clear();
         self.len = 0;
+        self.finger.set(Pos::default());
     }
 
-    /// The chunk that holds `k` or would receive it: the last chunk whose
-    /// first key is at or below `k`, else the first chunk.
-    fn chunk_for(&self, k: K) -> usize {
-        self.firsts.partition_point(|&f| f <= k).saturating_sub(1)
+    /// Whether chunk `c` holds `k` or would receive it: it is the last
+    /// chunk whose first key is at or below `k`, or the first chunk.
+    fn owns(&self, c: usize, k: K) -> bool {
+        c < self.chunks.len()
+            && (c == 0 || self.firsts[c] <= k)
+            && self.firsts.get(c + 1).is_none_or(|&next| k < next)
     }
 
-    /// The value of the greatest key at or below `k`.
-    fn floor(&self, k: K) -> Option<&V> {
-        let ch = self.chunks.get(self.chunk_for(k))?;
-        let i = ch.keys.partition_point(|&x| x <= k);
-        i.checked_sub(1).map(|i| &ch.vals[i])
+    /// The position of the first entry whose key is at or above `k`: where
+    /// `k` is held or would be inserted. Leaves the finger there.
+    fn locate(&self, k: K) -> Pos {
+        let f = self.finger.get();
+        let pos = if self.owns(f.c, k) {
+            Pos {
+                c: f.c,
+                i: seek(&self.chunks[f.c], f.i, k),
+            }
+        } else {
+            let c = self.firsts.partition_point(|&x| x <= k).saturating_sub(1);
+            let i = self
+                .chunks
+                .get(c)
+                .map_or(0, |ch| ch.partition_point(|e| e.0 < k));
+            Pos { c, i }
+        };
+        self.finger.set(pos);
+        pos
     }
 
-    /// Every entry with a key strictly above `k`, in order.
-    fn after(&self, k: K) -> impl Iterator<Item = (K, &V)> + '_ {
-        let c = self.chunk_for(k);
-        let skip = self
-            .chunks
-            .get(c)
-            .map_or(0, |ch| ch.keys.partition_point(|&x| x <= k));
-        self.chunks[c.min(self.chunks.len())..]
+    /// The entry at `pos`, if any.
+    fn get_mut(&mut self, pos: Pos) -> Option<&mut (K, V)> {
+        match self.chunks.get(pos.c) {
+            // The gap at a chunk's end is the next chunk's first entry.
+            Some(ch) if pos.i == ch.len() => self.chunks.get_mut(pos.c + 1)?.first_mut(),
+            _ => self.chunks.get_mut(pos.c)?.get_mut(pos.i),
+        }
+    }
+
+    /// The entry just before `pos`.
+    fn before(&self, pos: Pos) -> Option<&(K, V)> {
+        match pos.i.checked_sub(1) {
+            Some(i) => self.chunks.get(pos.c)?.get(i),
+            None => self.chunks.get(pos.c.checked_sub(1)?)?.last(),
+        }
+    }
+
+    /// Every entry from `pos` on, in order, each with its position.
+    fn walk(&self, pos: Pos) -> impl Iterator<Item = (Pos, &(K, V))> + '_ {
+        self.chunks
             .iter()
             .enumerate()
-            .flat_map(move |(j, ch)| {
-                let from = if j == 0 { skip } else { 0 };
-                ch.keys[from..].iter().copied().zip(&ch.vals[from..])
+            .skip(pos.c)
+            .flat_map(move |(c, ch)| {
+                let from = if c == pos.c { pos.i } else { 0 };
+                (from..)
+                    .zip(&ch[from..])
+                    .map(move |(i, e)| (Pos { c, i }, e))
             })
     }
 
-    /// Every entry, in order.
-    fn iter(&self) -> impl Iterator<Item = (K, &V)> + '_ {
-        self.chunks
-            .iter()
-            .flat_map(|ch| ch.keys.iter().copied().zip(&ch.vals))
+    /// Applies `f` to every entry from `pos` on, in order, until it returns
+    /// `false`; returns the position of the entry it stopped at (the end of
+    /// the last chunk if it never stopped).
+    fn update_from(&mut self, mut pos: Pos, mut f: impl FnMut(&mut (K, V)) -> bool) -> Pos {
+        while let Some(ch) = self.chunks.get_mut(pos.c) {
+            while let Some(e) = ch.get_mut(pos.i) {
+                if !f(e) {
+                    return pos;
+                }
+                pos.i += 1;
+            }
+            if pos.c + 1 == self.chunks.len() {
+                break;
+            }
+            pos = Pos { c: pos.c + 1, i: 0 };
+        }
+        pos
     }
 
-    /// Applies `f` to every entry with a key in `[lo, hi]`, in order,
-    /// stopping early when `f` returns `false`.
-    fn for_range_mut(&mut self, lo: K, hi: K, mut f: impl FnMut(K, &mut V) -> bool) {
-        let mut c = self.chunk_for(lo);
-        let Some(ch) = self.chunks.get(c) else {
-            return;
-        };
-        let mut i = ch.keys.partition_point(|&x| x < lo);
-        while let Some(ch) = self.chunks.get_mut(c) {
-            while let Some(&k) = ch.keys.get(i) {
-                if k > hi || !f(k, &mut ch.vals[i]) {
-                    return;
-                }
-                i += 1;
-            }
-            c += 1;
-            i = 0;
+    /// Inserts an entry at `pos`, which must be where [`ChunkMap::locate`]
+    /// places `k` (a key the map does not hold). Returns the entry's
+    /// position and leaves the finger there.
+    fn insert_at(&mut self, pos: Pos, k: K, v: V) -> Pos {
+        debug_assert!(self.before(pos).is_none_or(|e| e.0 < k), "unsorted insert");
+        self.len += 1;
+        if self.chunks.is_empty() {
+            self.firsts.push(k);
+            self.chunks.push(chunk(&[(k, v)]));
+            self.finger.set(Pos::default());
+            return Pos::default();
         }
+        let Pos { c, i } = pos;
+        let ch = &mut self.chunks[c];
+        debug_assert!(ch.get(i).is_none_or(|e| k < e.0), "unsorted insert");
+        ch.insert(i, (k, v));
+        if i == 0 {
+            self.firsts[c] = k;
+        }
+        let mut at = pos;
+        if ch.len() > CHUNK {
+            let half = ch.len() / 2;
+            let upper = chunk(&ch[half..]);
+            ch.truncate(half);
+            self.firsts.insert(c + 1, upper[0].0);
+            self.chunks.insert(c + 1, upper);
+            if i >= half {
+                at = Pos {
+                    c: c + 1,
+                    i: i - half,
+                };
+            }
+        }
+        self.finger.set(at);
+        at
     }
 
     /// Inserts an entry under a key the map does not hold.
     fn insert(&mut self, k: K, v: V) {
-        self.len += 1;
-        if self.chunks.is_empty() {
-            self.firsts.push(k);
-            self.chunks.push(Chunk::with(&[k], &[v]));
-            return;
-        }
-        let c = self.chunk_for(k);
-        let ch = &mut self.chunks[c];
-        let i = ch.keys.partition_point(|&x| x < k);
-        debug_assert!(ch.keys.get(i) != Some(&k), "duplicate key");
-        ch.keys.insert(i, k);
-        ch.vals.insert(i, v);
-        if i == 0 {
-            self.firsts[c] = k;
-        }
-        if ch.keys.len() > CHUNK {
-            let half = ch.keys.len() / 2;
-            let upper = Chunk::with(&ch.keys[half..], &ch.vals[half..]);
-            ch.keys.truncate(half);
-            ch.vals.truncate(half);
-            self.firsts.insert(c + 1, upper.keys[0]);
-            self.chunks.insert(c + 1, upper);
-        }
+        let pos = self.locate(k);
+        self.insert_at(pos, k, v);
     }
 
     /// Removes every entry with a key below `w`; returns how many were
     /// removed and the value of the last of them.
     fn drain_before(&mut self, w: K) -> (usize, Option<V>) {
-        let c = self.chunk_for(w);
-        let Some(ch) = self.chunks.get(c) else {
+        if self.chunks.is_empty() {
             return (0, None);
-        };
-        let i = ch.keys.partition_point(|&x| x < w);
-        let last = match i.checked_sub(1) {
-            Some(j) => Some(ch.vals[j]),
-            None => c
-                .checked_sub(1)
-                .and_then(|p| self.chunks[p].vals.last().copied()),
-        };
-        let removed = self.chunks[..c]
-            .iter()
-            .map(|ch| ch.keys.len())
-            .sum::<usize>()
-            + i;
+        }
+        let pos = self.locate(w);
+        let last = self.before(pos).map(|e| e.1);
+        let Pos { c, i } = pos;
+        let removed = self.chunks[..c].iter().map(Vec::len).sum::<usize>() + i;
         self.chunks.drain(..c);
         self.firsts.drain(..c);
         let head = &mut self.chunks[0];
-        head.keys.drain(..i);
-        head.vals.drain(..i);
-        match head.keys.first() {
-            Some(&k) => self.firsts[0] = k,
+        head.drain(..i);
+        match head.first() {
+            Some(e) => self.firsts[0] = e.0,
             None => {
                 self.chunks.remove(0);
                 self.firsts.remove(0);
             }
         }
+        self.finger.set(Pos::default());
         self.len -= removed;
         (removed, last)
     }
+
+    /// Every entry, in order.
+    fn iter(&self) -> impl Iterator<Item = &(K, V)> + '_ {
+        self.chunks.iter().flatten()
+    }
+}
+
+/// A new chunk holding `entries`, with room to grow to its split size.
+fn chunk<E: Copy>(entries: &[E]) -> Vec<E> {
+    let mut ch = Vec::with_capacity(CHUNK + 1);
+    ch.extend_from_slice(entries);
+    ch
+}
+
+/// The index of the first of the sorted `entries` whose key is at or above
+/// `k`, found by walking at most [`WALK`] entries either way from `from`,
+/// else by a binary search.
+fn seek<K: Copy + Ord, V>(entries: &[(K, V)], from: usize, k: K) -> usize {
+    let mut i = from.min(entries.len());
+    for _ in 0..WALK {
+        if i > 0 && entries[i - 1].0 >= k {
+            i -= 1;
+        } else if i < entries.len() && entries[i].0 < k {
+            i += 1;
+        } else {
+            return i;
+        }
+    }
+    entries.partition_point(|e| e.0 < k)
 }
 
 /// A bounded queue modelled as an event-indexed occupancy timeline.
@@ -398,14 +472,10 @@ impl TimedQueue {
         self.depth == usize::MAX
     }
 
-    /// The occupancy level holding at `t` (clamped to the watermark): one
-    /// floor lookup in the event index.
-    fn level_at(&self, t: u64) -> u32 {
-        let t = t.max(self.watermark);
-        match self.timeline.floor(t) {
-            Some(b) => b.occ,
-            None => self.base,
-        }
+    /// The occupancy level holding just before the boundary at `pos`: the
+    /// level of the boundary before it, or the folded base.
+    fn level_before(&self, pos: Pos) -> u32 {
+        self.timeline.before(pos).map_or(self.base, |(_, b)| b.occ)
     }
 
     /// Number of recorded intervals covering `t`.
@@ -413,11 +483,14 @@ impl TimedQueue {
     /// Queries below the compaction watermark read the folded base constant
     /// (the caller promised not to ask about compacted history).
     pub fn occupancy_at(&self, t: u64) -> usize {
+        let t = t.max(self.watermark);
         // Non-recording queues never raise `max_exit` above zero.
-        if t.max(self.watermark) >= self.max_exit {
+        if t >= self.max_exit {
             return 0;
         }
-        self.level_at(t) as usize
+        // `t < max_exit`, so `t + 1` cannot overflow: the level holding at
+        // `t` is the one before the first boundary past it.
+        self.level_before(self.timeline.locate(t + 1)) as usize
     }
 
     /// The combined covering query: the earliest instant at or after `t` at
@@ -426,8 +499,9 @@ impl TimedQueue {
     ///
     /// Occupancy only changes at a boundary, so the admission point is
     /// either `t` itself or the first later boundary whose level is below
-    /// the depth; the walk reads the level as it goes instead of re-scanning
-    /// per candidate (the folded double scan `push` used to perform).
+    /// the depth; the walk reads the level as it goes. The map's finger is
+    /// left at the admission point, where [`TimedQueue::push_admitted`]
+    /// splices the entry in.
     pub fn admit_at(&self, t: u64) -> (u64, usize) {
         let t = t.max(self.watermark);
         if t >= self.max_exit {
@@ -435,19 +509,20 @@ impl TimedQueue {
             // boundary's level is 0), so nothing covers it.
             return (t, 0);
         }
-        let level = self.level_at(t);
-        if (level as usize) < self.depth {
-            return (t, level as usize);
-        }
-        for (at, b) in self.timeline.after(t) {
-            if (b.occ as usize) < self.depth {
-                return (at, b.occ as usize);
+        // One locate finds the first boundary past `t`; the level holding
+        // at `t` is the one before it, and the walk goes on from there. The
+        // trailing boundary's level is 0, so the walk always ends admitted.
+        let first = self.timeline.locate(t + 1);
+        let (mut at, mut level, mut end) = (t, self.level_before(first), first);
+        for (pos, &(k, b)) in self.timeline.walk(first) {
+            if (level as usize) < self.depth {
+                break;
             }
+            (at, level, end) = (k, b.occ, pos);
         }
-        // Unreachable: every recorded interval is closed, so the trailing
-        // boundary's level is 0 < depth.
-        debug_assert!(false, "occupancy never dropped below the depth");
-        (self.max_exit, 0)
+        debug_assert!((level as usize) < self.depth, "occupancy never dropped");
+        self.timeline.finger.set(end);
+        (at, level as usize)
     }
 
     /// Earliest instant at or after `t` at which a new entry can be
@@ -458,46 +533,53 @@ impl TimedQueue {
     }
 
     /// Splices the interval `[enter, exit)` into the index in one forward
-    /// pass, given the occupancy `level` holding at `enter` before the new
-    /// entry (what [`TimedQueue::admit_at`] reports): every boundary the
-    /// interval covers gains one level, existing `enter`/`exit` boundaries
-    /// take the `+1`/`−1` delta, and missing ones are inserted seeded with
-    /// the levels read on the way. Returns the occupancy at `enter`
-    /// including the new entry. O(log n + boundaries covered).
+    /// pass from one locate, given the occupancy `level` holding at `enter`
+    /// before the new entry (what [`TimedQueue::admit_at`] reports): every
+    /// boundary the interval covers gains one level, existing
+    /// `enter`/`exit` boundaries take the `+1`/`−1` delta, and missing ones
+    /// are inserted where the pass stands, seeded with the levels read on
+    /// the way. Returns the occupancy at `enter` including the new entry.
     fn splice(&mut self, enter: u64, exit: u64, level: u32) -> usize {
         debug_assert!(enter < exit, "intervals occupy at least one cycle");
         debug_assert!(enter >= self.watermark, "insert below the watermark");
-        let (mut has_enter, mut has_exit) = (false, false);
-        // The level holding just before `exit`, without the new entry.
+        let timeline = &mut self.timeline;
+        let mut entered = timeline.locate(enter);
+        // The enter boundary takes the `+1` delta; a missing one is inserted
+        // at the level holding there, and the walk below raises it.
+        match timeline.get_mut(entered) {
+            Some((k, b)) if *k == enter => b.delta += 1,
+            _ => {
+                let boundary = Boundary {
+                    delta: 1,
+                    occ: level,
+                };
+                entered = timeline.insert_at(entered, enter, boundary);
+            }
+        }
+        // Every boundary in `[enter, exit)` gains one level; the last level
+        // read, without the new entry, is the one holding just before `exit`.
         let mut before_exit = level;
-        self.timeline.for_range_mut(enter, exit, |k, b| {
-            if k == exit {
-                b.delta -= 1;
-                has_exit = true;
+        let pos = timeline.update_from(entered, |(k, b)| {
+            if *k >= exit {
                 return false;
             }
             before_exit = b.occ;
             b.occ += 1;
-            if k == enter {
-                b.delta += 1;
-                has_enter = true;
-            }
             true
         });
-        if !has_enter {
-            let entered = Boundary {
-                delta: 1,
-                occ: level + 1,
-            };
-            self.timeline.insert(enter, entered);
+        match timeline.get_mut(pos) {
+            Some((k, b)) if *k == exit => b.delta -= 1,
+            _ => {
+                let exited = Boundary {
+                    delta: -1,
+                    occ: before_exit,
+                };
+                timeline.insert_at(pos, exit, exited);
+            }
         }
-        if !has_exit {
-            let exited = Boundary {
-                delta: -1,
-                occ: before_exit,
-            };
-            self.timeline.insert(exit, exited);
-        }
+        // Leave the finger on the enter boundary: the same stream's next
+        // arrival most likely lands just past it, inside this entry.
+        timeline.finger.set(entered);
         self.max_exit = self.max_exit.max(exit);
         level as usize + 1
     }
@@ -585,8 +667,8 @@ impl TimedQueue {
     pub fn debug_validate(&self) {
         let mut level = i64::from(self.base);
         let mut last = 0u32;
-        for (k, b) in self.timeline.iter() {
-            level += b.delta;
+        for &(k, b) in self.timeline.iter() {
+            level += i64::from(b.delta);
             assert!(level >= 0, "negative occupancy at boundary {k}");
             assert_eq!(
                 i64::from(b.occ),
@@ -719,7 +801,10 @@ impl ReservationIndex {
             .checked_add(span)
             .and_then(|x| x.checked_add(self.max_len));
         let mut latest = None;
-        for ((end, _), &(start, owner, prio)) in self.by_end.after((placed, u64::MAX)) {
+        // Sequence numbers never reach `u64::MAX`, so this locates the
+        // first reservation ending after `placed`.
+        let first = self.by_end.locate((placed, u64::MAX));
+        for (_, &((end, _), (start, owner, prio))) in self.by_end.walk(first) {
             if window_end.is_some_and(|hi| end >= hi) {
                 break;
             }
@@ -780,7 +865,7 @@ impl ReservationIndex {
     /// Panics when the index is inconsistent.
     #[doc(hidden)]
     pub fn debug_validate(&self) {
-        for ((end, seq), &(start, _, _)) in self.by_end.iter() {
+        for &((end, seq), (start, _, _)) in self.by_end.iter() {
             assert!(end > start, "empty reservation at seq {seq}");
             assert!(end - start <= self.max_len, "max_len undercounts {seq}");
             assert!(end > self.watermark, "compacted entry survived: {seq}");
@@ -982,12 +1067,11 @@ mod tests {
     }
 
     /// The chunked map answers every lookup like a `BTreeMap` across chunk
-    /// splits, range updates and front drains.
+    /// splits, range updates and front drains, on keys drawn at random.
     #[test]
     fn chunk_map_matches_btreemap() {
         use crate::rng::DeterministicRng;
         use std::collections::btree_map::{BTreeMap, Entry};
-        use std::ops::Bound::{Excluded, Unbounded};
         let mut rng = DeterministicRng::new(0xC4A2_0001);
         let mut map: ChunkMap<u64, u64> = ChunkMap::default();
         let mut reference = BTreeMap::new();
@@ -999,22 +1083,29 @@ mod tests {
                 map.insert(k, step);
             }
             let (lo, hi) = (k, k + rng.next_below(200));
-            map.for_range_mut(lo, hi, |_, v| {
-                *v += 1;
-                true
+            map.update_from(map.locate(lo), |e| {
+                let inside = e.0 <= hi;
+                e.1 += u64::from(inside);
+                inside
             });
             for v in reference.range_mut(lo..=hi).map(|(_, v)| v) {
                 *v += 1;
             }
             let q = watermark + rng.next_below(3200);
-            assert_eq!(map.floor(q), reference.range(..=q).next_back().map(|e| e.1));
-            let after: Vec<_> = map.after(q).take(3).map(|(k, &v)| (k, v)).collect();
+            let past = map.locate(q + 1);
+            let floor = reference.range(..=q).next_back().map(|(&k, &v)| (k, v));
+            assert_eq!(
+                map.before(past).copied(),
+                floor,
+                "floor({q}) at step {step}"
+            );
+            let after: Vec<_> = map.walk(past).take(3).map(|(_, &e)| e).collect();
             let expected: Vec<_> = reference
-                .range((Excluded(q), Unbounded))
+                .range(q + 1..)
                 .take(3)
                 .map(|(&k, &v)| (k, v))
                 .collect();
-            assert_eq!(after, expected, "after({q}) at step {step}");
+            assert_eq!(after, expected, "walk past {q} at step {step}");
             if step % 500 == 499 {
                 watermark += 400;
                 let kept = reference.split_off(&watermark);
@@ -1024,7 +1115,93 @@ mod tests {
             }
             assert_eq!(map.len(), reference.len());
         }
-        let all: Vec<_> = map.iter().map(|(k, &v)| (k, v)).collect();
+        let all: Vec<_> = map.iter().copied().collect();
+        assert_eq!(all, reference.into_iter().collect::<Vec<_>>());
+    }
+
+    /// The finger under the access pattern of sequential cluster shards:
+    /// monotone sweeps that each restart at key 0, with far jumps mixed in,
+    /// over a map of dozens of chunks. Every operation the engines use —
+    /// locate, floor, forward walk, positional insert (splitting chunks at
+    /// and beside the finger), range update and front drain — must answer
+    /// like a `BTreeMap`, whether the finger was right, stale or in
+    /// another chunk.
+    #[test]
+    fn chunk_map_finger_matches_btreemap_under_shard_restart_sweeps() {
+        use crate::rng::DeterministicRng;
+        use std::collections::btree_map::{BTreeMap, Entry};
+        let mut rng = DeterministicRng::new(0x5EE9_F1A6);
+        let mut map: ChunkMap<u64, u64> = ChunkMap::default();
+        let mut reference = BTreeMap::new();
+        // A first shard lays down a sparse timeline of ~70 chunks.
+        for k in (0..40_000u64).step_by(13) {
+            map.insert(k, k);
+            reference.insert(k, k);
+        }
+        let mut floor_key = 0u64;
+        for sweep in 0..8u64 {
+            let mut cursor = floor_key;
+            for step in 0..1500u64 {
+                // Mostly short forward steps; one lookup in 16 jumps far
+                // (another initiator's arrival) without moving the sweep.
+                let q = if rng.next_below(16) == 0 {
+                    floor_key + rng.next_below(45_000)
+                } else {
+                    cursor += rng.next_below(40);
+                    cursor
+                };
+                let label = format!("sweep {sweep} step {step} key {q}");
+                let pos = map.locate(q);
+                let at = reference.range(q..).next().map(|(&k, &v)| (k, v));
+                let walked: Vec<_> = map.walk(pos).take(4).map(|(_, &e)| e).collect();
+                let expected: Vec<_> = reference
+                    .range(q..)
+                    .take(4)
+                    .map(|(&k, &v)| (k, v))
+                    .collect();
+                assert_eq!(walked, expected, "walk from {label}");
+                assert_eq!(walked.first().copied(), at, "locate {label}");
+                let floor = reference.range(..q).next_back().map(|(&k, &v)| (k, v));
+                assert_eq!(map.before(pos).copied(), floor, "floor {label}");
+                if at.is_none_or(|(k, _)| k != q) {
+                    // Insert at the located position, then a key just past
+                    // it through a fresh lookup beside the finger: dense
+                    // runs split chunks right where the finger stands.
+                    let put = map.insert_at(pos, q, step);
+                    assert_eq!(map.get_mut(put).map(|e| e.0), Some(q), "insert {label}");
+                    reference.insert(q, step);
+                    if let Entry::Vacant(slot) = reference.entry(q + 1) {
+                        slot.insert(step);
+                        map.insert(q + 1, step);
+                    }
+                }
+                // Raise the next few entries from the located key on.
+                let hi = q + rng.next_below(60);
+                map.update_from(map.locate(q), |e| {
+                    if e.0 > hi {
+                        return false;
+                    }
+                    e.1 += 1;
+                    true
+                });
+                for v in reference.range_mut(q..=hi).map(|(_, v)| v) {
+                    *v += 1;
+                }
+                assert_eq!(map.len(), reference.len(), "{label}");
+            }
+            assert!(
+                map.chunks.len() >= 20,
+                "only {} chunks live",
+                map.chunks.len()
+            );
+            // Between shards, drain a little history off the front.
+            floor_key += 300;
+            let kept = reference.split_off(&floor_key);
+            let drained = std::mem::replace(&mut reference, kept);
+            let last = drained.values().next_back().copied();
+            assert_eq!(map.drain_before(floor_key), (drained.len(), last));
+        }
+        let all: Vec<_> = map.iter().copied().collect();
         assert_eq!(all, reference.into_iter().collect::<Vec<_>>());
     }
 

@@ -15,7 +15,7 @@
 //! 200 / 600 / 1000 cycles.
 
 use sva_cluster::{ClusterConfig, DmaConfig};
-use sva_common::{ArbitrationPolicy, Cycles, QueueDepths};
+use sva_common::{ArbitrationPolicy, Cycles, Error, QueueDepths, Result};
 use sva_host::{DriverConfig, HostCpuConfig, HostTrafficConfig, InterferenceLevel};
 use sva_iommu::{IommuConfig, IommuMode, TlbHierarchyConfig};
 use sva_mem::{DramChannelConfig, LlcConfig, MemSysConfig};
@@ -142,6 +142,45 @@ impl PlatformConfig {
             num_clusters: 1,
             cluster_priorities: Vec::new(),
             seed: 0x5EED,
+        }
+    }
+
+    /// Checks that every resource the platform sizes from this
+    /// configuration has at least one slot. The builders clamp their
+    /// arguments, but the fields are public, so a configuration written
+    /// field by field can still hold a zero.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] naming the first zero-sized field:
+    /// `num_clusters`, `mem.fabric.req_queue_depth`,
+    /// `mem.fabric.rsp_queue_depth`, `mem.fabric.channels.num_channels`,
+    /// `iommu.iotlb_entries` (without a TLB hierarchy, which sizes its own
+    /// levels) or `cluster.dma.max_outstanding`.
+    pub fn validate(&self) -> Result<()> {
+        let fabric = &self.mem.fabric;
+        let zero_sized = [
+            ("num_clusters", self.num_clusters == 0),
+            ("mem.fabric.req_queue_depth", fabric.req_queue_depth == 0),
+            ("mem.fabric.rsp_queue_depth", fabric.rsp_queue_depth == 0),
+            (
+                "mem.fabric.channels.num_channels",
+                fabric.channels.num_channels == 0,
+            ),
+            (
+                "iommu.iotlb_entries",
+                self.iommu.iotlb_entries == 0 && self.iommu.tlb_hierarchy.is_none(),
+            ),
+            (
+                "cluster.dma.max_outstanding",
+                self.cluster.dma.max_outstanding == 0,
+            ),
+        ];
+        match zero_sized.into_iter().find(|&(_, zero)| zero) {
+            Some((field, _)) => Err(Error::InvalidConfig {
+                reason: format!("{field} must be at least 1"),
+            }),
+            None => Ok(()),
         }
     }
 

@@ -97,9 +97,11 @@ impl Platform {
     ///
     /// # Errors
     ///
-    /// Returns allocation failures while setting up the address space or the
-    /// IOMMU structures.
+    /// Returns [`sva_common::Error::InvalidConfig`] for a configuration
+    /// [`PlatformConfig::validate`] rejects, and allocation failures while
+    /// setting up the address space or the IOMMU structures.
     pub fn new(config: PlatformConfig) -> Result<Self> {
+        config.validate()?;
         let clock = GlobalClock::new();
         let mut mem = MemorySystem::new(config.mem.clone());
         mem.attach_clock(&clock);
@@ -109,7 +111,7 @@ impl Platform {
         cpu.attach_clock(&clock);
         let host_traffic = config.host_traffic.map(HostTrafficStream::new);
         let mut iommu = Iommu::new(config.iommu);
-        let num_clusters = config.num_clusters.max(1);
+        let num_clusters = config.num_clusters;
         let clusters = (0..num_clusters)
             .map(|i| {
                 let mut cluster_cfg = config.cluster;
@@ -214,6 +216,62 @@ mod tests {
     fn baseline_platform_has_no_device_directory() {
         let platform = Platform::new(PlatformConfig::baseline(200)).unwrap();
         assert!(platform.iommu.ddt().is_none());
+    }
+
+    /// Asserts that `Platform::new` rejects `config` with an
+    /// `InvalidConfig` error naming `field`.
+    fn assert_rejects(config: PlatformConfig, field: &str) {
+        match Platform::new(config) {
+            Err(sva_common::Error::InvalidConfig { reason }) => {
+                assert!(reason.contains(field), "reason {reason:?} misses {field}");
+            }
+            Err(other) => panic!("{field}: wrong error {other}"),
+            Ok(_) => panic!("{field}: a zero-sized resource was accepted"),
+        }
+    }
+
+    #[test]
+    fn zero_clusters_are_rejected() {
+        let mut config = PlatformConfig::iommu_with_llc(200);
+        config.num_clusters = 0;
+        assert_rejects(config, "num_clusters");
+    }
+
+    #[test]
+    fn zero_depth_request_queue_is_rejected() {
+        let mut config = PlatformConfig::iommu_with_llc(200).with_channel_depths(4, 4);
+        config.mem.fabric.req_queue_depth = 0;
+        assert_rejects(config, "mem.fabric.req_queue_depth");
+    }
+
+    #[test]
+    fn zero_depth_response_queue_is_rejected() {
+        let mut config = PlatformConfig::iommu_with_llc(200).with_channel_depths(4, 4);
+        config.mem.fabric.rsp_queue_depth = 0;
+        assert_rejects(config, "mem.fabric.rsp_queue_depth");
+    }
+
+    #[test]
+    fn zero_memory_channels_are_rejected() {
+        let mut config = PlatformConfig::iommu_with_llc(200);
+        config.mem.fabric.channels.num_channels = 0;
+        assert_rejects(config, "mem.fabric.channels.num_channels");
+    }
+
+    #[test]
+    fn zero_iotlb_entries_are_rejected_without_a_hierarchy() {
+        let mut config = PlatformConfig::iommu_with_llc(200);
+        config.iommu.iotlb_entries = 0;
+        assert_rejects(config.clone(), "iommu.iotlb_entries");
+        // A TLB hierarchy sizes its own levels, so the field is unused.
+        assert!(Platform::new(config.with_default_tlb_hierarchy()).is_ok());
+    }
+
+    #[test]
+    fn zero_outstanding_dma_bursts_are_rejected() {
+        let mut config = PlatformConfig::iommu_with_llc(200);
+        config.cluster.dma.max_outstanding = 0;
+        assert_rejects(config, "cluster.dma.max_outstanding");
     }
 
     #[test]

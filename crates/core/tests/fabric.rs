@@ -44,9 +44,9 @@ fn weighted_arbitration_is_starvation_free() {
     let mut heavy_reserved = 0u64;
     for i in 0..ROUNDS {
         let t = Cycles::new(i * 10);
-        fabric.grant(&burst(1, 0).at(t), timing(OCC));
+        fabric.admit(&burst(1, 0).at(t), timing(OCC));
         heavy_reserved += OCC;
-        let q = fabric.grant(&burst(3, 0).at(t), timing(OCC));
+        let q = fabric.admit(&burst(3, 0).at(t), timing(OCC)).queue;
         // Bounded waiting: the light stream can only ever wait behind bus
         // time that has actually been reserved, never indefinitely.
         assert!(
@@ -89,8 +89,8 @@ fn fixed_priority_orders_strictly_under_contention() {
     });
     for i in 0..32u64 {
         let t = Cycles::new(i * 10);
-        fabric.grant(&burst(1, 0).at(t), timing(256)); // low priority
-        fabric.grant(&burst(3, 2).at(t), timing(256)); // high priority
+        fabric.admit(&burst(1, 0).at(t), timing(256)); // low priority
+        fabric.admit(&burst(3, 2).at(t), timing(256)); // high priority
     }
     let low = fabric.initiator_stats(InitiatorId::dma(1)).unwrap();
     let high = fabric.initiator_stats(InitiatorId::dma(3)).unwrap();
@@ -113,8 +113,8 @@ fn fixed_priority_orders_strictly_under_contention() {
         let mut queues = Vec::new();
         for i in 0..32u64 {
             let t = Cycles::new(i * 10);
-            queues.push(fabric.grant(&burst(1, 1).at(t), timing(256)).raw());
-            queues.push(fabric.grant(&burst(3, 1).at(t), timing(256)).raw());
+            queues.push(fabric.admit(&burst(1, 1).at(t), timing(256)).queue.raw());
+            queues.push(fabric.admit(&burst(3, 1).at(t), timing(256)).queue.raw());
         }
         queues
     };
@@ -127,8 +127,8 @@ fn fixed_priority_orders_strictly_under_contention() {
         let mut queues = Vec::new();
         for i in 0..32u64 {
             let t = Cycles::new(i * 10);
-            queues.push(fabric.grant(&burst(1, 0).at(t), timing(256)).raw());
-            queues.push(fabric.grant(&burst(3, 0).at(t), timing(256)).raw());
+            queues.push(fabric.admit(&burst(1, 0).at(t), timing(256)).queue.raw());
+            queues.push(fabric.admit(&burst(3, 0).at(t), timing(256)).queue.raw());
         }
         queues
     };

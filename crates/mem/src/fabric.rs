@@ -14,11 +14,10 @@
 //! that track their own pipeline (DMA engines, the page-table walker, the
 //! host-traffic stream) stamp the arrival themselves; for everything else
 //! the memory system fills in the platform's `GlobalClock` reading, so
-//! *every* grant is timed — the untimed fast path of earlier revisions is
-//! gone. Every access is routed to a DRAM channel by its address (see
-//! [`crate::channels`]); the fabric reserves that channel's data bus as
-//! **intervals** `[start, start + occupancy)` on the channel's virtual
-//! timeline. A new grant is placed at the earliest point at or after
+//! *every* grant is timed. Every access is routed to a DRAM channel by its
+//! address (see [`crate::channels`]); the fabric reserves that channel's
+//! data bus as **intervals** `[start, start + occupancy)` on the channel's
+//! virtual timeline. A new grant is placed at the earliest point at or after
 //! its arrival that does not overlap a conflicting interval on *its* channel;
 //! the shift is the access's queueing delay. Intervals owned by the same
 //! initiator are ignored — serialising an engine's own payloads is that
@@ -49,7 +48,7 @@
 //! * **FixedPriority** — strict ordering by [`MemPortReq::priority`]: a
 //!   grant queues exactly behind conflicting intervals of **equal or
 //!   higher** request priority and ignores lower-priority ones (it is
-//!   granted at arrival over them, like the PR 1 priority escape hatch, and
+//!   granted at arrival over them, like RoundRobin's escape hatch, and
 //!   its occupancy still blocks them). With all priorities equal this
 //!   degenerates to RoundRobin.
 //! * **Weighted(w)** — deficit-weighted QoS: the fabric tracks each timed
@@ -118,15 +117,28 @@
 //!
 //! # Indexed placement engine
 //!
-//! Placement is served by [`sva_common::ReservationIndex`]: each channel's
-//! reservation timeline is keyed by interval **end**, so one logarithmic
-//! range probe returns the latest conflicting reservation end — finished
-//! history is invisible to the probe instead of being re-scanned on every
-//! retry — and the arbiter's slot/weight/membership lookups on the grant
-//! path are O(1) caches. The engine is cycle-identical to the original
-//! scan-with-retry algorithm, which the `fabric_identity` property suite
-//! keeps as its reference (`tests/reference/fabric.rs`) and runs against
-//! this engine on randomized workloads across every arbitration policy.
+//! Each channel keeps three ordered timelines: its bus reservations (a
+//! [`sva_common::ReservationIndex`] keyed by interval **end**) and its
+//! request and response queues. A grant reads and updates them in a fixed
+//! sequence, each step one locate followed by a short forward walk:
+//!
+//! 1. the request queue's admission point for the arrival;
+//! 2. from there, the placement loop: a reservation probe returns the
+//!    latest conflicting end (finished history is invisible to it), then
+//!    the response queue's admission point for the candidate; either one
+//!    moves the candidate and the loop repeats;
+//! 3. the commit: one splice into each queue and one reservation insert.
+//!
+//! Every timeline is a chunked map that remembers where its last operation
+//! ended (see [`sva_common::channel`]). A cluster shard's arrivals rise in
+//! time, so each of these lookups usually lands a few entries from that
+//! finger, even though the shards before it left the whole window in the
+//! maps. The arbiter's slot, weight and membership lookups are O(1)
+//! caches. The engine is cycle-identical to the scan-with-retry algorithm
+//! that the `fabric_identity` property suite keeps as its reference
+//! (`tests/reference/fabric.rs`) and runs against this engine on
+//! randomized workloads across every arbitration policy and on
+//! sequential-shard windows.
 //!
 //! Long open-loop windows additionally stay O(live reservations) rather
 //! than O(grants): a caller that guarantees no future grant arrives before
@@ -410,16 +422,6 @@ impl Fabric {
         }
     }
 
-    /// Grants one access and returns the cross-initiator queueing delay the
-    /// access observed on its channel's data-bus timeline.
-    ///
-    /// Compatibility wrapper over [`Fabric::admit`] that discards the
-    /// issue-stall component (always zero with the default unbounded queue
-    /// depths).
-    pub fn grant(&mut self, req: &MemPortReq, timing: PortTiming) -> Cycles {
-        self.admit(req, timing).queue
-    }
-
     /// Admits one access through the split-transaction flow of its channel
     /// and returns the delay split the access observed.
     ///
@@ -493,27 +495,26 @@ impl Fabric {
         };
         let issue_stall = admitted - arrival;
 
-        // Channel timeline: every grant is placed at its admission (there is
-        // no untimed traffic left); grants with zero occupancy observe
-        // queueing but reserve nothing. The priority escape hatch — a
-        // priority > 0 placed at its admission unconditionally — exists only
-        // under RoundRobin (the PR 1 behaviour). FixedPriority folds the
-        // priority into the conflict predicate (equal priorities still queue
-        // behind each other), and Weighted ignores it entirely so request
-        // priorities cannot defeat the configured service split. Even a
-        // priority winner needs a free response-queue slot.
+        // Channel timeline: every grant is placed at its admission; grants
+        // with zero occupancy observe queueing but reserve nothing. The
+        // priority escape hatch — a priority > 0 placed at its admission
+        // unconditionally — exists only under RoundRobin. FixedPriority
+        // folds the priority into the conflict predicate (equal priorities
+        // still queue behind each other), and Weighted ignores it entirely
+        // so request priorities cannot defeat the configured service split.
+        // Even a priority winner needs a free response-queue slot.
         let mut placed = admitted;
         let mut rsp_level = 0;
         let wins_outright =
             req.priority > 0 && matches!(self.config.policy, ArbitrationPolicy::RoundRobin);
         loop {
             if !wins_outright {
-                // One logarithmic probe returns the latest conflicting
-                // reservation end. Every conflicting interval blocks all
-                // placements up to its own end, so jumping straight there
-                // is the joint fixpoint step of the retry loop — the
-                // placement is bit-identical to retrying one conflict at a
-                // time (the policy predicate does not depend on `placed`).
+                // One probe returns the latest conflicting reservation
+                // end. Every conflicting interval blocks all placements up
+                // to its own end, so jumping straight there is the joint
+                // fixpoint step of the retry loop — the placement is
+                // bit-identical to retrying one conflict at a time (the
+                // policy predicate does not depend on `placed`).
                 let conflict = self.channels[channel].reservations.max_conflicting_end(
                     placed,
                     occupancy.max(1),
@@ -783,26 +784,32 @@ mod tests {
     fn timed_host_accesses_queue_behind_dma_occupancy() {
         let mut fabric = Fabric::default();
         // A DMA burst reserves the bus for [0, 256).
-        fabric.grant(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256));
+        fabric.admit(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256));
         // A host load arriving mid-burst observes the remaining occupancy.
-        let q = fabric.grant(
-            &MemPortReq::read(InitiatorId::Host, PhysAddr::new(0x8000_0000), 8)
-                .at(Cycles::new(100)),
-            timing(30, 0),
-        );
+        let q = fabric
+            .admit(
+                &MemPortReq::read(InitiatorId::Host, PhysAddr::new(0x8000_0000), 8)
+                    .at(Cycles::new(100)),
+                timing(30, 0),
+            )
+            .queue;
         assert_eq!(q, Cycles::new(156), "wait until the burst drains");
         let host = fabric.initiator_stats(InitiatorId::Host).unwrap();
         assert_eq!(host.queue_cycles, 156);
         assert_eq!(host.contended_grants, 1);
         // A host load arriving after the burst has drained does not queue,
         // and zero-occupancy host grants never reserve the timeline.
-        let q2 = fabric.grant(
-            &MemPortReq::read(InitiatorId::Host, PhysAddr::new(0x8000_0000), 8)
-                .at(Cycles::new(300)),
-            timing(30, 0),
-        );
+        let q2 = fabric
+            .admit(
+                &MemPortReq::read(InitiatorId::Host, PhysAddr::new(0x8000_0000), 8)
+                    .at(Cycles::new(300)),
+                timing(30, 0),
+            )
+            .queue;
         assert_eq!(q2, Cycles::ZERO);
-        let q3 = fabric.grant(&burst_req(3, 2048).at(Cycles::new(300)), timing(200, 256));
+        let q3 = fabric
+            .admit(&burst_req(3, 2048).at(Cycles::new(300)), timing(200, 256))
+            .queue;
         assert_eq!(q3, Cycles::ZERO, "occupancy-free host grants block nobody");
     }
 
@@ -825,8 +832,10 @@ mod tests {
             for _ in 0..8 {
                 t += 10 + rng.next_below(500);
                 let occ = 16 + rng.next_below(300);
-                let q = fabric.grant(&burst_req(1, 2048).at(Cycles::new(t)), timing(100, occ));
-                probe_only.grant(&burst_req(1, 2048).at(Cycles::new(t)), timing(100, occ));
+                let q = fabric
+                    .admit(&burst_req(1, 2048).at(Cycles::new(t)), timing(100, occ))
+                    .queue;
+                probe_only.admit(&burst_req(1, 2048).at(Cycles::new(t)), timing(100, occ));
                 assert_eq!(q, Cycles::ZERO, "round {round}: single stream never queues");
                 intervals.push((t, t + occ));
                 t += occ;
@@ -837,7 +846,7 @@ mod tests {
                 let arrival = rng.next_below(t + 200);
                 let req = MemPortReq::read(InitiatorId::Host, PhysAddr::new(0x8000_0000), 8)
                     .at(Cycles::new(arrival));
-                let q = fabric.grant(&req, timing(30, 0)).raw();
+                let q = fabric.admit(&req, timing(30, 0)).queue.raw();
                 let expected = intervals
                     .iter()
                     .find(|&&(s, e)| s <= arrival && arrival < e)
@@ -850,8 +859,12 @@ mod tests {
             let late = t + 1000;
             for i in 0..4u64 {
                 let arrival = Cycles::new(late + i * 50);
-                let a = fabric.grant(&burst_req(3, 2048).at(arrival), timing(100, 256));
-                let b = probe_only.grant(&burst_req(3, 2048).at(arrival), timing(100, 256));
+                let a = fabric
+                    .admit(&burst_req(3, 2048).at(arrival), timing(100, 256))
+                    .queue;
+                let b = probe_only
+                    .admit(&burst_req(3, 2048).at(arrival), timing(100, 256))
+                    .queue;
                 assert_eq!(a, b, "round {round}: probes must not perturb DMA placement");
             }
         }
@@ -861,10 +874,14 @@ mod tests {
     fn overlapping_timed_streams_record_contention() {
         let mut fabric = Fabric::default();
         // Cluster 0 occupies the bus for [0, 256).
-        let q0 = fabric.grant(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256));
+        let q0 = fabric
+            .admit(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256))
+            .queue;
         assert_eq!(q0, Cycles::ZERO);
         // Cluster 1 arrives at cycle 10 while the bus is busy.
-        let q1 = fabric.grant(&burst_req(3, 2048).at(Cycles::new(10)), timing(200, 256));
+        let q1 = fabric
+            .admit(&burst_req(3, 2048).at(Cycles::new(10)), timing(200, 256))
+            .queue;
         assert_eq!(q1, Cycles::new(246));
         let s1 = fabric.initiator_stats(InitiatorId::dma(3)).unwrap();
         assert_eq!(s1.queue_cycles, 246);
@@ -875,10 +892,12 @@ mod tests {
     #[test]
     fn same_initiator_pipelining_is_not_contention() {
         let mut fabric = Fabric::default();
-        fabric.grant(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256));
+        fabric.admit(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256));
         // The same engine's next burst at cycle 1 overlaps its own traffic:
         // that pipelining is modelled by the DMA engine, not the fabric.
-        let q = fabric.grant(&burst_req(1, 2048).at(Cycles::new(1)), timing(200, 256));
+        let q = fabric
+            .admit(&burst_req(1, 2048).at(Cycles::new(1)), timing(200, 256))
+            .queue;
         assert_eq!(q, Cycles::ZERO);
         assert_eq!(
             fabric
@@ -892,8 +911,8 @@ mod tests {
     #[test]
     fn totals_merge_all_initiators() {
         let mut fabric = Fabric::default();
-        fabric.grant(&burst_req(1, 100).at(Cycles::ZERO), timing(10, 5));
-        fabric.grant(
+        fabric.admit(&burst_req(1, 100).at(Cycles::ZERO), timing(10, 5));
+        fabric.admit(
             &MemPortReq::write(InitiatorId::Host, PhysAddr::new(0x2000), 50).at(Cycles::new(100)),
             timing(10, 2),
         );
@@ -913,21 +932,25 @@ mod tests {
             contention_enabled: true,
             ..FabricConfig::default()
         });
-        fabric.grant(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256));
+        fabric.admit(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256));
         fabric.reset();
         assert_eq!(fabric.initiator_count(), 0);
         assert_eq!(fabric.grants(), 0);
         assert!(fabric.config().contention_enabled, "config survives reset");
         // A burst arriving at cycle 0 after reset sees a free bus.
-        let q = fabric.grant(&burst_req(3, 2048).at(Cycles::ZERO), timing(200, 256));
+        let q = fabric
+            .admit(&burst_req(3, 2048).at(Cycles::ZERO), timing(200, 256))
+            .queue;
         assert_eq!(q, Cycles::ZERO);
     }
 
     #[test]
     fn clear_timelines_keeps_stats_but_frees_the_bus() {
         let mut fabric = Fabric::default();
-        fabric.grant(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256));
-        let q = fabric.grant(&burst_req(3, 2048).at(Cycles::new(10)), timing(200, 256));
+        fabric.admit(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256));
+        let q = fabric
+            .admit(&burst_req(3, 2048).at(Cycles::new(10)), timing(200, 256))
+            .queue;
         assert_eq!(q, Cycles::new(246));
         fabric.clear_timelines();
         // Accounting survives the window boundary...
@@ -940,7 +963,9 @@ mod tests {
             246
         );
         // ...but the new window's cycle 0 sees a free bus.
-        let q2 = fabric.grant(&burst_req(5, 2048).at(Cycles::ZERO), timing(200, 256));
+        let q2 = fabric
+            .admit(&burst_req(5, 2048).at(Cycles::ZERO), timing(200, 256))
+            .queue;
         assert_eq!(q2, Cycles::ZERO);
     }
 
@@ -948,10 +973,10 @@ mod tests {
     fn priority_wins_arbitration_without_queueing() {
         let mut fabric = Fabric::default();
         // A priority-0 stream holds the bus for [0, 256).
-        fabric.grant(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256));
+        fabric.admit(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256));
         // A priority-1 access arriving mid-interval does not queue...
         let req = burst_req(3, 2048).with_priority(1).at(Cycles::new(10));
-        let q = fabric.grant(&req, timing(200, 256));
+        let q = fabric.admit(&req, timing(200, 256)).queue;
         assert_eq!(q, Cycles::ZERO);
         assert_eq!(
             fabric
@@ -962,7 +987,9 @@ mod tests {
         );
         // ...but its occupancy [10, 266) still blocks later priority-0
         // traffic from a third initiator.
-        let q0 = fabric.grant(&burst_req(5, 2048).at(Cycles::new(20)), timing(200, 256));
+        let q0 = fabric
+            .admit(&burst_req(5, 2048).at(Cycles::new(20)), timing(200, 256))
+            .queue;
         assert_eq!(q0, Cycles::new(246), "queues behind the priority grant");
     }
 
@@ -971,10 +998,14 @@ mod tests {
         // Long-lived timeline: early large interval, then far-future small
         // ones; the max-length window must still find the early conflict.
         let mut fabric = Fabric::default();
-        fabric.grant(&burst_req(1, 2048).at(Cycles::ZERO), timing(0, 10_000));
-        let q = fabric.grant(&burst_req(3, 64).at(Cycles::new(9_999)), timing(0, 8));
+        fabric.admit(&burst_req(1, 2048).at(Cycles::ZERO), timing(0, 10_000));
+        let q = fabric
+            .admit(&burst_req(3, 64).at(Cycles::new(9_999)), timing(0, 8))
+            .queue;
         assert_eq!(q, Cycles::new(1), "tail of the long interval conflicts");
-        let q2 = fabric.grant(&burst_req(3, 64).at(Cycles::new(50_000)), timing(0, 8));
+        let q2 = fabric
+            .admit(&burst_req(3, 64).at(Cycles::new(50_000)), timing(0, 8))
+            .queue;
         assert_eq!(q2, Cycles::ZERO, "far beyond every reservation");
     }
 
@@ -1024,7 +1055,7 @@ mod tests {
     fn clear_timelines_resets_compaction_state() {
         let mut fabric = Fabric::default();
         for i in 0..16u64 {
-            fabric.grant(
+            fabric.admit(
                 &burst_req(1, 2048).at(Cycles::new(i * 300)),
                 timing(100, 256),
             );
@@ -1039,7 +1070,9 @@ mod tests {
         assert_eq!(fabric.compacted_events(), folded, "run total survives");
         // The new window's cycle 0 — far below the old watermark — is a
         // legal reservation point again.
-        let q = fabric.grant(&burst_req(3, 2048).at(Cycles::ZERO), timing(100, 256));
+        let q = fabric
+            .admit(&burst_req(3, 2048).at(Cycles::ZERO), timing(100, 256))
+            .queue;
         assert_eq!(q, Cycles::ZERO);
         assert_eq!(fabric.event_count(), 1);
     }
@@ -1078,20 +1111,24 @@ mod tests {
         // 0x8000_0000 and 0x8000_1000 are consecutive 4 KiB granules: they
         // land on different channels, so fully overlapping bursts from two
         // initiators both place at their arrival.
-        fabric.grant(
+        fabric.admit(
             &burst_req_at(1, 0x8000_0000, 2048).at(Cycles::ZERO),
             timing(200, 256),
         );
-        let q = fabric.grant(
-            &burst_req_at(3, 0x8000_1000, 2048).at(Cycles::new(10)),
-            timing(200, 256),
-        );
+        let q = fabric
+            .admit(
+                &burst_req_at(3, 0x8000_1000, 2048).at(Cycles::new(10)),
+                timing(200, 256),
+            )
+            .queue;
         assert_eq!(q, Cycles::ZERO, "different channel, no conflict");
         // Same channel as the first burst still conflicts.
-        let q2 = fabric.grant(
-            &burst_req_at(3, 0x8000_0800, 2048).at(Cycles::new(10)),
-            timing(200, 256),
-        );
+        let q2 = fabric
+            .admit(
+                &burst_req_at(3, 0x8000_0800, 2048).at(Cycles::new(10)),
+                timing(200, 256),
+            )
+            .queue;
         assert_eq!(q2, Cycles::new(246));
         let per_channel = fabric.channel_stats();
         assert_eq!(per_channel.len(), 2);
@@ -1108,7 +1145,7 @@ mod tests {
             ..FabricConfig::default()
         });
         for i in 0..16u64 {
-            fabric.grant(
+            fabric.admit(
                 &burst_req_at(1 + 2 * (i % 3) as u32, 0x8000_0000 + i * 4096, 1024)
                     .at(Cycles::new(i * 10)),
                 timing(100, 128),
@@ -1138,14 +1175,14 @@ mod tests {
             ..FabricConfig::default()
         });
         // Low-priority stream reserves [0, 256).
-        fabric.grant(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256));
+        fabric.admit(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256));
         // A high-priority grant ignores it and places at arrival.
         let hi = burst_req(3, 2048).with_priority(2).at(Cycles::new(10));
-        assert_eq!(fabric.grant(&hi, timing(200, 256)), Cycles::ZERO);
+        assert_eq!(fabric.admit(&hi, timing(200, 256)).queue, Cycles::ZERO);
         // An equal-priority grant queues behind the high one (strict
         // ordering within a level), not behind the low one it outranks.
         let eq = burst_req(5, 2048).with_priority(2).at(Cycles::new(20));
-        let q = fabric.grant(&eq, timing(200, 256));
+        let q = fabric.admit(&eq, timing(200, 256)).queue;
         assert_eq!(
             q,
             Cycles::new(246),
@@ -1165,10 +1202,12 @@ mod tests {
         for i in 0..8u64 {
             let t = Cycles::new(i * 10);
             queues[0] += fabric
-                .grant(&burst_req(1, 2048).at(t), timing(200, 256))
+                .admit(&burst_req(1, 2048).at(t), timing(200, 256))
+                .queue
                 .raw();
             queues[1] += fabric
-                .grant(&burst_req(3, 2048).at(t), timing(200, 256))
+                .admit(&burst_req(3, 2048).at(t), timing(200, 256))
+                .queue
                 .raw();
         }
         assert!(queues[0] > 0, "first stream also queues: {queues:?}");
@@ -1184,11 +1223,13 @@ mod tests {
             policy: ArbitrationPolicy::Weighted(vec![1, 1]),
             ..FabricConfig::default()
         });
-        fabric.grant(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256));
-        let q1 = fabric.grant(
-            &burst_req(3, 2048).with_priority(1).at(Cycles::ZERO),
-            timing(200, 256),
-        );
+        fabric.admit(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256));
+        let q1 = fabric
+            .admit(
+                &burst_req(3, 2048).with_priority(1).at(Cycles::ZERO),
+                timing(200, 256),
+            )
+            .queue;
         assert_eq!(
             q1,
             Cycles::new(256),
@@ -1196,11 +1237,13 @@ mod tests {
         );
         // The same sequence under RoundRobin takes the escape hatch.
         let mut rr = Fabric::default();
-        rr.grant(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256));
-        let q2 = rr.grant(
-            &burst_req(3, 2048).with_priority(1).at(Cycles::ZERO),
-            timing(200, 256),
-        );
+        rr.admit(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256));
+        let q2 = rr
+            .admit(
+                &burst_req(3, 2048).with_priority(1).at(Cycles::ZERO),
+                timing(200, 256),
+            )
+            .queue;
         assert_eq!(q2, Cycles::ZERO);
     }
 
@@ -1217,7 +1260,7 @@ mod tests {
                 ..FabricConfig::default()
             });
             if with_host {
-                fabric.grant(
+                fabric.admit(
                     &MemPortReq::read(InitiatorId::Host, PhysAddr::new(0x8000_0000), 64)
                         .at(Cycles::ZERO),
                     timing(30, 8),
@@ -1225,8 +1268,8 @@ mod tests {
             }
             for i in 0..16u64 {
                 let t = Cycles::new(1000 + i * 20);
-                fabric.grant(&burst_req(1, 2048).at(t), timing(200, 256));
-                fabric.grant(&burst_req(3, 2048).at(t), timing(200, 256));
+                fabric.admit(&burst_req(1, 2048).at(t), timing(200, 256));
+                fabric.admit(&burst_req(3, 2048).at(t), timing(200, 256));
             }
             [
                 fabric
@@ -1419,8 +1462,8 @@ mod tests {
             });
             for i in 0..16u64 {
                 let t = Cycles::new(i * 20);
-                fabric.grant(&burst_req(1, 2048).at(t), timing(200, 256));
-                fabric.grant(&burst_req(3, 2048).at(t), timing(200, 256));
+                fabric.admit(&burst_req(1, 2048).at(t), timing(200, 256));
+                fabric.admit(&burst_req(3, 2048).at(t), timing(200, 256));
             }
             [
                 fabric

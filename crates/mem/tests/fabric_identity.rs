@@ -14,7 +14,9 @@
 //! * request priorities 0..3 and mixed occupancies (including
 //!   zero-occupancy host/PTW probes),
 //! * out-of-order arrivals: per-cluster DMA shards restart their local
-//!   cursors at zero mid-run, exactly like the platform's sharded offload,
+//!   cursors at zero mid-run, interleaved round-robin, and — like the
+//!   platform's sharded offload — run one after another with host-stream
+//!   slices between them,
 //! * one and several DRAM channels,
 //!
 //! and additionally proves the harness has teeth by catching an injected
@@ -216,6 +218,125 @@ fn identity_holds_across_measurement_windows() {
         }
         assert_eq!(indexed.total(), naive.total());
         assert_eq!(indexed.channel_stats(), naive.channel_stats());
+    }
+}
+
+/// Appends `count` accesses of the paced host-traffic stream, continuing
+/// from its cursor `next`: 256 bytes every 48 cycles through a strided
+/// buffer, each holding the bus for 8 beats.
+fn stream_slice(out: &mut Vec<Access>, next: &mut u64, count: usize) {
+    for _ in 0..count {
+        *next += 48;
+        let addr = 0x9000_0000 + *next / 48 * 256;
+        out.push(Access {
+            req: MemPortReq::read(InitiatorId::HostStream, PhysAddr::new(addr), 256)
+                .at(Cycles::new(*next)),
+            timing: PortTiming {
+                latency: Cycles::new(30),
+                occupancy: Cycles::new(8),
+            },
+        });
+    }
+}
+
+/// One measurement window shaped like the platform's sharded offload
+/// (`OffloadRunner::run_device_sharded`): a slice of the host stream, then
+/// one DMA shard run to completion from cycle 0 with its page-table-walk
+/// reads, then the next slice and the next shard restarting at cycle 0,
+/// and the rest of the stream after the last shard. Arrivals rise within
+/// each shard and within the stream, so every shard sweeps the fabric's
+/// maps in time order from the start, over the entries of the shards
+/// before it.
+fn sharded_window(rng: &mut DeterministicRng, shards: u32, bursts: usize) -> Vec<Access> {
+    let stream_len = bursts;
+    let slice = stream_len.div_ceil(shards as usize + 1);
+    let mut stream_next = 0u64;
+    let mut out = Vec::new();
+    for shard in 0..shards {
+        stream_slice(&mut out, &mut stream_next, slice);
+        let mut t = 0u64;
+        let mut addr = 0x8000_0000 + u64::from(shard) * 0x10_0000;
+        for _ in 0..bursts {
+            t += 10 + rng.next_below(150);
+            if rng.next_below(8) == 0 {
+                // A page-table-walk read issued at the burst's issue time.
+                let pte = 0x8800_0000 + rng.next_below(512) * 8;
+                out.push(Access {
+                    req: MemPortReq::read(InitiatorId::Ptw, PhysAddr::new(pte), 8)
+                        .at(Cycles::new(t)),
+                    timing: PortTiming {
+                        latency: Cycles::new(30),
+                        occupancy: Cycles::new(1 + rng.next_below(3)),
+                    },
+                });
+            }
+            // Mostly sequential bursts, with a jump to a fresh page now and
+            // then.
+            addr += if rng.next_below(6) == 0 {
+                0x3000
+            } else {
+                0x800
+            };
+            let occ = 32 + rng.next_below(224);
+            out.push(Access {
+                req: MemPortReq::read(InitiatorId::dma(shard), PhysAddr::new(addr), occ * 8)
+                    .as_burst()
+                    .with_priority((rng.next_below(4) / 3) as u8)
+                    .at(Cycles::new(t)),
+                timing: PortTiming {
+                    latency: Cycles::new(100 + rng.next_below(200)),
+                    occupancy: Cycles::new(occ),
+                },
+            });
+        }
+    }
+    let rest = stream_len - slice * shards as usize;
+    stream_slice(&mut out, &mut stream_next, rest);
+    out
+}
+
+/// Identity on the access pattern of the platform's sequential shards:
+/// each window runs four DMA shards one after another, each restarting at
+/// cycle 0, with host-stream slices between them, on shallow bounded
+/// queues and two channels. The indexed engine's lookups then sweep its
+/// maps in time order and jump back at every shard — the pattern its
+/// ordered maps are tuned for — and every grant must still match the
+/// reference.
+#[test]
+fn sequential_shard_placement_is_cycle_identical_to_the_naive_reference() {
+    let mut rng = DeterministicRng::new(0x5E9_54A2);
+    for policy in policies(&mut rng) {
+        for timed in [false, true] {
+            let cfg = config(policy.clone(), 2, true, timed);
+            let mut indexed = Fabric::new(cfg.clone());
+            let mut naive = NaiveFabric::new(cfg);
+            for window in 0..2 {
+                let accesses = sharded_window(&mut rng, 4, 520);
+                assert!(accesses.len() >= 2000, "window of {}", accesses.len());
+                for (i, a) in accesses.iter().enumerate() {
+                    let x = indexed.admit(&a.req, a.timing);
+                    let y = naive.admit(&a.req, a.timing);
+                    assert_eq!(
+                        x,
+                        y,
+                        "{}, timed={timed}: window {window} grant {i} diverged ({:?})",
+                        policy.label(),
+                        a.req
+                    );
+                }
+                indexed.clear_timelines();
+                naive.clear_timelines();
+            }
+            let label = format!("{}, timed={timed}", policy.label());
+            let total = indexed.total();
+            assert_eq!(total, naive.total(), "{label}: totals diverged");
+            assert_eq!(indexed.channel_stats(), naive.channel_stats(), "{label}");
+            assert!(
+                total.issue_stall_cycles > 0,
+                "{label}: no request queue filled"
+            );
+            assert!(total.contended_grants > 0, "{label}: nothing queued");
+        }
     }
 }
 
