@@ -59,13 +59,18 @@ impl AblationResult {
     }
 }
 
+/// Input seed of every ablation sweep. Each sweep runs its points through
+/// one runner, which prepares the sweep's workload once.
+const SEED: u64 = 0xAB1A7E;
+
 fn measure(
+    runner: &OffloadRunner,
     config: PlatformConfig,
     workload: &dyn Workload,
     label: String,
 ) -> Result<AblationPoint> {
     let mut platform = Platform::new(config)?;
-    let report = OffloadRunner::new(0xAB1A7E).run_device_only(&mut platform, workload)?;
+    let report = runner.run_device_only(&mut platform, workload)?;
     Ok(AblationPoint {
         label,
         total: report.stats.total.raw(),
@@ -83,6 +88,7 @@ fn measure(
 /// Propagates platform construction and execution failures.
 pub fn iotlb_size(kernel: KernelKind, latency: u64, sizes: &[usize]) -> Result<AblationResult> {
     let workload = kernel.small_workload();
+    let runner = OffloadRunner::new(SEED);
     let mut result = AblationResult {
         name: format!(
             "IOTLB capacity sweep ({} @ {latency} cycles, no LLC)",
@@ -94,6 +100,7 @@ pub fn iotlb_size(kernel: KernelKind, latency: u64, sizes: &[usize]) -> Result<A
         let config =
             PlatformConfig::variant(SocVariant::Iommu, latency).with_iotlb_entries(entries);
         result.points.push(measure(
+            &runner,
             config,
             workload.as_ref(),
             format!("{entries} IOTLB entries"),
@@ -110,6 +117,7 @@ pub fn iotlb_size(kernel: KernelKind, latency: u64, sizes: &[usize]) -> Result<A
 /// Propagates platform construction and execution failures.
 pub fn dma_through_llc(kernel: KernelKind, latency: u64) -> Result<AblationResult> {
     let workload = kernel.small_workload();
+    let runner = OffloadRunner::new(SEED);
     let mut result = AblationResult {
         name: format!(
             "LLC bypass for device DMA ({} @ {latency} cycles)",
@@ -119,12 +127,14 @@ pub fn dma_through_llc(kernel: KernelKind, latency: u64) -> Result<AblationResul
     };
     let bypass = PlatformConfig::variant(SocVariant::IommuLlc, latency);
     result.points.push(measure(
+        &runner,
         bypass,
         workload.as_ref(),
         "DMA bypasses LLC (paper)".to_string(),
     )?);
     let through = PlatformConfig::variant(SocVariant::IommuLlc, latency).with_dma_through_llc();
     result.points.push(measure(
+        &runner,
         through,
         workload.as_ref(),
         "DMA through LLC".to_string(),
@@ -143,6 +153,7 @@ pub fn dma_outstanding(
     depths: &[usize],
 ) -> Result<AblationResult> {
     let workload = kernel.small_workload();
+    let runner = OffloadRunner::new(SEED);
     let mut result = AblationResult {
         name: format!(
             "Outstanding DMA bursts ({} @ {latency} cycles, baseline platform)",
@@ -153,6 +164,7 @@ pub fn dma_outstanding(
     for &depth in depths {
         let config = PlatformConfig::baseline(latency).with_dma_outstanding(depth);
         result.points.push(measure(
+            &runner,
             config,
             workload.as_ref(),
             format!("{depth} outstanding"),
@@ -169,16 +181,19 @@ pub fn dma_outstanding(
 /// Propagates platform construction and execution failures.
 pub fn double_buffering(kernel: KernelKind, latency: u64) -> Result<AblationResult> {
     let workload = kernel.small_workload();
+    let runner = OffloadRunner::new(SEED);
     let mut result = AblationResult {
         name: format!("Double buffering ({} @ {latency} cycles)", workload.name()),
         points: Vec::new(),
     };
     result.points.push(measure(
+        &runner,
         PlatformConfig::baseline(latency),
         workload.as_ref(),
         "double buffered (paper)".to_string(),
     )?);
     result.points.push(measure(
+        &runner,
         PlatformConfig::baseline(latency).with_single_buffering(),
         workload.as_ref(),
         "single buffered".to_string(),

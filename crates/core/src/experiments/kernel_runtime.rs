@@ -166,6 +166,9 @@ pub fn run(
     paper_size: bool,
 ) -> Result<KernelRuntimeResult> {
     let mut result = KernelRuntimeResult::default();
+    // One runner for the sweep: each kernel's inputs and reference are
+    // prepared once for its latency x variant points.
+    let runner = OffloadRunner::new(0xBEEF);
     for &kind in kernels {
         let workload = if paper_size {
             kind.paper_workload()
@@ -175,8 +178,7 @@ pub fn run(
         for &latency in latencies {
             for variant in SocVariant::ALL {
                 let mut platform = Platform::new(PlatformConfig::variant(variant, latency))?;
-                let report =
-                    OffloadRunner::new(0xBEEF).run_device_only(&mut platform, workload.as_ref())?;
+                let report = runner.run_device_only(&mut platform, workload.as_ref())?;
                 result.points.push(KernelRuntimePoint {
                     kernel: workload.name().to_string(),
                     dram_latency: latency,

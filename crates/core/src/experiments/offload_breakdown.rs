@@ -102,6 +102,7 @@ impl OffloadBreakdownResult {
 pub fn run(elems: usize, dram_latency: u64) -> Result<OffloadBreakdownResult> {
     let workload = AxpyWorkload::with_elems(elems);
     let mut cases = Vec::new();
+    let runner = OffloadRunner::new(0xF162);
     for mode in [
         OffloadMode::HostOnly,
         OffloadMode::CopyOffload,
@@ -110,7 +111,7 @@ pub fn run(elems: usize, dram_latency: u64) -> Result<OffloadBreakdownResult> {
         // Each scenario runs on a freshly booted platform of the paper's full
         // configuration (IOMMU + LLC) so caches do not leak state across bars.
         let mut platform = Platform::new(PlatformConfig::iommu_with_llc(dram_latency))?;
-        let report = OffloadRunner::new(0xF162).run(&mut platform, &workload, mode)?;
+        let report = runner.run(&mut platform, &workload, mode)?;
         let compute = report
             .device
             .map(|d| d.total.raw())

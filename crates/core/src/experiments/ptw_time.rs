@@ -122,6 +122,7 @@ impl PtwResultSet {
 pub fn run(elems: usize, latencies: &[u64]) -> Result<PtwResultSet> {
     let workload = AxpyWorkload::with_elems(elems);
     let mut result = PtwResultSet::default();
+    let runner = OffloadRunner::new(0xF165);
     for &latency in latencies {
         for llc in [false, true] {
             for interference in [false, true] {
@@ -137,8 +138,7 @@ pub fn run(elems: usize, latencies: &[u64]) -> Result<PtwResultSet> {
                 };
                 let config = PlatformConfig::variant(variant, latency).with_interference(level);
                 let mut platform = Platform::new(config)?;
-                let report =
-                    OffloadRunner::new(0xF165).run_device_only(&mut platform, &workload)?;
+                let report = runner.run_device_only(&mut platform, &workload)?;
                 result.points.push(PtwPoint {
                     dram_latency: latency,
                     llc,

@@ -1,0 +1,152 @@
+//! One `OffloadRunner` prepares each workload once per sweep. Consecutive
+//! runs of an equal workload reuse its generated inputs and reference, a
+//! run of any other workload replaces them, and every run still verifies
+//! and simulates exactly what a fresh runner simulates.
+
+use std::cell::Cell;
+use std::rc::Rc;
+
+use sva_cluster::DeviceKernel;
+use sva_common::rng::DeterministicRng;
+use sva_common::{Iova, Result};
+use sva_host::HostKernelCost;
+use sva_kernels::{AxpyWorkload, BufferSpec, Heat3dWorkload, KernelKind, Workload};
+use sva_soc::config::{PlatformConfig, SocVariant};
+use sva_soc::offload::{OffloadMode, OffloadRunner};
+use sva_soc::platform::Platform;
+
+const SEED: u64 = 0x5EED;
+
+/// How often a workload's inputs and reference were computed.
+#[derive(Default)]
+struct Calls {
+    init: Cell<usize>,
+    expected: Cell<usize>,
+}
+
+impl Calls {
+    fn get(&self) -> (usize, usize) {
+        (self.init.get(), self.expected.get())
+    }
+}
+
+/// Forwards every call to `inner`, counting `init` and `expected`.
+struct Counted {
+    inner: Box<dyn Workload>,
+    calls: Rc<Calls>,
+}
+
+impl Counted {
+    fn new(inner: Box<dyn Workload>, calls: &Rc<Calls>) -> Self {
+        Self {
+            inner,
+            calls: Rc::clone(calls),
+        }
+    }
+}
+
+impl Workload for Counted {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn params(&self) -> String {
+        self.inner.params()
+    }
+    fn buffers(&self) -> Vec<BufferSpec> {
+        self.inner.buffers()
+    }
+    fn init(&self, rng: &mut DeterministicRng) -> Vec<Vec<f32>> {
+        self.calls.init.set(self.calls.init.get() + 1);
+        self.inner.init(rng)
+    }
+    fn expected(&self, initial: &[Vec<f32>]) -> Vec<Vec<f32>> {
+        self.calls.expected.set(self.calls.expected.get() + 1);
+        self.inner.expected(initial)
+    }
+    fn device_kernel(&self, device_ptrs: &[Iova]) -> Box<dyn DeviceKernel> {
+        self.inner.device_kernel(device_ptrs)
+    }
+    fn host_cost(&self) -> HostKernelCost {
+        self.inner.host_cost()
+    }
+    fn flops(&self) -> u64 {
+        self.inner.flops()
+    }
+    fn verify(&self, expected: &[Vec<f32>], actual: &[Vec<f32>]) -> Result<()> {
+        self.inner.verify(expected, actual)
+    }
+}
+
+/// Runs `workload` device-only on a fresh platform of `config` through
+/// `runner`; asserts it verifies and returns the report's debug text.
+fn device_only(runner: &OffloadRunner, config: PlatformConfig, workload: &dyn Workload) -> String {
+    let mut platform = Platform::new(config).unwrap();
+    let report = runner.run_device_only(&mut platform, workload).unwrap();
+    assert!(report.verified, "{} {}", workload.name(), workload.params());
+    format!("{report:?}")
+}
+
+#[test]
+fn one_runner_prepares_each_workload_once_per_sweep() {
+    let runner = OffloadRunner::new(SEED);
+    let gemm = Rc::new(Calls::default());
+    // The Table II sweep of one kernel: 3 latencies x 3 variants, each
+    // point with a freshly built workload object, as a benchmark builds
+    // them.
+    for latency in [200, 600, 1000] {
+        for variant in SocVariant::ALL {
+            let config = PlatformConfig::variant(variant, latency);
+            let wl = Counted::new(KernelKind::Gemm.small_workload(), &gemm);
+            let reused = device_only(&runner, config.clone(), &wl);
+            let fresh = device_only(&OffloadRunner::new(SEED), config, &wl);
+            assert_eq!(reused, fresh, "{variant:?} @ {latency}");
+        }
+    }
+    // 9 points plus 9 fresh runners.
+    assert_eq!(gemm.get(), (1 + 9, 1 + 9), "9 points prepared once");
+
+    // A different workload replaces the entry...
+    let heat = Rc::new(Calls::default());
+    for variant in SocVariant::ALL {
+        let wl = Counted::new(KernelKind::Heat3d.small_workload(), &heat);
+        device_only(&runner, PlatformConfig::variant(variant, 200), &wl);
+    }
+    assert_eq!(heat.get(), (1, 1));
+    // ...so the first one is prepared again, once, and its application
+    // flows reuse it like its device-only runs do.
+    let wl = Counted::new(KernelKind::Gemm.small_workload(), &gemm);
+    device_only(&runner, PlatformConfig::iommu_with_llc(200), &wl);
+    for mode in [
+        OffloadMode::HostOnly,
+        OffloadMode::CopyOffload,
+        OffloadMode::ZeroCopy,
+    ] {
+        let mut platform = Platform::new(PlatformConfig::iommu_with_llc(200)).unwrap();
+        let report = runner.run(&mut platform, &wl, mode).unwrap();
+        assert!(report.verified, "{mode:?}");
+    }
+    assert_eq!(gemm.get(), (11, 11));
+}
+
+#[test]
+fn parameter_changes_replace_the_prepared_workload() {
+    let runner = OffloadRunner::new(SEED);
+    let workloads: [Box<dyn Workload>; 4] = [
+        Box::new(Heat3dWorkload::with_dim(16, 2)),
+        Box::new(Heat3dWorkload::with_dim(16, 4)),
+        Box::new(AxpyWorkload::with_elems(6_000)),
+        Box::new(AxpyWorkload {
+            n: 6_000,
+            alpha: -1.25,
+        }),
+    ];
+    for inner in workloads {
+        let calls = Rc::new(Calls::default());
+        let wl = Counted::new(inner, &calls);
+        // The physical (Baseline) and the translated read-back paths.
+        for variant in [SocVariant::Baseline, SocVariant::IommuLlc] {
+            device_only(&runner, PlatformConfig::variant(variant, 200), &wl);
+        }
+        assert_eq!(calls.get(), (1, 1), "{}", wl.params());
+    }
+}

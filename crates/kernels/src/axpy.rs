@@ -48,7 +48,7 @@ impl Workload for AxpyWorkload {
     }
 
     fn params(&self) -> String {
-        format!("{}", self.n)
+        format!("{}, alpha {}", self.n, self.alpha)
     }
 
     fn buffers(&self) -> Vec<BufferSpec> {

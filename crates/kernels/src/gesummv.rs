@@ -64,7 +64,10 @@ impl Workload for GesummvWorkload {
     }
 
     fn params(&self) -> String {
-        format!("{} x {}", self.n, self.n)
+        format!(
+            "{0} x {0}, alpha {1}, beta {2}",
+            self.n, self.alpha, self.beta
+        )
     }
 
     fn buffers(&self) -> Vec<BufferSpec> {

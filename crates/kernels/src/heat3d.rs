@@ -127,7 +127,7 @@ impl Workload for Heat3dWorkload {
     }
 
     fn params(&self) -> String {
-        format!("{0} x {0} x {0}", self.n)
+        format!("{0} x {0} x {0}, {1} steps", self.n, self.steps)
     }
 
     fn buffers(&self) -> Vec<BufferSpec> {

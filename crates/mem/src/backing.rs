@@ -6,18 +6,22 @@
 //! never reserves the full address space. Unwritten bytes read as zero,
 //! matching zero-initialised DRAM on the FPGA after the bitstream is loaded.
 //!
-//! The store is a **direct-map frame table**: frame index = `offset >> 12`
-//! into a lazily grown `Vec<Option<Box<[u8]>>>`, so touching a frame is one
-//! bounds-checked vector index instead of the former per-frame hash (the
-//! hash engine lives on in `tests/reference/backing.rs`, the executable
-//! reference the lockstep suite `tests/backing_identity.rs` runs this
-//! store against). A
-//! generation-tagged last-frame memo carries cross-call locality
-//! — a sequential DMA burst touches the same frame for 64 beats in a row —
-//! and the typed accessors ([`SparseMemory::read_u64`] & friends) take a
-//! single-frame fast path whenever the access does not straddle a frame
-//! boundary, which holds for every aligned PTE fetch, page-table write and
-//! kernel element access.
+//! The store is a **two-level frame table**. The top level, indexed by
+//! `offset >> 21`, is a lazily grown vector of leaves; a leaf, allocated on
+//! the first write inside its 2 MiB, holds 512 thin frame pointers
+//! (`Option<Box<[u8; 4096]>>`, 8 bytes each), indexed by the frame's
+//! position within the leaf. Locating a frame is two dependent indexed
+//! loads, and the table costs 4 KiB per touched 2 MiB plus 8 bytes per
+//! 2 MiB below the highest touched offset: a write at the 1 GiB reserved
+//! pool adds about 8 KiB, not a table entry for every frame below it. (The
+//! per-frame hash engine lives on in `tests/reference/backing.rs`, the
+//! executable reference the lockstep suite `tests/backing_identity.rs` runs
+//! this store against.) A generation-tagged last-frame memo carries
+//! cross-call locality — a sequential DMA burst touches the same frame for
+//! 64 beats in a row — and the typed accessors ([`SparseMemory::read_u64`]
+//! & friends) take a single-frame fast path whenever the access does not
+//! straddle a frame boundary, which holds for every aligned PTE fetch,
+//! page-table write and kernel element access.
 
 use std::cell::Cell;
 
@@ -28,6 +32,24 @@ const FRAME_SHIFT: u32 = PAGE_SIZE.trailing_zeros();
 
 /// Offset within a frame (`offset & 0xFFF`).
 const FRAME_MASK: u64 = PAGE_SIZE - 1;
+
+/// Bytes per frame.
+const FRAME_BYTES: usize = PAGE_SIZE as usize;
+
+/// Leaf index of a frame index (`frame >> 9`): one leaf covers 2 MiB.
+const LEAF_SHIFT: u32 = 9;
+
+/// Frames per leaf.
+const LEAF_FRAMES: usize = 1 << LEAF_SHIFT;
+
+/// Position of a frame within its leaf (`frame & 0x1FF`).
+const LEAF_MASK: u64 = LEAF_FRAMES as u64 - 1;
+
+/// One resident frame.
+type Frame = Box<[u8; FRAME_BYTES]>;
+
+/// The frames of one 2 MiB span; absent (`None`) frames read as zero.
+type Leaf = [Option<Frame>; LEAF_FRAMES];
 
 /// The last-frame memo: remembers the presence of the most recently probed
 /// frame so a run of accesses to the same frame (sequential DMA beats,
@@ -48,12 +70,13 @@ struct FrameMemo {
 }
 
 /// Frame-granular sparse byte store of a fixed capacity, laid out as a
-/// direct-map frame table.
+/// two-level frame table.
 #[derive(Clone, Debug)]
 pub struct SparseMemory {
-    /// Direct-map frame table, grown lazily to the highest written frame.
-    /// Absent (`None`) and beyond-the-end frames read as zero.
-    frames: Vec<Option<Box<[u8]>>>,
+    /// Top level of the frame table, indexed by leaf and grown lazily to
+    /// the highest written leaf. Absent leaves and beyond-the-end leaves
+    /// read as zero.
+    leaves: Vec<Option<Box<Leaf>>>,
     /// Number of resident (allocated) frames.
     resident: usize,
     capacity: u64,
@@ -66,7 +89,7 @@ impl SparseMemory {
     /// Creates a store covering offsets `0..capacity`.
     pub fn new(capacity: u64) -> Self {
         Self {
-            frames: Vec::new(),
+            leaves: Vec::new(),
             resident: 0,
             capacity,
             generation: 1,
@@ -108,6 +131,13 @@ impl SparseMemory {
         Ok(())
     }
 
+    /// The resident frame at `idx`, if any, straight from the table.
+    #[inline]
+    fn frame(&self, idx: u64) -> Option<&[u8]> {
+        let leaf = self.leaves.get((idx >> LEAF_SHIFT) as usize)?.as_deref()?;
+        leaf[(idx & LEAF_MASK) as usize].as_deref().map(|f| &f[..])
+    }
+
     /// The resident frame at `idx`, if any, going through the last-frame
     /// memo: a memo hit answers presence without touching the frame table;
     /// a miss probes the table and refreshes the memo.
@@ -118,9 +148,9 @@ impl SparseMemory {
             if !memo.present {
                 return None;
             }
-            return self.frames.get(idx as usize).and_then(|f| f.as_deref());
+            return self.frame(idx);
         }
-        let data = self.frames.get(idx as usize).and_then(|f| f.as_deref());
+        let data = self.frame(idx);
         self.memo.set(FrameMemo {
             generation: self.generation,
             frame: idx,
@@ -129,17 +159,19 @@ impl SparseMemory {
         data
     }
 
-    /// The frame at `idx`, materialising it (and growing the table) if
-    /// absent. Refreshes a memo that recorded this frame as absent.
+    /// The frame at `idx`, materialising it (and its leaf, growing the top
+    /// level) if absent. Refreshes a memo that recorded this frame as
+    /// absent.
     #[inline]
     fn frame_mut(&mut self, idx: u64) -> &mut [u8] {
-        let i = idx as usize;
-        if i >= self.frames.len() {
-            self.frames.resize_with(i + 1, || None);
+        let leaf_idx = (idx >> LEAF_SHIFT) as usize;
+        if leaf_idx >= self.leaves.len() {
+            self.leaves.resize_with(leaf_idx + 1, || None);
         }
-        let slot = &mut self.frames[i];
+        let leaf =
+            self.leaves[leaf_idx].get_or_insert_with(|| Box::new([const { None }; LEAF_FRAMES]));
+        let slot = &mut leaf[(idx & LEAF_MASK) as usize];
         if slot.is_none() {
-            *slot = Some(vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
             self.resident += 1;
             self.memo.set(FrameMemo {
                 generation: self.generation,
@@ -147,14 +179,12 @@ impl SparseMemory {
                 present: true,
             });
         }
-        slot.as_deref_mut().expect("frame was just materialised")
-    }
-
-    /// Whether the frame at `idx` is resident, without going through (or
-    /// refreshing) the memo.
-    #[inline]
-    fn frame_absent(&self, idx: u64) -> bool {
-        self.frames.get(idx as usize).is_none_or(Option::is_none)
+        &mut slot.get_or_insert_with(|| {
+            vec![0u8; FRAME_BYTES]
+                .into_boxed_slice()
+                .try_into()
+                .expect("frame-sized allocation")
+        })[..]
     }
 
     /// Reads `buf.len()` bytes starting at `offset`.
@@ -167,7 +197,7 @@ impl SparseMemory {
         self.check_range(offset, buf.len() as u64)?;
         let in_frame = (offset & FRAME_MASK) as usize;
         // Single-frame fast path: one copy, no chunk loop.
-        if in_frame + buf.len() <= PAGE_SIZE as usize {
+        if in_frame + buf.len() <= FRAME_BYTES {
             match self.frame_memoized(offset >> FRAME_SHIFT) {
                 Some(data) => buf.copy_from_slice(&data[in_frame..in_frame + buf.len()]),
                 None => buf.fill(0),
@@ -178,7 +208,7 @@ impl SparseMemory {
         while done < buf.len() {
             let cur = offset + done as u64;
             let in_frame = (cur & FRAME_MASK) as usize;
-            let chunk = (buf.len() - done).min(PAGE_SIZE as usize - in_frame);
+            let chunk = (buf.len() - done).min(FRAME_BYTES - in_frame);
             match self.frame_memoized(cur >> FRAME_SHIFT) {
                 Some(data) => {
                     buf[done..done + chunk].copy_from_slice(&data[in_frame..in_frame + chunk]);
@@ -202,7 +232,7 @@ impl SparseMemory {
         while done < buf.len() {
             let cur = offset + done as u64;
             let in_frame = (cur & FRAME_MASK) as usize;
-            let chunk = (buf.len() - done).min(PAGE_SIZE as usize - in_frame);
+            let chunk = (buf.len() - done).min(FRAME_BYTES - in_frame);
             let data = self.frame_mut(cur >> FRAME_SHIFT);
             data[in_frame..in_frame + chunk].copy_from_slice(&buf[done..done + chunk]);
             done += chunk;
@@ -222,7 +252,7 @@ impl SparseMemory {
     #[inline]
     pub fn read_u64(&self, offset: u64) -> Result<u64> {
         let in_frame = (offset & FRAME_MASK) as usize;
-        if in_frame + 8 <= PAGE_SIZE as usize {
+        if in_frame + 8 <= FRAME_BYTES {
             self.check_range(offset, 8)?;
             return Ok(match self.frame_memoized(offset >> FRAME_SHIFT) {
                 Some(data) => u64::from_le_bytes(
@@ -246,7 +276,7 @@ impl SparseMemory {
     #[inline]
     pub fn write_u64(&mut self, offset: u64, value: u64) -> Result<u64> {
         let in_frame = (offset & FRAME_MASK) as usize;
-        if in_frame + 8 <= PAGE_SIZE as usize {
+        if in_frame + 8 <= FRAME_BYTES {
             self.check_range(offset, 8)?;
             let data = self.frame_mut(offset >> FRAME_SHIFT);
             data[in_frame..in_frame + 8].copy_from_slice(&value.to_le_bytes());
@@ -264,7 +294,7 @@ impl SparseMemory {
     #[inline]
     pub fn read_f32(&self, offset: u64) -> Result<f32> {
         let in_frame = (offset & FRAME_MASK) as usize;
-        if in_frame + 4 <= PAGE_SIZE as usize {
+        if in_frame + 4 <= FRAME_BYTES {
             self.check_range(offset, 4)?;
             return Ok(match self.frame_memoized(offset >> FRAME_SHIFT) {
                 Some(data) => f32::from_le_bytes(
@@ -288,7 +318,7 @@ impl SparseMemory {
     #[inline]
     pub fn write_f32(&mut self, offset: u64, value: f32) -> Result<()> {
         let in_frame = (offset & FRAME_MASK) as usize;
-        if in_frame + 4 <= PAGE_SIZE as usize {
+        if in_frame + 4 <= FRAME_BYTES {
             self.check_range(offset, 4)?;
             let data = self.frame_mut(offset >> FRAME_SHIFT);
             data[in_frame..in_frame + 4].copy_from_slice(&value.to_le_bytes());
@@ -312,9 +342,9 @@ impl SparseMemory {
         while done < len {
             let cur = offset + done;
             let in_frame = (cur & FRAME_MASK) as usize;
-            let n = ((len - done) as usize).min(PAGE_SIZE as usize - in_frame);
+            let n = ((len - done) as usize).min(FRAME_BYTES - in_frame);
             let idx = cur >> FRAME_SHIFT;
-            if value != 0 || !self.frame_absent(idx) {
+            if value != 0 || self.frame(idx).is_some() {
                 self.frame_mut(idx)[in_frame..in_frame + n].fill(value);
             }
             done += n as u64;
@@ -324,7 +354,7 @@ impl SparseMemory {
 
     /// Drops all contents, returning the store to the all-zero state.
     pub fn clear(&mut self) {
-        self.frames.clear();
+        self.leaves.clear();
         self.resident = 0;
         // Invalidate every outstanding memo wholesale.
         self.generation += 1;
@@ -335,15 +365,20 @@ impl SparseMemory {
     ///
     /// # Panics
     ///
-    /// Panics when the direct-map state is inconsistent.
+    /// Panics when the frame table is inconsistent.
     #[doc(hidden)]
     pub fn debug_validate(&self) {
-        let live = self.frames.iter().filter(|f| f.is_some()).count();
+        let live = self
+            .leaves
+            .iter()
+            .flatten()
+            .map(|leaf| leaf.iter().flatten().count())
+            .sum::<usize>();
         assert_eq!(live, self.resident, "resident counter out of sync");
         let memo = self.memo.get();
         if memo.generation == self.generation && memo.present {
             assert!(
-                !self.frame_absent(memo.frame),
+                self.frame(memo.frame).is_some(),
                 "memo marks absent frame {} present",
                 memo.frame
             );
@@ -449,6 +484,23 @@ mod tests {
         // Partial-frame zero fill over absent frames is also a no-op.
         mem.fill(10 * PAGE_SIZE + 100, 300, 0).unwrap();
         assert_eq!(mem.resident_frames(), 1);
+        mem.debug_validate();
+    }
+
+    /// A write at the 1 GiB reserved pool allocates one 4 KiB leaf and a
+    /// top level of 513 leaf pointers: KiB of table, where a table indexed
+    /// by frame needs an entry for each of the 262,144 frames below it.
+    #[test]
+    fn a_frame_at_one_gib_allocates_kib_of_table() {
+        assert_eq!(std::mem::size_of::<Option<Frame>>(), 8, "thin pointers");
+        let mut mem = SparseMemory::new(2 << 30);
+        mem.write_u64(1 << 30, 0x1234).unwrap();
+        let top = mem.leaves.capacity() * std::mem::size_of::<Option<Box<Leaf>>>();
+        let leaves = mem.leaves.iter().flatten().count() * std::mem::size_of::<Leaf>();
+        assert_eq!(leaves, 4096, "one leaf");
+        assert!(top + leaves <= 16 << 10, "{} bytes of table", top + leaves);
+        assert_eq!(mem.resident_frames(), 1);
+        assert_eq!(mem.read_u64(1 << 30).unwrap(), 0x1234);
         mem.debug_validate();
     }
 

@@ -4,7 +4,7 @@
 //! access in the simulation:
 //!
 //! * [`backing`] — a sparse, frame-granular byte store holding the functional
-//!   contents of DRAM and the L2 scratchpad, laid out as a direct-map frame
+//!   contents of DRAM and the L2 scratchpad, laid out as a two-level frame
 //!   table with typed single-frame fast paths;
 //! * [`dram`] — the DRAM controller timing model, including the AXI delayer
 //!   the paper uses to sweep memory latency;

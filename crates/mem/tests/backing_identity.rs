@@ -1,24 +1,27 @@
-//! Lockstep identity property suite for the direct-map backing store.
+//! Lockstep identity property suite for the two-level backing store.
 //!
-//! The direct-map [`SparseMemory`] (frame table + generation-tagged memo +
-//! typed single-frame fast paths) must be **observation-identical** to the
+//! [`SparseMemory`] (two-level frame table + generation-tagged memo + typed
+//! single-frame fast paths) must be **observation-identical** to the
 //! [`NaiveSparseMemory`] reference (the original per-frame hash-map engine,
-//! kept in `reference/backing.rs`) on every operation: identical read-back bytes, identical typed
-//! values, identical error outcomes and identical resident-frame accounting.
-//! The suite drives both engines through `DeterministicRng` operation
-//! sequences covering
+//! kept in `reference/backing.rs`) on every operation: identical read-back
+//! bytes, identical typed values, identical error outcomes and identical
+//! resident-frame accounting. The suite drives both engines through
+//! `DeterministicRng` operation sequences covering
 //!
 //! * generic reads/writes of random lengths, biased to land on and straddle
-//!   frame boundaries,
+//!   frame boundaries and 2 MiB leaf edges,
 //! * the typed `u64`/`f32` accessor pairs on aligned, unaligned and
 //!   straddling offsets,
 //! * `fill` with zero and non-zero values (the zero-fill-of-absent-frames
 //!   no-op spec fix applies to both engines),
 //! * periodic `clear` (generation bump on the indexed engine),
-//! * out-of-bounds attempts, asserting both engines reject them,
+//! * out-of-bounds attempts at the end of the store, asserting both engines
+//!   reject them,
 //!
-//! and proves the harness has teeth by catching a store with the stale-memo
-//! bug injected ([`StaleMemoStore`]).
+//! in windows around the offsets the platform uses: the start of DRAM, the
+//! 64 MiB user pool, the 1 GiB reserved pool and the 2 GiB end, and the
+//! whole 1 MiB scratchpad store. It proves the harness has teeth by
+//! catching a store with the stale-memo bug injected ([`StaleMemoStore`]).
 
 #[path = "reference/backing.rs"]
 mod reference;
@@ -30,19 +33,82 @@ use sva_common::rng::DeterministicRng;
 use sva_common::{Result, PAGE_SIZE};
 use sva_mem::SparseMemory;
 
-const CAPACITY: u64 = 64 * PAGE_SIZE;
+const MIB: u64 = 1 << 20;
 
-/// Picks an offset biased toward frame boundaries: a third of the draws land
-/// within ±8 bytes of a frame edge so straddles and edge-exact accesses are
-/// exercised constantly, not occasionally.
-fn offset_near_boundary(rng: &mut DeterministicRng, max: u64) -> u64 {
-    if rng.next_below(3) == 0 {
-        let frame = 1 + rng.next_below(max / PAGE_SIZE - 1);
-        let edge = frame * PAGE_SIZE;
-        let skew = rng.next_below(17); // 0..=16
-        (edge + skew).saturating_sub(8).min(max - 1)
-    } else {
-        rng.next_below(max)
+/// Bytes one leaf of the frame table covers.
+const LEAF: u64 = 2 * MIB;
+
+/// Half-width of the window the lockstep works in around each anchor.
+const REACH: u64 = 8 * PAGE_SIZE;
+
+/// A stretch of a store the lockstep works in, around one anchor offset.
+#[derive(Copy, Clone)]
+struct Window {
+    lo: u64,
+    anchor: u64,
+    hi: u64,
+}
+
+/// A store's capacity and the windows the lockstep works in.
+struct Layout {
+    capacity: u64,
+    windows: Vec<Window>,
+}
+
+impl Layout {
+    /// Windows of `REACH` bytes on either side of each anchor, clipped to
+    /// the store.
+    fn new(capacity: u64, anchors: &[u64]) -> Self {
+        let windows = anchors
+            .iter()
+            .map(|&anchor| Window {
+                lo: anchor.saturating_sub(REACH),
+                anchor,
+                hi: (anchor + REACH).min(capacity),
+            })
+            .collect();
+        Self { capacity, windows }
+    }
+
+    /// The 2 GiB DRAM store: the start of DRAM and the leaf edges after it,
+    /// the user pool at 64 MiB, the reserved pool at 1 GiB and the leaf
+    /// after it, and the end of DRAM. Every anchor is a leaf edge.
+    fn dram() -> Self {
+        let gib = 1024 * MIB;
+        Self::new(
+            2 * gib,
+            &[0, LEAF, 2 * LEAF, 64 * MIB, gib, gib + LEAF, 2 * gib],
+        )
+    }
+
+    /// The 1 MiB scratchpad store, which lies inside one leaf.
+    fn scratchpad() -> Self {
+        Self::new(MIB, &[0, MIB / 2, MIB])
+    }
+
+    /// Picks an offset with `room` bytes after it inside one window. Half
+    /// of the draws land within ±8 bytes of a frame edge (the window's
+    /// anchor for a third of those), so straddles and edge-exact accesses
+    /// are exercised constantly, not occasionally.
+    fn pick(&self, rng: &mut DeterministicRng, room: u64) -> u64 {
+        let w = self.windows[rng.next_below(self.windows.len() as u64) as usize];
+        let max = w.hi - room;
+        let edge = match rng.next_below(6) {
+            0 => w.anchor,
+            1 | 2 => w.lo + PAGE_SIZE * (1 + rng.next_below((w.hi - w.lo) / PAGE_SIZE - 1)),
+            _ => return w.lo + rng.next_below(max - w.lo + 1),
+        };
+        (edge + rng.next_below(17))
+            .saturating_sub(8)
+            .clamp(w.lo, max)
+    }
+
+    /// Every frame the windows overlap.
+    fn frames(&self) -> BTreeSet<u64> {
+        self.windows
+            .iter()
+            .flat_map(|w| w.lo / PAGE_SIZE..w.hi.div_ceil(PAGE_SIZE))
+            .collect()
     }
 }
 
@@ -51,6 +117,7 @@ fn offset_near_boundary(rng: &mut DeterministicRng, max: u64) -> u64 {
 /// the sequence actually touched data.
 fn lockstep_op(
     rng: &mut DeterministicRng,
+    layout: &Layout,
     indexed: &mut SparseMemory,
     naive: &mut NaiveSparseMemory,
 ) -> u64 {
@@ -58,7 +125,7 @@ fn lockstep_op(
     match rng.next_below(10) {
         // Generic write of a random chunk (1..=200 bytes, boundary-biased).
         0..=2 => {
-            let offset = offset_near_boundary(rng, CAPACITY - 256);
+            let offset = layout.pick(rng, 200);
             let len = 1 + rng.next_below(200) as usize;
             let seed = rng.next_below(u64::MAX);
             let buf: Vec<u8> = (0..len).map(|i| (seed as usize + i) as u8).collect();
@@ -67,7 +134,7 @@ fn lockstep_op(
         }
         // Generic read + byte-for-byte compare.
         3..=4 => {
-            let offset = offset_near_boundary(rng, CAPACITY - 256);
+            let offset = layout.pick(rng, 200);
             let len = 1 + rng.next_below(200) as usize;
             let mut a = vec![0u8; len];
             let mut b = vec![0xFFu8; len];
@@ -80,7 +147,7 @@ fn lockstep_op(
         }
         // Typed u64 pair: write on one draw, read-compare on the next.
         5 => {
-            let offset = offset_near_boundary(rng, CAPACITY - 8);
+            let offset = layout.pick(rng, 8);
             if rng.next_below(2) == 0 {
                 let v = rng.next_below(u64::MAX);
                 assert_eq!(
@@ -96,7 +163,7 @@ fn lockstep_op(
         }
         // Typed f32 pair (bit-compared: NaN payloads must survive).
         6 => {
-            let offset = offset_near_boundary(rng, CAPACITY - 4);
+            let offset = layout.pick(rng, 4);
             if rng.next_below(2) == 0 {
                 let v = f32::from_bits(rng.next_below(u64::MAX) as u32);
                 indexed.write_f32(offset, v).unwrap();
@@ -111,8 +178,8 @@ fn lockstep_op(
         // Fill — zero half the time, so the absent-frame no-op spec fix is
         // continuously cross-checked against the resident accounting below.
         7 => {
-            let offset = offset_near_boundary(rng, CAPACITY - 3 * PAGE_SIZE - 1);
             let len = 1 + rng.next_below(3 * PAGE_SIZE);
+            let offset = layout.pick(rng, len);
             let value = if rng.next_below(2) == 0 {
                 0
             } else {
@@ -124,15 +191,16 @@ fn lockstep_op(
         // Out-of-bounds attempts: both engines must reject, neither may
         // mutate (resident accounting is compared after every op).
         8 => {
-            let offset = CAPACITY - rng.next_below(16);
+            let end = layout.capacity;
+            let offset = end - rng.next_below(16);
             let len = 32usize;
             let mut buf = vec![0u8; len];
             assert!(indexed.read(offset, &mut buf).is_err());
             assert!(naive.read(offset, &mut buf).is_err());
             assert!(indexed.write(offset, &buf).is_err());
             assert!(naive.write(offset, &buf).is_err());
-            assert!(indexed.read_u64(CAPACITY - 4).is_err());
-            assert!(naive.read_u64(CAPACITY - 4).is_err());
+            assert!(indexed.read_u64(end - 4).is_err());
+            assert!(naive.read_u64(end - 4).is_err());
         }
         // Rare clear: resets contents and bumps the indexed generation, so
         // stale-memo coverage spans clears.
@@ -158,39 +226,67 @@ fn lockstep_op(
 }
 
 /// Drives `ops` lockstep operations from `seed`; returns the read digest.
-fn run_lockstep(seed: u64, ops: usize) -> u64 {
+fn run_lockstep(seed: u64, ops: usize, layout: &Layout) -> u64 {
     let mut rng = DeterministicRng::new(seed);
-    let mut indexed = SparseMemory::new(CAPACITY);
-    let mut naive = NaiveSparseMemory::new(CAPACITY);
+    let mut indexed = SparseMemory::new(layout.capacity);
+    let mut naive = NaiveSparseMemory::new(layout.capacity);
     let mut digest = 0u64;
     for _ in 0..ops {
-        digest = digest.wrapping_add(lockstep_op(&mut rng, &mut indexed, &mut naive));
+        digest = digest.wrapping_add(lockstep_op(&mut rng, layout, &mut indexed, &mut naive));
     }
-    // Final sweep: the *entire* store must agree byte-for-byte, including
-    // frames only one engine might have materialized.
+    // Final sweep: every frame the lockstep can reach must agree
+    // byte-for-byte, including frames only one engine might have
+    // materialized.
     let mut a = vec![0u8; PAGE_SIZE as usize];
     let mut b = vec![0u8; PAGE_SIZE as usize];
-    for frame in 0..CAPACITY / PAGE_SIZE {
+    let mut resident = 0;
+    for frame in layout.frames() {
         indexed.read(frame * PAGE_SIZE, &mut a).unwrap();
         naive.read(frame * PAGE_SIZE, &mut b).unwrap();
         assert_eq!(a, b, "final sweep divergence in frame {frame}");
+        resident += usize::from(a.iter().any(|&x| x != 0));
     }
+    assert!(
+        resident <= indexed.resident_frames(),
+        "nonzero frames outside the resident set"
+    );
     indexed.debug_validate();
     digest
 }
 
 #[test]
-fn direct_map_store_is_identical_to_naive_reference() {
-    let mut total = 0u64;
-    for seed in [11, 23, 47, 8191] {
-        total = total.wrapping_add(run_lockstep(seed, 4000));
+fn two_level_store_is_identical_to_naive_reference() {
+    for layout in [Layout::dram(), Layout::scratchpad()] {
+        let mut total = 0u64;
+        for seed in [11, 23, 47, 8191] {
+            total = total.wrapping_add(run_lockstep(seed, 4000, &layout));
+        }
+        // The digest must be non-zero: a sequence that never read data back
+        // would vacuously pass, so prove the suite actually observed contents.
+        assert_ne!(total, 0, "lockstep sequences never observed any data");
     }
-    // The digest must be non-zero: a sequence that never read data back
-    // would vacuously pass, so prove the suite actually observed contents.
-    assert_ne!(total, 0, "lockstep sequences never observed any data");
 }
 
-/// The direct-map store with the stale-memo bug injected: once a read has
+/// Every window of the DRAM layout receives writes, so the lockstep spans
+/// the leaf edges, both pools and the end of DRAM rather than a few of them.
+#[test]
+fn lockstep_reaches_every_window() {
+    let layout = Layout::dram();
+    let mut rng = DeterministicRng::new(11);
+    let mut hits = vec![0usize; layout.windows.len()];
+    for _ in 0..4000 {
+        let offset = layout.pick(&mut rng, 200);
+        let w = layout
+            .windows
+            .iter()
+            .position(|w| (w.lo..=w.hi - 200).contains(&offset))
+            .expect("offset inside a window with room after it");
+        hits[w] += 1;
+    }
+    assert!(hits.iter().all(|&h| h > 100), "{hits:?}");
+}
+
+/// The two-level store with the stale-memo bug injected: once a read has
 /// found a frame absent, reads of that frame keep serving zeros until a read
 /// of another frame replaces the memo, even after a write has materialised
 /// it. The real memo never goes stale this way, because the write that
@@ -225,7 +321,8 @@ fn lockstep_catches_injected_stale_memo() {
     // comparators. A read of an absent frame memoises "absent", a write
     // then materialises the frame, and the read-back is served from the
     // stale memo: zeros instead of the written bytes. The suite must detect
-    // this the moment such a store stands in for the direct-map engine.
+    // this the moment such a store stands in for the two-level engine.
+    const CAPACITY: u64 = 64 * PAGE_SIZE;
     let caught = std::panic::catch_unwind(|| {
         let mut indexed = StaleMemoStore {
             store: SparseMemory::new(CAPACITY),

@@ -1,6 +1,6 @@
 //! `NaiveSparseMemory`: the per-frame hash-map store engine
 //! `sva_mem::SparseMemory` replaced, kept as the executable reference the
-//! lockstep suite (`tests/backing_identity.rs`) runs the direct-map store
+//! lockstep suite (`tests/backing_identity.rs`) runs the two-level store
 //! against.
 //!
 //! Every touched frame costs a hash probe and every access runs the

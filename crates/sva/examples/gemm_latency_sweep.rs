@@ -23,11 +23,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "latency", "config", "cycles", "%DMA", "overhead"
     );
 
+    // One runner for the sweep: it generates the inputs and computes the
+    // host reference once, for all nine points.
+    let runner = OffloadRunner::new(1);
     for latency in PAPER_LATENCIES {
         let mut baseline_total = None;
         for variant in SocVariant::ALL {
             let mut platform = Platform::new(PlatformConfig::variant(variant, latency))?;
-            let report = OffloadRunner::new(1).run_device_only(&mut platform, &workload)?;
+            let report = runner.run_device_only(&mut platform, &workload)?;
             assert!(report.verified, "device gemm must match the host reference");
             let total = report.stats.total.raw();
             let overhead = match baseline_total {
