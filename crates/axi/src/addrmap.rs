@@ -244,13 +244,14 @@ impl AddressMap {
     /// Accesses through the bypass window and accesses to the reserved
     /// contiguous DMA area are never cached; everything else in DRAM is.
     pub fn is_llc_cacheable(&self, addr: PhysAddr) -> bool {
-        match self.decode(addr) {
-            Ok(Decoded {
-                kind: RegionKind::DramCached,
-                offset,
-            }) => offset < self.reserved_dram_offset,
-            _ => false,
-        }
+        self.decode(addr)
+            .is_ok_and(|d| self.is_llc_cacheable_at(d.kind, d.offset))
+    }
+
+    /// [`AddressMap::is_llc_cacheable`] for an address already decoded to
+    /// `kind` at `offset`: the cached DRAM window below the reserved area.
+    pub const fn is_llc_cacheable_at(&self, kind: RegionKind, offset: u64) -> bool {
+        kind.is_llc_cacheable() && offset < self.reserved_dram_offset
     }
 
     /// Returns `true` if `addr` (in either DRAM window) refers to DRAM cells.

@@ -8,6 +8,8 @@
 //! walk. This is the microarchitectural mechanism behind the bandwidth loss
 //! quantified in Section IV-B of the paper.
 
+use core::iter::FusedIterator;
+
 use sva_common::{PhysAddr, PAGE_SIZE};
 
 /// A single AXI burst: a contiguous transfer that respects the 4 KiB boundary
@@ -38,10 +40,16 @@ impl Burst {
     }
 }
 
-/// The complete burst decomposition of one DMA transfer.
+/// The burst decomposition of one DMA transfer: an iterator that yields the
+/// bursts in issue order, computing each from the transfer's remaining
+/// bytes, so no transfer allocates.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BurstPlan {
-    bursts: Vec<Burst>,
+    /// Start of the next burst.
+    next: PhysAddr,
+    /// Bytes not yet yielded.
+    remaining: u64,
+    max_burst_bytes: u64,
 }
 
 impl BurstPlan {
@@ -55,76 +63,49 @@ impl BurstPlan {
     /// Panics if `max_burst_bytes` is zero.
     pub fn split(addr: PhysAddr, len: u64, max_burst_bytes: u64) -> Self {
         assert!(max_burst_bytes > 0, "maximum burst size must be non-zero");
-        let mut bursts = Vec::new();
-        let mut cur = addr;
-        let mut remaining = len;
-        while remaining > 0 {
-            let to_page_end = PAGE_SIZE - cur.page_offset();
-            let chunk = remaining.min(max_burst_bytes).min(to_page_end);
-            bursts.push(Burst {
-                addr: cur,
-                len: chunk,
-            });
-            cur += chunk;
-            remaining -= chunk;
+        Self {
+            next: addr,
+            remaining: len,
+            max_burst_bytes,
         }
-        Self { bursts }
     }
 
-    /// The bursts in issue order.
-    pub fn bursts(&self) -> &[Burst] {
-        &self.bursts
+    /// Total number of bytes the remaining bursts carry.
+    pub const fn total_bytes(&self) -> u64 {
+        self.remaining
     }
 
-    /// Total number of bytes carried by the plan.
-    pub fn total_bytes(&self) -> u64 {
-        self.bursts.iter().map(|b| b.len).sum()
-    }
-
-    /// Number of bursts in the plan.
-    pub fn len(&self) -> usize {
-        self.bursts.len()
-    }
-
-    /// Returns `true` if the plan contains no bursts.
-    pub fn is_empty(&self) -> bool {
-        self.bursts.is_empty()
-    }
-
-    /// Number of distinct 4 KiB pages touched by the plan — an upper bound on
-    /// the number of IOTLB lookups the transfer can miss on.
+    /// Number of distinct 4 KiB pages the remaining bursts touch — an upper
+    /// bound on the number of IOTLB lookups the transfer can miss on.
     pub fn pages_touched(&self) -> u64 {
-        if self.bursts.is_empty() {
+        if self.remaining == 0 {
             return 0;
         }
-        let first = self.bursts.first().unwrap().addr.page_number();
-        let last = (self.bursts.last().unwrap().end() - 1u64).page_number();
-        last - first + 1
-    }
-
-    /// Iterates over bursts together with a flag saying whether the burst
-    /// starts on a page not covered by the previous burst (i.e. whether the
-    /// DMA engine must present a new translation request for it).
-    pub fn iter_with_new_page(&self) -> impl Iterator<Item = (Burst, bool)> + '_ {
-        self.bursts.iter().enumerate().map(move |(i, b)| {
-            let prev = if i == 0 {
-                None
-            } else {
-                Some(&self.bursts[i - 1])
-            };
-            (*b, b.starts_new_page(prev))
-        })
+        let last = self.next + (self.remaining - 1);
+        last.page_number() - self.next.page_number() + 1
     }
 }
 
-impl<'a> IntoIterator for &'a BurstPlan {
-    type Item = &'a Burst;
-    type IntoIter = core::slice::Iter<'a, Burst>;
+impl Iterator for BurstPlan {
+    type Item = Burst;
 
-    fn into_iter(self) -> Self::IntoIter {
-        self.bursts.iter()
+    fn next(&mut self) -> Option<Burst> {
+        if self.remaining == 0 {
+            return None;
+        }
+        let to_page_end = PAGE_SIZE - self.next.page_offset();
+        let len = self.remaining.min(self.max_burst_bytes).min(to_page_end);
+        let burst = Burst {
+            addr: self.next,
+            len,
+        };
+        self.next += len;
+        self.remaining -= len;
+        Some(burst)
     }
 }
+
+impl FusedIterator for BurstPlan {}
 
 #[cfg(test)]
 mod tests {
@@ -132,25 +113,26 @@ mod tests {
 
     #[test]
     fn zero_length_transfer_is_empty() {
-        let plan = BurstPlan::split(PhysAddr::new(0x8000_0000), 0, 2048);
-        assert!(plan.is_empty());
+        let mut plan = BurstPlan::split(PhysAddr::new(0x8000_0000), 0, 2048);
         assert_eq!(plan.total_bytes(), 0);
         assert_eq!(plan.pages_touched(), 0);
+        assert_eq!(plan.next(), None);
     }
 
     #[test]
     fn aligned_transfer_splits_at_max_burst() {
         let plan = BurstPlan::split(PhysAddr::new(0x8000_0000), 8192, 2048);
-        assert_eq!(plan.len(), 4);
-        assert!(plan.bursts().iter().all(|b| b.len == 2048));
         assert_eq!(plan.total_bytes(), 8192);
         assert_eq!(plan.pages_touched(), 2);
+        let lens: Vec<u64> = plan.map(|b| b.len).collect();
+        assert_eq!(lens, [2048; 4]);
     }
 
     #[test]
     fn bursts_never_cross_page_boundaries() {
         let plan = BurstPlan::split(PhysAddr::new(0x8000_0F00), 5 * 1024, 2048);
-        for b in &plan {
+        assert_eq!(plan.total_bytes(), 5 * 1024);
+        for b in plan.clone() {
             let last = b.end() - 1u64;
             assert_eq!(
                 b.addr.page_number(),
@@ -159,17 +141,22 @@ mod tests {
             );
             assert!(b.len <= 2048);
         }
-        assert_eq!(plan.total_bytes(), 5 * 1024);
         // 0x0F00..0x1000 (256 B), then 2048, 2048, then remainder 768.
-        assert_eq!(plan.len(), 4);
-        assert_eq!(plan.bursts()[0].len, 256);
+        let lens: Vec<u64> = plan.map(|b| b.len).collect();
+        assert_eq!(lens, [256, 2048, 2048, 768]);
     }
 
     #[test]
     fn new_page_flags_mark_translation_points() {
         // 2 pages, burst size = 1 KiB -> 8 bursts, translations at burst 0 and 4.
         let plan = BurstPlan::split(PhysAddr::new(0x8000_0000), 8192, 1024);
-        let flags: Vec<bool> = plan.iter_with_new_page().map(|(_, f)| f).collect();
+        let flags: Vec<bool> = plan
+            .scan(None, |prev: &mut Option<Burst>, b| {
+                let new_page = b.starts_new_page(prev.as_ref());
+                *prev = Some(b);
+                Some(new_page)
+            })
+            .collect();
         assert_eq!(
             flags,
             vec![true, false, false, false, true, false, false, false]
@@ -178,10 +165,12 @@ mod tests {
 
     #[test]
     fn small_unaligned_transfer_single_burst() {
-        let plan = BurstPlan::split(PhysAddr::new(0x8000_0123), 64, 2048);
-        assert_eq!(plan.len(), 1);
-        assert_eq!(plan.bursts()[0].len, 64);
+        let mut plan = BurstPlan::split(PhysAddr::new(0x8000_0123), 64, 2048);
         assert_eq!(plan.pages_touched(), 1);
+        let only = plan.next().expect("one burst");
+        assert_eq!((only.addr, only.len), (PhysAddr::new(0x8000_0123), 64));
+        assert_eq!(plan.next(), None);
+        assert_eq!(plan.next(), None, "the plan stays exhausted");
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! queueing in front of DRAM is modelled by the fabric's per-channel
 //! response queues (see `sva_mem::fabric`).
 
-use sva_common::stats::Counter;
 use sva_common::Cycles;
 
 use crate::txn::AccessKind;
@@ -24,23 +23,17 @@ use crate::txn::AccessKind;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AxiDelayer {
     delay: Cycles,
-    reads_delayed: Counter,
-    writes_delayed: Counter,
 }
 
 impl AxiDelayer {
     /// Creates a delayer adding `delay` cycles to every DRAM response.
-    pub fn new(delay: Cycles) -> Self {
-        Self {
-            delay,
-            reads_delayed: Counter::new(),
-            writes_delayed: Counter::new(),
-        }
+    pub const fn new(delay: Cycles) -> Self {
+        Self { delay }
     }
 
     /// A pass-through delayer (no added latency), equivalent to removing the
     /// block from the design.
-    pub fn disabled() -> Self {
+    pub const fn disabled() -> Self {
         Self::new(Cycles::ZERO)
     }
 
@@ -55,33 +48,13 @@ impl AxiDelayer {
     }
 
     /// Returns the extra latency applied to one transaction of the given
-    /// direction and records it in the statistics.
+    /// direction.
     ///
     /// Reads are delayed on the `r` channel and writes on the `b` channel, so
     /// both directions observe the full configured delay, matching the FPGA
     /// block.
-    pub fn apply(&mut self, kind: AccessKind) -> Cycles {
-        match kind {
-            AccessKind::Read => self.reads_delayed.incr(),
-            AccessKind::Write => self.writes_delayed.incr(),
-        }
+    pub const fn apply(&self, _kind: AccessKind) -> Cycles {
         self.delay
-    }
-
-    /// Number of read transactions that went through the delayer.
-    pub fn reads_delayed(&self) -> u64 {
-        self.reads_delayed.get()
-    }
-
-    /// Number of write transactions that went through the delayer.
-    pub fn writes_delayed(&self) -> u64 {
-        self.writes_delayed.get()
-    }
-
-    /// Resets the statistics counters (the configured delay is kept).
-    pub fn reset_stats(&mut self) {
-        self.reads_delayed.reset();
-        self.writes_delayed.reset();
     }
 }
 
@@ -97,16 +70,14 @@ mod tests {
 
     #[test]
     fn applies_configured_delay_to_both_directions() {
-        let mut d = AxiDelayer::new(Cycles::new(600));
+        let d = AxiDelayer::new(Cycles::new(600));
         assert_eq!(d.apply(AccessKind::Read), Cycles::new(600));
         assert_eq!(d.apply(AccessKind::Write), Cycles::new(600));
-        assert_eq!(d.reads_delayed(), 1);
-        assert_eq!(d.writes_delayed(), 1);
     }
 
     #[test]
     fn disabled_delayer_adds_nothing() {
-        let mut d = AxiDelayer::disabled();
+        let d = AxiDelayer::disabled();
         assert_eq!(d.apply(AccessKind::Read), Cycles::ZERO);
         assert_eq!(d.delay(), Cycles::ZERO);
     }
@@ -114,12 +85,9 @@ mod tests {
     #[test]
     fn reconfiguration_and_stat_reset() {
         let mut d = AxiDelayer::new(Cycles::new(200));
-        d.apply(AccessKind::Read);
+        assert_eq!(d.apply(AccessKind::Read), Cycles::new(200));
         d.set_delay(Cycles::new(1000));
         assert_eq!(d.apply(AccessKind::Read), Cycles::new(1000));
-        assert_eq!(d.reads_delayed(), 2);
-        d.reset_stats();
-        assert_eq!(d.reads_delayed(), 0);
         assert_eq!(d.delay(), Cycles::new(1000));
     }
 }

@@ -28,8 +28,8 @@
 //! // three bursts: one up to the page boundary, then page-sized pieces capped
 //! // at the maximum burst length.
 //! let plan = BurstPlan::split(PhysAddr::new(0x8000_0F00), 5 * 1024, 2048);
-//! assert_eq!(plan.bursts().len(), 4);
 //! assert_eq!(plan.total_bytes(), 5 * 1024);
+//! assert_eq!(plan.count(), 4);
 //! ```
 
 #![warn(missing_docs)]
@@ -45,4 +45,4 @@ pub use addrmap::{AddressMap, BypassRemap, Region, RegionKind};
 pub use burst::{Burst, BurstPlan};
 pub use delayer::AxiDelayer;
 pub use txn::{AccessKind, BusConfig, MemTxn};
-pub use xbar::{Crossbar, MasterPort};
+pub use xbar::Crossbar;

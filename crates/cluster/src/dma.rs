@@ -14,6 +14,11 @@
 //!
 //! The engine can keep a limited number of bursts outstanding; latency is
 //! overlapped across them, but the data bus serialises the payloads.
+//!
+//! Each burst moves its payload in one copy, straight between its TCDM range
+//! and memory, and a transfer allocates nothing: [`BurstPlan`] computes the
+//! bursts as it yields them, and the in-flight completion times live in a
+//! queue the engine reuses across calls.
 
 use std::collections::VecDeque;
 
@@ -142,6 +147,10 @@ pub struct DmaStats {
 pub struct DmaEngine {
     config: DmaConfig,
     stats: DmaStats,
+    /// Completion times of the bursts in flight during one batch, oldest
+    /// first. Emptied at the start of every batch; kept between batches
+    /// only so its storage is reused.
+    in_flight: VecDeque<Cycles>,
 }
 
 impl DmaEngine {
@@ -150,6 +159,7 @@ impl DmaEngine {
         Self {
             config,
             stats: DmaStats::default(),
+            in_flight: VecDeque::new(),
         }
     }
 
@@ -224,8 +234,8 @@ impl DmaEngine {
         // the bursts keep their fault-free fabric placement (see
         // [`DmaStats::fault_stall_cycles`]).
         let mut fault_stall = Cycles::ZERO;
-        let mut outstanding: VecDeque<Cycles> = VecDeque::new();
-        let mut buf = vec![0u8; self.config.max_burst_bytes as usize];
+        let outstanding = &mut self.in_flight;
+        outstanding.clear();
 
         for req in requests {
             self.stats.requests += 1;
@@ -236,7 +246,7 @@ impl DmaEngine {
                 self.config.max_burst_bytes,
             );
             let mut done: u64 = 0;
-            for (burst, _new_page) in plan.iter_with_new_page() {
+            for burst in plan {
                 // Respect the outstanding-transaction limit.
                 let mut issue_t = issue_free;
                 if outstanding.len() >= self.config.max_outstanding {
@@ -316,31 +326,21 @@ impl DmaEngine {
 
                 // Data movement + timing. The engine presents its own device
                 // identity and issue time at the fabric port, so per-cluster
-                // contention is observable in the fabric statistics.
+                // contention is observable in the fabric statistics. The
+                // payload moves in one copy between memory and the burst's
+                // TCDM range, which is checked before the burst reaches the
+                // fabric.
                 let initiator = InitiatorId::dma(self.config.device_id);
-                let chunk = &mut buf[..burst.len as usize];
-                let priority = self.config.priority;
-                let rsp = match req.dir {
+                let offset = req.tcdm_offset + done;
+                let access = match req.dir {
                     Direction::ToTcdm => {
-                        let rsp = mem.access(
-                            MemReq::read(initiator, pa, chunk)
-                                .burst()
-                                .priority(priority)
-                                .at(issue_t),
-                        )?;
-                        tcdm.write(req.tcdm_offset + done, chunk)?;
-                        rsp
+                        MemReq::read(initiator, pa, tcdm.bytes_mut(offset, burst.len)?)
                     }
                     Direction::FromTcdm => {
-                        tcdm.read(req.tcdm_offset + done, chunk)?;
-                        mem.access(
-                            MemReq::write(initiator, pa, chunk)
-                                .burst()
-                                .priority(priority)
-                                .at(issue_t),
-                        )?
+                        MemReq::write(initiator, pa, tcdm.bytes(offset, burst.len)?)
                     }
                 };
+                let rsp = mem.access(access.burst().priority(self.config.priority).at(issue_t))?;
                 let timing = rsp.timing;
                 // Credit-based issue: if the target channel's request queue
                 // was full, the burst sat at the fabric port for
@@ -485,6 +485,45 @@ mod tests {
             Cycles::ZERO,
         );
         assert!(err.is_err());
+    }
+
+    /// A burst's TCDM range is checked before the burst reaches the
+    /// fabric, in both directions: an out-of-range offset fails with
+    /// `TcdmOverflow`, and the failing burst is granted nothing.
+    #[test]
+    fn out_of_range_tcdm_offset_fails_before_the_fabric() {
+        for dir in [Direction::ToTcdm, Direction::FromTcdm] {
+            let mut mem = MemorySystem::default();
+            let mut iommu = Iommu::new(IommuConfig::disabled());
+            let mut tcdm = Tcdm::new(4096);
+            let mut dma = DmaEngine::new(DmaConfig::default());
+            // One-burst transfers: the first ends at the TCDM's last byte,
+            // the second 64 B past it.
+            let req = DmaRequest {
+                dir,
+                ext_addr: bypass_addr(0x10_0000),
+                tcdm_offset: 2048 + 64,
+                len: 2048,
+            };
+            let fits = DmaRequest { len: 1984, ..req };
+            dma.execute(&mut mem, &mut iommu, &mut tcdm, &[fits], Cycles::ZERO)
+                .unwrap();
+            let granted = mem.fabric().grants();
+            assert_eq!(granted, 1, "{dir:?}: the fitting burst is granted");
+            let err = dma.execute(&mut mem, &mut iommu, &mut tcdm, &[req], Cycles::ZERO);
+            assert!(
+                matches!(
+                    err,
+                    Err(Error::TcdmOverflow {
+                        requested: 4160,
+                        ..
+                    })
+                ),
+                "{dir:?}: {err:?}"
+            );
+            assert_eq!(mem.fabric().grants(), granted, "{dir:?}: no grant");
+            assert_eq!(mem.stats().dma_bursts, 1, "{dir:?}: no burst counted");
+        }
     }
 
     /// The ATS/PRI loop end to end at the engine level: nothing is

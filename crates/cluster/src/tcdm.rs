@@ -41,14 +41,35 @@ impl Tcdm {
         Ok(())
     }
 
+    /// The `len` bytes at `offset`, for a bus master that reads the TCDM in
+    /// place (the DMA engine writes them straight to memory).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::TcdmOverflow`] if the range exceeds the capacity.
+    pub fn bytes(&self, offset: u64, len: u64) -> Result<&[u8]> {
+        self.check(offset, len)?;
+        Ok(&self.data[offset as usize..(offset + len) as usize])
+    }
+
+    /// The `len` bytes at `offset`, writable in place (the DMA engine reads
+    /// memory straight into them).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::TcdmOverflow`] if the range exceeds the capacity.
+    pub fn bytes_mut(&mut self, offset: u64, len: u64) -> Result<&mut [u8]> {
+        self.check(offset, len)?;
+        Ok(&mut self.data[offset as usize..(offset + len) as usize])
+    }
+
     /// Reads `buf.len()` bytes at `offset`.
     ///
     /// # Errors
     ///
     /// Returns [`Error::TcdmOverflow`] if the range exceeds the capacity.
     pub fn read(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
-        self.check(offset, buf.len() as u64)?;
-        buf.copy_from_slice(&self.data[offset as usize..offset as usize + buf.len()]);
+        buf.copy_from_slice(self.bytes(offset, buf.len() as u64)?);
         Ok(())
     }
 
@@ -58,8 +79,8 @@ impl Tcdm {
     ///
     /// Returns [`Error::TcdmOverflow`] if the range exceeds the capacity.
     pub fn write(&mut self, offset: u64, buf: &[u8]) -> Result<()> {
-        self.check(offset, buf.len() as u64)?;
-        self.data[offset as usize..offset as usize + buf.len()].copy_from_slice(buf);
+        self.bytes_mut(offset, buf.len() as u64)?
+            .copy_from_slice(buf);
         Ok(())
     }
 
@@ -177,6 +198,10 @@ mod tests {
         let mut b = [0u8; 8];
         assert!(t.read(60, &mut b).is_err());
         assert!(t.write_f32_slice(0, &[0.0; 17]).is_err());
+        assert!(t.bytes(60, 8).is_err());
+        assert!(t.bytes_mut(60, 8).is_err());
+        assert_eq!(t.bytes(56, 8).unwrap().len(), 8, "the last 8 bytes fit");
+        assert!(t.bytes_mut(64, 0).unwrap().is_empty());
     }
 
     #[test]

@@ -738,6 +738,12 @@ impl TimedQueue {
 /// O(window density) start-keyed scan it replaces, where the former scan's
 /// window covered `max_len` cycles of mostly-finished history.
 ///
+/// An idle bus costs no locate: the index keeps the latest end inserted
+/// since its last clear, and a placement starting at or after it returns
+/// `None` at once, like [`TimedQueue::admit_at`] past its latest exit. The
+/// shortcut is exact, because no reservation can end after the placement
+/// starts.
+///
 /// **Watermark compaction** ([`ReservationIndex::compact_before`]) mirrors
 /// the [`TimedQueue::compact_before`] contract: when the caller guarantees
 /// no future placement probe or insertion concerns an instant before `w`,
@@ -753,6 +759,10 @@ pub struct ReservationIndex {
     /// Longest single reservation seen since the last clear, bounding how
     /// far beyond a placement window a conflicting end can lie.
     max_len: u64,
+    /// Latest end inserted since the last clear: a placement at or after it
+    /// conflicts with nothing. Compaction leaves it alone (it only drops
+    /// entries ending earlier), so it stays an upper bound on every live end.
+    max_end: u64,
     /// Monotonic insertion counter.
     seq: u64,
     /// Everything ending at or before this instant has been compacted away;
@@ -776,6 +786,7 @@ impl ReservationIndex {
         self.seq += 1;
         self.by_end.insert((end, self.seq), (start, owner, prio));
         self.max_len = self.max_len.max(end - start);
+        self.max_end = self.max_end.max(end);
     }
 
     /// The latest end among reservations that overlap the candidate
@@ -791,12 +802,18 @@ impl ReservationIndex {
     /// this jump reaches the same fixpoint — the earliest conflict-free
     /// instant — as the one-conflict-at-a-time retry it replaces, which is
     /// what keeps the indexed engine cycle-identical to the naive scan.
+    ///
+    /// A placement at or after the latest end inserted since the last clear
+    /// returns `None` without a locate: nothing ends after it starts.
     pub fn max_conflicting_end(
         &self,
         placed: u64,
         span: u64,
         mut queues_behind: impl FnMut(usize, u8) -> bool,
     ) -> Option<u64> {
+        if placed >= self.max_end {
+            return None;
+        }
         let window_end = placed
             .checked_add(span)
             .and_then(|x| x.checked_add(self.max_len));
@@ -857,8 +874,8 @@ impl ReservationIndex {
     }
 
     /// Checks the index invariants: every retained reservation occupies at
-    /// least one cycle, is no longer than the tracked maximum, and ends
-    /// past the watermark.
+    /// least one cycle, is no longer than the tracked maximum length, ends
+    /// no later than the tracked latest end, and ends past the watermark.
     ///
     /// # Panics
     ///
@@ -868,6 +885,7 @@ impl ReservationIndex {
         for &((end, seq), (start, _, _)) in self.by_end.iter() {
             assert!(end > start, "empty reservation at seq {seq}");
             assert!(end - start <= self.max_len, "max_len undercounts {seq}");
+            assert!(end <= self.max_end, "max_end undercounts {seq}");
             assert!(end > self.watermark, "compacted entry survived: {seq}");
         }
     }
@@ -878,6 +896,7 @@ impl ReservationIndex {
     pub fn clear(&mut self) {
         self.by_end.clear();
         self.max_len = 0;
+        self.max_end = 0;
         self.seq = 0;
         self.watermark = 0;
     }
@@ -1235,6 +1254,37 @@ mod tests {
         assert_eq!(idx.max_conflicting_end(150, 8, |_, _| true), Some(500));
         // Filtering to the short middle entry jumps only past it.
         assert_eq!(idx.max_conflicting_end(150, 8, |o, _| o == 2), Some(180));
+    }
+
+    /// The idle-bus shortcut: a probe at or after the latest end inserted
+    /// since the last clear answers `None` without a locate, and stays
+    /// exact just before that end, after compaction and after a clear.
+    #[test]
+    fn reservation_index_probe_at_or_after_the_latest_end_is_free() {
+        let mut idx = ReservationIndex::new();
+        idx.insert(100, 300, 0, 0);
+        idx.insert(120, 250, 1, 0);
+        assert_eq!(idx.max_conflicting_end(299, 1, |_, _| true), Some(300));
+        assert_eq!(idx.max_conflicting_end(300, 64, |_, _| true), None);
+        assert_eq!(idx.max_conflicting_end(10_000, 64, |_, _| true), None);
+        // Compaction drops [120, 250) and keeps the straddler: the probe is
+        // exact on both sides of the latest end.
+        idx.compact_before(260);
+        assert_eq!(idx.event_count(), 1);
+        assert_eq!(idx.max_conflicting_end(280, 8, |_, _| true), Some(300));
+        assert_eq!(idx.max_conflicting_end(300, 8, |_, _| true), None);
+        idx.compact_before(400);
+        assert_eq!(idx.event_count(), 0);
+        assert_eq!(idx.max_conflicting_end(400, 8, |_, _| true), None);
+        idx.debug_validate();
+        // A new window restarts at zero: its reservations are found again
+        // below the old window's latest end, and the bound follows them.
+        idx.clear();
+        assert_eq!(idx.max_conflicting_end(0, 8, |_, _| true), None);
+        idx.insert(0, 40, 2, 0);
+        assert_eq!(idx.max_conflicting_end(10, 8, |_, _| true), Some(40));
+        assert_eq!(idx.max_conflicting_end(40, 8, |_, _| true), None);
+        idx.debug_validate();
     }
 
     #[test]

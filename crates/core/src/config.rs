@@ -15,7 +15,7 @@
 //! 200 / 600 / 1000 cycles.
 
 use sva_cluster::{ClusterConfig, DmaConfig};
-use sva_common::{ArbitrationPolicy, Cycles, Error, QueueDepths, Result};
+use sva_common::{ArbitrationPolicy, Cycles, Error, QueueDepths, Result, TlbOrg};
 use sva_host::{DriverConfig, HostCpuConfig, HostTrafficConfig, InterferenceLevel};
 use sva_iommu::{IommuConfig, IommuMode, TlbHierarchyConfig};
 use sva_mem::{DramChannelConfig, LlcConfig, MemSysConfig};
@@ -145,20 +145,34 @@ impl PlatformConfig {
         }
     }
 
-    /// Checks that every resource the platform sizes from this
-    /// configuration has at least one slot. The builders clamp their
-    /// arguments, but the fields are public, so a configuration written
-    /// field by field can still hold a zero.
+    /// Checks that the platform can be built from this configuration and
+    /// run without a panic or a silently clamped value. The builders clamp
+    /// their arguments, but the fields are public, so a configuration
+    /// written field by field can still hold values the platform cannot
+    /// use.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] naming the first zero-sized field:
-    /// `num_clusters`, `mem.fabric.req_queue_depth`,
-    /// `mem.fabric.rsp_queue_depth`, `mem.fabric.channels.num_channels`,
-    /// `iommu.iotlb_entries` (without a TLB hierarchy, which sizes its own
-    /// levels) or `cluster.dma.max_outstanding`.
+    /// Returns [`Error::InvalidConfig`] naming the first offending field:
+    ///
+    /// * a zero-sized resource: `num_clusters`,
+    ///   `mem.fabric.req_queue_depth`, `mem.fabric.rsp_queue_depth`,
+    ///   `mem.fabric.channels.num_channels`, `iommu.iotlb_entries` (without
+    ///   a TLB hierarchy, which sizes its own levels), the sets or ways of
+    ///   `iommu.tlb_hierarchy.l1.org` / `iommu.tlb_hierarchy.l2.org`,
+    ///   `cluster.dma.max_outstanding`, `cluster.dma.max_burst_bytes` or
+    ///   `host_traffic.region_bytes`;
+    /// * `mem.llc`, when the LLC is enabled, if `spm_ways` leaves no cache
+    ///   way or the cache ways form a geometry
+    ///   [`sva_mem::CacheConfig::validate`] rejects;
+    /// * `cpu.l1d`, if [`sva_mem::CacheConfig::validate`] rejects it;
+    /// * `mem.fabric.policy`, if `Weighted` has fewer weights than
+    ///   clusters or a zero weight.
     pub fn validate(&self) -> Result<()> {
+        let invalid = |reason: String| Err(Error::InvalidConfig { reason });
         let fabric = &self.mem.fabric;
+        let tlb = self.iommu.tlb_hierarchy;
+        let empty = |org: TlbOrg| org.sets == 0 || org.ways == 0;
         let zero_sized = [
             ("num_clusters", self.num_clusters == 0),
             ("mem.fabric.req_queue_depth", fabric.req_queue_depth == 0),
@@ -169,19 +183,60 @@ impl PlatformConfig {
             ),
             (
                 "iommu.iotlb_entries",
-                self.iommu.iotlb_entries == 0 && self.iommu.tlb_hierarchy.is_none(),
+                self.iommu.iotlb_entries == 0 && tlb.is_none(),
+            ),
+            (
+                "iommu.tlb_hierarchy.l1.org sets and ways",
+                tlb.is_some_and(|h| empty(h.l1.org)),
+            ),
+            (
+                "iommu.tlb_hierarchy.l2.org sets and ways",
+                tlb.is_some_and(|h| empty(h.l2.org)),
             ),
             (
                 "cluster.dma.max_outstanding",
                 self.cluster.dma.max_outstanding == 0,
             ),
+            (
+                "cluster.dma.max_burst_bytes",
+                self.cluster.dma.max_burst_bytes == 0,
+            ),
+            (
+                "host_traffic.region_bytes",
+                self.host_traffic.is_some_and(|t| t.region_bytes == 0),
+            ),
         ];
-        match zero_sized.into_iter().find(|&(_, zero)| zero) {
-            Some((field, _)) => Err(Error::InvalidConfig {
-                reason: format!("{field} must be at least 1"),
-            }),
-            None => Ok(()),
+        if let Some((field, _)) = zero_sized.into_iter().find(|&(_, zero)| zero) {
+            return invalid(format!("{field} must be at least 1"));
         }
+        let llc = &self.mem.llc;
+        if self.mem.llc_enabled {
+            if llc.spm_ways >= llc.ways {
+                return invalid(format!(
+                    "mem.llc.spm_ways ({}) must leave at least one of mem.llc.ways ({}) as cache",
+                    llc.spm_ways, llc.ways
+                ));
+            }
+            if let Err(e) = llc.cache_geometry().validate() {
+                return invalid(format!("mem.llc: {e}"));
+            }
+        }
+        if let Err(e) = self.cpu.l1d.validate() {
+            return invalid(format!("cpu.l1d: {e}"));
+        }
+        if let ArbitrationPolicy::Weighted(weights) = &fabric.policy {
+            if weights.len() < self.num_clusters {
+                return invalid(format!(
+                    "mem.fabric.policy: Weighted has {} weights for {} clusters",
+                    weights.len(),
+                    self.num_clusters
+                ));
+            }
+            if weights.contains(&0) {
+                return invalid("mem.fabric.policy: Weighted weights must be at least 1".into());
+            }
+        }
+        Ok(())
     }
 
     /// The paper's baseline platform (no IOMMU) at a given latency.

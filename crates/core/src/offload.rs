@@ -133,11 +133,13 @@ pub struct DeviceOnlyReport {
 /// which the `params` contract makes a complete identity. Every run still
 /// verifies its results against the full reference.
 ///
-/// The entry holds one workload's generated buffers (zeros for those
-/// without initial contents) plus its result references, 3 MiB for the
-/// largest paper kernel (heat3d), until the runner is dropped or the next
-/// workload replaces it. The runner is not `Sync`: give each thread of a
-/// parallel sweep its own.
+/// The entry holds one workload's generated buffers plus its result
+/// references, 2 MiB for the largest paper kernel (heat3d), until the
+/// runner is dropped or the next workload replaces it. A buffer generated
+/// all zero is not kept and not written: every run places its buffers in
+/// freshly allocated frames, which read as zero (the frame allocators
+/// never hand a frame out twice). The runner is not `Sync`: give each
+/// thread of a parallel sweep its own.
 #[derive(Clone)]
 pub struct OffloadRunner {
     seed: u64,
@@ -149,6 +151,8 @@ pub struct OffloadRunner {
 #[derive(Clone)]
 struct Prepared {
     key: WorkloadKey,
+    /// The generated contents of each buffer; empty for a buffer generated
+    /// all zero, which its fresh frames already hold.
     inputs: Vec<Vec<f32>>,
     /// The reference contents of the result buffers; other entries empty.
     expected: Vec<Vec<f32>>,
@@ -186,11 +190,16 @@ impl OffloadRunner {
             // Free the old entry before building the new one, so the
             // runner never holds two workloads' data.
             *self.prepared.borrow_mut() = None;
-            let inputs = workload.init(&mut DeterministicRng::new(self.seed));
+            let mut inputs = workload.init(&mut DeterministicRng::new(self.seed));
             let mut expected = workload.expected(&inputs);
             for (reference, spec) in expected.iter_mut().zip(&key.2) {
                 if !spec.kind.is_result() {
                     *reference = Vec::new();
+                }
+            }
+            for data in &mut inputs {
+                if data.iter().all(|v| v.to_bits() == 0) {
+                    *data = Vec::new();
                 }
             }
             *self.prepared.borrow_mut() = Some(Prepared {
@@ -466,6 +475,8 @@ impl OffloadRunner {
     // Buffer management helpers
     // ------------------------------------------------------------------
 
+    /// Allocates every buffer in user memory and writes its prepared
+    /// contents (nothing for an all-zero buffer: its frames are fresh).
     fn allocate_user_buffers(
         &self,
         platform: &mut Platform,
@@ -494,6 +505,8 @@ impl OffloadRunner {
         Ok(out)
     }
 
+    /// Places every buffer in the reserved contiguous pool, like
+    /// [`Self::allocate_user_buffers`].
     fn place_in_reserved(
         &self,
         platform: &mut Platform,

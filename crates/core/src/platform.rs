@@ -226,7 +226,7 @@ mod tests {
                 assert!(reason.contains(field), "reason {reason:?} misses {field}");
             }
             Err(other) => panic!("{field}: wrong error {other}"),
-            Ok(_) => panic!("{field}: a zero-sized resource was accepted"),
+            Ok(_) => panic!("{field}: an invalid value was accepted"),
         }
     }
 
@@ -272,6 +272,82 @@ mod tests {
         let mut config = PlatformConfig::iommu_with_llc(200);
         config.cluster.dma.max_outstanding = 0;
         assert_rejects(config, "cluster.dma.max_outstanding");
+    }
+
+    #[test]
+    fn zero_dma_burst_size_is_rejected() {
+        let mut config = PlatformConfig::iommu_with_llc(200);
+        config.cluster.dma.max_burst_bytes = 0;
+        assert_rejects(config, "cluster.dma.max_burst_bytes");
+    }
+
+    #[test]
+    fn llc_without_cache_ways_is_rejected() {
+        let mut config = PlatformConfig::iommu_with_llc(200);
+        config.mem.llc.spm_ways = config.mem.llc.ways;
+        assert_rejects(config.clone(), "mem.llc.spm_ways");
+        config.mem.llc.spm_ways = config.mem.llc.ways + 1;
+        assert_rejects(config.clone(), "mem.llc.spm_ways");
+        // A disabled LLC is never built, so its geometry is not checked.
+        config.mem.llc_enabled = false;
+        assert!(Platform::new(config).is_ok());
+    }
+
+    #[test]
+    fn bad_llc_geometry_is_rejected() {
+        // 96 KiB over 8 ways of 64 B lines: 192 sets, not a power of two.
+        let mut config = PlatformConfig::iommu_with_llc(200);
+        config.mem.llc.size_bytes = 96 * 1024;
+        assert_rejects(config, "mem.llc");
+        let mut config = PlatformConfig::iommu_with_llc(200);
+        config.mem.llc.line_bytes = 48;
+        assert_rejects(config, "mem.llc");
+    }
+
+    #[test]
+    fn bad_l1d_geometry_is_rejected() {
+        let mut config = PlatformConfig::iommu_with_llc(200);
+        config.cpu.l1d.ways = 0;
+        assert_rejects(config, "cpu.l1d");
+        let mut config = PlatformConfig::iommu_with_llc(200);
+        config.cpu.l1d.size_bytes = 24 * 1024;
+        assert_rejects(config, "cpu.l1d");
+    }
+
+    #[test]
+    fn empty_tlb_levels_are_rejected() {
+        let mut config = PlatformConfig::iommu_with_llc(200).with_default_tlb_hierarchy();
+        config.iommu.tlb_hierarchy.as_mut().unwrap().l1.org.sets = 0;
+        assert_rejects(config, "iommu.tlb_hierarchy.l1.org");
+        let mut config = PlatformConfig::iommu_with_llc(200).with_default_tlb_hierarchy();
+        config.iommu.tlb_hierarchy.as_mut().unwrap().l2.org.ways = 0;
+        assert_rejects(config, "iommu.tlb_hierarchy.l2.org");
+    }
+
+    #[test]
+    fn weighted_policy_needs_a_positive_weight_per_cluster() {
+        use sva_common::ArbitrationPolicy;
+        let config = PlatformConfig::iommu_with_llc(200).with_clusters(4);
+        let short = config
+            .clone()
+            .with_arbitration(ArbitrationPolicy::Weighted(vec![8, 1, 1]));
+        assert_rejects(short, "mem.fabric.policy");
+        let zero = config
+            .clone()
+            .with_arbitration(ArbitrationPolicy::Weighted(vec![8, 0, 1, 1]));
+        assert_rejects(zero, "mem.fabric.policy");
+        let full = config.with_arbitration(ArbitrationPolicy::Weighted(vec![8, 4, 2, 1, 1]));
+        assert!(Platform::new(full).is_ok(), "extra weights are unused");
+    }
+
+    #[test]
+    fn zero_host_traffic_region_is_rejected() {
+        let traffic = sva_host::HostTrafficConfig {
+            region_bytes: 0,
+            ..sva_host::HostTrafficConfig::default()
+        };
+        let config = PlatformConfig::iommu_with_llc(200).with_host_traffic(traffic);
+        assert_rejects(config, "host_traffic.region_bytes");
     }
 
     #[test]

@@ -150,3 +150,37 @@ fn parameter_changes_replace_the_prepared_workload() {
         assert_eq!(calls.get(), (1, 1), "{}", wl.params());
     }
 }
+
+/// An all-zero buffer (gemm's and heat3d's outputs) is neither kept nor
+/// written: every run places its buffers in freshly allocated frames,
+/// which read as zero. Runs that share one platform — so later buffers
+/// land behind earlier, written ones — still verify in every flow.
+#[test]
+fn all_zero_buffers_rely_on_fresh_frames() {
+    let runner = OffloadRunner::new(SEED);
+    for kind in [KernelKind::Gemm, KernelKind::Heat3d] {
+        let wl = kind.small_workload();
+        let zero_buffers = wl
+            .init(&mut DeterministicRng::new(SEED))
+            .iter()
+            .filter(|data| data.iter().all(|v| v.to_bits() == 0))
+            .count();
+        assert!(zero_buffers > 0, "{}: an all-zero buffer", wl.name());
+        for variant in [SocVariant::Baseline, SocVariant::IommuLlc] {
+            let mut platform = Platform::new(PlatformConfig::variant(variant, 200)).unwrap();
+            for _ in 0..2 {
+                let report = runner.run_device_only(&mut platform, wl.as_ref()).unwrap();
+                assert!(report.verified, "{} on {variant:?}", wl.name());
+            }
+        }
+        let mut platform = Platform::new(PlatformConfig::iommu_with_llc(200)).unwrap();
+        for mode in [
+            OffloadMode::HostOnly,
+            OffloadMode::CopyOffload,
+            OffloadMode::ZeroCopy,
+        ] {
+            let report = runner.run(&mut platform, wl.as_ref(), mode).unwrap();
+            assert!(report.verified, "{} {mode:?}", wl.name());
+        }
+    }
+}

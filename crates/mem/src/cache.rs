@@ -5,6 +5,14 @@
 //! simulation only needs to know *whether* an access hits and *which* line a
 //! miss evicts, not the cached bytes themselves.
 //!
+//! The lines are one flat vector of `sets × ways` 16-byte entries, each a
+//! tag (all ones for an invalid way) and the last-use stamp shifted left by
+//! one with the dirty bit in bit 0. A lookup scans its set once: the pass
+//! either finds the hit or ends holding the victim. The per-set engine this
+//! layout replaced is kept as the reference of the `cache_identity`
+//! lockstep suite (`tests/reference/cache.rs`), which replays randomized
+//! access, probe, invalidate and flush sequences against both.
+//!
 //! Two instances are used in the platform:
 //!
 //! * the CVA6 32 KiB write-through L1 data cache (dirty bits never set),
@@ -101,20 +109,39 @@ impl CacheOutcome {
     }
 }
 
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-struct Line {
-    valid: bool,
-    dirty: bool,
+/// One way of a set. An invalid way holds the tag [`INVALID`] and a zero
+/// `meta`; a valid way holds its tag and `meta` = last-use stamp `<< 1`,
+/// with the dirty bit in bit 0.
+///
+/// Stamps start at 1, so every valid way's `meta` is at least 2 and stamps
+/// are unique: ordering ways by `meta` puts the invalid ways first, then
+/// the valid ones from least to most recently used.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+struct Way {
     tag: u64,
-    /// Larger value = more recently used.
-    lru: u64,
+    meta: u64,
 }
 
+/// The tag of an invalid way. A real tag is all ones only for one-byte
+/// lines in a single set at address `u64::MAX`, which no memory region
+/// decodes to.
+const INVALID: u64 = u64::MAX;
+
+const EMPTY: Way = Way {
+    tag: INVALID,
+    meta: 0,
+};
+
 /// A set-associative cache with true-LRU replacement.
+///
+/// The ways of all sets live in one contiguous vector, set after set. A
+/// lookup makes one pass over its set that returns either the hit or the
+/// victim: the first invalid way, else the least recently used one.
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// `sets × ways` entries; set `s` occupies `s * ways..(s + 1) * ways`.
+    ways: Vec<Way>,
     /// `log2(line_bytes)`: address → line number.
     line_shift: u32,
     /// `log2(sets)`: line number → tag.
@@ -136,7 +163,7 @@ impl Cache {
             .unwrap_or_else(|e| panic!("invalid cache geometry: {e}"));
         Self {
             config,
-            sets: vec![vec![Line::default(); config.ways]; config.sets()],
+            ways: vec![EMPTY; config.sets() * config.ways],
             line_shift: config.line_bytes.trailing_zeros(),
             set_shift: config.sets().trailing_zeros(),
             lru_clock: 0,
@@ -156,6 +183,12 @@ impl Cache {
         (set, line_addr >> self.set_shift)
     }
 
+    /// The ways of set `set_idx`.
+    fn set(&self, set_idx: usize) -> &[Way] {
+        let n = self.config.ways;
+        &self.ways[set_idx * n..(set_idx + 1) * n]
+    }
+
     /// Base address of the line with `tag` in set `set_idx`.
     fn line_base(&self, tag: u64, set_idx: usize) -> PhysAddr {
         PhysAddr::new(((tag << self.set_shift) | set_idx as u64) << self.line_shift)
@@ -169,36 +202,38 @@ impl Cache {
     pub fn access(&mut self, addr: PhysAddr, is_write: bool) -> CacheOutcome {
         self.lru_clock += 1;
         let (set_idx, tag) = self.index_and_tag(addr);
-        let write_back = self.config.write_back;
-        let ways = &mut self.sets[set_idx];
+        let dirty = u64::from(is_write && self.config.write_back);
+        let stamp = self.lru_clock << 1;
+        let n = self.config.ways;
+        let set = &mut self.ways[set_idx * n..(set_idx + 1) * n];
 
-        // Hit path.
-        if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.lru = self.lru_clock;
-            if is_write && write_back {
-                line.dirty = true;
+        // One pass: return on a hit, else keep the first way with the
+        // smallest `meta` — the first invalid way, else the LRU one.
+        let mut victim = 0;
+        let mut oldest = u64::MAX;
+        for (i, way) in set.iter_mut().enumerate() {
+            if way.tag == tag {
+                way.meta = stamp | (way.meta & 1) | dirty;
+                self.stats.hit();
+                return CacheOutcome::Hit;
             }
-            self.stats.hit();
-            return CacheOutcome::Hit;
+            if way.meta < oldest {
+                victim = i;
+                oldest = way.meta;
+            }
         }
 
-        // Miss: pick the LRU way (preferring invalid ways).
         self.stats.miss();
-        let victim_idx = ways
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| if l.valid { l.lru + 1 } else { 0 })
-            .map(|(i, _)| i)
-            .expect("cache set has at least one way");
-
-        let victim = ways[victim_idx];
-        ways[victim_idx] = Line {
-            valid: true,
-            dirty: is_write && write_back,
-            tag,
-            lru: self.lru_clock,
-        };
-        let writeback = (victim.valid && victim.dirty).then(|| self.line_base(victim.tag, set_idx));
+        let evicted = std::mem::replace(
+            &mut set[victim],
+            Way {
+                tag,
+                meta: stamp | dirty,
+            },
+        );
+        // Invalid ways have a zero `meta`, so only a valid dirty line is
+        // written back.
+        let writeback = (evicted.meta & 1 == 1).then(|| self.line_base(evicted.tag, set_idx));
         if writeback.is_some() {
             self.writebacks += 1;
         }
@@ -209,44 +244,29 @@ impl Cache {
     /// without updating any state.
     pub fn probe(&self, addr: PhysAddr) -> bool {
         let (set_idx, tag) = self.index_and_tag(addr);
-        self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
+        self.set(set_idx).iter().any(|w| w.tag == tag)
     }
 
     /// Invalidates the line containing `addr` if present, returning its base
     /// address if it was dirty (caller is responsible for writing it back).
     pub fn invalidate(&mut self, addr: PhysAddr) -> Option<PhysAddr> {
         let (set_idx, tag) = self.index_and_tag(addr);
-        let line = self.sets[set_idx]
-            .iter_mut()
-            .find(|l| l.valid && l.tag == tag)?;
-        line.valid = false;
-        let was_dirty = std::mem::take(&mut line.dirty);
-        was_dirty.then(|| self.line_base(tag, set_idx))
+        let i = self.set(set_idx).iter().position(|w| w.tag == tag)?;
+        let way = std::mem::replace(&mut self.ways[set_idx * self.config.ways + i], EMPTY);
+        (way.meta & 1 == 1).then(|| self.line_base(tag, set_idx))
     }
 
     /// Invalidates the whole cache, returning the number of dirty lines that
     /// would be written back by the flush.
     pub fn flush_all(&mut self) -> u64 {
-        let mut dirty = 0;
-        for set in &mut self.sets {
-            for line in set {
-                if line.valid && line.dirty {
-                    dirty += 1;
-                }
-                line.valid = false;
-                line.dirty = false;
-            }
-        }
+        let dirty = self.ways.iter().map(|w| w.meta & 1).sum();
+        self.ways.fill(EMPTY);
         dirty
     }
 
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> u64 {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter())
-            .filter(|l| l.valid)
-            .count() as u64
+        self.ways.iter().filter(|w| w.tag != INVALID).count() as u64
     }
 
     /// Hit/miss statistics.

@@ -11,7 +11,6 @@
 //! ```
 
 use sva_axi::{AccessKind, AxiDelayer, BusConfig};
-use sva_common::stats::Counter;
 use sva_common::Cycles;
 
 /// Configuration of the DRAM timing model.
@@ -76,18 +75,14 @@ impl DramTiming {
 pub struct Dram {
     config: DramConfig,
     delayer: AxiDelayer,
-    accesses: Counter,
-    bytes: Counter,
 }
 
 impl Dram {
     /// Creates a DRAM model from a configuration.
-    pub fn new(config: DramConfig) -> Self {
+    pub const fn new(config: DramConfig) -> Self {
         Self {
             delayer: AxiDelayer::new(config.delayer_latency),
             config,
-            accesses: Counter::new(),
-            bytes: Counter::new(),
         }
     }
 
@@ -102,33 +97,12 @@ impl Dram {
         self.delayer.set_delay(delay);
     }
 
-    /// Computes the timing of one access of `bytes` bytes and records it in
-    /// the statistics.
-    pub fn access(&mut self, kind: AccessKind, bytes: u64) -> DramTiming {
-        self.accesses.incr();
-        self.bytes.add(bytes);
-        let delayed = self.delayer.apply(kind);
+    /// Computes the timing of one access of `bytes` bytes.
+    pub fn access(&self, kind: AccessKind, bytes: u64) -> DramTiming {
         DramTiming {
-            latency: self.config.controller_latency + delayed,
+            latency: self.config.controller_latency + self.delayer.apply(kind),
             occupancy: Cycles::new(self.config.bus.beats_for(bytes)),
         }
-    }
-
-    /// Number of accesses served.
-    pub fn accesses(&self) -> u64 {
-        self.accesses.get()
-    }
-
-    /// Number of bytes transferred.
-    pub fn bytes_transferred(&self) -> u64 {
-        self.bytes.get()
-    }
-
-    /// Clears the statistics.
-    pub fn reset_stats(&mut self) {
-        self.accesses.reset();
-        self.bytes.reset();
-        self.delayer.reset_stats();
     }
 }
 
@@ -144,7 +118,7 @@ mod tests {
 
     #[test]
     fn access_latency_is_controller_plus_delayer() {
-        let mut dram = Dram::new(DramConfig::with_delayer(Cycles::new(600)));
+        let dram = Dram::new(DramConfig::with_delayer(Cycles::new(600)));
         let t = dram.access(AccessKind::Read, 64);
         assert_eq!(t.latency, Cycles::new(635));
         assert_eq!(t.occupancy, Cycles::new(8));
@@ -153,7 +127,7 @@ mod tests {
 
     #[test]
     fn occupancy_scales_with_burst_size() {
-        let mut dram = Dram::new(DramConfig::with_delayer(Cycles::new(200)));
+        let dram = Dram::new(DramConfig::with_delayer(Cycles::new(200)));
         let small = dram.access(AccessKind::Read, 8);
         let big = dram.access(AccessKind::Read, 2048);
         assert_eq!(small.occupancy, Cycles::new(1));
@@ -168,16 +142,5 @@ mod tests {
         dram.set_delayer_latency(Cycles::new(1000));
         let t1000 = dram.access(AccessKind::Read, 64).latency;
         assert_eq!(t1000 - t200, Cycles::new(800));
-    }
-
-    #[test]
-    fn statistics_accumulate() {
-        let mut dram = Dram::default();
-        dram.access(AccessKind::Read, 64);
-        dram.access(AccessKind::Write, 128);
-        assert_eq!(dram.accesses(), 2);
-        assert_eq!(dram.bytes_transferred(), 192);
-        dram.reset_stats();
-        assert_eq!(dram.accesses(), 0);
     }
 }

@@ -124,10 +124,15 @@
 //!
 //! 1. the request queue's admission point for the arrival;
 //! 2. from there, the placement loop: a reservation probe returns the
-//!    latest conflicting end (finished history is invisible to it), then
-//!    the response queue's admission point for the candidate; either one
-//!    moves the candidate and the loop repeats;
+//!    latest conflicting end (finished history is invisible to it, and a
+//!    candidate at or after the channel's latest reservation end answers
+//!    without a lookup), then the response queue's admission point for the
+//!    candidate; either one moves the candidate and the loop repeats;
 //! 3. the commit: one splice into each queue and one reservation insert.
+//!
+//! The grant also applies the charging rule (see [`Fabric::admit`]) and
+//! records the latency its initiator observes, so each grant resolves its
+//! initiator's slot once.
 //!
 //! Every timeline is a chunked map that remembers where its last operation
 //! ended (see [`sva_common::channel`]). A cluster shard's arrivals rise in
@@ -217,7 +222,8 @@ impl FabricConfig {
 /// Outcome of one fabric admission: the split of the delay an access
 /// observed between waiting for a request-queue credit (issue-side
 /// backpressure) and waiting on the bus/response path (downstream
-/// queueing).
+/// queueing), and whether the fabric charged that delay into the latency
+/// it recorded for the initiator.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct GrantOutcome {
     /// Cross-initiator queueing between admission and bus service (includes
@@ -226,6 +232,9 @@ pub struct GrantOutcome {
     /// Stall between arrival and request-queue admission (the channel's
     /// request FIFO was full). Zero with unbounded depths.
     pub issue_stall: Cycles,
+    /// Whether `queue + issue_stall` is part of the latency the initiator
+    /// observes (see [`Fabric::admit`]).
+    pub charged: bool,
 }
 
 /// Snapshot of one initiator's accounting, labelled by identity.
@@ -445,12 +454,15 @@ impl Fabric {
     /// their bus-occupancy rule.
     ///
     /// Placement starts at [`MemPortReq::arrival`] — every grant carries an
-    /// arrival time on the global clock; there is no untimed path. The
-    /// caller is responsible for deciding whether the returned delays are
-    /// charged into the access's latency (see
-    /// [`FabricConfig::contention_enabled`] and
-    /// [`FabricConfig::timed_host_ptw`]) and for reporting the final latency
-    /// via [`Fabric::note_latency`].
+    /// arrival time on the global clock; there is no untimed path.
+    ///
+    /// The fabric also owns the charging rule. DMA delays are charged
+    /// whenever [`FabricConfig::contention_enabled`] is set; host and PTW
+    /// delays only when [`FabricConfig::timed_host_ptw`] is set as well, so
+    /// the default configuration keeps the pre-clock latencies. The latency
+    /// the initiator observes — `timing.latency`, plus `queue + issue_stall`
+    /// when charged — is added to its [`InitiatorStats::latency_cycles`],
+    /// and [`GrantOutcome::charged`] tells the caller which rule applied.
     pub fn admit(&mut self, req: &MemPortReq, timing: PortTiming) -> GrantOutcome {
         let slot = self.slot(req.initiator);
         {
@@ -482,8 +494,9 @@ impl Fabric {
         // reservation model).
         let arrival = req.arrival.raw();
         let occupancy = timing.occupancy.raw();
-        let participates = self.config.queues_bounded()
-            && (req.initiator.class() == InitiatorClass::Device || self.config.timed_host_ptw);
+        let timed_class =
+            req.initiator.class() == InitiatorClass::Device || self.config.timed_host_ptw;
+        let participates = self.config.queues_bounded() && timed_class;
 
         // Request-queue credit: a full request FIFO delays admission; the
         // delay is the initiator's issue stall (upstream backpressure). The
@@ -539,10 +552,14 @@ impl Fabric {
             }
             break;
         }
-        let mut queue = Cycles::ZERO;
+        let queue = Cycles::new(placed - admitted);
+        let charged = self.config.contention_enabled && timed_class;
+        let stats = &mut self.initiators[slot].1;
+        stats.latency_cycles += timing.latency.raw();
+        if charged {
+            stats.latency_cycles += placed - arrival;
+        }
         if placed > admitted {
-            queue = Cycles::new(placed - admitted);
-            let stats = &mut self.initiators[slot].1;
             stats.queue_cycles += queue.raw();
             stats.contended_grants += 1;
             self.channels[channel].stats.queue_cycles += queue.raw();
@@ -598,14 +615,8 @@ impl Fabric {
         GrantOutcome {
             queue,
             issue_stall: Cycles::new(issue_stall),
+            charged,
         }
-    }
-
-    /// Records the final latency (including any charged queueing) the
-    /// initiator observed for its most recent grant.
-    pub fn note_latency(&mut self, id: InitiatorId, latency: Cycles) {
-        let slot = self.slot(id);
-        self.initiators[slot].1.latency_cycles += latency.raw();
     }
 
     /// Statistics of one initiator, if it has accessed the fabric.
@@ -914,16 +925,54 @@ mod tests {
         fabric.admit(&burst_req(1, 100).at(Cycles::ZERO), timing(10, 5));
         fabric.admit(
             &MemPortReq::write(InitiatorId::Host, PhysAddr::new(0x2000), 50).at(Cycles::new(100)),
-            timing(10, 2),
+            timing(12, 2),
         );
-        fabric.note_latency(InitiatorId::dma(1), Cycles::new(10));
-        fabric.note_latency(InitiatorId::Host, Cycles::new(12));
         let total = fabric.total();
         assert_eq!(total.accesses(), 2);
         assert_eq!(total.bytes, 150);
-        assert_eq!(total.latency_cycles, 22);
+        assert_eq!(total.latency_cycles, 22, "admit records each latency");
         assert_eq!(fabric.initiator_count(), 2);
         assert_eq!(fabric.grants(), 2);
+    }
+
+    /// The charging rule lives in `admit`: with contention charging on, a
+    /// queued DMA burst's recorded latency includes its queueing, while a
+    /// queued host load's does not unless host/PTW traffic is timed too.
+    #[test]
+    fn admit_records_the_latency_the_initiator_observes() {
+        let host_load =
+            MemPortReq::read(InitiatorId::Host, PhysAddr::new(0x8000_0000), 8).at(Cycles::new(20));
+        for timed_host_ptw in [false, true] {
+            let mut fabric = Fabric::new(FabricConfig {
+                contention_enabled: true,
+                timed_host_ptw,
+                ..FabricConfig::default()
+            });
+            let first = fabric.admit(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256));
+            assert_eq!((first.queue, first.charged), (Cycles::ZERO, true));
+            let queued = fabric.admit(&burst_req(3, 2048).at(Cycles::new(10)), timing(200, 256));
+            assert_eq!((queued.queue, queued.charged), (Cycles::new(246), true));
+            let dma3 = fabric.initiator_stats(InitiatorId::dma(3)).unwrap();
+            assert_eq!(dma3.latency_cycles, 200 + 246);
+
+            let host = fabric.admit(&host_load, timing(30, 0));
+            assert_eq!(host.charged, timed_host_ptw);
+            let expected = if timed_host_ptw {
+                30 + host.queue.raw()
+            } else {
+                30
+            };
+            assert!(host.queue > Cycles::ZERO, "the host load queued");
+            let recorded = fabric.initiator_stats(InitiatorId::Host).unwrap();
+            assert_eq!(recorded.latency_cycles, expected);
+        }
+        // Without contention charging nothing is charged.
+        let mut fabric = Fabric::default();
+        fabric.admit(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256));
+        let queued = fabric.admit(&burst_req(3, 2048).at(Cycles::new(10)), timing(200, 256));
+        assert!(!queued.charged);
+        let dma3 = fabric.initiator_stats(InitiatorId::dma(3)).unwrap();
+        assert_eq!(dma3.latency_cycles, 200);
     }
 
     #[test]

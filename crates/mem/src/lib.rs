@@ -9,7 +9,8 @@
 //! * [`dram`] — the DRAM controller timing model, including the AXI delayer
 //!   the paper uses to sweep memory latency;
 //! * [`cache`] — a generic set-associative cache timing model (tags + LRU +
-//!   dirty bits, no data; the data always lives in the backing store);
+//!   dirty bits in one flat vector, one pass per lookup, no data; the data
+//!   always lives in the backing store);
 //! * [`llc`] — the Cheshire last-level cache (128 KiB, write-back,
 //!   SPM-partitionable), shared by the host and the IOMMU page-table walker;
 //! * [`spm`] — the 1 MiB on-chip L2 scratchpad;

@@ -53,6 +53,16 @@ impl LlcConfig {
     pub const fn cache_bytes(&self) -> u64 {
         self.size_bytes / self.ways as u64 * self.cache_ways() as u64
     }
+
+    /// Geometry of the write-back cache left after partitioning.
+    pub const fn cache_geometry(&self) -> CacheConfig {
+        CacheConfig {
+            size_bytes: self.cache_bytes(),
+            ways: self.cache_ways(),
+            line_bytes: self.line_bytes,
+            write_back: true,
+        }
+    }
 }
 
 impl Default for LlcConfig {
@@ -96,12 +106,7 @@ impl Llc {
             config.cache_ways() > 0,
             "LLC configured with zero cache ways (all ways given to the SPM partition)"
         );
-        let cache = Cache::new(CacheConfig {
-            size_bytes: config.cache_bytes(),
-            ways: config.cache_ways(),
-            line_bytes: config.line_bytes,
-            write_back: true,
-        });
+        let cache = Cache::new(config.cache_geometry());
         Self {
             config,
             cache,

@@ -33,8 +33,7 @@
 //! they would move are never read.
 
 use sva_axi::addrmap::{AddressMap, RegionKind, DRAM_SIZE};
-use sva_axi::{AccessKind, BusConfig, Crossbar, MasterPort, MemTxn};
-use sva_common::stats::Counter;
+use sva_axi::{AccessKind, BusConfig, Crossbar};
 use sva_common::{
     Cycles, Error, GlobalClock, InitiatorClass, InitiatorId, MemPortReq, PhysAddr, PortTiming,
     Result, CACHE_LINE_SIZE,
@@ -243,7 +242,6 @@ pub struct MemorySystem {
     interference: Option<Interference>,
     fabric: Fabric,
     stats: MemSysStats,
-    host_stall_cycles: Counter,
     /// The global simulation clock: stamps accesses whose caller does not
     /// track an issue time, and is advanced to the completion of every
     /// grant. The platform shares one clock across all its components via
@@ -270,7 +268,6 @@ impl MemorySystem {
             interference: None,
             fabric: Fabric::new(config.fabric.clone()),
             stats: MemSysStats::default(),
-            host_stall_cycles: Counter::new(),
             clock: GlobalClock::new(),
             config,
         }
@@ -338,7 +335,7 @@ impl MemorySystem {
         &self.dram
     }
 
-    /// The crossbar (per-master traffic statistics).
+    /// The crossbar (its routing latency).
     pub const fn crossbar(&self) -> &Crossbar {
         &self.xbar
     }
@@ -376,10 +373,7 @@ impl MemorySystem {
     /// Resets all statistics (contents and cache state are preserved).
     pub fn reset_stats(&mut self) {
         self.stats = MemSysStats::default();
-        self.xbar.reset_stats();
-        self.dram.reset_stats();
         self.fabric.reset();
-        self.host_stall_cycles.reset();
         if let Some(llc) = &mut self.llc {
             llc.reset_stats();
         }
@@ -502,18 +496,6 @@ impl MemorySystem {
     // Timed access paths
     // ------------------------------------------------------------------
 
-    fn llc_path_enabled_for(&self, requester: LlcRequester, addr: PhysAddr) -> bool {
-        if self.llc.is_none() {
-            return false;
-        }
-        let policy = match requester {
-            LlcRequester::Host => true,
-            LlcRequester::Ptw => self.config.llc_serves_ptw,
-            LlcRequester::Dma => self.config.llc_serves_dma,
-        };
-        policy && self.map.is_llc_cacheable(addr)
-    }
-
     /// Applies interference pressure around one device-side (PTW or DMA)
     /// access and returns the queueing delay to add.
     fn interference_penalty(&mut self, service: Cycles) -> Cycles {
@@ -542,32 +524,21 @@ impl MemorySystem {
         addr: PhysAddr,
         len: u64,
     ) -> Cycles {
-        let llc_hit_latency = self
-            .llc
-            .as_ref()
-            .map(Llc::hit_latency)
-            .unwrap_or(Cycles::ZERO);
+        let llc = self.llc.as_mut().expect("llc_access called without an LLC");
         let line = CACHE_LINE_SIZE;
         let mut total = Cycles::ZERO;
         let mut cur = addr.align_down(line);
         let end = addr + len.max(1);
         while cur < end {
-            let outcome = self
-                .llc
-                .as_mut()
-                .expect("llc_access called without an LLC")
-                .access(requester, cur, kind.is_write());
-            total += llc_hit_latency;
-            if let Some(wb) = outcome.writeback() {
+            let outcome = llc.access(requester, cur, kind.is_write());
+            total += llc.hit_latency();
+            if outcome.writeback().is_some() {
                 // Posted write-back: occupies the DRAM bus but does not stall
                 // the requester beyond the bus occupancy.
-                let t = self.dram.access(AccessKind::Write, line);
-                let _ = wb;
-                total += t.occupancy;
+                total += self.dram.access(AccessKind::Write, line).occupancy;
             }
             if !outcome.is_hit() {
-                let t = self.dram.access(AccessKind::Read, line);
-                total += t.total();
+                total += self.dram.access(AccessKind::Read, line).total();
             }
             cur += line;
         }
@@ -616,46 +587,25 @@ impl MemorySystem {
         }
 
         let class = port.initiator.class();
-        let master = match class {
-            InitiatorClass::Host => MasterPort::Host,
-            InitiatorClass::Device => MasterPort::Device,
-            InitiatorClass::Ptw => MasterPort::Ptw,
-        };
-        let txn = match kind {
-            AccessKind::Read => MemTxn::read(port.addr, len),
-            AccessKind::Write => MemTxn::write(port.addr, len),
-        };
-        let hop = self.xbar.route(master, &txn);
-        let mut timing = self.class_timing(class, kind, region, port.addr, len, hop);
+        // The LLC policy reads the same decode: no second one per access.
+        let cacheable = self.llc.is_some() && self.map.is_llc_cacheable_at(region, offset);
+        let mut timing = self.class_timing(class, kind, region, cacheable, port.addr, len);
 
-        let outcome = self.fabric.admit(&port, timing);
-        let queue = outcome.queue;
-        let stall = outcome.issue_stall;
-        // Charging rule: DMA queueing is charged whenever contention
-        // charging is on (the PR 1/2 model); host and PTW queueing is only
-        // charged when the global-clock engine additionally times those
-        // classes, so the default configuration stays cycle-identical to
-        // the pre-clock model. Issue stalls (request-queue backpressure)
-        // follow the same rule: charged into the returned latency so a
-        // caller that blocks on latency observes them, while the DMA
+        // The fabric applies the charging rule and records the latency the
+        // initiator observes (see `Fabric::admit`). Charged delays —
+        // queueing and issue stalls — are part of the returned latency, so
+        // a caller that blocks on latency observes them, while the DMA
         // engines additionally push their issue cursor back.
-        let charged = self.config.fabric.contention_enabled
-            && (class == InitiatorClass::Device || self.config.fabric.timed_host_ptw);
-        if charged {
-            timing.latency += queue + stall;
+        let outcome = self.fabric.admit(&port, timing);
+        let delay = outcome.queue + outcome.issue_stall;
+        // Completion on the global clock, charged or not.
+        self.clock.advance_to(port.arrival + timing.total() + delay);
+        if outcome.charged {
+            timing.latency += delay;
         }
-        self.fabric.note_latency(port.initiator, timing.latency);
-        // Completion on the global clock; when the delays were charged they
-        // are already part of the latency.
-        let completion =
-            port.arrival + timing.total() + if charged { Cycles::ZERO } else { queue + stall };
-        self.clock.advance_to(completion);
 
         match class {
-            InitiatorClass::Host => {
-                self.stats.host_accesses += 1;
-                self.host_stall_cycles.add(timing.latency.raw());
-            }
+            InitiatorClass::Host => self.stats.host_accesses += 1,
             InitiatorClass::Ptw => self.stats.ptw_accesses += 1,
             InitiatorClass::Device => {
                 self.stats.dma_bursts += 1;
@@ -664,8 +614,8 @@ impl MemorySystem {
         }
         Ok(MemRsp {
             timing,
-            queue_delay: queue,
-            issue_stall: stall,
+            queue_delay: outcome.queue,
+            issue_stall: outcome.issue_stall,
         })
     }
 
@@ -680,15 +630,19 @@ impl MemorySystem {
     /// even to LLC-served accesses (standing in for the shared downstream
     /// bus). Their reported *latency* is unaffected by the extra occupancy —
     /// host/PTW callers block on latency alone.
+    ///
+    /// `cacheable` says whether the LLC exists and the decoded address may
+    /// allocate in it; each class then applies its own LLC policy.
     fn class_timing(
         &mut self,
         class: InitiatorClass,
         kind: AccessKind,
         region: RegionKind,
+        cacheable: bool,
         addr: PhysAddr,
         len: u64,
-        hop: Cycles,
     ) -> PortTiming {
+        let hop = self.xbar.hop_latency();
         let host_ptw_occupancy = if self.config.fabric.timed_host_ptw {
             Cycles::new(self.config.bus.beats_for(len).max(1))
         } else {
@@ -698,9 +652,7 @@ impl MemorySystem {
             InitiatorClass::Host => {
                 let path = match region {
                     RegionKind::L2Spm => self.spm.access_latency(),
-                    _ if self.llc_path_enabled_for(LlcRequester::Host, addr) => {
-                        self.llc_access(LlcRequester::Host, kind, addr, len)
-                    }
+                    _ if cacheable => self.llc_access(LlcRequester::Host, kind, addr, len),
                     _ if kind.is_write() => {
                         // Posted uncached write: the host only pays the bus
                         // occupancy plus a small store-buffer cost.
@@ -715,7 +667,7 @@ impl MemorySystem {
                 }
             }
             InitiatorClass::Ptw => {
-                let base = if self.llc_path_enabled_for(LlcRequester::Ptw, addr) {
+                let base = if cacheable && self.config.llc_serves_ptw {
                     self.llc_access(LlcRequester::Ptw, kind, addr, len)
                 } else {
                     self.dram.access(kind, len).total()
@@ -727,7 +679,7 @@ impl MemorySystem {
                 }
             }
             InitiatorClass::Device => {
-                let t = self.dma_burst_timing(kind, region, addr, len, hop);
+                let t = self.dma_burst_timing(kind, region, cacheable, addr, len);
                 PortTiming {
                     latency: t.latency,
                     occupancy: t.occupancy,
@@ -740,16 +692,16 @@ impl MemorySystem {
         &mut self,
         kind: AccessKind,
         region: RegionKind,
+        cacheable: bool,
         addr: PhysAddr,
         len: u64,
-        hop: Cycles,
     ) -> DramTiming {
         let mut timing = match region {
             RegionKind::L2Spm => DramTiming {
                 latency: self.spm.access_latency(),
                 occupancy: Cycles::new(self.config.bus.beats_for(len)),
             },
-            _ if self.llc_path_enabled_for(LlcRequester::Dma, addr) => {
+            _ if cacheable && self.config.llc_serves_dma => {
                 // Ablation path: DMA through the LLC. The burst is broken into
                 // line refills, so the whole cost counts as latency (no long
                 // streaming window) — exactly the bandwidth loss the paper's
@@ -762,7 +714,7 @@ impl MemorySystem {
             }
             _ => self.dram.access(kind, len),
         };
-        timing.latency += hop;
+        timing.latency += self.xbar.hop_latency();
         timing.latency += self.interference_penalty(timing.latency);
         timing
     }
@@ -783,11 +735,6 @@ impl MemorySystem {
             cost += t.occupancy;
         }
         cost
-    }
-
-    /// Total stall cycles the host has accumulated in this memory system.
-    pub fn host_stall_cycles(&self) -> Cycles {
-        Cycles::new(self.host_stall_cycles.get())
     }
 }
 
@@ -1139,7 +1086,6 @@ mod tests {
         );
         assert_eq!(moving.fabric_stats(), timing.fabric_stats());
         assert_eq!(moving.channel_stats(), timing.channel_stats());
-        assert_eq!(moving.host_stall_cycles(), timing.host_stall_cycles());
         assert_eq!(moving.clock().now(), timing.clock().now());
     }
 
@@ -1192,6 +1138,5 @@ mod tests {
         assert_eq!(m.stats().host_accesses, 1);
         m.reset_stats();
         assert_eq!(m.stats().host_accesses, 0);
-        assert_eq!(m.crossbar().total_transactions(), 0);
     }
 }

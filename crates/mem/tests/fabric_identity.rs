@@ -114,14 +114,17 @@ fn policies(rng: &mut DeterministicRng) -> Vec<ArbitrationPolicy> {
     ]
 }
 
+/// Contention charging follows `bounded`: it changes no placement, only the
+/// latency `admit` records, so tying it to the queue depths covers charged
+/// and uncharged grants of every class without doubling the matrix.
 fn config(policy: ArbitrationPolicy, channels: usize, bounded: bool, timed: bool) -> FabricConfig {
     FabricConfig {
+        contention_enabled: bounded,
         policy,
         channels: DramChannelConfig::interleaved(channels),
         timed_host_ptw: timed,
         req_queue_depth: if bounded { 2 } else { usize::MAX },
         rsp_queue_depth: if bounded { 3 } else { usize::MAX },
-        ..FabricConfig::default()
     }
 }
 

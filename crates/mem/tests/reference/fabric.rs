@@ -13,6 +13,10 @@
 //!   position inside the conflict predicate, and membership is checked with
 //!   `timed_order.contains` on every occupying grant.
 //!
+//! Like `Fabric::admit`, it records the latency each initiator observes,
+//! with the queueing and issue stall included when the charging rule
+//! applies.
+//!
 //! Keep its placement semantics frozen: a behavioural change belongs in
 //! `Fabric`, with a matching update here only when the simulated timing
 //! model itself is deliberately changed.
@@ -198,6 +202,13 @@ impl NaiveFabric {
             break;
         }
         let mut queue = Cycles::ZERO;
+        let charged = self.config.contention_enabled
+            && (req.initiator.class() == InitiatorClass::Device || self.config.timed_host_ptw);
+        let mut latency = timing.latency;
+        if charged {
+            latency += Cycles::new(placed - arrival);
+        }
+        self.initiators[slot].1.latency_cycles += latency.raw();
         if placed > admitted {
             queue = Cycles::new(placed - admitted);
             let stats = &mut self.initiators[slot].1;
@@ -243,6 +254,7 @@ impl NaiveFabric {
         GrantOutcome {
             queue,
             issue_stall: Cycles::new(issue_stall),
+            charged,
         }
     }
 

@@ -32,8 +32,10 @@ fn burst_plan_invariants() {
 
         let plan = BurstPlan::split(PhysAddr::new(addr), len, max_burst);
         assert_eq!(plan.total_bytes(), len);
+        let touched = plan.pages_touched();
         let mut expected_next = PhysAddr::new(addr);
-        for burst in plan.bursts() {
+        let mut pages = 0;
+        for burst in plan {
             assert!(burst.len > 0);
             assert!(burst.len <= max_burst);
             // Contiguous, in order.
@@ -41,10 +43,11 @@ fn burst_plan_invariants() {
             expected_next = burst.end();
             // Never crosses a page boundary.
             assert_eq!(burst.addr.page_number(), (burst.end() - 1u64).page_number());
+            pages += u64::from(burst.addr.page_offset() == 0 || burst.addr == PhysAddr::new(addr));
         }
-        if len > 0 {
-            assert!(plan.pages_touched() >= 1);
-        }
+        // Every byte was yielded, and each page touched starts one burst.
+        assert_eq!(expected_next, PhysAddr::new(addr + len));
+        assert_eq!(touched, pages);
     });
 }
 
