@@ -1,6 +1,6 @@
 //! The fabric-scaling sweep driver: cluster count × platform variant × DRAM
-//! latency × channel count × arbitration policy, fanned out across worker
-//! threads, with per-initiator and per-channel contention statistics.
+//! latency × channel count × arbitration policy, run point by point, with
+//! per-initiator and per-channel contention statistics.
 //!
 //! Three sub-grids are measured:
 //!
@@ -22,8 +22,7 @@
 
 use std::time::Instant;
 
-use sva_bench::par::{par_map, worker_count};
-use sva_bench::{parse_args, with_banner, RunSize};
+use sva_bench::{with_banner, Args};
 use sva_common::Cycles;
 use sva_common::{ArbitrationPolicy, QueueDepths, ReplacementPolicy, TlbOrg};
 use sva_kernels::KernelKind;
@@ -32,17 +31,9 @@ use sva_soc::experiments::fabric::{
     self, FabricKnobs, FabricSweepResult, SweepMeta, TlbHierarchyConfig, TlbKnobs, TlbLevelConfig,
 };
 
-fn out_path() -> String {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    args.iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_fabric.json".to_string())
-}
-
 fn main() {
-    let size = parse_args();
+    let args = Args::from_env("fabric_sweep [--paper|--small] [--out <path>]", true);
+    let size = args.size;
     let clusters: &[usize] = if size.is_paper() {
         &[1, 2, 4, 8]
     } else {
@@ -55,7 +46,7 @@ fn main() {
         SocVariant::IommuLlc,
     ];
     let kernel = KernelKind::Gemm;
-    let paper_size = size == RunSize::Paper;
+    let paper_size = size.is_paper();
     let max_clusters = *clusters.last().expect("non-empty cluster list");
 
     // Scaling grid: the PR 1 trajectory at the baseline fabric.
@@ -178,11 +169,10 @@ fn main() {
         }
     }
 
-    let workers = worker_count(grid.len());
     let sweep_start = Instant::now();
-    let timed_points = par_map(
-        grid,
-        |(n, variant, latency, channels, policy, depths, knobs, tlb)| {
+    let (points, points_wallclock_ms): (Vec<_>, Vec<_>) = grid
+        .into_iter()
+        .map(|(n, variant, latency, channels, policy, depths, knobs, tlb)| {
             let point_start = Instant::now();
             let point = fabric::run_point(
                 kernel, paper_size, n, variant, latency, channels, &policy, depths, knobs, tlb,
@@ -193,13 +183,11 @@ fn main() {
                 )
             });
             (point, point_start.elapsed().as_millis() as u64)
-        },
-    );
+        })
+        .unzip();
     let total_wallclock_ms = sweep_start.elapsed().as_millis() as u64;
-    let (points, points_wallclock_ms): (Vec<_>, Vec<_>) = timed_points.into_iter().unzip();
     let result = FabricSweepResult { points };
     let meta = SweepMeta {
-        workers,
         total_wallclock_ms,
         points_wallclock_ms,
     };
@@ -209,11 +197,10 @@ fn main() {
         || result.render(),
     );
 
-    let path = out_path();
-    std::fs::write(&path, result.to_json_with_meta(&meta)).expect("write BENCH_fabric.json");
+    let path = args.out.as_deref().unwrap_or("BENCH_fabric.json");
+    std::fs::write(path, result.to_json(&meta)).expect("write the sweep JSON");
     println!(
-        "wrote {} points to {path} ({} workers, {total_wallclock_ms} ms)",
-        result.points.len(),
-        meta.workers
+        "wrote {} points to {path} ({total_wallclock_ms} ms)",
+        result.points.len()
     );
 }

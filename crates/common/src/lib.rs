@@ -11,8 +11,7 @@
 //! * byte-size helpers ([`size`]),
 //! * lightweight statistics primitives used by every timing model
 //!   ([`stats`]),
-//! * a deterministic, seedable random-number wrapper ([`rng`]) and the
-//!   open-loop arrival processes built on it ([`arrival`]),
+//! * a deterministic, seedable random-number wrapper ([`rng`]),
 //! * the common error type ([`error`]).
 //!
 //! # Example
@@ -33,7 +32,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod addr;
-pub mod arrival;
 pub mod channel;
 pub mod clock;
 pub mod cycles;
@@ -47,7 +45,6 @@ pub mod tlb;
 /// Convenience re-exports of the most frequently used items.
 pub mod prelude {
     pub use crate::addr::{Iova, PhysAddr, VirtAddr, PAGE_SHIFT, PAGE_SIZE};
-    pub use crate::arrival::ArrivalMix;
     pub use crate::channel::{QueueDepths, TimedQueue};
     pub use crate::clock::{GlobalClock, TimeSource};
     pub use crate::cycles::{ClockDomain, Cycles};
@@ -61,7 +58,6 @@ pub mod prelude {
 }
 
 pub use addr::{Iova, PhysAddr, VirtAddr, CACHE_LINE_SIZE, PAGE_SHIFT, PAGE_SIZE};
-pub use arrival::ArrivalMix;
 pub use channel::{QueueDepths, ReservationIndex, TimedQueue};
 pub use clock::{GlobalClock, TimeSource};
 pub use cycles::{ClockDomain, Cycles};

@@ -281,58 +281,6 @@ impl Histogram {
         }
         self.bucket_width * self.buckets.len() as u64
     }
-
-    /// Batch [`Histogram::percentile`]: resolves every quantile of `qs` in
-    /// one cumulative pass, returned in input order. The SLO triple
-    /// `&[0.5, 0.99, 0.999]` is the intended caller — with tail quantiles
-    /// a per-quantile `percentile` call re-walks the buckets each time.
-    pub fn percentiles(&self, qs: &[f64]) -> Vec<u64> {
-        let total = self.count();
-        if total == 0 {
-            return vec![0; qs.len()];
-        }
-        // Rank per quantile, then resolve ascending-by-rank in one walk.
-        let ranks: Vec<u64> = qs
-            .iter()
-            .map(|q| ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1))
-            .collect();
-        let mut order: Vec<usize> = (0..qs.len()).collect();
-        order.sort_by_key(|&i| ranks[i]);
-        let edge = self.bucket_width * self.buckets.len() as u64;
-        let mut out = vec![edge; qs.len()];
-        let mut cumulative = 0u64;
-        let mut next = 0usize;
-        for (lower, count) in self.iter() {
-            cumulative += count;
-            while next < order.len() && cumulative >= ranks[order[next]] {
-                out[order[next]] = lower;
-                next += 1;
-            }
-            if next == order.len() {
-                break;
-            }
-        }
-        out
-    }
-
-    /// Merges another histogram into this one (per-tenant distributions
-    /// into a fleet-wide one).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket geometry differs — merging histograms with
-    /// different widths would silently mis-bucket every sample.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            (self.bucket_width, self.buckets.len()),
-            (other.bucket_width, other.buckets.len()),
-            "histogram geometries must match to merge"
-        );
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-        self.overflow += other.overflow;
-    }
 }
 
 #[cfg(test)]
@@ -424,47 +372,5 @@ mod tests {
         assert_eq!(h.percentile(1.0), 90);
         h.record(5000); // overflow sample
         assert_eq!(h.percentile(1.0), 100, "overflow resolves to the edge");
-    }
-
-    #[test]
-    fn percentiles_batch_matches_percentile() {
-        let mut h = Histogram::new(10, 100);
-        assert_eq!(h.percentiles(&[0.5, 0.99]), vec![0, 0], "empty histogram");
-        let mut x = 7u64;
-        for _ in 0..5_000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            h.record(x % 1200); // some overflow past 1000
-        }
-        // The SLO triple deliberately unsorted: output stays input-ordered.
-        let qs = [0.99, 0.5, 0.999, 0.0, 1.0];
-        let batch = h.percentiles(&qs);
-        let single: Vec<u64> = qs.iter().map(|&q| h.percentile(q)).collect();
-        assert_eq!(batch, single);
-    }
-
-    #[test]
-    fn histogram_merge_sums_buckets_and_overflow() {
-        let mut a = Histogram::new(100, 4);
-        let mut b = Histogram::new(100, 4);
-        for v in [0, 150, 9000] {
-            a.record(v);
-        }
-        for v in [150, 399, 9000, 9001] {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 7);
-        assert_eq!(a.overflow(), 3);
-        let buckets: Vec<(u64, u64)> = a.iter().collect();
-        assert_eq!(buckets, vec![(0, 1), (100, 2), (200, 0), (300, 1)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "geometries must match")]
-    fn histogram_merge_rejects_mismatched_geometry() {
-        let mut a = Histogram::new(100, 4);
-        a.merge(&Histogram::new(50, 4));
     }
 }

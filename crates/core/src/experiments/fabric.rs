@@ -26,9 +26,9 @@
 //! queueing feeds back into latencies; with one cluster nothing queues and
 //! the numbers equal the paper's single-cluster figures.
 //!
-//! [`run_point`] measures one combination and is deliberately standalone so
-//! the `sva_bench` sweep driver can fan combinations out across worker
-//! threads; [`run`] is the sequential convenience over the full grid.
+//! [`run_point`] measures one combination on a fresh platform; the
+//! `fabric_sweep` binary in `sva_bench` builds the grid and runs it point by
+//! point.
 
 use sva_kernels::KernelKind;
 
@@ -401,10 +401,21 @@ impl FabricSweepResult {
         table.render()
     }
 
-    /// Serialises the sweep as JSON (hand-rolled; the build is offline and
-    /// carries no serde_json).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"experiment\": \"fabric_sweep\",\n  \"points\": [\n");
+    /// Serialises the sweep as JSON, with `meta` between the experiment tag
+    /// and the points (hand-rolled; the build is offline and carries no
+    /// serde_json).
+    pub fn to_json(&self, meta: &SweepMeta) -> String {
+        let timings: Vec<String> = meta
+            .points_wallclock_ms
+            .iter()
+            .map(u64::to_string)
+            .collect();
+        let mut out = format!(
+            "{{\n  \"experiment\": \"fabric_sweep\",\n  \"meta\": {{\"total_wallclock_ms\": {}, \
+             \"points_wallclock_ms\": [{}]}},\n  \"points\": [\n",
+            meta.total_wallclock_ms,
+            timings.join(", ")
+        );
         for (i, p) in self.points.iter().enumerate() {
             let initiators: Vec<String> = p
                 .initiators
@@ -503,38 +514,12 @@ impl FabricSweepResult {
         out.push_str("  ]\n}\n");
         out
     }
-
-    /// [`FabricSweepResult::to_json`] with an execution-metadata block
-    /// spliced in (`"meta"`, between the experiment tag and the points):
-    /// worker count and wallclock timings, aligned with `points` by index.
-    /// The plain `to_json` stays meta-free so replayed/merged result files
-    /// compare structurally.
-    pub fn to_json_with_meta(&self, meta: &SweepMeta) -> String {
-        let timings: Vec<String> = meta
-            .points_wallclock_ms
-            .iter()
-            .map(u64::to_string)
-            .collect();
-        let block = format!(
-            "\n  \"meta\": {{\"workers\": {}, \"total_wallclock_ms\": {}, \
-             \"points_wallclock_ms\": [{}]}},",
-            meta.workers,
-            meta.total_wallclock_ms,
-            timings.join(", ")
-        );
-        let marker = "\"experiment\": \"fabric_sweep\",";
-        self.to_json()
-            .replacen(marker, &format!("{marker}{block}"), 1)
-    }
 }
 
-/// Execution metadata of one sweep run: how the work was parallelised and
-/// how long it took, recorded into the bench JSON so thread-scaling and
-/// speed regressions are visible PR-over-PR.
+/// Execution metadata of one sweep run: how long it took, recorded into the
+/// bench JSON so speed regressions show from one commit to the next.
 #[derive(Clone, Debug, Default)]
 pub struct SweepMeta {
-    /// Worker threads the sweep ran on.
-    pub workers: usize,
     /// End-to-end wallclock of the sweep, milliseconds.
     pub total_wallclock_ms: u64,
     /// Per-point wallclock, milliseconds, aligned with `points` by index.
@@ -681,64 +666,39 @@ pub fn run_point(
     })
 }
 
-/// Runs the full grid sequentially at the baseline knobs (the `sva_bench`
-/// driver parallelises over [`run_point`] instead and adds the
-/// host-interference × PTW-batching sub-grid).
-///
-/// # Errors
-///
-/// Propagates platform construction and execution failures.
-pub fn run(
-    kind: KernelKind,
-    paper_size: bool,
-    clusters: &[usize],
-    variants: &[SocVariant],
-    latencies: &[u64],
-    channels: &[usize],
-    policies: &[ArbitrationPolicy],
-) -> Result<FabricSweepResult> {
-    let mut result = FabricSweepResult::default();
-    for &n in clusters {
-        for &variant in variants {
-            for &latency in latencies {
-                for &ch in channels {
-                    for policy in policies {
-                        result.points.push(run_point(
-                            kind,
-                            paper_size,
-                            n,
-                            variant,
-                            latency,
-                            ch,
-                            policy,
-                            QueueDepths::UNBOUNDED,
-                            FabricKnobs::default(),
-                            TlbKnobs::default(),
-                        )?);
-                    }
-                }
-            }
-        }
-    }
-    Ok(result)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One point at the baseline knobs: round-robin, unbounded queues, no
+    /// host traffic, serial walker, single-level TLB.
+    fn baseline_point(
+        kind: KernelKind,
+        clusters: usize,
+        variant: SocVariant,
+        channels: usize,
+    ) -> FabricPoint {
+        run_point(
+            kind,
+            false,
+            clusters,
+            variant,
+            200,
+            channels,
+            &ArbitrationPolicy::RoundRobin,
+            QueueDepths::UNBOUNDED,
+            FabricKnobs::default(),
+            TlbKnobs::default(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn sweep_scales_and_reports_contention() {
-        let result = run(
-            KernelKind::Gemm,
-            false,
-            &[1, 2, 4],
-            &[SocVariant::IommuLlc],
-            &[200],
-            &[1],
-            &[ArbitrationPolicy::RoundRobin],
-        )
-        .unwrap();
+        let points = [1, 2, 4]
+            .map(|n| baseline_point(KernelKind::Gemm, n, SocVariant::IommuLlc, 1))
+            .to_vec();
+        let result = FabricSweepResult { points };
         assert_eq!(result.points.len(), 3);
         assert!(result.points.iter().all(|p| p.verified));
 
@@ -815,7 +775,7 @@ mod tests {
             "walk levels conserve between the serial and batched walkers"
         );
         // JSON carries the sub-grid fields.
-        let json = result.to_json();
+        let json = result.to_json(&SweepMeta::default());
         assert!(json.contains("\"host_traffic\": true"));
         assert!(json.contains("\"ptw_batching\": true"));
         assert!(json.contains("\"ptw_coalesced_reads\""));
@@ -877,7 +837,7 @@ mod tests {
             )
             .expect("depth sub-grid point is addressable");
         assert_eq!(point.req_queue_depth, 4);
-        let json = result.to_json();
+        let json = result.to_json(&SweepMeta::default());
         assert!(json.contains("\"queue_depths\": \"inf\""));
         assert!(json.contains("\"queue_depths\": \"4/4\""));
         assert!(json.contains("\"req_queue_depth\": 4"));
@@ -887,21 +847,16 @@ mod tests {
 
     #[test]
     fn sweep_meta_is_spliced_into_the_json() {
-        let result = FabricSweepResult::default();
         let meta = SweepMeta {
-            workers: 3,
             total_wallclock_ms: 1234,
             points_wallclock_ms: vec![400, 800],
         };
-        let json = result.to_json_with_meta(&meta);
-        assert!(json.contains("\"experiment\": \"fabric_sweep\""));
-        assert!(json.contains(
-            "\"meta\": {\"workers\": 3, \"total_wallclock_ms\": 1234, \
-             \"points_wallclock_ms\": [400, 800]}"
-        ));
-        assert!(
-            !result.to_json().contains("\"meta\""),
-            "the plain serialisation stays meta-free"
+        let json = FabricSweepResult::default().to_json(&meta);
+        assert_eq!(
+            json,
+            "{\n  \"experiment\": \"fabric_sweep\",\n  \"meta\": {\"total_wallclock_ms\": 1234, \
+             \"points_wallclock_ms\": [400, 800]},\n  \"points\": [\n  ]\n}\n",
+            "meta sits between the experiment tag and the points"
         );
     }
 
@@ -964,7 +919,7 @@ mod tests {
             result.get(2, SocVariant::IommuLlc, 200).is_some(),
             "the baseline getter still finds the single-level point"
         );
-        let json = result.to_json();
+        let json = result.to_json(&SweepMeta::default());
         assert!(json.contains("\"tlb\": \"single\""));
         assert!(json.contains("\"tlb\": \"l1:1x4-lru+l2:8x4-lru\""));
         assert!(json.contains("\"demand_paging\": true"));
@@ -975,20 +930,17 @@ mod tests {
 
     #[test]
     fn render_and_json_contain_every_point() {
-        let result = run(
-            KernelKind::Axpy,
-            false,
-            &[1, 2],
-            &[SocVariant::Baseline, SocVariant::IommuLlc],
-            &[200],
-            &[2],
-            &[ArbitrationPolicy::RoundRobin],
-        )
-        .unwrap();
+        let mut points = Vec::new();
+        for n in [1, 2] {
+            for variant in [SocVariant::Baseline, SocVariant::IommuLlc] {
+                points.push(baseline_point(KernelKind::Axpy, n, variant, 2));
+            }
+        }
+        let result = FabricSweepResult { points };
         let text = result.render();
         assert!(text.contains("Baseline") && text.contains("IOMMU+LLC"));
         assert!(text.contains("round_robin"));
-        let json = result.to_json();
+        let json = result.to_json(&SweepMeta::default());
         assert_eq!(json.matches("\"kernel\"").count(), 4);
         assert!(json.contains("\"initiators\""));
         assert!(json.contains("dma[1]"));
@@ -1002,25 +954,8 @@ mod tests {
         // The acceptance criterion of the multi-channel backend: at 4
         // clusters, wall-clock is monotonically non-increasing as the DRAM
         // path splits 1 → 2 → 4 ways.
-        let totals: Vec<u64> = [1usize, 2, 4]
-            .iter()
-            .map(|&ch| {
-                run_point(
-                    KernelKind::Gemm,
-                    false,
-                    4,
-                    SocVariant::IommuLlc,
-                    200,
-                    ch,
-                    &ArbitrationPolicy::RoundRobin,
-                    QueueDepths::UNBOUNDED,
-                    FabricKnobs::default(),
-                    TlbKnobs::default(),
-                )
-                .unwrap()
-                .total
-            })
-            .collect();
+        let totals =
+            [1, 2, 4].map(|ch| baseline_point(KernelKind::Gemm, 4, SocVariant::IommuLlc, ch).total);
         assert!(
             totals[0] >= totals[1] && totals[1] >= totals[2],
             "wall-clock must not grow with channels: {totals:?}"

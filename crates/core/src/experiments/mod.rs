@@ -1,9 +1,10 @@
 //! One module per table / figure of the paper's evaluation.
 //!
-//! Every experiment exposes a `run` function taking explicit parameters
-//! (sweeps, problem sizes) and returning structured results, plus a
-//! `render`-style helper producing the paper-style text table. The benchmark
-//! binaries in `sva-bench` are thin wrappers around these entry points.
+//! Every paper experiment exposes a `run` function taking explicit
+//! parameters (sweeps, problem sizes) and returning structured results, plus
+//! a `render`-style helper producing the paper-style text table. The `paper`
+//! binary in `sva_bench` prints them all in order; its `fabric_sweep` binary
+//! builds the fabric grid from [`fabric::run_point`].
 //!
 //! | Module | Paper artefact |
 //! |---|---|
@@ -14,7 +15,6 @@
 //! | [`ptw_time`] | Figure 5 — average page-table-walk time with/without LLC and host interference |
 //! | [`ablation`] | Design-choice ablations called out in DESIGN.md (IOTLB size, DMA bypass, outstanding bursts, flush-before-map) |
 //! | [`fabric`] | Beyond the paper — N-cluster fabric scaling with per-initiator contention statistics |
-//! | [`serving`] | Beyond the paper — open-loop multi-tenant serving with SLO percentiles |
 
 pub mod ablation;
 pub mod copy_vs_map;
@@ -22,7 +22,6 @@ pub mod fabric;
 pub mod kernel_runtime;
 pub mod offload_breakdown;
 pub mod ptw_time;
-pub mod serving;
 pub mod table1;
 
 pub use copy_vs_map::{CopyVsMapPoint, CopyVsMapResult};
@@ -30,4 +29,3 @@ pub use fabric::{FabricPoint, FabricSweepResult};
 pub use kernel_runtime::{KernelRuntimePoint, KernelRuntimeResult};
 pub use offload_breakdown::{OffloadBreakdownResult, OffloadCase};
 pub use ptw_time::{PtwPoint, PtwResultSet};
-pub use serving::ServingSweepResult;

@@ -13,8 +13,6 @@
 //! * [`offload`] — the OpenMP-target-style offload flows: host-only
 //!   execution, copy-based offload and zero-copy (SVA) offload as in
 //!   Listing 1;
-//! * [`serving`] — the open-loop serving simulation: multi-tenant arrival
-//!   traces scheduled onto the clusters with SLO percentile reporting;
 //! * [`experiments`] — one module per table/figure with a `run` entry point
 //!   returning structured results;
 //! * [`report`] — plain-text table rendering used by the benchmark
@@ -45,7 +43,6 @@ pub mod experiments;
 pub mod offload;
 pub mod platform;
 pub mod report;
-pub mod serving;
 
 pub use config::{PlatformConfig, SocVariant};
 pub use offload::{OffloadMode, OffloadReport, OffloadRunner};

@@ -15,9 +15,7 @@
 //!   IO page-table construction and IOTLB invalidation (the "map" bars of
 //!   Figures 2 and 3);
 //! * [`traffic`] — presets for the synthetic host interference used in
-//!   Figure 5;
-//! * [`serving`] — the open-loop serving front-end: bounded admission of
-//!   multi-tenant offload requests plus a pluggable dispatch policy.
+//!   Figure 5.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -27,14 +25,12 @@ pub mod cpu;
 pub mod driver;
 pub mod exec;
 mod pages;
-pub mod serving;
 pub mod traffic;
 
 pub use copy::{CopyEngine, CopyStats};
 pub use cpu::{HostCpu, HostCpuConfig};
 pub use driver::{DriverConfig, FaultServicer, IommuDriver, MappingCost, MappingHandle};
 pub use exec::{HostKernelCost, HostKernelRunner, HostRunStats};
-pub use serving::{AdmissionStats, DispatchPolicy, Dispatcher, ServingRequest, Tenant};
 pub use traffic::{
     HostTrafficConfig, HostTrafficStats, HostTrafficStream, InterferenceLevel, PhaseTraffic,
     TrafficPhase,

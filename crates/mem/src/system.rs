@@ -301,11 +301,10 @@ impl MemorySystem {
     ///
     /// The caller guarantees no future access arrives before the watermark
     /// (see [`Fabric::compact_before`]). On the platform that holds when a
-    /// device measurement window closes — every later access is stamped
-    /// from the monotone global clock — and between open-loop serving
-    /// batches driven off one monotone arrival process. It does **not**
-    /// hold mid-window while cluster shards with restarting local cursors
-    /// are still being simulated.
+    /// device measurement window closes: every later access is stamped
+    /// from the monotone global clock. It does **not** hold mid-window
+    /// while cluster shards with restarting local cursors are still being
+    /// simulated.
     pub fn compact_fabric_before(&mut self, watermark: Cycles) {
         self.fabric.compact_before(watermark);
     }

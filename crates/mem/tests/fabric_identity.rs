@@ -353,8 +353,8 @@ fn compaction_is_outcome_neutral_and_bounds_the_live_set() {
         let cfg = config(policy.clone(), 2, false, true);
         let mut compacted = Fabric::new(cfg.clone());
         let mut reference = Fabric::new(cfg);
-        // One monotone clock shared by a few initiators — the shape of the
-        // open-loop serving layer, where compaction is safe mid-stream.
+        // One monotone clock shared by a few initiators, so compaction is
+        // safe mid-stream.
         let mut t = 0u64;
         let mut peak = 0usize;
         for i in 0..1500u64 {
