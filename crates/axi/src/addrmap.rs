@@ -107,54 +107,10 @@ pub struct Decoded {
     pub offset: u64,
 }
 
-/// The LLC demux/mux pair: translates between the cached and bypass DRAM
-/// windows.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct BypassRemap {
-    offset: u64,
-}
-
-impl BypassRemap {
-    /// Creates the remapper with the platform's fixed bypass offset.
-    pub const fn new() -> Self {
-        Self {
-            offset: LLC_BYPASS_OFFSET,
-        }
-    }
-
-    /// The fixed offset between the two windows.
-    pub const fn offset(&self) -> u64 {
-        self.offset
-    }
-
-    /// Remaps a cached-window DRAM address to the bypass window (what the
-    /// host does when handing buffer addresses to the device, Listing 1).
-    pub const fn to_bypass(&self, addr: PhysAddr) -> PhysAddr {
-        PhysAddr::new(addr.raw() + self.offset)
-    }
-
-    /// Remaps a bypass-window address back to the cached window.
-    pub const fn from_bypass(&self, addr: PhysAddr) -> PhysAddr {
-        PhysAddr::new(addr.raw() - self.offset)
-    }
-
-    /// Returns `true` if `addr` lies in the bypass window.
-    pub const fn is_bypass(&self, addr: PhysAddr) -> bool {
-        addr.raw() >= DRAM_BASE + self.offset && addr.raw() < DRAM_BASE + self.offset + DRAM_SIZE
-    }
-}
-
-impl Default for BypassRemap {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// The full SoC address map.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AddressMap {
     regions: Vec<Region>,
-    remap: BypassRemap,
     /// Offset into DRAM above which buffers are reserved for physically
     /// contiguous DMA allocations (uncached by the LLC). The paper reserves
     /// the upper half of the 2 GiB DRAM.
@@ -164,7 +120,6 @@ pub struct AddressMap {
 impl AddressMap {
     /// Builds the prototype platform's address map.
     pub fn prototype() -> Self {
-        let remap = BypassRemap::new();
         let regions = vec![
             Region {
                 kind: RegionKind::DramCached,
@@ -173,7 +128,7 @@ impl AddressMap {
             },
             Region {
                 kind: RegionKind::DramBypass,
-                base: PhysAddr::new(DRAM_BASE + remap.offset()),
+                base: PhysAddr::new(DRAM_BASE + LLC_BYPASS_OFFSET),
                 size: DRAM_SIZE,
             },
             Region {
@@ -194,14 +149,14 @@ impl AddressMap {
         ];
         Self {
             regions,
-            remap,
             reserved_dram_offset: DRAM_SIZE / 2,
         }
     }
 
-    /// The demux/mux remapper of this map.
-    pub const fn remap(&self) -> &BypassRemap {
-        &self.remap
+    /// Remaps a cached-window DRAM address to the bypass window (what the
+    /// host does when handing buffer addresses to the device, Listing 1).
+    pub const fn to_bypass(&self, addr: PhysAddr) -> PhysAddr {
+        PhysAddr::new(addr.raw() + LLC_BYPASS_OFFSET)
     }
 
     /// The regions of the map, in decode priority order.
@@ -310,15 +265,12 @@ mod tests {
     fn cached_and_bypass_windows_share_offsets() {
         let map = AddressMap::prototype();
         let cached = PhysAddr::new(DRAM_BASE + 0x1234_5678);
-        let bypass = map.remap().to_bypass(cached);
+        let bypass = map.to_bypass(cached);
         let dc = map.decode(cached).unwrap();
         let db = map.decode(bypass).unwrap();
         assert_eq!(dc.offset, db.offset);
         assert_eq!(dc.kind, RegionKind::DramCached);
         assert_eq!(db.kind, RegionKind::DramBypass);
-        assert_eq!(map.remap().from_bypass(bypass), cached);
-        assert!(map.remap().is_bypass(bypass));
-        assert!(!map.remap().is_bypass(cached));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! The paper's SoC (Figure 1) connects the CVA6 host, the IOMMU (two master
 //! ports: translated device traffic and page-table-walk traffic), the LLC,
 //! the L2 scratchpad and the DRAM controller through a fully-connected AXI
-//! crossbar. Two architectural details of that interconnect are load-bearing
-//! for the evaluation and are modelled here:
+//! crossbar. The details of that interconnect the evaluation depends on are
+//! modelled here:
 //!
 //! * **burst semantics** — AXI transfers are split at 4 KiB boundaries and at
 //!   the maximum burst length; every burst issued through the IOMMU may incur
@@ -14,9 +14,13 @@
 //! * **the LLC bypass** — a demux/mux pair remaps the same DRAM range to two
 //!   bus address ranges separated by a fixed offset so device DMA can bypass
 //!   the LLC while host and PTW traffic are cached ([`addrmap`]);
-//! * **the DRAM delayer** — a FIFO-based delay block inserted before the DDR
-//!   controller on the FPGA to emulate realistic memory latencies
-//!   ([`delayer`]).
+//! * **the data-bus geometry** — bytes per beat, which turns a payload into
+//!   bus occupancy ([`txn`]);
+//! * **the crossbar hop** — the fixed routing latency every transaction pays
+//!   ([`xbar`]).
+//!
+//! The DRAM delayer the FPGA inserts before the DDR controller is a pure
+//! latency adder; `sva_mem::dram` adds it from its configuration.
 //!
 //! # Example
 //!
@@ -37,12 +41,9 @@
 
 pub mod addrmap;
 pub mod burst;
-pub mod delayer;
 pub mod txn;
 pub mod xbar;
 
-pub use addrmap::{AddressMap, BypassRemap, Region, RegionKind};
+pub use addrmap::{AddressMap, Region, RegionKind};
 pub use burst::{Burst, BurstPlan};
-pub use delayer::AxiDelayer;
-pub use txn::{AccessKind, BusConfig, MemTxn};
-pub use xbar::Crossbar;
+pub use txn::BusConfig;

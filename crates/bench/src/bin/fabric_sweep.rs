@@ -145,11 +145,11 @@ fn main() {
         ] {
             for demand_paging in [false, true] {
                 let hierarchy = TlbHierarchyConfig {
-                    l1: TlbLevelConfig::new(
+                    l1: Some(TlbLevelConfig::new(
                         TlbOrg::fully_associative(l1_entries),
                         policy,
                         Cycles::new(1),
-                    ),
+                    )),
                     l2: TlbLevelConfig::new(TlbOrg::new(l2_sets, l2_ways), policy, Cycles::new(4)),
                 };
                 grid.push((
@@ -161,7 +161,7 @@ fn main() {
                     unbounded,
                     baseline,
                     TlbKnobs {
-                        hierarchy: Some(hierarchy),
+                        hierarchy,
                         demand_paging,
                     },
                 ));

@@ -83,12 +83,6 @@ pub struct DmaConfig {
     pub max_outstanding: usize,
     /// Host-domain cycles to program one transfer descriptor.
     pub issue_overhead: Cycles,
-    /// Device ID presented to the IOMMU for data traffic.
-    pub device_id: u32,
-    /// Arbitration priority the engine's bursts present at the fabric port
-    /// (see `ArbitrationPolicy` in `sva_common`). Zero — the default — keeps
-    /// the engine in the normal arbitration pool.
-    pub priority: u8,
 }
 
 impl Default for DmaConfig {
@@ -97,8 +91,6 @@ impl Default for DmaConfig {
             max_burst_bytes: 2048,
             max_outstanding: 2,
             issue_overhead: Cycles::new(20),
-            device_id: 1,
-            priority: 0,
         }
     }
 }
@@ -143,9 +135,15 @@ pub struct DmaStats {
 }
 
 /// The cluster DMA engine.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct DmaEngine {
     config: DmaConfig,
+    /// Device ID presented to the IOMMU for data traffic.
+    device_id: u32,
+    /// Arbitration priority the engine's bursts present at the fabric port
+    /// (see `ArbitrationPolicy` in `sva_common`). Zero keeps the engine in
+    /// the normal arbitration pool.
+    priority: u8,
     stats: DmaStats,
     /// Completion times of the bursts in flight during one batch, oldest
     /// first. Emptied at the start of every batch; kept between batches
@@ -154,10 +152,13 @@ pub struct DmaEngine {
 }
 
 impl DmaEngine {
-    /// Creates an engine with the given configuration.
-    pub fn new(config: DmaConfig) -> Self {
+    /// Creates an engine with the given configuration, presenting
+    /// `device_id` to the IOMMU and `priority` at the fabric port.
+    pub fn new(config: DmaConfig, device_id: u32, priority: u8) -> Self {
         Self {
             config,
+            device_id,
+            priority,
             stats: DmaStats::default(),
             in_flight: VecDeque::new(),
         }
@@ -166,6 +167,11 @@ impl DmaEngine {
     /// The engine configuration.
     pub const fn config(&self) -> &DmaConfig {
         &self.config
+    }
+
+    /// Device ID the engine presents to the IOMMU for data traffic.
+    pub(crate) const fn device_id(&self) -> u32 {
+        self.device_id
     }
 
     /// Statistics accumulated so far.
@@ -267,7 +273,7 @@ impl DmaEngine {
                 let (pa, trans) = loop {
                     match iommu.translate_at(
                         mem,
-                        self.config.device_id,
+                        self.device_id,
                         Iova::new(burst.addr.raw()),
                         is_write,
                         issue_t,
@@ -283,7 +289,7 @@ impl DmaEngine {
                                 // still reach the driver's fault queue.
                                 if iommu.demand_paging() {
                                     iommu.record_terminal_fault(
-                                        self.config.device_id,
+                                        self.device_id,
                                         Iova::new(burst.addr.raw()),
                                         is_write,
                                     );
@@ -296,7 +302,7 @@ impl DmaEngine {
                             // plus everything it is about to touch.
                             let (_, dropped) = iommu.enqueue_page_requests(
                                 mem,
-                                self.config.device_id,
+                                self.device_id,
                                 Iova::new(burst.addr.raw()),
                                 req.len - done,
                                 is_write,
@@ -330,7 +336,7 @@ impl DmaEngine {
                 // payload moves in one copy between memory and the burst's
                 // TCDM range, which is checked before the burst reaches the
                 // fabric.
-                let initiator = InitiatorId::dma(self.config.device_id);
+                let initiator = InitiatorId::dma(self.device_id);
                 let offset = req.tcdm_offset + done;
                 let access = match req.dir {
                     Direction::ToTcdm => {
@@ -340,7 +346,7 @@ impl DmaEngine {
                         MemReq::write(initiator, pa, tcdm.bytes(offset, burst.len)?)
                     }
                 };
-                let rsp = mem.access(access.burst().priority(self.config.priority).at(issue_t))?;
+                let rsp = mem.access(access.burst().priority(self.priority).at(issue_t))?;
                 let timing = rsp.timing;
                 // Credit-based issue: if the target channel's request queue
                 // was full, the burst sat at the fabric port for
@@ -393,7 +399,7 @@ mod tests {
         let mut mem = MemorySystem::default();
         let mut iommu = Iommu::new(IommuConfig::disabled());
         let mut tcdm = Tcdm::default();
-        let mut dma = DmaEngine::new(DmaConfig::default());
+        let mut dma = DmaEngine::new(DmaConfig::default(), 1, 0);
 
         // Put a pattern in DRAM, DMA it in, mangle it, DMA it out elsewhere.
         let src: Vec<u8> = (0..8192u32).map(|i| (i % 250) as u8).collect();
@@ -450,7 +456,7 @@ mod tests {
             .attach_device(&mut mem, &mut frames, 1, space.pscid(), space.root())
             .unwrap();
         let mut tcdm = Tcdm::default();
-        let mut dma = DmaEngine::new(DmaConfig::default());
+        let mut dma = DmaEngine::new(DmaConfig::default(), 1, 0);
         dma.execute(
             &mut mem,
             &mut iommu,
@@ -476,7 +482,7 @@ mod tests {
             .attach_device(&mut mem, &mut frames, 1, space.pscid(), space.root())
             .unwrap();
         let mut tcdm = Tcdm::default();
-        let mut dma = DmaEngine::new(DmaConfig::default());
+        let mut dma = DmaEngine::new(DmaConfig::default(), 1, 0);
         let err = dma.execute(
             &mut mem,
             &mut iommu,
@@ -496,7 +502,7 @@ mod tests {
             let mut mem = MemorySystem::default();
             let mut iommu = Iommu::new(IommuConfig::disabled());
             let mut tcdm = Tcdm::new(4096);
-            let mut dma = DmaEngine::new(DmaConfig::default());
+            let mut dma = DmaEngine::new(DmaConfig::default(), 1, 0);
             // One-burst transfers: the first ends at the TCDM's last byte,
             // the second 64 B past it.
             let req = DmaRequest {
@@ -548,7 +554,7 @@ mod tests {
 
             let mut iommu = Iommu::new(IommuConfig {
                 demand_paging: demand,
-                tlb_hierarchy: Some(TlbHierarchyConfig::default()),
+                tlb: TlbHierarchyConfig::two_level(),
                 ..IommuConfig::default()
             });
             let mut cpu = sva_host::HostCpu::default();
@@ -563,7 +569,7 @@ mod tests {
             }
 
             let mut tcdm = Tcdm::default();
-            let mut dma = DmaEngine::new(DmaConfig::default());
+            let mut dma = DmaEngine::new(DmaConfig::default(), 1, 0);
             let mut servicer = FaultServicer::new(&mut driver, &space, &mut frames);
             let done = dma
                 .execute_with_pri(
@@ -625,7 +631,7 @@ mod tests {
             .attach(&mut cpu, &mut mem, &mut iommu, &mut frames, space.pscid())
             .unwrap();
         let mut tcdm = Tcdm::default();
-        let mut dma = DmaEngine::new(DmaConfig::default());
+        let mut dma = DmaEngine::new(DmaConfig::default(), 1, 0);
         let mut servicer = FaultServicer::new(&mut driver, &space, &mut frames);
         let err = dma.execute_with_pri(
             &mut mem,
@@ -662,7 +668,7 @@ mod tests {
         });
         let mut iommu_a = Iommu::new(IommuConfig::disabled());
         let mut tcdm_a = Tcdm::default();
-        let mut dma_a = DmaEngine::new(DmaConfig::default());
+        let mut dma_a = DmaEngine::new(DmaConfig::default(), 1, 0);
         let t_baseline = dma_a
             .execute(
                 &mut mem_a,
@@ -686,7 +692,7 @@ mod tests {
             .attach_device(&mut mem_b, &mut frames, 1, space.pscid(), space.root())
             .unwrap();
         let mut tcdm_b = Tcdm::default();
-        let mut dma_b = DmaEngine::new(DmaConfig::default());
+        let mut dma_b = DmaEngine::new(DmaConfig::default(), 1, 0);
         let t_translated = dma_b
             .execute(
                 &mut mem_b,
@@ -730,10 +736,7 @@ mod tests {
             let mut tcdm = Tcdm::default();
             // Stream 1 saturates the bus first (shard order: it is placed
             // first-fit and never queues)...
-            let mut dma_a = DmaEngine::new(DmaConfig {
-                device_id: 1,
-                ..DmaConfig::default()
-            });
+            let mut dma_a = DmaEngine::new(DmaConfig::default(), 1, 0);
             dma_a
                 .execute(
                     &mut mem,
@@ -746,10 +749,7 @@ mod tests {
             // ...then stream 2 issues the same transfer from the same local
             // zero: every burst queues behind stream 1's reservations, so
             // its waiting requests pile up at the one-slot request FIFO.
-            let mut dma_b = DmaEngine::new(DmaConfig {
-                device_id: 3,
-                ..DmaConfig::default()
-            });
+            let mut dma_b = DmaEngine::new(DmaConfig::default(), 3, 0);
             let done = dma_b
                 .execute(
                     &mut mem,
@@ -812,10 +812,7 @@ mod tests {
             let mut mem = mem.clone();
             let mut iommu = Iommu::new(IommuConfig::disabled());
             let mut tcdm = Tcdm::default();
-            let mut dma = DmaEngine::new(DmaConfig {
-                device_id,
-                ..DmaConfig::default()
-            });
+            let mut dma = DmaEngine::new(DmaConfig::default(), device_id, 0);
             let done = dma
                 .execute(
                     &mut mem,
@@ -833,18 +830,15 @@ mod tests {
             let mut iommu = Iommu::new(IommuConfig::disabled());
             let mut tcdm = Tcdm::default();
             for device in [1u32, 3] {
-                DmaEngine::new(DmaConfig {
-                    device_id: device,
-                    ..DmaConfig::default()
-                })
-                .execute(
-                    &mut mem,
-                    &mut iommu,
-                    &mut tcdm,
-                    &[DmaRequest::input(bypass_addr(0), 0, 32 * 1024)],
-                    Cycles::ZERO,
-                )
-                .unwrap();
+                DmaEngine::new(DmaConfig::default(), device, 0)
+                    .execute(
+                        &mut mem,
+                        &mut iommu,
+                        &mut tcdm,
+                        &[DmaRequest::input(bypass_addr(0), 0, 32 * 1024)],
+                        Cycles::ZERO,
+                    )
+                    .unwrap();
             }
         }
         // Window 2 on the used system vs window 1 on a fresh system.
@@ -861,18 +855,15 @@ mod tests {
         {
             let mut iommu = Iommu::new(IommuConfig::disabled());
             let mut tcdm = Tcdm::default();
-            DmaEngine::new(DmaConfig {
-                device_id: 7,
-                ..DmaConfig::default()
-            })
-            .execute(
-                &mut mem,
-                &mut iommu,
-                &mut tcdm,
-                &[DmaRequest::input(bypass_addr(0), 0, 32 * 1024)],
-                Cycles::ZERO,
-            )
-            .unwrap();
+            DmaEngine::new(DmaConfig::default(), 7, 0)
+                .execute(
+                    &mut mem,
+                    &mut iommu,
+                    &mut tcdm,
+                    &[DmaRequest::input(bypass_addr(0), 0, 32 * 1024)],
+                    Cycles::ZERO,
+                )
+                .unwrap();
         }
         let clone_run = transfer(&mem_clone, 5);
         assert_eq!(clone_run, fresh, "clones must not share credit queues");
@@ -943,10 +934,14 @@ mod tests {
             });
             let mut iommu = Iommu::new(IommuConfig::disabled());
             let mut tcdm = Tcdm::default();
-            let mut dma = DmaEngine::new(DmaConfig {
-                max_outstanding: outstanding,
-                ..DmaConfig::default()
-            });
+            let mut dma = DmaEngine::new(
+                DmaConfig {
+                    max_outstanding: outstanding,
+                    ..DmaConfig::default()
+                },
+                1,
+                0,
+            );
             dma.execute(
                 &mut mem,
                 &mut iommu,

@@ -20,14 +20,11 @@ use sva_mem::MemorySystem;
 
 use crate::dma::{DmaConfig, DmaEngine, DmaStats};
 use crate::kernel::{DeviceKernel, TileCtx};
-use crate::pe::ClusterGeometry;
 use crate::tcdm::Tcdm;
 
 /// Configuration of the cluster executor.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ClusterConfig {
-    /// Cluster geometry (PE count, TCDM size).
-    pub geometry: ClusterGeometry,
     /// DMA engine configuration.
     pub dma: DmaConfig,
     /// Whether tile transfers are overlapped with compute (double buffering).
@@ -38,7 +35,6 @@ pub struct ClusterConfig {
 impl Default for ClusterConfig {
     fn default() -> Self {
         Self {
-            geometry: ClusterGeometry::default(),
             dma: DmaConfig::default(),
             double_buffer: true,
         }
@@ -121,11 +117,13 @@ impl Clone for ClusterExecutor {
 }
 
 impl ClusterExecutor {
-    /// Creates an executor with the given configuration.
-    pub fn new(config: ClusterConfig) -> Self {
+    /// Creates an executor with the given configuration and a
+    /// [`crate::tcdm::DEFAULT_TCDM_BYTES`] TCDM, whose DMA engine presents
+    /// `device_id` to the IOMMU and `priority` at the fabric port.
+    pub fn new(config: ClusterConfig, device_id: u32, priority: u8) -> Self {
         Self {
-            tcdm: Tcdm::new(config.geometry.tcdm_bytes),
-            dma: DmaEngine::new(config.dma),
+            tcdm: Tcdm::default(),
+            dma: DmaEngine::new(config.dma, device_id, priority),
             clock: GlobalClock::new(),
             config,
         }
@@ -134,6 +132,11 @@ impl ClusterExecutor {
     /// The executor configuration.
     pub const fn config(&self) -> &ClusterConfig {
         &self.config
+    }
+
+    /// Device ID the cluster's DMA engine presents to the IOMMU.
+    pub const fn device_id(&self) -> u32 {
+        self.dma.device_id()
     }
 
     /// The cluster's TCDM (e.g. to pre-load lookup tables in tests).
@@ -187,7 +190,7 @@ impl ClusterExecutor {
         // restarts at zero (shards of one offload run concurrently in
         // simulated time).
         self.clock.restart();
-        let device_id = self.config.dma.device_id;
+        let device_id = self.dma.device_id();
         // Completion time of the input transfers of each tile.
         let mut input_ready: Vec<Option<Cycles>> = vec![None; n];
 
@@ -381,8 +384,9 @@ impl ClusterExecutor {
 }
 
 impl Default for ClusterExecutor {
+    /// The paper platform's single cluster: device ID 1, priority 0.
     fn default() -> Self {
-        Self::new(ClusterConfig::default())
+        Self::new(ClusterConfig::default(), 1, 0)
     }
 }
 
@@ -564,10 +568,14 @@ mod tests {
                 src: bypass(0),
                 dst: bypass(0x100_0000),
             };
-            let mut exec = ClusterExecutor::new(ClusterConfig {
-                double_buffer,
-                ..ClusterConfig::default()
-            });
+            let mut exec = ClusterExecutor::new(
+                ClusterConfig {
+                    double_buffer,
+                    ..ClusterConfig::default()
+                },
+                1,
+                0,
+            );
             exec.run(&mut mem, &mut iommu, &mut kernel).unwrap()
         };
         let double = run(true);
@@ -700,7 +708,7 @@ mod tests {
 
         let mut iommu = Iommu::new(IommuConfig {
             demand_paging: true,
-            tlb_hierarchy: Some(sva_iommu::TlbHierarchyConfig::default()),
+            tlb: sva_iommu::TlbHierarchyConfig::two_level(),
             ..IommuConfig::default()
         });
         let mut cpu = sva_host::HostCpu::default();

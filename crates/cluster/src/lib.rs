@@ -8,7 +8,8 @@
 //! compute cores so that — for compute-bound kernels — the time spent
 //! *waiting* for data tends to zero.
 //!
-//! * [`tcdm`] — the L1 scratchpad (functional storage + allocator);
+//! * [`tcdm`] — the L1 scratchpad (functional storage + allocator), 128 KiB
+//!   in the evaluated cluster ([`tcdm::DEFAULT_TCDM_BYTES`]);
 //! * [`dma`] — the DMA engine: burst splitting, per-page IOMMU translation,
 //!   outstanding-transaction pipelining;
 //! * [`kernel`] — the [`DeviceKernel`] trait kernels implement (tile
@@ -16,7 +17,13 @@
 //! * [`executor`] — the double-buffered run loop producing the
 //!   DMA-wait / compute breakdown reported in Table II and Figure 4;
 //! * [`pe`] — the processing-element cost helpers shared by kernel cost
-//!   models.
+//!   models, for the cluster's eight compute PEs.
+//!
+//! [`ClusterConfig`] holds what every cluster of a platform shares (DMA
+//! burst size, outstanding bursts, issue overhead, double buffering). Each
+//! cluster's own identity — the IOMMU device ID its DMA engine presents and
+//! its fabric arbitration priority — is passed to [`ClusterExecutor::new`]
+//! and [`DmaEngine::new`] by whoever assembles the platform.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -30,5 +37,5 @@ pub mod tcdm;
 pub use dma::{Direction, DmaConfig, DmaEngine, DmaRequest, DmaStats};
 pub use executor::{ClusterConfig, ClusterExecutor, KernelRunStats};
 pub use kernel::{block_partition, DeviceKernel, TileCtx, TileIo, TileRange};
-pub use pe::{ClusterGeometry, PeCost};
+pub use pe::PeCost;
 pub use tcdm::{Tcdm, TcdmAllocator};

@@ -1,44 +1,22 @@
-//! Processing-element geometry and compute-cost helpers.
+//! Processing-element compute-cost helpers.
 //!
 //! The compute portion of a kernel tile is not simulated instruction by
 //! instruction; instead each kernel charges a number of **cluster-domain
 //! cycles** derived from its operation count and a per-kernel efficiency
 //! factor (how many cycles one PE needs per elementary operation, including
-//! loop and SSR/FREP overheads). These helpers centralise the geometry so all
-//! kernels use the same conversion.
+//! loop and SSR/FREP overheads). These helpers centralise the conversion so
+//! all kernels use the same one.
 
 use sva_common::{ClockDomain, Cycles};
 
-/// Geometry of the accelerator cluster.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct ClusterGeometry {
-    /// Number of compute PEs (the ninth, DMA-driving core is not counted).
-    pub num_pes: u32,
-    /// TCDM capacity in bytes.
-    pub tcdm_bytes: u64,
-}
-
-impl ClusterGeometry {
-    /// The evaluated configuration: 8 compute PEs, 128 KiB TCDM.
-    pub const fn snitch_octa() -> Self {
-        Self {
-            num_pes: 8,
-            tcdm_bytes: crate::tcdm::DEFAULT_TCDM_BYTES,
-        }
-    }
-}
-
-impl Default for ClusterGeometry {
-    fn default() -> Self {
-        Self::snitch_octa()
-    }
-}
+/// Number of compute PEs of the evaluated Snitch cluster (the ninth,
+/// DMA-driving core is not counted).
+const NUM_PES: u64 = 8;
 
 /// Converts an operation count into host-domain cycles for a parallel region
-/// executed by all PEs of the cluster.
+/// executed by all eight compute PEs of the cluster.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct PeCost {
-    geometry: ClusterGeometry,
     /// Cluster cycles one PE spends per elementary operation (1.0 would be a
     /// perfectly pipelined FMA per cycle; realistic kernels are higher).
     pub cycles_per_op: f64,
@@ -48,31 +26,12 @@ pub struct PeCost {
 }
 
 impl PeCost {
-    /// Creates a cost model for the default cluster geometry.
+    /// Creates a cost model.
     pub fn new(cycles_per_op: f64, region_overhead: u64) -> Self {
         Self {
-            geometry: ClusterGeometry::default(),
             cycles_per_op,
             region_overhead,
         }
-    }
-
-    /// Creates a cost model for an explicit geometry.
-    pub fn with_geometry(
-        geometry: ClusterGeometry,
-        cycles_per_op: f64,
-        region_overhead: u64,
-    ) -> Self {
-        Self {
-            geometry,
-            cycles_per_op,
-            region_overhead,
-        }
-    }
-
-    /// The cluster geometry this model assumes.
-    pub const fn geometry(&self) -> ClusterGeometry {
-        self.geometry
     }
 
     /// Host-domain cycles needed to execute `ops` elementary operations
@@ -82,7 +41,7 @@ impl PeCost {
     /// an uneven split), each operation costs `cycles_per_op` cluster cycles,
     /// and the per-region overhead is added once.
     pub fn parallel_region(&self, ops: u64) -> Cycles {
-        let per_pe = ops.div_ceil(self.geometry.num_pes as u64);
+        let per_pe = ops.div_ceil(NUM_PES);
         let cluster_cycles =
             (per_pe as f64 * self.cycles_per_op).ceil() as u64 + self.region_overhead;
         ClockDomain::Cluster.to_host_cycles(cluster_cycles)

@@ -101,12 +101,10 @@ impl QueueDepths {
         rsp: usize::MAX,
     };
 
-    /// Finite depths for both queues (clamped to at least one slot each).
+    /// Finite depths for both queues. Zero is passed through: a platform
+    /// configuration rejects it.
     pub const fn bounded(req: usize, rsp: usize) -> QueueDepths {
-        QueueDepths {
-            req: if req == 0 { 1 } else { req },
-            rsp: if rsp == 0 { 1 } else { rsp },
-        }
+        QueueDepths { req, rsp }
     }
 
     /// Whether both queues are unbounded (the default).
@@ -920,8 +918,8 @@ mod tests {
         assert_eq!(d.label(), "4/8");
         assert_eq!(d.to_string(), "4/8");
         assert!(!d.is_unbounded());
-        let clamped = QueueDepths::bounded(0, 0);
-        assert_eq!((clamped.req, clamped.rsp), (1, 1));
+        let zero = QueueDepths::bounded(0, 0);
+        assert_eq!((zero.req, zero.rsp), (0, 0), "zero is not clamped");
     }
 
     #[test]

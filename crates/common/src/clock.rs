@@ -31,16 +31,6 @@ use std::rc::Rc;
 
 use crate::cycles::Cycles;
 
-/// Anything that can report the current simulation time.
-///
-/// The trait exists so timing models can take `&dyn TimeSource` (or a
-/// generic) without committing to the shared-counter implementation of
-/// [`GlobalClock`].
-pub trait TimeSource {
-    /// The current simulation time, in host-domain cycles.
-    fn now(&self) -> Cycles;
-}
-
 /// A cloneable handle onto the shared global cycle counter.
 ///
 /// Cloning is cheap and *shares* the counter: `clock.clone().advance(d)`
@@ -90,12 +80,6 @@ impl GlobalClock {
     }
 }
 
-impl TimeSource for GlobalClock {
-    fn now(&self) -> Cycles {
-        GlobalClock::now(self)
-    }
-}
-
 impl fmt::Debug for GlobalClock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "GlobalClock({})", self.now.get())
@@ -132,13 +116,5 @@ mod tests {
         c.advance(Cycles::new(1000));
         c.restart();
         assert_eq!(c.now(), Cycles::ZERO);
-    }
-
-    #[test]
-    fn time_source_trait_object() {
-        let c = GlobalClock::new();
-        c.advance(Cycles::new(7));
-        let src: &dyn TimeSource = &c;
-        assert_eq!(src.now(), Cycles::new(7));
     }
 }

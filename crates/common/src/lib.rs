@@ -46,11 +46,11 @@ pub mod tlb;
 pub mod prelude {
     pub use crate::addr::{Iova, PhysAddr, VirtAddr, PAGE_SHIFT, PAGE_SIZE};
     pub use crate::channel::{QueueDepths, TimedQueue};
-    pub use crate::clock::{GlobalClock, TimeSource};
+    pub use crate::clock::GlobalClock;
     pub use crate::cycles::{ClockDomain, Cycles};
     pub use crate::error::{Error, Result};
     pub use crate::port::{
-        ArbitrationPolicy, InitiatorClass, InitiatorId, MemPortReq, PortDir, PortTiming,
+        AccessKind, ArbitrationPolicy, InitiatorClass, InitiatorId, MemPortReq, PortTiming,
     };
     pub use crate::size::{GIB, KIB, MIB};
     pub use crate::stats::{Counter, RunningStats};
@@ -59,11 +59,12 @@ pub mod prelude {
 
 pub use addr::{Iova, PhysAddr, VirtAddr, CACHE_LINE_SIZE, PAGE_SHIFT, PAGE_SIZE};
 pub use channel::{QueueDepths, ReservationIndex, TimedQueue};
-pub use clock::{GlobalClock, TimeSource};
+pub use clock::GlobalClock;
 pub use cycles::{ClockDomain, Cycles};
 pub use error::{Error, Result};
 pub use port::{
-    ArbitrationPolicy, InitiatorClass, InitiatorId, InitiatorStats, MemPortReq, PortDir, PortTiming,
+    AccessKind, ArbitrationPolicy, InitiatorClass, InitiatorId, InitiatorStats, MemPortReq,
+    PortTiming,
 };
 pub use size::{GIB, KIB, MIB};
 pub use tlb::{ReplacementPolicy, TlbOrg};

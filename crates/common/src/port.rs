@@ -151,19 +151,19 @@ impl fmt::Display for ArbitrationPolicy {
     }
 }
 
-/// Direction of a fabric access.
+/// Direction of a memory access.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum PortDir {
-    /// Data flows from memory to the initiator.
+pub enum AccessKind {
+    /// Data flows from memory to the initiator (AXI AR/R channels).
     Read,
-    /// Data flows from the initiator to memory.
+    /// Data flows from the initiator to memory (AXI AW/W/B channels).
     Write,
 }
 
-impl PortDir {
-    /// Returns `true` for writes.
+impl AccessKind {
+    /// Returns `true` for [`AccessKind::Write`].
     pub const fn is_write(self) -> bool {
-        matches!(self, PortDir::Write)
+        matches!(self, AccessKind::Write)
     }
 }
 
@@ -173,7 +173,7 @@ pub struct MemPortReq {
     /// Who is asking.
     pub initiator: InitiatorId,
     /// Read or write.
-    pub dir: PortDir,
+    pub dir: AccessKind,
     /// Physical (bus) address of the first byte.
     pub addr: PhysAddr,
     /// Length in bytes.
@@ -200,7 +200,7 @@ impl MemPortReq {
     pub const fn read(initiator: InitiatorId, addr: PhysAddr, len: u64) -> Self {
         Self {
             initiator,
-            dir: PortDir::Read,
+            dir: AccessKind::Read,
             addr,
             len,
             burst: false,
@@ -213,7 +213,7 @@ impl MemPortReq {
     pub const fn write(initiator: InitiatorId, addr: PhysAddr, len: u64) -> Self {
         Self {
             initiator,
-            dir: PortDir::Write,
+            dir: AccessKind::Write,
             addr,
             len,
             burst: false,
@@ -351,7 +351,7 @@ mod tests {
     #[test]
     fn descriptor_builders() {
         let r = MemPortReq::read(InitiatorId::Host, PhysAddr::new(0x1000), 64);
-        assert_eq!(r.dir, PortDir::Read);
+        assert_eq!(r.dir, AccessKind::Read);
         assert!(!r.dir.is_write());
         assert!(!r.burst);
         assert_eq!(r.arrival, Cycles::ZERO);

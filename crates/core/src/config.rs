@@ -11,14 +11,16 @@
 //! * **IOMMU + LLC** — the paper's proposal: the shared LLC caches host and
 //!   page-table-walk traffic while device DMA bypasses it.
 //!
-//! All variants share the DRAM-latency knob (the AXI delayer) swept over
-//! 200 / 600 / 1000 cycles.
+//! All variants share the DRAM-latency knob (the AXI delayer,
+//! `mem.dram_latency`) swept over 200 / 600 / 1000 cycles.
+//! [`PlatformConfig::variant`] builds a variant by setting the fields the
+//! model reads: `mem.llc_enabled` and `iommu.mode`.
 
-use sva_cluster::{ClusterConfig, DmaConfig};
+use sva_cluster::ClusterConfig;
 use sva_common::{ArbitrationPolicy, Cycles, Error, QueueDepths, Result, TlbOrg};
 use sva_host::{DriverConfig, HostCpuConfig, HostTrafficConfig, InterferenceLevel};
 use sva_iommu::{IommuConfig, IommuMode, TlbHierarchyConfig};
-use sva_mem::{DramChannelConfig, LlcConfig, MemSysConfig};
+use sva_mem::{LlcConfig, MemSysConfig};
 
 /// The three platform variants of the evaluation.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
@@ -63,31 +65,35 @@ impl SocVariant {
 pub const PAPER_LATENCIES: [u64; 3] = [200, 600, 1000];
 
 /// Full configuration of a platform instance.
+///
+/// Every field is read by the model, and each platform parameter has
+/// exactly one field.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PlatformConfig {
-    /// Which of the paper's variants this is.
-    pub variant: SocVariant,
-    /// Extra DRAM latency from the AXI delayer.
-    pub dram_latency: Cycles,
-    /// Memory-system details (LLC geometry, bypass policy, ...).
+    /// Memory-system details: the extra DRAM latency of the AXI delayer
+    /// (`dram_latency`, the paper's knob), whether the LLC exists and its
+    /// geometry, the DMA bypass policy and the fabric.
     pub mem: MemSysConfig,
     /// Host CPU details.
     pub cpu: HostCpuConfig,
-    /// IOMMU details (IOTLB size etc.).
+    /// IOMMU details: mode, translation hierarchy, walker, demand paging.
     pub iommu: IommuConfig,
-    /// Cluster details (DMA outstanding transactions, double buffering).
+    /// Cluster details (DMA bursts and outstanding transactions, double
+    /// buffering), shared by every cluster.
     pub cluster: ClusterConfig,
-    /// Driver cost model.
+    /// Driver cost model. `driver.device_id` is cluster 0's IOMMU device
+    /// ID; cluster `i` presents `driver.device_id + 2·i`.
     pub driver: DriverConfig,
     /// Synthetic host interference while the device runs (Figure 5's
     /// statistical model; superseded by [`PlatformConfig::host_traffic`]
     /// for fabric sweeps).
     pub interference: InterferenceLevel,
     /// Timed host-traffic stream injected into device measurement windows
-    /// (`None` = host idle). Setting it turns on the global-clock engine
-    /// (`FabricConfig::timed_host_ptw`), so the stream's accesses reserve
-    /// bus occupancy and host/PTW queueing is charged when fabric
-    /// contention charging is enabled.
+    /// (`None` = host idle). It needs the global-clock engine
+    /// (`mem.fabric.timed_host_ptw`, which
+    /// [`PlatformConfig::with_host_traffic`] turns on), so the stream's
+    /// accesses reserve bus occupancy and host/PTW queueing is charged when
+    /// fabric contention charging is enabled.
     pub host_traffic: Option<HostTrafficConfig>,
     /// Number of accelerator clusters sharing the IOMMU and memory fabric.
     /// The paper's prototype has one; offloads are sharded across clusters
@@ -108,12 +114,10 @@ pub struct PlatformConfig {
 impl PlatformConfig {
     /// Builds one of the paper's three variants at a given DRAM latency.
     pub fn variant(variant: SocVariant, dram_latency: u64) -> Self {
-        let dram_latency = Cycles::new(dram_latency);
         let mem = MemSysConfig {
-            dram_latency,
+            dram_latency: Cycles::new(dram_latency),
             llc_enabled: variant.has_llc(),
             llc: LlcConfig::cheshire_128k(),
-            llc_serves_ptw: true,
             llc_serves_dma: false,
             ..MemSysConfig::default()
         };
@@ -123,19 +127,13 @@ impl PlatformConfig {
             } else {
                 IommuMode::Disabled
             },
-            iotlb_entries: 4,
             ..IommuConfig::default()
         };
         Self {
-            variant,
-            dram_latency,
             mem,
             cpu: HostCpuConfig::default(),
             iommu,
-            cluster: ClusterConfig {
-                dma: DmaConfig::default(),
-                ..ClusterConfig::default()
-            },
+            cluster: ClusterConfig::default(),
             driver: DriverConfig::default(),
             interference: InterferenceLevel::Idle,
             host_traffic: None,
@@ -146,22 +144,24 @@ impl PlatformConfig {
     }
 
     /// Checks that the platform can be built from this configuration and
-    /// run without a panic or a silently clamped value. The builders clamp
-    /// their arguments, but the fields are public, so a configuration
-    /// written field by field can still hold values the platform cannot
-    /// use.
+    /// run without a panic, a silently clamped value or an ignored one. The
+    /// builders pass their arguments through, and the fields are public, so
+    /// a configuration can hold values the platform cannot use.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] naming the first offending field:
     ///
-    /// * a zero-sized resource: `num_clusters`,
+    /// * a zero-sized resource: `num_clusters`, `mem.bus.bus_bytes`,
     ///   `mem.fabric.req_queue_depth`, `mem.fabric.rsp_queue_depth`,
-    ///   `mem.fabric.channels.num_channels`, `iommu.iotlb_entries` (without
-    ///   a TLB hierarchy, which sizes its own levels), the sets or ways of
-    ///   `iommu.tlb_hierarchy.l1.org` / `iommu.tlb_hierarchy.l2.org`,
-    ///   `cluster.dma.max_outstanding`, `cluster.dma.max_burst_bytes` or
-    ///   `host_traffic.region_bytes`;
+    ///   `mem.fabric.channels.num_channels`,
+    ///   `mem.fabric.channels.interleave_granule`, the sets or ways of
+    ///   `iommu.tlb.l1.org` / `iommu.tlb.l2.org`,
+    ///   `iommu.page_request_entries`, `cluster.dma.max_outstanding`,
+    ///   `cluster.dma.max_burst_bytes` or `host_traffic.region_bytes`;
+    /// * `mem.fabric.timed_host_ptw`, when it is off while a `host_traffic`
+    ///   stream is configured: the stream's accesses would reserve no bus
+    ///   time;
     /// * `mem.llc`, when the LLC is enabled, if `spm_ways` leaves no cache
     ///   way or the cache ways form a geometry
     ///   [`sva_mem::CacheConfig::validate`] rejects;
@@ -171,10 +171,11 @@ impl PlatformConfig {
     pub fn validate(&self) -> Result<()> {
         let invalid = |reason: String| Err(Error::InvalidConfig { reason });
         let fabric = &self.mem.fabric;
-        let tlb = self.iommu.tlb_hierarchy;
+        let tlb = self.iommu.tlb;
         let empty = |org: TlbOrg| org.sets == 0 || org.ways == 0;
         let zero_sized = [
             ("num_clusters", self.num_clusters == 0),
+            ("mem.bus.bus_bytes", self.mem.bus.bus_bytes == 0),
             ("mem.fabric.req_queue_depth", fabric.req_queue_depth == 0),
             ("mem.fabric.rsp_queue_depth", fabric.rsp_queue_depth == 0),
             (
@@ -182,16 +183,17 @@ impl PlatformConfig {
                 fabric.channels.num_channels == 0,
             ),
             (
-                "iommu.iotlb_entries",
-                self.iommu.iotlb_entries == 0 && tlb.is_none(),
+                "mem.fabric.channels.interleave_granule",
+                fabric.channels.interleave_granule == 0,
             ),
             (
-                "iommu.tlb_hierarchy.l1.org sets and ways",
-                tlb.is_some_and(|h| empty(h.l1.org)),
+                "iommu.tlb.l1.org sets and ways",
+                tlb.l1.is_some_and(|l1| empty(l1.org)),
             ),
+            ("iommu.tlb.l2.org sets and ways", empty(tlb.l2.org)),
             (
-                "iommu.tlb_hierarchy.l2.org sets and ways",
-                tlb.is_some_and(|h| empty(h.l2.org)),
+                "iommu.page_request_entries",
+                self.iommu.page_request_entries == 0,
             ),
             (
                 "cluster.dma.max_outstanding",
@@ -208,6 +210,12 @@ impl PlatformConfig {
         ];
         if let Some((field, _)) = zero_sized.into_iter().find(|&(_, zero)| zero) {
             return invalid(format!("{field} must be at least 1"));
+        }
+        if self.host_traffic.is_some() && !fabric.timed_host_ptw {
+            return invalid(
+                "host_traffic needs mem.fabric.timed_host_ptw: without it the stream reserves no bus time"
+                    .into(),
+            );
         }
         let llc = &self.mem.llc;
         if self.mem.llc_enabled {
@@ -254,9 +262,14 @@ impl PlatformConfig {
         Self::variant(SocVariant::IommuLlc, dram_latency)
     }
 
-    /// Returns a copy with a different IOTLB capacity (ablation).
+    /// Returns a copy whose shared IOTLB holds `entries` fully-associative
+    /// entries (ablation). Zero is passed through for
+    /// [`PlatformConfig::validate`] to reject.
     pub fn with_iotlb_entries(mut self, entries: usize) -> Self {
-        self.iommu.iotlb_entries = entries;
+        self.iommu.tlb.l2.org = TlbOrg {
+            sets: 1,
+            ways: entries,
+        };
         self
     }
 
@@ -287,9 +300,9 @@ impl PlatformConfig {
     }
 
     /// Returns a copy with `n` accelerator clusters sharing the IOMMU and
-    /// the memory fabric (clamped to at least one).
+    /// the memory fabric.
     pub fn with_clusters(mut self, n: usize) -> Self {
-        self.num_clusters = n.max(1);
+        self.num_clusters = n;
         self
     }
 
@@ -301,20 +314,9 @@ impl PlatformConfig {
     }
 
     /// Returns a copy whose DRAM backend is split into `n` page-interleaved
-    /// channels (clamped to at least one; `n = 1` is the paper's single
-    /// shared data path).
+    /// channels (`n = 1` is the paper's single shared data path).
     pub fn with_memory_channels(mut self, n: usize) -> Self {
-        self.mem.fabric.channels = DramChannelConfig {
-            num_channels: n.max(1),
-            ..self.mem.fabric.channels
-        };
-        self
-    }
-
-    /// Returns a copy with a fully specified multi-channel DRAM geometry
-    /// (channel count, rank folding, interleave granule).
-    pub fn with_channel_config(mut self, channels: DramChannelConfig) -> Self {
-        self.mem.fabric.channels = channels;
+        self.mem.fabric.channels.num_channels = n;
         self
     }
 
@@ -325,8 +327,7 @@ impl PlatformConfig {
     }
 
     /// Returns a copy whose DRAM channels carry **finite request/response
-    /// queues** of the given depths (clamped to at least one slot each):
-    /// the split-transaction fabric. A full request queue stalls initiator
+    /// queues** of the given depths: the split-transaction fabric. A full request queue stalls initiator
     /// issue (credit-based backpressure, reported as
     /// `issue_stall_cycles`); a full response queue delays grants. The
     /// default `usize::MAX` depths are cycle-identical to the pure
@@ -354,15 +355,6 @@ impl PlatformConfig {
         self
     }
 
-    /// Returns a copy with the global-clock engine on: host and PTW
-    /// accesses reserve bus occupancy on the fabric timelines and their
-    /// measured queueing is charged into latencies whenever fabric
-    /// contention charging is also enabled.
-    pub fn with_global_clock(mut self) -> Self {
-        self.mem.fabric.timed_host_ptw = true;
-        self
-    }
-
     /// Returns a copy that injects a timed host-traffic stream into every
     /// device measurement window (and turns the global-clock engine on —
     /// untimed host traffic could not contend).
@@ -380,30 +372,22 @@ impl PlatformConfig {
         self
     }
 
-    /// Returns a copy with the batched walker enabled and its walk table
-    /// sized to `entries` in-flight PTE reads.
-    pub fn with_ptw_mshr_entries(mut self, entries: usize) -> Self {
-        self.iommu.ptw_batching = true;
-        self.iommu.ptw_mshr_entries = entries.max(1);
-        self
-    }
-
-    /// Returns a copy whose IOMMU runs the **two-level translation
-    /// hierarchy**: a private L1 ATC per device in front of a shared L2
-    /// IOTLB, each with its own organisation, replacement policy and
-    /// lookup latency (charged into every translation). The default
-    /// (`None`) is the paper prototype's single IOTLB, cycle-identical to
-    /// the pre-hierarchy model.
+    /// Returns a copy whose IOMMU runs the given **translation
+    /// hierarchy**: an optional private L1 ATC per device in front of the
+    /// shared IOTLB, each level with its own organisation, replacement
+    /// policy and lookup latency (charged into every translation). The
+    /// default, [`TlbHierarchyConfig::default`], is the paper prototype's
+    /// single IOTLB.
     pub fn with_tlb_hierarchy(mut self, hierarchy: TlbHierarchyConfig) -> Self {
-        self.iommu.tlb_hierarchy = Some(hierarchy);
+        self.iommu.tlb = hierarchy;
         self
     }
 
-    /// Returns a copy with the default two-level hierarchy (4-entry
-    /// fully-associative ATC per device, 32-entry 8×4 shared L2, true
-    /// LRU).
+    /// Returns a copy with the two-level hierarchy
+    /// ([`TlbHierarchyConfig::two_level`]: 4-entry fully-associative ATC
+    /// per device, 32-entry 8×4 shared L2, true LRU).
     pub fn with_default_tlb_hierarchy(self) -> Self {
-        self.with_tlb_hierarchy(TlbHierarchyConfig::default())
+        self.with_tlb_hierarchy(TlbHierarchyConfig::two_level())
     }
 
     /// Returns a copy with **ATS/PRI-style demand paging**: zero-copy
@@ -434,7 +418,6 @@ mod tests {
     #[test]
     fn variants_match_table2_configurations() {
         let base = PlatformConfig::baseline(600);
-        assert!(!base.mem.llc_enabled || base.variant == SocVariant::Baseline);
         assert_eq!(base.iommu.mode, IommuMode::Disabled);
         assert!(
             base.mem.llc_enabled,
@@ -457,7 +440,10 @@ mod tests {
     #[test]
     fn paper_iotlb_has_four_entries() {
         for v in SocVariant::ALL {
-            assert_eq!(PlatformConfig::variant(v, 200).iommu.iotlb_entries, 4);
+            let tlb = PlatformConfig::variant(v, 200).iommu.tlb;
+            assert!(tlb.l1.is_none(), "the prototype has no private L1");
+            assert_eq!(tlb.l2.org, TlbOrg::fully_associative(4));
+            assert_eq!(tlb.l2.lookup_latency, Cycles::new(2));
         }
     }
 
@@ -469,7 +455,7 @@ mod tests {
             .with_dma_through_llc()
             .with_single_buffering()
             .with_interference(InterferenceLevel::RandomTraffic);
-        assert_eq!(c.iommu.iotlb_entries, 16);
+        assert_eq!(c.iommu.tlb.l2.org, TlbOrg::fully_associative(16));
         assert_eq!(c.cluster.dma.max_outstanding, 8);
         assert!(c.mem.llc_serves_dma);
         assert!(!c.cluster.double_buffer);

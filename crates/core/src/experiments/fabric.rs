@@ -74,30 +74,32 @@ impl FabricKnobs {
     ];
 }
 
-/// The translation knobs of one measurement point: the two-level TLB
-/// hierarchy and ATS/PRI demand paging. `TlbKnobs::default()` is the
-/// paper prototype's single IOTLB with faults-are-errors.
+/// The translation knobs of one measurement point: the TLB hierarchy and
+/// ATS/PRI demand paging. `TlbKnobs::default()` is the paper prototype's
+/// single IOTLB with faults-are-errors.
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct TlbKnobs {
-    /// Two-level hierarchy configuration (`None` = single-level IOTLB).
-    pub hierarchy: Option<TlbHierarchyConfig>,
+    /// Translation hierarchy (the default is the prototype's single
+    /// IOTLB, with no L1).
+    pub hierarchy: TlbHierarchyConfig,
     /// Run with demand paging: no up-front mapping, faults are paged in
     /// through the page-request loop.
     pub demand_paging: bool,
 }
 
 impl TlbKnobs {
-    /// Compact label used as the point's `tlb` field
-    /// (`"single"` or e.g. `"l1:1x4-lru+l2:8x4-lru"`).
+    /// Compact label used as the point's `tlb` field (`"single"` without
+    /// an L1, else e.g. `"l1:1x4-lru+l2:8x4-lru"`).
     pub fn label(&self) -> String {
-        match self.hierarchy {
+        let l2 = self.hierarchy.l2;
+        match self.hierarchy.l1 {
             None => "single".to_string(),
-            Some(h) => format!(
+            Some(l1) => format!(
                 "l1:{}-{}+l2:{}-{}",
-                h.l1.org.label(),
-                h.l1.policy.label(),
-                h.l2.org.label(),
-                h.l2.policy.label()
+                l1.org.label(),
+                l1.policy.label(),
+                l2.org.label(),
+                l2.policy.label()
             ),
         }
     }
@@ -175,8 +177,7 @@ pub struct FabricPoint {
     /// Hit rate of the shared IOTLB (the L2 of the hierarchy; 0 when the
     /// variant has no IOMMU).
     pub iotlb_hit_rate: f64,
-    /// Aggregate hit rate of the per-device L1 ATCs (0 in the single-level
-    /// configuration).
+    /// Aggregate hit rate of the per-device L1 ATCs (0 without an L1).
     pub atc_hit_rate: f64,
     /// Page requests accepted into the page-request queue.
     pub page_requests: u64,
@@ -585,9 +586,7 @@ pub fn run_point(
     if knobs.ptw_batching {
         config = config.with_ptw_batching();
     }
-    if let Some(hierarchy) = tlb.hierarchy {
-        config = config.with_tlb_hierarchy(hierarchy);
-    }
+    config = config.with_tlb_hierarchy(tlb.hierarchy);
     if tlb.demand_paging {
         config = config.with_demand_paging();
     }
@@ -862,7 +861,7 @@ mod tests {
 
     #[test]
     fn tlb_sub_grid_reports_hierarchy_splits_and_demand_paging() {
-        let hierarchy = TlbHierarchyConfig::default();
+        let hierarchy = TlbHierarchyConfig::two_level();
         let run_tlb = |tlb: TlbKnobs| {
             run_point(
                 KernelKind::Gemm,
@@ -880,11 +879,11 @@ mod tests {
         };
         let single = run_tlb(TlbKnobs::default());
         let hier = run_tlb(TlbKnobs {
-            hierarchy: Some(hierarchy),
+            hierarchy,
             demand_paging: false,
         });
         let demand = run_tlb(TlbKnobs {
-            hierarchy: Some(hierarchy),
+            hierarchy,
             demand_paging: true,
         });
         assert!(single.verified && hier.verified && demand.verified);

@@ -300,7 +300,7 @@ impl OffloadRunner {
             let placements = self.place_in_reserved(platform, workload, initial)?;
             let device_ptrs: Vec<Iova> = placements
                 .iter()
-                .map(|pa| Iova::new(platform.mem.map().remap().to_bypass(*pa).raw()))
+                .map(|pa| Iova::new(platform.mem.map().to_bypass(*pa).raw()))
                 .collect();
             let (stats, per_cluster) =
                 Self::run_device_sharded(platform, workload, &device_ptrs, None)?;
@@ -671,7 +671,7 @@ impl OffloadRunner {
         // offloads present the bypassed device ID, so translation is off.
         let device_ptrs: Vec<Iova> = shadows
             .iter()
-            .map(|pa| Iova::new(platform.mem.map().remap().to_bypass(*pa).raw()))
+            .map(|pa| Iova::new(platform.mem.map().to_bypass(*pa).raw()))
             .collect();
         let mut bypass_iommu = Iommu::new(IommuConfig::disabled());
         let (device, device_per_cluster) =

@@ -114,10 +114,8 @@ impl Platform {
         let num_clusters = config.num_clusters;
         let clusters = (0..num_clusters)
             .map(|i| {
-                let mut cluster_cfg = config.cluster;
-                cluster_cfg.dma.device_id = config.driver.device_id + 2 * i as u32;
-                cluster_cfg.dma.priority = config.cluster_priorities.get(i).copied().unwrap_or(0);
-                ClusterExecutor::new(cluster_cfg)
+                let priority = config.cluster_priorities.get(i).copied().unwrap_or(0);
+                ClusterExecutor::new(config.cluster, data_device_id(&config, i), priority)
             })
             .collect();
         let mut frames = FrameAllocator::linux_pool();
@@ -134,7 +132,7 @@ impl Platform {
             // built for cluster 0 — same process, same mappings.
             let root = driver.io_table().expect("driver attached").root();
             for i in 1..num_clusters {
-                let data_id = config.driver.device_id + 2 * i as u32;
+                let data_id = data_device_id(&config, i);
                 iommu.attach_device(&mut mem, &mut frames, data_id, space.pscid(), root)?;
                 iommu.attach_bypass_device(&mut mem, &mut frames, data_id + 1)?;
             }
@@ -179,13 +177,19 @@ impl Platform {
 
     /// IOMMU device ID presented by cluster `index`'s DMA data traffic.
     pub fn cluster_device_id(&self, index: usize) -> u32 {
-        self.config.driver.device_id + 2 * index as u32
+        data_device_id(&self.config, index)
     }
 
-    /// Convenience: the DRAM latency knob of this instance.
+    /// Convenience: the DRAM latency knob of this instance (the AXI
+    /// delayer's `mem.dram_latency`).
     pub fn dram_latency(&self) -> u64 {
-        self.config.dram_latency.raw()
+        self.config.mem.dram_latency.raw()
     }
+}
+
+/// IOMMU device ID of cluster `index`'s DMA data traffic under `config`.
+fn data_device_id(config: &PlatformConfig, index: usize) -> u32 {
+    config.driver.device_id + 2 * index as u32
 }
 
 #[cfg(test)]
@@ -198,7 +202,6 @@ mod tests {
         for variant in SocVariant::ALL {
             let config = PlatformConfig::variant(variant, 600);
             let platform = Platform::new(config).unwrap();
-            assert_eq!(platform.config().variant, variant);
             assert_eq!(platform.dram_latency(), 600);
             assert_eq!(platform.iommu.is_translating(), variant.has_iommu());
             assert_eq!(platform.mem.llc().is_some(), variant.has_llc());
@@ -260,11 +263,11 @@ mod tests {
 
     #[test]
     fn zero_iotlb_entries_are_rejected_without_a_hierarchy() {
-        let mut config = PlatformConfig::iommu_with_llc(200);
-        config.iommu.iotlb_entries = 0;
-        assert_rejects(config.clone(), "iommu.iotlb_entries");
-        // A TLB hierarchy sizes its own levels, so the field is unused.
-        assert!(Platform::new(config.with_default_tlb_hierarchy()).is_ok());
+        let config = PlatformConfig::iommu_with_llc(200).with_iotlb_entries(0);
+        assert_rejects(config.clone(), "iommu.tlb.l2.org");
+        // Behind an L1 the shared level is sized, and checked, the same way.
+        let behind_l1 = config.with_default_tlb_hierarchy().with_iotlb_entries(0);
+        assert_rejects(behind_l1, "iommu.tlb.l2.org");
     }
 
     #[test]
@@ -317,11 +320,11 @@ mod tests {
     #[test]
     fn empty_tlb_levels_are_rejected() {
         let mut config = PlatformConfig::iommu_with_llc(200).with_default_tlb_hierarchy();
-        config.iommu.tlb_hierarchy.as_mut().unwrap().l1.org.sets = 0;
-        assert_rejects(config, "iommu.tlb_hierarchy.l1.org");
+        config.iommu.tlb.l1.as_mut().unwrap().org.sets = 0;
+        assert_rejects(config, "iommu.tlb.l1.org");
         let mut config = PlatformConfig::iommu_with_llc(200).with_default_tlb_hierarchy();
-        config.iommu.tlb_hierarchy.as_mut().unwrap().l2.org.ways = 0;
-        assert_rejects(config, "iommu.tlb_hierarchy.l2.org");
+        config.iommu.tlb.l2.org.ways = 0;
+        assert_rejects(config, "iommu.tlb.l2.org");
     }
 
     #[test]
@@ -338,6 +341,61 @@ mod tests {
         assert_rejects(zero, "mem.fabric.policy");
         let full = config.with_arbitration(ArbitrationPolicy::Weighted(vec![8, 4, 2, 1, 1]));
         assert!(Platform::new(full).is_ok(), "extra weights are unused");
+    }
+
+    #[test]
+    fn zero_bus_width_is_rejected() {
+        let mut config = PlatformConfig::iommu_with_llc(200);
+        config.mem.bus.bus_bytes = 0;
+        assert_rejects(config, "mem.bus.bus_bytes");
+    }
+
+    #[test]
+    fn zero_interleave_granule_is_rejected() {
+        let mut config = PlatformConfig::iommu_with_llc(200);
+        config.mem.fabric.channels.interleave_granule = 0;
+        assert_rejects(config, "mem.fabric.channels.interleave_granule");
+    }
+
+    #[test]
+    fn zero_page_request_entries_are_rejected() {
+        let mut config = PlatformConfig::iommu_with_llc(200).with_demand_paging();
+        config.iommu.page_request_entries = 0;
+        assert_rejects(config, "iommu.page_request_entries");
+    }
+
+    #[test]
+    fn host_traffic_without_timed_host_ptw_is_rejected() {
+        let mut config = PlatformConfig::iommu_with_llc(200);
+        config.host_traffic = Some(sva_host::HostTrafficConfig::default());
+        assert_rejects(config.clone(), "mem.fabric.timed_host_ptw");
+        config.mem.fabric.timed_host_ptw = true;
+        assert!(Platform::new(config).is_ok());
+    }
+
+    #[test]
+    fn builders_pass_zero_through_to_validation() {
+        let config = PlatformConfig::iommu_with_llc(200);
+        assert_rejects(config.clone().with_clusters(0), "num_clusters");
+        assert_rejects(
+            config.clone().with_memory_channels(0),
+            "mem.fabric.channels.num_channels",
+        );
+        assert_rejects(
+            config.clone().with_channel_depths(0, 4),
+            "mem.fabric.req_queue_depth",
+        );
+        assert_rejects(
+            config.with_channel_depths(4, 0),
+            "mem.fabric.rsp_queue_depth",
+        );
+    }
+
+    #[test]
+    fn dram_latency_reads_the_delayer_setting() {
+        let mut config = PlatformConfig::iommu_with_llc(200);
+        config.mem.dram_latency = sva_common::Cycles::new(1000);
+        assert_eq!(Platform::new(config).unwrap().dram_latency(), 1000);
     }
 
     #[test]
@@ -365,7 +423,7 @@ mod tests {
         assert_eq!(platform.num_clusters(), 4);
         for i in 0..4 {
             assert_eq!(
-                platform.clusters[i].config().dma.device_id,
+                platform.clusters[i].device_id(),
                 platform.cluster_device_id(i)
             );
         }

@@ -296,12 +296,12 @@ fn demand_paging_golden_counts_hold() {
         // them (with the default 4-entry ATC the small kernels' per-tile
         // sets never leave L1 and the L2 would sit idle).
         let hierarchy = sva_iommu::TlbHierarchyConfig {
-            l1: sva_iommu::TlbLevelConfig::new(
+            l1: Some(sva_iommu::TlbLevelConfig::new(
                 sva_common::TlbOrg::fully_associative(2),
                 sva_common::ReplacementPolicy::TrueLru,
                 sva_common::Cycles::new(1),
-            ),
-            ..sva_iommu::TlbHierarchyConfig::default()
+            )),
+            ..sva_iommu::TlbHierarchyConfig::two_level()
         };
         let config = golden_config(2)
             .with_tlb_hierarchy(hierarchy)

@@ -12,8 +12,7 @@
 //! bytes are moved by whoever owns them (the copy engine, the runtime), so
 //! the core's memory path only times and counts its accesses.
 
-use sva_axi::AccessKind;
-use sva_common::{Cycles, GlobalClock, InitiatorId, PhysAddr, Result, CACHE_LINE_SIZE};
+use sva_common::{AccessKind, Cycles, GlobalClock, InitiatorId, PhysAddr, Result, CACHE_LINE_SIZE};
 use sva_mem::cache::{Cache, CacheConfig};
 use sva_mem::{MemReq, MemorySystem};
 

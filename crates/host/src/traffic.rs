@@ -20,8 +20,7 @@
 //!   (M/D/1 queueing delay + random LLC pollution). Kept for Figure 5
 //!   reproduction; the timed stream supersedes it for fabric sweeps.
 
-use sva_axi::AccessKind;
-use sva_common::{Cycles, GlobalClock, InitiatorId, PhysAddr, Result};
+use sva_common::{AccessKind, Cycles, GlobalClock, InitiatorId, PhysAddr, Result};
 use sva_mem::interference::InterferenceConfig;
 use sva_mem::{MemReq, MemorySystem};
 

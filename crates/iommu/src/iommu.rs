@@ -7,17 +7,17 @@
 //!
 //! # The translation hierarchy
 //!
-//! By default the IOMMU keeps the paper prototype's single 4-entry,
-//! fully-associative, true-LRU IOTLB. [`IommuConfig::tlb_hierarchy`]
-//! upgrades it to a configurable **two-level hierarchy**: one private L1
-//! address-translation cache (ATC) per device in front of one shared L2
-//! IOTLB, each with its own organisation ([`sva_common::TlbOrg`]),
-//! replacement policy ([`sva_common::ReplacementPolicy`]) and lookup
-//! latency. A translation probes L1, then L2 (filling L1 on an L2 hit),
-//! then walks the page table (filling both levels), charging the
-//! per-level latencies into the cycles it returns — so TLB pressure shows
-//! up in DMA issue times, not only in hit rates. Invalidation commands
-//! purge **both** levels plus the walker's in-flight MSHR registers.
+//! [`IommuConfig::tlb`] configures one shared IOTLB and, optionally, one
+//! private L1 address-translation cache (ATC) per device in front of it,
+//! each with its own organisation ([`sva_common::TlbOrg`]), replacement
+//! policy ([`sva_common::ReplacementPolicy`]) and lookup latency. The
+//! default is the paper prototype's: no ATC and a single 4-entry,
+//! fully-associative, true-LRU IOTLB. A translation probes the ATC (if
+//! any), then the shared IOTLB (filling the ATC on a hit), then walks the
+//! page table (filling every level), charging the per-level latencies
+//! into the cycles it returns — so TLB pressure shows up in DMA issue
+//! times, not only in hit rates. Invalidation commands purge every level
+//! plus the walker's in-flight MSHR registers.
 //!
 //! # Untimed probes
 //!
@@ -41,9 +41,8 @@ use sva_vm::FrameAllocator;
 use crate::ddt::{DeviceContext, DeviceDirectory};
 use crate::iotlb::IoTlb;
 use crate::pri::PageRequestStats;
-use crate::ptw::PageTableWalker;
+use crate::ptw::{PageTableWalker, DEFAULT_MSHR_ENTRIES};
 use crate::queues::{BoundedQueue, Command, FaultReason, FaultRecord, PageRequest};
-use crate::regs::{RegisterFile, DDTP_MODE_1LVL};
 
 /// Width of one bucket of the page-request service-latency histogram.
 const PRI_HIST_BUCKET: u64 = 512;
@@ -88,31 +87,48 @@ impl TlbLevelConfig {
     }
 }
 
-/// The two-level translation hierarchy: a private L1 ATC per device in
-/// front of a shared L2 IOTLB.
+/// The translation hierarchy: an optional private L1 ATC per device in
+/// front of the shared IOTLB.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct TlbHierarchyConfig {
-    /// The per-device L1 address-translation cache.
-    pub l1: TlbLevelConfig,
-    /// The shared L2 IOTLB behind every ATC.
+    /// The per-device L1 address-translation cache; `None` (the paper
+    /// prototype) lets every device look up the shared IOTLB directly.
+    pub l1: Option<TlbLevelConfig>,
+    /// The shared IOTLB: the only TLB without an L1, the L2 behind the
+    /// ATCs with one.
     pub l2: TlbLevelConfig,
 }
 
-impl Default for TlbHierarchyConfig {
-    /// A small private ATC (4 fully-associative entries, 1-cycle lookup)
-    /// in front of a 32-entry 8×4 set-associative shared IOTLB (4-cycle
-    /// lookup), both true-LRU.
-    fn default() -> Self {
+impl TlbHierarchyConfig {
+    /// The two-level hierarchy: a small private ATC (4 fully-associative
+    /// entries, 1-cycle lookup) in front of a 32-entry 8×4 set-associative
+    /// shared IOTLB (4-cycle lookup), both true-LRU.
+    pub fn two_level() -> Self {
         Self {
-            l1: TlbLevelConfig::new(
+            l1: Some(TlbLevelConfig::new(
                 TlbOrg::fully_associative(4),
                 ReplacementPolicy::TrueLru,
                 Cycles::new(1),
-            ),
+            )),
             l2: TlbLevelConfig::new(
                 TlbOrg::new(8, 4),
                 ReplacementPolicy::TrueLru,
                 Cycles::new(4),
+            ),
+        }
+    }
+}
+
+impl Default for TlbHierarchyConfig {
+    /// The paper prototype's IOTLB: no L1, and one shared level of 4
+    /// fully-associative true-LRU entries with a 2-cycle lookup.
+    fn default() -> Self {
+        Self {
+            l1: None,
+            l2: TlbLevelConfig::new(
+                TlbOrg::fully_associative(4),
+                ReplacementPolicy::TrueLru,
+                Cycles::new(2),
             ),
         }
     }
@@ -123,30 +139,19 @@ impl Default for TlbHierarchyConfig {
 pub struct IommuConfig {
     /// Operating mode.
     pub mode: IommuMode,
-    /// Number of IOTLB entries (the prototype uses 4). Ignored when
-    /// [`IommuConfig::tlb_hierarchy`] is set — the hierarchy's level
-    /// configurations size the TLBs then.
-    pub iotlb_entries: usize,
-    /// Latency of an IOTLB lookup (hit or miss detection) in the
-    /// single-level configuration. The hierarchy charges its per-level
-    /// `lookup_latency` knobs instead.
-    pub iotlb_hit_latency: Cycles,
+    /// The translation hierarchy (the prototype's single 4-entry IOTLB by
+    /// default).
+    pub tlb: TlbHierarchyConfig,
     /// Fixed pipeline latency added to every translated transaction.
     pub pipeline_latency: Cycles,
     /// Capacity of the fault queue.
     pub fault_queue_entries: usize,
     /// Enables the MSHR-style batched page-table walker: concurrent walks
     /// that need a PTE read already in flight coalesce onto it instead of
-    /// issuing their own (see [`crate::ptw`]). Off by default — the serial
-    /// walker is the paper's prototype.
+    /// issuing their own (see [`crate::ptw`]), with a walk table of
+    /// [`DEFAULT_MSHR_ENTRIES`] in-flight PTE reads. Off by default — the
+    /// serial walker is the paper's prototype.
     pub ptw_batching: bool,
-    /// Capacity of the batched walker's walk table (in-flight PTE reads);
-    /// ignored with batching off.
-    pub ptw_mshr_entries: usize,
-    /// The two-level translation hierarchy (per-device L1 ATC + shared L2
-    /// IOTLB). `None` — the default — is the paper prototype's single
-    /// IOTLB, cycle-identical to the pre-hierarchy model.
-    pub tlb_hierarchy: Option<TlbHierarchyConfig>,
     /// ATS/PRI-style demand paging: a translation fault enqueues a page
     /// request for the host instead of producing a terminal error, and the
     /// faulting device stalls-and-retries (see [`crate::pri`]). Off by
@@ -167,13 +172,10 @@ impl Default for IommuConfig {
     fn default() -> Self {
         Self {
             mode: IommuMode::Translating,
-            iotlb_entries: 4,
-            iotlb_hit_latency: Cycles::new(2),
+            tlb: TlbHierarchyConfig::default(),
             pipeline_latency: Cycles::new(2),
             fault_queue_entries: 64,
             ptw_batching: false,
-            ptw_mshr_entries: crate::ptw::DEFAULT_MSHR_ENTRIES,
-            tlb_hierarchy: None,
             demand_paging: false,
             page_request_entries: 16,
             max_fault_retries: 8,
@@ -199,11 +201,11 @@ pub struct IommuStats {
     pub translations: u64,
     /// Requests that bypassed translation.
     pub bypassed: u64,
-    /// Hit/miss counts of the shared IOTLB (the single TLB in the default
-    /// configuration; the L2 level of the hierarchy).
+    /// Hit/miss counts of the shared IOTLB (the only TLB without an L1; the
+    /// L2 level behind the ATCs with one).
     pub iotlb: HitMiss,
-    /// Aggregate hit/miss counts of the per-device L1 ATCs (all zero in the
-    /// single-level configuration).
+    /// Aggregate hit/miss counts of the per-device L1 ATCs (all zero
+    /// without an L1).
     pub atc: HitMiss,
     /// Device-context cache hit/miss counts.
     pub dc_cache: HitMiss,
@@ -250,17 +252,15 @@ pub struct IommuStats {
 #[derive(Clone, Debug)]
 pub struct Iommu {
     config: IommuConfig,
-    regs: RegisterFile,
     ddt: Option<DeviceDirectory>,
-    /// The shared IOTLB: the only TLB in the single-level configuration,
-    /// the L2 of the hierarchy.
+    /// The shared IOTLB: the only TLB without an L1, the L2 behind the
+    /// ATCs with one.
     iotlb: IoTlb,
     /// Per-device L1 address-translation caches, ordered by device ID;
     /// instantiated lazily on first translation and only when
-    /// `config.tlb_hierarchy` is set.
+    /// `config.tlb.l1` is set.
     atcs: Vec<(u32, IoTlb)>,
     ptw: PageTableWalker,
-    commands: BoundedQueue<Command>,
     faults: BoundedQueue<FaultRecord>,
     /// The ATS/PRI page-request queue (unused with demand paging off).
     page_requests: BoundedQueue<PageRequest>,
@@ -289,19 +289,14 @@ impl Iommu {
     /// Creates an IOMMU in the given configuration.
     pub fn new(config: IommuConfig) -> Self {
         Self {
-            regs: RegisterFile::new(),
             ddt: None,
-            iotlb: match config.tlb_hierarchy {
-                Some(h) => IoTlb::with_org(h.l2.org, h.l2.policy),
-                None => IoTlb::new(config.iotlb_entries),
-            },
+            iotlb: IoTlb::with_org(config.tlb.l2.org, config.tlb.l2.policy),
             atcs: Vec::new(),
             ptw: if config.ptw_batching {
-                PageTableWalker::with_batching(config.ptw_mshr_entries)
+                PageTableWalker::with_batching(DEFAULT_MSHR_ENTRIES)
             } else {
                 PageTableWalker::new()
             },
-            commands: BoundedQueue::new(64),
             faults: BoundedQueue::new(config.fault_queue_entries),
             page_requests: BoundedQueue::new(config.page_request_entries.max(1)),
             pending_pages: BTreeSet::new(),
@@ -331,24 +326,14 @@ impl Iommu {
         matches!(self.config.mode, IommuMode::Translating)
     }
 
-    /// The memory-mapped register file (as programmed by the driver).
-    pub const fn regs(&self) -> &RegisterFile {
-        &self.regs
-    }
-
-    /// Mutable access to the register file for the driver model.
-    pub fn regs_mut(&mut self) -> &mut RegisterFile {
-        &mut self.regs
-    }
-
     /// The device directory, if one has been programmed.
     pub fn ddt(&self) -> Option<&DeviceDirectory> {
         self.ddt.as_ref()
     }
 
     /// Convenience setup used by the driver model and examples: allocates a
-    /// device directory (if none exists), installs a translating device
-    /// context for `device_id` pointing at `root_pt`, and programs `ddtp`.
+    /// device directory (if none exists) and installs a translating device
+    /// context for `device_id` pointing at `root_pt`.
     ///
     /// # Errors
     ///
@@ -365,9 +350,7 @@ impl Iommu {
             self.ddt = Some(DeviceDirectory::create(frames)?);
         }
         let ddt = self.ddt.as_mut().expect("directory just created");
-        ddt.install(mem, device_id, DeviceContext::translating(pscid, root_pt))?;
-        self.regs.set_ddtp(ddt.base(), DDTP_MODE_1LVL);
-        Ok(())
+        ddt.install(mem, device_id, DeviceContext::translating(pscid, root_pt))
     }
 
     /// Installs a bypass device context for `device_id` (used for the
@@ -386,9 +369,7 @@ impl Iommu {
             self.ddt = Some(DeviceDirectory::create(frames)?);
         }
         let ddt = self.ddt.as_mut().expect("directory just created");
-        ddt.install(mem, device_id, DeviceContext::bypassing())?;
-        self.regs.set_ddtp(ddt.base(), DDTP_MODE_1LVL);
-        Ok(())
+        ddt.install(mem, device_id, DeviceContext::bypassing())
     }
 
     /// Processes one driver command (invalidations and fences).
@@ -399,7 +380,6 @@ impl Iommu {
     /// stale translation survives at any layer (a property test in
     /// `tests/invalidation.rs` pins this under concurrent walks).
     pub fn process_command(&mut self, command: Command) {
-        self.commands.push(command);
         match command {
             Command::IotlbInvalidate { device_id, iova } => {
                 match (device_id, iova) {
@@ -448,8 +428,8 @@ impl Iommu {
             .map(|pos| &mut self.atcs[pos].1)
     }
 
-    /// The L1 ATC of `device_id`, created on first use from the hierarchy's
-    /// L1 level configuration. Only called on the hierarchy path.
+    /// The L1 ATC of `device_id`, created on first use from the L1 level
+    /// configuration. Only called when an L1 is configured.
     fn atc_mut(&mut self, device_id: u32, level: TlbLevelConfig) -> &mut IoTlb {
         let pos = match self.atc_index(device_id) {
             Ok(pos) => pos,
@@ -642,40 +622,32 @@ impl Iommu {
             return Ok((PhysAddr::new(iova.raw()), cycles));
         }
 
-        // 2. TLB lookups: either the prototype's single IOTLB or the
-        // two-level hierarchy (private L1 ATC, then shared L2), each level
-        // charging its configured lookup latency into the transaction.
+        // 2. TLB lookups: the private L1 ATC, if configured, then the
+        // shared IOTLB, each level charging its configured lookup latency
+        // into the transaction. A cached entry that does not permit the
+        // access falls through to a fresh walk, so the fault is reported
+        // with up-to-date state.
         let permits = |entry: &crate::iotlb::IoTlbEntry| {
             entry.flags.contains(sva_vm::PteFlags::W) || !is_write
         };
-        match self.config.tlb_hierarchy {
-            None => {
-                cycles += self.config.iotlb_hit_latency;
-                if let Some(entry) = self.iotlb.lookup(device_id, iova) {
-                    if permits(&entry) {
-                        return Ok((entry.translate(iova), cycles));
-                    }
-                    // Cached entry does not permit the access: fall through
-                    // to a fresh walk so the fault is reported with
-                    // up-to-date state.
+        let tlb = self.config.tlb;
+        if let Some(l1) = tlb.l1 {
+            cycles += l1.lookup_latency;
+            if let Some(entry) = self.atc_mut(device_id, l1).lookup(device_id, iova) {
+                if permits(&entry) {
+                    return Ok((entry.translate(iova), cycles));
                 }
             }
-            Some(h) => {
-                cycles += h.l1.lookup_latency;
-                if let Some(entry) = self.atc_mut(device_id, h.l1).lookup(device_id, iova) {
-                    if permits(&entry) {
-                        return Ok((entry.translate(iova), cycles));
-                    }
+        }
+        cycles += tlb.l2.lookup_latency;
+        if let Some(entry) = self.iotlb.lookup(device_id, iova) {
+            if permits(&entry) {
+                // A shared-level hit refills the private ATC.
+                if let Some(l1) = tlb.l1 {
+                    self.atc_mut(device_id, l1)
+                        .fill(device_id, iova, entry.ppn, entry.flags);
                 }
-                cycles += h.l2.lookup_latency;
-                if let Some(entry) = self.iotlb.lookup(device_id, iova) {
-                    if permits(&entry) {
-                        // L2 hit refills the private ATC.
-                        self.atc_mut(device_id, h.l1)
-                            .fill(device_id, iova, entry.ppn, entry.flags);
-                        return Ok((entry.translate(iova), cycles));
-                    }
-                }
+                return Ok((entry.translate(iova), cycles));
             }
         }
 
@@ -690,8 +662,8 @@ impl Iommu {
                 cycles += res.cycles;
                 self.iotlb
                     .fill(device_id, iova, res.leaf.ppn(), res.leaf.flags());
-                if let Some(h) = self.config.tlb_hierarchy {
-                    self.atc_mut(device_id, h.l1).fill(
+                if let Some(l1) = self.config.tlb.l1 {
+                    self.atc_mut(device_id, l1).fill(
                         device_id,
                         iova,
                         res.leaf.ppn(),
@@ -969,15 +941,14 @@ impl Iommu {
         }
     }
 
-    /// Direct access to the shared IOTLB — the single TLB in the default
-    /// configuration, the L2 of the hierarchy (for ablation experiments and
-    /// tests).
+    /// Direct access to the shared IOTLB — the only TLB without an L1, the
+    /// L2 behind the ATCs with one (for ablation experiments and tests).
     pub const fn iotlb(&self) -> &IoTlb {
         &self.iotlb
     }
 
-    /// Direct access to the L1 ATC of `device_id`, if the hierarchy is
-    /// configured and the device has translated at least once.
+    /// Direct access to the L1 ATC of `device_id`, if an L1 is configured
+    /// and the device has translated at least once.
     pub fn atc(&self, device_id: u32) -> Option<&IoTlb> {
         self.atc_index(device_id).ok().map(|pos| &self.atcs[pos].1)
     }
@@ -1177,7 +1148,7 @@ mod tests {
 
     fn hierarchy_config() -> IommuConfig {
         IommuConfig {
-            tlb_hierarchy: Some(TlbHierarchyConfig::default()),
+            tlb: TlbHierarchyConfig::two_level(),
             ..IommuConfig::default()
         }
     }
@@ -1228,18 +1199,18 @@ mod tests {
         // delta between an L1 hit and an L2 hit is exactly the L2 knob.
         let config = IommuConfig {
             pipeline_latency: Cycles::ZERO,
-            tlb_hierarchy: Some(TlbHierarchyConfig {
-                l1: TlbLevelConfig::new(
+            tlb: TlbHierarchyConfig {
+                l1: Some(TlbLevelConfig::new(
                     TlbOrg::fully_associative(1),
                     ReplacementPolicy::TrueLru,
                     Cycles::new(3),
-                ),
+                )),
                 l2: TlbLevelConfig::new(
                     TlbOrg::fully_associative(8),
                     ReplacementPolicy::TrueLru,
                     Cycles::new(11),
                 ),
-            }),
+            },
             ..IommuConfig::default()
         };
         let (mut mem, mut frames, space, va) = setup();
@@ -1466,17 +1437,5 @@ mod tests {
             0,
             "recoverable faults are reported through the page-request path"
         );
-    }
-
-    #[test]
-    fn ddtp_register_reflects_attachment() {
-        let (mut mem, mut frames, space, _) = setup();
-        let mut iommu = Iommu::default();
-        iommu
-            .attach_device(&mut mem, &mut frames, 1, space.pscid(), space.root())
-            .unwrap();
-        let (base, mode) = iommu.regs().ddtp();
-        assert_eq!(base, iommu.ddt().unwrap().base());
-        assert_eq!(mode, DDTP_MODE_1LVL);
     }
 }

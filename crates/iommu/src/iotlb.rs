@@ -7,10 +7,10 @@
 //!
 //! The scaled platform generalises the same core into a configurable
 //! organisation ([`TlbOrg`], `sets × ways`) with a pluggable
-//! [`ReplacementPolicy`] (true LRU, bit-PLRU, FIFO, deterministic random),
-//! and instantiates it **twice**: one private L1 address-translation cache
-//! (ATC) per device and one shared L2 IOTLB behind them (see
-//! `crate::iommu`). Entries are tagged by `(device_id, virtual page
+//! [`ReplacementPolicy`] (true LRU, bit-PLRU, FIFO, deterministic random):
+//! the IOMMU instantiates it once as the shared IOTLB and, when an L1 is
+//! configured, once more per device as a private address-translation cache
+//! (ATC) in front of it (see `crate::iommu`). Entries are tagged by `(device_id, virtual page
 //! number)`, so a shared instance naturally partitions between the
 //! translating devices; hit/miss statistics are kept both globally and per
 //! device.

@@ -9,13 +9,13 @@
 //! * a **device directory table** (DDT) in memory mapping device IDs to
 //!   device contexts, with a single-entry device-context cache
 //!   ([`ddt`]);
-//! * a **4-entry, fully-associative IOTLB** with LRU replacement
-//!   ([`iotlb`]);
+//! * an **IOTLB**: by default the prototype's 4-entry, fully-associative
+//!   TLB with LRU replacement, optionally behind a private L1 ATC per
+//!   device ([`iotlb`], configured by [`TlbHierarchyConfig`]);
 //! * a **page-table walker** issuing up to three dependent reads through its
 //!   dedicated AXI master port for each IOTLB miss ([`ptw`]);
-//! * **command and fault queues** for invalidations and IO page faults
-//!   ([`queues`]);
-//! * a memory-mapped **register file** the driver programs ([`regs`]).
+//! * the **command vocabulary** for invalidations and the **fault queue**
+//!   for IO page faults ([`queues`]).
 //!
 //! The top-level [`Iommu`] type wires these together behind the
 //! [`Iommu::translate`] entry point used by the cluster DMA engine.
@@ -50,7 +50,6 @@ pub mod iotlb;
 pub mod pri;
 pub mod ptw;
 pub mod queues;
-pub mod regs;
 
 pub use ddt::{DeviceContext, DeviceDirectory};
 pub use iommu::{Iommu, IommuConfig, IommuMode, IommuStats, TlbHierarchyConfig, TlbLevelConfig};
@@ -58,4 +57,3 @@ pub use iotlb::{IoTlb, IoTlbEntry};
 pub use pri::{PageRequestHandler, PageRequestStats};
 pub use ptw::{PageTableWalker, PtwResult};
 pub use queues::{BoundedQueue, Command, FaultReason, FaultRecord, PageRequest};
-pub use regs::RegisterFile;

@@ -6,12 +6,12 @@
 //! faults back to the driver, and — when demand paging is enabled — the
 //! **page-request queue** (the ATS/PRI model), through which a device asks
 //! the host to make pages resident instead of aborting on a translation
-//! fault. The model keeps all of them as bounded FIFOs with the same
-//! command vocabulary as the specification; a full queue **drops** the
-//! entry and counts the drop ([`BoundedQueue::dropped`]), which is exactly
-//! the overflow behaviour the specification defines (and, for the
-//! page-request queue, what forces the requesting device into retry
-//! backoff).
+//! fault. The model applies each [`Command`] as the IOMMU receives it
+//! (`Iommu::process_command`) and keeps the fault and page-request queues
+//! as bounded FIFOs; a full queue **drops** the entry and counts the drop
+//! ([`BoundedQueue::dropped`]), which is exactly the overflow behaviour the
+//! specification defines (and, for the page-request queue, what forces the
+//! requesting device into retry backoff).
 
 use std::collections::VecDeque;
 

@@ -43,7 +43,7 @@ fn no_stale_translation_survives_invalidate_page_under_concurrent_walks() {
         .unwrap();
 
     let mut iommu = Iommu::new(IommuConfig {
-        tlb_hierarchy: Some(TlbHierarchyConfig::default()),
+        tlb: TlbHierarchyConfig::two_level(),
         ptw_batching: true,
         ..IommuConfig::default()
     });

@@ -9,8 +9,14 @@
 //! ```text
 //! access latency = controller latency + delayer latency + beats on the bus
 //! ```
+//!
+//! The delayer is built from FIFO macroblocks that delay the read-data (`r`)
+//! and write-response (`b`) channels by the same number of cycles and are
+//! sized never to back-pressure, so it is a pure latency adder for both
+//! directions. Bounded queueing in front of DRAM is modelled by the fabric's
+//! per-channel response queues (see `crate::fabric`).
 
-use sva_axi::{AccessKind, AxiDelayer, BusConfig};
+use sva_axi::BusConfig;
 use sva_common::Cycles;
 
 /// Configuration of the DRAM timing model.
@@ -74,16 +80,12 @@ impl DramTiming {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Dram {
     config: DramConfig,
-    delayer: AxiDelayer,
 }
 
 impl Dram {
     /// Creates a DRAM model from a configuration.
     pub const fn new(config: DramConfig) -> Self {
-        Self {
-            delayer: AxiDelayer::new(config.delayer_latency),
-            config,
-        }
+        Self { config }
     }
 
     /// The configuration of the model.
@@ -91,16 +93,11 @@ impl Dram {
         &self.config
     }
 
-    /// Changes the delayer latency (used by the latency sweeps).
-    pub fn set_delayer_latency(&mut self, delay: Cycles) {
-        self.config.delayer_latency = delay;
-        self.delayer.set_delay(delay);
-    }
-
-    /// Computes the timing of one access of `bytes` bytes.
-    pub fn access(&self, kind: AccessKind, bytes: u64) -> DramTiming {
+    /// Computes the timing of one access of `bytes` bytes, read or write:
+    /// the delayer delays both directions equally.
+    pub fn access(&self, bytes: u64) -> DramTiming {
         DramTiming {
-            latency: self.config.controller_latency + self.delayer.apply(kind),
+            latency: self.config.base_latency(),
             occupancy: Cycles::new(self.config.bus.beats_for(bytes)),
         }
     }
@@ -119,7 +116,7 @@ mod tests {
     #[test]
     fn access_latency_is_controller_plus_delayer() {
         let dram = Dram::new(DramConfig::with_delayer(Cycles::new(600)));
-        let t = dram.access(AccessKind::Read, 64);
+        let t = dram.access(64);
         assert_eq!(t.latency, Cycles::new(635));
         assert_eq!(t.occupancy, Cycles::new(8));
         assert_eq!(t.total(), Cycles::new(643));
@@ -128,8 +125,8 @@ mod tests {
     #[test]
     fn occupancy_scales_with_burst_size() {
         let dram = Dram::new(DramConfig::with_delayer(Cycles::new(200)));
-        let small = dram.access(AccessKind::Read, 8);
-        let big = dram.access(AccessKind::Read, 2048);
+        let small = dram.access(8);
+        let big = dram.access(2048);
         assert_eq!(small.occupancy, Cycles::new(1));
         assert_eq!(big.occupancy, Cycles::new(256));
         assert_eq!(small.latency, big.latency);
@@ -137,10 +134,9 @@ mod tests {
 
     #[test]
     fn latency_sweep_reconfiguration() {
-        let mut dram = Dram::default();
-        let t200 = dram.access(AccessKind::Read, 64).latency;
-        dram.set_delayer_latency(Cycles::new(1000));
-        let t1000 = dram.access(AccessKind::Read, 64).latency;
+        let at = |delay: u64| Dram::new(DramConfig::with_delayer(Cycles::new(delay)));
+        let t200 = at(200).access(64).latency;
+        let t1000 = at(1000).access(64).latency;
         assert_eq!(t1000 - t200, Cycles::new(800));
     }
 }

@@ -30,8 +30,7 @@
 //! # Example
 //!
 //! ```
-//! use sva_axi::AccessKind;
-//! use sva_common::{Cycles, InitiatorId, PhysAddr};
+//! use sva_common::{AccessKind, Cycles, InitiatorId, PhysAddr};
 //! use sva_mem::{MemReq, MemSysConfig, MemorySystem};
 //!
 //! let mut mem = MemorySystem::new(MemSysConfig {

@@ -9,9 +9,9 @@
 //!
 //! * **host** (CVA6 through its L1): cached DRAM goes through the LLC,
 //!   the reserved contiguous DMA area and the L2 SPM are uncached;
-//! * **PTW** (the IOMMU page-table walker): reads that go through the LLC
-//!   when it is present (this is the architectural property the paper
-//!   leverages to make SVA cheap);
+//! * **PTW** (the IOMMU page-table walker): reads that always go through
+//!   the LLC when it is present (this is the architectural property the
+//!   paper leverages to make SVA cheap);
 //! * **DMA** (one initiator per accelerator cluster): bursts that normally
 //!   use the LLC-bypass window straight to DRAM; routing them through the
 //!   LLC is possible for ablation (`llc_serves_dma`).
@@ -33,10 +33,10 @@
 //! they would move are never read.
 
 use sva_axi::addrmap::{AddressMap, RegionKind, DRAM_SIZE};
-use sva_axi::{AccessKind, BusConfig, Crossbar};
+use sva_axi::{xbar, BusConfig};
 use sva_common::{
-    Cycles, Error, GlobalClock, InitiatorClass, InitiatorId, MemPortReq, PhysAddr, PortTiming,
-    Result, CACHE_LINE_SIZE,
+    AccessKind, Cycles, Error, GlobalClock, InitiatorClass, InitiatorId, MemPortReq, PhysAddr,
+    PortTiming, Result, CACHE_LINE_SIZE,
 };
 
 use crate::backing::SparseMemory;
@@ -56,11 +56,9 @@ pub struct MemSysConfig {
     pub controller_latency: Cycles,
     /// Whether the LLC is instantiated at all.
     pub llc_enabled: bool,
-    /// LLC geometry.
+    /// LLC geometry. When the LLC is enabled it always serves page-table
+    /// walks (the paper's proposal).
     pub llc: LlcConfig,
-    /// Whether IOMMU page-table-walk traffic is cached by the LLC
-    /// (the paper's proposal; disabling it is an ablation).
-    pub llc_serves_ptw: bool,
     /// Whether device DMA traffic is cached by the LLC (the paper argues it
     /// must *not* be; enabling it is an ablation).
     pub llc_serves_dma: bool,
@@ -83,7 +81,6 @@ impl Default for MemSysConfig {
             controller_latency: DramConfig::FPGA_CONTROLLER_LATENCY,
             llc_enabled: true,
             llc: LlcConfig::default(),
-            llc_serves_ptw: true,
             llc_serves_dma: false,
             spm: ScratchpadConfig::default(),
             bus: BusConfig::AXI64,
@@ -149,12 +146,11 @@ impl<'a> MemReq<'a> {
     /// admitted and counted exactly like a read or write of `len` bytes, but
     /// no byte moves.
     pub fn timing(initiator: InitiatorId, kind: AccessKind, addr: PhysAddr, len: u64) -> Self {
-        let port = match kind {
-            AccessKind::Read => MemPortReq::read(initiator, addr, len),
-            AccessKind::Write => MemPortReq::write(initiator, addr, len),
-        };
         Self {
-            port,
+            port: MemPortReq {
+                dir: kind,
+                ..MemPortReq::read(initiator, addr, len)
+            },
             start: None,
             data: MemData::Timing,
         }
@@ -234,7 +230,6 @@ pub struct MemSysStats {
 pub struct MemorySystem {
     config: MemSysConfig,
     map: AddressMap,
-    xbar: Crossbar,
     dram: Dram,
     dram_store: SparseMemory,
     spm: Scratchpad,
@@ -260,7 +255,6 @@ impl MemorySystem {
         };
         Self {
             map: AddressMap::prototype(),
-            xbar: Crossbar::new(),
             dram: Dram::new(dram_cfg),
             dram_store: SparseMemory::new(DRAM_SIZE),
             spm: Scratchpad::new(config.spm),
@@ -332,11 +326,6 @@ impl MemorySystem {
     /// The DRAM timing model.
     pub const fn dram(&self) -> &Dram {
         &self.dram
-    }
-
-    /// The crossbar (its routing latency).
-    pub const fn crossbar(&self) -> &Crossbar {
-        &self.xbar
     }
 
     /// Aggregate access statistics.
@@ -534,10 +523,10 @@ impl MemorySystem {
             if outcome.writeback().is_some() {
                 // Posted write-back: occupies the DRAM bus but does not stall
                 // the requester beyond the bus occupancy.
-                total += self.dram.access(AccessKind::Write, line).occupancy;
+                total += self.dram.access(line).occupancy;
             }
             if !outcome.is_hit() {
-                total += self.dram.access(AccessKind::Read, line).total();
+                total += self.dram.access(line).total();
             }
             cur += line;
         }
@@ -568,8 +557,7 @@ impl MemorySystem {
         let (kind, len) = match &data {
             MemData::ReadInto(buf) => (AccessKind::Read, buf.len() as u64),
             MemData::WriteFrom(buf) => (AccessKind::Write, buf.len() as u64),
-            MemData::Timing if port.dir.is_write() => (AccessKind::Write, port.len),
-            MemData::Timing => (AccessKind::Read, port.len),
+            MemData::Timing => (port.dir, port.len),
         };
         port.len = len;
         port.arrival = start.unwrap_or_else(|| self.clock.now());
@@ -641,7 +629,7 @@ impl MemorySystem {
         addr: PhysAddr,
         len: u64,
     ) -> PortTiming {
-        let hop = self.xbar.hop_latency();
+        let hop = xbar::HOP_LATENCY;
         let host_ptw_occupancy = if self.config.fabric.timed_host_ptw {
             Cycles::new(self.config.bus.beats_for(len).max(1))
         } else {
@@ -655,10 +643,9 @@ impl MemorySystem {
                     _ if kind.is_write() => {
                         // Posted uncached write: the host only pays the bus
                         // occupancy plus a small store-buffer cost.
-                        let t = self.dram.access(AccessKind::Write, len);
-                        t.occupancy + self.config.posted_write_cost
+                        self.dram.access(len).occupancy + self.config.posted_write_cost
                     }
-                    _ => self.dram.access(kind, len).total(),
+                    _ => self.dram.access(len).total(),
                 };
                 PortTiming {
                     latency: hop + path,
@@ -666,10 +653,10 @@ impl MemorySystem {
                 }
             }
             InitiatorClass::Ptw => {
-                let base = if cacheable && self.config.llc_serves_ptw {
+                let base = if cacheable {
                     self.llc_access(LlcRequester::Ptw, kind, addr, len)
                 } else {
-                    self.dram.access(kind, len).total()
+                    self.dram.access(len).total()
                 };
                 let penalty = self.interference_penalty(base);
                 PortTiming {
@@ -711,9 +698,9 @@ impl MemorySystem {
                     occupancy: Cycles::new(self.config.bus.beats_for(len)),
                 }
             }
-            _ => self.dram.access(kind, len),
+            _ => self.dram.access(len),
         };
-        timing.latency += self.xbar.hop_latency();
+        timing.latency += xbar::HOP_LATENCY;
         timing.latency += self.interference_penalty(timing.latency);
         timing
     }
@@ -730,8 +717,7 @@ impl MemorySystem {
         self.stats.llc_flushes += 1;
         let mut cost = sets_walk;
         for _ in 0..dirty {
-            let t = self.dram.access(AccessKind::Write, line);
-            cost += t.occupancy;
+            cost += self.dram.access(line).occupancy;
         }
         cost
     }
@@ -881,20 +867,6 @@ mod tests {
             t2.raw() > 1000,
             "PTW without LLC pays DRAM latency, got {t2}"
         );
-    }
-
-    #[test]
-    fn ptw_can_be_excluded_from_llc() {
-        let mut m = MemorySystem::new(MemSysConfig {
-            dram_latency: Cycles::new(1000),
-            llc_enabled: true,
-            llc_serves_ptw: false,
-            ..MemSysConfig::default()
-        });
-        let pte_addr = PhysAddr::new(DRAM_BASE + 0x2000);
-        host_read(&mut m, pte_addr);
-        let (_, t) = ptw_read(&mut m, pte_addr);
-        assert!(t.raw() > 1000);
     }
 
     #[test]

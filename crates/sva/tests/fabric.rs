@@ -3,10 +3,9 @@
 //! pre-refactor execution path, and IOTLB behaviour under multi-device
 //! interleaving.
 
-use sva::axi::AccessKind;
 use sva::cluster::{ClusterConfig, ClusterExecutor};
 use sva::common::rng::DeterministicRng;
-use sva::common::{Cycles, InitiatorId, Iova, PhysAddr, PAGE_SIZE};
+use sva::common::{AccessKind, Cycles, InitiatorId, Iova, PhysAddr, PAGE_SIZE};
 use sva::iommu::{Iommu, IommuConfig};
 use sva::mem::{MemReq, MemSysConfig, MemorySystem};
 use sva::soc::config::PlatformConfig;
@@ -181,7 +180,7 @@ fn tile_range_identity_on_direct_executor() {
     let run_direct = |wrap: bool| {
         let mut mem = MemorySystem::default();
         let mut iommu = Iommu::new(IommuConfig::disabled());
-        let mut exec = ClusterExecutor::new(ClusterConfig::default());
+        let mut exec = ClusterExecutor::new(ClusterConfig::default(), 1, 0);
         if wrap {
             let mut kernel = TileRange::new(Stream { tiles: 8 }, 0, 8);
             exec.run(&mut mem, &mut iommu, &mut kernel).unwrap()
