@@ -80,7 +80,7 @@ fn main() {
                 .map(|w: usize| w as u32)
                 .collect(),
         ),
-        ArbitrationPolicy::FixedPriority,
+        ArbitrationPolicy::FixedPriority((0..max_clusters).map(|i| i as u8).collect()),
     ];
     for &channels in &[1usize, 2, 4] {
         for policy in &policies {

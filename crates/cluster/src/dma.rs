@@ -280,14 +280,16 @@ impl DmaEngine {
                     ) {
                         Ok(res) => break res,
                         Err(fault @ Error::IoPageFault { .. }) => {
-                            let recoverable = iommu.demand_paging() && pri.is_some();
+                            let paging = iommu.demand_paging();
                             attempts += 1;
-                            if !recoverable || attempts > iommu.config().max_fault_retries {
+                            let Some(paging_config) =
+                                paging.filter(|p| pri.is_some() && attempts <= p.max_fault_retries)
+                            else {
                                 // Under demand paging the IOMMU routed this
                                 // fault to the page-request path; the device
                                 // is giving up, so the terminal fault must
                                 // still reach the driver's fault queue.
-                                if iommu.demand_paging() {
+                                if paging.is_some() {
                                     iommu.record_terminal_fault(
                                         self.device_id,
                                         Iova::new(burst.addr.raw()),
@@ -295,7 +297,7 @@ impl DmaEngine {
                                     );
                                 }
                                 return Err(fault);
-                            }
+                            };
                             let handler = pri.as_deref_mut().expect("recoverable implies handler");
                             // The device issues a page-request group for
                             // the rest of this transfer: the faulting page
@@ -313,7 +315,7 @@ impl DmaEngine {
                                 // The queue overflowed mid-group: the tail
                                 // pages will re-fault, so the device backs
                                 // off before retrying.
-                                resume += iommu.config().page_request_backoff;
+                                resume += paging_config.page_request_backoff;
                             }
                             // Charge at least one cycle even if the host
                             // answered instantaneously.
@@ -386,7 +388,7 @@ mod tests {
     use super::*;
     use sva_axi::addrmap::{DRAM_BASE, LLC_BYPASS_OFFSET};
     use sva_common::PAGE_SIZE;
-    use sva_iommu::IommuConfig;
+    use sva_iommu::{IommuConfig, PriConfig};
     use sva_mem::MemSysConfig;
     use sva_vm::{AddressSpace, FrameAllocator};
 
@@ -397,7 +399,7 @@ mod tests {
     #[test]
     fn baseline_transfer_moves_data_both_ways() {
         let mut mem = MemorySystem::default();
-        let mut iommu = Iommu::new(IommuConfig::disabled());
+        let mut iommu = Iommu::disabled();
         let mut tcdm = Tcdm::default();
         let mut dma = DmaEngine::new(DmaConfig::default(), 1, 0);
 
@@ -500,7 +502,7 @@ mod tests {
     fn out_of_range_tcdm_offset_fails_before_the_fabric() {
         for dir in [Direction::ToTcdm, Direction::FromTcdm] {
             let mut mem = MemorySystem::default();
-            let mut iommu = Iommu::new(IommuConfig::disabled());
+            let mut iommu = Iommu::disabled();
             let mut tcdm = Tcdm::new(4096);
             let mut dma = DmaEngine::new(DmaConfig::default(), 1, 0);
             // One-burst transfers: the first ends at the TCDM's last byte,
@@ -553,7 +555,7 @@ mod tests {
             space.write_virt(&mut mem, va, &data).unwrap();
 
             let mut iommu = Iommu::new(IommuConfig {
-                demand_paging: demand,
+                demand_paging: demand.then(PriConfig::default),
                 tlb: TlbHierarchyConfig::two_level(),
                 ..IommuConfig::default()
             });
@@ -621,8 +623,10 @@ mod tests {
         let mut frames = FrameAllocator::linux_pool();
         let space = AddressSpace::new(&mut mem, &mut frames).unwrap();
         let mut iommu = Iommu::new(IommuConfig {
-            demand_paging: true,
-            max_fault_retries: 3,
+            demand_paging: Some(PriConfig {
+                max_fault_retries: 3,
+                ..PriConfig::default()
+            }),
             ..IommuConfig::default()
         });
         let mut cpu = sva_host::HostCpu::default();
@@ -663,10 +667,10 @@ mod tests {
 
         let mut mem_a = MemorySystem::new(MemSysConfig {
             dram_latency: Cycles::new(latency),
-            llc_enabled: false,
+            llc: None,
             ..MemSysConfig::default()
         });
-        let mut iommu_a = Iommu::new(IommuConfig::disabled());
+        let mut iommu_a = Iommu::disabled();
         let mut tcdm_a = Tcdm::default();
         let mut dma_a = DmaEngine::new(DmaConfig::default(), 1, 0);
         let t_baseline = dma_a
@@ -681,7 +685,7 @@ mod tests {
 
         let mut mem_b = MemorySystem::new(MemSysConfig {
             dram_latency: Cycles::new(latency),
-            llc_enabled: false,
+            llc: None,
             ..MemSysConfig::default()
         });
         let mut frames = FrameAllocator::linux_pool();
@@ -732,7 +736,7 @@ mod tests {
                 fabric,
                 ..MemSysConfig::default()
             });
-            let mut iommu = Iommu::new(IommuConfig::disabled());
+            let mut iommu = Iommu::disabled();
             let mut tcdm = Tcdm::default();
             // Stream 1 saturates the bus first (shard order: it is placed
             // first-fit and never queues)...
@@ -810,7 +814,7 @@ mod tests {
         // perturb the system it probes).
         let transfer = |mem: &MemorySystem, device_id: u32| -> (Cycles, u64) {
             let mut mem = mem.clone();
-            let mut iommu = Iommu::new(IommuConfig::disabled());
+            let mut iommu = Iommu::disabled();
             let mut tcdm = Tcdm::default();
             let mut dma = DmaEngine::new(DmaConfig::default(), device_id, 0);
             let done = dma
@@ -827,7 +831,7 @@ mod tests {
         // Window 1: two engines congest the shallow queues.
         let mut mem = shallow_mem();
         {
-            let mut iommu = Iommu::new(IommuConfig::disabled());
+            let mut iommu = Iommu::disabled();
             let mut tcdm = Tcdm::default();
             for device in [1u32, 3] {
                 DmaEngine::new(DmaConfig::default(), device, 0)
@@ -853,7 +857,7 @@ mod tests {
         // after the clone must not stall the clone.
         let mem_clone = mem.clone();
         {
-            let mut iommu = Iommu::new(IommuConfig::disabled());
+            let mut iommu = Iommu::disabled();
             let mut tcdm = Tcdm::default();
             DmaEngine::new(DmaConfig::default(), 7, 0)
                 .execute(
@@ -878,9 +882,10 @@ mod tests {
         let mut space_mem = MemorySystem::default();
         let space = AddressSpace::new(&mut space_mem, &mut frames).unwrap();
         let mut iommu = Iommu::new(IommuConfig {
-            demand_paging: true,
-            fault_queue_entries: 2,
-            page_request_entries: 2,
+            demand_paging: Some(PriConfig {
+                page_request_entries: 2,
+                ..PriConfig::default()
+            }),
             ..IommuConfig::default()
         });
         iommu
@@ -888,7 +893,7 @@ mod tests {
             .unwrap();
         // Overflow the fault queue with terminal faults (what the bounded
         // PRI retry loop records when it gives up on an address).
-        for i in 0..5u64 {
+        for i in 0..sva_iommu::queues::FAULT_QUEUE_ENTRIES as u64 + 1 {
             let bad = Iova::new(0x7F00_0000 + i * sva_common::PAGE_SIZE);
             iommu.record_terminal_fault(1, bad, false);
         }
@@ -932,7 +937,7 @@ mod tests {
                 dram_latency: Cycles::new(1000),
                 ..MemSysConfig::default()
             });
-            let mut iommu = Iommu::new(IommuConfig::disabled());
+            let mut iommu = Iommu::disabled();
             let mut tcdm = Tcdm::default();
             let mut dma = DmaEngine::new(
                 DmaConfig {

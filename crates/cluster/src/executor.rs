@@ -139,11 +139,6 @@ impl ClusterExecutor {
         self.dma.device_id()
     }
 
-    /// The cluster's TCDM (e.g. to pre-load lookup tables in tests).
-    pub fn tcdm_mut(&mut self) -> &mut Tcdm {
-        &mut self.tcdm
-    }
-
     /// Runs a kernel to completion and returns its timing breakdown.
     ///
     /// # Errors
@@ -351,18 +346,20 @@ impl ClusterExecutor {
             match kernel.plan_tile(tile, &TileCtx::new(mem, iommu, device_id)) {
                 Ok(()) => return Ok(stall),
                 Err(fault @ Error::IoPageFault { iova, is_write }) => {
-                    let recoverable = iommu.demand_paging() && pri.is_some();
+                    let paging = iommu.demand_paging();
                     if last_fault != Some(iova) {
                         attempts = 0;
                         last_fault = Some(iova);
                     }
                     attempts += 1;
-                    if !recoverable || attempts > iommu.config().max_fault_retries {
-                        if iommu.demand_paging() {
+                    let Some(paging_config) =
+                        paging.filter(|p| pri.is_some() && attempts <= p.max_fault_retries)
+                    else {
+                        if paging.is_some() {
                             iommu.record_terminal_fault(device_id, iova, is_write);
                         }
                         return Err(fault);
-                    }
+                    };
                     let handler = pri.as_deref_mut().expect("recoverable implies handler");
                     let t = now + stall;
                     // One page per request: the pre-pass reads single
@@ -372,7 +369,7 @@ impl ClusterExecutor {
                         iommu.enqueue_page_requests(mem, device_id, iova, 1, is_write, t);
                     let mut resume = handler.service(mem, iommu, t)?;
                     if dropped > 0 {
-                        resume += iommu.config().page_request_backoff;
+                        resume += paging_config.page_request_backoff;
                     }
                     resume = resume.max(t + Cycles::new(1));
                     stall += resume - t;
@@ -398,7 +395,7 @@ mod tests {
     use sva_axi::addrmap::{DRAM_BASE, LLC_BYPASS_OFFSET};
     use sva_common::Iova;
     use sva_common::PhysAddr;
-    use sva_iommu::IommuConfig;
+    use sva_iommu::PriConfig;
     use sva_mem::MemSysConfig;
 
     /// A synthetic kernel that streams `tiles` tiles of `tile_bytes` each and
@@ -458,7 +455,7 @@ mod tests {
             dram_latency: Cycles::new(latency),
             ..MemSysConfig::default()
         });
-        let iommu = Iommu::new(IommuConfig::disabled());
+        let iommu = Iommu::disabled();
         (mem, iommu)
     }
 
@@ -707,7 +704,7 @@ mod tests {
         let dst_va = space.alloc_buffer(&mut mem, &mut frames, len).unwrap();
 
         let mut iommu = Iommu::new(IommuConfig {
-            demand_paging: true,
+            demand_paging: Some(PriConfig::default()),
             tlb: sva_iommu::TlbHierarchyConfig::two_level(),
             ..IommuConfig::default()
         });

@@ -196,11 +196,6 @@ impl<K: DeviceKernel> TileRange<K> {
     pub const fn start(&self) -> usize {
         self.start
     }
-
-    /// Consumes the shard and returns the inner kernel.
-    pub fn into_inner(self) -> K {
-        self.inner
-    }
 }
 
 impl<K: DeviceKernel> DeviceKernel for TileRange<K> {
@@ -332,7 +327,7 @@ mod tests {
     #[test]
     fn empty_tile_range_is_valid_and_runs_to_zero_stats() {
         use crate::executor::ClusterExecutor;
-        use sva_iommu::{Iommu, IommuConfig};
+        use sva_iommu::Iommu;
         use sva_mem::MemorySystem;
 
         struct Three;
@@ -357,7 +352,7 @@ mod tests {
         assert_eq!(shard.start(), 3);
 
         let mut mem = MemorySystem::default();
-        let mut iommu = Iommu::new(IommuConfig::disabled());
+        let mut iommu = Iommu::disabled();
         let mut exec = ClusterExecutor::default();
         // Dirty the engine with a real run first: the empty shard must
         // report fresh zeroes, not the previous run's accounting.

@@ -93,33 +93,38 @@ pub enum InitiatorClass {
 /// The policy decides which already-reserved bus intervals a new grant must
 /// queue behind on its channel timeline (the mechanics live in
 /// `sva_mem::fabric`; this vocabulary type lives here so configuration layers
-/// can name a policy without depending on the fabric implementation).
+/// can name a policy without depending on the fabric implementation). The
+/// per-cluster values a policy reads live inside it, one entry per cluster,
+/// so no other policy can carry them.
 ///
 /// * [`ArbitrationPolicy::RoundRobin`] — first-fit placement in simulation
-///   order, exactly the PR 1 contention model. A [`MemPortReq::priority`]
-///   above zero wins arbitration outright.
+///   order, exactly the PR 1 contention model. [`MemPortReq::priority`] is
+///   ignored.
 /// * [`ArbitrationPolicy::Weighted`] — deficit-weighted QoS: an initiator
 ///   whose accumulated weighted service lags the conflicting reservation's
 ///   owner is granted at its arrival instead of queueing. Weights apply to
-///   DMA initiators in the order they first reserve the bus (on the
-///   platform this is cluster shard order); missing entries default to 1,
-///   and host/PTW traffic always weighs 1 (it never consumes a slot, even
-///   when the global-clock engine gives it bus occupancy).
+///   DMA initiators in the order they first reserve the bus. On the
+///   platform that is cluster order: only cluster DMA engines are DMA
+///   initiators, shards run in cluster order, and only tail shards can be
+///   empty. Host and PTW traffic always weighs 1 (it never consumes a
+///   weight, even when the global-clock engine gives it bus occupancy).
 ///   [`MemPortReq::priority`] is ignored — priorities cannot defeat the
 ///   configured service split.
 /// * [`ArbitrationPolicy::FixedPriority`] — strict ordering by
 ///   [`MemPortReq::priority`]: a grant queues exactly behind conflicting
-///   reservations of equal or higher priority and ignores lower ones.
+///   reservations of equal or higher priority and ignores lower ones. The
+///   platform gives cluster `i`'s DMA engine the priority at index `i`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub enum ArbitrationPolicy {
     /// First-fit interval placement (the PR 1 model); the default.
     #[default]
     RoundRobin,
-    /// Deficit-weighted arbitration with one weight per timed initiator (in
-    /// first-reservation order); missing or zero weights count as 1.
+    /// Deficit-weighted arbitration with one weight per DMA initiator, in
+    /// first-reservation order; missing or zero weights count as 1.
     Weighted(Vec<u32>),
-    /// Strict priority ordering by [`MemPortReq::priority`].
-    FixedPriority,
+    /// Strict priority ordering by [`MemPortReq::priority`], with one DMA
+    /// request priority per cluster.
+    FixedPriority(Vec<u8>),
 }
 
 impl ArbitrationPolicy {
@@ -131,16 +136,25 @@ impl ArbitrationPolicy {
                 let ws: Vec<String> = w.iter().map(u32::to_string).collect();
                 format!("weighted[{}]", ws.join(","))
             }
-            ArbitrationPolicy::FixedPriority => "fixed_priority".to_string(),
+            ArbitrationPolicy::FixedPriority(_) => "fixed_priority".to_string(),
         }
     }
 
-    /// The weight of the `timed_index`-th timed initiator under this policy.
+    /// The weight of the `timed_index`-th DMA initiator under this policy.
     /// Non-weighted policies and missing/zero entries weigh 1.
     pub fn weight(&self, timed_index: usize) -> u32 {
         match self {
             ArbitrationPolicy::Weighted(w) => w.get(timed_index).copied().unwrap_or(1).max(1),
             _ => 1,
+        }
+    }
+
+    /// The DMA request priority of cluster `cluster`: its entry under
+    /// `FixedPriority`, 0 under every other policy (which ignores it).
+    pub fn priority(&self, cluster: usize) -> u8 {
+        match self {
+            ArbitrationPolicy::FixedPriority(p) => p.get(cluster).copied().unwrap_or(0),
+            _ => 0,
         }
     }
 }
@@ -181,10 +195,9 @@ pub struct MemPortReq {
     /// Whether this is a long streaming burst (DMA) rather than a word/line
     /// access; bursts report separate latency and bus-occupancy components.
     pub burst: bool,
-    /// Arbitration priority. Zero (the default) is placed first-fit on the
-    /// shared-bus timeline and queues behind other initiators' occupancy;
-    /// any higher value wins arbitration outright and never queues (see
-    /// `sva_mem::fabric` for the exact policy and its known biases).
+    /// Arbitration priority, read only under
+    /// [`ArbitrationPolicy::FixedPriority`] (see `sva_mem::fabric` for the
+    /// exact policy and its known biases). Zero is the default.
     pub priority: u8,
     /// Arrival time of the access on the global simulation clock. Every
     /// access carries one: initiators that track their own pipeline (DMA
@@ -326,7 +339,10 @@ mod tests {
     fn arbitration_policy_labels_and_weights() {
         assert_eq!(ArbitrationPolicy::default(), ArbitrationPolicy::RoundRobin);
         assert_eq!(ArbitrationPolicy::RoundRobin.label(), "round_robin");
-        assert_eq!(ArbitrationPolicy::FixedPriority.label(), "fixed_priority");
+        let fixed = ArbitrationPolicy::FixedPriority(vec![0, 3]);
+        assert_eq!(fixed.label(), "fixed_priority");
+        assert_eq!(fixed.priority(1), 3);
+        assert_eq!(fixed.weight(1), 1, "priorities are not weights");
         let w = ArbitrationPolicy::Weighted(vec![4, 0, 2]);
         assert_eq!(w.label(), "weighted[4,0,2]");
         assert_eq!(w.weight(0), 4);
@@ -334,6 +350,7 @@ mod tests {
         assert_eq!(w.weight(2), 2);
         assert_eq!(w.weight(9), 1, "missing weights default to 1");
         assert_eq!(ArbitrationPolicy::RoundRobin.weight(0), 1);
+        assert_eq!(w.priority(0), 0, "weights are not priorities");
         assert_eq!(w.to_string(), "weighted[4,0,2]");
     }
 

@@ -13,13 +13,13 @@
 //!
 //! All variants share the DRAM-latency knob (the AXI delayer,
 //! `mem.dram_latency`) swept over 200 / 600 / 1000 cycles.
-//! [`PlatformConfig::variant`] builds a variant by setting the fields the
-//! model reads: `mem.llc_enabled` and `iommu.mode`.
+//! [`PlatformConfig::variant`] builds a variant from the components it
+//! has: `mem.llc` and `iommu` are `None` where the variant lacks them.
 
 use sva_cluster::ClusterConfig;
 use sva_common::{ArbitrationPolicy, Cycles, Error, QueueDepths, Result, TlbOrg};
 use sva_host::{DriverConfig, HostCpuConfig, HostTrafficConfig, InterferenceLevel};
-use sva_iommu::{IommuConfig, IommuMode, TlbHierarchyConfig};
+use sva_iommu::{IommuConfig, PriConfig, TlbHierarchyConfig};
 use sva_mem::{LlcConfig, MemSysConfig};
 
 /// The three platform variants of the evaluation.
@@ -66,18 +66,25 @@ pub const PAPER_LATENCIES: [u64; 3] = [200, 600, 1000];
 
 /// Full configuration of a platform instance.
 ///
-/// Every field is read by the model, and each platform parameter has
-/// exactly one field.
+/// Every value is read by the model, each platform parameter has exactly
+/// one value, and a component the platform lacks holds no settings: the
+/// LLC, the IOMMU, its page-request path, an IOTLB's private L1 and the
+/// host-traffic stream are `Option`s, and each per-cluster arbitration
+/// value lives in the [`ArbitrationPolicy`] that reads it. The builders for
+/// an absent component return the configuration unchanged.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PlatformConfig {
     /// Memory-system details: the extra DRAM latency of the AXI delayer
-    /// (`dram_latency`, the paper's knob), whether the LLC exists and its
-    /// geometry, the DMA bypass policy and the fabric.
+    /// (`dram_latency`, the paper's knob), the LLC (`None` without one)
+    /// with its DMA bypass policy, the bus and the fabric with its
+    /// arbitration policy.
     pub mem: MemSysConfig,
     /// Host CPU details.
     pub cpu: HostCpuConfig,
-    /// IOMMU details: mode, translation hierarchy, walker, demand paging.
-    pub iommu: IommuConfig,
+    /// The IOMMU: translation hierarchy, walker and demand paging. `None`
+    /// is the paper's Baseline, where devices address physical memory and
+    /// the platform runs a pass-through [`sva_iommu::Iommu::disabled`].
+    pub iommu: Option<IommuConfig>,
     /// Cluster details (DMA bursts and outstanding transactions, double
     /// buffering), shared by every cluster.
     pub cluster: ClusterConfig,
@@ -99,47 +106,24 @@ pub struct PlatformConfig {
     /// The paper's prototype has one; offloads are sharded across clusters
     /// with static block scheduling when more are instantiated.
     pub num_clusters: usize,
-    /// Fabric arbitration priority of each cluster's DMA engine (index =
-    /// cluster; missing entries default to 0). Pair with
-    /// [`ArbitrationPolicy::FixedPriority`] for strict ordering. Beware:
-    /// under the default `RoundRobin` policy a non-zero priority takes the
-    /// win-outright escape hatch — that cluster's bursts never queue, which
-    /// disables contention modelling for it; under `Weighted` priorities
-    /// are ignored.
-    pub cluster_priorities: Vec<u8>,
-    /// Seed for all stochastic components of a run.
-    pub seed: u64,
 }
 
 impl PlatformConfig {
     /// Builds one of the paper's three variants at a given DRAM latency.
     pub fn variant(variant: SocVariant, dram_latency: u64) -> Self {
-        let mem = MemSysConfig {
-            dram_latency: Cycles::new(dram_latency),
-            llc_enabled: variant.has_llc(),
-            llc: LlcConfig::cheshire_128k(),
-            llc_serves_dma: false,
-            ..MemSysConfig::default()
-        };
-        let iommu = IommuConfig {
-            mode: if variant.has_iommu() {
-                IommuMode::Translating
-            } else {
-                IommuMode::Disabled
-            },
-            ..IommuConfig::default()
-        };
         Self {
-            mem,
+            mem: MemSysConfig {
+                dram_latency: Cycles::new(dram_latency),
+                llc: variant.has_llc().then(LlcConfig::cheshire_128k),
+                ..MemSysConfig::default()
+            },
             cpu: HostCpuConfig::default(),
-            iommu,
+            iommu: variant.has_iommu().then(IommuConfig::default),
             cluster: ClusterConfig::default(),
             driver: DriverConfig::default(),
             interference: InterferenceLevel::Idle,
             host_traffic: None,
             num_clusters: 1,
-            cluster_priorities: Vec::new(),
-            seed: 0x5EED,
         }
     }
 
@@ -157,21 +141,22 @@ impl PlatformConfig {
     ///   `mem.fabric.channels.num_channels`,
     ///   `mem.fabric.channels.interleave_granule`, the sets or ways of
     ///   `iommu.tlb.l1.org` / `iommu.tlb.l2.org`,
-    ///   `iommu.page_request_entries`, `cluster.dma.max_outstanding`,
-    ///   `cluster.dma.max_burst_bytes` or `host_traffic.region_bytes`;
+    ///   `iommu.demand_paging.page_request_entries`,
+    ///   `cluster.dma.max_outstanding`, `cluster.dma.max_burst_bytes` or
+    ///   `host_traffic.region_bytes`;
     /// * `mem.fabric.timed_host_ptw`, when it is off while a `host_traffic`
     ///   stream is configured: the stream's accesses would reserve no bus
     ///   time;
-    /// * `mem.llc`, when the LLC is enabled, if `spm_ways` leaves no cache
-    ///   way or the cache ways form a geometry
-    ///   [`sva_mem::CacheConfig::validate`] rejects;
+    /// * `mem.llc`, if `spm_ways` leaves no cache way or the cache ways
+    ///   form a geometry [`sva_mem::CacheConfig::validate`] rejects;
     /// * `cpu.l1d`, if [`sva_mem::CacheConfig::validate`] rejects it;
-    /// * `mem.fabric.policy`, if `Weighted` has fewer weights than
-    ///   clusters or a zero weight.
+    /// * `mem.fabric.policy`, if its per-cluster list (`Weighted`'s weights
+    ///   or `FixedPriority`'s priorities) does not hold exactly one entry
+    ///   per cluster, or `Weighted` has a zero weight.
     pub fn validate(&self) -> Result<()> {
         let invalid = |reason: String| Err(Error::InvalidConfig { reason });
         let fabric = &self.mem.fabric;
-        let tlb = self.iommu.tlb;
+        let tlb = self.iommu.map(|iommu| iommu.tlb);
         let empty = |org: TlbOrg| org.sets == 0 || org.ways == 0;
         let zero_sized = [
             ("num_clusters", self.num_clusters == 0),
@@ -188,12 +173,17 @@ impl PlatformConfig {
             ),
             (
                 "iommu.tlb.l1.org sets and ways",
-                tlb.l1.is_some_and(|l1| empty(l1.org)),
+                tlb.and_then(|t| t.l1).is_some_and(|l1| empty(l1.org)),
             ),
-            ("iommu.tlb.l2.org sets and ways", empty(tlb.l2.org)),
             (
-                "iommu.page_request_entries",
-                self.iommu.page_request_entries == 0,
+                "iommu.tlb.l2.org sets and ways",
+                tlb.is_some_and(|t| empty(t.l2.org)),
+            ),
+            (
+                "iommu.demand_paging.page_request_entries",
+                self.iommu
+                    .and_then(|iommu| iommu.demand_paging)
+                    .is_some_and(|pri| pri.page_request_entries == 0),
             ),
             (
                 "cluster.dma.max_outstanding",
@@ -217,8 +207,7 @@ impl PlatformConfig {
                     .into(),
             );
         }
-        let llc = &self.mem.llc;
-        if self.mem.llc_enabled {
+        if let Some(llc) = &self.mem.llc {
             if llc.spm_ways >= llc.ways {
                 return invalid(format!(
                     "mem.llc.spm_ways ({}) must leave at least one of mem.llc.ways ({}) as cache",
@@ -232,14 +221,21 @@ impl PlatformConfig {
         if let Err(e) = self.cpu.l1d.validate() {
             return invalid(format!("cpu.l1d: {e}"));
         }
-        if let ArbitrationPolicy::Weighted(weights) = &fabric.policy {
-            if weights.len() < self.num_clusters {
+        let per_cluster = match &fabric.policy {
+            ArbitrationPolicy::RoundRobin => None,
+            ArbitrationPolicy::Weighted(weights) => Some(("weights", weights.len())),
+            ArbitrationPolicy::FixedPriority(priorities) => Some(("priorities", priorities.len())),
+        };
+        if let Some((what, len)) = per_cluster {
+            if len != self.num_clusters {
                 return invalid(format!(
-                    "mem.fabric.policy: Weighted has {} weights for {} clusters",
-                    weights.len(),
+                    "mem.fabric.policy: {} has {len} {what} for {} clusters",
+                    fabric.policy.label(),
                     self.num_clusters
                 ));
             }
+        }
+        if let ArbitrationPolicy::Weighted(weights) = &fabric.policy {
             if weights.contains(&0) {
                 return invalid("mem.fabric.policy: Weighted weights must be at least 1".into());
             }
@@ -262,15 +258,26 @@ impl PlatformConfig {
         Self::variant(SocVariant::IommuLlc, dram_latency)
     }
 
+    /// Applies `edit` to the IOMMU settings. A configuration without an
+    /// IOMMU is returned unchanged: a builder never adds a component.
+    fn with_iommu(mut self, edit: impl FnOnce(&mut IommuConfig)) -> Self {
+        if let Some(iommu) = &mut self.iommu {
+            edit(iommu);
+        }
+        self
+    }
+
     /// Returns a copy whose shared IOTLB holds `entries` fully-associative
     /// entries (ablation). Zero is passed through for
-    /// [`PlatformConfig::validate`] to reject.
-    pub fn with_iotlb_entries(mut self, entries: usize) -> Self {
-        self.iommu.tlb.l2.org = TlbOrg {
-            sets: 1,
-            ways: entries,
-        };
-        self
+    /// [`PlatformConfig::validate`] to reject. Without an IOMMU the copy is
+    /// unchanged.
+    pub fn with_iotlb_entries(self, entries: usize) -> Self {
+        self.with_iommu(|iommu| {
+            iommu.tlb.l2.org = TlbOrg {
+                sets: 1,
+                ways: entries,
+            }
+        })
     }
 
     /// Returns a copy with a different number of outstanding DMA bursts
@@ -281,9 +288,12 @@ impl PlatformConfig {
     }
 
     /// Returns a copy that routes device DMA through the LLC instead of the
-    /// bypass (ablation of the paper's bypass argument).
+    /// bypass (ablation of the paper's bypass argument). Without an LLC the
+    /// copy is unchanged.
     pub fn with_dma_through_llc(mut self) -> Self {
-        self.mem.llc_serves_dma = true;
+        if let Some(llc) = &mut self.mem.llc {
+            llc.serves_dma = true;
+        }
         self
     }
 
@@ -320,7 +330,10 @@ impl PlatformConfig {
         self
     }
 
-    /// Returns a copy using the given fabric arbitration policy.
+    /// Returns a copy using the given fabric arbitration policy. A
+    /// `Weighted` or `FixedPriority` list must hold one entry per cluster
+    /// ([`PlatformConfig::validate`] rejects any other length): cluster `i`
+    /// gets weight or DMA request priority `list[i]`.
     pub fn with_arbitration(mut self, policy: ArbitrationPolicy) -> Self {
         self.mem.fabric.policy = policy;
         self
@@ -347,14 +360,6 @@ impl PlatformConfig {
         self
     }
 
-    /// Returns a copy giving cluster `i` the DMA arbitration priority
-    /// `priorities[i]` (missing entries default to 0). Pair with
-    /// [`ArbitrationPolicy::FixedPriority`] for strict QoS ordering.
-    pub fn with_cluster_priorities(mut self, priorities: Vec<u8>) -> Self {
-        self.cluster_priorities = priorities;
-        self
-    }
-
     /// Returns a copy that injects a timed host-traffic stream into every
     /// device measurement window (and turns the global-clock engine on —
     /// untimed host traffic could not contend).
@@ -366,10 +371,10 @@ impl PlatformConfig {
 
     /// Returns a copy with the IOMMU's MSHR-style batched page-table walker
     /// enabled: concurrent walks that need a PTE read already in flight
-    /// coalesce onto it instead of issuing their own.
-    pub fn with_ptw_batching(mut self) -> Self {
-        self.iommu.ptw_batching = true;
-        self
+    /// coalesce onto it instead of issuing their own. Without an IOMMU the
+    /// copy is unchanged.
+    pub fn with_ptw_batching(self) -> Self {
+        self.with_iommu(|iommu| iommu.ptw_batching = true)
     }
 
     /// Returns a copy whose IOMMU runs the given **translation
@@ -377,15 +382,15 @@ impl PlatformConfig {
     /// shared IOTLB, each level with its own organisation, replacement
     /// policy and lookup latency (charged into every translation). The
     /// default, [`TlbHierarchyConfig::default`], is the paper prototype's
-    /// single IOTLB.
-    pub fn with_tlb_hierarchy(mut self, hierarchy: TlbHierarchyConfig) -> Self {
-        self.iommu.tlb = hierarchy;
-        self
+    /// single IOTLB. Without an IOMMU the copy is unchanged.
+    pub fn with_tlb_hierarchy(self, hierarchy: TlbHierarchyConfig) -> Self {
+        self.with_iommu(|iommu| iommu.tlb = hierarchy)
     }
 
     /// Returns a copy with the two-level hierarchy
     /// ([`TlbHierarchyConfig::two_level`]: 4-entry fully-associative ATC
-    /// per device, 32-entry 8×4 shared L2, true LRU).
+    /// per device, 32-entry 8×4 shared L2, true LRU). Without an IOMMU the
+    /// copy is unchanged.
     pub fn with_default_tlb_hierarchy(self) -> Self {
         self.with_tlb_hierarchy(TlbHierarchyConfig::two_level())
     }
@@ -405,9 +410,14 @@ impl PlatformConfig {
     /// too: the executor's plan pass pages its reads in through the same
     /// ATS/PRI stall-and-retry loop, so a cold probe faults, waits for the
     /// host to map the page, and re-reads instead of failing.
-    pub fn with_demand_paging(mut self) -> Self {
-        self.iommu.demand_paging = true;
-        self
+    ///
+    /// The page-request path takes [`PriConfig::default`] unless demand
+    /// paging is already configured. Without an IOMMU the copy is
+    /// unchanged.
+    pub fn with_demand_paging(self) -> Self {
+        self.with_iommu(|iommu| {
+            iommu.demand_paging.get_or_insert_with(PriConfig::default);
+        })
     }
 }
 
@@ -418,29 +428,26 @@ mod tests {
     #[test]
     fn variants_match_table2_configurations() {
         let base = PlatformConfig::baseline(600);
-        assert_eq!(base.iommu.mode, IommuMode::Disabled);
+        assert!(base.iommu.is_none());
         assert!(
-            base.mem.llc_enabled,
+            base.mem.llc.is_some(),
             "the baseline platform keeps its LLC for the host"
         );
 
         let no_llc = PlatformConfig::iommu_no_llc(600);
-        assert_eq!(no_llc.iommu.mode, IommuMode::Translating);
-        assert!(!no_llc.mem.llc_enabled);
+        assert_eq!(no_llc.iommu, Some(IommuConfig::default()));
+        assert!(no_llc.mem.llc.is_none());
 
         let with_llc = PlatformConfig::iommu_with_llc(600);
-        assert_eq!(with_llc.iommu.mode, IommuMode::Translating);
-        assert!(with_llc.mem.llc_enabled);
-        assert!(
-            !with_llc.mem.llc_serves_dma,
-            "DMA must bypass the LLC by default"
-        );
+        assert_eq!(with_llc.iommu, Some(IommuConfig::default()));
+        let llc = with_llc.mem.llc.expect("IOMMU+LLC has an LLC");
+        assert!(!llc.serves_dma, "DMA must bypass the LLC by default");
     }
 
     #[test]
     fn paper_iotlb_has_four_entries() {
-        for v in SocVariant::ALL {
-            let tlb = PlatformConfig::variant(v, 200).iommu.tlb;
+        for v in [SocVariant::Iommu, SocVariant::IommuLlc] {
+            let tlb = PlatformConfig::variant(v, 200).iommu.unwrap().tlb;
             assert!(tlb.l1.is_none(), "the prototype has no private L1");
             assert_eq!(tlb.l2.org, TlbOrg::fully_associative(4));
             assert_eq!(tlb.l2.lookup_latency, Cycles::new(2));
@@ -455,11 +462,28 @@ mod tests {
             .with_dma_through_llc()
             .with_single_buffering()
             .with_interference(InterferenceLevel::RandomTraffic);
-        assert_eq!(c.iommu.tlb.l2.org, TlbOrg::fully_associative(16));
+        assert_eq!(c.iommu.unwrap().tlb.l2.org, TlbOrg::fully_associative(16));
         assert_eq!(c.cluster.dma.max_outstanding, 8);
-        assert!(c.mem.llc_serves_dma);
+        assert!(c.mem.llc.unwrap().serves_dma);
         assert!(!c.cluster.double_buffer);
         assert_eq!(c.interference, InterferenceLevel::RandomTraffic);
+    }
+
+    /// A builder for a component the configuration lacks returns it
+    /// unchanged: it never adds the component, so a Baseline stays
+    /// IOMMU-free and an LLC-free platform stays LLC-free.
+    #[test]
+    fn builders_for_absent_components_change_nothing() {
+        let base = PlatformConfig::baseline(200);
+        let built = base
+            .clone()
+            .with_iotlb_entries(16)
+            .with_ptw_batching()
+            .with_default_tlb_hierarchy()
+            .with_demand_paging();
+        assert_eq!(built, base);
+        let no_llc = PlatformConfig::iommu_no_llc(200);
+        assert_eq!(no_llc.clone().with_dma_through_llc(), no_llc);
     }
 
     #[test]

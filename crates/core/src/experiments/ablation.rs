@@ -1,4 +1,4 @@
-//! Ablations of the design choices called out in DESIGN.md.
+//! Ablations of the design choices the paper argues for.
 //!
 //! These go beyond the paper's figures and probe the sensitivity of its
 //! conclusions:

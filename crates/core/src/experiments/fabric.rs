@@ -531,12 +531,14 @@ pub struct SweepMeta {
 /// knobs) combination on a fresh platform with fabric-contention charging
 /// enabled.
 ///
-/// Under [`ArbitrationPolicy::FixedPriority`] cluster `i` is given DMA
-/// priority `i`, so the strict ordering is observable: shards are simulated
-/// in cluster order, and first-fit placement already lets the earliest
-/// shard reserve first — ascending priorities let *later* shards outrank
-/// those earlier reservations, which is exactly the part round-robin cannot
-/// express (descending or equal priorities would degenerate to it).
+/// Under [`ArbitrationPolicy::FixedPriority`] cluster `i` issues at the
+/// policy's priority `i`. The sweep passes ascending priorities, so the
+/// strict ordering is observable: shards are simulated in cluster order,
+/// and first-fit placement already lets the earliest shard reserve first —
+/// ascending priorities let *later* shards outrank those earlier
+/// reservations, which is exactly the part round-robin cannot express
+/// (descending or equal priorities would degenerate to it). The TLB knobs
+/// apply only to variants with an IOMMU.
 ///
 /// With [`FabricKnobs::host_traffic`] the default timed host stream is
 /// injected into the measurement window (turning the global-clock engine
@@ -577,16 +579,15 @@ pub fn run_point(
         .with_memory_channels(channels)
         .with_arbitration(policy.clone())
         .with_queue_depths(depths);
-    if matches!(policy, ArbitrationPolicy::FixedPriority) {
-        config = config.with_cluster_priorities((0..clusters).map(|i| i as u8).collect());
-    }
     if knobs.host_traffic {
         config = config.with_host_traffic(HostTrafficConfig::default());
     }
     if knobs.ptw_batching {
         config = config.with_ptw_batching();
     }
-    config = config.with_tlb_hierarchy(tlb.hierarchy);
+    if variant.has_iommu() {
+        config = config.with_tlb_hierarchy(tlb.hierarchy);
+    }
     if tlb.demand_paging {
         config = config.with_demand_paging();
     }
@@ -966,7 +967,7 @@ mod tests {
         for policy in [
             ArbitrationPolicy::RoundRobin,
             ArbitrationPolicy::Weighted(vec![4, 2, 1, 1]),
-            ArbitrationPolicy::FixedPriority,
+            ArbitrationPolicy::FixedPriority(vec![0, 1, 2, 3]),
         ] {
             let p = run_point(
                 KernelKind::Axpy,

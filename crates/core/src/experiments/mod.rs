@@ -13,7 +13,7 @@
 //! | [`offload_breakdown`] | Figure 2 (left) — axpy application breakdown per offload mode |
 //! | [`copy_vs_map`] | Figure 2 (right) and Figure 3 — copy vs map time over input size and latency |
 //! | [`ptw_time`] | Figure 5 — average page-table-walk time with/without LLC and host interference |
-//! | [`ablation`] | Design-choice ablations called out in DESIGN.md (IOTLB size, DMA bypass, outstanding bursts, flush-before-map) |
+//! | [`ablation`] | Ablations of the paper's design choices (IOTLB size, DMA bypass, outstanding bursts, flush-before-map) |
 //! | [`fabric`] | Beyond the paper — N-cluster fabric scaling with per-initiator contention statistics |
 
 pub mod ablation;

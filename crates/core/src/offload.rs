@@ -27,7 +27,7 @@ use sva_common::{Cycles, Error, Iova, PhysAddr, Result, VirtAddr, PAGE_SIZE};
 use sva_host::{
     FaultServicer, HostKernelRunner, HostRunStats, HostTrafficStats, MappingHandle, TrafficPhase,
 };
-use sva_iommu::{Iommu, IommuConfig, IommuStats};
+use sva_iommu::{Iommu, IommuStats};
 use sva_kernels::{BufferKind, BufferSpec, Workload};
 
 use crate::platform::Platform;
@@ -268,7 +268,7 @@ impl OffloadRunner {
             // device touches cold-starts through the page-request loop.
             platform.cpu.flush_l1();
             platform.mem.flush_llc();
-            if !platform.iommu.demand_paging() {
+            if platform.iommu.demand_paging().is_none() {
                 for buf in &buffers {
                     platform.driver.map_buffer(
                         &mut platform.cpu,
@@ -368,7 +368,7 @@ impl OffloadRunner {
         let mut shards = Vec::with_capacity(num_clusters);
         // Demand paging is only live for the platform's own translating
         // IOMMU — a bypass override (copy-based offload) never faults.
-        let demand_paging = iommu_override.is_none() && platform.iommu.demand_paging();
+        let demand_paging = iommu_override.is_none() && platform.iommu.demand_paging().is_some();
         let mut override_iommu = iommu_override;
         for (cluster_idx, (start, len)) in blocks.into_iter().enumerate() {
             if let Some(stream) = platform.host_traffic.as_mut() {
@@ -673,7 +673,7 @@ impl OffloadRunner {
             .iter()
             .map(|pa| Iova::new(platform.mem.map().to_bypass(*pa).raw()))
             .collect();
-        let mut bypass_iommu = Iommu::new(IommuConfig::disabled());
+        let mut bypass_iommu = Iommu::disabled();
         let (device, device_per_cluster) =
             Self::run_device_sharded(platform, workload, &device_ptrs, Some(&mut bypass_iommu))?;
 
@@ -741,7 +741,7 @@ impl OffloadRunner {
         // map pass is skipped: pages become device-resident through the
         // page-request loop on first touch, and there is nothing to tear
         // down up front (the unmap section below is likewise empty).
-        let demand_paging = platform.iommu.demand_paging();
+        let demand_paging = platform.iommu.demand_paging().is_some();
         let slice = Self::begin_setup_traffic(platform, buffers.len() as u64);
         let mut map_cycles = platform.cpu.flush_l1();
         map_cycles += platform.mem.flush_llc();
@@ -1232,7 +1232,8 @@ mod tests {
             let mut config = PlatformConfig::iommu_with_llc(200)
                 .with_fabric_contention()
                 .with_demand_paging();
-            config.iommu.page_request_entries = entries;
+            let iommu = config.iommu.as_mut().unwrap();
+            iommu.demand_paging.as_mut().unwrap().page_request_entries = entries;
             let mut platform = Platform::new(config).unwrap();
             OffloadRunner::new(41)
                 .run_device_only(&mut platform, &wl)

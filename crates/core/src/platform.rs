@@ -9,7 +9,6 @@
 //! With `num_clusters == 1` the platform is exactly the paper's.
 
 use sva_cluster::ClusterExecutor;
-use sva_common::rng::DeterministicRng;
 use sva_common::{GlobalClock, Result};
 use sva_host::{CopyEngine, HostCpu, HostTrafficStream, IommuDriver};
 use sva_iommu::Iommu;
@@ -17,6 +16,9 @@ use sva_mem::MemorySystem;
 use sva_vm::{AddressSpace, FrameAllocator};
 
 use crate::config::PlatformConfig;
+
+/// Seed of Figure 5's statistical host interference.
+const INTERFERENCE_SEED: u64 = 0x5EED ^ 0xA11CE;
 
 /// The full SoC: host subsystem, IOMMU, accelerator clusters, memory system
 /// and the software state (process address space, driver, allocators).
@@ -36,8 +38,8 @@ pub struct Platform {
     /// The timed host-traffic stream injected into device measurement
     /// windows, when configured.
     pub host_traffic: Option<HostTrafficStream>,
-    /// The RISC-V IOMMU (disabled/translating depending on the variant),
-    /// shared by every cluster.
+    /// The RISC-V IOMMU shared by every cluster: translating when the
+    /// configuration has one, [`Iommu::disabled`] otherwise.
     pub iommu: Iommu,
     /// The Snitch cluster executors. Cluster `i`'s DMA engine presents
     /// device ID [`Platform::cluster_device_id`]`(i)`.
@@ -52,8 +54,6 @@ pub struct Platform {
     pub driver: IommuDriver,
     /// The host copy engine used by copy-based offloading.
     pub copy: CopyEngine,
-    /// Deterministic random source for workload initialisation.
-    pub rng: DeterministicRng,
 }
 
 impl Clone for Platform {
@@ -83,7 +83,6 @@ impl Clone for Platform {
             reserved: self.reserved.clone(),
             driver: self.driver.clone(),
             copy: self.copy.clone(),
-            rng: self.rng.clone(),
         }
     }
 }
@@ -93,7 +92,9 @@ impl Platform {
     /// user process, and — when the variant has an IOMMU — attaches every
     /// cluster to the process's IOMMU domain (cluster 0 through the driver,
     /// the paper's flow; further clusters directly against the same IO page
-    /// table).
+    /// table). Under [`sva_common::ArbitrationPolicy::FixedPriority`]
+    /// cluster `i`'s DMA engine issues at the policy's priority `i`, and at
+    /// priority 0 under every other policy.
     ///
     /// # Errors
     ///
@@ -105,16 +106,16 @@ impl Platform {
         let clock = GlobalClock::new();
         let mut mem = MemorySystem::new(config.mem.clone());
         mem.attach_clock(&clock);
-        mem.set_interference(config.interference.to_config(config.seed ^ 0xA11CE));
+        mem.set_interference(config.interference.to_config(INTERFERENCE_SEED));
 
         let mut cpu = HostCpu::new(config.cpu);
         cpu.attach_clock(&clock);
         let host_traffic = config.host_traffic.map(HostTrafficStream::new);
-        let mut iommu = Iommu::new(config.iommu);
+        let mut iommu = config.iommu.map_or_else(Iommu::disabled, Iommu::new);
         let num_clusters = config.num_clusters;
         let clusters = (0..num_clusters)
             .map(|i| {
-                let priority = config.cluster_priorities.get(i).copied().unwrap_or(0);
+                let priority = config.mem.fabric.policy.priority(i);
                 ClusterExecutor::new(config.cluster, data_device_id(&config, i), priority)
             })
             .collect();
@@ -139,7 +140,6 @@ impl Platform {
         }
 
         Ok(Self {
-            rng: DeterministicRng::new(config.seed),
             config,
             clock,
             mem,
@@ -168,11 +168,6 @@ impl Platform {
     /// The first cluster executor (the paper's single cluster).
     pub fn cluster(&self) -> &ClusterExecutor {
         &self.clusters[0]
-    }
-
-    /// Mutable access to the first cluster executor.
-    pub fn cluster_mut(&mut self) -> &mut ClusterExecutor {
-        &mut self.clusters[0]
     }
 
     /// IOMMU device ID presented by cluster `index`'s DMA data traffic.
@@ -284,27 +279,25 @@ mod tests {
         assert_rejects(config, "cluster.dma.max_burst_bytes");
     }
 
+    /// `PlatformConfig::iommu_with_llc(200)` with `edit` applied to its
+    /// LLC.
+    fn with_llc(edit: impl FnOnce(&mut sva_mem::LlcConfig)) -> PlatformConfig {
+        let mut config = PlatformConfig::iommu_with_llc(200);
+        edit(config.mem.llc.as_mut().unwrap());
+        config
+    }
+
     #[test]
     fn llc_without_cache_ways_is_rejected() {
-        let mut config = PlatformConfig::iommu_with_llc(200);
-        config.mem.llc.spm_ways = config.mem.llc.ways;
-        assert_rejects(config.clone(), "mem.llc.spm_ways");
-        config.mem.llc.spm_ways = config.mem.llc.ways + 1;
-        assert_rejects(config.clone(), "mem.llc.spm_ways");
-        // A disabled LLC is never built, so its geometry is not checked.
-        config.mem.llc_enabled = false;
-        assert!(Platform::new(config).is_ok());
+        assert_rejects(with_llc(|l| l.spm_ways = l.ways), "mem.llc.spm_ways");
+        assert_rejects(with_llc(|l| l.spm_ways = l.ways + 1), "mem.llc.spm_ways");
     }
 
     #[test]
     fn bad_llc_geometry_is_rejected() {
         // 96 KiB over 8 ways of 64 B lines: 192 sets, not a power of two.
-        let mut config = PlatformConfig::iommu_with_llc(200);
-        config.mem.llc.size_bytes = 96 * 1024;
-        assert_rejects(config, "mem.llc");
-        let mut config = PlatformConfig::iommu_with_llc(200);
-        config.mem.llc.line_bytes = 48;
-        assert_rejects(config, "mem.llc");
+        assert_rejects(with_llc(|l| l.size_bytes = 96 * 1024), "mem.llc");
+        assert_rejects(with_llc(|l| l.line_bytes = 48), "mem.llc");
     }
 
     #[test]
@@ -320,10 +313,11 @@ mod tests {
     #[test]
     fn empty_tlb_levels_are_rejected() {
         let mut config = PlatformConfig::iommu_with_llc(200).with_default_tlb_hierarchy();
-        config.iommu.tlb.l1.as_mut().unwrap().org.sets = 0;
+        let tlb = &mut config.iommu.as_mut().unwrap().tlb;
+        tlb.l1.as_mut().unwrap().org.sets = 0;
         assert_rejects(config, "iommu.tlb.l1.org");
         let mut config = PlatformConfig::iommu_with_llc(200).with_default_tlb_hierarchy();
-        config.iommu.tlb.l2.org.ways = 0;
+        config.iommu.as_mut().unwrap().tlb.l2.org.ways = 0;
         assert_rejects(config, "iommu.tlb.l2.org");
     }
 
@@ -339,8 +333,27 @@ mod tests {
             .clone()
             .with_arbitration(ArbitrationPolicy::Weighted(vec![8, 0, 1, 1]));
         assert_rejects(zero, "mem.fabric.policy");
-        let full = config.with_arbitration(ArbitrationPolicy::Weighted(vec![8, 4, 2, 1, 1]));
-        assert!(Platform::new(full).is_ok(), "extra weights are unused");
+        let long = config
+            .clone()
+            .with_arbitration(ArbitrationPolicy::Weighted(vec![8, 4, 2, 1, 1]));
+        assert_rejects(long, "mem.fabric.policy");
+        let full = config.with_arbitration(ArbitrationPolicy::Weighted(vec![8, 4, 2, 1]));
+        assert!(Platform::new(full).is_ok());
+    }
+
+    /// `FixedPriority` carries exactly one DMA priority per cluster.
+    #[test]
+    fn fixed_priority_needs_one_priority_per_cluster() {
+        use sva_common::ArbitrationPolicy;
+        let config = PlatformConfig::iommu_with_llc(200).with_clusters(3);
+        for wrong in [vec![0, 1], vec![0, 1, 2, 3]] {
+            let fixed = config
+                .clone()
+                .with_arbitration(ArbitrationPolicy::FixedPriority(wrong));
+            assert_rejects(fixed, "mem.fabric.policy");
+        }
+        let fixed = config.with_arbitration(ArbitrationPolicy::FixedPriority(vec![2, 0, 1]));
+        assert!(Platform::new(fixed).is_ok());
     }
 
     #[test]
@@ -360,8 +373,9 @@ mod tests {
     #[test]
     fn zero_page_request_entries_are_rejected() {
         let mut config = PlatformConfig::iommu_with_llc(200).with_demand_paging();
-        config.iommu.page_request_entries = 0;
-        assert_rejects(config, "iommu.page_request_entries");
+        let iommu = config.iommu.as_mut().unwrap();
+        iommu.demand_paging.as_mut().unwrap().page_request_entries = 0;
+        assert_rejects(config, "iommu.demand_paging.page_request_entries");
     }
 
     #[test]

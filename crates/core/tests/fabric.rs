@@ -84,7 +84,7 @@ fn weighted_arbitration_is_starvation_free() {
 #[test]
 fn fixed_priority_orders_strictly_under_contention() {
     let mut fabric = Fabric::new(FabricConfig {
-        policy: ArbitrationPolicy::FixedPriority,
+        policy: ArbitrationPolicy::FixedPriority(vec![0, 2]),
         ..FabricConfig::default()
     });
     for i in 0..32u64 {
@@ -118,22 +118,11 @@ fn fixed_priority_orders_strictly_under_contention() {
         }
         queues
     };
-    // Note both streams present priority 1: under RoundRobin that is the
-    // win-outright escape hatch, under FixedPriority it is an equal level,
-    // so compare against priority-0 round-robin traffic instead.
-    let fixed_equal = drive(ArbitrationPolicy::FixedPriority);
-    let rr = {
-        let mut fabric = Fabric::default();
-        let mut queues = Vec::new();
-        for i in 0..32u64 {
-            let t = Cycles::new(i * 10);
-            queues.push(fabric.admit(&burst(1, 0).at(t), timing(256)).queue.raw());
-            queues.push(fabric.admit(&burst(3, 0).at(t), timing(256)).queue.raw());
-        }
-        queues
-    };
+    // Both streams present priority 1: an equal level under
+    // FixedPriority, and ignored under RoundRobin.
     assert_eq!(
-        fixed_equal, rr,
+        drive(ArbitrationPolicy::FixedPriority(vec![1, 1])),
+        drive(ArbitrationPolicy::RoundRobin),
         "equal priorities must degenerate to round-robin placement"
     );
 }
@@ -147,15 +136,14 @@ fn stat_sums_hold_under_every_policy() {
     let policies = [
         ArbitrationPolicy::RoundRobin,
         ArbitrationPolicy::Weighted(vec![4, 2, 1, 1]),
-        ArbitrationPolicy::FixedPriority,
+        ArbitrationPolicy::FixedPriority(vec![0, 1, 2, 3]),
     ];
     for policy in policies {
         let config = PlatformConfig::iommu_with_llc(200)
             .with_clusters(4)
             .with_fabric_contention()
             .with_memory_channels(2)
-            .with_arbitration(policy.clone())
-            .with_cluster_priorities(vec![0, 1, 2, 3]);
+            .with_arbitration(policy.clone());
         let mut platform = Platform::new(config).unwrap();
         let report = OffloadRunner::new(0xFA1)
             .run_device_only(&mut platform, &GemmWorkload::with_dim(64))

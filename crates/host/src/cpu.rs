@@ -19,7 +19,9 @@ use sva_mem::{MemReq, MemorySystem};
 /// Configuration of the host CPU model.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct HostCpuConfig {
-    /// Geometry of the L1 data cache (write-through on CVA6).
+    /// Geometry of the L1 data cache. CVA6's L1 is write-through: the core
+    /// presents only reads to it (see [`HostCpu::store`]), so its lines
+    /// never become dirty.
     pub l1d: CacheConfig,
     /// Latency of an L1 hit.
     pub l1_hit_latency: Cycles,

@@ -407,7 +407,7 @@ mod tests {
     ) -> (MemorySystem, FrameAllocator, AddressSpace, HostCpu, Iommu) {
         let mut mem = MemorySystem::new(MemSysConfig {
             dram_latency: Cycles::new(latency),
-            llc_enabled: llc,
+            llc: llc.then(sva_mem::LlcConfig::default),
             ..MemSysConfig::default()
         });
         let mut frames = FrameAllocator::linux_pool();

@@ -288,10 +288,8 @@ pub enum InterferenceLevel {
     #[default]
     Idle,
     /// The host issues a steady random-access stream (the paper's synthetic
-    /// interference program).
+    /// interference program) at intensity 0.35.
     RandomTraffic,
-    /// A heavier stream, used for sensitivity analysis beyond the paper.
-    Saturating,
 }
 
 impl InterferenceLevel {
@@ -305,11 +303,6 @@ impl InterferenceLevel {
                 llc_lines_per_access: 0.25,
                 seed,
             }),
-            InterferenceLevel::Saturating => Some(InterferenceConfig {
-                intensity: 0.7,
-                llc_lines_per_access: 1.0,
-                seed,
-            }),
         }
     }
 
@@ -318,7 +311,6 @@ impl InterferenceLevel {
         match self {
             InterferenceLevel::Idle => "host idle",
             InterferenceLevel::RandomTraffic => "host random traffic",
-            InterferenceLevel::Saturating => "host saturating traffic",
         }
     }
 }
@@ -457,26 +449,18 @@ mod tests {
     }
 
     #[test]
-    fn levels_are_ordered_by_intensity() {
+    fn random_traffic_is_figure_5s_intensity() {
         let random = InterferenceLevel::RandomTraffic.to_config(1).unwrap();
-        let saturating = InterferenceLevel::Saturating.to_config(1).unwrap();
-        assert!(saturating.intensity > random.intensity);
-        assert!(saturating.llc_lines_per_access > random.llc_lines_per_access);
+        assert_eq!(random.intensity, 0.35);
+        assert_eq!(random.llc_lines_per_access, 0.25);
+        assert_eq!(random.seed, 1);
     }
 
     #[test]
     fn labels_are_distinct() {
-        let labels = [
+        assert_ne!(
             InterferenceLevel::Idle.label(),
-            InterferenceLevel::RandomTraffic.label(),
-            InterferenceLevel::Saturating.label(),
-        ];
-        assert_eq!(
-            labels
-                .iter()
-                .collect::<std::collections::HashSet<_>>()
-                .len(),
-            3
+            InterferenceLevel::RandomTraffic.label()
         );
     }
 }

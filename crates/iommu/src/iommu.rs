@@ -40,29 +40,16 @@ use sva_vm::FrameAllocator;
 
 use crate::ddt::{DeviceContext, DeviceDirectory};
 use crate::iotlb::IoTlb;
-use crate::pri::PageRequestStats;
+use crate::pri::{PageRequestStats, PriConfig};
 use crate::ptw::{PageTableWalker, DEFAULT_MSHR_ENTRIES};
-use crate::queues::{BoundedQueue, Command, FaultReason, FaultRecord, PageRequest};
+use crate::queues::{
+    BoundedQueue, Command, FaultReason, FaultRecord, PageRequest, FAULT_QUEUE_ENTRIES,
+};
 
 /// Width of one bucket of the page-request service-latency histogram.
 const PRI_HIST_BUCKET: u64 = 512;
 /// Number of buckets of the page-request service-latency histogram.
 const PRI_HIST_BUCKETS: usize = 256;
-
-/// Operating mode of the IOMMU instance.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum IommuMode {
-    /// The IOMMU is not instantiated: device addresses are used as physical
-    /// bus addresses unchanged and translation costs nothing. This is the
-    /// paper's *Baseline* configuration.
-    Disabled,
-    /// The IOMMU is present but the device context requests pass-through
-    /// (used for instruction fetches from the physically addressed L2).
-    Bypass,
-    /// Full first-stage (Sv39) translation — the paper's *IOMMU* and
-    /// *IOMMU + LLC* configurations.
-    Translating,
-}
 
 /// Geometry, policy and lookup cost of one level of the translation
 /// hierarchy.
@@ -134,62 +121,38 @@ impl Default for TlbHierarchyConfig {
     }
 }
 
-/// Configuration of the IOMMU model.
+/// Configuration of a translating IOMMU (first-stage Sv39 translation, the
+/// paper's *IOMMU* and *IOMMU + LLC* platforms). A platform without an
+/// IOMMU has no configuration; its pass-through stand-in is
+/// [`Iommu::disabled`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct IommuConfig {
-    /// Operating mode.
-    pub mode: IommuMode,
     /// The translation hierarchy (the prototype's single 4-entry IOTLB by
     /// default).
     pub tlb: TlbHierarchyConfig,
     /// Fixed pipeline latency added to every translated transaction.
     pub pipeline_latency: Cycles,
-    /// Capacity of the fault queue.
-    pub fault_queue_entries: usize,
     /// Enables the MSHR-style batched page-table walker: concurrent walks
     /// that need a PTE read already in flight coalesce onto it instead of
     /// issuing their own (see [`crate::ptw`]), with a walk table of
     /// [`DEFAULT_MSHR_ENTRIES`] in-flight PTE reads. Off by default — the
     /// serial walker is the paper's prototype.
     pub ptw_batching: bool,
-    /// ATS/PRI-style demand paging: a translation fault enqueues a page
-    /// request for the host instead of producing a terminal error, and the
-    /// faulting device stalls-and-retries (see [`crate::pri`]). Off by
-    /// default — faults are errors, as in the paper prototype.
-    pub demand_paging: bool,
-    /// Capacity of the page-request queue; a full queue drops requests and
-    /// the device answers with retry backoff.
-    pub page_request_entries: usize,
-    /// Upper bound on a device's stall-and-retry attempts per access
-    /// before the fault becomes terminal.
-    pub max_fault_retries: u32,
-    /// Extra stall a device serves after its page-request group overflowed
-    /// the queue (the dropped tail must re-fault and re-request).
-    pub page_request_backoff: Cycles,
+    /// ATS/PRI-style demand paging and its page-request path: a
+    /// translation fault enqueues a page request for the host instead of
+    /// producing a terminal error, and the faulting device
+    /// stalls-and-retries (see [`crate::pri`]). `None` by default — faults
+    /// are errors, as in the paper prototype.
+    pub demand_paging: Option<PriConfig>,
 }
 
 impl Default for IommuConfig {
     fn default() -> Self {
         Self {
-            mode: IommuMode::Translating,
             tlb: TlbHierarchyConfig::default(),
             pipeline_latency: Cycles::new(2),
-            fault_queue_entries: 64,
             ptw_batching: false,
-            demand_paging: false,
-            page_request_entries: 16,
-            max_fault_retries: 8,
-            page_request_backoff: Cycles::new(1_000),
-        }
-    }
-}
-
-impl IommuConfig {
-    /// Configuration of the paper's baseline platform (no IOMMU).
-    pub fn disabled() -> Self {
-        Self {
-            mode: IommuMode::Disabled,
-            ..Self::default()
+            demand_paging: None,
         }
     }
 }
@@ -251,7 +214,8 @@ pub struct IommuStats {
 /// The RISC-V IOMMU.
 #[derive(Clone, Debug)]
 pub struct Iommu {
-    config: IommuConfig,
+    /// `None` for the pass-through stand-in of a platform without an IOMMU.
+    config: Option<IommuConfig>,
     ddt: Option<DeviceDirectory>,
     /// The shared IOTLB: the only TLB without an L1, the L2 behind the
     /// ATCs with one.
@@ -261,6 +225,7 @@ pub struct Iommu {
     /// `config.tlb.l1` is set.
     atcs: Vec<(u32, IoTlb)>,
     ptw: PageTableWalker,
+    /// The fault queue, [`FAULT_QUEUE_ENTRIES`] deep.
     faults: BoundedQueue<FaultRecord>,
     /// The ATS/PRI page-request queue (unused with demand paging off).
     page_requests: BoundedQueue<PageRequest>,
@@ -286,7 +251,7 @@ pub struct Iommu {
 }
 
 impl Iommu {
-    /// Creates an IOMMU in the given configuration.
+    /// Creates a translating IOMMU in the given configuration.
     pub fn new(config: IommuConfig) -> Self {
         Self {
             ddt: None,
@@ -297,8 +262,15 @@ impl Iommu {
             } else {
                 PageTableWalker::new()
             },
-            faults: BoundedQueue::new(config.fault_queue_entries),
-            page_requests: BoundedQueue::new(config.page_request_entries.max(1)),
+            faults: BoundedQueue::new(FAULT_QUEUE_ENTRIES),
+            // The queue stays empty without demand paging.
+            page_requests: BoundedQueue::new(
+                config
+                    .demand_paging
+                    .unwrap_or_default()
+                    .page_request_entries
+                    .max(1),
+            ),
             pending_pages: BTreeSet::new(),
             pending_pages_peak: 0,
             pri: PageRequestStats::default(),
@@ -307,23 +279,23 @@ impl Iommu {
             translations: 0,
             bypassed: 0,
             translation_cycles: 0,
-            config,
+            config: Some(config),
         }
     }
 
-    /// The configuration of this instance.
-    pub const fn config(&self) -> &IommuConfig {
-        &self.config
-    }
-
-    /// The operating mode.
-    pub const fn mode(&self) -> IommuMode {
-        self.config.mode
+    /// The pass-through IOMMU of a platform without one (the paper's
+    /// *Baseline*): device addresses are used as physical bus addresses
+    /// unchanged and translation costs nothing.
+    pub fn disabled() -> Self {
+        Self {
+            config: None,
+            ..Self::new(IommuConfig::default())
+        }
     }
 
     /// Returns `true` when the IOMMU performs first-stage translation.
     pub const fn is_translating(&self) -> bool {
-        matches!(self.config.mode, IommuMode::Translating)
+        self.config.is_some()
     }
 
     /// The device directory, if one has been programmed.
@@ -504,8 +476,12 @@ impl Iommu {
         is_write: bool,
         now: Cycles,
     ) -> Result<(PhysAddr, Cycles)> {
-        if matches!(self.config.mode, IommuMode::Translating)
-            && self.config.demand_paging
+        let Some(config) = self.config else {
+            self.translations += 1;
+            self.bypassed += 1;
+            return Ok((PhysAddr::new(iova.raw()), Cycles::ZERO));
+        };
+        if config.demand_paging.is_some()
             && self
                 .ddt
                 .as_ref()
@@ -515,23 +491,11 @@ impl Iommu {
             return Err(Error::IoPageFault { iova, is_write });
         }
         self.translations += 1;
-        match self.config.mode {
-            IommuMode::Disabled => {
-                self.bypassed += 1;
-                Ok((PhysAddr::new(iova.raw()), Cycles::ZERO))
-            }
-            IommuMode::Bypass => {
-                self.bypassed += 1;
-                Ok((PhysAddr::new(iova.raw()), self.config.pipeline_latency))
-            }
-            IommuMode::Translating => {
-                let result = self.translate_first_stage(mem, device_id, iova, is_write, now);
-                if let Ok((_, cycles)) = &result {
-                    self.translation_cycles += cycles.raw();
-                }
-                result
-            }
+        let result = self.translate_first_stage(config, mem, device_id, iova, is_write, now);
+        if let Ok((_, cycles)) = &result {
+            self.translation_cycles += cycles.raw();
         }
+        result
     }
 
     /// Untimed, side-effect-free translation for functional inspection of
@@ -560,39 +524,38 @@ impl Iommu {
         device_id: u32,
         iova: Iova,
     ) -> Result<PhysAddr> {
-        match self.config.mode {
-            IommuMode::Disabled | IommuMode::Bypass => Ok(PhysAddr::new(iova.raw())),
-            IommuMode::Translating => {
-                let Some(ddt) = self.ddt.as_ref() else {
-                    return Err(Error::UnknownDevice { device_id });
-                };
-                let ctx = ddt.peek(mem, device_id)?;
-                if ctx.bypass {
-                    return Ok(PhysAddr::new(iova.raw()));
-                }
-                let va = sva_common::VirtAddr::from_iova(iova);
-                let table = sva_vm::PageTable::from_root(ctx.root_pt);
-                match table.translate(mem, va) {
-                    Ok(pa) => Ok(pa),
-                    Err(Error::HostPageFault { .. }) => Err(Error::IoPageFault {
-                        iova,
-                        is_write: false,
-                    }),
-                    Err(e) => Err(e),
-                }
-            }
+        if !self.is_translating() {
+            return Ok(PhysAddr::new(iova.raw()));
+        }
+        let Some(ddt) = self.ddt.as_ref() else {
+            return Err(Error::UnknownDevice { device_id });
+        };
+        let ctx = ddt.peek(mem, device_id)?;
+        if ctx.bypass {
+            return Ok(PhysAddr::new(iova.raw()));
+        }
+        let va = sva_common::VirtAddr::from_iova(iova);
+        let table = sva_vm::PageTable::from_root(ctx.root_pt);
+        match table.translate(mem, va) {
+            Ok(pa) => Ok(pa),
+            Err(Error::HostPageFault { .. }) => Err(Error::IoPageFault {
+                iova,
+                is_write: false,
+            }),
+            Err(e) => Err(e),
         }
     }
 
     fn translate_first_stage(
         &mut self,
+        config: IommuConfig,
         mem: &mut MemorySystem,
         device_id: u32,
         iova: Iova,
         is_write: bool,
         now: Cycles,
     ) -> Result<(PhysAddr, Cycles)> {
-        let mut cycles = self.config.pipeline_latency;
+        let mut cycles = config.pipeline_latency;
 
         // 1. Device context.
         let Some(ddt) = self.ddt.as_mut() else {
@@ -630,7 +593,7 @@ impl Iommu {
         let permits = |entry: &crate::iotlb::IoTlbEntry| {
             entry.flags.contains(sva_vm::PteFlags::W) || !is_write
         };
-        let tlb = self.config.tlb;
+        let tlb = config.tlb;
         if let Some(l1) = tlb.l1 {
             cycles += l1.lookup_latency;
             if let Some(entry) = self.atc_mut(device_id, l1).lookup(device_id, iova) {
@@ -662,7 +625,7 @@ impl Iommu {
                 cycles += res.cycles;
                 self.iotlb
                     .fill(device_id, iova, res.leaf.ppn(), res.leaf.flags());
-                if let Some(l1) = self.config.tlb.l1 {
+                if let Some(l1) = tlb.l1 {
                     self.atc_mut(device_id, l1).fill(
                         device_id,
                         iova,
@@ -680,7 +643,7 @@ impl Iommu {
                 // With demand paging, a not-mapped fault is recoverable: it
                 // is reported through the page-request queue by the device
                 // (ATS/PRI), not the terminal fault queue.
-                if !(self.config.demand_paging && reason == FaultReason::PageNotMapped) {
+                if !(config.demand_paging.is_some() && reason == FaultReason::PageNotMapped) {
                     self.faults.push(FaultRecord {
                         device_id,
                         iova,
@@ -697,10 +660,10 @@ impl Iommu {
     // The ATS/PRI page-request path (demand paging)
     // ------------------------------------------------------------------
 
-    /// Whether the page-request path is active (demand paging configured
-    /// and the IOMMU translating).
-    pub const fn demand_paging(&self) -> bool {
-        self.config.demand_paging && self.is_translating()
+    /// The page-request path, when the IOMMU translates with demand paging
+    /// configured.
+    pub fn demand_paging(&self) -> Option<PriConfig> {
+        self.config.and_then(|c| c.demand_paging)
     }
 
     /// Untimed probe of whether `device_id` can already perform the given
@@ -709,27 +672,25 @@ impl Iommu {
     /// access type (a resident read-only page still needs a page request
     /// for a write — the host services it by upgrading the mapping).
     fn probe_access(&self, mem: &MemorySystem, device_id: u32, iova: Iova, is_write: bool) -> bool {
-        match self.config.mode {
-            IommuMode::Disabled | IommuMode::Bypass => true,
-            IommuMode::Translating => {
-                let Some(ddt) = self.ddt.as_ref() else {
-                    return false;
-                };
-                let Ok(ctx) = ddt.peek(mem, device_id) else {
-                    return false;
-                };
-                if ctx.bypass {
-                    return true;
-                }
-                let table = sva_vm::PageTable::from_root(ctx.root_pt);
-                let va = sva_common::VirtAddr::from_iova(iova);
-                match table.walk(mem, va) {
-                    Ok(path) => path
-                        .leaf()
-                        .is_some_and(|pte| pte.is_valid() && pte.permits(is_write)),
-                    Err(_) => false,
-                }
-            }
+        if !self.is_translating() {
+            return true;
+        }
+        let Some(ddt) = self.ddt.as_ref() else {
+            return false;
+        };
+        let Ok(ctx) = ddt.peek(mem, device_id) else {
+            return false;
+        };
+        if ctx.bypass {
+            return true;
+        }
+        let table = sva_vm::PageTable::from_root(ctx.root_pt);
+        let va = sva_common::VirtAddr::from_iova(iova);
+        match table.walk(mem, va) {
+            Ok(path) => path
+                .leaf()
+                .is_some_and(|pte| pte.is_valid() && pte.permits(is_write)),
+            Err(_) => false,
         }
     }
 
@@ -1013,7 +974,7 @@ mod tests {
     #[test]
     fn disabled_mode_is_identity_and_free() {
         let mut mem = MemorySystem::default();
-        let mut iommu = Iommu::new(IommuConfig::disabled());
+        let mut iommu = Iommu::disabled();
         let (pa, cycles) = iommu
             .translate(&mut mem, 1, Iova::new(0x8000_1234), true)
             .unwrap();
@@ -1278,22 +1239,23 @@ mod tests {
     #[test]
     fn fault_queue_overflow_is_surfaced_not_silent() {
         let (mut mem, mut frames, space, _) = setup();
-        let mut iommu = Iommu::new(IommuConfig {
-            fault_queue_entries: 2,
-            ..IommuConfig::default()
-        });
+        let mut iommu = Iommu::default();
         iommu
             .attach_device(&mut mem, &mut frames, 1, space.pscid(), space.root())
             .unwrap();
-        for i in 0..5u64 {
+        for i in 0..FAULT_QUEUE_ENTRIES as u64 + 1 {
             let bad = Iova::new(0x7F00_0000 + i * PAGE_SIZE);
             assert!(iommu.translate(&mut mem, 1, bad, false).is_err());
         }
-        assert_eq!(iommu.pending_faults(), 2, "queue holds its capacity");
+        assert_eq!(
+            iommu.pending_faults(),
+            FAULT_QUEUE_ENTRIES,
+            "queue holds its capacity"
+        );
         assert_eq!(
             iommu.stats().fault_records_dropped,
-            3,
-            "the three overflowed records are counted, not lost"
+            1,
+            "the overflowed record is counted, not lost"
         );
         iommu.reset_stats();
         assert_eq!(iommu.stats().fault_records_dropped, 0);
@@ -1303,8 +1265,10 @@ mod tests {
     fn page_request_groups_dedup_skip_mapped_and_overflow() {
         let (mut mem, mut frames, space, va) = setup();
         let mut iommu = Iommu::new(IommuConfig {
-            demand_paging: true,
-            page_request_entries: 4,
+            demand_paging: Some(PriConfig {
+                page_request_entries: 4,
+                ..PriConfig::default()
+            }),
             ..IommuConfig::default()
         });
         // Attach against a *fresh* IO table so nothing is device-mapped.
@@ -1312,7 +1276,7 @@ mod tests {
         iommu
             .attach_device(&mut mem, &mut frames, 1, space.pscid(), io_table.root())
             .unwrap();
-        assert!(iommu.demand_paging());
+        assert!(iommu.demand_paging().is_some());
 
         // Map page 2 of 6 into the device table: the group must skip it.
         let pa = space.translate(&mem, va + 2 * PAGE_SIZE).unwrap();
@@ -1357,7 +1321,7 @@ mod tests {
     #[should_panic(expected = "dedup index size diverged")]
     fn validator_flags_an_injected_stale_entry() {
         let mut iommu = Iommu::new(IommuConfig {
-            demand_paging: true,
+            demand_paging: Some(PriConfig::default()),
             ..IommuConfig::default()
         });
         iommu.debug_validate_page_requests();
@@ -1369,7 +1333,7 @@ mod tests {
     fn write_groups_request_upgrades_for_read_only_pages() {
         let (mut mem, mut frames, space, _) = setup();
         let mut iommu = Iommu::new(IommuConfig {
-            demand_paging: true,
+            demand_paging: Some(PriConfig::default()),
             ..IommuConfig::default()
         });
         let io_table = sva_vm::PageTable::create(&mut frames).unwrap();
@@ -1398,7 +1362,7 @@ mod tests {
     #[test]
     fn serviced_page_requests_populate_the_pri_occupancy_timeline() {
         let mut iommu = Iommu::new(IommuConfig {
-            demand_paging: true,
+            demand_paging: Some(PriConfig::default()),
             ..IommuConfig::default()
         });
         // Two overlapping service windows and one later, disjoint one.
@@ -1423,7 +1387,7 @@ mod tests {
     fn demand_paging_faults_bypass_the_fault_queue() {
         let (mut mem, mut frames, space, _) = setup();
         let mut iommu = Iommu::new(IommuConfig {
-            demand_paging: true,
+            demand_paging: Some(PriConfig::default()),
             ..IommuConfig::default()
         });
         iommu

@@ -52,8 +52,8 @@ pub mod ptw;
 pub mod queues;
 
 pub use ddt::{DeviceContext, DeviceDirectory};
-pub use iommu::{Iommu, IommuConfig, IommuMode, IommuStats, TlbHierarchyConfig, TlbLevelConfig};
+pub use iommu::{Iommu, IommuConfig, IommuStats, TlbHierarchyConfig, TlbLevelConfig};
 pub use iotlb::{IoTlb, IoTlbEntry};
-pub use pri::{PageRequestHandler, PageRequestStats};
+pub use pri::{PageRequestHandler, PageRequestStats, PriConfig};
 pub use ptw::{PageTableWalker, PtwResult};
 pub use queues::{BoundedQueue, Command, FaultReason, FaultRecord, PageRequest};

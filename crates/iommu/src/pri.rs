@@ -1,6 +1,7 @@
 //! The ATS/PRI-style page-request interface.
 //!
-//! With demand paging enabled (`IommuConfig::demand_paging`), an IO page
+//! With demand paging enabled (`IommuConfig::demand_paging`, a
+//! [`PriConfig`]), an IO page
 //! fault is no longer a terminal error: the faulting device issues a
 //! **page-request group** — the faulting page plus the remaining pages of
 //! the transfer it is about to touch — into the IOMMU's bounded
@@ -32,6 +33,31 @@ use sva_common::{Cycles, Result};
 use sva_mem::MemorySystem;
 
 use crate::iommu::Iommu;
+
+/// The page-request path of a demand-paging IOMMU. Every value here is
+/// read only while demand paging is on.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct PriConfig {
+    /// Capacity of the page-request queue; a full queue drops requests and
+    /// the device answers with retry backoff.
+    pub page_request_entries: usize,
+    /// Upper bound on a device's stall-and-retry attempts per access
+    /// before the fault becomes terminal.
+    pub max_fault_retries: u32,
+    /// Extra stall a device serves after its page-request group overflowed
+    /// the queue (the dropped tail must re-fault and re-request).
+    pub page_request_backoff: Cycles,
+}
+
+impl Default for PriConfig {
+    fn default() -> Self {
+        Self {
+            page_request_entries: 16,
+            max_fault_retries: 8,
+            page_request_backoff: Cycles::new(1_000),
+        }
+    }
+}
 
 /// Host-side servicing of the IOMMU's page-request queue.
 ///

@@ -596,7 +596,7 @@ mod tests {
     ) -> (MemorySystem, AddressSpace, Iova) {
         let mut mem = MemorySystem::new(MemSysConfig {
             dram_latency: Cycles::new(latency),
-            llc_enabled: llc,
+            llc: llc.then(sva_mem::LlcConfig::default),
             ..MemSysConfig::default()
         });
         let mut frames = FrameAllocator::linux_pool();
@@ -856,7 +856,7 @@ mod tests {
         let run = |req_depth: usize, timed: bool| -> (u64, u64) {
             let mut mem = MemorySystem::new(MemSysConfig {
                 dram_latency: Cycles::new(600),
-                llc_enabled: false,
+                llc: None,
                 fabric: sva_mem::FabricConfig {
                     req_queue_depth: req_depth,
                     timed_host_ptw: timed,

@@ -17,6 +17,10 @@ use std::collections::VecDeque;
 
 use sva_common::{Cycles, Iova};
 
+/// Capacity of the fault queue, the prototype's 64 entries. A record is
+/// pushed only for a terminal fault, and a platform run stops at its first.
+pub const FAULT_QUEUE_ENTRIES: usize = 64;
+
 /// Commands accepted by the IOMMU command queue (the subset used by the
 /// Linux driver for first-stage translation).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]

@@ -33,7 +33,7 @@ fn no_stale_translation_survives_invalidate_page_under_concurrent_walks() {
     // later walk if invalidation failed to purge it.
     let mut mem = MemorySystem::new(MemSysConfig {
         dram_latency: Cycles::new(800),
-        llc_enabled: false,
+        llc: None,
         ..MemSysConfig::default()
     });
     let mut frames = FrameAllocator::linux_pool();

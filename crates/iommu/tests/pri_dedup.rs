@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 
 use sva_common::rng::DeterministicRng;
 use sva_common::{Cycles, Iova, VirtAddr, PAGE_SIZE};
-use sva_iommu::{Iommu, IommuConfig, PageRequest};
+use sva_iommu::{Iommu, IommuConfig, PageRequest, PriConfig};
 use sva_mem::MemorySystem;
 use sva_vm::{AddressSpace, FrameAllocator, PageTable, PteFlags};
 
@@ -50,8 +50,10 @@ fn harness() -> (Harness, Iommu) {
         .alloc_buffer(&mut mem, &mut frames, PAGES * PAGE_SIZE)
         .unwrap();
     let mut iommu = Iommu::new(IommuConfig {
-        demand_paging: true,
-        page_request_entries: QUEUE_ENTRIES,
+        demand_paging: Some(PriConfig {
+            page_request_entries: QUEUE_ENTRIES,
+            ..PriConfig::default()
+        }),
         ..IommuConfig::default()
     });
     let mut io_tables = Vec::new();

@@ -96,7 +96,7 @@ fn environment(
 ) -> (MemorySystem, AddressSpace, Iova) {
     let mut mem = MemorySystem::new(MemSysConfig {
         dram_latency: Cycles::new(400),
-        llc_enabled: llc,
+        llc: llc.then(sva_mem::LlcConfig::default),
         fabric: FabricConfig {
             req_queue_depth,
             timed_host_ptw: timed,

@@ -13,7 +13,7 @@ use sva_axi::addrmap::{DRAM_BASE, LLC_BYPASS_OFFSET};
 use sva_cluster::ClusterExecutor;
 use sva_common::rng::DeterministicRng;
 use sva_common::{Iova, PhysAddr};
-use sva_iommu::{Iommu, IommuConfig};
+use sva_iommu::Iommu;
 use sva_kernels::{KernelKind, Workload};
 use sva_mem::MemorySystem;
 
@@ -26,7 +26,7 @@ fn buffer_offset(b: usize) -> u64 {
 /// contents.
 fn run_on_device(wl: &dyn Workload, initial: &[Vec<f32>]) -> Vec<Vec<f32>> {
     let mut mem = MemorySystem::default();
-    let mut iommu = Iommu::new(IommuConfig::disabled());
+    let mut iommu = Iommu::disabled();
     let mut ptrs = Vec::new();
     for (b, data) in initial.iter().enumerate() {
         let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();

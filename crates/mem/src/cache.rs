@@ -13,9 +13,12 @@
 //! lockstep suite (`tests/reference/cache.rs`), which replays randomized
 //! access, probe, invalidate and flush sequences against both.
 //!
-//! Two instances are used in the platform:
+//! A written line is marked dirty and written back when it is evicted. Two
+//! instances are used in the platform:
 //!
-//! * the CVA6 32 KiB write-through L1 data cache (dirty bits never set),
+//! * the CVA6 32 KiB write-through L1 data cache: the host core only
+//!   presents reads to it (a store updates a resident line with a read
+//!   access and goes on to memory), so its lines never become dirty;
 //! * the Cheshire 128 KiB write-back last-level cache ([`crate::llc`]).
 
 use sva_common::stats::HitMiss;
@@ -30,19 +33,15 @@ pub struct CacheConfig {
     pub ways: usize,
     /// Line size in bytes.
     pub line_bytes: u64,
-    /// `true` for write-back caches (dirty lines written back on eviction),
-    /// `false` for write-through caches.
-    pub write_back: bool,
 }
 
 impl CacheConfig {
-    /// The CVA6 32 KiB, 8-way, write-through L1 data cache.
+    /// The CVA6 32 KiB, 8-way L1 data cache.
     pub const fn cva6_l1d() -> Self {
         Self {
             size_bytes: 32 * 1024,
             ways: 8,
             line_bytes: CACHE_LINE_SIZE,
-            write_back: false,
         }
     }
 
@@ -88,7 +87,7 @@ pub enum CacheOutcome {
     /// The line was absent and has been filled.
     Miss {
         /// Address of a dirty line that had to be written back to make room,
-        /// if any. Only ever `Some` for write-back caches.
+        /// if any.
         writeback: Option<PhysAddr>,
     },
 }
@@ -196,13 +195,12 @@ impl Cache {
 
     /// Looks up the line containing `addr`, filling it on a miss.
     ///
-    /// `is_write` marks the line dirty for write-back caches. The returned
-    /// outcome reports whether the access hit and whether a dirty victim had
-    /// to be written back.
+    /// `is_write` marks the line dirty. The returned outcome reports whether
+    /// the access hit and whether a dirty victim had to be written back.
     pub fn access(&mut self, addr: PhysAddr, is_write: bool) -> CacheOutcome {
         self.lru_clock += 1;
         let (set_idx, tag) = self.index_and_tag(addr);
-        let dirty = u64::from(is_write && self.config.write_back);
+        let dirty = u64::from(is_write);
         let stamp = self.lru_clock << 1;
         let n = self.config.ways;
         let set = &mut self.ways[set_idx * n..(set_idx + 1) * n];
@@ -290,12 +288,11 @@ impl Cache {
 mod tests {
     use super::*;
 
-    fn small_cache(write_back: bool) -> Cache {
+    fn small_cache() -> Cache {
         Cache::new(CacheConfig {
             size_bytes: 1024,
             ways: 2,
             line_bytes: 64,
-            write_back,
         })
     }
 
@@ -308,7 +305,6 @@ mod tests {
             size_bytes: 1000,
             ways: 3,
             line_bytes: 64,
-            write_back: true
         }
         .validate()
         .is_err());
@@ -316,7 +312,6 @@ mod tests {
             size_bytes: 1024,
             ways: 2,
             line_bytes: 63,
-            write_back: true
         }
         .validate()
         .is_err());
@@ -329,7 +324,6 @@ mod tests {
             size_bytes: 96 * 1024,
             ways: 8,
             line_bytes: 64,
-            write_back: true,
         };
         assert_eq!(odd.sets(), 192);
         let err = odd.validate().unwrap_err();
@@ -340,7 +334,6 @@ mod tests {
             size_bytes: 5 * 256 * 64,
             ways: 5,
             line_bytes: 64,
-            write_back: true,
         };
         assert_eq!(partitioned.sets(), 256);
         assert!(partitioned.validate().is_ok());
@@ -349,7 +342,7 @@ mod tests {
 
     #[test]
     fn writeback_and_invalidate_addresses_round_trip_the_index() {
-        let mut c = small_cache(true);
+        let mut c = small_cache();
         // High address bits survive the shift/mask split into set and tag.
         let a = PhysAddr::new(0x40_8765_4321);
         c.access(a, true);
@@ -363,7 +356,7 @@ mod tests {
 
     #[test]
     fn miss_then_hit() {
-        let mut c = small_cache(true);
+        let mut c = small_cache();
         let a = PhysAddr::new(0x8000_0000);
         assert!(!c.access(a, false).is_hit());
         assert!(c.access(a, false).is_hit());
@@ -376,7 +369,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_within_set() {
-        let mut c = small_cache(false);
+        let mut c = small_cache();
         // 8 sets of 2 ways; these three addresses map to the same set.
         let set_stride = 8 * 64;
         let a = PhysAddr::new(0x10000);
@@ -394,7 +387,7 @@ mod tests {
 
     #[test]
     fn write_back_cache_reports_writebacks() {
-        let mut c = small_cache(true);
+        let mut c = small_cache();
         let set_stride = 8 * 64;
         let a = PhysAddr::new(0x20000);
         let b = a + set_stride;
@@ -407,21 +400,8 @@ mod tests {
     }
 
     #[test]
-    fn write_through_cache_never_writes_back() {
-        let mut c = small_cache(false);
-        let set_stride = 8 * 64;
-        let a = PhysAddr::new(0x20000);
-        c.access(a, true);
-        c.access(a + set_stride, true);
-        let out = c.access(a + 2 * set_stride, true);
-        assert_eq!(out.writeback(), None);
-        assert_eq!(c.writebacks(), 0);
-        assert_eq!(c.flush_all(), 0);
-    }
-
-    #[test]
     fn invalidate_single_line() {
-        let mut c = small_cache(true);
+        let mut c = small_cache();
         let a = PhysAddr::new(0x30040);
         c.access(a, true);
         assert!(c.probe(a));
@@ -433,7 +413,7 @@ mod tests {
 
     #[test]
     fn flush_counts_dirty_lines() {
-        let mut c = small_cache(true);
+        let mut c = small_cache();
         c.access(PhysAddr::new(0x0), true);
         c.access(PhysAddr::new(0x40), false);
         c.access(PhysAddr::new(0x80), true);

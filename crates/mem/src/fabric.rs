@@ -39,18 +39,18 @@
 //!
 //! * **RoundRobin** (default) — first-fit in simulation order, exactly the
 //!   pre-channel contention model: a grant queues behind every conflicting
-//!   interval owned by a different initiator. A [`MemPortReq::priority`]
-//!   above zero wins arbitration outright (placed at arrival; its occupancy
-//!   still blocks priority-0 traffic). First-fit placement makes measured
-//!   queueing a staircase across shards (the first-simulated DMA stream
-//!   reports zero queue cycles), so read per-initiator queueing as a
+//!   interval owned by a different initiator, whatever its
+//!   [`MemPortReq::priority`]. First-fit placement makes measured queueing
+//!   a staircase across shards (the first-simulated DMA stream reports zero
+//!   queue cycles), so read per-initiator queueing as a
 //!   placement-order-dependent bound, not a fairness split.
 //! * **FixedPriority** — strict ordering by [`MemPortReq::priority`]: a
 //!   grant queues exactly behind conflicting intervals of **equal or
 //!   higher** request priority and ignores lower-priority ones (it is
-//!   granted at arrival over them, like RoundRobin's escape hatch, and
-//!   its occupancy still blocks them). With all priorities equal this
-//!   degenerates to RoundRobin.
+//!   granted at arrival over them, and its occupancy still blocks them).
+//!   With all priorities equal this degenerates to RoundRobin. The fabric
+//!   reads the priority each request carries; the policy's per-cluster
+//!   list is what the platform stamps on each cluster's DMA requests.
 //! * **Weighted(w)** — deficit-weighted QoS: the fabric tracks each timed
 //!   initiator's accumulated bus occupancy (its *service*). A grant skips a
 //!   conflicting interval when its own weighted service — including the
@@ -60,10 +60,10 @@
 //!   Serving it grows its service counter, so the bypass is self-limiting:
 //!   no initiator with a non-zero weight can be starved, and equal weights
 //!   alternate the queueing burden instead of the round-robin staircase.
-//!   Weights index timed initiators in first-reservation order (cluster
-//!   shard order on the platform). [`MemPortReq::priority`] is ignored under
-//!   this policy — request priorities cannot defeat the configured service
-//!   split.
+//!   Weights index DMA initiators in first-reservation order (cluster
+//!   order on the platform); host and PTW traffic weighs 1.
+//!   [`MemPortReq::priority`] is ignored under this policy — request
+//!   priorities cannot defeat the configured service split.
 //!
 //! # Split-transaction channel queues
 //!
@@ -333,13 +333,14 @@ pub struct Fabric {
     /// into this list is the weight index of the `Weighted` policy.
     timed_order: Vec<usize>,
     /// Cached per-slot policy weight, valid only while the matching
-    /// [`Fabric::in_timed_order`] flag is set (written when the slot joins
-    /// `timed_order`, whose membership never changes within a window).
+    /// `weight_fixed` flag is set.
     timed_weight: Vec<u32>,
-    /// Per-slot `timed_order` membership flag — the O(1) replacement for
-    /// `timed_order.contains` on every occupying grant.
-    in_timed_order: Vec<bool>,
-    /// The weight every non-member slot currently resolves to:
+    /// Whether a slot's weight is final: a host or PTW slot from its
+    /// registration (it always weighs 1), a DMA slot once it joins
+    /// `timed_order` (membership never changes within a window). The O(1)
+    /// replacement for `timed_order.contains` on every occupying grant.
+    weight_fixed: Vec<bool>,
+    /// The weight a DMA slot that has not reserved yet resolves to:
     /// `policy.weight(timed_order.len())`, refreshed whenever `timed_order`
     /// grows (a moving fallback — late joiners weigh as the *next* index).
     fallback_weight: u32,
@@ -371,7 +372,7 @@ impl Fabric {
             served: Vec::new(),
             timed_order: Vec::new(),
             timed_weight: Vec::new(),
-            in_timed_order: Vec::new(),
+            weight_fixed: Vec::new(),
             fallback_weight,
             last_owner: None,
             grants: 0,
@@ -393,18 +394,19 @@ impl Fabric {
         let slot = self.initiators.len();
         self.initiators.push((id, InitiatorStats::default()));
         self.served.push(0);
-        self.timed_weight.push(0);
-        self.in_timed_order.push(false);
+        let dma = matches!(id, InitiatorId::Dma { .. });
+        self.timed_weight.push(1);
+        self.weight_fixed.push(!dma);
         self.slots.set(id, slot);
         slot
     }
 
-    /// The weight of `slot` under the weighted policy: its position in the
-    /// timed-reservation order, served from the per-slot cache (members are
-    /// stamped when they join `timed_order`; everyone else resolves to the
-    /// moving fallback at the list's current length).
+    /// The weight of `slot` under the weighted policy, served from the
+    /// per-slot cache: 1 for host and PTW slots, a DMA slot's weight at its
+    /// position in the timed-reservation order once it joined it, and the
+    /// moving fallback at the list's current length before.
     fn weight_of(&self, slot: usize) -> u32 {
-        if self.in_timed_order[slot] {
+        if self.weight_fixed[slot] {
             self.timed_weight[slot]
         } else {
             self.fallback_weight
@@ -420,7 +422,7 @@ impl Fabric {
         }
         match &self.config.policy {
             ArbitrationPolicy::RoundRobin => true,
-            ArbitrationPolicy::FixedPriority => owner_prio >= prio,
+            ArbitrationPolicy::FixedPriority(_) => owner_prio >= prio,
             ArbitrationPolicy::Weighted(_) => {
                 // Queue unless this initiator's weighted service — counting
                 // the access at hand — still lags the owner's.
@@ -509,36 +511,28 @@ impl Fabric {
         let issue_stall = admitted - arrival;
 
         // Channel timeline: every grant is placed at its admission; grants
-        // with zero occupancy observe queueing but reserve nothing. The
-        // priority escape hatch — a priority > 0 placed at its admission
-        // unconditionally — exists only under RoundRobin. FixedPriority
-        // folds the priority into the conflict predicate (equal priorities
-        // still queue behind each other), and Weighted ignores it entirely
-        // so request priorities cannot defeat the configured service split.
-        // Even a priority winner needs a free response-queue slot.
+        // with zero occupancy observe queueing but reserve nothing. Only
+        // FixedPriority reads the request priority, folded into the conflict
+        // predicate (equal priorities still queue behind each other).
         let mut placed = admitted;
         let mut rsp_level = 0;
-        let wins_outright =
-            req.priority > 0 && matches!(self.config.policy, ArbitrationPolicy::RoundRobin);
         loop {
-            if !wins_outright {
-                // One probe returns the latest conflicting reservation
-                // end. Every conflicting interval blocks all placements up
-                // to its own end, so jumping straight there is the joint
-                // fixpoint step of the retry loop — the placement is
-                // bit-identical to retrying one conflict at a time (the
-                // policy predicate does not depend on `placed`).
-                let conflict = self.channels[channel].reservations.max_conflicting_end(
-                    placed,
-                    occupancy.max(1),
-                    |owner, owner_prio| {
-                        self.queues_behind(slot, req.priority, occupancy, owner, owner_prio)
-                    },
-                );
-                if let Some(end) = conflict {
-                    placed = end;
-                    continue;
-                }
+            // One probe returns the latest conflicting reservation end.
+            // Every conflicting interval blocks all placements up to its
+            // own end, so jumping straight there is the joint fixpoint step
+            // of the retry loop — the placement is bit-identical to
+            // retrying one conflict at a time (the policy predicate does not
+            // depend on `placed`).
+            let conflict = self.channels[channel].reservations.max_conflicting_end(
+                placed,
+                occupancy.max(1),
+                |owner, owner_prio| {
+                    self.queues_behind(slot, req.priority, occupancy, owner, owner_prio)
+                },
+            );
+            if let Some(end) = conflict {
+                placed = end;
+                continue;
             }
             if participates {
                 // Split transaction: the grant is only served once a
@@ -584,15 +578,15 @@ impl Fabric {
         }
         if occupancy > 0 {
             // Weight slots of the Weighted policy map to *DMA* initiators in
-            // first-reservation order (cluster shard order on the platform);
+            // first-reservation order (cluster order on the platform);
             // host/PTW occupancy under the global-clock engine must not
             // consume a cluster's configured weight — those classes always
-            // weigh the default 1 (absent slots fall back to it).
-            if matches!(req.initiator, InitiatorId::Dma { .. }) && !self.in_timed_order[slot] {
+            // weigh 1, and their slots are fixed from registration.
+            if !self.weight_fixed[slot] {
                 // Stamp the joiner's weight at its first-reservation index,
-                // then move the non-member fallback to the next index.
+                // then move the DMA fallback to the next index.
                 self.timed_weight[slot] = self.config.policy.weight(self.timed_order.len());
-                self.in_timed_order[slot] = true;
+                self.weight_fixed[slot] = true;
                 self.timed_order.push(slot);
                 self.fallback_weight = self.config.policy.weight(self.timed_order.len());
             }
@@ -760,8 +754,8 @@ impl Fabric {
             *served = 0;
         }
         self.timed_order.clear();
-        for member in &mut self.in_timed_order {
-            *member = false;
+        for (fixed, (id, _)) in self.weight_fixed.iter_mut().zip(&self.initiators) {
+            *fixed = !matches!(id, InitiatorId::Dma { .. });
         }
         self.fallback_weight = self.config.policy.weight(0);
     }
@@ -1019,30 +1013,6 @@ mod tests {
     }
 
     #[test]
-    fn priority_wins_arbitration_without_queueing() {
-        let mut fabric = Fabric::default();
-        // A priority-0 stream holds the bus for [0, 256).
-        fabric.admit(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256));
-        // A priority-1 access arriving mid-interval does not queue...
-        let req = burst_req(3, 2048).with_priority(1).at(Cycles::new(10));
-        let q = fabric.admit(&req, timing(200, 256)).queue;
-        assert_eq!(q, Cycles::ZERO);
-        assert_eq!(
-            fabric
-                .initiator_stats(InitiatorId::dma(3))
-                .unwrap()
-                .queue_cycles,
-            0
-        );
-        // ...but its occupancy [10, 266) still blocks later priority-0
-        // traffic from a third initiator.
-        let q0 = fabric
-            .admit(&burst_req(5, 2048).at(Cycles::new(20)), timing(200, 256))
-            .queue;
-        assert_eq!(q0, Cycles::new(246), "queues behind the priority grant");
-    }
-
-    #[test]
     fn reservation_window_prunes_correctly_across_magnitudes() {
         // Long-lived timeline: early large interval, then far-future small
         // ones; the max-length window must still find the early conflict.
@@ -1220,7 +1190,7 @@ mod tests {
     #[test]
     fn fixed_priority_orders_strictly() {
         let mut fabric = Fabric::new(FabricConfig {
-            policy: ArbitrationPolicy::FixedPriority,
+            policy: ArbitrationPolicy::FixedPriority(vec![0, 2, 2]),
             ..FabricConfig::default()
         });
         // Low-priority stream reserves [0, 256).
@@ -1266,34 +1236,60 @@ mod tests {
     #[test]
     fn weighted_ignores_request_priorities() {
         // A priority > 0 must not bypass the weighted service split: an
-        // over-served initiator queues even when its requests carry the
-        // round-robin escape-hatch priority.
-        let mut fabric = Fabric::new(FabricConfig {
-            policy: ArbitrationPolicy::Weighted(vec![1, 1]),
-            ..FabricConfig::default()
-        });
-        fabric.admit(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256));
-        let q1 = fabric
-            .admit(
-                &burst_req(3, 2048).with_priority(1).at(Cycles::ZERO),
-                timing(200, 256),
-            )
-            .queue;
+        // over-served initiator queues even when its requests carry a
+        // priority. RoundRobin ignores priorities the same way.
+        for policy in [
+            ArbitrationPolicy::Weighted(vec![1, 1]),
+            ArbitrationPolicy::RoundRobin,
+        ] {
+            let mut fabric = Fabric::new(FabricConfig {
+                policy,
+                ..FabricConfig::default()
+            });
+            fabric.admit(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256));
+            let q = fabric
+                .admit(
+                    &burst_req(3, 2048).with_priority(1).at(Cycles::ZERO),
+                    timing(200, 256),
+                )
+                .queue;
+            assert_eq!(
+                q,
+                Cycles::new(256),
+                "{:?}: the later grant queues",
+                fabric.config().policy
+            );
+        }
+    }
+
+    /// Host and PTW traffic weighs 1 under `Weighted`, whatever weight the
+    /// next DMA engine to join would get: a host access inside a DMA burst
+    /// queues the same under `[1, 8]` as under `[1, 1]`.
+    #[test]
+    fn weighted_host_traffic_weighs_one() {
+        let host_queue = |weights: Vec<u32>| -> Cycles {
+            let mut fabric = Fabric::new(FabricConfig {
+                policy: ArbitrationPolicy::Weighted(weights),
+                timed_host_ptw: true,
+                ..FabricConfig::default()
+            });
+            let host = |at: u64, len: u64| {
+                MemPortReq::read(InitiatorId::Host, PhysAddr::new(0x8000_0000), len)
+                    .at(Cycles::new(at))
+            };
+            fabric.admit(&host(0, 2048), timing(30, 256));
+            // DMA 1 joins the weight order at index 0 (weight 1) and queues
+            // behind the host to [256, 512).
+            let dma = fabric.admit(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256));
+            assert_eq!(dma.queue, Cycles::new(256));
+            fabric.admit(&host(356, 64), timing(30, 8)).queue
+        };
+        assert_eq!(host_queue(vec![1, 1]), Cycles::new(156));
         assert_eq!(
-            q1,
-            Cycles::new(256),
-            "equal service: the later grant queues"
+            host_queue(vec![1, 8]),
+            Cycles::new(156),
+            "the host must not take the next DMA engine's weight"
         );
-        // The same sequence under RoundRobin takes the escape hatch.
-        let mut rr = Fabric::default();
-        rr.admit(&burst_req(1, 2048).at(Cycles::ZERO), timing(200, 256));
-        let q2 = rr
-            .admit(
-                &burst_req(3, 2048).with_priority(1).at(Cycles::ZERO),
-                timing(200, 256),
-            )
-            .queue;
-        assert_eq!(q2, Cycles::ZERO);
     }
 
     #[test]

@@ -20,8 +20,9 @@ use sva_common::{Cycles, PhysAddr};
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct InterferenceConfig {
     /// Fraction of DRAM/bus service capacity consumed by the host stream,
-    /// in `[0, 0.95]`. The default of 0.5 corresponds to the host issuing
-    /// back-to-back random accesses as in the paper's experiment.
+    /// in `[0, 0.95]`. Figure 5 runs at 0.35
+    /// (`sva_host::InterferenceLevel::RandomTraffic`); the default of 0.5
+    /// serves the unit tests.
     pub intensity: f64,
     /// Expected number of LLC lines touched by host traffic per device-side
     /// memory access (capacity/conflict pressure on cached PTEs).

@@ -35,7 +35,6 @@
 //!
 //! let mut mem = MemorySystem::new(MemSysConfig {
 //!     dram_latency: Cycles::new(200),
-//!     llc_enabled: true,
 //!     ..MemSysConfig::default()
 //! });
 //!

@@ -29,11 +29,15 @@ pub struct LlcConfig {
     pub line_bytes: u64,
     /// Latency of a hit, including the crossbar-to-LLC hop.
     pub hit_latency: Cycles,
+    /// Whether device DMA traffic is cached by the LLC (the paper argues it
+    /// must *not* be; enabling it is an ablation). Host and page-table-walk
+    /// traffic always goes through the LLC.
+    pub serves_dma: bool,
 }
 
 impl LlcConfig {
     /// The paper's configuration: 128 KiB, 8-way, all ways used as cache,
-    /// 64-byte lines.
+    /// 64-byte lines, device DMA bypassing it.
     pub const fn cheshire_128k() -> Self {
         Self {
             size_bytes: 128 * KIB,
@@ -41,6 +45,7 @@ impl LlcConfig {
             spm_ways: 0,
             line_bytes: CACHE_LINE_SIZE,
             hit_latency: Cycles::new(9),
+            serves_dma: false,
         }
     }
 
@@ -60,7 +65,6 @@ impl LlcConfig {
             size_bytes: self.cache_bytes(),
             ways: self.cache_ways(),
             line_bytes: self.line_bytes,
-            write_back: true,
         }
     }
 }

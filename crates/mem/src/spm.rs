@@ -6,49 +6,24 @@
 //! synchronise offloads, so its (short, constant) access latency shows up in
 //! the offload/fork-join overhead of Figure 2.
 
+use sva_axi::addrmap::L2_SPM_SIZE;
 use sva_common::stats::Counter;
-use sva_common::{Cycles, Result, MIB};
+use sva_common::{Cycles, Result};
 
 use crate::backing::SparseMemory;
 
-/// The L2 scratchpad: constant-latency on-chip SRAM with functional backing
-/// storage.
+/// Access latency of the scratchpad as seen from the crossbar.
+pub const ACCESS_LATENCY: Cycles = Cycles::new(6);
+
+/// The L2 scratchpad: constant-latency on-chip SRAM of the address map's
+/// L2 SPM window size, with functional backing storage.
 #[derive(Clone, Debug)]
 pub struct Scratchpad {
     storage: SparseMemory,
-    access_latency: Cycles,
     accesses: Counter,
 }
 
-/// Serializable view of the scratchpad configuration (storage contents are
-/// not serialized).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct ScratchpadConfig {
-    /// Capacity in bytes.
-    pub size_bytes: u64,
-    /// Access latency as seen from the crossbar.
-    pub access_latency: Cycles,
-}
-
-impl Default for ScratchpadConfig {
-    fn default() -> Self {
-        Self {
-            size_bytes: MIB,
-            access_latency: Cycles::new(6),
-        }
-    }
-}
-
 impl Scratchpad {
-    /// Creates a scratchpad from a configuration.
-    pub fn new(config: ScratchpadConfig) -> Self {
-        Self {
-            storage: SparseMemory::new(config.size_bytes),
-            access_latency: config.access_latency,
-            accesses: Counter::new(),
-        }
-    }
-
     /// Capacity in bytes.
     pub fn capacity(&self) -> u64 {
         self.storage.capacity()
@@ -56,7 +31,7 @@ impl Scratchpad {
 
     /// Constant access latency.
     pub const fn access_latency(&self) -> Cycles {
-        self.access_latency
+        ACCESS_LATENCY
     }
 
     /// Timed read of `buf.len()` bytes at `offset` into the scratchpad.
@@ -68,7 +43,7 @@ impl Scratchpad {
     pub fn read(&mut self, offset: u64, buf: &mut [u8]) -> Result<Cycles> {
         self.storage.read(offset, buf)?;
         self.accesses.incr();
-        Ok(self.access_latency)
+        Ok(ACCESS_LATENCY)
     }
 
     /// Timed write of `buf` at `offset`.
@@ -80,7 +55,7 @@ impl Scratchpad {
     pub fn write(&mut self, offset: u64, buf: &[u8]) -> Result<Cycles> {
         self.storage.write(offset, buf)?;
         self.accesses.incr();
-        Ok(self.access_latency)
+        Ok(ACCESS_LATENCY)
     }
 
     /// Untimed (functional) access to the backing storage.
@@ -101,13 +76,17 @@ impl Scratchpad {
 
 impl Default for Scratchpad {
     fn default() -> Self {
-        Self::new(ScratchpadConfig::default())
+        Self {
+            storage: SparseMemory::new(L2_SPM_SIZE),
+            accesses: Counter::new(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sva_common::MIB;
 
     #[test]
     fn default_is_one_mebibyte() {

@@ -14,7 +14,7 @@
 //!   paper leverages to make SVA cheap);
 //! * **DMA** (one initiator per accelerator cluster): bursts that normally
 //!   use the LLC-bypass window straight to DRAM; routing them through the
-//!   LLC is possible for ablation (`llc_serves_dma`).
+//!   LLC is possible for ablation ([`LlcConfig::serves_dma`]).
 //!
 //! Arbitration and per-initiator accounting live in [`crate::fabric`].
 //!
@@ -45,7 +45,7 @@ use crate::dram::{Dram, DramConfig, DramTiming};
 use crate::fabric::{Fabric, FabricConfig, InitiatorSnapshot};
 use crate::interference::{Interference, InterferenceConfig};
 use crate::llc::{Llc, LlcConfig, LlcRequester};
-use crate::spm::{Scratchpad, ScratchpadConfig};
+use crate::spm::Scratchpad;
 
 /// Configuration of the whole memory system.
 #[derive(Clone, Debug, PartialEq)]
@@ -54,16 +54,11 @@ pub struct MemSysConfig {
     pub dram_latency: Cycles,
     /// Fixed DDR controller latency.
     pub controller_latency: Cycles,
-    /// Whether the LLC is instantiated at all.
-    pub llc_enabled: bool,
-    /// LLC geometry. When the LLC is enabled it always serves page-table
-    /// walks (the paper's proposal).
-    pub llc: LlcConfig,
-    /// Whether device DMA traffic is cached by the LLC (the paper argues it
-    /// must *not* be; enabling it is an ablation).
-    pub llc_serves_dma: bool,
-    /// L2 scratchpad configuration.
-    pub spm: ScratchpadConfig,
+    /// The last-level cache, `None` on a platform without one. An LLC
+    /// always serves host and page-table-walk traffic (the paper's
+    /// proposal); [`LlcConfig::serves_dma`] routes device DMA through it
+    /// too.
+    pub llc: Option<LlcConfig>,
     /// Bus geometry between initiators and memory.
     pub bus: BusConfig,
     /// Extra fixed cost of an uncached posted write as seen by the host
@@ -79,10 +74,7 @@ impl Default for MemSysConfig {
         Self {
             dram_latency: Cycles::new(200),
             controller_latency: DramConfig::FPGA_CONTROLLER_LATENCY,
-            llc_enabled: true,
-            llc: LlcConfig::default(),
-            llc_serves_dma: false,
-            spm: ScratchpadConfig::default(),
+            llc: Some(LlcConfig::default()),
             bus: BusConfig::AXI64,
             posted_write_cost: Cycles::new(16),
             fabric: FabricConfig::default(),
@@ -257,8 +249,8 @@ impl MemorySystem {
             map: AddressMap::prototype(),
             dram: Dram::new(dram_cfg),
             dram_store: SparseMemory::new(DRAM_SIZE),
-            spm: Scratchpad::new(config.spm),
-            llc: config.llc_enabled.then(|| Llc::new(config.llc)),
+            spm: Scratchpad::default(),
+            llc: config.llc.map(Llc::new),
             interference: None,
             fabric: Fabric::new(config.fabric.clone()),
             stats: MemSysStats::default(),
@@ -316,11 +308,6 @@ impl MemorySystem {
     /// The LLC, if instantiated.
     pub fn llc(&self) -> Option<&Llc> {
         self.llc.as_ref()
-    }
-
-    /// Mutable access to the LLC, if instantiated.
-    pub fn llc_mut(&mut self) -> Option<&mut Llc> {
-        self.llc.as_mut()
     }
 
     /// The DRAM timing model.
@@ -463,20 +450,6 @@ impl MemorySystem {
         match kind {
             RegionKind::L2Spm => self.spm.storage().read_f32(offset),
             _ => self.dram_store.read_f32(offset),
-        }
-    }
-
-    /// Functional write of a little-endian `f32`, on the backing store's
-    /// typed single-frame fast path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates decode errors from [`MemorySystem::write_phys`].
-    pub fn write_f32_phys(&mut self, addr: PhysAddr, value: f32) -> Result<()> {
-        let (kind, offset) = self.backing_for(addr, 4)?;
-        match kind {
-            RegionKind::L2Spm => self.spm.storage_mut().write_f32(offset, value),
-            _ => self.dram_store.write_f32(offset, value),
         }
     }
 
@@ -687,7 +660,7 @@ impl MemorySystem {
                 latency: self.spm.access_latency(),
                 occupancy: Cycles::new(self.config.bus.beats_for(len)),
             },
-            _ if cacheable && self.config.llc_serves_dma => {
+            _ if cacheable && self.llc.as_ref().is_some_and(|l| l.config().serves_dma) => {
                 // Ablation path: DMA through the LLC. The burst is broken into
                 // line refills, so the whole cost counts as latency (no long
                 // streaming window) — exactly the bandwidth loss the paper's
@@ -737,7 +710,7 @@ mod tests {
     fn sys(latency: u64, llc: bool) -> MemorySystem {
         MemorySystem::new(MemSysConfig {
             dram_latency: Cycles::new(latency),
-            llc_enabled: llc,
+            llc: llc.then(LlcConfig::default),
             ..MemSysConfig::default()
         })
     }
@@ -901,7 +874,10 @@ mod tests {
     fn dma_through_llc_ablation_breaks_bursts() {
         let mut ablate = MemorySystem::new(MemSysConfig {
             dram_latency: Cycles::new(600),
-            llc_serves_dma: true,
+            llc: Some(LlcConfig {
+                serves_dma: true,
+                ..LlcConfig::default()
+            }),
             ..MemSysConfig::default()
         });
         let mut normal = sys(600, true);

@@ -9,11 +9,11 @@
 //! after every step. The suite drives both engines through
 //! `DeterministicRng` operation sequences on the platform's cache shapes:
 //!
-//! * the CVA6 8-way write-through L1 data cache,
-//! * the 8-way write-back Cheshire LLC,
+//! * the CVA6 8-way L1 data cache geometry,
+//! * the 8-way Cheshire LLC,
 //! * the LLC with three of its eight ways given to the scratchpad (five
 //!   cache ways, so the set walk covers a non-power-of-two associativity),
-//! * a 2-way 1 KiB write-back cache, where nearly every miss evicts.
+//! * a 2-way 1 KiB cache, where nearly every miss evicts.
 //!
 //! Addresses crowd a few sets with more lines than they have ways, so
 //! replacement, dirty write-backs and refills after invalidation dominate,
@@ -30,7 +30,7 @@ use sva_mem::{Cache, CacheConfig, LlcConfig};
 /// The cache shapes the suite covers, with labels.
 fn geometries() -> Vec<(&'static str, CacheConfig)> {
     vec![
-        ("8-way write-through L1", CacheConfig::cva6_l1d()),
+        ("8-way L1", CacheConfig::cva6_l1d()),
         (
             "8-way write-back LLC",
             LlcConfig::cheshire_128k().cache_geometry(),
@@ -49,7 +49,6 @@ fn geometries() -> Vec<(&'static str, CacheConfig)> {
                 size_bytes: 1024,
                 ways: 2,
                 line_bytes: 64,
-                write_back: true,
             },
         ),
     ]

@@ -109,7 +109,8 @@ fn policies(rng: &mut DeterministicRng) -> Vec<ArbitrationPolicy> {
     let weights: Vec<u32> = (0..4).map(|_| 1 + rng.next_below(8) as u32).collect();
     vec![
         ArbitrationPolicy::RoundRobin,
-        ArbitrationPolicy::FixedPriority,
+        // The fabric reads the priority each request carries.
+        ArbitrationPolicy::FixedPriority(vec![0, 1, 0, 1]),
         ArbitrationPolicy::Weighted(weights),
     ]
 }

@@ -23,7 +23,6 @@ struct Line {
 /// reference engine).
 #[derive(Clone, Debug)]
 pub struct NaiveCache {
-    config: CacheConfig,
     sets: Vec<Vec<Line>>,
     line_shift: u32,
     set_shift: u32,
@@ -37,7 +36,6 @@ impl NaiveCache {
     pub fn new(config: CacheConfig) -> Self {
         config.validate().expect("valid geometry");
         Self {
-            config,
             sets: vec![vec![Line::default(); config.ways]; config.sets()],
             line_shift: config.line_bytes.trailing_zeros(),
             set_shift: config.sets().trailing_zeros(),
@@ -61,12 +59,11 @@ impl NaiveCache {
     pub fn access(&mut self, addr: PhysAddr, is_write: bool) -> CacheOutcome {
         self.lru_clock += 1;
         let (set_idx, tag) = self.index_and_tag(addr);
-        let write_back = self.config.write_back;
         let ways = &mut self.sets[set_idx];
 
         if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
             line.lru = self.lru_clock;
-            if is_write && write_back {
+            if is_write {
                 line.dirty = true;
             }
             self.stats.hit();
@@ -84,7 +81,7 @@ impl NaiveCache {
         let victim = ways[victim_idx];
         ways[victim_idx] = Line {
             valid: true,
-            dirty: is_write && write_back,
+            dirty: is_write,
             tag,
             lru: self.lru_clock,
         };

@@ -105,8 +105,12 @@ impl NaiveFabric {
     }
 
     /// The weight of `slot` under the weighted policy — the `timed_order`
-    /// position scan the indexed engine replaced with a cached weight.
+    /// position scan the indexed engine replaced with a cached weight. Host
+    /// and PTW slots weigh 1.
     fn weight_of(&self, slot: usize) -> u32 {
+        if !matches!(self.initiators[slot].0, InitiatorId::Dma { .. }) {
+            return 1;
+        }
         let idx = self
             .timed_order
             .iter()
@@ -121,7 +125,7 @@ impl NaiveFabric {
         }
         match &self.config.policy {
             ArbitrationPolicy::RoundRobin => true,
-            ArbitrationPolicy::FixedPriority => owner_prio >= prio,
+            ArbitrationPolicy::FixedPriority(_) => owner_prio >= prio,
             ArbitrationPolicy::Weighted(_) => {
                 let me = (self.served[slot] + occ) as u128 * self.weight_of(owner) as u128;
                 let them = self.served[owner] as u128 * self.weight_of(slot) as u128;
@@ -169,28 +173,24 @@ impl NaiveFabric {
         let issue_stall = admitted - arrival;
 
         let mut placed = admitted;
-        let wins_outright =
-            req.priority > 0 && matches!(self.config.policy, ArbitrationPolicy::RoundRobin);
         loop {
-            if !wins_outright {
-                // A conflicting interval satisfies start < placed + occ
-                // and end > placed; since no reservation is longer than
-                // max_reservation_len, its start also exceeds
-                // placed - max_reservation_len. Range-scan that window.
-                let lo = placed.saturating_sub(self.channels[channel].max_reservation_len);
-                let hi = placed + occupancy.max(1);
-                let conflict = self.channels[channel]
-                    .reservations
-                    .range((lo, 0)..(hi, 0))
-                    .find(|(_, &(end, owner, owner_prio))| {
-                        end > placed
-                            && self.queues_behind(slot, req.priority, occupancy, owner, owner_prio)
-                    })
-                    .map(|(_, &(end, _, _))| end);
-                if let Some(end) = conflict {
-                    placed = end;
-                    continue;
-                }
+            // A conflicting interval satisfies start < placed + occ and
+            // end > placed; since no reservation is longer than
+            // max_reservation_len, its start also exceeds
+            // placed - max_reservation_len. Range-scan that window.
+            let lo = placed.saturating_sub(self.channels[channel].max_reservation_len);
+            let hi = placed + occupancy.max(1);
+            let conflict = self.channels[channel]
+                .reservations
+                .range((lo, 0)..(hi, 0))
+                .find(|(_, &(end, owner, owner_prio))| {
+                    end > placed
+                        && self.queues_behind(slot, req.priority, occupancy, owner, owner_prio)
+                })
+                .map(|(_, &(end, _, _))| end);
+            if let Some(end) = conflict {
+                placed = end;
+                continue;
             }
             if participates {
                 let rsp_free = self.channels[channel].rsp.admission_at(placed);

@@ -18,7 +18,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A memory system at 600 cycles of DRAM latency, with the shared LLC.
     let mut mem = MemorySystem::new(MemSysConfig {
         dram_latency: Cycles::new(600),
-        llc_enabled: true,
         ..MemSysConfig::default()
     });
 

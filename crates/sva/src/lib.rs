@@ -11,8 +11,8 @@
 //!   the individual subsystems for users who want to assemble custom
 //!   platforms.
 //!
-//! See the repository README for a quickstart and `DESIGN.md` for the
-//! system inventory.
+//! See the repository README for a quickstart and the layout of the
+//! workspace.
 
 pub use sva_axi as axi;
 pub use sva_cluster as cluster;

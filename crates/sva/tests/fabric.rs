@@ -179,7 +179,7 @@ fn tile_range_identity_on_direct_executor() {
 
     let run_direct = |wrap: bool| {
         let mut mem = MemorySystem::default();
-        let mut iommu = Iommu::new(IommuConfig::disabled());
+        let mut iommu = Iommu::disabled();
         let mut exec = ClusterExecutor::new(ClusterConfig::default(), 1, 0);
         if wrap {
             let mut kernel = TileRange::new(Stream { tiles: 8 }, 0, 8);
