@@ -170,11 +170,6 @@ impl AddressMap {
         PhysAddr::new(DRAM_BASE + self.reserved_dram_offset)
     }
 
-    /// Size in bytes of the reserved contiguous DMA area.
-    pub const fn reserved_dram_size(&self) -> u64 {
-        DRAM_SIZE - self.reserved_dram_offset
-    }
-
     /// Decodes a bus address into a region kind and an offset into the
     /// backing resource.
     ///
@@ -299,6 +294,6 @@ mod tests {
     fn reserved_area_is_upper_half() {
         let map = AddressMap::prototype();
         assert_eq!(map.reserved_dram_base(), PhysAddr::new(DRAM_BASE + GIB));
-        assert_eq!(map.reserved_dram_size(), GIB);
+        assert_eq!(DRAM_SIZE, 2 * GIB, "so the reserved area is the upper half");
     }
 }

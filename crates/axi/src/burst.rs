@@ -28,16 +28,6 @@ impl Burst {
     pub const fn end(&self) -> PhysAddr {
         PhysAddr::new(self.addr.raw() + self.len)
     }
-
-    /// Returns `true` if this burst begins on a different 4 KiB page than
-    /// `prev` ended on (or if there is no previous burst), i.e. whether it
-    /// requires a new address translation.
-    pub fn starts_new_page(&self, prev: Option<&Burst>) -> bool {
-        match prev {
-            None => true,
-            Some(p) => (p.end() - 1u64).page_number() != self.addr.page_number(),
-        }
-    }
 }
 
 /// The burst decomposition of one DMA transfer: an iterator that yields the
@@ -152,7 +142,8 @@ mod tests {
         let plan = BurstPlan::split(PhysAddr::new(0x8000_0000), 8192, 1024);
         let flags: Vec<bool> = plan
             .scan(None, |prev: &mut Option<Burst>, b| {
-                let new_page = b.starts_new_page(prev.as_ref());
+                let new_page =
+                    prev.is_none_or(|p| (p.end() - 1u64).page_number() != b.addr.page_number());
                 *prev = Some(b);
                 Some(new_page)
             })

@@ -20,7 +20,7 @@
 //!   ([`xbar`]).
 //!
 //! The DRAM delayer the FPGA inserts before the DDR controller is a pure
-//! latency adder; `sva_mem::dram` adds it from its configuration.
+//! latency adder; `sva_mem::dram` adds it to the controller latency.
 //!
 //! # Example
 //!
@@ -46,4 +46,3 @@ pub mod xbar;
 
 pub use addrmap::{AddressMap, Region, RegionKind};
 pub use burst::{Burst, BurstPlan};
-pub use txn::BusConfig;

@@ -23,8 +23,8 @@
 use std::collections::VecDeque;
 
 use sva_axi::BurstPlan;
-use sva_common::{Cycles, Error, InitiatorId, Iova, PhysAddr, Result};
-use sva_iommu::{Iommu, PageRequestHandler};
+use sva_common::{Cycles, InitiatorId, Iova, PhysAddr, Result};
+use sva_iommu::{recover_page_faults, Iommu, PageRequestHandler};
 use sva_mem::{MemReq, MemorySystem};
 
 use crate::tcdm::Tcdm;
@@ -74,26 +74,11 @@ impl DmaRequest {
     }
 }
 
-/// Configuration of the DMA engine.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct DmaConfig {
-    /// Maximum bytes per AXI burst (256 beats × 8 B).
-    pub max_burst_bytes: u64,
-    /// Maximum number of bursts kept in flight.
-    pub max_outstanding: usize,
-    /// Host-domain cycles to program one transfer descriptor.
-    pub issue_overhead: Cycles,
-}
+/// Maximum bytes per AXI burst (256 beats × 8 B).
+pub const MAX_BURST_BYTES: u64 = 2048;
 
-impl Default for DmaConfig {
-    fn default() -> Self {
-        Self {
-            max_burst_bytes: 2048,
-            max_outstanding: 2,
-            issue_overhead: Cycles::new(20),
-        }
-    }
-}
+/// Host-domain cycles to program one transfer descriptor.
+const ISSUE_OVERHEAD: Cycles = Cycles::new(20);
 
 /// Statistics accumulated by the DMA engine.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -137,7 +122,8 @@ pub struct DmaStats {
 /// The cluster DMA engine.
 #[derive(Clone, Debug)]
 pub struct DmaEngine {
-    config: DmaConfig,
+    /// Maximum number of bursts kept in flight.
+    max_outstanding: usize,
     /// Device ID presented to the IOMMU for data traffic.
     device_id: u32,
     /// Arbitration priority the engine's bursts present at the fabric port
@@ -152,21 +138,17 @@ pub struct DmaEngine {
 }
 
 impl DmaEngine {
-    /// Creates an engine with the given configuration, presenting
-    /// `device_id` to the IOMMU and `priority` at the fabric port.
-    pub fn new(config: DmaConfig, device_id: u32, priority: u8) -> Self {
+    /// Creates an engine keeping up to `max_outstanding` bursts in flight,
+    /// presenting `device_id` to the IOMMU and `priority` at the fabric
+    /// port.
+    pub fn new(max_outstanding: usize, device_id: u32, priority: u8) -> Self {
         Self {
-            config,
+            max_outstanding,
             device_id,
             priority,
             stats: DmaStats::default(),
             in_flight: VecDeque::new(),
         }
-    }
-
-    /// The engine configuration.
-    pub const fn config(&self) -> &DmaConfig {
-        &self.config
     }
 
     /// Device ID the engine presents to the IOMMU for data traffic.
@@ -210,8 +192,8 @@ impl DmaEngine {
     /// **page-request group** covering the rest of the faulting transfer,
     /// **stalls** until the host's group response completes (plus a backoff
     /// penalty when the group overflowed the bounded page-request queue),
-    /// and **retries** the translation — up to the IOMMU's
-    /// `max_fault_retries` bound, after which the fault is terminal. The
+    /// and **retries** the translation; a fault that repeats on the
+    /// serviced burst is terminal ([`sva_iommu::recover_page_faults`]). The
     /// full round trip is charged **serially** onto the batch completion
     /// ([`DmaStats::fault_stall_cycles`]): the bursts keep the fault-free
     /// issue schedule on the fabric, and the accumulated fault-service time
@@ -221,8 +203,8 @@ impl DmaEngine {
     /// # Errors
     ///
     /// Propagates unrecoverable IO page faults (no handler, demand paging
-    /// off, retry budget exhausted, or the host has no backing mapping) and
-    /// out-of-range TCDM or memory accesses.
+    /// off, or the host has no backing mapping) and out-of-range TCDM or
+    /// memory accesses.
     pub fn execute_with_pri(
         &mut self,
         mem: &mut MemorySystem,
@@ -240,22 +222,20 @@ impl DmaEngine {
         // the bursts keep their fault-free fabric placement (see
         // [`DmaStats::fault_stall_cycles`]).
         let mut fault_stall = Cycles::ZERO;
+        let device_id = self.device_id;
         let outstanding = &mut self.in_flight;
         outstanding.clear();
 
         for req in requests {
             self.stats.requests += 1;
-            issue_free += self.config.issue_overhead;
-            let plan = BurstPlan::split(
-                PhysAddr::new(req.ext_addr.raw()),
-                req.len,
-                self.config.max_burst_bytes,
-            );
+            issue_free += ISSUE_OVERHEAD;
+            let plan =
+                BurstPlan::split(PhysAddr::new(req.ext_addr.raw()), req.len, MAX_BURST_BYTES);
             let mut done: u64 = 0;
             for burst in plan {
                 // Respect the outstanding-transaction limit.
                 let mut issue_t = issue_free;
-                if outstanding.len() >= self.config.max_outstanding {
+                if outstanding.len() >= self.max_outstanding {
                     let oldest = outstanding
                         .pop_front()
                         .expect("outstanding queue is non-empty");
@@ -267,67 +247,23 @@ impl DmaEngine {
                 // walk lands at the right point on the fabric timelines;
                 // IOTLB hits are cheap, misses serialise the burst behind
                 // the walk. Under demand paging a fault turns into an
-                // ATS/PRI stall-and-retry instead of an error.
+                // ATS/PRI stall-and-retry instead of an error: the device
+                // requests the rest of this transfer, the faulting page plus
+                // everything it is about to touch.
                 let is_write = req.dir == Direction::FromTcdm;
-                let mut attempts = 0u32;
-                let (pa, trans) = loop {
-                    match iommu.translate_at(
-                        mem,
-                        self.device_id,
-                        Iova::new(burst.addr.raw()),
-                        is_write,
-                        issue_t,
-                    ) {
-                        Ok(res) => break res,
-                        Err(fault @ Error::IoPageFault { .. }) => {
-                            let paging = iommu.demand_paging();
-                            attempts += 1;
-                            let Some(paging_config) =
-                                paging.filter(|p| pri.is_some() && attempts <= p.max_fault_retries)
-                            else {
-                                // Under demand paging the IOMMU routed this
-                                // fault to the page-request path; the device
-                                // is giving up, so the terminal fault must
-                                // still reach the driver's fault queue.
-                                if paging.is_some() {
-                                    iommu.record_terminal_fault(
-                                        self.device_id,
-                                        Iova::new(burst.addr.raw()),
-                                        is_write,
-                                    );
-                                }
-                                return Err(fault);
-                            };
-                            let handler = pri.as_deref_mut().expect("recoverable implies handler");
-                            // The device issues a page-request group for
-                            // the rest of this transfer: the faulting page
-                            // plus everything it is about to touch.
-                            let (_, dropped) = iommu.enqueue_page_requests(
-                                mem,
-                                self.device_id,
-                                Iova::new(burst.addr.raw()),
-                                req.len - done,
-                                is_write,
-                                issue_t,
-                            );
-                            let mut resume = handler.service(mem, iommu, issue_t)?;
-                            if dropped > 0 {
-                                // The queue overflowed mid-group: the tail
-                                // pages will re-fault, so the device backs
-                                // off before retrying.
-                                resume += paging_config.page_request_backoff;
-                            }
-                            // Charge at least one cycle even if the host
-                            // answered instantaneously.
-                            resume = resume.max(issue_t + Cycles::new(1));
-                            self.stats.page_faults += 1;
-                            let stall = resume - issue_t;
-                            self.stats.fault_stall_cycles += stall.raw();
-                            fault_stall += stall;
-                        }
-                        Err(other) => return Err(other),
-                    }
-                };
+                let iova = Iova::new(burst.addr.raw());
+                let ((pa, trans), stall, faults) = recover_page_faults(
+                    mem,
+                    iommu,
+                    pri.as_deref_mut(),
+                    device_id,
+                    req.len - done,
+                    issue_t,
+                    |mem, iommu| iommu.translate_at(mem, device_id, iova, is_write, issue_t),
+                )?;
+                self.stats.page_faults += faults;
+                self.stats.fault_stall_cycles += stall.raw();
+                fault_stall += stall;
                 self.stats.translations += 1;
                 self.stats.translation_cycles += trans.raw();
                 issue_t += trans;
@@ -338,7 +274,7 @@ impl DmaEngine {
                 // payload moves in one copy between memory and the burst's
                 // TCDM range, which is checked before the burst reaches the
                 // fabric.
-                let initiator = InitiatorId::dma(self.device_id);
+                let initiator = InitiatorId::dma(device_id);
                 let offset = req.tcdm_offset + done;
                 let access = match req.dir {
                     Direction::ToTcdm => {
@@ -387,8 +323,8 @@ impl DmaEngine {
 mod tests {
     use super::*;
     use sva_axi::addrmap::{DRAM_BASE, LLC_BYPASS_OFFSET};
-    use sva_common::PAGE_SIZE;
-    use sva_iommu::{IommuConfig, PriConfig};
+    use sva_common::{Error, PAGE_SIZE};
+    use sva_iommu::IommuConfig;
     use sva_mem::MemSysConfig;
     use sva_vm::{AddressSpace, FrameAllocator};
 
@@ -401,7 +337,7 @@ mod tests {
         let mut mem = MemorySystem::default();
         let mut iommu = Iommu::disabled();
         let mut tcdm = Tcdm::default();
-        let mut dma = DmaEngine::new(DmaConfig::default(), 1, 0);
+        let mut dma = DmaEngine::new(2, 1, 0);
 
         // Put a pattern in DRAM, DMA it in, mangle it, DMA it out elsewhere.
         let src: Vec<u8> = (0..8192u32).map(|i| (i % 250) as u8).collect();
@@ -458,7 +394,7 @@ mod tests {
             .attach_device(&mut mem, &mut frames, 1, space.pscid(), space.root())
             .unwrap();
         let mut tcdm = Tcdm::default();
-        let mut dma = DmaEngine::new(DmaConfig::default(), 1, 0);
+        let mut dma = DmaEngine::new(2, 1, 0);
         dma.execute(
             &mut mem,
             &mut iommu,
@@ -484,7 +420,7 @@ mod tests {
             .attach_device(&mut mem, &mut frames, 1, space.pscid(), space.root())
             .unwrap();
         let mut tcdm = Tcdm::default();
-        let mut dma = DmaEngine::new(DmaConfig::default(), 1, 0);
+        let mut dma = DmaEngine::new(2, 1, 0);
         let err = dma.execute(
             &mut mem,
             &mut iommu,
@@ -504,7 +440,7 @@ mod tests {
             let mut mem = MemorySystem::default();
             let mut iommu = Iommu::disabled();
             let mut tcdm = Tcdm::new(4096);
-            let mut dma = DmaEngine::new(DmaConfig::default(), 1, 0);
+            let mut dma = DmaEngine::new(2, 1, 0);
             // One-burst transfers: the first ends at the TCDM's last byte,
             // the second 64 B past it.
             let req = DmaRequest {
@@ -555,7 +491,7 @@ mod tests {
             space.write_virt(&mut mem, va, &data).unwrap();
 
             let mut iommu = Iommu::new(IommuConfig {
-                demand_paging: demand.then(PriConfig::default),
+                demand_paging: demand,
                 tlb: TlbHierarchyConfig::two_level(),
                 ..IommuConfig::default()
             });
@@ -571,7 +507,7 @@ mod tests {
             }
 
             let mut tcdm = Tcdm::default();
-            let mut dma = DmaEngine::new(DmaConfig::default(), 1, 0);
+            let mut dma = DmaEngine::new(2, 1, 0);
             let mut servicer = FaultServicer::new(&mut driver, &space, &mut frames);
             let done = dma
                 .execute_with_pri(
@@ -612,8 +548,8 @@ mod tests {
     }
 
     /// A truly unmapped address (no host backing) stays a terminal fault
-    /// even with demand paging and a handler: the bounded retry loop gives
-    /// up.
+    /// even with demand paging and a handler: the host marks its one page
+    /// request failed, and the retry's repeated fault is terminal.
     #[test]
     fn demand_paging_cannot_recover_bad_addresses() {
         use sva_host::{FaultServicer, IommuDriver};
@@ -623,10 +559,7 @@ mod tests {
         let mut frames = FrameAllocator::linux_pool();
         let space = AddressSpace::new(&mut mem, &mut frames).unwrap();
         let mut iommu = Iommu::new(IommuConfig {
-            demand_paging: Some(PriConfig {
-                max_fault_retries: 3,
-                ..PriConfig::default()
-            }),
+            demand_paging: true,
             ..IommuConfig::default()
         });
         let mut cpu = sva_host::HostCpu::default();
@@ -635,7 +568,7 @@ mod tests {
             .attach(&mut cpu, &mut mem, &mut iommu, &mut frames, space.pscid())
             .unwrap();
         let mut tcdm = Tcdm::default();
-        let mut dma = DmaEngine::new(DmaConfig::default(), 1, 0);
+        let mut dma = DmaEngine::new(2, 1, 0);
         let mut servicer = FaultServicer::new(&mut driver, &space, &mut frames);
         let err = dma.execute_with_pri(
             &mut mem,
@@ -645,16 +578,83 @@ mod tests {
             Cycles::ZERO,
             Some(&mut servicer),
         );
-        assert!(matches!(err, Err(sva_common::Error::IoPageFault { .. })));
-        assert!(
-            iommu.stats().page_requests.failed > 0,
-            "the host marked the unresolvable request failed"
+        assert!(matches!(err, Err(Error::IoPageFault { .. })));
+        let pri = iommu.stats().page_requests;
+        assert_eq!(
+            (pri.requests, pri.failed, pri.group_responses),
+            (1, 1, 1),
+            "one request, marked failed by the host, then the terminal fault"
         );
         // The abort is not silent: giving up records a terminal fault the
         // driver can observe on the fault queue.
         let fault = iommu.pop_fault().expect("terminal fault recorded");
         assert_eq!(fault.iova, Iova::new(0x6666_0000));
         assert_eq!(fault.reason, sva_iommu::FaultReason::PageNotMapped);
+        assert_eq!(iommu.pop_fault(), None, "recorded once");
+    }
+
+    /// One transfer longer than the page-request queue: its first fault's
+    /// group covers all 20 pages, the 16-entry queue drops the last 4, and
+    /// the engine serves the overflow backoff on top of the host's group
+    /// response. The dropped tail faults again at its first burst and is
+    /// paged in by a second group, and the data arrives intact.
+    #[test]
+    fn demand_paged_transfer_longer_than_the_queue_backs_off_and_completes() {
+        use sva_host::{FaultServicer, IommuDriver};
+        use sva_iommu::pri::PAGE_REQUEST_BACKOFF;
+        use sva_iommu::queues::PAGE_REQUEST_ENTRIES;
+
+        let pages = 20u64;
+        let len = pages * PAGE_SIZE;
+        let mut mem = MemorySystem::default();
+        let mut frames = FrameAllocator::linux_pool();
+        let mut space = AddressSpace::new(&mut mem, &mut frames).unwrap();
+        let va = space.alloc_buffer(&mut mem, &mut frames, len).unwrap();
+        let data: Vec<u8> = (0..len).map(|i| (i % 233) as u8).collect();
+        space.write_virt(&mut mem, va, &data).unwrap();
+        let mut iommu = Iommu::new(IommuConfig {
+            demand_paging: true,
+            ..IommuConfig::default()
+        });
+        let mut cpu = sva_host::HostCpu::default();
+        let mut driver = IommuDriver::default();
+        driver
+            .attach(&mut cpu, &mut mem, &mut iommu, &mut frames, space.pscid())
+            .unwrap();
+        let mut tcdm = Tcdm::default();
+        let mut dma = DmaEngine::new(2, 1, 0);
+        let mut servicer = FaultServicer::new(&mut driver, &space, &mut frames);
+        dma.execute_with_pri(
+            &mut mem,
+            &mut iommu,
+            &mut tcdm,
+            &[DmaRequest::input(Iova::from_virt(va), 0, len)],
+            Cycles::ZERO,
+            Some(&mut servicer),
+        )
+        .unwrap();
+
+        let mut check = vec![0u8; len as usize];
+        tcdm.read(0, &mut check).unwrap();
+        assert_eq!(check, data, "paged-in data is correct");
+        let queue = PAGE_REQUEST_ENTRIES as u64;
+        let pri = iommu.stats().page_requests;
+        assert_eq!(pri.dropped, pages - queue, "the queue drops the tail");
+        assert_eq!(pri.serviced, pages, "every page is paged in once");
+        assert_eq!(pri.group_responses, 2);
+        assert_eq!(dma.stats().page_faults, 2, "the group, then its tail");
+        // Each group's stall is its requests' service latency; the
+        // overflowing first group's also carries the backoff.
+        let service = pri.service_time;
+        let first = service.max().unwrap();
+        let tail_total = service.sum() - queue * first;
+        assert_eq!(tail_total % (pages - queue), 0, "one response per group");
+        let tail = tail_total / (pages - queue);
+        assert!(tail < first, "the 4-page tail is serviced faster");
+        assert_eq!(
+            dma.stats().fault_stall_cycles,
+            first + PAGE_REQUEST_BACKOFF.raw() + tail
+        );
     }
 
     #[test]
@@ -672,7 +672,7 @@ mod tests {
         });
         let mut iommu_a = Iommu::disabled();
         let mut tcdm_a = Tcdm::default();
-        let mut dma_a = DmaEngine::new(DmaConfig::default(), 1, 0);
+        let mut dma_a = DmaEngine::new(2, 1, 0);
         let t_baseline = dma_a
             .execute(
                 &mut mem_a,
@@ -696,7 +696,7 @@ mod tests {
             .attach_device(&mut mem_b, &mut frames, 1, space.pscid(), space.root())
             .unwrap();
         let mut tcdm_b = Tcdm::default();
-        let mut dma_b = DmaEngine::new(DmaConfig::default(), 1, 0);
+        let mut dma_b = DmaEngine::new(2, 1, 0);
         let t_translated = dma_b
             .execute(
                 &mut mem_b,
@@ -740,7 +740,7 @@ mod tests {
             let mut tcdm = Tcdm::default();
             // Stream 1 saturates the bus first (shard order: it is placed
             // first-fit and never queues)...
-            let mut dma_a = DmaEngine::new(DmaConfig::default(), 1, 0);
+            let mut dma_a = DmaEngine::new(2, 1, 0);
             dma_a
                 .execute(
                     &mut mem,
@@ -753,7 +753,7 @@ mod tests {
             // ...then stream 2 issues the same transfer from the same local
             // zero: every burst queues behind stream 1's reservations, so
             // its waiting requests pile up at the one-slot request FIFO.
-            let mut dma_b = DmaEngine::new(DmaConfig::default(), 3, 0);
+            let mut dma_b = DmaEngine::new(2, 3, 0);
             let done = dma_b
                 .execute(
                     &mut mem,
@@ -816,7 +816,7 @@ mod tests {
             let mut mem = mem.clone();
             let mut iommu = Iommu::disabled();
             let mut tcdm = Tcdm::default();
-            let mut dma = DmaEngine::new(DmaConfig::default(), device_id, 0);
+            let mut dma = DmaEngine::new(2, device_id, 0);
             let done = dma
                 .execute(
                     &mut mem,
@@ -834,7 +834,7 @@ mod tests {
             let mut iommu = Iommu::disabled();
             let mut tcdm = Tcdm::default();
             for device in [1u32, 3] {
-                DmaEngine::new(DmaConfig::default(), device, 0)
+                DmaEngine::new(2, device, 0)
                     .execute(
                         &mut mem,
                         &mut iommu,
@@ -859,7 +859,7 @@ mod tests {
         {
             let mut iommu = Iommu::disabled();
             let mut tcdm = Tcdm::default();
-            DmaEngine::new(DmaConfig::default(), 7, 0)
+            DmaEngine::new(2, 7, 0)
                 .execute(
                     &mut mem,
                     &mut iommu,
@@ -882,10 +882,7 @@ mod tests {
         let mut space_mem = MemorySystem::default();
         let space = AddressSpace::new(&mut space_mem, &mut frames).unwrap();
         let mut iommu = Iommu::new(IommuConfig {
-            demand_paging: Some(PriConfig {
-                page_request_entries: 2,
-                ..PriConfig::default()
-            }),
+            demand_paging: true,
             ..IommuConfig::default()
         });
         iommu
@@ -897,17 +894,21 @@ mod tests {
             let bad = Iova::new(0x7F00_0000 + i * sva_common::PAGE_SIZE);
             iommu.record_terminal_fault(1, bad, false);
         }
-        // Overflow the 2-entry PRI queue with a 4-page group and leave its
+        // Overflow the 16-entry PRI queue with a 20-page group and leave its
         // serviced entries on the occupancy timeline.
         let (enqueued, dropped) = iommu.enqueue_page_requests(
             &space_mem,
             1,
             Iova::new(0x7F10_0000),
-            4 * sva_common::PAGE_SIZE,
+            20 * sva_common::PAGE_SIZE,
             false,
             Cycles::new(10),
         );
-        assert_eq!((enqueued, dropped), (2, 2), "2-entry queue drops the rest");
+        assert_eq!(
+            (enqueued, dropped),
+            (16, 4),
+            "16-entry queue drops the rest"
+        );
         while iommu.pop_page_request().is_some() {}
         iommu.note_page_request_serviced(Cycles::new(10), Cycles::new(500));
         let dirty = iommu.stats();
@@ -939,14 +940,7 @@ mod tests {
             });
             let mut iommu = Iommu::disabled();
             let mut tcdm = Tcdm::default();
-            let mut dma = DmaEngine::new(
-                DmaConfig {
-                    max_outstanding: outstanding,
-                    ..DmaConfig::default()
-                },
-                1,
-                0,
-            );
+            let mut dma = DmaEngine::new(outstanding, 1, 0);
             dma.execute(
                 &mut mem,
                 &mut iommu,

@@ -14,19 +14,19 @@
 //! LLC, translation stalls eat into the overlap and the DMA-wait region grows
 //! — that difference is Table II.
 
-use sva_common::{Cycles, Error, GlobalClock, Result};
-use sva_iommu::{Iommu, PageRequestHandler};
+use sva_common::{Cycles, GlobalClock, Result};
+use sva_iommu::{recover_page_faults, Iommu, PageRequestHandler};
 use sva_mem::MemorySystem;
 
-use crate::dma::{DmaConfig, DmaEngine, DmaStats};
+use crate::dma::{DmaEngine, DmaStats};
 use crate::kernel::{DeviceKernel, TileCtx};
 use crate::tcdm::Tcdm;
 
 /// Configuration of the cluster executor.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ClusterConfig {
-    /// DMA engine configuration.
-    pub dma: DmaConfig,
+    /// Maximum number of bursts the cluster's DMA engine keeps in flight.
+    pub dma_outstanding: usize,
     /// Whether tile transfers are overlapped with compute (double buffering).
     /// Disabling it is an ablation; all paper experiments have it on.
     pub double_buffer: bool,
@@ -35,7 +35,7 @@ pub struct ClusterConfig {
 impl Default for ClusterConfig {
     fn default() -> Self {
         Self {
-            dma: DmaConfig::default(),
+            dma_outstanding: 2,
             double_buffer: true,
         }
     }
@@ -123,7 +123,7 @@ impl ClusterExecutor {
     pub fn new(config: ClusterConfig, device_id: u32, priority: u8) -> Self {
         Self {
             tcdm: Tcdm::default(),
-            dma: DmaEngine::new(config.dma, device_id, priority),
+            dma: DmaEngine::new(config.dma_outstanding, device_id, priority),
             clock: GlobalClock::new(),
             config,
         }
@@ -185,31 +185,20 @@ impl ClusterExecutor {
         // restarts at zero (shards of one offload run concurrently in
         // simulated time).
         self.clock.restart();
-        let device_id = self.dma.device_id();
         // Completion time of the input transfers of each tile.
         let mut input_ready: Vec<Option<Cycles>> = vec![None; n];
 
         // Prefetch the first tile. `dma_free` tracks the completion time of
         // the most recently issued DMA batch; the engine processes batches in
-        // issue order. Each tile is planned (address-generation pre-pass on
-        // shared functional memory) before its descriptors are first read;
-        // under cold-start demand paging the pre-pass pages its reads in
-        // through the ATS/PRI handler and the wait lands on the critical
-        // path like any other stall.
-        let stall =
-            Self::plan_tile_with_pri(kernel, 0, mem, iommu, device_id, &mut pri, self.clock.now())?;
-        if stall > Cycles::ZERO {
-            stats.dma_wait += stall;
-            self.clock.advance(stall);
-        }
-        let first_io = kernel.tile_io(0);
-        let mut dma_free = self.dma.execute_with_pri(
+        // issue order.
+        let mut dma_free = self.plan_and_prefetch(
             mem,
             iommu,
-            &mut self.tcdm,
-            &first_io.inputs,
-            self.clock.now(),
-            pri.as_deref_mut(),
+            kernel,
+            &mut pri,
+            0,
+            Cycles::ZERO,
+            &mut stats.dma_wait,
         )?;
         input_ready[0] = Some(dma_free);
 
@@ -223,27 +212,14 @@ impl ClusterExecutor {
 
             // Kick off the next tile's inputs so they overlap with compute.
             if self.config.double_buffer && tile + 1 < n {
-                let stall = Self::plan_tile_with_pri(
+                dma_free = self.plan_and_prefetch(
+                    mem,
+                    iommu,
                     kernel,
-                    tile + 1,
-                    mem,
-                    iommu,
-                    device_id,
                     &mut pri,
-                    self.clock.now(),
-                )?;
-                if stall > Cycles::ZERO {
-                    stats.dma_wait += stall;
-                    self.clock.advance(stall);
-                }
-                let next_io = kernel.tile_io(tile + 1);
-                dma_free = self.dma.execute_with_pri(
-                    mem,
-                    iommu,
-                    &mut self.tcdm,
-                    &next_io.inputs,
-                    self.clock.now().max(dma_free),
-                    pri.as_deref_mut(),
+                    tile + 1,
+                    dma_free,
+                    &mut stats.dma_wait,
                 )?;
                 input_ready[tile + 1] = Some(dma_free);
             }
@@ -273,27 +249,14 @@ impl ClusterExecutor {
                     self.clock.advance_to(dma_free);
                 }
                 if tile + 1 < n {
-                    let stall = Self::plan_tile_with_pri(
+                    dma_free = self.plan_and_prefetch(
+                        mem,
+                        iommu,
                         kernel,
-                        tile + 1,
-                        mem,
-                        iommu,
-                        device_id,
                         &mut pri,
-                        self.clock.now(),
-                    )?;
-                    if stall > Cycles::ZERO {
-                        stats.dma_wait += stall;
-                        self.clock.advance(stall);
-                    }
-                    let next_io = kernel.tile_io(tile + 1);
-                    dma_free = self.dma.execute_with_pri(
-                        mem,
-                        iommu,
-                        &mut self.tcdm,
-                        &next_io.inputs,
-                        self.clock.now().max(dma_free),
-                        pri.as_deref_mut(),
+                        tile + 1,
+                        dma_free,
+                        &mut stats.dma_wait,
                     )?;
                     input_ready[tile + 1] = Some(dma_free);
                 }
@@ -311,72 +274,57 @@ impl ClusterExecutor {
         Ok(stats)
     }
 
-    /// Runs the kernel's address-generation pre-pass for `tile`, recovering
-    /// from cold-start demand-paging faults exactly like a faulting DMA
-    /// burst: an unmapped plan-pass read enqueues a page request, waits for
-    /// the host's group response (plus overflow backoff), and retries the
-    /// plan — bounded by the IOMMU's `max_fault_retries` per attempt chain,
-    /// after which the fault is terminal and recorded on the fault queue.
-    /// Returns the cycles the pre-pass stalled waiting for page-ins (zero
-    /// when nothing faulted). Without a handler, or with demand paging off,
-    /// a fault propagates unchanged.
+    /// Plans `tile` and issues its input transfers, returning their
+    /// completion time.
+    ///
+    /// The kernel's address-generation pre-pass runs on shared functional
+    /// memory before the tile's descriptors are first read. Under
+    /// cold-start demand paging an unmapped plan-pass read recovers exactly
+    /// like a faulting DMA burst ([`recover_page_faults`]), one page per
+    /// request: the pre-pass reads single elements, so there is no "rest
+    /// of the transfer" to prefetch. Its stall is DMA wait on the
+    /// cluster's clock, added to `dma_wait`. The inputs then issue once the
+    /// cluster has planned them and the engine has finished its previous
+    /// batch (`dma_free`).
     ///
     /// This is what makes data-dependent kernels (the sort kernel's
     /// merge-path pre-pass) work under cold-start demand paging: the plan
     /// reads run *before* the first DMA touch, so without the fault-in loop
     /// they would hit unmapped pages and abort the offload.
-    #[allow(clippy::too_many_arguments)] // mirrors the DMA fault loop's inputs
-    fn plan_tile_with_pri(
-        kernel: &mut dyn DeviceKernel,
-        tile: usize,
+    #[allow(clippy::too_many_arguments)] // the run loop's state, threaded through
+    fn plan_and_prefetch(
+        &mut self,
         mem: &mut MemorySystem,
         iommu: &mut Iommu,
-        device_id: u32,
+        kernel: &mut dyn DeviceKernel,
         pri: &mut Option<&mut (dyn PageRequestHandler + '_)>,
-        now: Cycles,
+        tile: usize,
+        dma_free: Cycles,
+        dma_wait: &mut Cycles,
     ) -> Result<Cycles> {
-        let mut stall = Cycles::ZERO;
-        // The retry budget is per faulting address: one plan pass may
-        // legitimately fault on many *distinct* pages in sequence (each
-        // page-in lets the pre-pass read further), so the counter resets
-        // whenever the faulting address makes progress.
-        let mut attempts = 0u32;
-        let mut last_fault = None;
-        loop {
-            match kernel.plan_tile(tile, &TileCtx::new(mem, iommu, device_id)) {
-                Ok(()) => return Ok(stall),
-                Err(fault @ Error::IoPageFault { iova, is_write }) => {
-                    let paging = iommu.demand_paging();
-                    if last_fault != Some(iova) {
-                        attempts = 0;
-                        last_fault = Some(iova);
-                    }
-                    attempts += 1;
-                    let Some(paging_config) =
-                        paging.filter(|p| pri.is_some() && attempts <= p.max_fault_retries)
-                    else {
-                        if paging.is_some() {
-                            iommu.record_terminal_fault(device_id, iova, is_write);
-                        }
-                        return Err(fault);
-                    };
-                    let handler = pri.as_deref_mut().expect("recoverable implies handler");
-                    let t = now + stall;
-                    // One page per request: the pre-pass reads single
-                    // elements (there is no "rest of the transfer" to
-                    // prefetch, unlike the DMA fault path).
-                    let (_, dropped) =
-                        iommu.enqueue_page_requests(mem, device_id, iova, 1, is_write, t);
-                    let mut resume = handler.service(mem, iommu, t)?;
-                    if dropped > 0 {
-                        resume += paging_config.page_request_backoff;
-                    }
-                    resume = resume.max(t + Cycles::new(1));
-                    stall += resume - t;
-                }
-                Err(other) => return Err(other),
-            }
+        let device_id = self.dma.device_id();
+        let ((), stall, _) = recover_page_faults(
+            mem,
+            iommu,
+            pri.as_deref_mut(),
+            device_id,
+            1,
+            self.clock.now(),
+            |mem, iommu| kernel.plan_tile(tile, &TileCtx::new(mem, iommu, device_id)),
+        )?;
+        if stall > Cycles::ZERO {
+            *dma_wait += stall;
+            self.clock.advance(stall);
         }
+        let io = kernel.tile_io(tile);
+        self.dma.execute_with_pri(
+            mem,
+            iommu,
+            &mut self.tcdm,
+            &io.inputs,
+            self.clock.now().max(dma_free),
+            pri.as_deref_mut(),
+        )
     }
 }
 
@@ -393,9 +341,7 @@ mod tests {
     use crate::dma::DmaRequest;
     use crate::kernel::TileIo;
     use sva_axi::addrmap::{DRAM_BASE, LLC_BYPASS_OFFSET};
-    use sva_common::Iova;
-    use sva_common::PhysAddr;
-    use sva_iommu::PriConfig;
+    use sva_common::{Error, Iova, PhysAddr};
     use sva_mem::MemSysConfig;
 
     /// A synthetic kernel that streams `tiles` tiles of `tile_bytes` each and
@@ -704,7 +650,7 @@ mod tests {
         let dst_va = space.alloc_buffer(&mut mem, &mut frames, len).unwrap();
 
         let mut iommu = Iommu::new(IommuConfig {
-            demand_paging: Some(PriConfig::default()),
+            demand_paging: true,
             tlb: sva_iommu::TlbHierarchyConfig::two_level(),
             ..IommuConfig::default()
         });

@@ -19,8 +19,8 @@
 //! * [`pe`] — the processing-element cost helpers shared by kernel cost
 //!   models, for the cluster's eight compute PEs.
 //!
-//! [`ClusterConfig`] holds what every cluster of a platform shares (DMA
-//! burst size, outstanding bursts, issue overhead, double buffering). Each
+//! [`ClusterConfig`] holds what every cluster of a platform shares
+//! (outstanding DMA bursts, double buffering). Each
 //! cluster's own identity — the IOMMU device ID its DMA engine presents and
 //! its fabric arbitration priority — is passed to [`ClusterExecutor::new`]
 //! and [`DmaEngine::new`] by whoever assembles the platform.
@@ -34,7 +34,7 @@ pub mod kernel;
 pub mod pe;
 pub mod tcdm;
 
-pub use dma::{Direction, DmaConfig, DmaEngine, DmaRequest, DmaStats};
+pub use dma::{Direction, DmaEngine, DmaRequest, DmaStats};
 pub use executor::{ClusterConfig, ClusterExecutor, KernelRunStats};
 pub use kernel::{block_partition, DeviceKernel, TileCtx, TileIo, TileRange};
 pub use pe::PeCost;

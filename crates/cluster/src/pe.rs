@@ -7,7 +7,7 @@
 //! loop and SSR/FREP overheads). These helpers centralise the conversion so
 //! all kernels use the same one.
 
-use sva_common::{ClockDomain, Cycles};
+use sva_common::Cycles;
 
 /// Number of compute PEs of the evaluated Snitch cluster (the ninth,
 /// DMA-driving core is not counted).
@@ -44,14 +44,14 @@ impl PeCost {
         let per_pe = ops.div_ceil(NUM_PES);
         let cluster_cycles =
             (per_pe as f64 * self.cycles_per_op).ceil() as u64 + self.region_overhead;
-        ClockDomain::Cluster.to_host_cycles(cluster_cycles)
+        Cycles::from_cluster_cycles(cluster_cycles)
     }
 
     /// Host-domain cycles for work that cannot be parallelised (runs on one
     /// PE).
     pub fn serial_region(&self, ops: u64) -> Cycles {
         let cluster_cycles = (ops as f64 * self.cycles_per_op).ceil() as u64 + self.region_overhead;
-        ClockDomain::Cluster.to_host_cycles(cluster_cycles)
+        Cycles::from_cluster_cycles(cluster_cycles)
     }
 }
 
@@ -77,16 +77,13 @@ mod tests {
         let with = PeCost::new(1.0, 40);
         let without = PeCost::new(1.0, 0);
         let delta = with.parallel_region(800) - without.parallel_region(800);
-        assert_eq!(delta, ClockDomain::Cluster.to_host_cycles(40));
+        assert_eq!(delta, Cycles::from_cluster_cycles(40));
     }
 
     #[test]
     fn serial_region_uses_one_pe() {
         let cost = PeCost::new(2.0, 0);
-        assert_eq!(
-            cost.serial_region(100),
-            ClockDomain::Cluster.to_host_cycles(200)
-        );
+        assert_eq!(cost.serial_region(100), Cycles::from_cluster_cycles(200));
         assert!(cost.serial_region(800) > cost.parallel_region(800));
     }
 }

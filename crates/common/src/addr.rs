@@ -110,11 +110,6 @@ macro_rules! impl_addr {
                     .checked_sub(self.0)
                     .expect("offset_to: other address is below self")
             }
-
-            /// Returns the address advanced by `bytes`.
-            pub const fn add_bytes(self, bytes: u64) -> Self {
-                Self(self.0 + bytes)
-            }
         }
 
         impl fmt::Debug for $name {

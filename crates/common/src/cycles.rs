@@ -35,6 +35,13 @@ impl Cycles {
         self.0
     }
 
+    /// Converts a count of 20 MHz cluster-domain cycles into host-domain
+    /// cycles, scaled by the 50 MHz / 20 MHz = 2.5 frequency ratio and
+    /// rounded up so a non-zero amount of cluster work never becomes free.
+    pub const fn from_cluster_cycles(cluster_cycles: u64) -> Self {
+        Self((cluster_cycles * HOST_FREQ_HZ).div_ceil(CLUSTER_FREQ_HZ))
+    }
+
     /// Returns the count as `f64`, convenient for ratios and plotting.
     pub const fn as_f64(self) -> f64 {
         self.0 as f64
@@ -53,12 +60,6 @@ impl Cycles {
     /// Returns the smaller of two cycle counts.
     pub fn min(self, other: Cycles) -> Cycles {
         Cycles(self.0.min(other.0))
-    }
-
-    /// Converts the duration to wall-clock time on the FPGA prototype, in
-    /// seconds, assuming the 50 MHz host clock.
-    pub fn as_seconds(self) -> f64 {
-        self.0 as f64 / HOST_FREQ_HZ as f64
     }
 
     /// Ratio of `self` to `other` as a fraction (e.g. for "% of runtime spent
@@ -142,59 +143,6 @@ impl From<Cycles> for u64 {
     }
 }
 
-/// The two clock domains of the prototype platform.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum ClockDomain {
-    /// 50 MHz domain: CVA6 host, interconnect, IOMMU, LLC, DRAM controller.
-    Host,
-    /// 20 MHz domain: Snitch cluster PEs, TCDM and DMA engine front-end.
-    Cluster,
-}
-
-impl ClockDomain {
-    /// Clock frequency of the domain in Hz, as configured on the VCU128
-    /// FPGA prototype.
-    pub const fn freq_hz(self) -> u64 {
-        match self {
-            ClockDomain::Host => HOST_FREQ_HZ,
-            ClockDomain::Cluster => CLUSTER_FREQ_HZ,
-        }
-    }
-
-    /// Converts a cycle count expressed in this domain into host-domain
-    /// cycles (the global simulation time base).
-    ///
-    /// Host cycles pass through unchanged; cluster cycles are scaled by the
-    /// 50 MHz / 20 MHz = 2.5 frequency ratio, rounding up so a non-zero
-    /// amount of cluster work never becomes free.
-    pub fn to_host_cycles(self, cycles_in_domain: u64) -> Cycles {
-        match self {
-            ClockDomain::Host => Cycles(cycles_in_domain),
-            ClockDomain::Cluster => {
-                // 2.5 host cycles per cluster cycle, rounded up.
-                Cycles((cycles_in_domain * HOST_FREQ_HZ).div_ceil(CLUSTER_FREQ_HZ))
-            }
-        }
-    }
-
-    /// Converts host-domain cycles into this domain's cycles (rounding down).
-    pub fn from_host_cycles(self, host_cycles: Cycles) -> u64 {
-        match self {
-            ClockDomain::Host => host_cycles.0,
-            ClockDomain::Cluster => host_cycles.0 * CLUSTER_FREQ_HZ / HOST_FREQ_HZ,
-        }
-    }
-}
-
-impl fmt::Display for ClockDomain {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ClockDomain::Host => write!(f, "host (50 MHz)"),
-            ClockDomain::Cluster => write!(f, "cluster (20 MHz)"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,17 +164,10 @@ mod tests {
 
     #[test]
     fn cluster_to_host_ratio_is_2_5() {
-        assert_eq!(ClockDomain::Cluster.to_host_cycles(2), Cycles::new(5));
-        assert_eq!(ClockDomain::Cluster.to_host_cycles(100), Cycles::new(250));
+        assert_eq!(Cycles::from_cluster_cycles(2), Cycles::new(5));
+        assert_eq!(Cycles::from_cluster_cycles(100), Cycles::new(250));
         // Rounds up: 1 cluster cycle is 2.5 -> 3 host cycles.
-        assert_eq!(ClockDomain::Cluster.to_host_cycles(1), Cycles::new(3));
-        assert_eq!(ClockDomain::Host.to_host_cycles(7), Cycles::new(7));
-    }
-
-    #[test]
-    fn host_cycles_back_to_cluster() {
-        assert_eq!(ClockDomain::Cluster.from_host_cycles(Cycles::new(250)), 100);
-        assert_eq!(ClockDomain::Host.from_host_cycles(Cycles::new(250)), 250);
+        assert_eq!(Cycles::from_cluster_cycles(1), Cycles::new(3));
     }
 
     #[test]
@@ -235,6 +176,5 @@ mod tests {
         let total = Cycles::new(1000);
         assert!((dma.fraction_of(total) - 0.25).abs() < 1e-12);
         assert_eq!(Cycles::new(10).fraction_of(Cycles::ZERO), 0.0);
-        assert!((Cycles::new(HOST_FREQ_HZ).as_seconds() - 1.0).abs() < 1e-12);
     }
 }

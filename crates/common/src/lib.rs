@@ -24,7 +24,7 @@
 //! assert_eq!(next_page, base); // already aligned
 //!
 //! let host = Cycles::new(500);
-//! let cluster = ClockDomain::Cluster.to_host_cycles(200);
+//! let cluster = Cycles::from_cluster_cycles(200);
 //! assert_eq!(host + cluster, Cycles::new(1000));
 //! ```
 
@@ -47,7 +47,7 @@ pub mod prelude {
     pub use crate::addr::{Iova, PhysAddr, VirtAddr, PAGE_SHIFT, PAGE_SIZE};
     pub use crate::channel::{QueueDepths, TimedQueue};
     pub use crate::clock::GlobalClock;
-    pub use crate::cycles::{ClockDomain, Cycles};
+    pub use crate::cycles::Cycles;
     pub use crate::error::{Error, Result};
     pub use crate::port::{
         AccessKind, ArbitrationPolicy, InitiatorClass, InitiatorId, MemPortReq, PortTiming,
@@ -60,7 +60,7 @@ pub mod prelude {
 pub use addr::{Iova, PhysAddr, VirtAddr, CACHE_LINE_SIZE, PAGE_SHIFT, PAGE_SIZE};
 pub use channel::{QueueDepths, ReservationIndex, TimedQueue};
 pub use clock::GlobalClock;
-pub use cycles::{ClockDomain, Cycles};
+pub use cycles::Cycles;
 pub use error::{Error, Result};
 pub use port::{
     AccessKind, ArbitrationPolicy, InitiatorClass, InitiatorId, InitiatorStats, MemPortReq,

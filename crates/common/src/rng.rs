@@ -2,8 +2,8 @@
 //!
 //! Experiments must be reproducible run-to-run, so every stochastic element
 //! of the platform (synthetic host interference traffic, randomised workload
-//! initialisation, merge-sort input permutations) draws from a
-//! [`DeterministicRng`] seeded explicitly by the experiment configuration.
+//! initialisation) draws from a [`DeterministicRng`] seeded explicitly by the
+//! experiment configuration.
 
 /// A seedable random number generator with a small convenience API.
 ///
@@ -96,17 +96,6 @@ impl DeterministicRng {
         }
     }
 
-    /// Produces a shuffled vector of the integers `0..n`.
-    pub fn permutation(&mut self, n: usize) -> Vec<u32> {
-        let mut v: Vec<u32> = (0..n as u32).collect();
-        // Fisher-Yates
-        for i in (1..v.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            v.swap(i, j);
-        }
-        v
-    }
-
     /// Derives an independent child generator; used when one experiment
     /// drives several stochastic components that must not share a stream.
     pub fn fork(&mut self, label: u64) -> DeterministicRng {
@@ -148,15 +137,6 @@ mod tests {
         let mut rng = DeterministicRng::new(3);
         assert!(!rng.chance(0.0));
         assert!(rng.chance(1.0));
-    }
-
-    #[test]
-    fn permutation_is_a_permutation() {
-        let mut rng = DeterministicRng::new(11);
-        let p = rng.permutation(256);
-        let mut sorted = p.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..256u32).collect::<Vec<_>>());
     }
 
     #[test]

@@ -85,15 +85,6 @@ impl HitMiss {
         }
     }
 
-    /// Miss rate in `[0, 1]`; 0.0 when no accesses were recorded.
-    pub fn miss_rate(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.total() as f64
-        }
-    }
-
     /// Resets both counters.
     pub fn reset(&mut self) {
         *self = Self::new();
@@ -298,7 +289,7 @@ mod tests {
     }
 
     #[test]
-    fn hit_miss_rates() {
+    fn hit_rate_over_total() {
         let mut hm = HitMiss::new();
         assert_eq!(hm.hit_rate(), 0.0);
         for _ in 0..3 {
@@ -307,7 +298,6 @@ mod tests {
         hm.miss();
         assert_eq!(hm.total(), 4);
         assert!((hm.hit_rate() - 0.75).abs() < 1e-12);
-        assert!((hm.miss_rate() - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! has: `mem.llc` and `iommu` are `None` where the variant lacks them.
 
 use sva_cluster::ClusterConfig;
-use sva_common::{ArbitrationPolicy, Cycles, Error, QueueDepths, Result, TlbOrg};
-use sva_host::{DriverConfig, HostCpuConfig, HostTrafficConfig, InterferenceLevel};
-use sva_iommu::{IommuConfig, PriConfig, TlbHierarchyConfig};
+use sva_common::{ArbitrationPolicy, Cycles, Error, Result, TlbOrg};
+use sva_host::{HostTrafficConfig, InterferenceLevel};
+use sva_iommu::{IommuConfig, TlbHierarchyConfig};
 use sva_mem::{LlcConfig, MemSysConfig};
 
 /// The three platform variants of the evaluation.
@@ -66,31 +66,29 @@ pub const PAPER_LATENCIES: [u64; 3] = [200, 600, 1000];
 
 /// Full configuration of a platform instance.
 ///
-/// Every value is read by the model, each platform parameter has exactly
-/// one value, and a component the platform lacks holds no settings: the
-/// LLC, the IOMMU, its page-request path, an IOTLB's private L1 and the
-/// host-traffic stream are `Option`s, and each per-cluster arbitration
-/// value lives in the [`ArbitrationPolicy`] that reads it. The builders for
-/// an absent component return the configuration unchanged.
+/// It holds what the evaluation varies, and every value is read by the
+/// model. The fixed calibrations of the emulated FPGA build (DDR
+/// controller, LLC and L1 geometry, bus width, DMA bursts, IOMMU pipeline,
+/// page-request queue and the driver's costs) are constants next to the
+/// code that reads them. A component the platform lacks holds no settings:
+/// the LLC, the IOMMU, an IOTLB's private L1 and the host-traffic stream
+/// are `Option`s, and each per-cluster arbitration value lives in the
+/// [`ArbitrationPolicy`] that reads it. The builders for an absent
+/// component return the configuration unchanged.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PlatformConfig {
     /// Memory-system details: the extra DRAM latency of the AXI delayer
     /// (`dram_latency`, the paper's knob), the LLC (`None` without one)
-    /// with its DMA bypass policy, the bus and the fabric with its
-    /// arbitration policy.
+    /// with its DMA bypass policy, and the fabric with its channels, queues
+    /// and arbitration policy.
     pub mem: MemSysConfig,
-    /// Host CPU details.
-    pub cpu: HostCpuConfig,
     /// The IOMMU: translation hierarchy, walker and demand paging. `None`
     /// is the paper's Baseline, where devices address physical memory and
     /// the platform runs a pass-through [`sva_iommu::Iommu::disabled`].
     pub iommu: Option<IommuConfig>,
-    /// Cluster details (DMA bursts and outstanding transactions, double
-    /// buffering), shared by every cluster.
+    /// Cluster details (outstanding DMA bursts, double buffering), shared
+    /// by every cluster.
     pub cluster: ClusterConfig,
-    /// Driver cost model. `driver.device_id` is cluster 0's IOMMU device
-    /// ID; cluster `i` presents `driver.device_id + 2·i`.
-    pub driver: DriverConfig,
     /// Synthetic host interference while the device runs (Figure 5's
     /// statistical model; superseded by [`PlatformConfig::host_traffic`]
     /// for fabric sweeps).
@@ -114,13 +112,11 @@ impl PlatformConfig {
         Self {
             mem: MemSysConfig {
                 dram_latency: Cycles::new(dram_latency),
-                llc: variant.has_llc().then(LlcConfig::cheshire_128k),
+                llc: variant.has_llc().then(LlcConfig::default),
                 ..MemSysConfig::default()
             },
-            cpu: HostCpuConfig::default(),
             iommu: variant.has_iommu().then(IommuConfig::default),
             cluster: ClusterConfig::default(),
-            driver: DriverConfig::default(),
             interference: InterferenceLevel::Idle,
             host_traffic: None,
             num_clusters: 1,
@@ -136,20 +132,14 @@ impl PlatformConfig {
     ///
     /// Returns [`Error::InvalidConfig`] naming the first offending field:
     ///
-    /// * a zero-sized resource: `num_clusters`, `mem.bus.bus_bytes`,
+    /// * a zero-sized resource: `num_clusters`,
     ///   `mem.fabric.req_queue_depth`, `mem.fabric.rsp_queue_depth`,
-    ///   `mem.fabric.channels.num_channels`,
-    ///   `mem.fabric.channels.interleave_granule`, the sets or ways of
+    ///   `mem.fabric.num_channels`, the sets or ways of
     ///   `iommu.tlb.l1.org` / `iommu.tlb.l2.org`,
-    ///   `iommu.demand_paging.page_request_entries`,
-    ///   `cluster.dma.max_outstanding`, `cluster.dma.max_burst_bytes` or
-    ///   `host_traffic.region_bytes`;
+    ///   `cluster.dma_outstanding` or `host_traffic.region_bytes`;
     /// * `mem.fabric.timed_host_ptw`, when it is off while a `host_traffic`
     ///   stream is configured: the stream's accesses would reserve no bus
     ///   time;
-    /// * `mem.llc`, if `spm_ways` leaves no cache way or the cache ways
-    ///   form a geometry [`sva_mem::CacheConfig::validate`] rejects;
-    /// * `cpu.l1d`, if [`sva_mem::CacheConfig::validate`] rejects it;
     /// * `mem.fabric.policy`, if its per-cluster list (`Weighted`'s weights
     ///   or `FixedPriority`'s priorities) does not hold exactly one entry
     ///   per cluster, or `Weighted` has a zero weight.
@@ -160,17 +150,9 @@ impl PlatformConfig {
         let empty = |org: TlbOrg| org.sets == 0 || org.ways == 0;
         let zero_sized = [
             ("num_clusters", self.num_clusters == 0),
-            ("mem.bus.bus_bytes", self.mem.bus.bus_bytes == 0),
             ("mem.fabric.req_queue_depth", fabric.req_queue_depth == 0),
             ("mem.fabric.rsp_queue_depth", fabric.rsp_queue_depth == 0),
-            (
-                "mem.fabric.channels.num_channels",
-                fabric.channels.num_channels == 0,
-            ),
-            (
-                "mem.fabric.channels.interleave_granule",
-                fabric.channels.interleave_granule == 0,
-            ),
+            ("mem.fabric.num_channels", fabric.num_channels == 0),
             (
                 "iommu.tlb.l1.org sets and ways",
                 tlb.and_then(|t| t.l1).is_some_and(|l1| empty(l1.org)),
@@ -179,20 +161,7 @@ impl PlatformConfig {
                 "iommu.tlb.l2.org sets and ways",
                 tlb.is_some_and(|t| empty(t.l2.org)),
             ),
-            (
-                "iommu.demand_paging.page_request_entries",
-                self.iommu
-                    .and_then(|iommu| iommu.demand_paging)
-                    .is_some_and(|pri| pri.page_request_entries == 0),
-            ),
-            (
-                "cluster.dma.max_outstanding",
-                self.cluster.dma.max_outstanding == 0,
-            ),
-            (
-                "cluster.dma.max_burst_bytes",
-                self.cluster.dma.max_burst_bytes == 0,
-            ),
+            ("cluster.dma_outstanding", self.cluster.dma_outstanding == 0),
             (
                 "host_traffic.region_bytes",
                 self.host_traffic.is_some_and(|t| t.region_bytes == 0),
@@ -206,20 +175,6 @@ impl PlatformConfig {
                 "host_traffic needs mem.fabric.timed_host_ptw: without it the stream reserves no bus time"
                     .into(),
             );
-        }
-        if let Some(llc) = &self.mem.llc {
-            if llc.spm_ways >= llc.ways {
-                return invalid(format!(
-                    "mem.llc.spm_ways ({}) must leave at least one of mem.llc.ways ({}) as cache",
-                    llc.spm_ways, llc.ways
-                ));
-            }
-            if let Err(e) = llc.cache_geometry().validate() {
-                return invalid(format!("mem.llc: {e}"));
-            }
-        }
-        if let Err(e) = self.cpu.l1d.validate() {
-            return invalid(format!("cpu.l1d: {e}"));
         }
         let per_cluster = match &fabric.policy {
             ArbitrationPolicy::RoundRobin => None,
@@ -283,7 +238,7 @@ impl PlatformConfig {
     /// Returns a copy with a different number of outstanding DMA bursts
     /// (ablation).
     pub fn with_dma_outstanding(mut self, outstanding: usize) -> Self {
-        self.cluster.dma.max_outstanding = outstanding;
+        self.cluster.dma_outstanding = outstanding;
         self
     }
 
@@ -326,7 +281,7 @@ impl PlatformConfig {
     /// Returns a copy whose DRAM backend is split into `n` page-interleaved
     /// channels (`n = 1` is the paper's single shared data path).
     pub fn with_memory_channels(mut self, n: usize) -> Self {
-        self.mem.fabric.channels.num_channels = n;
+        self.mem.fabric.num_channels = n;
         self
     }
 
@@ -339,24 +294,15 @@ impl PlatformConfig {
         self
     }
 
-    /// Returns a copy whose DRAM channels carry **finite request/response
-    /// queues** of the given depths: the split-transaction fabric. A full request queue stalls initiator
-    /// issue (credit-based backpressure, reported as
-    /// `issue_stall_cycles`); a full response queue delays grants. The
-    /// default `usize::MAX` depths are cycle-identical to the pure
-    /// reservation model.
+    /// Returns a copy whose DRAM channels carry request/response queues of
+    /// the given depths: the split-transaction fabric. A full request queue
+    /// stalls initiator issue (credit-based backpressure, reported as
+    /// `issue_stall_cycles`); a full response queue delays grants. A depth
+    /// of `usize::MAX`, the default, is unbounded: both at `usize::MAX` are
+    /// cycle-identical to the pure reservation model.
     pub fn with_channel_depths(mut self, req: usize, rsp: usize) -> Self {
-        let depths = QueueDepths::bounded(req, rsp);
-        self.mem.fabric.req_queue_depth = depths.req;
-        self.mem.fabric.rsp_queue_depth = depths.rsp;
-        self
-    }
-
-    /// Returns a copy with the given [`QueueDepths`] (including
-    /// [`QueueDepths::UNBOUNDED`], the default reservation model).
-    pub fn with_queue_depths(mut self, depths: QueueDepths) -> Self {
-        self.mem.fabric.req_queue_depth = depths.req;
-        self.mem.fabric.rsp_queue_depth = depths.rsp;
+        self.mem.fabric.req_queue_depth = req;
+        self.mem.fabric.rsp_queue_depth = rsp;
         self
     }
 
@@ -411,13 +357,9 @@ impl PlatformConfig {
     /// ATS/PRI stall-and-retry loop, so a cold probe faults, waits for the
     /// host to map the page, and re-reads instead of failing.
     ///
-    /// The page-request path takes [`PriConfig::default`] unless demand
-    /// paging is already configured. Without an IOMMU the copy is
-    /// unchanged.
+    /// Without an IOMMU the copy is unchanged.
     pub fn with_demand_paging(self) -> Self {
-        self.with_iommu(|iommu| {
-            iommu.demand_paging.get_or_insert_with(PriConfig::default);
-        })
+        self.with_iommu(|iommu| iommu.demand_paging = true)
     }
 }
 
@@ -463,7 +405,7 @@ mod tests {
             .with_single_buffering()
             .with_interference(InterferenceLevel::RandomTraffic);
         assert_eq!(c.iommu.unwrap().tlb.l2.org, TlbOrg::fully_associative(16));
-        assert_eq!(c.cluster.dma.max_outstanding, 8);
+        assert_eq!(c.cluster.dma_outstanding, 8);
         assert!(c.mem.llc.unwrap().serves_dma);
         assert!(!c.cluster.double_buffer);
         assert_eq!(c.interference, InterferenceLevel::RandomTraffic);

@@ -578,7 +578,7 @@ pub fn run_point(
         .with_fabric_contention()
         .with_memory_channels(channels)
         .with_arbitration(policy.clone())
-        .with_queue_depths(depths);
+        .with_channel_depths(depths.req, depths.rsp);
     if knobs.host_traffic {
         config = config.with_host_traffic(HostTrafficConfig::default());
     }

@@ -268,7 +268,7 @@ impl OffloadRunner {
             // device touches cold-starts through the page-request loop.
             platform.cpu.flush_l1();
             platform.mem.flush_llc();
-            if platform.iommu.demand_paging().is_none() {
+            if !platform.iommu.demand_paging() {
                 for buf in &buffers {
                     platform.driver.map_buffer(
                         &mut platform.cpu,
@@ -368,7 +368,7 @@ impl OffloadRunner {
         let mut shards = Vec::with_capacity(num_clusters);
         // Demand paging is only live for the platform's own translating
         // IOMMU — a bypass override (copy-based offload) never faults.
-        let demand_paging = iommu_override.is_none() && platform.iommu.demand_paging().is_some();
+        let demand_paging = iommu_override.is_none() && platform.iommu.demand_paging();
         let mut override_iommu = iommu_override;
         for (cluster_idx, (start, len)) in blocks.into_iter().enumerate() {
             if let Some(stream) = platform.host_traffic.as_mut() {
@@ -741,7 +741,7 @@ impl OffloadRunner {
         // map pass is skipped: pages become device-resident through the
         // page-request loop on first touch, and there is nothing to tear
         // down up front (the unmap section below is likewise empty).
-        let demand_paging = platform.iommu.demand_paging().is_some();
+        let demand_paging = platform.iommu.demand_paging();
         let slice = Self::begin_setup_traffic(platform, buffers.len() as u64);
         let mut map_cycles = platform.cpu.flush_l1();
         map_cycles += platform.mem.flush_llc();
@@ -852,7 +852,10 @@ fn stage_in(len: u64, mut read: impl FnMut(u64, &mut [u8]) -> Result<()>) -> Res
 mod tests {
     use super::*;
     use crate::config::{PlatformConfig, SocVariant};
-    use sva_kernels::{AxpyWorkload, GemmWorkload, KernelKind};
+    use sva_cluster::{DeviceKernel, DmaRequest, Tcdm, TileIo};
+    use sva_common::rng::DeterministicRng;
+    use sva_host::HostKernelCost;
+    use sva_kernels::{AxpyWorkload, BufferKind, BufferSpec, GemmWorkload, KernelKind};
 
     #[test]
     fn bytes_roundtrip() {
@@ -1225,34 +1228,114 @@ mod tests {
         );
     }
 
+    /// Elements of [`WideScale`]'s vector: 20 pages of `f32`.
+    const WIDE_ELEMS: usize = 20 * 1024;
+
+    /// A one-tile kernel that doubles a 20-page vector in place with one
+    /// 80 KiB DMA request each way: longer than the 16-entry page-request
+    /// queue, which no built-in kernel's request is.
+    struct WideScale;
+
+    impl Workload for WideScale {
+        fn name(&self) -> &'static str {
+            "wide_scale"
+        }
+
+        fn params(&self) -> String {
+            WIDE_ELEMS.to_string()
+        }
+
+        fn buffers(&self) -> Vec<BufferSpec> {
+            vec![BufferSpec {
+                name: "x",
+                elems: WIDE_ELEMS,
+                kind: BufferKind::InOut,
+            }]
+        }
+
+        fn init(&self, rng: &mut DeterministicRng) -> Vec<Vec<f32>> {
+            let mut x = vec![0.0; WIDE_ELEMS];
+            rng.fill_f32(&mut x, -1.0, 1.0);
+            vec![x]
+        }
+
+        fn expected(&self, initial: &[Vec<f32>]) -> Vec<Vec<f32>> {
+            vec![initial[0].iter().map(|v| v * 2.0).collect()]
+        }
+
+        fn device_kernel(&self, device_ptrs: &[Iova]) -> Box<dyn DeviceKernel> {
+            Box::new(WideScaleDevice(device_ptrs[0]))
+        }
+
+        fn host_cost(&self) -> HostKernelCost {
+            HostKernelCost::streaming(WIDE_ELEMS as u64, 1.0)
+        }
+
+        fn flops(&self) -> u64 {
+            WIDE_ELEMS as u64
+        }
+    }
+
+    /// [`WideScale`] on the device: one tile holding the whole vector.
+    struct WideScaleDevice(Iova);
+
+    impl DeviceKernel for WideScaleDevice {
+        fn name(&self) -> &str {
+            "wide_scale"
+        }
+
+        fn num_tiles(&self) -> usize {
+            1
+        }
+
+        fn tile_io(&self, _tile: usize) -> TileIo {
+            let bytes = (WIDE_ELEMS * 4) as u64;
+            TileIo {
+                inputs: vec![DmaRequest::input(self.0, 0, bytes)],
+                outputs: vec![DmaRequest::output(self.0, 0, bytes)],
+            }
+        }
+
+        fn compute_tile(&mut self, _tile: usize, tcdm: &mut Tcdm) -> Result<Cycles> {
+            let mut x = vec![0.0f32; WIDE_ELEMS];
+            tcdm.read_f32_slice(0, &mut x)?;
+            x.iter_mut().for_each(|v| *v *= 2.0);
+            tcdm.write_f32_slice(0, &x)?;
+            Ok(Cycles::new(WIDE_ELEMS as u64))
+        }
+    }
+
+    /// A cold 20-page request overflows the 16-entry page-request queue:
+    /// the dropped tail faults again and is paged in by a second group, the
+    /// engine serves the overflow backoff, and the run still verifies,
+    /// slower than the pre-mapped one.
     #[test]
     fn page_request_queue_overflow_backs_off_and_still_completes() {
-        let wl = AxpyWorkload::with_elems(16_384);
-        let run = |entries: usize| {
-            let mut config = PlatformConfig::iommu_with_llc(200)
-                .with_fabric_contention()
-                .with_demand_paging();
-            let iommu = config.iommu.as_mut().unwrap();
-            iommu.demand_paging.as_mut().unwrap().page_request_entries = entries;
+        use sva_iommu::pri::PAGE_REQUEST_BACKOFF;
+        use sva_iommu::queues::PAGE_REQUEST_ENTRIES;
+
+        let run = |demand: bool| {
+            let mut config = PlatformConfig::iommu_with_llc(200).with_fabric_contention();
+            if demand {
+                config = config.with_demand_paging();
+            }
             let mut platform = Platform::new(config).unwrap();
             OffloadRunner::new(41)
-                .run_device_only(&mut platform, &wl)
+                .run_device_only(&mut platform, &WideScale)
                 .unwrap()
         };
-        let roomy = run(64);
-        let tiny = run(1);
-        assert!(roomy.verified && tiny.verified);
-        assert_eq!(roomy.iommu.page_requests.dropped, 0, "64 slots never drop");
+        let premapped = run(false);
+        let demand = run(true);
+        assert!(premapped.verified && demand.verified);
+        let pages = (WIDE_ELEMS * 4) as u64 / sva_common::PAGE_SIZE;
+        let pri = demand.iommu.page_requests;
+        assert_eq!(pri.dropped, pages - PAGE_REQUEST_ENTRIES as u64);
+        assert_eq!(pri.serviced, pages, "every page is paged in once");
+        assert_eq!(pri.group_responses, 2, "the group, then its dropped tail");
+        assert_eq!(demand.stats.dma.page_faults, 2);
+        assert!(demand.stats.dma.fault_stall_cycles > PAGE_REQUEST_BACKOFF.raw());
         assert!(
-            tiny.iommu.page_requests.dropped > 0,
-            "a one-slot queue must overflow on multi-page groups"
-        );
-        assert!(
-            tiny.iommu.page_requests.group_responses > roomy.iommu.page_requests.group_responses,
-            "smaller groups, more responses"
-        );
-        assert!(
-            tiny.stats.total >= roomy.stats.total,
+            demand.stats.total > premapped.stats.total,
             "overflow backoff cannot speed the device up"
         );
     }

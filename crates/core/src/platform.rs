@@ -4,12 +4,14 @@
 //! The paper's prototype instantiates one Snitch cluster behind the IOMMU.
 //! [`Platform`] generalises that to `num_clusters` executors sharing the
 //! IOMMU and the memory fabric: cluster `i` presents IOMMU device ID
-//! `base + 2·i` for data traffic and `base + 2·i + 1` (a bypassed context)
-//! for instruction fetches, all attached to the same process address space.
+//! `DEVICE_ID + 2·i` for data traffic and `DEVICE_ID + 2·i + 1` (a bypassed
+//! context) for instruction fetches, all attached to the same process
+//! address space (`DEVICE_ID` is the driver's, [`sva_host::driver::DEVICE_ID`]).
 //! With `num_clusters == 1` the platform is exactly the paper's.
 
 use sva_cluster::ClusterExecutor;
 use sva_common::{GlobalClock, Result};
+use sva_host::driver::DEVICE_ID;
 use sva_host::{CopyEngine, HostCpu, HostTrafficStream, IommuDriver};
 use sva_iommu::Iommu;
 use sva_mem::MemorySystem;
@@ -108,7 +110,7 @@ impl Platform {
         mem.attach_clock(&clock);
         mem.set_interference(config.interference.to_config(INTERFERENCE_SEED));
 
-        let mut cpu = HostCpu::new(config.cpu);
+        let mut cpu = HostCpu::new();
         cpu.attach_clock(&clock);
         let host_traffic = config.host_traffic.map(HostTrafficStream::new);
         let mut iommu = config.iommu.map_or_else(Iommu::disabled, Iommu::new);
@@ -116,24 +118,24 @@ impl Platform {
         let clusters = (0..num_clusters)
             .map(|i| {
                 let priority = config.mem.fabric.policy.priority(i);
-                ClusterExecutor::new(config.cluster, data_device_id(&config, i), priority)
+                ClusterExecutor::new(config.cluster, data_device_id(i), priority)
             })
             .collect();
         let mut frames = FrameAllocator::linux_pool();
         let reserved = FrameAllocator::reserved_pool();
         let space = AddressSpace::new(&mut mem, &mut frames)?;
-        let mut driver = IommuDriver::new(config.driver);
+        let mut driver = IommuDriver::new();
 
         if iommu.is_translating() {
             driver.attach(&mut cpu, &mut mem, &mut iommu, &mut frames, space.pscid())?;
             // The instruction-fetch path of each cluster uses a second device
             // ID with a bypassed device context (Section III-B).
-            iommu.attach_bypass_device(&mut mem, &mut frames, config.driver.device_id + 1)?;
+            iommu.attach_bypass_device(&mut mem, &mut frames, DEVICE_ID + 1)?;
             // Clusters beyond the first share the IO page table the driver
             // built for cluster 0 — same process, same mappings.
             let root = driver.io_table().expect("driver attached").root();
             for i in 1..num_clusters {
-                let data_id = data_device_id(&config, i);
+                let data_id = data_device_id(i);
                 iommu.attach_device(&mut mem, &mut frames, data_id, space.pscid(), root)?;
                 iommu.attach_bypass_device(&mut mem, &mut frames, data_id + 1)?;
             }
@@ -172,7 +174,7 @@ impl Platform {
 
     /// IOMMU device ID presented by cluster `index`'s DMA data traffic.
     pub fn cluster_device_id(&self, index: usize) -> u32 {
-        data_device_id(&self.config, index)
+        data_device_id(index)
     }
 
     /// Convenience: the DRAM latency knob of this instance (the AXI
@@ -182,9 +184,9 @@ impl Platform {
     }
 }
 
-/// IOMMU device ID of cluster `index`'s DMA data traffic under `config`.
-fn data_device_id(config: &PlatformConfig, index: usize) -> u32 {
-    config.driver.device_id + 2 * index as u32
+/// IOMMU device ID of cluster `index`'s DMA data traffic.
+fn data_device_id(index: usize) -> u32 {
+    DEVICE_ID + 2 * index as u32
 }
 
 #[cfg(test)]
@@ -252,8 +254,8 @@ mod tests {
     #[test]
     fn zero_memory_channels_are_rejected() {
         let mut config = PlatformConfig::iommu_with_llc(200);
-        config.mem.fabric.channels.num_channels = 0;
-        assert_rejects(config, "mem.fabric.channels.num_channels");
+        config.mem.fabric.num_channels = 0;
+        assert_rejects(config, "mem.fabric.num_channels");
     }
 
     #[test]
@@ -268,46 +270,8 @@ mod tests {
     #[test]
     fn zero_outstanding_dma_bursts_are_rejected() {
         let mut config = PlatformConfig::iommu_with_llc(200);
-        config.cluster.dma.max_outstanding = 0;
-        assert_rejects(config, "cluster.dma.max_outstanding");
-    }
-
-    #[test]
-    fn zero_dma_burst_size_is_rejected() {
-        let mut config = PlatformConfig::iommu_with_llc(200);
-        config.cluster.dma.max_burst_bytes = 0;
-        assert_rejects(config, "cluster.dma.max_burst_bytes");
-    }
-
-    /// `PlatformConfig::iommu_with_llc(200)` with `edit` applied to its
-    /// LLC.
-    fn with_llc(edit: impl FnOnce(&mut sva_mem::LlcConfig)) -> PlatformConfig {
-        let mut config = PlatformConfig::iommu_with_llc(200);
-        edit(config.mem.llc.as_mut().unwrap());
-        config
-    }
-
-    #[test]
-    fn llc_without_cache_ways_is_rejected() {
-        assert_rejects(with_llc(|l| l.spm_ways = l.ways), "mem.llc.spm_ways");
-        assert_rejects(with_llc(|l| l.spm_ways = l.ways + 1), "mem.llc.spm_ways");
-    }
-
-    #[test]
-    fn bad_llc_geometry_is_rejected() {
-        // 96 KiB over 8 ways of 64 B lines: 192 sets, not a power of two.
-        assert_rejects(with_llc(|l| l.size_bytes = 96 * 1024), "mem.llc");
-        assert_rejects(with_llc(|l| l.line_bytes = 48), "mem.llc");
-    }
-
-    #[test]
-    fn bad_l1d_geometry_is_rejected() {
-        let mut config = PlatformConfig::iommu_with_llc(200);
-        config.cpu.l1d.ways = 0;
-        assert_rejects(config, "cpu.l1d");
-        let mut config = PlatformConfig::iommu_with_llc(200);
-        config.cpu.l1d.size_bytes = 24 * 1024;
-        assert_rejects(config, "cpu.l1d");
+        config.cluster.dma_outstanding = 0;
+        assert_rejects(config, "cluster.dma_outstanding");
     }
 
     #[test]
@@ -357,28 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_bus_width_is_rejected() {
-        let mut config = PlatformConfig::iommu_with_llc(200);
-        config.mem.bus.bus_bytes = 0;
-        assert_rejects(config, "mem.bus.bus_bytes");
-    }
-
-    #[test]
-    fn zero_interleave_granule_is_rejected() {
-        let mut config = PlatformConfig::iommu_with_llc(200);
-        config.mem.fabric.channels.interleave_granule = 0;
-        assert_rejects(config, "mem.fabric.channels.interleave_granule");
-    }
-
-    #[test]
-    fn zero_page_request_entries_are_rejected() {
-        let mut config = PlatformConfig::iommu_with_llc(200).with_demand_paging();
-        let iommu = config.iommu.as_mut().unwrap();
-        iommu.demand_paging.as_mut().unwrap().page_request_entries = 0;
-        assert_rejects(config, "iommu.demand_paging.page_request_entries");
-    }
-
-    #[test]
     fn host_traffic_without_timed_host_ptw_is_rejected() {
         let mut config = PlatformConfig::iommu_with_llc(200);
         config.host_traffic = Some(sva_host::HostTrafficConfig::default());
@@ -393,7 +335,7 @@ mod tests {
         assert_rejects(config.clone().with_clusters(0), "num_clusters");
         assert_rejects(
             config.clone().with_memory_channels(0),
-            "mem.fabric.channels.num_channels",
+            "mem.fabric.num_channels",
         );
         assert_rejects(
             config.clone().with_channel_depths(0, 4),

@@ -18,14 +18,13 @@
 use std::collections::BTreeSet;
 use std::hash::{DefaultHasher, Hash, Hasher};
 
-use sva_axi::BusConfig;
-use sva_cluster::{ClusterConfig, DmaConfig};
+use sva_cluster::ClusterConfig;
 use sva_common::{ArbitrationPolicy, Cycles, ReplacementPolicy, TlbOrg, KIB};
-use sva_host::{DriverConfig, HostCpuConfig, HostTrafficConfig, InterferenceLevel};
-use sva_iommu::{IommuConfig, PriConfig, TlbHierarchyConfig, TlbLevelConfig};
+use sva_host::{HostTrafficConfig, InterferenceLevel};
+use sva_iommu::{IommuConfig, TlbHierarchyConfig, TlbLevelConfig};
 use sva_kernels::KernelKind;
 use sva_mem::llc::LlcRequester;
-use sva_mem::{CacheConfig, DramChannelConfig, FabricConfig, LlcConfig, MemSysConfig};
+use sva_mem::{FabricConfig, LlcConfig, MemSysConfig};
 use sva_soc::{OffloadMode, OffloadRunner, Platform, PlatformConfig};
 
 /// The paths of the listed structs' fields, each prefixed with its struct's
@@ -45,37 +44,24 @@ macro_rules! field_paths {
 
 /// `Option`-valued fields holding a struct: each one's presence is a
 /// settable value, on top of its fields.
-const OPTIONAL: [&str; 5] = [
-    "mem.llc",
-    "iommu",
-    "iommu.tlb.l1",
-    "iommu.demand_paging",
-    "host_traffic",
-];
+const OPTIONAL: [&str; 4] = ["mem.llc", "iommu", "iommu.tlb.l1", "host_traffic"];
 
 /// The path of every settable value: each leaf field, and each `Option`'s
 /// presence. A field holding a struct is not a value itself; its fields
 /// are.
 fn settable_values() -> BTreeSet<&'static str> {
     let paths = field_paths! {
-        "": PlatformConfig { mem, cpu, iommu, cluster, driver, interference, host_traffic, num_clusters },
-        "mem.": MemSysConfig { dram_latency, controller_latency, llc, bus, posted_write_cost, fabric },
-        "mem.llc.": LlcConfig { size_bytes, ways, spm_ways, line_bytes, hit_latency, serves_dma },
-        "mem.bus.": BusConfig { bus_bytes },
-        "mem.fabric.": FabricConfig { contention_enabled, channels, policy, timed_host_ptw, req_queue_depth, rsp_queue_depth },
-        "mem.fabric.channels.": DramChannelConfig { num_channels, rank_bits, interleave_granule },
-        "cpu.": HostCpuConfig { l1d, l1_hit_latency, cycles_per_op, l1_flush_cost },
-        "cpu.l1d.": CacheConfig { size_bytes, ways, line_bytes },
-        "iommu.": IommuConfig { tlb, pipeline_latency, ptw_batching, demand_paging },
+        "": PlatformConfig { mem, iommu, cluster, interference, host_traffic, num_clusters },
+        "mem.": MemSysConfig { dram_latency, llc, fabric },
+        "mem.llc.": LlcConfig { serves_dma },
+        "mem.fabric.": FabricConfig { contention_enabled, num_channels, policy, timed_host_ptw, req_queue_depth, rsp_queue_depth },
+        "iommu.": IommuConfig { tlb, ptw_batching, demand_paging },
         "iommu.tlb.": TlbHierarchyConfig { l1, l2 },
         "iommu.tlb.l1.": TlbLevelConfig { org, policy, lookup_latency },
         "iommu.tlb.l1.org.": TlbOrg { sets, ways },
         "iommu.tlb.l2.": TlbLevelConfig { org, policy, lookup_latency },
         "iommu.tlb.l2.org.": TlbOrg { sets, ways },
-        "iommu.demand_paging.": PriConfig { page_request_entries, max_fault_retries, page_request_backoff },
-        "cluster.": ClusterConfig { dma, double_buffer },
-        "cluster.dma.": DmaConfig { max_burst_bytes, max_outstanding, issue_overhead },
-        "driver.": DriverConfig { ioctl_overhead, mmio_access, per_page_ops, device_id, fault_signal_latency, per_fault_cycles },
+        "cluster.": ClusterConfig { dma_outstanding, double_buffer },
         "host_traffic.": HostTrafficConfig { accesses, gap, len, stride, region_bytes, region_offset },
     };
     let is_struct = |p: &str| paths.iter().any(|q| q.starts_with(&format!("{p}.")));
@@ -104,10 +90,6 @@ fn l1(c: &mut PlatformConfig) -> Option<&mut TlbLevelConfig> {
 
 fn l2(c: &mut PlatformConfig) -> Option<&mut TlbLevelConfig> {
     Some(&mut iommu(c)?.tlb.l2)
-}
-
-fn pri(c: &mut PlatformConfig) -> Option<&mut PriConfig> {
-    iommu(c)?.demand_paging.as_mut()
 }
 
 fn traffic(c: &mut PlatformConfig) -> Option<&mut HostTrafficConfig> {
@@ -145,49 +127,16 @@ const PERTURBATIONS: &[(&str, Perturb)] = &[
         c.mem.dram_latency += Cycles::new(100);
         true
     }),
-    ("mem.controller_latency", |c| {
-        c.mem.controller_latency += Cycles::new(10);
-        true
-    }),
     ("mem.llc", |c| toggle(&mut c.mem.llc, LlcConfig::default())),
-    ("mem.llc.size_bytes", |c| {
-        llc(c).map(|l| l.size_bytes /= 16).is_some()
-    }),
-    ("mem.llc.ways", |c| llc(c).map(|l| l.ways = 1).is_some()),
-    ("mem.llc.spm_ways", |c| {
-        llc(c).map(|l| l.spm_ways = l.ways - 1).is_some()
-    }),
-    ("mem.llc.line_bytes", |c| {
-        llc(c).map(|l| l.line_bytes *= 2).is_some()
-    }),
-    ("mem.llc.hit_latency", |c| {
-        llc(c).map(|l| l.hit_latency += Cycles::new(5)).is_some()
-    }),
     ("mem.llc.serves_dma", |c| {
         llc(c).map(|l| l.serves_dma = !l.serves_dma).is_some()
-    }),
-    ("mem.bus.bus_bytes", |c| {
-        c.mem.bus.bus_bytes *= 2;
-        true
-    }),
-    ("mem.posted_write_cost", |c| {
-        c.mem.posted_write_cost += Cycles::new(16);
-        true
     }),
     ("mem.fabric.contention_enabled", |c| {
         c.mem.fabric.contention_enabled = !c.mem.fabric.contention_enabled;
         true
     }),
-    ("mem.fabric.channels.num_channels", |c| {
-        c.mem.fabric.channels.num_channels += 1;
-        true
-    }),
-    ("mem.fabric.channels.rank_bits", |c| {
-        c.mem.fabric.channels.rank_bits += 1;
-        true
-    }),
-    ("mem.fabric.channels.interleave_granule", |c| {
-        c.mem.fabric.channels.interleave_granule *= 2;
+    ("mem.fabric.num_channels", |c| {
+        c.mem.fabric.num_channels += 1;
         true
     }),
     ("mem.fabric.policy", |c| {
@@ -209,30 +158,6 @@ const PERTURBATIONS: &[(&str, Perturb)] = &[
     }),
     ("mem.fabric.rsp_queue_depth", |c| {
         c.mem.fabric.rsp_queue_depth = other_depth(c.mem.fabric.rsp_queue_depth);
-        true
-    }),
-    ("cpu.l1d.size_bytes", |c| {
-        c.cpu.l1d.size_bytes /= 16;
-        true
-    }),
-    ("cpu.l1d.ways", |c| {
-        c.cpu.l1d.ways = 1;
-        true
-    }),
-    ("cpu.l1d.line_bytes", |c| {
-        c.cpu.l1d.line_bytes *= 2;
-        true
-    }),
-    ("cpu.l1_hit_latency", |c| {
-        c.cpu.l1_hit_latency += Cycles::new(1);
-        true
-    }),
-    ("cpu.cycles_per_op", |c| {
-        c.cpu.cycles_per_op *= 2.0;
-        true
-    }),
-    ("cpu.l1_flush_cost", |c| {
-        c.cpu.l1_flush_cost += Cycles::new(64);
         true
     }),
     ("iommu", |c| toggle(&mut c.iommu, IommuConfig::default())),
@@ -264,68 +189,20 @@ const PERTURBATIONS: &[(&str, Perturb)] = &[
     ("iommu.tlb.l2.lookup_latency", |c| {
         l2(c).map(|l| l.lookup_latency += Cycles::new(1)).is_some()
     }),
-    ("iommu.pipeline_latency", |c| {
-        iommu(c)
-            .map(|i| i.pipeline_latency += Cycles::new(1))
-            .is_some()
-    }),
     ("iommu.ptw_batching", |c| {
         iommu(c).map(|i| i.ptw_batching = !i.ptw_batching).is_some()
     }),
     ("iommu.demand_paging", |c| {
         iommu(c)
-            .map(|i| toggle(&mut i.demand_paging, PriConfig::default()))
+            .map(|i| i.demand_paging = !i.demand_paging)
             .is_some()
     }),
-    ("iommu.demand_paging.page_request_entries", |c| {
-        pri(c).map(|p| p.page_request_entries *= 4).is_some()
-    }),
-    ("iommu.demand_paging.max_fault_retries", |c| {
-        pri(c).map(|p| p.max_fault_retries = 0).is_some()
-    }),
-    ("iommu.demand_paging.page_request_backoff", |c| {
-        pri(c)
-            .map(|p| p.page_request_backoff += Cycles::new(1_000))
-            .is_some()
-    }),
-    ("cluster.dma.max_burst_bytes", |c| {
-        c.cluster.dma.max_burst_bytes /= 2;
-        true
-    }),
-    ("cluster.dma.max_outstanding", |c| {
-        c.cluster.dma.max_outstanding += 2;
-        true
-    }),
-    ("cluster.dma.issue_overhead", |c| {
-        c.cluster.dma.issue_overhead += Cycles::new(20);
+    ("cluster.dma_outstanding", |c| {
+        c.cluster.dma_outstanding += 2;
         true
     }),
     ("cluster.double_buffer", |c| {
         c.cluster.double_buffer = !c.cluster.double_buffer;
-        true
-    }),
-    ("driver.ioctl_overhead", |c| {
-        c.driver.ioctl_overhead += Cycles::new(1_000);
-        true
-    }),
-    ("driver.mmio_access", |c| {
-        c.driver.mmio_access += Cycles::new(40);
-        true
-    }),
-    ("driver.per_page_ops", |c| {
-        c.driver.per_page_ops += 60;
-        true
-    }),
-    ("driver.device_id", |c| {
-        c.driver.device_id += 8;
-        true
-    }),
-    ("driver.fault_signal_latency", |c| {
-        c.driver.fault_signal_latency += Cycles::new(800);
-        true
-    }),
-    ("driver.per_fault_cycles", |c| {
-        c.driver.per_fault_cycles += Cycles::new(1_200);
         true
     }),
     ("interference", |c| {
@@ -398,7 +275,7 @@ fn scenarios() -> Vec<Scenario> {
         accesses: 1024,
         ..HostTrafficConfig::default()
     };
-    let mut contended = PlatformConfig::iommu_with_llc(200)
+    let contended = PlatformConfig::iommu_with_llc(200)
         .with_clusters(2)
         .with_fabric_contention()
         .with_memory_channels(2)
@@ -407,8 +284,6 @@ fn scenarios() -> Vec<Scenario> {
         .with_ptw_batching()
         .with_default_tlb_hierarchy()
         .with_demand_paging();
-    // A one-entry queue drops requests, so the backoff is paid.
-    pri(&mut contended).unwrap().page_request_entries = 1;
     vec![
         Scenario::device("contended", contended, KernelKind::Gemm),
         Scenario::app(
@@ -488,7 +363,7 @@ fn every_settable_value_has_one_perturbation() {
         missing.is_empty() && stale.is_empty(),
         "values without a perturbation: {missing:?}; perturbations of no value: {stale:?}"
     );
-    assert_eq!(values.len(), 60, "settable values");
+    assert_eq!(values.len(), 32, "settable values");
 }
 
 #[test]

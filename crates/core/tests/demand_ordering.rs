@@ -48,7 +48,7 @@ fn run(
         .with_fabric_contention()
         .with_default_tlb_hierarchy();
     if let Some(d) = depths {
-        config = config.with_queue_depths(d);
+        config = config.with_channel_depths(d.req, d.rsp);
     }
     if traffic {
         config = config.with_host_traffic(HostTrafficConfig::default());

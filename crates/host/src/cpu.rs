@@ -12,41 +12,34 @@
 //! bytes are moved by whoever owns them (the copy engine, the runtime), so
 //! the core's memory path only times and counts its accesses.
 
-use sva_common::{AccessKind, Cycles, GlobalClock, InitiatorId, PhysAddr, Result, CACHE_LINE_SIZE};
+use sva_common::{
+    AccessKind, Cycles, GlobalClock, InitiatorId, PhysAddr, Result, CACHE_LINE_SIZE, KIB,
+};
 use sva_mem::cache::{Cache, CacheConfig};
 use sva_mem::{MemReq, MemorySystem};
 
-/// Configuration of the host CPU model.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct HostCpuConfig {
-    /// Geometry of the L1 data cache. CVA6's L1 is write-through: the core
-    /// presents only reads to it (see [`HostCpu::store`]), so its lines
-    /// never become dirty.
-    pub l1d: CacheConfig,
-    /// Latency of an L1 hit.
-    pub l1_hit_latency: Cycles,
-    /// Average cycles per non-memory instruction (integer/float pipeline).
-    pub cycles_per_op: f64,
-    /// Cost of invalidating the whole L1 (the `flush_l1()` of Listing 1);
-    /// write-through means no write-backs are needed.
-    pub l1_flush_cost: Cycles,
-}
+/// Geometry of CVA6's 32 KiB, 8-way L1 data cache. The L1 is
+/// write-through: the core presents only reads to it (see
+/// [`HostCpu::store`]), so its lines never become dirty.
+pub const L1D: CacheConfig = CacheConfig {
+    size_bytes: 32 * KIB,
+    ways: 8,
+    line_bytes: CACHE_LINE_SIZE,
+};
 
-impl Default for HostCpuConfig {
-    fn default() -> Self {
-        Self {
-            l1d: CacheConfig::cva6_l1d(),
-            l1_hit_latency: Cycles::new(1),
-            cycles_per_op: 1.0,
-            l1_flush_cost: Cycles::new(64),
-        }
-    }
-}
+/// Latency of an L1 hit.
+pub const L1_HIT_LATENCY: Cycles = Cycles::new(1);
+
+/// Average cycles per non-memory instruction (integer/float pipeline).
+pub const CYCLES_PER_OP: f64 = 1.0;
+
+/// Cost of invalidating the whole L1 (the `flush_l1()` of Listing 1);
+/// write-through means no write-backs are needed.
+pub const L1_FLUSH_COST: Cycles = Cycles::new(64);
 
 /// The CVA6 core model.
 #[derive(Clone, Debug)]
 pub struct HostCpu {
-    config: HostCpuConfig,
     l1d: Cache,
     elapsed: Cycles,
     /// The platform's global simulation clock: every cycle the core charges
@@ -56,13 +49,12 @@ pub struct HostCpu {
 }
 
 impl HostCpu {
-    /// Creates a host CPU with the given configuration and a private clock.
-    pub fn new(config: HostCpuConfig) -> Self {
+    /// Creates a host CPU with a cold L1 and a private clock.
+    pub fn new() -> Self {
         Self {
-            l1d: Cache::new(config.l1d),
+            l1d: Cache::new(L1D),
             elapsed: Cycles::ZERO,
             clock: GlobalClock::new(),
-            config,
         }
     }
 
@@ -70,11 +62,6 @@ impl HostCpu {
     /// private clock created by [`HostCpu::new`]).
     pub fn attach_clock(&mut self, clock: &GlobalClock) {
         self.clock = clock.clone();
-    }
-
-    /// The configuration of this CPU.
-    pub const fn config(&self) -> &HostCpuConfig {
-        &self.config
     }
 
     /// Total cycles accumulated by this CPU since creation or the last
@@ -101,7 +88,7 @@ impl HostCpu {
 
     /// Charges `ops` non-memory instructions.
     pub fn execute(&mut self, ops: u64) -> Cycles {
-        let cycles = Cycles::new((ops as f64 * self.config.cycles_per_op).ceil() as u64);
+        let cycles = Cycles::new((ops as f64 * CYCLES_PER_OP).ceil() as u64);
         self.charge(cycles)
     }
 
@@ -114,7 +101,7 @@ impl HostCpu {
     ///
     /// Propagates decode errors from the memory system.
     pub fn load(&mut self, mem: &mut MemorySystem, addr: PhysAddr, len: u64) -> Result<Cycles> {
-        let mut cycles = self.config.l1_hit_latency;
+        let mut cycles = L1_HIT_LATENCY;
         let cacheable = mem.map().is_llc_cacheable(addr);
         if cacheable {
             if !self.l1d.access(addr, false).is_hit() {
@@ -143,7 +130,7 @@ impl HostCpu {
     ///
     /// Propagates decode errors from the memory system.
     pub fn store(&mut self, mem: &mut MemorySystem, addr: PhysAddr, len: u64) -> Result<Cycles> {
-        let mut cycles = self.config.l1_hit_latency;
+        let mut cycles = L1_HIT_LATENCY;
         let cacheable = mem.map().is_llc_cacheable(addr);
         if cacheable && self.l1d.probe(addr) {
             // Update the resident line (timing-wise free beyond the hit).
@@ -165,7 +152,7 @@ impl HostCpu {
         addr: PhysAddr,
         value: u64,
     ) -> Result<Cycles> {
-        let mut cycles = self.config.l1_hit_latency;
+        let mut cycles = L1_HIT_LATENCY;
         if mem.map().is_llc_cacheable(addr) && self.l1d.probe(addr) {
             self.l1d.access(addr, false);
         }
@@ -179,14 +166,13 @@ impl HostCpu {
     /// on a write-through cache requires no write-backs.
     pub fn flush_l1(&mut self) -> Cycles {
         self.l1d.flush_all();
-        let cost = self.config.l1_flush_cost;
-        self.charge(cost)
+        self.charge(L1_FLUSH_COST)
     }
 }
 
 impl Default for HostCpu {
     fn default() -> Self {
-        Self::new(HostCpuConfig::default())
+        Self::new()
     }
 }
 

@@ -32,42 +32,31 @@ const STRUCT_PAGE_ARRAY_BASE: u64 = DRAM_BASE + 16 * MIB;
 /// Base physical address of the driver's scatter-list / bookkeeping arena.
 const DRIVER_ARENA_BASE: u64 = DRAM_BASE + 24 * MIB;
 
-/// Tunable costs of the driver model.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct DriverConfig {
-    /// Fixed host cycles for an `ioctl` round trip (syscall entry/exit,
-    /// argument copy, dispatch) on the 50 MHz CVA6 running Linux.
-    pub ioctl_overhead: Cycles,
-    /// Host cycles per memory-mapped IOMMU register access (the register
-    /// window is an uncached device region).
-    pub mmio_access: Cycles,
-    /// Arithmetic/bookkeeping instructions executed per mapped page.
-    pub per_page_ops: u64,
-    /// Device ID the cluster's DMA traffic uses.
-    pub device_id: u32,
-    /// Cycles from a device's page-request group hitting the IOMMU queue to
-    /// the host fault handler starting to run (interrupt delivery, context
-    /// switch into the IOMMU driver's PRI thread).
-    pub fault_signal_latency: Cycles,
-    /// Handler cycles per serviced page request (looking the faulting
-    /// process/VMA up, pinning the page, building the mapping request) —
-    /// on top of the timed page-table touches the handler performs on the
-    /// fabric.
-    pub per_fault_cycles: Cycles,
-}
+/// Fixed host cycles for an `ioctl` round trip (syscall entry/exit,
+/// argument copy, dispatch) on the 50 MHz CVA6 running Linux.
+const IOCTL_OVERHEAD: u64 = 15_000;
 
-impl Default for DriverConfig {
-    fn default() -> Self {
-        Self {
-            ioctl_overhead: Cycles::new(15_000),
-            mmio_access: Cycles::new(40),
-            per_page_ops: 60,
-            device_id: 1,
-            fault_signal_latency: Cycles::new(800),
-            per_fault_cycles: Cycles::new(1_200),
-        }
-    }
-}
+/// Host cycles per memory-mapped IOMMU register access (the register window
+/// is an uncached device region).
+const MMIO_ACCESS: u64 = 40;
+
+/// Arithmetic/bookkeeping instructions executed per mapped page.
+const PER_PAGE_OPS: u64 = 60;
+
+/// Cycles from a device's page-request group hitting the IOMMU queue to the
+/// host fault handler starting to run (interrupt delivery, context switch
+/// into the IOMMU driver's PRI thread).
+const FAULT_SIGNAL_LATENCY: Cycles = Cycles::new(800);
+
+/// Handler cycles per serviced page request (looking the faulting
+/// process/VMA up, pinning the page, building the mapping request) — on
+/// top of the timed page-table touches the handler performs on the fabric.
+const PER_FAULT_CYCLES: Cycles = Cycles::new(1_200);
+
+/// IOMMU device ID of the cluster's DMA traffic that the driver attaches
+/// and invalidates. On a platform with several clusters, cluster `i`
+/// presents `DEVICE_ID + 2·i`.
+pub const DEVICE_ID: u32 = 1;
 
 /// Accounting of a mapping or unmapping operation.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -96,24 +85,17 @@ pub struct MappingHandle {
 /// kernel driver's map/unmap/attach entry points.
 #[derive(Clone, Debug)]
 pub struct IommuDriver {
-    config: DriverConfig,
     io_table: Option<PageTable>,
     mapped_pages: u64,
 }
 
 impl IommuDriver {
-    /// Creates a driver with the given cost configuration.
-    pub fn new(config: DriverConfig) -> Self {
+    /// Creates a driver with no device attached.
+    pub fn new() -> Self {
         Self {
-            config,
             io_table: None,
             mapped_pages: 0,
         }
-    }
-
-    /// The driver configuration.
-    pub const fn config(&self) -> &DriverConfig {
-        &self.config
     }
 
     /// The accelerator's IO page table, once attached.
@@ -143,13 +125,13 @@ impl IommuDriver {
     ) -> Result<MappingCost> {
         let start = cpu.elapsed();
         let io_table = PageTable::create(frames)?;
-        iommu.attach_device(mem, frames, self.config.device_id, pscid, io_table.root())?;
+        iommu.attach_device(mem, frames, DEVICE_ID, pscid, io_table.root())?;
         self.io_table = Some(io_table);
         // Probing capabilities, programming ddtp and the queue registers.
         for _ in 0..6 {
-            cpu.execute(self.config.mmio_access.raw());
+            cpu.execute(MMIO_ACCESS);
         }
-        cpu.execute(self.config.ioctl_overhead.raw());
+        cpu.execute(IOCTL_OVERHEAD);
         Ok(MappingCost {
             cycles: cpu.elapsed() - start,
             pages: 0,
@@ -185,7 +167,7 @@ impl IommuDriver {
         let io_table = self.io_table.ok_or(Error::IommuNotPresent)?;
         let start = cpu.elapsed();
         // ioctl entry.
-        cpu.execute(self.config.ioctl_overhead.raw() / 2);
+        cpu.execute(IOCTL_OVERHEAD / 2);
 
         let base = va.page_base();
         let end = (va + len).align_up(PAGE_SIZE);
@@ -206,7 +188,7 @@ impl IommuDriver {
                 8,
             )?;
             cpu.store(mem, PhysAddr::new(DRIVER_ARENA_BASE + (i % 4096) * 16), 16)?;
-            cpu.execute(self.config.per_page_ops);
+            cpu.execute(PER_PAGE_OPS);
 
             // Build the IO page-table entry (functional), then perform the
             // timed stores the kernel does, so the PTE lines are hot in the
@@ -227,14 +209,14 @@ impl IommuDriver {
         // Invalidate the IOTLB so stale translations are never used, then
         // fence. Each command is a couple of uncached MMIO/queue accesses.
         iommu.process_command(Command::IotlbInvalidate {
-            device_id: Some(self.config.device_id),
+            device_id: Some(DEVICE_ID),
             iova: None,
         });
         iommu.process_command(Command::Fence);
-        cpu.execute(self.config.mmio_access.raw() * 3);
+        cpu.execute(MMIO_ACCESS * 3);
 
         // ioctl exit.
-        cpu.execute(self.config.ioctl_overhead.raw() / 2);
+        cpu.execute(IOCTL_OVERHEAD / 2);
 
         Ok((
             MappingHandle {
@@ -265,7 +247,7 @@ impl IommuDriver {
     ) -> Result<MappingCost> {
         let io_table = self.io_table.ok_or(Error::IommuNotPresent)?;
         let start = cpu.elapsed();
-        cpu.execute(self.config.ioctl_overhead.raw() / 2);
+        cpu.execute(IOCTL_OVERHEAD / 2);
         let mut pte_writes = 0;
         for i in 0..handle.pages {
             let page_va = VirtAddr::from_iova(handle.iova) + i * PAGE_SIZE;
@@ -276,15 +258,15 @@ impl IommuDriver {
                 cpu.store_u64(mem, *pte_addr, 0)?;
                 pte_writes += 1;
             }
-            cpu.execute(self.config.per_page_ops / 2);
+            cpu.execute(PER_PAGE_OPS / 2);
             self.mapped_pages = self.mapped_pages.saturating_sub(1);
         }
         iommu.process_command(Command::IotlbInvalidate {
-            device_id: Some(self.config.device_id),
+            device_id: Some(DEVICE_ID),
             iova: None,
         });
-        cpu.execute(self.config.mmio_access.raw() * 2);
-        cpu.execute(self.config.ioctl_overhead.raw() / 2);
+        cpu.execute(MMIO_ACCESS * 2);
+        cpu.execute(IOCTL_OVERHEAD / 2);
         Ok(MappingCost {
             cycles: cpu.elapsed() - start,
             pages: handle.pages,
@@ -295,7 +277,7 @@ impl IommuDriver {
 
 impl Default for IommuDriver {
     fn default() -> Self {
-        Self::new(DriverConfig::default())
+        Self::new()
     }
 }
 
@@ -341,19 +323,17 @@ impl PageRequestHandler for FaultServicer<'_> {
         now: Cycles,
     ) -> Result<Cycles> {
         let io_table = self.driver.io_table.ok_or(Error::IommuNotPresent)?;
-        let cfg = self.driver.config;
         // Interrupt delivery + handler entry.
-        let mut t = now + cfg.fault_signal_latency;
+        let mut t = now + FAULT_SIGNAL_LATENCY;
         let mut serviced_at: Vec<Cycles> = Vec::new();
         let mut any = false;
         while let Some(req) = iommu.pop_page_request() {
             any = true;
-            t += cfg.per_fault_cycles;
+            t += PER_FAULT_CYCLES;
             let page_va = VirtAddr::from_iova(req.iova).page_base();
             // The host mapping must exist; a request for a page the process
             // never mapped is unresolvable and answered "invalid" (the
-            // device's bounded retry loop turns that into a terminal
-            // fault).
+            // device's retry faults again, which is terminal).
             let Ok(pa) = self.space.translate(mem, page_va) else {
                 iommu.note_page_request_failed();
                 continue;

@@ -28,8 +28,8 @@ mod pages;
 pub mod traffic;
 
 pub use copy::{CopyEngine, CopyStats};
-pub use cpu::{HostCpu, HostCpuConfig};
-pub use driver::{DriverConfig, FaultServicer, IommuDriver, MappingCost, MappingHandle};
+pub use cpu::HostCpu;
+pub use driver::{FaultServicer, IommuDriver, MappingCost, MappingHandle};
 pub use exec::{HostKernelCost, HostKernelRunner, HostRunStats};
 pub use traffic::{
     HostTrafficConfig, HostTrafficStats, HostTrafficStream, InterferenceLevel, PhaseTraffic,

@@ -40,11 +40,15 @@ use sva_vm::FrameAllocator;
 
 use crate::ddt::{DeviceContext, DeviceDirectory};
 use crate::iotlb::IoTlb;
-use crate::pri::{PageRequestStats, PriConfig};
+use crate::pri::PageRequestStats;
 use crate::ptw::{PageTableWalker, DEFAULT_MSHR_ENTRIES};
 use crate::queues::{
     BoundedQueue, Command, FaultReason, FaultRecord, PageRequest, FAULT_QUEUE_ENTRIES,
+    PAGE_REQUEST_ENTRIES,
 };
+
+/// Fixed pipeline latency added to every translated transaction.
+const PIPELINE_LATENCY: Cycles = Cycles::new(2);
 
 /// Width of one bucket of the page-request service-latency histogram.
 const PRI_HIST_BUCKET: u64 = 512;
@@ -125,36 +129,22 @@ impl Default for TlbHierarchyConfig {
 /// paper's *IOMMU* and *IOMMU + LLC* platforms). A platform without an
 /// IOMMU has no configuration; its pass-through stand-in is
 /// [`Iommu::disabled`].
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct IommuConfig {
     /// The translation hierarchy (the prototype's single 4-entry IOTLB by
     /// default).
     pub tlb: TlbHierarchyConfig,
-    /// Fixed pipeline latency added to every translated transaction.
-    pub pipeline_latency: Cycles,
     /// Enables the MSHR-style batched page-table walker: concurrent walks
     /// that need a PTE read already in flight coalesce onto it instead of
     /// issuing their own (see [`crate::ptw`]), with a walk table of
     /// [`DEFAULT_MSHR_ENTRIES`] in-flight PTE reads. Off by default — the
     /// serial walker is the paper's prototype.
     pub ptw_batching: bool,
-    /// ATS/PRI-style demand paging and its page-request path: a
-    /// translation fault enqueues a page request for the host instead of
-    /// producing a terminal error, and the faulting device
-    /// stalls-and-retries (see [`crate::pri`]). `None` by default — faults
-    /// are errors, as in the paper prototype.
-    pub demand_paging: Option<PriConfig>,
-}
-
-impl Default for IommuConfig {
-    fn default() -> Self {
-        Self {
-            tlb: TlbHierarchyConfig::default(),
-            pipeline_latency: Cycles::new(2),
-            ptw_batching: false,
-            demand_paging: None,
-        }
-    }
+    /// ATS/PRI-style demand paging: a translation fault enqueues a page
+    /// request for the host instead of producing a terminal error, and the
+    /// faulting device stalls-and-retries (see [`crate::pri`]). Off by
+    /// default — faults are errors, as in the paper prototype.
+    pub demand_paging: bool,
 }
 
 /// Snapshot of the IOMMU's statistics.
@@ -227,7 +217,8 @@ pub struct Iommu {
     ptw: PageTableWalker,
     /// The fault queue, [`FAULT_QUEUE_ENTRIES`] deep.
     faults: BoundedQueue<FaultRecord>,
-    /// The ATS/PRI page-request queue (unused with demand paging off).
+    /// The ATS/PRI page-request queue, [`PAGE_REQUEST_ENTRIES`] deep
+    /// (unused with demand paging off).
     page_requests: BoundedQueue<PageRequest>,
     /// Dedup index over the queue: the `(device_id, page base)` of every
     /// pending request, maintained in lockstep with the queue on the
@@ -264,13 +255,7 @@ impl Iommu {
             },
             faults: BoundedQueue::new(FAULT_QUEUE_ENTRIES),
             // The queue stays empty without demand paging.
-            page_requests: BoundedQueue::new(
-                config
-                    .demand_paging
-                    .unwrap_or_default()
-                    .page_request_entries
-                    .max(1),
-            ),
+            page_requests: BoundedQueue::new(PAGE_REQUEST_ENTRIES),
             pending_pages: BTreeSet::new(),
             pending_pages_peak: 0,
             pri: PageRequestStats::default(),
@@ -481,7 +466,7 @@ impl Iommu {
             self.bypassed += 1;
             return Ok((PhysAddr::new(iova.raw()), Cycles::ZERO));
         };
-        if config.demand_paging.is_some()
+        if config.demand_paging
             && self
                 .ddt
                 .as_ref()
@@ -555,7 +540,7 @@ impl Iommu {
         is_write: bool,
         now: Cycles,
     ) -> Result<(PhysAddr, Cycles)> {
-        let mut cycles = config.pipeline_latency;
+        let mut cycles = PIPELINE_LATENCY;
 
         // 1. Device context.
         let Some(ddt) = self.ddt.as_mut() else {
@@ -643,7 +628,7 @@ impl Iommu {
                 // With demand paging, a not-mapped fault is recoverable: it
                 // is reported through the page-request queue by the device
                 // (ATS/PRI), not the terminal fault queue.
-                if !(config.demand_paging.is_some() && reason == FaultReason::PageNotMapped) {
+                if !(config.demand_paging && reason == FaultReason::PageNotMapped) {
                     self.faults.push(FaultRecord {
                         device_id,
                         iova,
@@ -660,10 +645,9 @@ impl Iommu {
     // The ATS/PRI page-request path (demand paging)
     // ------------------------------------------------------------------
 
-    /// The page-request path, when the IOMMU translates with demand paging
-    /// configured.
-    pub fn demand_paging(&self) -> Option<PriConfig> {
-        self.config.and_then(|c| c.demand_paging)
+    /// Whether the IOMMU translates with demand paging on.
+    pub fn demand_paging(&self) -> bool {
+        self.config.is_some_and(|c| c.demand_paging)
     }
 
     /// Untimed probe of whether `device_id` can already perform the given
@@ -785,8 +769,8 @@ impl Iommu {
     }
 
     /// Records one request the host could not resolve (no backing host
-    /// mapping); the device's bounded retry loop turns it into a terminal
-    /// fault.
+    /// mapping); the device's retry faults again and turns it into a
+    /// terminal fault.
     pub fn note_page_request_failed(&mut self) {
         self.pri.failed += 1;
     }
@@ -841,12 +825,11 @@ impl Iommu {
     /// Records a **terminal** IO page fault in the fault queue.
     ///
     /// The demand-paging path reports *recoverable* not-mapped faults
-    /// through the page-request queue instead of the fault queue; when a
-    /// device's bounded stall-and-retry loop gives up — the retry budget
-    /// is exhausted or no handler is attached — the fault is terminal
-    /// after all and must still reach the driver, so the device records it
-    /// here before aborting (otherwise the abort would be invisible to a
-    /// host polling the fault queue).
+    /// through the page-request queue instead of the fault queue; when the
+    /// device gives up (see [`crate::pri::recover_page_faults`]) the fault
+    /// is terminal after all and must still reach the driver, so the
+    /// device records it here before aborting (otherwise the abort would
+    /// be invisible to a host polling the fault queue).
     pub fn record_terminal_fault(&mut self, device_id: u32, iova: Iova, is_write: bool) {
         self.faults.push(FaultRecord {
             device_id,
@@ -1156,10 +1139,9 @@ mod tests {
 
     #[test]
     fn hierarchy_charges_per_level_latencies() {
-        // Zero out everything but the TLB lookup latencies so the cycle
-        // delta between an L1 hit and an L2 hit is exactly the L2 knob.
+        // The pipeline and device-context latencies are the same for an
+        // L1 hit and an L2 hit, so the cycle delta is exactly the L2 knob.
         let config = IommuConfig {
-            pipeline_latency: Cycles::ZERO,
             tlb: TlbHierarchyConfig {
                 l1: Some(TlbLevelConfig::new(
                     TlbOrg::fully_associative(1),
@@ -1265,10 +1247,7 @@ mod tests {
     fn page_request_groups_dedup_skip_mapped_and_overflow() {
         let (mut mem, mut frames, space, va) = setup();
         let mut iommu = Iommu::new(IommuConfig {
-            demand_paging: Some(PriConfig {
-                page_request_entries: 4,
-                ..PriConfig::default()
-            }),
+            demand_paging: true,
             ..IommuConfig::default()
         });
         // Attach against a *fresh* IO table so nothing is device-mapped.
@@ -1276,9 +1255,9 @@ mod tests {
         iommu
             .attach_device(&mut mem, &mut frames, 1, space.pscid(), io_table.root())
             .unwrap();
-        assert!(iommu.demand_paging().is_some());
+        assert!(iommu.demand_paging());
 
-        // Map page 2 of 6 into the device table: the group must skip it.
+        // Map page 2 of 20 into the device table: the group must skip it.
         let pa = space.translate(&mem, va + 2 * PAGE_SIZE).unwrap();
         io_table
             .map_page(
@@ -1291,28 +1270,30 @@ mod tests {
             .unwrap();
 
         let iova = Iova::from_virt(va);
+        let group = 20 * PAGE_SIZE;
         let (queued, dropped) =
-            iommu.enqueue_page_requests(&mem, 1, iova, 6 * PAGE_SIZE, false, Cycles::new(5));
-        // 6 pages, one mapped → 5 candidates; the queue holds 4.
-        assert_eq!(queued, 4);
-        assert_eq!(dropped, 1);
-        assert_eq!(iommu.pending_page_requests(), 4);
+            iommu.enqueue_page_requests(&mem, 1, iova, group, false, Cycles::new(5));
+        // 20 pages, one mapped → 19 candidates; the queue holds 16.
+        assert_eq!(queued, PAGE_REQUEST_ENTRIES as u64);
+        assert_eq!(dropped, 3);
+        assert_eq!(iommu.pending_page_requests(), PAGE_REQUEST_ENTRIES);
         let s = iommu.stats();
-        assert_eq!(s.page_requests.requests, 4);
-        assert_eq!(s.page_requests.dropped, 1);
+        assert_eq!(s.page_requests.requests, 16);
+        assert_eq!(s.page_requests.dropped, 3);
 
         // Re-requesting the same range enqueues nothing new (dedup against
-        // pending entries), but the tail page still drops.
+        // pending entries), but the tail pages still drop.
         let (queued2, dropped2) =
-            iommu.enqueue_page_requests(&mem, 1, iova, 6 * PAGE_SIZE, false, Cycles::new(9));
+            iommu.enqueue_page_requests(&mem, 1, iova, group, false, Cycles::new(9));
         assert_eq!(queued2, 0);
-        assert_eq!(dropped2, 1);
+        assert_eq!(dropped2, 3);
 
         // The requests pop in page order and skip the mapped page.
         let pages: Vec<u64> = std::iter::from_fn(|| iommu.pop_page_request())
             .map(|r| (r.iova.raw() - iova.raw()) / PAGE_SIZE)
             .collect();
-        assert_eq!(pages, vec![0, 1, 3, 4]);
+        let expected: Vec<u64> = (0..17).filter(|&p| p != 2).collect();
+        assert_eq!(pages, expected);
     }
 
     /// The dedup validator flags a stale `(device, page)` entry: one the
@@ -1321,7 +1302,7 @@ mod tests {
     #[should_panic(expected = "dedup index size diverged")]
     fn validator_flags_an_injected_stale_entry() {
         let mut iommu = Iommu::new(IommuConfig {
-            demand_paging: Some(PriConfig::default()),
+            demand_paging: true,
             ..IommuConfig::default()
         });
         iommu.debug_validate_page_requests();
@@ -1333,7 +1314,7 @@ mod tests {
     fn write_groups_request_upgrades_for_read_only_pages() {
         let (mut mem, mut frames, space, _) = setup();
         let mut iommu = Iommu::new(IommuConfig {
-            demand_paging: Some(PriConfig::default()),
+            demand_paging: true,
             ..IommuConfig::default()
         });
         let io_table = sva_vm::PageTable::create(&mut frames).unwrap();
@@ -1362,7 +1343,7 @@ mod tests {
     #[test]
     fn serviced_page_requests_populate_the_pri_occupancy_timeline() {
         let mut iommu = Iommu::new(IommuConfig {
-            demand_paging: Some(PriConfig::default()),
+            demand_paging: true,
             ..IommuConfig::default()
         });
         // Two overlapping service windows and one later, disjoint one.
@@ -1387,7 +1368,7 @@ mod tests {
     fn demand_paging_faults_bypass_the_fault_queue() {
         let (mut mem, mut frames, space, _) = setup();
         let mut iommu = Iommu::new(IommuConfig {
-            demand_paging: Some(PriConfig::default()),
+            demand_paging: true,
             ..IommuConfig::default()
         });
         iommu

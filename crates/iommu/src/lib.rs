@@ -54,6 +54,6 @@ pub mod queues;
 pub use ddt::{DeviceContext, DeviceDirectory};
 pub use iommu::{Iommu, IommuConfig, IommuStats, TlbHierarchyConfig, TlbLevelConfig};
 pub use iotlb::{IoTlb, IoTlbEntry};
-pub use pri::{PageRequestHandler, PageRequestStats, PriConfig};
+pub use pri::{recover_page_faults, PageRequestHandler, PageRequestStats};
 pub use ptw::{PageTableWalker, PtwResult};
 pub use queues::{BoundedQueue, Command, FaultReason, FaultRecord, PageRequest};

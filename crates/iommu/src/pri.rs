@@ -1,7 +1,6 @@
 //! The ATS/PRI-style page-request interface.
 //!
-//! With demand paging enabled (`IommuConfig::demand_paging`, a
-//! [`PriConfig`]), an IO page
+//! With demand paging enabled (`IommuConfig::demand_paging`), an IO page
 //! fault is no longer a terminal error: the faulting device issues a
 //! **page-request group** — the faulting page plus the remaining pages of
 //! the transfer it is about to touch — into the IOMMU's bounded
@@ -10,18 +9,25 @@
 //! workspace the same way the real stack is:
 //!
 //! * the **queue** and its overflow accounting live on the [`crate::Iommu`]
-//!   (a [`crate::queues::BoundedQueue`] of [`crate::queues::PageRequest`]s;
-//!   a full queue drops the request, which the device answers with retry
-//!   backoff);
+//!   (a [`crate::queues::BoundedQueue`] of
+//!   [`crate::queues::PAGE_REQUEST_ENTRIES`] [`crate::queues::PageRequest`]s;
+//!   a full queue drops the request, which the device answers with
+//!   [`PAGE_REQUEST_BACKOFF`]);
 //! * the **host side** is abstracted as the [`PageRequestHandler`] trait
 //!   defined here. `sva_host::driver::FaultServicer` implements it: it
 //!   drains the queue, maps each page into the device's IO page table —
 //!   touching the page-table memory through the **timed** memory system as
 //!   host-initiated fabric traffic — and answers with one **group
 //!   response** whose completion time the device resumes at;
-//! * the **device side** is the DMA engine's stall-and-retry loop
-//!   (`sva_cluster::dma`), which charges the whole fault round trip into
-//!   its issue pipeline.
+//! * the **device side** is [`recover_page_faults`], the stall-and-retry
+//!   loop the cluster's DMA engine runs around each burst translation and
+//!   its executor around each tile's address-generation pre-pass.
+//!
+//! A handler drains the whole queue on every call, so the faulting page,
+//! the first of its group, always enters an empty queue and is serviced:
+//! the retry either succeeds or faults again because the host marked the
+//! page failed. A fault that repeats on the access just serviced is
+//! therefore terminal.
 //!
 //! Per-request service latency (request issue → group response) is
 //! accumulated on the IOMMU ([`PageRequestStats`]) and surfaced through
@@ -29,35 +35,14 @@
 //! histogram.
 
 use sva_common::stats::RunningStats;
-use sva_common::{Cycles, Result};
+use sva_common::{Cycles, Error, Result};
 use sva_mem::MemorySystem;
 
 use crate::iommu::Iommu;
 
-/// The page-request path of a demand-paging IOMMU. Every value here is
-/// read only while demand paging is on.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct PriConfig {
-    /// Capacity of the page-request queue; a full queue drops requests and
-    /// the device answers with retry backoff.
-    pub page_request_entries: usize,
-    /// Upper bound on a device's stall-and-retry attempts per access
-    /// before the fault becomes terminal.
-    pub max_fault_retries: u32,
-    /// Extra stall a device serves after its page-request group overflowed
-    /// the queue (the dropped tail must re-fault and re-request).
-    pub page_request_backoff: Cycles,
-}
-
-impl Default for PriConfig {
-    fn default() -> Self {
-        Self {
-            page_request_entries: 16,
-            max_fault_retries: 8,
-            page_request_backoff: Cycles::new(1_000),
-        }
-    }
-}
+/// Extra stall a device serves after its page-request group overflowed the
+/// queue (the dropped tail must re-fault and re-request).
+pub const PAGE_REQUEST_BACKOFF: Cycles = Cycles::new(1_000);
 
 /// Host-side servicing of the IOMMU's page-request queue.
 ///
@@ -73,10 +58,66 @@ pub trait PageRequestHandler {
     ///
     /// Propagates memory-system failures; an *unresolvable* request (the
     /// host itself has no mapping for the page) is not an error — it is
-    /// marked failed on the IOMMU and the device's bounded retry loop turns
-    /// it into the terminal [`sva_common::Error::IoPageFault`].
+    /// marked failed on the IOMMU, and the device's retry faults again and
+    /// becomes the terminal [`sva_common::Error::IoPageFault`].
     fn service(&mut self, mem: &mut MemorySystem, iommu: &mut Iommu, now: Cycles)
         -> Result<Cycles>;
+}
+
+/// Runs a device's `attempt` until it succeeds, recovering from each IO
+/// page fault through the page-request path: the device enqueues a group
+/// of `group_len` bytes from the faulting address, `handler` services it,
+/// and the device retries once the group response arrives, plus
+/// [`PAGE_REQUEST_BACKOFF`] when the group overflowed the queue and at
+/// least one cycle after the fault. The first fault is serviced at `now`,
+/// each later one when the stall so far has passed.
+///
+/// Returns the attempt's value, the cycles the device stalled and the
+/// number of faults it recovered from.
+///
+/// # Errors
+///
+/// A fault is terminal without demand paging, without a handler, or when
+/// it repeats on the access whose page request was just serviced. Under
+/// demand paging a terminal fault is recorded on the fault queue first
+/// (the IOMMU routed it to the page-request path). Errors other than IO
+/// page faults, and the handler's, propagate unchanged.
+pub fn recover_page_faults<T>(
+    mem: &mut MemorySystem,
+    iommu: &mut Iommu,
+    mut handler: Option<&mut (dyn PageRequestHandler + '_)>,
+    device_id: u32,
+    group_len: u64,
+    now: Cycles,
+    mut attempt: impl FnMut(&mut MemorySystem, &mut Iommu) -> Result<T>,
+) -> Result<(T, Cycles, u64)> {
+    let mut stall = Cycles::ZERO;
+    let mut faults = 0;
+    let mut serviced = None;
+    loop {
+        let (iova, is_write) = match attempt(mem, iommu) {
+            Ok(value) => return Ok((value, stall, faults)),
+            Err(Error::IoPageFault { iova, is_write }) => (iova, is_write),
+            Err(other) => return Err(other),
+        };
+        let recoverable = iommu.demand_paging() && serviced != Some((iova, is_write));
+        let Some(handler) = handler.as_deref_mut().filter(|_| recoverable) else {
+            if iommu.demand_paging() {
+                iommu.record_terminal_fault(device_id, iova, is_write);
+            }
+            return Err(Error::IoPageFault { iova, is_write });
+        };
+        let t = now + stall;
+        let (_, dropped) =
+            iommu.enqueue_page_requests(mem, device_id, iova, group_len, is_write, t);
+        let mut resume = handler.service(mem, iommu, t)?;
+        if dropped > 0 {
+            resume += PAGE_REQUEST_BACKOFF;
+        }
+        stall += resume.max(t + Cycles::new(1)) - t;
+        faults += 1;
+        serviced = Some((iova, is_write));
+    }
 }
 
 /// Accounting of the page-request path, kept by the [`Iommu`].

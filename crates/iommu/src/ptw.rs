@@ -862,7 +862,6 @@ mod tests {
                     timed_host_ptw: timed,
                     ..sva_mem::FabricConfig::default()
                 },
-                ..MemSysConfig::default()
             });
             let mut frames = FrameAllocator::linux_pool();
             let mut space = AddressSpace::new(&mut mem, &mut frames).unwrap();

@@ -21,6 +21,11 @@ use sva_common::{Cycles, Iova};
 /// pushed only for a terminal fault, and a platform run stops at its first.
 pub const FAULT_QUEUE_ENTRIES: usize = 64;
 
+/// Capacity of the page-request queue of a demand-paging IOMMU; a full
+/// queue drops requests and the device answers with retry backoff
+/// ([`crate::pri::PAGE_REQUEST_BACKOFF`]).
+pub const PAGE_REQUEST_ENTRIES: usize = 16;
+
 /// Commands accepted by the IOMMU command queue (the subset used by the
 /// Linux driver for first-stage translation).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -140,12 +145,6 @@ impl<T> BoundedQueue<T> {
         self.dropped
     }
 
-    /// Alias for [`BoundedQueue::dropped`], matching the specification's
-    /// "queue overflow" wording.
-    pub const fn overflows(&self) -> u64 {
-        self.dropped
-    }
-
     /// Resets the drop counter (a statistics reset; entries are preserved).
     pub fn reset_dropped(&mut self) {
         self.dropped = 0;
@@ -184,7 +183,6 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert_eq!(q.capacity(), 2);
         assert_eq!(q.dropped(), 1);
-        assert_eq!(q.overflows(), 1);
         assert_eq!(q.iter().copied().collect::<Vec<_>>(), vec![1, 2]);
         q.reset_dropped();
         assert_eq!(q.dropped(), 0);

@@ -5,7 +5,8 @@
 //! page-request queue. The suite drives one IOMMU and a [`QueueModel`] kept
 //! here (the bounded FIFO with the queue-scan probe the index replaced)
 //! through a `DeterministicRng` mix of page-request groups (overlapping
-//! ranges, two devices, mapped-page skips, queue overflow), host pops and
+//! ranges, two devices, mapped-page skips, groups longer than the 16-entry
+//! queue, so it overflows), host pops and
 //! measurement-window resets (`reset_stats`, which covers the queue's
 //! `reset_dropped` path while pending entries survive), asserting after
 //! every operation that
@@ -22,13 +23,15 @@ use std::collections::VecDeque;
 
 use sva_common::rng::DeterministicRng;
 use sva_common::{Cycles, Iova, VirtAddr, PAGE_SIZE};
-use sva_iommu::{Iommu, IommuConfig, PageRequest, PriConfig};
+use sva_iommu::queues::PAGE_REQUEST_ENTRIES;
+use sva_iommu::{Iommu, IommuConfig, PageRequest};
 use sva_mem::MemorySystem;
 use sva_vm::{AddressSpace, FrameAllocator, PageTable, PteFlags};
 
-const PAGES: u64 = 8;
+const PAGES: u64 = 24;
+/// The longest page-request group, in pages: longer than the queue.
+const MAX_GROUP_PAGES: u64 = 20;
 const DEVICES: [u32; 2] = [1, 3];
-const QUEUE_ENTRIES: usize = 5;
 const OPS: usize = 600;
 
 struct Harness {
@@ -50,10 +53,7 @@ fn harness() -> (Harness, Iommu) {
         .alloc_buffer(&mut mem, &mut frames, PAGES * PAGE_SIZE)
         .unwrap();
     let mut iommu = Iommu::new(IommuConfig {
-        demand_paging: Some(PriConfig {
-            page_request_entries: QUEUE_ENTRIES,
-            ..PriConfig::default()
-        }),
+        demand_paging: true,
         ..IommuConfig::default()
     });
     let mut io_tables = Vec::new();
@@ -78,7 +78,7 @@ fn harness() -> (Harness, Iommu) {
 }
 
 /// The page-request queue with the per-page queue scan the dedup index
-/// replaced: a FIFO of at most [`QUEUE_ENTRIES`] requests. A page needs a
+/// replaced: a FIFO of at most [`PAGE_REQUEST_ENTRIES`] requests. A page needs a
 /// request when the harness has not mapped it into the device's IO table
 /// (mapped pages are read-write) and no queued request of the device
 /// covers it.
@@ -109,7 +109,7 @@ impl QueueModel {
                 .iter()
                 .any(|r| r.device_id == device_id && r.iova == page);
             if !mapped && !pending {
-                if self.queue.len() < QUEUE_ENTRIES {
+                if self.queue.len() < PAGE_REQUEST_ENTRIES {
                     self.queue.push_back(PageRequest {
                         device_id,
                         iova: page,
@@ -146,7 +146,7 @@ fn dedup_index_stays_in_lockstep_with_the_queue() {
             0..=5 => {
                 let dev_idx = rng.next_below(DEVICES.len() as u64) as usize;
                 let page = rng.next_below(PAGES);
-                let len = (1 + rng.next_below(4)) * PAGE_SIZE;
+                let len = (1 + rng.next_below(MAX_GROUP_PAGES)) * PAGE_SIZE;
                 let start = Iova::from_virt(h.va) + page * PAGE_SIZE + rng.next_below(PAGE_SIZE);
                 let is_write = rng.next_below(3) == 0;
                 let t = Cycles::new(i as u64 * 7);

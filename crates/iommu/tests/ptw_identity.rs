@@ -102,7 +102,6 @@ fn environment(
             timed_host_ptw: timed,
             ..FabricConfig::default()
         },
-        ..MemSysConfig::default()
     });
     let mut frames = FrameAllocator::linux_pool();
     let mut space = AddressSpace::new(&mut mem, &mut frames).unwrap();

@@ -22,7 +22,7 @@
 //! * the Cheshire 128 KiB write-back last-level cache ([`crate::llc`]).
 
 use sva_common::stats::HitMiss;
-use sva_common::{PhysAddr, CACHE_LINE_SIZE};
+use sva_common::PhysAddr;
 
 /// Geometry of a cache.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -36,15 +36,6 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// The CVA6 32 KiB, 8-way L1 data cache.
-    pub const fn cva6_l1d() -> Self {
-        Self {
-            size_bytes: 32 * 1024,
-            ways: 8,
-            line_bytes: CACHE_LINE_SIZE,
-        }
-    }
-
     /// Number of sets implied by the geometry.
     pub const fn sets(&self) -> usize {
         (self.size_bytes / (self.line_bytes * self.ways as u64)) as usize
@@ -298,8 +289,8 @@ mod tests {
 
     #[test]
     fn geometry() {
-        let c = CacheConfig::cva6_l1d();
-        assert_eq!(c.sets(), 64);
+        let c = crate::llc::GEOMETRY;
+        assert_eq!(c.sets(), 256);
         assert!(c.validate().is_ok());
         assert!(CacheConfig {
             size_bytes: 1000,
@@ -329,15 +320,15 @@ mod tests {
         let err = odd.validate().unwrap_err();
         assert!(err.contains("192"), "{err}");
         // Non-power-of-two associativity is fine while the sets stay a
-        // power of two (the LLC's SPM partitions do this).
-        let partitioned = CacheConfig {
+        // power of two.
+        let five_way = CacheConfig {
             size_bytes: 5 * 256 * 64,
             ways: 5,
             line_bytes: 64,
         };
-        assert_eq!(partitioned.sets(), 256);
-        assert!(partitioned.validate().is_ok());
-        assert!(CacheConfig::cva6_l1d().validate().is_ok());
+        assert_eq!(five_way.sets(), 256);
+        assert!(five_way.validate().is_ok());
+        assert!(crate::llc::GEOMETRY.validate().is_ok());
     }
 
     #[test]

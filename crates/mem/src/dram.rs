@@ -16,47 +16,12 @@
 //! directions. Bounded queueing in front of DRAM is modelled by the fabric's
 //! per-channel response queues (see `crate::fabric`).
 
-use sva_axi::BusConfig;
+use sva_axi::txn::beats_for;
 use sva_common::Cycles;
 
-/// Configuration of the DRAM timing model.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct DramConfig {
-    /// Fixed latency of the DDR controller and PHY as observed from the host
-    /// clock domain (about 35 cycles at 50 MHz on the VCU128).
-    pub controller_latency: Cycles,
-    /// Additional latency inserted by the AXI delayer (the experiment knob:
-    /// 200, 600 or 1000 cycles).
-    pub delayer_latency: Cycles,
-    /// Data-bus geometry between the crossbar and the controller.
-    pub bus: BusConfig,
-}
-
-impl DramConfig {
-    /// Controller latency measured on the FPGA prototype at 50 MHz.
-    pub const FPGA_CONTROLLER_LATENCY: Cycles = Cycles::new(35);
-
-    /// Creates a configuration with the given delayer latency and default
-    /// controller/bus parameters.
-    pub fn with_delayer(delayer_latency: Cycles) -> Self {
-        Self {
-            controller_latency: Self::FPGA_CONTROLLER_LATENCY,
-            delayer_latency,
-            bus: BusConfig::AXI64,
-        }
-    }
-
-    /// Total zero-load latency (controller + delayer) of a single beat.
-    pub fn base_latency(&self) -> Cycles {
-        self.controller_latency + self.delayer_latency
-    }
-}
-
-impl Default for DramConfig {
-    fn default() -> Self {
-        Self::with_delayer(Cycles::new(200))
-    }
-}
+/// Fixed latency of the DDR controller and PHY as observed from the host
+/// clock domain (about 35 cycles at 50 MHz on the VCU128).
+pub const CONTROLLER_LATENCY: Cycles = Cycles::new(35);
 
 /// Timing of one DRAM access, split into the latency to the first beat and
 /// the bus occupancy of the data transfer.
@@ -79,33 +44,29 @@ impl DramTiming {
 /// The DRAM controller + delayer timing model.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Dram {
-    config: DramConfig,
+    /// Additional latency inserted by the AXI delayer (the experiment knob:
+    /// 200, 600 or 1000 cycles).
+    delayer_latency: Cycles,
 }
 
 impl Dram {
-    /// Creates a DRAM model from a configuration.
-    pub const fn new(config: DramConfig) -> Self {
-        Self { config }
+    /// Creates a DRAM model whose delayer adds `delayer_latency`.
+    pub const fn new(delayer_latency: Cycles) -> Self {
+        Self { delayer_latency }
     }
 
-    /// The configuration of the model.
-    pub const fn config(&self) -> &DramConfig {
-        &self.config
+    /// Total zero-load latency (controller + delayer) of a single beat.
+    pub fn base_latency(&self) -> Cycles {
+        CONTROLLER_LATENCY + self.delayer_latency
     }
 
     /// Computes the timing of one access of `bytes` bytes, read or write:
     /// the delayer delays both directions equally.
     pub fn access(&self, bytes: u64) -> DramTiming {
         DramTiming {
-            latency: self.config.base_latency(),
-            occupancy: Cycles::new(self.config.bus.beats_for(bytes)),
+            latency: self.base_latency(),
+            occupancy: Cycles::new(beats_for(bytes)),
         }
-    }
-}
-
-impl Default for Dram {
-    fn default() -> Self {
-        Self::new(DramConfig::default())
     }
 }
 
@@ -115,7 +76,7 @@ mod tests {
 
     #[test]
     fn access_latency_is_controller_plus_delayer() {
-        let dram = Dram::new(DramConfig::with_delayer(Cycles::new(600)));
+        let dram = Dram::new(Cycles::new(600));
         let t = dram.access(64);
         assert_eq!(t.latency, Cycles::new(635));
         assert_eq!(t.occupancy, Cycles::new(8));
@@ -124,7 +85,7 @@ mod tests {
 
     #[test]
     fn occupancy_scales_with_burst_size() {
-        let dram = Dram::new(DramConfig::with_delayer(Cycles::new(200)));
+        let dram = Dram::new(Cycles::new(200));
         let small = dram.access(8);
         let big = dram.access(2048);
         assert_eq!(small.occupancy, Cycles::new(1));
@@ -134,7 +95,7 @@ mod tests {
 
     #[test]
     fn latency_sweep_reconfiguration() {
-        let at = |delay: u64| Dram::new(DramConfig::with_delayer(Cycles::new(delay)));
+        let at = |delay: u64| Dram::new(Cycles::new(delay));
         let t200 = at(200).access(64).latency;
         let t1000 = at(1000).access(64).latency;
         assert_eq!(t1000 - t200, Cycles::new(800));

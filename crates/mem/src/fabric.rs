@@ -159,7 +159,7 @@ use sva_common::{
     ReservationIndex, TimedQueue,
 };
 
-use crate::channels::{ChannelStats, DramChannelConfig};
+use crate::channels::{self, ChannelStats};
 
 /// Configuration of the fabric arbitration layer.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -168,9 +168,11 @@ pub struct FabricConfig {
     /// data bus) is added to returned latencies. Off by default so
     /// single-initiator timing exactly reproduces the paper's prototype.
     pub contention_enabled: bool,
-    /// Multi-channel DRAM geometry. The default single channel reproduces
-    /// the paper's one shared data-bus timeline cycle-for-cycle.
-    pub channels: DramChannelConfig,
+    /// Number of independent, page-interleaved DRAM channels (see
+    /// [`crate::channels`]; zero is treated as one). The default single
+    /// channel reproduces the paper's one shared data-bus timeline
+    /// cycle-for-cycle.
+    pub num_channels: usize,
     /// Which conflicting reservations a grant queues behind.
     pub policy: ArbitrationPolicy,
     /// The global-clock engine switch: when set, host and PTW grants
@@ -201,7 +203,7 @@ impl Default for FabricConfig {
     fn default() -> Self {
         Self {
             contention_enabled: false,
-            channels: DramChannelConfig::default(),
+            num_channels: 1,
             policy: ArbitrationPolicy::default(),
             timed_host_ptw: false,
             req_queue_depth: usize::MAX,
@@ -359,7 +361,7 @@ impl Default for Fabric {
 impl Fabric {
     /// Creates a fabric with the given configuration.
     pub fn new(config: FabricConfig) -> Self {
-        let n = config.channels.channels();
+        let n = config.num_channels.max(1);
         let channels = (0..n)
             .map(|_| ChannelTimeline::new(config.req_queue_depth, config.rsp_queue_depth))
             .collect();
@@ -480,7 +482,7 @@ impl Fabric {
             stats.bytes += req.len;
             stats.occupancy_cycles += timing.occupancy.raw();
         }
-        let channel = self.config.channels.channel_for(req.addr);
+        let channel = channels::channel_for(req.addr, self.channels.len());
         {
             let ch = &mut self.channels[channel].stats;
             ch.grants += 1;
@@ -1124,7 +1126,7 @@ mod tests {
     #[test]
     fn different_channels_never_conflict() {
         let mut fabric = Fabric::new(FabricConfig {
-            channels: DramChannelConfig::interleaved(2),
+            num_channels: 2,
             ..FabricConfig::default()
         });
         // 0x8000_0000 and 0x8000_1000 are consecutive 4 KiB granules: they
@@ -1160,7 +1162,7 @@ mod tests {
     #[test]
     fn channel_stats_conserve_totals() {
         let mut fabric = Fabric::new(FabricConfig {
-            channels: DramChannelConfig::interleaved(4),
+            num_channels: 4,
             ..FabricConfig::default()
         });
         for i in 0..16u64 {

@@ -11,9 +11,9 @@
 //! * [`cache`] — a generic set-associative cache timing model (tags + LRU +
 //!   dirty bits in one flat vector, one pass per lookup, no data; the data
 //!   always lives in the backing store);
-//! * [`llc`] — the Cheshire last-level cache (128 KiB, write-back,
-//!   SPM-partitionable), shared by the host and the IOMMU page-table walker;
-//! * [`spm`] — the 1 MiB on-chip L2 scratchpad;
+//! * [`llc`] — the Cheshire last-level cache (128 KiB, write-back), shared
+//!   by the host and the IOMMU page-table walker;
+//! * [`spm`] — the access latency of the 1 MiB on-chip L2 scratchpad;
 //! * [`interference`] — the synthetic host-traffic interference model used in
 //!   Figure 5;
 //! * [`channels`] — the multi-channel DRAM geometry and the address→channel
@@ -68,10 +68,9 @@ pub mod system;
 
 pub use backing::SparseMemory;
 pub use cache::{Cache, CacheConfig, CacheOutcome};
-pub use channels::{ChannelStats, DramChannelConfig};
-pub use dram::{Dram, DramConfig};
+pub use channels::ChannelStats;
+pub use dram::Dram;
 pub use fabric::{Fabric, FabricConfig, GrantOutcome, InitiatorSnapshot};
 pub use interference::Interference;
 pub use llc::{Llc, LlcConfig};
-pub use spm::Scratchpad;
 pub use system::{MemData, MemReq, MemRsp, MemSysConfig, MemSysStats, MemorySystem};

@@ -1,12 +1,11 @@
 //! The Cheshire shared last-level cache (LLC).
 //!
-//! Cheshire's LLC sits between the system crossbar and the DRAM controller
-//! and can be partitioned at run time between cache ways and
-//! scratchpad-mapped ways. In the paper's platform it is configured as
-//! 128 KiB and — crucially for the SVA evaluation — it serves only **host**
-//! and **IOMMU page-table-walk** traffic: device DMA uses the bypass address
-//! window so long bursts do not get broken into line refills and do not evict
-//! host data.
+//! Cheshire's LLC sits between the system crossbar and the DRAM controller.
+//! In the paper's platform all of its 128 KiB are configured as cache, and —
+//! crucially for the SVA evaluation — it serves only **host** and **IOMMU
+//! page-table-walk** traffic: device DMA uses the bypass address window so
+//! long bursts do not get broken into line refills and do not evict host
+//! data.
 //!
 //! The model is a tag-only write-back cache plus the hit/refill timing used
 //! by [`crate::system::MemorySystem`].
@@ -16,63 +15,24 @@ use sva_common::{Cycles, PhysAddr, CACHE_LINE_SIZE, KIB};
 
 use crate::cache::{Cache, CacheConfig, CacheOutcome};
 
+/// Geometry of the paper's LLC: 128 KiB, 8-way, 64-byte lines, every way
+/// used as cache.
+pub const GEOMETRY: CacheConfig = CacheConfig {
+    size_bytes: 128 * KIB,
+    ways: 8,
+    line_bytes: CACHE_LINE_SIZE,
+};
+
+/// Latency of an LLC hit, including the crossbar-to-LLC hop.
+pub const HIT_LATENCY: Cycles = Cycles::new(9);
+
 /// Configuration of the last-level cache.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct LlcConfig {
-    /// Total capacity in bytes (cache + SPM partition).
-    pub size_bytes: u64,
-    /// Associativity.
-    pub ways: usize,
-    /// Number of ways mapped out as scratchpad (not usable as cache).
-    pub spm_ways: usize,
-    /// Line size in bytes.
-    pub line_bytes: u64,
-    /// Latency of a hit, including the crossbar-to-LLC hop.
-    pub hit_latency: Cycles,
     /// Whether device DMA traffic is cached by the LLC (the paper argues it
     /// must *not* be; enabling it is an ablation). Host and page-table-walk
     /// traffic always goes through the LLC.
     pub serves_dma: bool,
-}
-
-impl LlcConfig {
-    /// The paper's configuration: 128 KiB, 8-way, all ways used as cache,
-    /// 64-byte lines, device DMA bypassing it.
-    pub const fn cheshire_128k() -> Self {
-        Self {
-            size_bytes: 128 * KIB,
-            ways: 8,
-            spm_ways: 0,
-            line_bytes: CACHE_LINE_SIZE,
-            hit_latency: Cycles::new(9),
-            serves_dma: false,
-        }
-    }
-
-    /// Number of ways usable as cache after the SPM partition is removed.
-    pub const fn cache_ways(&self) -> usize {
-        self.ways - self.spm_ways
-    }
-
-    /// Effective cache capacity in bytes after partitioning.
-    pub const fn cache_bytes(&self) -> u64 {
-        self.size_bytes / self.ways as u64 * self.cache_ways() as u64
-    }
-
-    /// Geometry of the write-back cache left after partitioning.
-    pub const fn cache_geometry(&self) -> CacheConfig {
-        CacheConfig {
-            size_bytes: self.cache_bytes(),
-            ways: self.cache_ways(),
-            line_bytes: self.line_bytes,
-        }
-    }
-}
-
-impl Default for LlcConfig {
-    fn default() -> Self {
-        Self::cheshire_128k()
-    }
 }
 
 /// Who issued an LLC access; used only for statistics so the experiments can
@@ -99,21 +59,11 @@ pub struct Llc {
 }
 
 impl Llc {
-    /// Creates an LLC with the given configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration partitions away all cache ways or has an
-    /// inconsistent geometry.
+    /// Creates an empty LLC with the given configuration.
     pub fn new(config: LlcConfig) -> Self {
-        assert!(
-            config.cache_ways() > 0,
-            "LLC configured with zero cache ways (all ways given to the SPM partition)"
-        );
-        let cache = Cache::new(config.cache_geometry());
         Self {
             config,
-            cache,
+            cache: Cache::new(GEOMETRY),
             host_stats: HitMiss::new(),
             ptw_stats: HitMiss::new(),
             dma_stats: HitMiss::new(),
@@ -165,16 +115,6 @@ impl Llc {
         self.cache.flush_all()
     }
 
-    /// Latency of a hit.
-    pub const fn hit_latency(&self) -> Cycles {
-        self.config.hit_latency
-    }
-
-    /// Line size in bytes (refill granularity).
-    pub const fn line_bytes(&self) -> u64 {
-        self.config.line_bytes
-    }
-
     /// Hit/miss statistics for a given requester.
     pub const fn stats(&self, requester: LlcRequester) -> HitMiss {
         match requester {
@@ -218,27 +158,6 @@ impl Default for Llc {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn partitioning_reduces_cache_capacity() {
-        let cfg = LlcConfig {
-            spm_ways: 4,
-            ..LlcConfig::cheshire_128k()
-        };
-        assert_eq!(cfg.cache_ways(), 4);
-        assert_eq!(cfg.cache_bytes(), 64 * KIB);
-        let llc = Llc::new(cfg);
-        assert_eq!(llc.config().cache_bytes(), 64 * KIB);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero cache ways")]
-    fn all_spm_ways_is_rejected() {
-        let _ = Llc::new(LlcConfig {
-            spm_ways: 8,
-            ..LlcConfig::cheshire_128k()
-        });
-    }
 
     #[test]
     fn per_requester_statistics() {

@@ -32,8 +32,9 @@
 //! loads and stores and the host-traffic stream use them, because the bytes
 //! they would move are never read.
 
-use sva_axi::addrmap::{AddressMap, RegionKind, DRAM_SIZE};
-use sva_axi::{xbar, BusConfig};
+use sva_axi::addrmap::{AddressMap, RegionKind, DRAM_SIZE, L2_SPM_SIZE};
+use sva_axi::txn::beats_for;
+use sva_axi::xbar;
 use sva_common::{
     AccessKind, Cycles, Error, GlobalClock, InitiatorClass, InitiatorId, MemPortReq, PhysAddr,
     PortTiming, Result, CACHE_LINE_SIZE,
@@ -41,29 +42,27 @@ use sva_common::{
 
 use crate::backing::SparseMemory;
 use crate::channels::ChannelStats;
-use crate::dram::{Dram, DramConfig, DramTiming};
+use crate::dram::{Dram, DramTiming};
 use crate::fabric::{Fabric, FabricConfig, InitiatorSnapshot};
 use crate::interference::{Interference, InterferenceConfig};
-use crate::llc::{Llc, LlcConfig, LlcRequester};
-use crate::spm::Scratchpad;
+use crate::llc::{self, Llc, LlcConfig, LlcRequester};
+use crate::spm;
+
+/// Extra fixed cost of an uncached posted write as seen by the host
+/// (store-buffer drain amortisation).
+const POSTED_WRITE_COST: Cycles = Cycles::new(16);
 
 /// Configuration of the whole memory system.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MemSysConfig {
-    /// Extra DRAM latency inserted by the AXI delayer (the paper's knob).
+    /// Extra DRAM latency inserted by the AXI delayer (the paper's knob),
+    /// on top of the fixed [`crate::dram::CONTROLLER_LATENCY`].
     pub dram_latency: Cycles,
-    /// Fixed DDR controller latency.
-    pub controller_latency: Cycles,
     /// The last-level cache, `None` on a platform without one. An LLC
     /// always serves host and page-table-walk traffic (the paper's
     /// proposal); [`LlcConfig::serves_dma`] routes device DMA through it
     /// too.
     pub llc: Option<LlcConfig>,
-    /// Bus geometry between initiators and memory.
-    pub bus: BusConfig,
-    /// Extra fixed cost of an uncached posted write as seen by the host
-    /// (store-buffer drain amortisation).
-    pub posted_write_cost: Cycles,
     /// Fabric arbitration layer (per-initiator accounting, optional
     /// contention charging).
     pub fabric: FabricConfig,
@@ -73,10 +72,7 @@ impl Default for MemSysConfig {
     fn default() -> Self {
         Self {
             dram_latency: Cycles::new(200),
-            controller_latency: DramConfig::FPGA_CONTROLLER_LATENCY,
             llc: Some(LlcConfig::default()),
-            bus: BusConfig::AXI64,
-            posted_write_cost: Cycles::new(16),
             fabric: FabricConfig::default(),
         }
     }
@@ -224,7 +220,8 @@ pub struct MemorySystem {
     map: AddressMap,
     dram: Dram,
     dram_store: SparseMemory,
-    spm: Scratchpad,
+    /// The L2 scratchpad's contents.
+    spm: SparseMemory,
     llc: Option<Llc>,
     interference: Option<Interference>,
     fabric: Fabric,
@@ -240,16 +237,11 @@ impl MemorySystem {
     /// Builds a memory system from a configuration, using the prototype
     /// address map.
     pub fn new(config: MemSysConfig) -> Self {
-        let dram_cfg = DramConfig {
-            controller_latency: config.controller_latency,
-            delayer_latency: config.dram_latency,
-            bus: config.bus,
-        };
         Self {
             map: AddressMap::prototype(),
-            dram: Dram::new(dram_cfg),
+            dram: Dram::new(config.dram_latency),
             dram_store: SparseMemory::new(DRAM_SIZE),
-            spm: Scratchpad::default(),
+            spm: SparseMemory::new(L2_SPM_SIZE),
             llc: config.llc.map(Llc::new),
             interference: None,
             fabric: Fabric::new(config.fabric.clone()),
@@ -308,11 +300,6 @@ impl MemorySystem {
     /// The LLC, if instantiated.
     pub fn llc(&self) -> Option<&Llc> {
         self.llc.as_ref()
-    }
-
-    /// The DRAM timing model.
-    pub const fn dram(&self) -> &Dram {
-        &self.dram
     }
 
     /// Aggregate access statistics.
@@ -375,7 +362,7 @@ impl MemorySystem {
     /// Functional read from an already-decoded backing region.
     fn read_backing(&self, kind: RegionKind, offset: u64, buf: &mut [u8]) -> Result<()> {
         match kind {
-            RegionKind::L2Spm => self.spm.storage().read(offset, buf),
+            RegionKind::L2Spm => self.spm.read(offset, buf),
             _ => self.dram_store.read(offset, buf),
         }
     }
@@ -383,7 +370,7 @@ impl MemorySystem {
     /// Functional write to an already-decoded backing region.
     fn write_backing(&mut self, kind: RegionKind, offset: u64, buf: &[u8]) -> Result<()> {
         match kind {
-            RegionKind::L2Spm => self.spm.storage_mut().write(offset, buf),
+            RegionKind::L2Spm => self.spm.write(offset, buf),
             _ => self.dram_store.write(offset, buf),
         }
     }
@@ -419,7 +406,7 @@ impl MemorySystem {
     pub fn read_u64_phys(&self, addr: PhysAddr) -> Result<u64> {
         let (kind, offset) = self.backing_for(addr, 8)?;
         match kind {
-            RegionKind::L2Spm => self.spm.storage().read_u64(offset),
+            RegionKind::L2Spm => self.spm.read_u64(offset),
             _ => self.dram_store.read_u64(offset),
         }
     }
@@ -433,7 +420,7 @@ impl MemorySystem {
     pub fn write_u64_phys(&mut self, addr: PhysAddr, value: u64) -> Result<()> {
         let (kind, offset) = self.backing_for(addr, 8)?;
         match kind {
-            RegionKind::L2Spm => self.spm.storage_mut().write_u64(offset, value),
+            RegionKind::L2Spm => self.spm.write_u64(offset, value),
             _ => self.dram_store.write_u64(offset, value),
         }
         .map(|_| ())
@@ -448,7 +435,7 @@ impl MemorySystem {
     pub fn read_f32_phys(&self, addr: PhysAddr) -> Result<f32> {
         let (kind, offset) = self.backing_for(addr, 4)?;
         match kind {
-            RegionKind::L2Spm => self.spm.storage().read_f32(offset),
+            RegionKind::L2Spm => self.spm.read_f32(offset),
             _ => self.dram_store.read_f32(offset),
         }
     }
@@ -492,7 +479,7 @@ impl MemorySystem {
         let end = addr + len.max(1);
         while cur < end {
             let outcome = llc.access(requester, cur, kind.is_write());
-            total += llc.hit_latency();
+            total += llc::HIT_LATENCY;
             if outcome.writeback().is_some() {
                 // Posted write-back: occupies the DRAM bus but does not stall
                 // the requester beyond the bus occupancy.
@@ -604,19 +591,19 @@ impl MemorySystem {
     ) -> PortTiming {
         let hop = xbar::HOP_LATENCY;
         let host_ptw_occupancy = if self.config.fabric.timed_host_ptw {
-            Cycles::new(self.config.bus.beats_for(len).max(1))
+            Cycles::new(beats_for(len).max(1))
         } else {
             Cycles::ZERO
         };
         match class {
             InitiatorClass::Host => {
                 let path = match region {
-                    RegionKind::L2Spm => self.spm.access_latency(),
+                    RegionKind::L2Spm => spm::ACCESS_LATENCY,
                     _ if cacheable => self.llc_access(LlcRequester::Host, kind, addr, len),
                     _ if kind.is_write() => {
                         // Posted uncached write: the host only pays the bus
                         // occupancy plus a small store-buffer cost.
-                        self.dram.access(len).occupancy + self.config.posted_write_cost
+                        self.dram.access(len).occupancy + POSTED_WRITE_COST
                     }
                     _ => self.dram.access(len).total(),
                 };
@@ -657,8 +644,8 @@ impl MemorySystem {
     ) -> DramTiming {
         let mut timing = match region {
             RegionKind::L2Spm => DramTiming {
-                latency: self.spm.access_latency(),
-                occupancy: Cycles::new(self.config.bus.beats_for(len)),
+                latency: spm::ACCESS_LATENCY,
+                occupancy: Cycles::new(beats_for(len)),
             },
             _ if cacheable && self.llc.as_ref().is_some_and(|l| l.config().serves_dma) => {
                 // Ablation path: DMA through the LLC. The burst is broken into
@@ -668,7 +655,7 @@ impl MemorySystem {
                 let total = self.llc_access(LlcRequester::Dma, kind, addr, len);
                 DramTiming {
                     latency: total,
-                    occupancy: Cycles::new(self.config.bus.beats_for(len)),
+                    occupancy: Cycles::new(beats_for(len)),
                 }
             }
             _ => self.dram.access(len),
@@ -684,8 +671,8 @@ impl MemorySystem {
         let Some(llc) = &mut self.llc else {
             return Cycles::ZERO;
         };
-        let line = llc.line_bytes();
-        let sets_walk = Cycles::new(llc.config().size_bytes / line / 4);
+        let line = llc::GEOMETRY.line_bytes;
+        let sets_walk = Cycles::new(llc::GEOMETRY.size_bytes / line / 4);
         let dirty = llc.flush_all();
         self.stats.llc_flushes += 1;
         let mut cost = sets_walk;
@@ -874,10 +861,7 @@ mod tests {
     fn dma_through_llc_ablation_breaks_bursts() {
         let mut ablate = MemorySystem::new(MemSysConfig {
             dram_latency: Cycles::new(600),
-            llc: Some(LlcConfig {
-                serves_dma: true,
-                ..LlcConfig::default()
-            }),
+            llc: Some(LlcConfig { serves_dma: true }),
             ..MemSysConfig::default()
         });
         let mut normal = sys(600, true);
@@ -1061,7 +1045,7 @@ mod tests {
         m.read_phys(written, &mut back).unwrap();
         assert_eq!(back, [0xA5; 64], "no byte changed");
         assert_eq!(m.dram_store.resident_frames(), frames, "no frame populated");
-        assert_eq!(m.spm.storage().resident_frames(), 0);
+        assert_eq!(m.spm.resident_frames(), 0);
 
         let mut buf = [0u8; 8];
         for addr in [

@@ -11,8 +11,8 @@
 //!
 //! * the CVA6 8-way L1 data cache geometry,
 //! * the 8-way Cheshire LLC,
-//! * the LLC with three of its eight ways given to the scratchpad (five
-//!   cache ways, so the set walk covers a non-power-of-two associativity),
+//! * a 5-way cache of 256 sets, so the set walk covers a non-power-of-two
+//!   associativity,
 //! * a 2-way 1 KiB cache, where nearly every miss evicts.
 //!
 //! Addresses crowd a few sets with more lines than they have ways, so
@@ -25,32 +25,20 @@ mod reference;
 use reference::NaiveCache;
 use sva_common::rng::DeterministicRng;
 use sva_common::PhysAddr;
-use sva_mem::{Cache, CacheConfig, LlcConfig};
+use sva_mem::{Cache, CacheConfig};
 
 /// The cache shapes the suite covers, with labels.
 fn geometries() -> Vec<(&'static str, CacheConfig)> {
+    let cache = |size_bytes, ways| CacheConfig {
+        size_bytes,
+        ways,
+        line_bytes: 64,
+    };
     vec![
-        ("8-way L1", CacheConfig::cva6_l1d()),
-        (
-            "8-way write-back LLC",
-            LlcConfig::cheshire_128k().cache_geometry(),
-        ),
-        (
-            "5-way SPM-partitioned LLC",
-            LlcConfig {
-                spm_ways: 3,
-                ..LlcConfig::cheshire_128k()
-            }
-            .cache_geometry(),
-        ),
-        (
-            "2-way small cache",
-            CacheConfig {
-                size_bytes: 1024,
-                ways: 2,
-                line_bytes: 64,
-            },
-        ),
+        ("8-way L1", cache(32 * 1024, 8)),
+        ("8-way write-back LLC", sva_mem::llc::GEOMETRY),
+        ("5-way cache", cache(5 * 256 * 64, 5)),
+        ("2-way small cache", cache(1024, 2)),
     ]
 }
 

@@ -22,7 +22,7 @@
 
 use sva_common::rng::DeterministicRng;
 use sva_common::{Cycles, InitiatorId, MemPortReq, PhysAddr, PortTiming};
-use sva_mem::channels::DramChannelConfig;
+use sva_mem::channels::{channel_for, INTERLEAVE_GRANULE};
 use sva_mem::fabric::{Fabric, FabricConfig};
 
 const DRAM_BASE: u64 = 0x8000_0000;
@@ -97,7 +97,7 @@ fn totals_are_conserved_across_channel_counts() {
         let mut reference: Option<(u64, u64, u64)> = None;
         for channels in [1usize, 2, 3, 4, 8] {
             let mut fabric = Fabric::new(FabricConfig {
-                channels: DramChannelConfig::interleaved(channels),
+                num_channels: channels,
                 ..FabricConfig::default()
             });
             drive(&mut fabric, &accesses);
@@ -136,39 +136,31 @@ fn totals_are_conserved_across_channel_counts() {
 #[test]
 fn interleaving_is_a_partition_of_the_address_space() {
     let mut rng = DeterministicRng::new(0x9A57171);
+    let granule = INTERLEAVE_GRANULE;
     for case in 0..40 {
         let mut case_rng = rng.fork(case);
-        let cfg = DramChannelConfig {
-            num_channels: 1 + case_rng.next_below(8) as usize,
-            rank_bits: case_rng.next_below(5) as u32,
-            interleave_granule: 1 << (6 + case_rng.next_below(8)),
-        };
-        let granule = cfg.interleave_granule;
+        let n = 1 + case_rng.next_below(8) as usize;
         for _ in 0..200 {
             let addr = case_rng.next_below(1 << 40);
             // Total: every address maps to exactly one in-range channel
             // (channel_for is a function, so disjointness is structural).
-            let ch = cfg.channel_for(PhysAddr::new(addr));
-            assert!(ch < cfg.channels());
+            assert!(channel_for(PhysAddr::new(addr), n) < n);
             // Granules never straddle: first and last byte agree.
             let base = addr / granule * granule;
             assert_eq!(
-                cfg.channel_for(PhysAddr::new(base)),
-                cfg.channel_for(PhysAddr::new(base + granule - 1)),
+                channel_for(PhysAddr::new(base), n),
+                channel_for(PhysAddr::new(base + granule - 1), n),
                 "granule at {base:#x} straddles channels"
             );
         }
-        // Without rank folding, a contiguous run of granules spreads evenly:
-        // each channel serves an equal share of every full rotation.
-        if cfg.rank_bits == 0 && cfg.channels() > 1 {
-            let n = cfg.channels();
-            let mut counts = vec![0usize; n];
-            let start = case_rng.next_below(1 << 30) * granule;
-            for g in 0..(4 * n as u64) {
-                counts[cfg.channel_for(PhysAddr::new(start + g * granule))] += 1;
-            }
-            assert!(counts.iter().all(|&c| c == 4), "uneven spread: {counts:?}");
+        // A contiguous run of granules spreads evenly: each channel serves
+        // an equal share of every full rotation.
+        let mut counts = vec![0usize; n];
+        let start = case_rng.next_below(1 << 30) * granule;
+        for g in 0..(4 * n as u64) {
+            counts[channel_for(PhysAddr::new(start + g * granule), n)] += 1;
         }
+        assert!(counts.iter().all(|&c| c == 4), "uneven spread: {counts:?}");
     }
 }
 
@@ -212,7 +204,7 @@ fn single_channel_reproduces_the_single_timeline_fabric_cycle_for_cycle() {
         let accesses = random_accesses(&mut case_rng, n);
 
         let mut fabric = Fabric::new(FabricConfig {
-            channels: DramChannelConfig::SINGLE,
+            num_channels: 1,
             ..FabricConfig::default()
         });
         let fabric_queues = drive(&mut fabric, &accesses);
@@ -256,7 +248,7 @@ fn finite_depths_conserve_stats_and_channel_sums() {
         let mut reference: Option<(u64, u64, u64)> = None;
         for depth in [1usize, 2, 4, 8, usize::MAX] {
             let mut fabric = Fabric::new(FabricConfig {
-                channels: DramChannelConfig::interleaved(2),
+                num_channels: 2,
                 ..bounded_config(depth)
             });
             let split = drive_split(&mut fabric, &accesses);

@@ -29,7 +29,6 @@ mod reference;
 use reference::NaiveFabric;
 use sva_common::rng::DeterministicRng;
 use sva_common::{ArbitrationPolicy, Cycles, InitiatorId, MemPortReq, PhysAddr, PortTiming};
-use sva_mem::channels::DramChannelConfig;
 use sva_mem::{Fabric, FabricConfig, GrantOutcome};
 
 /// One timed access: the request and its port timing.
@@ -122,7 +121,7 @@ fn config(policy: ArbitrationPolicy, channels: usize, bounded: bool, timed: bool
     FabricConfig {
         contention_enabled: bounded,
         policy,
-        channels: DramChannelConfig::interleaved(channels),
+        num_channels: channels,
         timed_host_ptw: timed,
         req_queue_depth: if bounded { 2 } else { usize::MAX },
         rsp_queue_depth: if bounded { 3 } else { usize::MAX },

@@ -76,7 +76,7 @@ pub struct NaiveFabric {
 impl NaiveFabric {
     /// Creates a reference fabric with the given configuration.
     pub fn new(config: FabricConfig) -> Self {
-        let n = config.channels.channels();
+        let n = config.num_channels.max(1);
         let channels = (0..n)
             .map(|_| NaiveChannelTimeline::new(config.req_queue_depth, config.rsp_queue_depth))
             .collect();
@@ -152,7 +152,7 @@ impl NaiveFabric {
             stats.bytes += req.len;
             stats.occupancy_cycles += timing.occupancy.raw();
         }
-        let channel = self.config.channels.channel_for(req.addr);
+        let channel = sva_mem::channels::channel_for(req.addr, self.channels.len());
         {
             let ch = &mut self.channels[channel].stats;
             ch.grants += 1;

@@ -11,7 +11,7 @@ use sva_common::{Error, PhysAddr, Result, VirtAddr, PAGE_SIZE};
 use sva_mem::MemorySystem;
 
 use crate::frame::FrameAllocator;
-use crate::page_table::{MapStats, PageTable};
+use crate::page_table::PageTable;
 use crate::pte::PteFlags;
 
 /// Lowest virtual address handed out to user buffers (keeps the null page
@@ -184,26 +184,6 @@ impl AddressSpace {
         }
         Ok(())
     }
-
-    /// Maps an explicit virtual→physical range into the process (used by the
-    /// driver model for mapping device windows into user space).
-    ///
-    /// # Errors
-    ///
-    /// Propagates mapping failures from [`PageTable::map_range`].
-    pub fn map_external(
-        &mut self,
-        mem: &mut MemorySystem,
-        frames: &mut FrameAllocator,
-        va: VirtAddr,
-        pa: PhysAddr,
-        len: u64,
-        flags: PteFlags,
-    ) -> Result<MapStats> {
-        let stats = self.page_table.map_range(mem, frames, va, pa, len, flags)?;
-        self.mapped_pages += len.div_ceil(PAGE_SIZE);
-        Ok(stats)
-    }
 }
 
 impl AddressSpace {
@@ -299,23 +279,5 @@ mod tests {
         assert_ne!(pa0, pa1);
         // Offsets within a page are preserved.
         assert_eq!(space.translate(&mem, va + 5).unwrap(), pa0 + 5);
-    }
-
-    #[test]
-    fn map_external_window() {
-        let (mut mem, mut frames, mut space) = setup();
-        let target = PhysAddr::new(0x8000_0000 + 0x10_0000);
-        let va = VirtAddr::new(0x2000_0000);
-        space
-            .map_external(
-                &mut mem,
-                &mut frames,
-                va,
-                target,
-                PAGE_SIZE,
-                PteFlags::user_rw(),
-            )
-            .unwrap();
-        assert_eq!(space.translate(&mem, va).unwrap(), target);
     }
 }
