@@ -70,11 +70,20 @@ mod tests {
 
     #[test]
     fn single_channel_maps_everything_to_zero() {
-        for channels in [0, 1] {
-            for addr in [0u64, 0x8000_0000, 0xFFFF_FFFF_F000] {
-                assert_eq!(channel_for(PhysAddr::new(addr), channels), 0);
-            }
+        for addr in [0u64, 0x8000_0000, 0xFFFF_FFFF_F000] {
+            assert_eq!(channel_for(PhysAddr::new(addr), 1), 0);
         }
+    }
+
+    #[test]
+    fn zero_channels_and_zero_granule_are_clamped() {
+        // Zero channels behave as one.
+        for addr in [0u64, 0x1234, 0xFFFF_FFFF_F000] {
+            assert_eq!(channel_for(PhysAddr::new(addr), 0), 0);
+        }
+        // The granule is a non-zero constant: the next granule moves on.
+        assert_eq!(channel_for(PhysAddr::new(INTERLEAVE_GRANULE - 1), 2), 0);
+        assert_eq!(channel_for(PhysAddr::new(INTERLEAVE_GRANULE), 2), 1);
     }
 
     #[test]
