@@ -89,7 +89,8 @@ pub struct DmaStats {
     pub bursts: u64,
     /// Bytes moved in either direction.
     pub bytes: u64,
-    /// Translation requests presented to the IOMMU.
+    /// Burst addresses translated, one per burst (without an IOMMU the
+    /// translation is the identity and costs nothing).
     pub translations: u64,
     /// Cycles spent blocked on address translation.
     pub translation_cycles: u64,
@@ -167,32 +168,17 @@ impl DmaEngine {
     }
 
     /// Executes a batch of transfer requests starting no earlier than
-    /// `start`, moving the data between `mem` and `tcdm`, translating through
-    /// `iommu`, and returns the completion time of the last burst.
+    /// `start`, moving the data between `mem` and `tcdm`, and returns the
+    /// completion time of the last burst. Burst addresses are translated
+    /// through `iommu`; with `None` they are bus addresses, used as they
+    /// are at no translation cost.
     ///
-    /// # Errors
-    ///
-    /// Propagates IO page faults from the IOMMU and out-of-range TCDM or
-    /// memory accesses.
-    pub fn execute(
-        &mut self,
-        mem: &mut MemorySystem,
-        iommu: &mut Iommu,
-        tcdm: &mut Tcdm,
-        requests: &[DmaRequest],
-        start: Cycles,
-    ) -> Result<Cycles> {
-        self.execute_with_pri(mem, iommu, tcdm, requests, start, None)
-    }
-
-    /// [`DmaEngine::execute`] with an optional ATS/PRI page-request handler.
-    ///
-    /// With a handler present and demand paging configured on the IOMMU, a
-    /// translation fault no longer aborts the transfer: the engine issues a
-    /// **page-request group** covering the rest of the faulting transfer,
-    /// **stalls** until the host's group response completes (plus a backoff
-    /// penalty when the group overflowed the bounded page-request queue),
-    /// and **retries** the translation; a fault that repeats on the
+    /// With a `pri` handler present and demand paging configured on the
+    /// IOMMU, a translation fault no longer aborts the transfer: the engine
+    /// issues a **page-request group** covering the rest of the faulting
+    /// transfer, **stalls** until the host's group response completes (plus
+    /// a backoff penalty when the group overflowed the bounded page-request
+    /// queue), and **retries** the translation; a fault that repeats on the
     /// serviced burst is terminal ([`sva_iommu::recover_page_faults`]). The
     /// full round trip is charged **serially** onto the batch completion
     /// ([`DmaStats::fault_stall_cycles`]): the bursts keep the fault-free
@@ -205,10 +191,10 @@ impl DmaEngine {
     /// Propagates unrecoverable IO page faults (no handler, demand paging
     /// off, or the host has no backing mapping) and out-of-range TCDM or
     /// memory accesses.
-    pub fn execute_with_pri(
+    pub fn execute(
         &mut self,
         mem: &mut MemorySystem,
-        iommu: &mut Iommu,
+        mut iommu: Option<&mut Iommu>,
         tcdm: &mut Tcdm,
         requests: &[DmaRequest],
         start: Cycles,
@@ -252,18 +238,26 @@ impl DmaEngine {
                 // everything it is about to touch.
                 let is_write = req.dir == Direction::FromTcdm;
                 let iova = Iova::new(burst.addr.raw());
-                let ((pa, trans), stall, faults) = recover_page_faults(
-                    mem,
-                    iommu,
-                    pri.as_deref_mut(),
-                    device_id,
-                    req.len - done,
-                    issue_t,
-                    |mem, iommu| iommu.translate_at(mem, device_id, iova, is_write, issue_t),
-                )?;
-                self.stats.page_faults += faults;
-                self.stats.fault_stall_cycles += stall.raw();
-                fault_stall += stall;
+                let (pa, trans) = match iommu.as_deref_mut() {
+                    Some(iommu) => {
+                        let (translated, stall, faults) = recover_page_faults(
+                            mem,
+                            iommu,
+                            pri.as_deref_mut(),
+                            device_id,
+                            req.len - done,
+                            issue_t,
+                            |mem, iommu| {
+                                iommu.translate_at(mem, device_id, iova, is_write, issue_t)
+                            },
+                        )?;
+                        self.stats.page_faults += faults;
+                        self.stats.fault_stall_cycles += stall.raw();
+                        fault_stall += stall;
+                        translated
+                    }
+                    None => (burst.addr, Cycles::ZERO),
+                };
                 self.stats.translations += 1;
                 self.stats.translation_cycles += trans.raw();
                 issue_t += trans;
@@ -335,7 +329,6 @@ mod tests {
     #[test]
     fn baseline_transfer_moves_data_both_ways() {
         let mut mem = MemorySystem::default();
-        let mut iommu = Iommu::disabled();
         let mut tcdm = Tcdm::default();
         let mut dma = DmaEngine::new(2, 1, 0);
 
@@ -347,10 +340,11 @@ mod tests {
         let t_in = dma
             .execute(
                 &mut mem,
-                &mut iommu,
+                None,
                 &mut tcdm,
                 &[DmaRequest::input(bypass_addr(0x10_0000), 0, 8192)],
                 Cycles::ZERO,
+                None,
             )
             .unwrap();
         assert!(t_in.raw() > 0);
@@ -360,10 +354,11 @@ mod tests {
 
         dma.execute(
             &mut mem,
-            &mut iommu,
+            None,
             &mut tcdm,
             &[DmaRequest::output(bypass_addr(0x20_0000), 0, 8192)],
             t_in,
+            None,
         )
         .unwrap();
         let mut out = vec![0u8; 8192];
@@ -375,7 +370,7 @@ mod tests {
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.bytes, 16384);
         assert_eq!(stats.bursts, 8);
-        assert_eq!(stats.translation_cycles, 0, "disabled IOMMU is free");
+        assert_eq!(stats.translation_cycles, 0, "bus addresses cost nothing");
     }
 
     #[test]
@@ -397,10 +392,11 @@ mod tests {
         let mut dma = DmaEngine::new(2, 1, 0);
         dma.execute(
             &mut mem,
-            &mut iommu,
+            Some(&mut iommu),
             &mut tcdm,
             &[DmaRequest::input(Iova::from_virt(va), 0, 4 * PAGE_SIZE)],
             Cycles::ZERO,
+            None,
         )
         .unwrap();
         let mut check = vec![0u8; data.len()];
@@ -423,10 +419,11 @@ mod tests {
         let mut dma = DmaEngine::new(2, 1, 0);
         let err = dma.execute(
             &mut mem,
-            &mut iommu,
+            Some(&mut iommu),
             &mut tcdm,
             &[DmaRequest::input(Iova::new(0x6666_0000), 0, 64)],
             Cycles::ZERO,
+            None,
         );
         assert!(err.is_err());
     }
@@ -438,7 +435,6 @@ mod tests {
     fn out_of_range_tcdm_offset_fails_before_the_fabric() {
         for dir in [Direction::ToTcdm, Direction::FromTcdm] {
             let mut mem = MemorySystem::default();
-            let mut iommu = Iommu::disabled();
             let mut tcdm = Tcdm::new(4096);
             let mut dma = DmaEngine::new(2, 1, 0);
             // One-burst transfers: the first ends at the TCDM's last byte,
@@ -450,11 +446,11 @@ mod tests {
                 len: 2048,
             };
             let fits = DmaRequest { len: 1984, ..req };
-            dma.execute(&mut mem, &mut iommu, &mut tcdm, &[fits], Cycles::ZERO)
+            dma.execute(&mut mem, None, &mut tcdm, &[fits], Cycles::ZERO, None)
                 .unwrap();
             let granted = mem.fabric().grants();
             assert_eq!(granted, 1, "{dir:?}: the fitting burst is granted");
-            let err = dma.execute(&mut mem, &mut iommu, &mut tcdm, &[req], Cycles::ZERO);
+            let err = dma.execute(&mut mem, None, &mut tcdm, &[req], Cycles::ZERO, None);
             assert!(
                 matches!(
                     err,
@@ -510,9 +506,9 @@ mod tests {
             let mut dma = DmaEngine::new(2, 1, 0);
             let mut servicer = FaultServicer::new(&mut driver, &space, &mut frames);
             let done = dma
-                .execute_with_pri(
+                .execute(
                     &mut mem,
-                    &mut iommu,
+                    Some(&mut iommu),
                     &mut tcdm,
                     &[DmaRequest::input(Iova::from_virt(va), 0, len)],
                     Cycles::ZERO,
@@ -570,9 +566,9 @@ mod tests {
         let mut tcdm = Tcdm::default();
         let mut dma = DmaEngine::new(2, 1, 0);
         let mut servicer = FaultServicer::new(&mut driver, &space, &mut frames);
-        let err = dma.execute_with_pri(
+        let err = dma.execute(
             &mut mem,
-            &mut iommu,
+            Some(&mut iommu),
             &mut tcdm,
             &[DmaRequest::input(Iova::new(0x6666_0000), 0, 64)],
             Cycles::ZERO,
@@ -624,9 +620,9 @@ mod tests {
         let mut tcdm = Tcdm::default();
         let mut dma = DmaEngine::new(2, 1, 0);
         let mut servicer = FaultServicer::new(&mut driver, &space, &mut frames);
-        dma.execute_with_pri(
+        dma.execute(
             &mut mem,
-            &mut iommu,
+            Some(&mut iommu),
             &mut tcdm,
             &[DmaRequest::input(Iova::from_virt(va), 0, len)],
             Cycles::ZERO,
@@ -670,16 +666,16 @@ mod tests {
             llc: None,
             ..MemSysConfig::default()
         });
-        let mut iommu_a = Iommu::disabled();
         let mut tcdm_a = Tcdm::default();
         let mut dma_a = DmaEngine::new(2, 1, 0);
         let t_baseline = dma_a
             .execute(
                 &mut mem_a,
-                &mut iommu_a,
+                None,
                 &mut tcdm_a,
                 &[DmaRequest::input(bypass_addr(0x40_0000), 0, len)],
                 Cycles::ZERO,
+                None,
             )
             .unwrap();
 
@@ -700,10 +696,11 @@ mod tests {
         let t_translated = dma_b
             .execute(
                 &mut mem_b,
-                &mut iommu_b,
+                Some(&mut iommu_b),
                 &mut tcdm_b,
                 &[DmaRequest::input(Iova::from_virt(va), 0, len)],
                 Cycles::ZERO,
+                None,
             )
             .unwrap();
 
@@ -736,7 +733,6 @@ mod tests {
                 fabric,
                 ..MemSysConfig::default()
             });
-            let mut iommu = Iommu::disabled();
             let mut tcdm = Tcdm::default();
             // Stream 1 saturates the bus first (shard order: it is placed
             // first-fit and never queues)...
@@ -744,10 +740,11 @@ mod tests {
             dma_a
                 .execute(
                     &mut mem,
-                    &mut iommu,
+                    None,
                     &mut tcdm,
                     &[DmaRequest::input(bypass_addr(0), 0, 32 * 1024)],
                     Cycles::ZERO,
+                    None,
                 )
                 .unwrap();
             // ...then stream 2 issues the same transfer from the same local
@@ -757,10 +754,11 @@ mod tests {
             let done = dma_b
                 .execute(
                     &mut mem,
-                    &mut iommu,
+                    None,
                     &mut tcdm,
                     &[DmaRequest::input(bypass_addr(0x10_0000), 0, 32 * 1024)],
                     Cycles::ZERO,
+                    None,
                 )
                 .unwrap();
             let row = mem
@@ -814,16 +812,16 @@ mod tests {
         // perturb the system it probes).
         let transfer = |mem: &MemorySystem, device_id: u32| -> (Cycles, u64) {
             let mut mem = mem.clone();
-            let mut iommu = Iommu::disabled();
             let mut tcdm = Tcdm::default();
             let mut dma = DmaEngine::new(2, device_id, 0);
             let done = dma
                 .execute(
                     &mut mem,
-                    &mut iommu,
+                    None,
                     &mut tcdm,
                     &[DmaRequest::input(bypass_addr(0), 0, 16 * 1024)],
                     Cycles::ZERO,
+                    None,
                 )
                 .unwrap();
             (done, dma.stats().issue_stall_cycles)
@@ -831,16 +829,16 @@ mod tests {
         // Window 1: two engines congest the shallow queues.
         let mut mem = shallow_mem();
         {
-            let mut iommu = Iommu::disabled();
             let mut tcdm = Tcdm::default();
             for device in [1u32, 3] {
                 DmaEngine::new(2, device, 0)
                     .execute(
                         &mut mem,
-                        &mut iommu,
+                        None,
                         &mut tcdm,
                         &[DmaRequest::input(bypass_addr(0), 0, 32 * 1024)],
                         Cycles::ZERO,
+                        None,
                     )
                     .unwrap();
             }
@@ -857,15 +855,15 @@ mod tests {
         // after the clone must not stall the clone.
         let mem_clone = mem.clone();
         {
-            let mut iommu = Iommu::disabled();
             let mut tcdm = Tcdm::default();
             DmaEngine::new(2, 7, 0)
                 .execute(
                     &mut mem,
-                    &mut iommu,
+                    None,
                     &mut tcdm,
                     &[DmaRequest::input(bypass_addr(0), 0, 32 * 1024)],
                     Cycles::ZERO,
+                    None,
                 )
                 .unwrap();
         }
@@ -874,7 +872,7 @@ mod tests {
 
         // Dropped-record carryover: a window that overflowed the fault
         // queue AND the PRI queue must not leak its drop counters or its
-        // PRI occupancy into the next window's accounting. (The memory
+        // PRI queue peak into the next window's accounting. (The memory
         // half is `open_measurement_window` above; the IOMMU half is
         // `Iommu::reset_stats`, invoked per measurement window by the
         // offload runner.)
@@ -894,8 +892,8 @@ mod tests {
             let bad = Iova::new(0x7F00_0000 + i * sva_common::PAGE_SIZE);
             iommu.record_terminal_fault(1, bad, false);
         }
-        // Overflow the 16-entry PRI queue with a 20-page group and leave its
-        // serviced entries on the occupancy timeline.
+        // Overflow the 16-entry PRI queue with a 20-page group, then
+        // service it.
         let (enqueued, dropped) = iommu.enqueue_page_requests(
             &space_mem,
             1,
@@ -914,9 +912,9 @@ mod tests {
         let dirty = iommu.stats();
         assert!(dirty.fault_records_dropped > 0);
         assert!(dirty.page_requests.dropped > 0);
-        assert!(dirty.page_request_peak_in_flight > 0);
+        assert_eq!(dirty.page_request_pending_peak, 16);
 
-        // Next window: every drop counter and the PRI occupancy restart
+        // Next window: every drop counter and the PRI queue peak restart
         // from zero, exactly like a fresh IOMMU's.
         space_mem.open_measurement_window();
         iommu.reset_stats();
@@ -926,8 +924,8 @@ mod tests {
         assert_eq!(next.page_requests.requests, 0);
         assert_eq!(next.page_requests.service_time.count(), 0);
         assert_eq!(
-            next.page_request_peak_in_flight, 0,
-            "PRI occupancy timeline carried over"
+            next.page_request_pending_peak, 0,
+            "PRI queue peak carried over"
         );
     }
 
@@ -938,15 +936,15 @@ mod tests {
                 dram_latency: Cycles::new(1000),
                 ..MemSysConfig::default()
             });
-            let mut iommu = Iommu::disabled();
             let mut tcdm = Tcdm::default();
             let mut dma = DmaEngine::new(outstanding, 1, 0);
             dma.execute(
                 &mut mem,
-                &mut iommu,
+                None,
                 &mut tcdm,
                 &[DmaRequest::input(bypass_addr(0), 0, 32 * 1024)],
                 Cycles::ZERO,
+                None,
             )
             .unwrap()
             .raw()

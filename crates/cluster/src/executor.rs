@@ -139,31 +139,19 @@ impl ClusterExecutor {
         self.dma.device_id()
     }
 
-    /// Runs a kernel to completion and returns its timing breakdown.
-    ///
-    /// # Errors
-    ///
-    /// Propagates IOMMU faults and TCDM/memory range errors.
-    pub fn run(
-        &mut self,
-        mem: &mut MemorySystem,
-        iommu: &mut Iommu,
-        kernel: &mut dyn DeviceKernel,
-    ) -> Result<KernelRunStats> {
-        self.run_with_pri(mem, iommu, kernel, None)
-    }
-
-    /// [`ClusterExecutor::run`] with an optional ATS/PRI page-request
-    /// handler: every DMA batch of the tile loop can recover from IO page
+    /// Runs a kernel to completion and returns its timing breakdown. The
+    /// kernel's device addresses are translated through `iommu`, or used as
+    /// bus addresses with `None`. With an ATS/PRI page-request handler in
+    /// `pri`, every DMA batch of the tile loop can recover from IO page
     /// faults through the handler's stall-and-retry loop (demand paging).
     ///
     /// # Errors
     ///
     /// Propagates unrecoverable IOMMU faults and TCDM/memory range errors.
-    pub fn run_with_pri(
+    pub fn run(
         &mut self,
         mem: &mut MemorySystem,
-        iommu: &mut Iommu,
+        mut iommu: Option<&mut Iommu>,
         kernel: &mut dyn DeviceKernel,
         mut pri: Option<&mut (dyn PageRequestHandler + '_)>,
     ) -> Result<KernelRunStats> {
@@ -193,9 +181,9 @@ impl ClusterExecutor {
         // issue order.
         let mut dma_free = self.plan_and_prefetch(
             mem,
-            iommu,
+            iommu.as_deref_mut(),
             kernel,
-            &mut pri,
+            pri.as_deref_mut(),
             0,
             Cycles::ZERO,
             &mut stats.dma_wait,
@@ -214,9 +202,9 @@ impl ClusterExecutor {
             if self.config.double_buffer && tile + 1 < n {
                 dma_free = self.plan_and_prefetch(
                     mem,
-                    iommu,
+                    iommu.as_deref_mut(),
                     kernel,
-                    &mut pri,
+                    pri.as_deref_mut(),
                     tile + 1,
                     dma_free,
                     &mut stats.dma_wait,
@@ -232,9 +220,9 @@ impl ClusterExecutor {
             // Write back this tile's outputs (overlaps with the next tile's
             // compute when double buffering).
             let io = kernel.tile_io(tile);
-            dma_free = self.dma.execute_with_pri(
+            dma_free = self.dma.execute(
                 mem,
-                iommu,
+                iommu.as_deref_mut(),
                 &mut self.tcdm,
                 &io.outputs,
                 self.clock.now().max(dma_free),
@@ -251,9 +239,9 @@ impl ClusterExecutor {
                 if tile + 1 < n {
                     dma_free = self.plan_and_prefetch(
                         mem,
-                        iommu,
+                        iommu.as_deref_mut(),
                         kernel,
-                        &mut pri,
+                        pri.as_deref_mut(),
                         tile + 1,
                         dma_free,
                         &mut stats.dma_wait,
@@ -278,7 +266,8 @@ impl ClusterExecutor {
     /// completion time.
     ///
     /// The kernel's address-generation pre-pass runs on shared functional
-    /// memory before the tile's descriptors are first read. Under
+    /// memory before the tile's descriptors are first read, through the
+    /// same translation view as the tile's DMA. Under
     /// cold-start demand paging an unmapped plan-pass read recovers exactly
     /// like a faulting DMA burst ([`recover_page_faults`]), one page per
     /// request: the pre-pass reads single elements, so there is no "rest
@@ -295,35 +284,44 @@ impl ClusterExecutor {
     fn plan_and_prefetch(
         &mut self,
         mem: &mut MemorySystem,
-        iommu: &mut Iommu,
+        mut iommu: Option<&mut Iommu>,
         kernel: &mut dyn DeviceKernel,
-        pri: &mut Option<&mut (dyn PageRequestHandler + '_)>,
+        mut pri: Option<&mut (dyn PageRequestHandler + '_)>,
         tile: usize,
         dma_free: Cycles,
         dma_wait: &mut Cycles,
     ) -> Result<Cycles> {
         let device_id = self.dma.device_id();
-        let ((), stall, _) = recover_page_faults(
-            mem,
-            iommu,
-            pri.as_deref_mut(),
-            device_id,
-            1,
-            self.clock.now(),
-            |mem, iommu| kernel.plan_tile(tile, &TileCtx::new(mem, iommu, device_id)),
-        )?;
+        let stall = match iommu.as_deref_mut() {
+            Some(iommu) => {
+                let ((), stall, _) = recover_page_faults(
+                    mem,
+                    iommu,
+                    pri.as_deref_mut(),
+                    device_id,
+                    1,
+                    self.clock.now(),
+                    |mem, iommu| kernel.plan_tile(tile, &TileCtx::new(mem, Some(iommu), device_id)),
+                )?;
+                stall
+            }
+            None => {
+                kernel.plan_tile(tile, &TileCtx::new(mem, None, device_id))?;
+                Cycles::ZERO
+            }
+        };
         if stall > Cycles::ZERO {
             *dma_wait += stall;
             self.clock.advance(stall);
         }
         let io = kernel.tile_io(tile);
-        self.dma.execute_with_pri(
+        self.dma.execute(
             mem,
             iommu,
             &mut self.tcdm,
             &io.inputs,
             self.clock.now().max(dma_free),
-            pri.as_deref_mut(),
+            pri,
         )
     }
 }
@@ -396,13 +394,11 @@ mod tests {
         tcdm.write_f32_slice(offset, &values)
     }
 
-    fn setup(latency: u64) -> (MemorySystem, Iommu) {
-        let mem = MemorySystem::new(MemSysConfig {
+    fn setup(latency: u64) -> MemorySystem {
+        MemorySystem::new(MemSysConfig {
             dram_latency: Cycles::new(latency),
             ..MemSysConfig::default()
-        });
-        let iommu = Iommu::disabled();
-        (mem, iommu)
+        })
     }
 
     fn bypass(offset: u64) -> u64 {
@@ -411,7 +407,7 @@ mod tests {
 
     #[test]
     fn kernel_computes_correct_results() {
-        let (mut mem, mut iommu) = setup(200);
+        let mut mem = setup(200);
         let n_f32 = 4096usize;
         let src_vals: Vec<f32> = (0..n_f32).map(|i| i as f32).collect();
         let bytes: Vec<u8> = src_vals.iter().flat_map(|v| v.to_le_bytes()).collect();
@@ -426,7 +422,7 @@ mod tests {
             dst: bypass(0x20_0000),
         };
         let mut exec = ClusterExecutor::default();
-        let stats = exec.run(&mut mem, &mut iommu, &mut kernel).unwrap();
+        let stats = exec.run(&mut mem, None, &mut kernel, None).unwrap();
 
         let mut out = vec![0u8; bytes.len()];
         mem.read_phys(PhysAddr::new(DRAM_BASE + 0x20_0000), &mut out)
@@ -443,7 +439,7 @@ mod tests {
 
     #[test]
     fn compute_bound_kernel_hides_dma() {
-        let (mut mem, mut iommu) = setup(200);
+        let mut mem = setup(200);
         let mut kernel = StreamKernel {
             tiles: 16,
             tile_bytes: 2048,
@@ -452,7 +448,7 @@ mod tests {
             dst: bypass(0x100_0000),
         };
         let mut exec = ClusterExecutor::default();
-        let stats = exec.run(&mut mem, &mut iommu, &mut kernel).unwrap();
+        let stats = exec.run(&mut mem, None, &mut kernel, None).unwrap();
         assert!(
             stats.dma_fraction() < 0.05,
             "compute-bound kernel should hide DMA, got {:.1}%",
@@ -462,7 +458,7 @@ mod tests {
 
     #[test]
     fn memory_bound_kernel_waits_for_dma() {
-        let (mut mem, mut iommu) = setup(1000);
+        let mut mem = setup(1000);
         let mut kernel = StreamKernel {
             tiles: 16,
             tile_bytes: 8192,
@@ -471,7 +467,7 @@ mod tests {
             dst: bypass(0x100_0000),
         };
         let mut exec = ClusterExecutor::default();
-        let stats = exec.run(&mut mem, &mut iommu, &mut kernel).unwrap();
+        let stats = exec.run(&mut mem, None, &mut kernel, None).unwrap();
         assert!(
             stats.dma_fraction() > 0.5,
             "memory-bound kernel should be dominated by DMA, got {:.1}%",
@@ -482,7 +478,7 @@ mod tests {
     #[test]
     fn dma_wait_grows_with_memory_latency() {
         let run = |latency| {
-            let (mut mem, mut iommu) = setup(latency);
+            let mut mem = setup(latency);
             let mut kernel = StreamKernel {
                 tiles: 8,
                 tile_bytes: 8192,
@@ -491,7 +487,7 @@ mod tests {
                 dst: bypass(0x100_0000),
             };
             let mut exec = ClusterExecutor::default();
-            exec.run(&mut mem, &mut iommu, &mut kernel).unwrap()
+            exec.run(&mut mem, None, &mut kernel, None).unwrap()
         };
         let fast = run(200);
         let slow = run(1000);
@@ -503,7 +499,7 @@ mod tests {
     #[test]
     fn double_buffering_beats_single_buffering() {
         let run = |double_buffer| {
-            let (mut mem, mut iommu) = setup(600);
+            let mut mem = setup(600);
             let mut kernel = StreamKernel {
                 tiles: 16,
                 tile_bytes: 4096,
@@ -519,7 +515,7 @@ mod tests {
                 1,
                 0,
             );
-            exec.run(&mut mem, &mut iommu, &mut kernel).unwrap()
+            exec.run(&mut mem, None, &mut kernel, None).unwrap()
         };
         let double = run(true);
         let single = run(false);
@@ -533,7 +529,7 @@ mod tests {
 
     #[test]
     fn empty_kernel_returns_zero_stats() {
-        let (mut mem, mut iommu) = setup(200);
+        let mut mem = setup(200);
         struct Empty;
         impl DeviceKernel for Empty {
             fn name(&self) -> &str {
@@ -550,7 +546,7 @@ mod tests {
             }
         }
         let mut exec = ClusterExecutor::default();
-        let stats = exec.run(&mut mem, &mut iommu, &mut Empty).unwrap();
+        let stats = exec.run(&mut mem, None, &mut Empty, None).unwrap();
         assert_eq!(stats.total, Cycles::ZERO);
         assert_eq!(stats.tiles, 0);
     }
@@ -686,7 +682,7 @@ mod tests {
         let mut exec = ClusterExecutor::default();
         let mut servicer = FaultServicer::new(&mut driver, &space, &mut frames);
         let stats = exec
-            .run_with_pri(&mut mem, &mut iommu, &mut kernel, Some(&mut servicer))
+            .run(&mut mem, Some(&mut iommu), &mut kernel, Some(&mut servicer))
             .unwrap();
 
         assert_eq!(
@@ -725,7 +721,7 @@ mod tests {
             plan_peek_scene(4, sva_common::PAGE_SIZE);
 
         let mut exec = ClusterExecutor::default();
-        let err = exec.run(&mut mem, &mut iommu, &mut kernel);
+        let err = exec.run(&mut mem, Some(&mut iommu), &mut kernel, None);
         assert!(matches!(err, Err(Error::IoPageFault { .. })));
         let fault = iommu.pop_fault().expect("terminal fault recorded");
         assert_eq!(fault.iova, kernel.table, "tile 0's plan read faulted");

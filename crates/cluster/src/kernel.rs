@@ -7,7 +7,7 @@
 //! schedules these phases with double buffering, exactly like the
 //! hand-written Snitch kernels of the paper.
 
-use sva_common::{Cycles, Iova, Result};
+use sva_common::{Cycles, Iova, PhysAddr, Result};
 use sva_iommu::Iommu;
 use sva_mem::MemorySystem;
 
@@ -21,19 +21,20 @@ use crate::tcdm::Tcdm;
 /// core (e.g. the merge-path binary search of the sort kernel) that *read
 /// DRAM-resident data* to compute the next tile's transfer ranges. The
 /// context models exactly that: untimed functional reads of external
-/// memory through the device's own translation view (IOVA under the IOMMU,
-/// bus addresses otherwise). Because the reads go to the **shared**
+/// memory through the device's own translation view (IOVAs under an IOMMU,
+/// bus addresses without one). Because the reads go to the **shared**
 /// functional memory — not a per-kernel-instance mirror — pre-passes stay
 /// correct when one kernel is sharded across several clusters.
 pub struct TileCtx<'a> {
     mem: &'a MemorySystem,
-    iommu: &'a Iommu,
+    iommu: Option<&'a Iommu>,
     device_id: u32,
 }
 
 impl<'a> TileCtx<'a> {
-    /// A context reading through `device_id`'s translation view.
-    pub fn new(mem: &'a MemorySystem, iommu: &'a Iommu, device_id: u32) -> Self {
+    /// A context reading through `device_id`'s translation view: IOVAs
+    /// translated by `iommu`, or bus addresses with `None`.
+    pub fn new(mem: &'a MemorySystem, iommu: Option<&'a Iommu>, device_id: u32) -> Self {
         Self {
             mem,
             iommu,
@@ -44,6 +45,14 @@ impl<'a> TileCtx<'a> {
     /// The device ID whose translation view the reads use.
     pub const fn device_id(&self) -> u32 {
         self.device_id
+    }
+
+    /// The bus address the device reaches at `iova` (an untimed probe).
+    fn bus_addr(&self, iova: Iova) -> Result<PhysAddr> {
+        match self.iommu {
+            Some(iommu) => iommu.probe_translation(self.mem, self.device_id, iova),
+            None => Ok(PhysAddr::new(iova.raw())),
+        }
     }
 
     /// Functional read of `buf.len()` bytes of external memory at `iova`
@@ -61,9 +70,7 @@ impl<'a> TileCtx<'a> {
             let cur = iova + done;
             let in_page = sva_common::PAGE_SIZE - cur.page_offset();
             let chunk = in_page.min(len - done);
-            let pa = self
-                .iommu
-                .probe_translation(self.mem, self.device_id, cur)?;
+            let pa = self.bus_addr(cur)?;
             self.mem
                 .read_phys(pa, &mut buf[done as usize..(done + chunk) as usize])?;
             done += chunk;
@@ -82,10 +89,7 @@ impl<'a> TileCtx<'a> {
         // plus the store's typed single-frame read. The generic page-split
         // loop remains as the straddle fallback.
         if iova.page_offset() + 4 <= sva_common::PAGE_SIZE {
-            let pa = self
-                .iommu
-                .probe_translation(self.mem, self.device_id, iova)?;
-            return self.mem.read_f32_phys(pa);
+            return self.mem.read_f32_phys(self.bus_addr(iova)?);
         }
         let mut b = [0u8; 4];
         self.read(iova, &mut b)?;
@@ -327,7 +331,6 @@ mod tests {
     #[test]
     fn empty_tile_range_is_valid_and_runs_to_zero_stats() {
         use crate::executor::ClusterExecutor;
-        use sva_iommu::Iommu;
         use sva_mem::MemorySystem;
 
         struct Three;
@@ -352,13 +355,12 @@ mod tests {
         assert_eq!(shard.start(), 3);
 
         let mut mem = MemorySystem::default();
-        let mut iommu = Iommu::disabled();
         let mut exec = ClusterExecutor::default();
         // Dirty the engine with a real run first: the empty shard must
         // report fresh zeroes, not the previous run's accounting.
-        exec.run(&mut mem, &mut iommu, &mut TileRange::new(Three, 0, 3))
+        exec.run(&mut mem, None, &mut TileRange::new(Three, 0, 3), None)
             .unwrap();
-        let stats = exec.run(&mut mem, &mut iommu, &mut shard).unwrap();
+        let stats = exec.run(&mut mem, None, &mut shard, None).unwrap();
         assert_eq!(stats.tiles, 0);
         assert_eq!(stats.total, Cycles::ZERO);
         assert_eq!(stats.compute, Cycles::ZERO);

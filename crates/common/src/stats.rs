@@ -105,7 +105,7 @@ impl fmt::Display for HitMiss {
 
 /// Streaming mean/min/max/sum over observed samples, used for per-event
 /// latencies such as the IOMMU page-table-walk time of Figure 5.
-#[derive(Copy, Clone, Debug, Default, PartialEq)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct RunningStats {
     count: u64,
     sum: u64,
@@ -180,6 +180,12 @@ impl RunningStats {
         self.sum += other.sum;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+}
+
+impl Default for RunningStats {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -314,6 +320,17 @@ mod tests {
         assert!((s.mean() - 25.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(10));
         assert_eq!(s.max(), Some(40));
+    }
+
+    /// A holder built by `Default` starts empty, like `new()`, and reports
+    /// the smallest sample it records.
+    #[test]
+    fn default_running_stats_track_the_recorded_minimum() {
+        let mut s = RunningStats::default();
+        assert_eq!(s, RunningStats::new());
+        s.record(7);
+        s.record(9);
+        assert_eq!(s.min(), Some(7));
     }
 
     #[test]

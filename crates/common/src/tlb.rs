@@ -52,11 +52,8 @@ impl TlbOrg {
     }
 }
 
-/// Replacement policy of one TLB level.
-///
-/// All policies are fully deterministic, including [`ReplacementPolicy::Random`],
-/// which draws its victims from a `DeterministicRng`-style splitmix64 stream
-/// seeded by the carried seed — the same run always evicts the same entries.
+/// Replacement policy of one TLB level. Every policy is deterministic: the
+/// same run always evicts the same entries.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum ReplacementPolicy {
     /// Exact least-recently-used: every hit and fill timestamps the entry;
@@ -70,20 +67,15 @@ pub enum ReplacementPolicy {
     /// First-in-first-out: entries are victimised in fill order; hits do not
     /// refresh an entry.
     Fifo,
-    /// Uniform-random victim selection from a deterministic stream seeded by
-    /// the carried value.
-    Random(u64),
 }
 
 impl ReplacementPolicy {
-    /// Compact label (`"lru"`, `"plru"`, `"fifo"`, `"rand"`) used in sweep
-    /// output.
+    /// Compact label (`"lru"`, `"plru"`, `"fifo"`) used in sweep output.
     pub const fn label(&self) -> &'static str {
         match self {
             ReplacementPolicy::TrueLru => "lru",
             ReplacementPolicy::PseudoLru => "plru",
             ReplacementPolicy::Fifo => "fifo",
-            ReplacementPolicy::Random(_) => "rand",
         }
     }
 }
@@ -120,6 +112,5 @@ mod tests {
         assert_eq!(ReplacementPolicy::TrueLru.label(), "lru");
         assert_eq!(ReplacementPolicy::PseudoLru.label(), "plru");
         assert_eq!(ReplacementPolicy::Fifo.label(), "fifo");
-        assert_eq!(ReplacementPolicy::Random(7).label(), "rand");
     }
 }

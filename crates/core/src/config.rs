@@ -83,8 +83,8 @@ pub struct PlatformConfig {
     /// and arbitration policy.
     pub mem: MemSysConfig,
     /// The IOMMU: translation hierarchy, walker and demand paging. `None`
-    /// is the paper's Baseline, where devices address physical memory and
-    /// the platform runs a pass-through [`sva_iommu::Iommu::disabled`].
+    /// is the paper's Baseline: the platform has no IOMMU, and devices
+    /// address physical memory.
     pub iommu: Option<IommuConfig>,
     /// Cluster details (outstanding DMA bursts, double buffering), shared
     /// by every cluster.

@@ -13,7 +13,7 @@
 //!   ablation skips the flush, which leaves stale dirty lines but also shows
 //!   how much of the mapping cost the flush contributes.
 
-use sva_common::Result;
+use sva_common::{Error, Result};
 use sva_kernels::{KernelKind, Workload};
 
 use crate::config::{PlatformConfig, SocVariant};
@@ -242,29 +242,22 @@ pub fn flush_before_map(latency: u64) -> Result<AblationResult> {
             p.mem.flush_llc();
         }
         for &(va, bytes) in &vas {
-            p.driver.map_buffer(
-                &mut p.cpu,
-                &mut p.mem,
-                &mut p.iommu,
-                &p.space,
-                &mut p.frames,
-                va,
-                bytes,
-            )?;
+            p.map_buffer(va, bytes)?;
         }
         if flush_after {
             // Ablation: flush after mapping, evicting the PTE lines.
             p.cpu.flush_l1();
             p.mem.flush_llc();
         }
-        p.iommu.reset_stats();
+        let iommu = p.iommu.as_mut().ok_or(Error::IommuNotPresent)?;
+        iommu.reset_stats();
 
         let device_ptrs: Vec<sva_common::Iova> = vas
             .iter()
             .map(|(va, _)| sva_common::Iova::from_virt(*va))
             .collect();
         let mut kernel = workload.device_kernel(&device_ptrs);
-        let stats = p.clusters[0].run(&mut p.mem, &mut p.iommu, kernel.as_mut())?;
+        let stats = p.clusters[0].run(&mut p.mem, Some(&mut *iommu), kernel.as_mut(), None)?;
         result.points.push(AblationPoint {
             label: if flush_after {
                 "flush after mapping (PTEs evicted)".to_string()
@@ -273,7 +266,7 @@ pub fn flush_before_map(latency: u64) -> Result<AblationResult> {
             },
             total: stats.total.raw(),
             dma_fraction: stats.dma_fraction(),
-            avg_ptw_cycles: p.iommu.stats().ptw_time.mean(),
+            avg_ptw_cycles: iommu.stats().ptw_time.mean(),
         });
     }
     Ok(result)

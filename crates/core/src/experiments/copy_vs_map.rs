@@ -106,16 +106,7 @@ pub fn run(page_counts: &[u64], latencies: &[u64]) -> Result<CopyVsMapResult> {
             let va = q.space.alloc_buffer(&mut q.mem, &mut q.frames, bytes)?;
             let mut map_cycles = q.cpu.flush_l1();
             map_cycles += q.mem.flush_llc();
-            let (_, cost) = q.driver.map_buffer(
-                &mut q.cpu,
-                &mut q.mem,
-                &mut q.iommu,
-                &q.space,
-                &mut q.frames,
-                va,
-                bytes,
-            )?;
-            map_cycles += cost.cycles;
+            map_cycles += q.map_buffer(va, bytes)?.1.cycles;
             map_cycles += q.cpu.flush_l1();
 
             result.points.push(CopyVsMapPoint {

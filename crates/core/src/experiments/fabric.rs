@@ -205,8 +205,8 @@ pub struct FabricPoint {
     /// Walk-table records folded by watermark compaction at device-window
     /// boundaries (0 with batching off).
     pub ptw_walk_table_compacted: u64,
-    /// Peak size of the PRI `(device, page)` dedup index — the most page
-    /// requests pending at once (0 with demand paging off).
+    /// Peak length of the page-request queue — the most page requests
+    /// pending at once (0 with demand paging off).
     pub pri_pending_peak: u64,
     /// Whether the device results matched the host reference.
     pub verified: bool,

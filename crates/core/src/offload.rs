@@ -27,7 +27,7 @@ use sva_common::{Cycles, Error, Iova, PhysAddr, Result, VirtAddr, PAGE_SIZE};
 use sva_host::{
     FaultServicer, HostKernelRunner, HostRunStats, HostTrafficStats, MappingHandle, TrafficPhase,
 };
-use sva_iommu::{Iommu, IommuStats};
+use sva_iommu::{Iommu, IommuStats, PageRequestHandler};
 use sva_kernels::{BufferKind, BufferSpec, Workload};
 
 use crate::platform::Platform;
@@ -89,7 +89,8 @@ pub struct OffloadReport {
     pub total: Cycles,
     /// Whether the results matched the host reference.
     pub verified: bool,
-    /// IOMMU statistics accumulated during the run.
+    /// IOMMU statistics accumulated during the run (all zero without an
+    /// IOMMU).
     pub iommu: IommuStats,
     /// Host-traffic stream accounting for the whole flow, split between the
     /// setup (copy/map) and device phases (`None` when no stream is
@@ -115,7 +116,8 @@ pub struct DeviceOnlyReport {
     pub stats: KernelRunStats,
     /// Per-cluster device breakdowns, indexed like `Platform::clusters`.
     pub per_cluster: Vec<KernelRunStats>,
-    /// IOMMU statistics accumulated during the run.
+    /// IOMMU statistics accumulated during the run (all zero without an
+    /// IOMMU).
     pub iommu: IommuStats,
     /// Whether the results matched the host reference.
     pub verified: bool,
@@ -260,7 +262,9 @@ impl OffloadRunner {
             stream.reset_stats();
         }
 
-        if platform.iommu.is_translating() {
+        let (stats, per_cluster, actual) = if let Some(demand_paging) =
+            platform.iommu.as_ref().map(Iommu::demand_paging)
+        {
             let buffers = self.allocate_user_buffers(platform, workload, initial)?;
             // Listing 1: flush caches, then map right before the offload so
             // the freshly written PTEs sit in the LLC. Under demand paging
@@ -268,34 +272,21 @@ impl OffloadRunner {
             // device touches cold-starts through the page-request loop.
             platform.cpu.flush_l1();
             platform.mem.flush_llc();
-            if !platform.iommu.demand_paging() {
+            if !demand_paging {
                 for buf in &buffers {
-                    platform.driver.map_buffer(
-                        &mut platform.cpu,
-                        &mut platform.mem,
-                        &mut platform.iommu,
-                        &platform.space,
-                        &mut platform.frames,
-                        buf.va,
-                        buf.bytes,
-                    )?;
+                    platform.map_buffer(buf.va, buf.bytes)?;
                 }
             }
             platform.cpu.flush_l1();
-            platform.iommu.reset_stats();
+            if let Some(iommu) = &mut platform.iommu {
+                iommu.reset_stats();
+            }
 
             let device_ptrs: Vec<Iova> = buffers.iter().map(|b| Iova::from_virt(b.va)).collect();
             let (stats, per_cluster) =
-                Self::run_device_sharded(platform, workload, &device_ptrs, None)?;
+                Self::run_device_sharded(platform, workload, &device_ptrs, true)?;
             let actual = self.read_back_virtual(platform, workload, &buffers)?;
-            let verified = workload.verify(expected, &actual).is_ok();
-            Ok(DeviceOnlyReport {
-                kernel: workload.name().to_string(),
-                stats,
-                per_cluster,
-                iommu: platform.iommu.stats(),
-                verified,
-            })
+            (stats, per_cluster, actual)
         } else {
             let placements = self.place_in_reserved(platform, workload, initial)?;
             let device_ptrs: Vec<Iova> = placements
@@ -303,17 +294,17 @@ impl OffloadRunner {
                 .map(|pa| Iova::new(platform.mem.map().to_bypass(*pa).raw()))
                 .collect();
             let (stats, per_cluster) =
-                Self::run_device_sharded(platform, workload, &device_ptrs, None)?;
+                Self::run_device_sharded(platform, workload, &device_ptrs, false)?;
             let actual = self.read_back_physical(platform, workload, &placements)?;
-            let verified = workload.verify(expected, &actual).is_ok();
-            Ok(DeviceOnlyReport {
-                kernel: workload.name().to_string(),
-                stats,
-                per_cluster,
-                iommu: platform.iommu.stats(),
-                verified,
-            })
-        }
+            (stats, per_cluster, actual)
+        };
+        Ok(DeviceOnlyReport {
+            kernel: workload.name().to_string(),
+            stats,
+            per_cluster,
+            iommu: platform.iommu_stats(),
+            verified: workload.verify(expected, &actual).is_ok(),
+        })
     }
 
     // ------------------------------------------------------------------
@@ -342,13 +333,18 @@ impl OffloadRunner {
     /// return the same zeroes for an empty shard (a unit-tested
     /// equivalence in `sva_cluster::kernel`), so the shortcut cannot drift.
     ///
+    /// The shards present `device_ptrs` to the platform's IOMMU when
+    /// `via_iommu` is set and the platform has one, and as bus addresses
+    /// otherwise (the copy-based flow's reserved buffers); only a
+    /// demand-paging IOMMU services page faults.
+    ///
     /// With one cluster and no host traffic this degenerates to exactly the
     /// paper's single `ClusterExecutor::run` call.
     fn run_device_sharded(
         platform: &mut Platform,
         workload: &dyn Workload,
         device_ptrs: &[Iova],
-        iommu_override: Option<&mut Iommu>,
+        via_iommu: bool,
     ) -> Result<(KernelRunStats, Vec<KernelRunStats>)> {
         let num_clusters = platform.clusters.len();
         platform.mem.open_measurement_window();
@@ -366,10 +362,8 @@ impl OffloadRunner {
         let total_tiles = workload.device_kernel(device_ptrs).num_tiles();
         let blocks = block_partition(total_tiles, num_clusters);
         let mut shards = Vec::with_capacity(num_clusters);
-        // Demand paging is only live for the platform's own translating
-        // IOMMU — a bypass override (copy-based offload) never faults.
-        let demand_paging = iommu_override.is_none() && platform.iommu.demand_paging();
-        let mut override_iommu = iommu_override;
+        let mut iommu = platform.iommu.as_mut().filter(|_| via_iommu);
+        let demand_paging = iommu.as_ref().is_some_and(|i| i.demand_paging());
         for (cluster_idx, (start, len)) in blocks.into_iter().enumerate() {
             if let Some(stream) = platform.host_traffic.as_mut() {
                 stream.inject(&mut platform.mem, &platform.clock, traffic_slice)?;
@@ -384,24 +378,18 @@ impl OffloadRunner {
                 continue;
             }
             let mut shard = TileRange::new(workload.device_kernel(device_ptrs), start, len);
-            let iommu: &mut Iommu = match override_iommu.as_deref_mut() {
-                Some(i) => i,
-                None => &mut platform.iommu,
-            };
-            let stats = if demand_paging {
-                // The host driver stands by to service page-request groups:
-                // faults stall the shard's DMA instead of aborting it.
-                let mut servicer =
-                    FaultServicer::new(&mut platform.driver, &platform.space, &mut platform.frames);
-                platform.clusters[cluster_idx].run_with_pri(
-                    &mut platform.mem,
-                    iommu,
-                    &mut shard,
-                    Some(&mut servicer),
-                )?
-            } else {
-                platform.clusters[cluster_idx].run(&mut platform.mem, iommu, &mut shard)?
-            };
+            // Under demand paging the host driver stands by to service
+            // page-request groups: faults stall the shard's DMA instead of
+            // aborting it.
+            let mut servicer = demand_paging.then(|| {
+                FaultServicer::new(&mut platform.driver, &platform.space, &mut platform.frames)
+            });
+            let stats = platform.clusters[cluster_idx].run(
+                &mut platform.mem,
+                iommu.as_deref_mut(),
+                &mut shard,
+                servicer.as_mut().map(|s| s as &mut dyn PageRequestHandler),
+            )?;
             shards.push(stats);
         }
         // Drain the rest of the configured stream so every window injects
@@ -419,11 +407,8 @@ impl OffloadRunner {
         // The translation path compacts under the same watermark: walk-table
         // windows that completed before it can no longer serve a coalescing
         // probe or count as in-flight, for the same monotone-clock reason.
-        match override_iommu {
-            Some(i) => i.compact_translation_before(platform.clock.now()),
-            None => platform
-                .iommu
-                .compact_translation_before(platform.clock.now()),
+        if let Some(iommu) = iommu {
+            iommu.compact_translation_before(platform.clock.now());
         }
         Ok((KernelRunStats::merge_parallel(&shards), shards))
     }
@@ -624,7 +609,7 @@ impl OffloadRunner {
             unmap: Cycles::ZERO,
             total: host.total,
             verified,
-            iommu: platform.iommu.stats(),
+            iommu: platform.iommu_stats(),
             host_traffic: platform.host_traffic.as_ref().map(|s| *s.stats()),
         })
     }
@@ -667,15 +652,14 @@ impl OffloadRunner {
         }
         Self::drain_traffic(platform)?;
 
-        // Run the device on physical (bypass-window) addresses. Copy-based
-        // offloads present the bypassed device ID, so translation is off.
+        // Run the device on physical (bypass-window) addresses, which do not
+        // pass through the IOMMU.
         let device_ptrs: Vec<Iova> = shadows
             .iter()
             .map(|pa| Iova::new(platform.mem.map().to_bypass(*pa).raw()))
             .collect();
-        let mut bypass_iommu = Iommu::disabled();
         let (device, device_per_cluster) =
-            Self::run_device_sharded(platform, workload, &device_ptrs, Some(&mut bypass_iommu))?;
+            Self::run_device_sharded(platform, workload, &device_ptrs, false)?;
 
         // Copy the results back into the user buffers, again under the
         // setup-phase stream (a fresh window: the device run consumed the
@@ -716,7 +700,7 @@ impl OffloadRunner {
             unmap: Cycles::ZERO,
             total: copy_cycles + overhead + device.total,
             verified,
-            iommu: platform.iommu.stats(),
+            iommu: platform.iommu_stats(),
             host_traffic: platform.host_traffic.as_ref().map(|s| *s.stats()),
         })
     }
@@ -728,9 +712,10 @@ impl OffloadRunner {
         buffers: &[UserBufferAlloc],
         expected: &[Vec<f32>],
     ) -> Result<OffloadReport> {
-        if !platform.iommu.is_translating() {
+        let Some(iommu) = &platform.iommu else {
             return Err(Error::IommuNotPresent);
-        }
+        };
+        let demand_paging = iommu.demand_paging();
 
         // Listing 1: flush L1 and LLC so device-visible memory is coherent,
         // then create the IOVA mappings, then flush L1 again. A configured
@@ -741,7 +726,6 @@ impl OffloadRunner {
         // map pass is skipped: pages become device-resident through the
         // page-request loop on first touch, and there is nothing to tear
         // down up front (the unmap section below is likewise empty).
-        let demand_paging = platform.iommu.demand_paging();
         let slice = Self::begin_setup_traffic(platform, buffers.len() as u64);
         let mut map_cycles = platform.cpu.flush_l1();
         map_cycles += platform.mem.flush_llc();
@@ -749,15 +733,7 @@ impl OffloadRunner {
         if !demand_paging {
             for buf in buffers {
                 Self::inject_traffic(platform, slice)?;
-                let (handle, cost) = platform.driver.map_buffer(
-                    &mut platform.cpu,
-                    &mut platform.mem,
-                    &mut platform.iommu,
-                    &platform.space,
-                    &mut platform.frames,
-                    buf.va,
-                    buf.bytes,
-                )?;
+                let (handle, cost) = platform.map_buffer(buf.va, buf.bytes)?;
                 map_cycles += cost.cycles;
                 handles.push(handle);
             }
@@ -768,15 +744,16 @@ impl OffloadRunner {
         // Device execution on IO virtual addresses, sharded across clusters.
         let device_ptrs: Vec<Iova> = buffers.iter().map(|b| Iova::from_virt(b.va)).collect();
         let (device, device_per_cluster) =
-            Self::run_device_sharded(platform, workload, &device_ptrs, None)?;
+            Self::run_device_sharded(platform, workload, &device_ptrs, true)?;
 
         // Tear the mappings down (reported separately, like the paper).
         let mut unmap_cycles = Cycles::ZERO;
         for handle in handles {
+            let iommu = platform.iommu.as_mut().ok_or(Error::IommuNotPresent)?;
             let cost = platform.driver.unmap_buffer(
                 &mut platform.cpu,
                 &mut platform.mem,
-                &mut platform.iommu,
+                iommu,
                 handle,
             )?;
             unmap_cycles += cost.cycles;
@@ -797,7 +774,7 @@ impl OffloadRunner {
             unmap: unmap_cycles,
             total: map_cycles + overhead + device.total,
             verified,
-            iommu: platform.iommu.stats(),
+            iommu: platform.iommu_stats(),
             host_traffic: platform.host_traffic.as_ref().map(|s| *s.stats()),
         })
     }
@@ -961,6 +938,26 @@ mod tests {
                 assert_eq!(report.iommu.iotlb.total(), 0);
             }
         }
+    }
+
+    /// A device that presents bus addresses translates nothing: a Baseline
+    /// run, which has no IOMMU, and the copy-based flow, whose device runs
+    /// on the reserved buffers, both report untouched IOMMU statistics.
+    #[test]
+    fn runs_on_bus_addresses_report_default_iommu_stats() {
+        let wl = GemmWorkload::with_dim(32);
+        let mut baseline = Platform::new(PlatformConfig::baseline(200)).unwrap();
+        let report = OffloadRunner::new(11)
+            .run_device_only(&mut baseline, &wl)
+            .unwrap();
+        assert!(report.verified);
+        assert_eq!(report.iommu, IommuStats::default(), "Baseline");
+        let mut platform = Platform::new(PlatformConfig::iommu_with_llc(200)).unwrap();
+        let copy = OffloadRunner::new(11)
+            .run(&mut platform, &wl, OffloadMode::CopyOffload)
+            .unwrap();
+        assert!(copy.verified);
+        assert_eq!(copy.iommu, IommuStats::default(), "copy-based");
     }
 
     #[test]
@@ -1166,7 +1163,7 @@ mod tests {
         );
         assert_eq!(
             report.iommu.atc.total(),
-            report.iommu.translations - report.iommu.bypassed,
+            report.iommu.translations,
             "every translated access probes L1"
         );
     }
@@ -1351,7 +1348,7 @@ mod tests {
         assert!(report.verified);
         assert_eq!(report.device_per_cluster.len(), 2);
         // Both clusters' DMA streams translated through the shared IOMMU.
-        let per_device = platform.iommu.device_iotlb_stats();
+        let per_device = platform.iommu.as_ref().unwrap().device_iotlb_stats();
         assert!(
             per_device.len() >= 2,
             "both data devices present: {per_device:?}"

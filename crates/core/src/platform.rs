@@ -4,16 +4,17 @@
 //! The paper's prototype instantiates one Snitch cluster behind the IOMMU.
 //! [`Platform`] generalises that to `num_clusters` executors sharing the
 //! IOMMU and the memory fabric: cluster `i` presents IOMMU device ID
-//! `DEVICE_ID + 2·i` for data traffic and `DEVICE_ID + 2·i + 1` (a bypassed
-//! context) for instruction fetches, all attached to the same process
-//! address space (`DEVICE_ID` is the driver's, [`sva_host::driver::DEVICE_ID`]).
-//! With `num_clusters == 1` the platform is exactly the paper's.
+//! `DEVICE_ID + 2·i` for its data traffic, attached to the process address
+//! space (`DEVICE_ID` is the driver's, [`sva_host::driver::DEVICE_ID`]). The
+//! odd IDs stay reserved for the clusters' instruction-fetch ports, which
+//! the model does not simulate. With `num_clusters == 1` the platform is
+//! exactly the paper's.
 
 use sva_cluster::ClusterExecutor;
-use sva_common::{GlobalClock, Result};
+use sva_common::{Error, GlobalClock, Result, VirtAddr};
 use sva_host::driver::DEVICE_ID;
-use sva_host::{CopyEngine, HostCpu, HostTrafficStream, IommuDriver};
-use sva_iommu::Iommu;
+use sva_host::{CopyEngine, HostCpu, HostTrafficStream, IommuDriver, MappingCost, MappingHandle};
+use sva_iommu::{Iommu, IommuStats};
 use sva_mem::MemorySystem;
 use sva_vm::{AddressSpace, FrameAllocator};
 
@@ -40,9 +41,10 @@ pub struct Platform {
     /// The timed host-traffic stream injected into device measurement
     /// windows, when configured.
     pub host_traffic: Option<HostTrafficStream>,
-    /// The RISC-V IOMMU shared by every cluster: translating when the
-    /// configuration has one, [`Iommu::disabled`] otherwise.
-    pub iommu: Iommu,
+    /// The RISC-V IOMMU shared by every cluster, present exactly when the
+    /// configuration has one ([`PlatformConfig::iommu`]). Without it the
+    /// clusters present bus addresses.
+    pub iommu: Option<Iommu>,
     /// The Snitch cluster executors. Cluster `i`'s DMA engine presents
     /// device ID [`Platform::cluster_device_id`]`(i)`.
     pub clusters: Vec<ClusterExecutor>,
@@ -113,7 +115,7 @@ impl Platform {
         let mut cpu = HostCpu::new();
         cpu.attach_clock(&clock);
         let host_traffic = config.host_traffic.map(HostTrafficStream::new);
-        let mut iommu = config.iommu.map_or_else(Iommu::disabled, Iommu::new);
+        let mut iommu = config.iommu.map(Iommu::new);
         let num_clusters = config.num_clusters;
         let clusters = (0..num_clusters)
             .map(|i| {
@@ -126,18 +128,19 @@ impl Platform {
         let space = AddressSpace::new(&mut mem, &mut frames)?;
         let mut driver = IommuDriver::new();
 
-        if iommu.is_translating() {
-            driver.attach(&mut cpu, &mut mem, &mut iommu, &mut frames, space.pscid())?;
-            // The instruction-fetch path of each cluster uses a second device
-            // ID with a bypassed device context (Section III-B).
-            iommu.attach_bypass_device(&mut mem, &mut frames, DEVICE_ID + 1)?;
+        if let Some(iommu) = &mut iommu {
+            driver.attach(&mut cpu, &mut mem, iommu, &mut frames, space.pscid())?;
             // Clusters beyond the first share the IO page table the driver
             // built for cluster 0 — same process, same mappings.
             let root = driver.io_table().expect("driver attached").root();
             for i in 1..num_clusters {
-                let data_id = data_device_id(i);
-                iommu.attach_device(&mut mem, &mut frames, data_id, space.pscid(), root)?;
-                iommu.attach_bypass_device(&mut mem, &mut frames, data_id + 1)?;
+                iommu.attach_device(
+                    &mut mem,
+                    &mut frames,
+                    data_device_id(i),
+                    space.pscid(),
+                    root,
+                )?;
             }
         }
 
@@ -182,6 +185,33 @@ impl Platform {
     pub fn dram_latency(&self) -> u64 {
         self.config.mem.dram_latency.raw()
     }
+
+    /// The IOMMU's statistics, all zero without an IOMMU.
+    pub fn iommu_stats(&self) -> IommuStats {
+        self.iommu
+            .as_ref()
+            .map_or_else(IommuStats::default, Iommu::stats)
+    }
+
+    /// Maps `bytes` of the process's memory at `va` for the devices through
+    /// the driver (Listing 1's `create_iommu_mapping`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::IommuNotPresent`] without an IOMMU, and propagates
+    /// the driver's errors.
+    pub fn map_buffer(&mut self, va: VirtAddr, bytes: u64) -> Result<(MappingHandle, MappingCost)> {
+        let iommu = self.iommu.as_mut().ok_or(Error::IommuNotPresent)?;
+        self.driver.map_buffer(
+            &mut self.cpu,
+            &mut self.mem,
+            iommu,
+            &self.space,
+            &mut self.frames,
+            va,
+            bytes,
+        )
+    }
 }
 
 /// IOMMU device ID of cluster `index`'s DMA data traffic.
@@ -200,7 +230,7 @@ mod tests {
             let config = PlatformConfig::variant(variant, 600);
             let platform = Platform::new(config).unwrap();
             assert_eq!(platform.dram_latency(), 600);
-            assert_eq!(platform.iommu.is_translating(), variant.has_iommu());
+            assert_eq!(platform.iommu.is_some(), variant.has_iommu());
             assert_eq!(platform.mem.llc().is_some(), variant.has_llc());
         }
     }
@@ -208,14 +238,15 @@ mod tests {
     #[test]
     fn translating_platforms_have_an_attached_device() {
         let platform = Platform::new(PlatformConfig::iommu_with_llc(200)).unwrap();
-        assert!(platform.iommu.ddt().is_some());
+        assert!(platform.iommu.as_ref().unwrap().ddt().is_some());
         assert!(platform.driver.io_table().is_some());
     }
 
     #[test]
     fn baseline_platform_has_no_device_directory() {
         let platform = Platform::new(PlatformConfig::baseline(200)).unwrap();
-        assert!(platform.iommu.ddt().is_none());
+        assert!(platform.iommu.is_none());
+        assert!(platform.driver.io_table().is_none());
     }
 
     /// Asserts that `Platform::new` rejects `config` with an
@@ -369,11 +400,11 @@ mod tests {
         let platform = Platform::new(PlatformConfig::iommu_with_llc(200)).unwrap();
         assert_eq!(platform.num_clusters(), 1);
         assert_eq!(platform.cluster_device_id(0), 1);
-        assert_eq!(platform.iommu.attached_devices(), &[1, 2]);
+        assert_eq!(platform.iommu.as_ref().unwrap().attached_devices(), &[1]);
     }
 
     #[test]
-    fn multi_cluster_platform_attaches_every_device_pair() {
+    fn multi_cluster_platform_attaches_every_data_device() {
         let config = PlatformConfig::iommu_with_llc(200).with_clusters(4);
         let platform = Platform::new(config).unwrap();
         assert_eq!(platform.num_clusters(), 4);
@@ -383,8 +414,9 @@ mod tests {
                 platform.cluster_device_id(i)
             );
         }
-        // Data + instruction-fetch contexts for each cluster: 1..=8.
-        assert_eq!(platform.iommu.attached_devices(), &[1, 2, 3, 4, 5, 6, 7, 8]);
+        // One data context per cluster; the odd IDs stay unattached.
+        let iommu = platform.iommu.as_ref().unwrap();
+        assert_eq!(iommu.attached_devices(), &[1, 3, 5, 7]);
     }
 
     #[test]
@@ -392,6 +424,6 @@ mod tests {
         let config = PlatformConfig::baseline(200).with_clusters(3);
         let platform = Platform::new(config).unwrap();
         assert_eq!(platform.num_clusters(), 3);
-        assert!(platform.iommu.ddt().is_none());
+        assert!(platform.iommu.is_none());
     }
 }

@@ -343,7 +343,7 @@ fn fingerprint(runner: &OffloadRunner, scenario: &Scenario, config: PlatformConf
         platform.mem.fabric_stats(),
         platform.mem.channel_stats(),
         platform.host_traffic.as_ref().map(|s| *s.stats()),
-        platform.iommu.stats(),
+        platform.iommu_stats(),
         platform.cpu.l1_stats(),
     );
     let mut hasher = DefaultHasher::new();

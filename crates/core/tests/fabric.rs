@@ -151,8 +151,9 @@ fn stat_sums_hold_under_every_policy() {
         assert!(report.verified, "{policy:?} run must verify");
 
         // IOTLB: per-device stats sum to the global hit/miss counters.
-        let global = platform.iommu.iotlb().stats();
-        let per_device = platform.iommu.device_iotlb_stats();
+        let iommu = platform.iommu.as_ref().unwrap();
+        let global = iommu.iotlb().stats();
+        let per_device = iommu.device_iotlb_stats();
         assert!(per_device.len() >= 4, "one IOTLB row per data device");
         assert_eq!(
             per_device.iter().map(|(_, s)| s.total()).sum::<u64>(),

@@ -426,7 +426,9 @@ mod tests {
         // the host sees.
         for i in 0..16u64 {
             let iova = Iova::from_virt(va + i * PAGE_SIZE + 7);
-            let (pa, _) = iommu.translate(&mut mem, 1, iova, true).unwrap();
+            let (pa, _) = iommu
+                .translate_at(&mut mem, 1, iova, true, Cycles::ZERO)
+                .unwrap();
             assert_eq!(pa, space.translate(&mem, va + i * PAGE_SIZE + 7).unwrap());
         }
     }
@@ -473,11 +475,15 @@ mod tests {
                 2 * PAGE_SIZE,
             )
             .unwrap();
-        iommu.translate(&mut mem, 1, handle.iova, false).unwrap();
+        iommu
+            .translate_at(&mut mem, 1, handle.iova, false, Cycles::ZERO)
+            .unwrap();
         driver
             .unmap_buffer(&mut cpu, &mut mem, &mut iommu, handle)
             .unwrap();
-        assert!(iommu.translate(&mut mem, 1, handle.iova, false).is_err());
+        assert!(iommu
+            .translate_at(&mut mem, 1, handle.iova, false, Cycles::ZERO)
+            .is_err());
         assert_eq!(driver.mapped_pages(), 0);
     }
 
@@ -541,10 +547,16 @@ mod tests {
         // the driver) hits in the LLC: two orders of magnitude below the
         // 3x DRAM latency a cold walk would pay.
         iommu
-            .translate(&mut mem, 1, Iova::from_virt(va), false)
+            .translate_at(&mut mem, 1, Iova::from_virt(va), false, Cycles::ZERO)
             .unwrap();
         let (_, cycles) = iommu
-            .translate(&mut mem, 1, Iova::from_virt(va + PAGE_SIZE), false)
+            .translate_at(
+                &mut mem,
+                1,
+                Iova::from_virt(va + PAGE_SIZE),
+                false,
+                Cycles::ZERO,
+            )
             .unwrap();
         assert!(
             cycles.raw() < 300,

@@ -22,9 +22,6 @@ pub const DEVICE_CONTEXT_BYTES: u64 = 64;
 pub struct DeviceContext {
     /// Valid bit of the context.
     pub valid: bool,
-    /// If set, translation is bypassed for this device (used for the
-    /// instruction-fetch device ID in the paper's platform).
-    pub bypass: bool,
     /// Process soft-context ID (PSCID) of the owning process.
     pub pscid: u32,
     /// Physical address of the root page table (first-stage context).
@@ -36,7 +33,6 @@ impl DeviceContext {
     pub const fn invalid() -> Self {
         Self {
             valid: false,
-            bypass: false,
             pscid: 0,
             root_pt: PhysAddr::zero(),
         }
@@ -46,27 +42,15 @@ impl DeviceContext {
     pub const fn translating(pscid: u32, root_pt: PhysAddr) -> Self {
         Self {
             valid: true,
-            bypass: false,
             pscid,
             root_pt,
-        }
-    }
-
-    /// Creates a bypass context (no translation, e.g. for instruction
-    /// fetches from the physically addressed L2).
-    pub const fn bypassing() -> Self {
-        Self {
-            valid: true,
-            bypass: true,
-            pscid: 0,
-            root_pt: PhysAddr::zero(),
         }
     }
 
     /// Encodes the context into the three 64-bit words stored in memory
     /// (translation control, first-stage context, translation attributes).
     pub fn encode(&self) -> [u64; 3] {
-        let tc = (self.valid as u64) | ((self.bypass as u64) << 1);
+        let tc = self.valid as u64;
         let fsc = (self.root_pt.raw() >> PAGE_SHIFT) | (8 << 60); // mode 8 = Sv39
         let ta = (self.pscid as u64) << 12;
         [tc, fsc, ta]
@@ -76,7 +60,6 @@ impl DeviceContext {
     pub fn decode(words: [u64; 3]) -> Self {
         Self {
             valid: words[0] & 1 == 1,
-            bypass: words[0] & 2 == 2,
             pscid: ((words[2] >> 12) & 0xF_FFFF) as u32,
             root_pt: PhysAddr::new((words[1] & ((1 << 44) - 1)) << PAGE_SHIFT),
         }
@@ -252,9 +235,6 @@ mod tests {
         let ctx = DeviceContext::translating(7, PhysAddr::new(0x8123_4000));
         let back = DeviceContext::decode(ctx.encode());
         assert_eq!(back, ctx);
-
-        let bypass = DeviceContext::bypassing();
-        assert_eq!(DeviceContext::decode(bypass.encode()), bypass);
 
         let invalid = DeviceContext::invalid();
         assert!(!DeviceContext::decode(invalid.encode()).valid);

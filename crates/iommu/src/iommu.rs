@@ -1,6 +1,6 @@
 //! The top-level IOMMU model.
 //!
-//! [`Iommu::translate`] is the single entry point the cluster DMA engine
+//! [`Iommu::translate_at`] is the single entry point the cluster DMA engine
 //! uses: it runs the device-context lookup, the TLB lookups and, on a miss,
 //! the page-table walk, and returns the physical address together with the
 //! number of cycles the translation added to the transaction.
@@ -31,10 +31,8 @@
 //! timing model; use [`Iommu::translate_at`] for anything a device would
 //! actually issue.
 
-use std::collections::BTreeSet;
-
 use sva_common::stats::{Histogram, HitMiss, RunningStats};
-use sva_common::{Cycles, Error, Iova, PhysAddr, ReplacementPolicy, Result, TimedQueue, TlbOrg};
+use sva_common::{Cycles, Error, Iova, PhysAddr, ReplacementPolicy, Result, TlbOrg};
 use sva_mem::MemorySystem;
 use sva_vm::FrameAllocator;
 
@@ -127,8 +125,7 @@ impl Default for TlbHierarchyConfig {
 
 /// Configuration of a translating IOMMU (first-stage Sv39 translation, the
 /// paper's *IOMMU* and *IOMMU + LLC* platforms). A platform without an
-/// IOMMU has no configuration; its pass-through stand-in is
-/// [`Iommu::disabled`].
+/// IOMMU has neither a configuration nor an [`Iommu`].
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct IommuConfig {
     /// The translation hierarchy (the prototype's single 4-entry IOTLB by
@@ -150,10 +147,8 @@ pub struct IommuConfig {
 /// Snapshot of the IOMMU's statistics.
 #[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct IommuStats {
-    /// Translation requests served (including bypassed ones).
+    /// Translation requests served.
     pub translations: u64,
-    /// Requests that bypassed translation.
-    pub bypassed: u64,
     /// Hit/miss counts of the shared IOTLB (the only TLB without an L1; the
     /// L2 level behind the ATCs with one).
     pub iotlb: HitMiss,
@@ -187,11 +182,8 @@ pub struct IommuStats {
     pub page_request_p90: u64,
     /// Approximate 99th-percentile page-request service latency.
     pub page_request_p99: u64,
-    /// Peak number of simultaneously in-flight serviced page requests
-    /// (from the PRI occupancy timeline; 0 with demand paging off).
-    pub page_request_peak_in_flight: usize,
-    /// Peak size of the PRI `(device, page)` dedup index — the most page
-    /// requests pending at once (0 with demand paging off).
+    /// Peak length of the page-request queue — the most page requests
+    /// pending at once (0 with demand paging off).
     pub page_request_pending_peak: usize,
     /// Peak live window-record count of the walker's MSHR walk table
     /// (always zero with batching off).
@@ -204,8 +196,7 @@ pub struct IommuStats {
 /// The RISC-V IOMMU.
 #[derive(Clone, Debug)]
 pub struct Iommu {
-    /// `None` for the pass-through stand-in of a platform without an IOMMU.
-    config: Option<IommuConfig>,
+    config: IommuConfig,
     ddt: Option<DeviceDirectory>,
     /// The shared IOTLB: the only TLB without an L1, the L2 behind the
     /// ATCs with one.
@@ -220,24 +211,11 @@ pub struct Iommu {
     /// The ATS/PRI page-request queue, [`PAGE_REQUEST_ENTRIES`] deep
     /// (unused with demand paging off).
     page_requests: BoundedQueue<PageRequest>,
-    /// Dedup index over the queue: the `(device_id, page base)` of every
-    /// pending request, maintained in lockstep with the queue on the
-    /// push/pop paths (an overflow-dropped request is *not* pending). The
-    /// per-page "already pending?" probe of a page-request group is one
-    /// set lookup instead of a queue scan; `tests/pri_dedup.rs` checks it
-    /// against a queue-scan model.
-    pending_pages: BTreeSet<(u32, u64)>,
-    /// Peak size of the dedup index over the measurement window.
-    pending_pages_peak: usize,
+    /// Peak length of the page-request queue over the measurement window.
+    page_requests_peak: usize,
     pri: PageRequestStats,
     pri_hist: Histogram,
-    /// Timed occupancy record of the PRI path: each serviced request
-    /// occupies `[issued, completed)` on the global clock, so in-flight
-    /// page-request pressure is observable the same way the fabric's
-    /// channel backlogs are (an event-indexed recording FIFO).
-    pri_timeline: TimedQueue,
     translations: u64,
-    bypassed: u64,
     translation_cycles: u64,
 }
 
@@ -256,31 +234,13 @@ impl Iommu {
             faults: BoundedQueue::new(FAULT_QUEUE_ENTRIES),
             // The queue stays empty without demand paging.
             page_requests: BoundedQueue::new(PAGE_REQUEST_ENTRIES),
-            pending_pages: BTreeSet::new(),
-            pending_pages_peak: 0,
+            page_requests_peak: 0,
             pri: PageRequestStats::default(),
             pri_hist: Histogram::new(PRI_HIST_BUCKET, PRI_HIST_BUCKETS),
-            pri_timeline: TimedQueue::unbounded_recording(),
             translations: 0,
-            bypassed: 0,
             translation_cycles: 0,
-            config: Some(config),
+            config,
         }
-    }
-
-    /// The pass-through IOMMU of a platform without one (the paper's
-    /// *Baseline*): device addresses are used as physical bus addresses
-    /// unchanged and translation costs nothing.
-    pub fn disabled() -> Self {
-        Self {
-            config: None,
-            ..Self::new(IommuConfig::default())
-        }
-    }
-
-    /// Returns `true` when the IOMMU performs first-stage translation.
-    pub const fn is_translating(&self) -> bool {
-        self.config.is_some()
     }
 
     /// The device directory, if one has been programmed.
@@ -308,25 +268,6 @@ impl Iommu {
         }
         let ddt = self.ddt.as_mut().expect("directory just created");
         ddt.install(mem, device_id, DeviceContext::translating(pscid, root_pt))
-    }
-
-    /// Installs a bypass device context for `device_id` (used for the
-    /// instruction-fetch device ID in the paper's platform).
-    ///
-    /// # Errors
-    ///
-    /// Returns allocation or directory errors.
-    pub fn attach_bypass_device(
-        &mut self,
-        mem: &mut MemorySystem,
-        frames: &mut FrameAllocator,
-        device_id: u32,
-    ) -> Result<()> {
-        if self.ddt.is_none() {
-            self.ddt = Some(DeviceDirectory::create(frames)?);
-        }
-        let ddt = self.ddt.as_mut().expect("directory just created");
-        ddt.install(mem, device_id, DeviceContext::bypassing())
     }
 
     /// Processes one driver command (invalidations and fences).
@@ -391,15 +332,8 @@ impl Iommu {
         let pos = match self.atc_index(device_id) {
             Ok(pos) => pos,
             Err(pos) => {
-                // Give random-policy ATCs decorrelated victim streams.
-                let policy = match level.policy {
-                    ReplacementPolicy::Random(seed) => {
-                        ReplacementPolicy::Random(seed ^ u64::from(device_id).rotate_left(32))
-                    }
-                    other => other,
-                };
                 self.atcs
-                    .insert(pos, (device_id, IoTlb::with_org(level.org, policy)));
+                    .insert(pos, (device_id, IoTlb::with_org(level.org, level.policy)));
                 pos
             }
         };
@@ -407,34 +341,11 @@ impl Iommu {
     }
 
     /// Translates an IO virtual address for `device_id`, with the request
-    /// arriving at the memory system's current global-clock reading.
-    ///
-    /// Returns the physical address and the cycles the translation added to
-    /// the transaction (zero when the IOMMU is disabled). Initiators that
-    /// track their own pipeline time should use [`Iommu::translate_at`] so
-    /// page-table walks land at the right point on the fabric timelines.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::IoPageFault`] or [`Error::UnknownDevice`] on
-    /// translation failure; a corresponding record is pushed to the fault
-    /// queue.
-    pub fn translate(
-        &mut self,
-        mem: &mut MemorySystem,
-        device_id: u32,
-        iova: Iova,
-        is_write: bool,
-    ) -> Result<(PhysAddr, Cycles)> {
-        let now = mem.clock().now();
-        self.translate_at(mem, device_id, iova, is_write, now)
-    }
-
-    /// Translates an IO virtual address for `device_id`, with the request
     /// arriving at global-clock cycle `now` (the issue time of the DMA burst
-    /// presenting it). On an IOTLB miss the page-table walk is issued at
-    /// `now` plus the lookup latencies, so its per-level reads are
-    /// timestamped and contend on the memory fabric.
+    /// presenting it), and returns the physical address and the cycles the
+    /// translation added to the transaction. On an IOTLB miss the
+    /// page-table walk is issued at `now` plus the lookup latencies, so its
+    /// per-level reads are timestamped and contend on the memory fabric.
     ///
     /// Under demand paging a request that is going to fault is **squashed
     /// before it perturbs anything**: an untimed probe detects the missing
@@ -461,12 +372,7 @@ impl Iommu {
         is_write: bool,
         now: Cycles,
     ) -> Result<(PhysAddr, Cycles)> {
-        let Some(config) = self.config else {
-            self.translations += 1;
-            self.bypassed += 1;
-            return Ok((PhysAddr::new(iova.raw()), Cycles::ZERO));
-        };
-        if config.demand_paging
+        if self.config.demand_paging
             && self
                 .ddt
                 .as_ref()
@@ -476,7 +382,7 @@ impl Iommu {
             return Err(Error::IoPageFault { iova, is_write });
         }
         self.translations += 1;
-        let result = self.translate_first_stage(config, mem, device_id, iova, is_write, now);
+        let result = self.translate_first_stage(mem, device_id, iova, is_write, now);
         if let Ok((_, cycles)) = &result {
             self.translation_cycles += cycles.raw();
         }
@@ -509,16 +415,10 @@ impl Iommu {
         device_id: u32,
         iova: Iova,
     ) -> Result<PhysAddr> {
-        if !self.is_translating() {
-            return Ok(PhysAddr::new(iova.raw()));
-        }
         let Some(ddt) = self.ddt.as_ref() else {
             return Err(Error::UnknownDevice { device_id });
         };
         let ctx = ddt.peek(mem, device_id)?;
-        if ctx.bypass {
-            return Ok(PhysAddr::new(iova.raw()));
-        }
         let va = sva_common::VirtAddr::from_iova(iova);
         let table = sva_vm::PageTable::from_root(ctx.root_pt);
         match table.translate(mem, va) {
@@ -533,7 +433,6 @@ impl Iommu {
 
     fn translate_first_stage(
         &mut self,
-        config: IommuConfig,
         mem: &mut MemorySystem,
         device_id: u32,
         iova: Iova,
@@ -565,10 +464,6 @@ impl Iommu {
             }
         };
         cycles += dc_cycles;
-        if ctx.bypass {
-            self.bypassed += 1;
-            return Ok((PhysAddr::new(iova.raw()), cycles));
-        }
 
         // 2. TLB lookups: the private L1 ATC, if configured, then the
         // shared IOTLB, each level charging its configured lookup latency
@@ -578,7 +473,7 @@ impl Iommu {
         let permits = |entry: &crate::iotlb::IoTlbEntry| {
             entry.flags.contains(sva_vm::PteFlags::W) || !is_write
         };
-        let tlb = config.tlb;
+        let tlb = self.config.tlb;
         if let Some(l1) = tlb.l1 {
             cycles += l1.lookup_latency;
             if let Some(entry) = self.atc_mut(device_id, l1).lookup(device_id, iova) {
@@ -628,7 +523,7 @@ impl Iommu {
                 // With demand paging, a not-mapped fault is recoverable: it
                 // is reported through the page-request queue by the device
                 // (ATS/PRI), not the terminal fault queue.
-                if !(config.demand_paging && reason == FaultReason::PageNotMapped) {
+                if !(self.config.demand_paging && reason == FaultReason::PageNotMapped) {
                     self.faults.push(FaultRecord {
                         device_id,
                         iova,
@@ -646,8 +541,8 @@ impl Iommu {
     // ------------------------------------------------------------------
 
     /// Whether the IOMMU translates with demand paging on.
-    pub fn demand_paging(&self) -> bool {
-        self.config.is_some_and(|c| c.demand_paging)
+    pub const fn demand_paging(&self) -> bool {
+        self.config.demand_paging
     }
 
     /// Untimed probe of whether `device_id` can already perform the given
@@ -656,18 +551,12 @@ impl Iommu {
     /// access type (a resident read-only page still needs a page request
     /// for a write — the host services it by upgrading the mapping).
     fn probe_access(&self, mem: &MemorySystem, device_id: u32, iova: Iova, is_write: bool) -> bool {
-        if !self.is_translating() {
-            return true;
-        }
         let Some(ddt) = self.ddt.as_ref() else {
             return false;
         };
         let Ok(ctx) = ddt.peek(mem, device_id) else {
             return false;
         };
-        if ctx.bypass {
-            return true;
-        }
         let table = sva_vm::PageTable::from_root(ctx.root_pt);
         let va = sva_common::VirtAddr::from_iova(iova);
         match table.walk(mem, va) {
@@ -703,28 +592,29 @@ impl Iommu {
         let end = start + len.max(1);
         let mut page = first;
         while page < end {
-            let unmapped = !self.probe_access(mem, device_id, page, is_write);
-            // Every pushed request's IOVA is a page base, and every push is
-            // guarded by this probe — so pending `(device, page)` pairs are
-            // unique in the queue and the dedup index mirrors it exactly.
-            let pending = self.pending_pages.contains(&(device_id, page.raw()));
-            if unmapped && !pending {
+            // Every pushed request's IOVA is a page base, so a page is
+            // pending exactly when a queued request of the device names it.
+            let needed = !self.probe_access(mem, device_id, page, is_write)
+                && !self
+                    .page_requests
+                    .iter()
+                    .any(|r| r.device_id == device_id && r.iova == page);
+            if needed {
                 if self.page_requests.push(PageRequest {
                     device_id,
                     iova: page,
                     is_write,
                     issued_at: now,
                 }) {
-                    self.pending_pages.insert((device_id, page.raw()));
-                    self.pending_pages_peak = self.pending_pages_peak.max(self.pending_pages.len());
+                    self.page_requests_peak = self.page_requests_peak.max(self.page_requests.len());
                     enqueued += 1;
                     self.pri.requests += 1;
                 } else {
                     // The queue is full; keep scanning so every request of
                     // the group that fails to enqueue is counted — the
                     // drop statistics promise a per-request count. An
-                    // overflow-dropped request never enters the dedup
-                    // index: it is not pending and must be re-requestable.
+                    // overflow-dropped request is not pending and stays
+                    // re-requestable.
                     dropped += 1;
                     self.pri.dropped += 1;
                 }
@@ -736,12 +626,7 @@ impl Iommu {
 
     /// Removes and returns the oldest pending page request (host side).
     pub fn pop_page_request(&mut self) -> Option<PageRequest> {
-        let req = self.page_requests.pop();
-        if let Some(r) = &req {
-            self.pending_pages
-                .remove(&(r.device_id, r.iova.page_base().raw()));
-        }
-        req
+        self.page_requests.pop()
     }
 
     /// Number of pending page requests.
@@ -751,21 +636,12 @@ impl Iommu {
 
     /// Records one request resolved by the host: issued at `issued`,
     /// completed (group response observed by the device) at `completed`.
-    /// The service latency feeds the latency statistics and the request's
-    /// `[issued, completed)` residency is recorded on the PRI occupancy
-    /// timeline.
+    /// The service latency feeds the latency statistics.
     pub fn note_page_request_serviced(&mut self, issued: Cycles, completed: Cycles) {
         let latency = completed.saturating_sub(issued);
         self.pri.serviced += 1;
         self.pri.service_time.record_cycles(latency);
         self.pri_hist.record(latency.raw());
-        self.pri_timeline.push(issued.raw(), completed.raw());
-    }
-
-    /// Number of serviced page requests that were in flight (issued but not
-    /// yet completed) at `t`.
-    pub fn page_requests_in_flight_at(&self, t: Cycles) -> usize {
-        self.pri_timeline.occupancy_at(t.raw())
     }
 
     /// Records one request the host could not resolve (no backing host
@@ -795,31 +671,6 @@ impl Iommu {
     /// applies both together at sharded device-window boundaries.
     pub fn compact_translation_before(&mut self, w: Cycles) {
         self.ptw.compact_walk_table_before(w);
-    }
-
-    /// Checks that the PRI dedup index mirrors the page-request queue
-    /// exactly: same size, and every pending request's `(device, page)` is
-    /// present.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the index and the queue have desynchronised.
-    #[doc(hidden)]
-    pub fn debug_validate_page_requests(&self) {
-        assert_eq!(
-            self.pending_pages.len(),
-            self.page_requests.len(),
-            "PRI dedup index size diverged from the queue"
-        );
-        for r in self.page_requests.iter() {
-            assert!(
-                self.pending_pages
-                    .contains(&(r.device_id, r.iova.page_base().raw())),
-                "pending request {:?} missing from the dedup index",
-                r
-            );
-        }
-        assert!(self.pending_pages_peak >= self.pending_pages.len());
     }
 
     /// Records a **terminal** IO page fault in the fault queue.
@@ -859,7 +710,6 @@ impl Iommu {
         }
         IommuStats {
             translations: self.translations,
-            bypassed: self.bypassed,
             iotlb: self.iotlb.stats(),
             atc,
             dc_cache: self
@@ -878,8 +728,7 @@ impl Iommu {
             page_request_p50: self.pri_hist.percentile(0.50),
             page_request_p90: self.pri_hist.percentile(0.90),
             page_request_p99: self.pri_hist.percentile(0.99),
-            page_request_peak_in_flight: self.pri_timeline.peak(),
-            page_request_pending_peak: self.pending_pages_peak,
+            page_request_pending_peak: self.page_requests_peak,
             ptw_walk_table_events_peak: self.ptw.walk_table_events_peak(),
             ptw_walk_table_compacted: self.ptw.walk_table_compacted_events(),
         }
@@ -919,15 +768,12 @@ impl Iommu {
         self.ptw.reset_stats();
         self.faults.reset_dropped();
         self.page_requests.reset_dropped();
-        // The dedup index is queue state, not a statistic: requests still
-        // pending across the window boundary stay pending (and deduped).
-        // Only the peak restarts, at the carried-over size.
-        self.pending_pages_peak = self.pending_pages.len();
+        // Requests still pending across the window boundary stay pending;
+        // only the peak restarts, at the carried-over length.
+        self.page_requests_peak = self.page_requests.len();
         self.pri = PageRequestStats::default();
         self.pri_hist = Histogram::new(PRI_HIST_BUCKET, PRI_HIST_BUCKETS);
-        self.pri_timeline.reset();
         self.translations = 0;
-        self.bypassed = 0;
         self.translation_cycles = 0;
     }
 }
@@ -955,18 +801,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_mode_is_identity_and_free() {
-        let mut mem = MemorySystem::default();
-        let mut iommu = Iommu::disabled();
-        let (pa, cycles) = iommu
-            .translate(&mut mem, 1, Iova::new(0x8000_1234), true)
-            .unwrap();
-        assert_eq!(pa, PhysAddr::new(0x8000_1234));
-        assert_eq!(cycles, Cycles::ZERO);
-        assert_eq!(iommu.stats().bypassed, 1);
-    }
-
-    #[test]
     fn translating_mode_matches_software_walk() {
         let (mut mem, mut frames, space, va) = setup();
         let mut iommu = Iommu::default();
@@ -975,7 +809,9 @@ mod tests {
             .unwrap();
         for page in 0..8u64 {
             let iova = Iova::from_virt(va + page * PAGE_SIZE + 16);
-            let (pa, _) = iommu.translate(&mut mem, 1, iova, false).unwrap();
+            let (pa, _) = iommu
+                .translate_at(&mut mem, 1, iova, false, Cycles::ZERO)
+                .unwrap();
             assert_eq!(
                 pa,
                 space.translate(&mem, va + page * PAGE_SIZE + 16).unwrap()
@@ -991,8 +827,12 @@ mod tests {
             .attach_device(&mut mem, &mut frames, 1, space.pscid(), space.root())
             .unwrap();
         let iova = Iova::from_virt(va);
-        let (_, miss_cycles) = iommu.translate(&mut mem, 1, iova, false).unwrap();
-        let (_, hit_cycles) = iommu.translate(&mut mem, 1, iova + 64, false).unwrap();
+        let (_, miss_cycles) = iommu
+            .translate_at(&mut mem, 1, iova, false, Cycles::ZERO)
+            .unwrap();
+        let (_, hit_cycles) = iommu
+            .translate_at(&mut mem, 1, iova + 64, false, Cycles::ZERO)
+            .unwrap();
         assert!(
             miss_cycles.raw() > 10 * hit_cycles.raw(),
             "miss {miss_cycles} should dwarf hit {hit_cycles}"
@@ -1012,7 +852,7 @@ mod tests {
             .unwrap();
         let bad = Iova::new(0x7FFF_0000);
         assert!(matches!(
-            iommu.translate(&mut mem, 1, bad, true),
+            iommu.translate_at(&mut mem, 1, bad, true, Cycles::ZERO),
             Err(Error::IoPageFault { .. })
         ));
         assert_eq!(iommu.pending_faults(), 1);
@@ -1030,23 +870,10 @@ mod tests {
             .attach_device(&mut mem, &mut frames, 1, space.pscid(), space.root())
             .unwrap();
         assert!(matches!(
-            iommu.translate(&mut mem, 9, Iova::from_virt(va), false),
+            iommu.translate_at(&mut mem, 9, Iova::from_virt(va), false, Cycles::ZERO),
             Err(Error::UnknownDevice { device_id: 9 })
         ));
         assert_eq!(iommu.pending_faults(), 1);
-    }
-
-    #[test]
-    fn bypass_device_context_skips_translation() {
-        let (mut mem, mut frames, _space, _) = setup();
-        let mut iommu = Iommu::default();
-        iommu
-            .attach_bypass_device(&mut mem, &mut frames, 2)
-            .unwrap();
-        let addr = Iova::new(0x7800_0000);
-        let (pa, _) = iommu.translate(&mut mem, 2, addr, false).unwrap();
-        assert_eq!(pa, PhysAddr::new(addr.raw()));
-        assert_eq!(iommu.stats().bypassed, 1);
     }
 
     #[test]
@@ -1057,16 +884,22 @@ mod tests {
             .attach_device(&mut mem, &mut frames, 1, space.pscid(), space.root())
             .unwrap();
         let iova = Iova::from_virt(va);
-        iommu.translate(&mut mem, 1, iova, false).unwrap();
+        iommu
+            .translate_at(&mut mem, 1, iova, false, Cycles::ZERO)
+            .unwrap();
         assert_eq!(iommu.stats().ptw_walks, 1);
-        iommu.translate(&mut mem, 1, iova, false).unwrap();
+        iommu
+            .translate_at(&mut mem, 1, iova, false, Cycles::ZERO)
+            .unwrap();
         assert_eq!(iommu.stats().ptw_walks, 1);
 
         iommu.process_command(Command::IotlbInvalidate {
             device_id: None,
             iova: None,
         });
-        iommu.translate(&mut mem, 1, iova, false).unwrap();
+        iommu
+            .translate_at(&mut mem, 1, iova, false, Cycles::ZERO)
+            .unwrap();
         assert_eq!(iommu.stats().ptw_walks, 2);
     }
 
@@ -1082,7 +915,9 @@ mod tests {
         for _ in 0..2 {
             for page in 0..8u64 {
                 let iova = Iova::from_virt(va + page * PAGE_SIZE);
-                iommu.translate(&mut mem, 1, iova, false).unwrap();
+                iommu
+                    .translate_at(&mut mem, 1, iova, false, Cycles::ZERO)
+                    .unwrap();
             }
         }
         let stats = iommu.stats();
@@ -1107,7 +942,9 @@ mod tests {
         let iova = Iova::from_virt(va);
 
         // Cold: L1 miss, L2 miss, one walk; both levels fill.
-        iommu.translate(&mut mem, 1, iova, false).unwrap();
+        iommu
+            .translate_at(&mut mem, 1, iova, false, Cycles::ZERO)
+            .unwrap();
         let s = iommu.stats();
         assert_eq!(s.atc.misses, 1);
         assert_eq!(s.iotlb.misses, 1);
@@ -1116,7 +953,9 @@ mod tests {
         assert!(iommu.iotlb().probe(1, iova));
 
         // Warm: L1 hit, L2 untouched, no walk.
-        iommu.translate(&mut mem, 1, iova + 64, false).unwrap();
+        iommu
+            .translate_at(&mut mem, 1, iova + 64, false, Cycles::ZERO)
+            .unwrap();
         let s = iommu.stats();
         assert_eq!(s.atc.hits, 1);
         assert_eq!(s.iotlb.total(), 1, "an L1 hit never reaches L2");
@@ -1126,12 +965,20 @@ mod tests {
         // the first page: L1 misses, the 32-entry L2 still hits, no walk.
         for page in 1..6u64 {
             iommu
-                .translate(&mut mem, 1, Iova::from_virt(va + page * PAGE_SIZE), false)
+                .translate_at(
+                    &mut mem,
+                    1,
+                    Iova::from_virt(va + page * PAGE_SIZE),
+                    false,
+                    Cycles::ZERO,
+                )
                 .unwrap();
         }
         let walks_before = iommu.stats().ptw_walks;
         let l2_hits_before = iommu.stats().iotlb.hits;
-        iommu.translate(&mut mem, 1, iova, false).unwrap();
+        iommu
+            .translate_at(&mut mem, 1, iova, false, Cycles::ZERO)
+            .unwrap();
         let s = iommu.stats();
         assert_eq!(s.ptw_walks, walks_before, "L2 hit avoids the walk");
         assert_eq!(s.iotlb.hits, l2_hits_before + 1);
@@ -1164,12 +1011,20 @@ mod tests {
         let a = Iova::from_virt(va);
         let b = Iova::from_virt(va + PAGE_SIZE);
         // Warm both pages (b last, so the 1-entry L1 holds b).
-        iommu.translate(&mut mem, 1, a, false).unwrap();
-        iommu.translate(&mut mem, 1, b, false).unwrap();
+        iommu
+            .translate_at(&mut mem, 1, a, false, Cycles::ZERO)
+            .unwrap();
+        iommu
+            .translate_at(&mut mem, 1, b, false, Cycles::ZERO)
+            .unwrap();
         // DC cache is warm now: a translation of b hits L1.
-        let (_, l1_hit) = iommu.translate(&mut mem, 1, b, false).unwrap();
+        let (_, l1_hit) = iommu
+            .translate_at(&mut mem, 1, b, false, Cycles::ZERO)
+            .unwrap();
         // A translation of a misses L1 (holds b) but hits L2.
-        let (_, l2_hit) = iommu.translate(&mut mem, 1, a, false).unwrap();
+        let (_, l2_hit) = iommu
+            .translate_at(&mut mem, 1, a, false, Cycles::ZERO)
+            .unwrap();
         assert_eq!(
             l2_hit - l1_hit,
             Cycles::new(11),
@@ -1185,7 +1040,9 @@ mod tests {
             .attach_device(&mut mem, &mut frames, 1, space.pscid(), space.root())
             .unwrap();
         let iova = Iova::from_virt(va);
-        iommu.translate(&mut mem, 1, iova, false).unwrap();
+        iommu
+            .translate_at(&mut mem, 1, iova, false, Cycles::ZERO)
+            .unwrap();
         assert!(iommu.atc(1).unwrap().probe(1, iova));
         assert!(iommu.iotlb().probe(1, iova));
 
@@ -1196,7 +1053,9 @@ mod tests {
         assert!(!iommu.atc(1).unwrap().probe(1, iova), "L1 purged");
         assert!(!iommu.iotlb().probe(1, iova), "L2 purged");
         let walks = iommu.stats().ptw_walks;
-        iommu.translate(&mut mem, 1, iova, false).unwrap();
+        iommu
+            .translate_at(&mut mem, 1, iova, false, Cycles::ZERO)
+            .unwrap();
         assert_eq!(iommu.stats().ptw_walks, walks + 1, "re-walk after purge");
     }
 
@@ -1208,7 +1067,7 @@ mod tests {
             .attach_device(&mut mem, &mut frames, 1, space.pscid(), space.root())
             .unwrap();
         iommu
-            .translate(&mut mem, 1, Iova::from_virt(va), false)
+            .translate_at(&mut mem, 1, Iova::from_virt(va), false, Cycles::ZERO)
             .unwrap();
         let s = iommu.stats();
         assert_eq!(s.atc.total(), 0);
@@ -1227,7 +1086,9 @@ mod tests {
             .unwrap();
         for i in 0..FAULT_QUEUE_ENTRIES as u64 + 1 {
             let bad = Iova::new(0x7F00_0000 + i * PAGE_SIZE);
-            assert!(iommu.translate(&mut mem, 1, bad, false).is_err());
+            assert!(iommu
+                .translate_at(&mut mem, 1, bad, false, Cycles::ZERO)
+                .is_err());
         }
         assert_eq!(
             iommu.pending_faults(),
@@ -1296,20 +1157,6 @@ mod tests {
         assert_eq!(pages, expected);
     }
 
-    /// The dedup validator flags a stale `(device, page)` entry: one the
-    /// index holds with no request behind it in the queue.
-    #[test]
-    #[should_panic(expected = "dedup index size diverged")]
-    fn validator_flags_an_injected_stale_entry() {
-        let mut iommu = Iommu::new(IommuConfig {
-            demand_paging: true,
-            ..IommuConfig::default()
-        });
-        iommu.debug_validate_page_requests();
-        iommu.pending_pages.insert((1, 0x4000_0000));
-        iommu.debug_validate_page_requests();
-    }
-
     #[test]
     fn write_groups_request_upgrades_for_read_only_pages() {
         let (mut mem, mut frames, space, _) = setup();
@@ -1341,27 +1188,22 @@ mod tests {
     }
 
     #[test]
-    fn serviced_page_requests_populate_the_pri_occupancy_timeline() {
+    fn serviced_page_requests_feed_the_latency_statistics() {
         let mut iommu = Iommu::new(IommuConfig {
             demand_paging: true,
             ..IommuConfig::default()
         });
-        // Two overlapping service windows and one later, disjoint one.
         iommu.note_page_request_serviced(Cycles::new(100), Cycles::new(500));
         iommu.note_page_request_serviced(Cycles::new(200), Cycles::new(400));
         iommu.note_page_request_serviced(Cycles::new(900), Cycles::new(1_000));
-        assert_eq!(iommu.page_requests_in_flight_at(Cycles::new(300)), 2);
-        assert_eq!(iommu.page_requests_in_flight_at(Cycles::new(450)), 1);
-        assert_eq!(iommu.page_requests_in_flight_at(Cycles::new(600)), 0);
-        assert_eq!(iommu.page_requests_in_flight_at(Cycles::new(950)), 1);
         let s = iommu.stats();
         assert_eq!(s.page_requests.serviced, 3);
-        assert_eq!(s.page_request_peak_in_flight, 2);
-        let mean = s.page_requests.service_time.mean();
-        assert!((mean - (400.0 + 200.0 + 100.0) / 3.0).abs() < 1e-9);
+        let service = s.page_requests.service_time;
+        assert!((service.mean() - (400.0 + 200.0 + 100.0) / 3.0).abs() < 1e-9);
+        assert_eq!((service.min(), service.max()), (Some(100), Some(400)));
+        assert!(s.page_request_p99 >= s.page_request_p50);
         iommu.reset_stats();
-        assert_eq!(iommu.page_requests_in_flight_at(Cycles::new(300)), 0);
-        assert_eq!(iommu.stats().page_request_peak_in_flight, 0);
+        assert_eq!(iommu.stats().page_requests, PageRequestStats::default());
     }
 
     #[test]
@@ -1375,7 +1217,7 @@ mod tests {
             .attach_device(&mut mem, &mut frames, 1, space.pscid(), space.root())
             .unwrap();
         assert!(iommu
-            .translate(&mut mem, 1, Iova::new(0x7F00_0000), false)
+            .translate_at(&mut mem, 1, Iova::new(0x7F00_0000), false, Cycles::ZERO)
             .is_err());
         assert_eq!(
             iommu.pending_faults(),

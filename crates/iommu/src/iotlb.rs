@@ -15,7 +15,6 @@
 //! translating devices; hit/miss statistics are kept both globally and per
 //! device.
 
-use sva_common::rng::DeterministicRng;
 use sva_common::stats::HitMiss;
 use sva_common::{Iova, PhysAddr, ReplacementPolicy, TlbOrg, PAGE_SHIFT};
 use sva_vm::PteFlags;
@@ -62,8 +61,6 @@ pub struct IoTlb {
     sets: Vec<Vec<Slot>>,
     /// Monotonic operation counter providing unique LRU/FIFO stamps.
     clock: u64,
-    /// Victim stream for [`ReplacementPolicy::Random`] (`None` otherwise).
-    rng: Option<DeterministicRng>,
     stats: HitMiss,
     per_device: Vec<(u32, HitMiss)>,
     /// Valid-entry count per device, ordered by device ID. Functional
@@ -97,10 +94,6 @@ impl IoTlb {
             policy,
             sets: vec![Vec::with_capacity(org.ways); org.sets],
             clock: 0,
-            rng: match policy {
-                ReplacementPolicy::Random(seed) => Some(DeterministicRng::new(seed)),
-                _ => None,
-            },
             stats: HitMiss::new(),
             per_device: Vec::new(),
             per_device_entries: Vec::new(),
@@ -192,13 +185,13 @@ impl IoTlb {
                     }
                 }
             }
-            // FIFO age is fixed at fill time; random needs no metadata.
-            ReplacementPolicy::Fifo | ReplacementPolicy::Random(_) => {}
+            // FIFO age is fixed at fill time.
+            ReplacementPolicy::Fifo => {}
         }
     }
 
     /// Picks the victim way of a full `set`.
-    fn victim(&mut self, set_idx: usize) -> usize {
+    fn victim(&self, set_idx: usize) -> usize {
         let set = &self.sets[set_idx];
         match self.policy {
             ReplacementPolicy::TrueLru | ReplacementPolicy::Fifo => set
@@ -214,13 +207,6 @@ impl IoTlb {
                 // burst): fall back to way 0, matching bit-PLRU hardware
                 // that resets the marks lazily.
                 .unwrap_or(0),
-            ReplacementPolicy::Random(_) => {
-                let ways = set.len() as u64;
-                self.rng
-                    .as_mut()
-                    .expect("random policy carries its stream")
-                    .next_below(ways) as usize
-            }
         }
     }
 
@@ -642,30 +628,11 @@ mod tests {
     }
 
     #[test]
-    fn random_policy_is_deterministic() {
-        let run = |seed: u64| -> Vec<bool> {
-            let mut tlb = IoTlb::with_org(
-                TlbOrg::fully_associative(4),
-                ReplacementPolicy::Random(seed),
-            );
-            for i in 0..16u64 {
-                tlb.fill(1, Iova::new(i << 12), i, entry_flags());
-            }
-            (0..16u64)
-                .map(|i| tlb.probe(1, Iova::new(i << 12)))
-                .collect()
-        };
-        assert_eq!(run(7), run(7), "same seed, same victims");
-        assert_eq!(run(7).iter().filter(|&&p| p).count(), 4);
-    }
-
-    #[test]
     fn policies_agree_on_contents_below_capacity() {
         for policy in [
             ReplacementPolicy::TrueLru,
             ReplacementPolicy::PseudoLru,
             ReplacementPolicy::Fifo,
-            ReplacementPolicy::Random(3),
         ] {
             let mut tlb = IoTlb::with_org(TlbOrg::new(2, 4), policy);
             for i in 0..8u64 {

@@ -18,12 +18,14 @@
 //!   for IO page faults ([`queues`]).
 //!
 //! The top-level [`Iommu`] type wires these together behind the
-//! [`Iommu::translate`] entry point used by the cluster DMA engine.
+//! [`Iommu::translate_at`] entry point used by the cluster DMA engine. A
+//! platform without an IOMMU has no `Iommu`: its devices present bus
+//! addresses, which reach memory untranslated at no cost.
 //!
 //! # Example
 //!
 //! ```
-//! use sva_common::{Iova, PhysAddr, VirtAddr, PAGE_SIZE};
+//! use sva_common::{Cycles, Iova, PAGE_SIZE};
 //! use sva_iommu::{Iommu, IommuConfig};
 //! use sva_mem::MemorySystem;
 //! use sva_vm::{AddressSpace, FrameAllocator};
@@ -37,7 +39,7 @@
 //! iommu.attach_device(&mut mem, &mut frames, 1, space.pscid(), space.root()).unwrap();
 //!
 //! let iova = Iova::from_virt(va);
-//! let (pa, _cycles) = iommu.translate(&mut mem, 1, iova, false).unwrap();
+//! let (pa, _cycles) = iommu.translate_at(&mut mem, 1, iova, false, Cycles::ZERO).unwrap();
 //! assert_eq!(pa, space.translate(&mem, va).unwrap());
 //! ```
 

@@ -1,20 +1,15 @@
-//! Lockstep property suite for the PRI `(device, page)` dedup index.
+//! Lockstep property suite for the PRI `(device, page)` dedup.
 //!
-//! `Iommu::enqueue_page_requests` answers its per-page "already pending?"
-//! probe from a dedup set maintained in lockstep with the bounded
-//! page-request queue. The suite drives one IOMMU and a [`QueueModel`] kept
-//! here (the bounded FIFO with the queue-scan probe the index replaced)
-//! through a `DeterministicRng` mix of page-request groups (overlapping
-//! ranges, two devices, mapped-page skips, groups longer than the 16-entry
-//! queue, so it overflows), host pops and
-//! measurement-window resets (`reset_stats`, which covers the queue's
-//! `reset_dropped` path while pending entries survive), asserting after
-//! every operation that
-//!
-//! * the IOMMU and the model agree on every `(enqueued, dropped)` outcome
-//!   and every popped request — the dedup index is observationally
-//!   invisible — and
-//! * the index mirrors the queue exactly (`debug_validate_page_requests`).
+//! `Iommu::enqueue_page_requests` skips every page of a group that a
+//! queued request of the same device already names. The suite drives one
+//! IOMMU and a [`QueueModel`] kept here (a bounded FIFO with a per-page
+//! queue scan) through a `DeterministicRng` mix of page-request groups
+//! (overlapping ranges, two devices, mapped-page skips, groups longer than
+//! the 16-entry queue, so it overflows), host pops and measurement-window
+//! resets (`reset_stats`, which covers the queue's `reset_dropped` path
+//! while pending entries survive), asserting after every operation that
+//! the IOMMU and the model agree on every `(enqueued, dropped)` outcome,
+//! every popped request and the queue length.
 //!
 //! A teeth test proves the comparison catches a stale entry: one planted in
 //! the model suppresses a legitimate request the IOMMU enqueues.
@@ -77,8 +72,8 @@ fn harness() -> (Harness, Iommu) {
     )
 }
 
-/// The page-request queue with the per-page queue scan the dedup index
-/// replaced: a FIFO of at most [`PAGE_REQUEST_ENTRIES`] requests. A page needs a
+/// The page-request queue with a per-page queue scan: a FIFO of at most
+/// [`PAGE_REQUEST_ENTRIES`] requests. A page needs a
 /// request when the harness has not mapped it into the device's IO table
 /// (mapped pages are read-write) and no queued request of the device
 /// covers it.
@@ -127,10 +122,9 @@ impl QueueModel {
     }
 }
 
-/// The core lockstep property: the dedup index never desyncs from the
-/// queue, and the IOMMU is observationally identical to the queue-scan
-/// model, across enqueue / overflow-drop / pop / map-page / window-reset
-/// interleavings.
+/// The core lockstep property: the IOMMU is observationally identical to
+/// the queue-scan model across enqueue / overflow-drop / pop / map-page /
+/// window-reset interleavings.
 #[test]
 fn dedup_index_stays_in_lockstep_with_the_queue() {
     let mut rng = DeterministicRng::new(0x9B1_DED0);
@@ -178,8 +172,7 @@ fn dedup_index_stays_in_lockstep_with_the_queue() {
                 }
             }
             // A measurement-window reset: statistics (and the queue's drop
-            // counter) restart, pending requests — and their dedup
-            // entries — survive.
+            // counter) restart, pending requests survive.
             _ => {
                 iommu.reset_stats();
                 resets += 1;
@@ -190,7 +183,6 @@ fn dedup_index_stays_in_lockstep_with_the_queue() {
                 );
             }
         }
-        iommu.debug_validate_page_requests();
         assert_eq!(
             iommu.pending_page_requests(),
             model.queue.len(),
@@ -200,12 +192,10 @@ fn dedup_index_stays_in_lockstep_with_the_queue() {
     assert!(popped > 0, "the mix must exercise the pop path");
     assert!(overflowed > 0, "the mix must exercise the overflow path");
     assert!(resets > 0, "the mix must exercise the window reset");
-    // Drain to the end: every remaining pop agrees and the index empties
-    // with the queue.
+    // Drain to the end: every remaining pop agrees.
     loop {
         let a = iommu.pop_page_request();
         assert_eq!(a, model.queue.pop_front(), "drain diverged");
-        iommu.debug_validate_page_requests();
         if a.is_none() {
             break;
         }

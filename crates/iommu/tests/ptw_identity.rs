@@ -7,7 +7,9 @@
 //! fault, and the final walker statistics, folded into one digest per
 //! randomized round. The digests were recorded while the suite still
 //! twin-ran the indexed walker against a walker on the flat reference table
-//! and both produced them. The grid drives `DeterministicRng` walk storms
+//! and both produced them. They were re-pinned once, when a default-built
+//! walker stopped reporting a minimum walk time of 0: without the `min`
+//! term the old and the new walker give the same digests. The grid drives `DeterministicRng` walk storms
 //! across
 //!
 //! * batched (MSHR sizes 1, 2, 8, 64) and serial walkers,
@@ -32,17 +34,17 @@ const PAGES: u64 = 6;
 /// Digest of each round of
 /// [`indexed_walk_table_is_cycle_identical_to_the_naive_reference`].
 const ROUND_DIGESTS: [u64; 6] = [
-    0x7d40_ac04_5de9_e509,
-    0xa814_7208_49b1_252d,
-    0xfc92_b5be_32e7_7fb1,
-    0xc00f_e848_dadb_cd79,
-    0x371e_3c86_bf04_304b,
-    0xa769_681f_cc67_2807,
+    0x36cf_2fcd_df26_1b52,
+    0xac7a_72b5_6aab_4783,
+    0xc3fd_4374_9550_be5a,
+    0xac30_dea5_b534_19dc,
+    0x08e3_62c8_724d_2e2c,
+    0xe685_484e_d3e7_a4c4,
 ];
 
 /// Digest of each window of [`identity_holds_across_measurement_windows`].
 const WINDOW_DIGESTS: [u64; 3] = [
-    0xda27_d6f3_62fc_60af,
+    0xd394_e1b2_b59c_802f,
     0xd9cc_8eb4_8782_1392,
     0x5956_1934_defd_5965,
 ];

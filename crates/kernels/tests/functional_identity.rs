@@ -5,7 +5,7 @@
 //! result element (see each kernel's module doc), so the offload results
 //! must match the reference bit for bit, not just within
 //! `Workload::verify`'s tolerance. This suite runs each small workload
-//! through the cluster executor on a bare memory system (IOMMU disabled,
+//! through the cluster executor on a bare memory system (no IOMMU,
 //! LLC-bypass bus addresses) and compares `to_bits()` of every result
 //! buffer.
 
@@ -13,7 +13,6 @@ use sva_axi::addrmap::{DRAM_BASE, LLC_BYPASS_OFFSET};
 use sva_cluster::ClusterExecutor;
 use sva_common::rng::DeterministicRng;
 use sva_common::{Iova, PhysAddr};
-use sva_iommu::Iommu;
 use sva_kernels::{KernelKind, Workload};
 use sva_mem::MemorySystem;
 
@@ -26,7 +25,6 @@ fn buffer_offset(b: usize) -> u64 {
 /// contents.
 fn run_on_device(wl: &dyn Workload, initial: &[Vec<f32>]) -> Vec<Vec<f32>> {
     let mut mem = MemorySystem::default();
-    let mut iommu = Iommu::disabled();
     let mut ptrs = Vec::new();
     for (b, data) in initial.iter().enumerate() {
         let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
@@ -36,7 +34,7 @@ fn run_on_device(wl: &dyn Workload, initial: &[Vec<f32>]) -> Vec<Vec<f32>> {
     }
     let mut kernel = wl.device_kernel(&ptrs);
     ClusterExecutor::default()
-        .run(&mut mem, &mut iommu, &mut kernel)
+        .run(&mut mem, None, &mut kernel, None)
         .expect("device run completes");
     initial
         .iter()

@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for pass in 0..2 {
         for page in 0..8u64 {
             let iova = Iova::from_virt(va + page * PAGE_SIZE);
-            let (pa, cycles) = iommu.translate(&mut mem, 1, iova, false)?;
+            let (pa, cycles) = iommu.translate_at(&mut mem, 1, iova, false, Cycles::ZERO)?;
             println!("  pass {pass} page {page}: {iova} -> {pa} in {cycles}");
         }
     }
@@ -64,13 +64,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         iova: None,
     });
     println!("\nafter IOTINVAL.VMA the next access walks the tables again:");
-    let (_, cycles) = iommu.translate(&mut mem, 1, Iova::from_virt(va), false)?;
+    let (_, cycles) = iommu.translate_at(&mut mem, 1, Iova::from_virt(va), false, Cycles::ZERO)?;
     println!("  re-walk took {cycles}");
 
     // Accessing an unmapped IOVA raises an IO page fault and lands in the
     // fault queue, like the real fault-reporting path.
     let bad = Iova::new(0x7000_0000);
-    match iommu.translate(&mut mem, 1, bad, true) {
+    match iommu.translate_at(&mut mem, 1, bad, true, Cycles::ZERO) {
         Err(e) => println!("\naccess to unmapped {bad} failed as expected: {e}"),
         Ok(_) => unreachable!("unmapped access must fault"),
     }

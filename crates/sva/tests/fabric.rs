@@ -179,14 +179,13 @@ fn tile_range_identity_on_direct_executor() {
 
     let run_direct = |wrap: bool| {
         let mut mem = MemorySystem::default();
-        let mut iommu = Iommu::disabled();
         let mut exec = ClusterExecutor::new(ClusterConfig::default(), 1, 0);
         if wrap {
             let mut kernel = TileRange::new(Stream { tiles: 8 }, 0, 8);
-            exec.run(&mut mem, &mut iommu, &mut kernel).unwrap()
+            exec.run(&mut mem, None, &mut kernel, None).unwrap()
         } else {
             let mut kernel = Stream { tiles: 8 };
-            exec.run(&mut mem, &mut iommu, &mut kernel).unwrap()
+            exec.run(&mut mem, None, &mut kernel, None).unwrap()
         }
     };
     assert_eq!(run_direct(true), run_direct(false));
@@ -213,15 +212,27 @@ fn iotlb_lru_order_holds_under_multi_device_interleaving() {
 
     // Fill the 4-entry IOTLB with an interleaved tag set:
     // (1,p0) (3,p0) (1,p1) (3,p1), in that LRU order.
-    iommu.translate(&mut mem, 1, page(0), false).unwrap();
-    iommu.translate(&mut mem, 3, page(0), false).unwrap();
-    iommu.translate(&mut mem, 1, page(1), false).unwrap();
-    iommu.translate(&mut mem, 3, page(1), false).unwrap();
+    iommu
+        .translate_at(&mut mem, 1, page(0), false, Cycles::ZERO)
+        .unwrap();
+    iommu
+        .translate_at(&mut mem, 3, page(0), false, Cycles::ZERO)
+        .unwrap();
+    iommu
+        .translate_at(&mut mem, 1, page(1), false, Cycles::ZERO)
+        .unwrap();
+    iommu
+        .translate_at(&mut mem, 3, page(1), false, Cycles::ZERO)
+        .unwrap();
     assert_eq!(iommu.iotlb().len(), 4);
 
     // Touch (1,p0) so (3,p0) becomes LRU, then insert a fifth tag.
-    iommu.translate(&mut mem, 1, page(0), false).unwrap();
-    iommu.translate(&mut mem, 1, page(2), false).unwrap();
+    iommu
+        .translate_at(&mut mem, 1, page(0), false, Cycles::ZERO)
+        .unwrap();
+    iommu
+        .translate_at(&mut mem, 1, page(2), false, Cycles::ZERO)
+        .unwrap();
 
     assert!(iommu.iotlb().probe(1, page(0)), "MRU survives");
     assert!(
@@ -234,7 +245,9 @@ fn iotlb_lru_order_holds_under_multi_device_interleaving() {
 
     // Interleave again: evictions keep following global LRU, not device
     // ownership. Next LRU is (1,p1).
-    iommu.translate(&mut mem, 3, page(2), false).unwrap();
+    iommu
+        .translate_at(&mut mem, 3, page(2), false, Cycles::ZERO)
+        .unwrap();
     assert!(!iommu.iotlb().probe(1, page(1)), "(1,p1) was global LRU");
     assert!(
         iommu.iotlb().probe(3, page(1)),
@@ -269,8 +282,12 @@ fn device_invalidation_is_scoped_under_shared_pages() {
             .unwrap();
     }
     let iova = Iova::from_virt(va);
-    iommu.translate(&mut mem, 1, iova, false).unwrap();
-    iommu.translate(&mut mem, 3, iova, false).unwrap();
+    iommu
+        .translate_at(&mut mem, 1, iova, false, Cycles::ZERO)
+        .unwrap();
+    iommu
+        .translate_at(&mut mem, 3, iova, false, Cycles::ZERO)
+        .unwrap();
 
     iommu.process_command(sva::iommu::Command::IotlbInvalidate {
         device_id: Some(1),

@@ -7,7 +7,7 @@
 
 use sva::axi::BurstPlan;
 use sva::common::rng::DeterministicRng;
-use sva::common::{Iova, PhysAddr, VirtAddr, PAGE_SIZE};
+use sva::common::{Cycles, Iova, PhysAddr, VirtAddr, PAGE_SIZE};
 use sva::iommu::{Iommu, IommuConfig};
 use sva::mem::{MemorySystem, SparseMemory};
 use sva::vm::{AddressSpace, FrameAllocator, PageTable, PteFlags};
@@ -130,7 +130,9 @@ fn iommu_matches_software_walk() {
         for _ in 0..n_offsets {
             let off = rng.next_below(8 * PAGE_SIZE);
             let iova = Iova::from_virt(va + off);
-            let (pa, cycles) = iommu.translate(&mut mem, 1, iova, false).unwrap();
+            let (pa, cycles) = iommu
+                .translate_at(&mut mem, 1, iova, false, Cycles::ZERO)
+                .unwrap();
             assert_eq!(pa, space.translate(&mem, va + off).unwrap());
             assert!(cycles.raw() > 0);
         }
@@ -160,11 +162,15 @@ fn iotlb_capacity_and_mru() {
         for _ in 0..n {
             let p = rng.next_below(64);
             let iova = Iova::from_virt(va + p * PAGE_SIZE);
-            iommu.translate(&mut mem, 1, iova, false).unwrap();
+            iommu
+                .translate_at(&mut mem, 1, iova, false, Cycles::ZERO)
+                .unwrap();
             assert!(iommu.iotlb().len() <= 4);
             // Immediately repeating the same page is always an IOTLB hit.
             let before = iommu.stats().iotlb.hits;
-            iommu.translate(&mut mem, 1, iova, false).unwrap();
+            iommu
+                .translate_at(&mut mem, 1, iova, false, Cycles::ZERO)
+                .unwrap();
             assert_eq!(iommu.stats().iotlb.hits, before + 1);
         }
     });

@@ -6,7 +6,7 @@
 //! page-table walker later *time* its three dependent reads against the same
 //! memory hierarchy the paper measures.
 
-use sva_common::{Error, PhysAddr, Result, VirtAddr, PAGE_SIZE};
+use sva_common::{Error, PhysAddr, Result, VirtAddr};
 use sva_mem::MemorySystem;
 
 use crate::frame::FrameAllocator;
@@ -49,15 +49,6 @@ pub struct MapStats {
     pub pte_writes: u64,
     /// Number of PTE loads performed while walking existing levels.
     pub pte_reads: u64,
-}
-
-impl MapStats {
-    /// Merges the accounting of another operation into this one.
-    pub fn merge(&mut self, other: MapStats) {
-        self.tables_allocated += other.tables_allocated;
-        self.pte_writes += other.pte_writes;
-        self.pte_reads += other.pte_reads;
-    }
 }
 
 /// The PTE addresses and values touched by a full table walk of one address.
@@ -154,36 +145,6 @@ impl PageTable {
         Ok(stats)
     }
 
-    /// Maps `len` bytes starting at `va` to the physically contiguous range
-    /// starting at `pa`. Both addresses must be page-aligned.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] on misaligned inputs, plus any error
-    /// from [`PageTable::map_page`].
-    pub fn map_range(
-        &self,
-        mem: &mut MemorySystem,
-        frames: &mut FrameAllocator,
-        va: VirtAddr,
-        pa: PhysAddr,
-        len: u64,
-        flags: PteFlags,
-    ) -> Result<MapStats> {
-        if !va.is_aligned(PAGE_SIZE) || !pa.is_aligned(PAGE_SIZE) {
-            return Err(Error::InvalidConfig {
-                reason: format!("map_range requires page-aligned addresses (va={va}, pa={pa})"),
-            });
-        }
-        let mut stats = MapStats::default();
-        let pages = len.div_ceil(PAGE_SIZE);
-        for i in 0..pages {
-            let s = self.map_page(mem, frames, va + i * PAGE_SIZE, pa + i * PAGE_SIZE, flags)?;
-            stats.merge(s);
-        }
-        Ok(stats)
-    }
-
     /// Removes the leaf mapping of the page containing `va`.
     ///
     /// Intermediate tables are left in place, as the Linux driver does for
@@ -249,6 +210,7 @@ impl PageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sva_common::PAGE_SIZE;
 
     fn setup() -> (MemorySystem, FrameAllocator, PageTable) {
         let mem = MemorySystem::default();
@@ -302,43 +264,6 @@ mod tests {
             .unwrap();
         assert_eq!(stats.tables_allocated, 0);
         assert_eq!(stats.pte_writes, 1);
-    }
-
-    #[test]
-    fn map_range_covers_every_page() {
-        let (mut mem, mut frames, pt) = setup();
-        let va = VirtAddr::new(0x5000_0000);
-        let pa = frames.alloc_contiguous(16).unwrap();
-        pt.map_range(
-            &mut mem,
-            &mut frames,
-            va,
-            pa,
-            16 * PAGE_SIZE,
-            PteFlags::user_rw(),
-        )
-        .unwrap();
-        for i in 0..16u64 {
-            assert_eq!(
-                pt.translate(&mem, va + i * PAGE_SIZE).unwrap(),
-                pa + i * PAGE_SIZE
-            );
-        }
-        assert!(!pt.is_mapped(&mem, va + 16 * PAGE_SIZE));
-    }
-
-    #[test]
-    fn map_range_rejects_misaligned_input() {
-        let (mut mem, mut frames, pt) = setup();
-        let err = pt.map_range(
-            &mut mem,
-            &mut frames,
-            VirtAddr::new(0x5000_0010),
-            PhysAddr::new(0x8000_0000),
-            PAGE_SIZE,
-            PteFlags::user_rw(),
-        );
-        assert!(matches!(err, Err(Error::InvalidConfig { .. })));
     }
 
     #[test]
