@@ -6,9 +6,10 @@
 //!
 //! * every burst is capped by the AXI maximum burst length and split at 4 KiB
 //!   page boundaries;
-//! * when the IOMMU translates, the first burst of every page presents a
-//!   translation request; an IOTLB miss serialises the burst behind a
-//!   multi-read page-table walk, reducing the engine's effective bandwidth;
+//! * when the IOMMU translates, every burst presents a translation request
+//!   at its issue time ([`DmaStats::translations`] counts one per burst);
+//!   an IOTLB miss serialises the burst behind a multi-read page-table
+//!   walk, reducing the engine's effective bandwidth;
 //! * without the IOMMU, bursts address the physically contiguous reserved
 //!   DRAM (or the LLC-bypass window) directly.
 //!

@@ -428,9 +428,6 @@ pub struct TimedQueue {
     max_exit: u64,
     /// Boundary events folded away by watermark compaction.
     compacted_events: u64,
-    /// Highest occupancy observed at any admission (including the admitted
-    /// entry itself). Tracked for every recording queue.
-    peak: usize,
     /// Total admission delay accumulated across all pushes.
     stall_cycles: u64,
     /// Entries admitted.
@@ -450,8 +447,8 @@ impl TimedQueue {
 
     /// An unbounded queue that still records every interval, so in-flight
     /// occupancy is observable ([`TimedQueue::occupancy_at`]) even though
-    /// nothing can ever stall. Pushes, occupancy queries and the peak
-    /// statistic all ride the same O(log n) index as bounded queues.
+    /// nothing can ever stall. Pushes and occupancy queries ride the same
+    /// O(log n) index as bounded queues.
     pub fn unbounded_recording() -> Self {
         Self {
             depth: usize::MAX,
@@ -610,9 +607,7 @@ impl TimedQueue {
             return 0;
         }
         let (enter, level) = admission;
-        let occupancy = self.splice(enter, exit.max(enter + 1), level as u32);
-        self.peak = self.peak.max(occupancy);
-        occupancy
+        self.splice(enter, exit.max(enter + 1), level as u32)
     }
 
     /// Folds every boundary event before `w` into the base-occupancy
@@ -678,12 +673,6 @@ impl TimedQueue {
         assert_eq!(last, 0, "trailing occupancy must be zero");
     }
 
-    /// Highest occupancy observed at any admission (0 for non-recording
-    /// unbounded queues, whose occupancy is never tracked).
-    pub const fn peak(&self) -> usize {
-        self.peak
-    }
-
     /// Total admission delay accumulated across all pushes.
     pub const fn stall_cycles(&self) -> u64 {
         self.stall_cycles
@@ -695,7 +684,8 @@ impl TimedQueue {
     }
 
     /// Drops every recorded interval (a new measurement window opens; the
-    /// peak/stall statistics survive, like every other fabric statistic).
+    /// stall and admission statistics survive, like every other fabric
+    /// statistic).
     pub fn clear_entries(&mut self) {
         self.timeline.clear();
         self.base = 0;
@@ -707,7 +697,6 @@ impl TimedQueue {
     pub fn reset(&mut self) {
         self.clear_entries();
         self.compacted_events = 0;
-        self.peak = 0;
         self.stall_cycles = 0;
         self.admissions = 0;
     }
@@ -932,7 +921,6 @@ mod tests {
             assert_eq!(occ, 0);
         }
         assert_eq!(q.stall_cycles(), 0);
-        assert_eq!(q.peak(), 0);
         assert_eq!(q.admissions(), 100);
         assert_eq!(q.admission_at(50), 50);
         assert_eq!(q.event_count(), 0, "non-recording queues index nothing");
@@ -949,7 +937,6 @@ mod tests {
         assert_eq!(admitted, 60);
         assert_eq!(occ, 2, "the freed slot is immediately re-occupied");
         assert_eq!(q.stall_cycles(), 50);
-        assert_eq!(q.peak(), 2);
         q.debug_validate();
     }
 
@@ -988,10 +975,8 @@ mod tests {
         q.clear_entries();
         assert_eq!(q.occupancy_at(50), 0);
         assert_eq!(q.stall_cycles(), 100, "stats survive the window boundary");
-        assert_eq!(q.peak(), 1);
         q.reset();
         assert_eq!(q.stall_cycles(), 0);
-        assert_eq!(q.peak(), 0);
     }
 
     #[test]
@@ -1005,7 +990,6 @@ mod tests {
         assert_eq!(q.occupancy_at(150), 0);
         assert_eq!(q.stall_cycles(), 0, "unbounded queues never stall");
         assert_eq!(q.admission_at(20), 20);
-        assert_eq!(q.peak(), 2, "recording queues track the peak");
         q.clear_entries();
         assert_eq!(q.occupancy_at(20), 0);
     }

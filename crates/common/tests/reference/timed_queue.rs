@@ -14,14 +14,13 @@ struct QueueEntry {
 /// The original queue engine: a flat interval list answering every query
 /// with a full scan. The suite drives it and the indexed engine on
 /// randomized out-of-order interval batches and demands identical
-/// admissions, stalls and peaks.
+/// admissions and stalls.
 #[derive(Clone, Debug, Default)]
 pub struct NaiveTimedQueue {
     depth: usize,
     record: bool,
     entries: Vec<QueueEntry>,
     max_exit: u64,
-    peak: usize,
     stall_cycles: u64,
     admissions: u64,
 }
@@ -95,14 +94,7 @@ impl NaiveTimedQueue {
             exit,
         });
         self.max_exit = self.max_exit.max(exit);
-        let occupancy = self.occupancy_at(admitted);
-        self.peak = self.peak.max(occupancy);
-        (admitted, occupancy)
-    }
-
-    /// Highest occupancy observed at any admission.
-    pub const fn peak(&self) -> usize {
-        self.peak
+        (admitted, self.occupancy_at(admitted))
     }
 
     /// Total admission delay accumulated across all pushes.
@@ -124,7 +116,6 @@ impl NaiveTimedQueue {
     pub fn reset(&mut self) {
         self.entries.clear();
         self.max_exit = 0;
-        self.peak = 0;
         self.stall_cycles = 0;
         self.admissions = 0;
     }

@@ -3,8 +3,8 @@
 //!
 //! Both engines are driven push-by-push on `DeterministicRng`-generated
 //! out-of-order interval batches across a spread of depths; admission
-//! times, returned occupancies, interleaved probe queries, stalls, peaks
-//! and admission counts must all be identical. The split admit/commit path
+//! times, returned occupancies, interleaved probe queries, stalls and
+//! admission counts must all be identical. The split admit/commit path
 //! the fabric uses (`admit_at`, then `push_admitted` with its result) is
 //! driven the same way. The same driver is then pointed at a deliberately
 //! broken index (an off-by-one on the exit boundary delta) and must detect
@@ -24,7 +24,6 @@ trait QueueModel {
     fn push(&mut self, enter: u64, exit: u64) -> (u64, usize);
     fn occupancy_at(&self, t: u64) -> usize;
     fn admission_at(&self, t: u64) -> u64;
-    fn peak(&self) -> usize;
     fn stall_cycles(&self) -> u64;
     fn admissions(&self) -> u64;
     fn validate(&self) {}
@@ -39,9 +38,6 @@ impl QueueModel for TimedQueue {
     }
     fn admission_at(&self, t: u64) -> u64 {
         TimedQueue::admission_at(self, t)
-    }
-    fn peak(&self) -> usize {
-        TimedQueue::peak(self)
     }
     fn stall_cycles(&self) -> u64 {
         TimedQueue::stall_cycles(self)
@@ -63,9 +59,6 @@ impl QueueModel for NaiveTimedQueue {
     }
     fn admission_at(&self, t: u64) -> u64 {
         NaiveTimedQueue::admission_at(self, t)
-    }
-    fn peak(&self) -> usize {
-        NaiveTimedQueue::peak(self)
     }
     fn stall_cycles(&self) -> u64 {
         NaiveTimedQueue::stall_cycles(self)
@@ -96,9 +89,6 @@ impl QueueModel for SplitQueue {
     fn admission_at(&self, t: u64) -> u64 {
         self.queue.admission_at(t)
     }
-    fn peak(&self) -> usize {
-        self.queue.peak()
-    }
     fn stall_cycles(&self) -> u64 {
         self.stall
     }
@@ -126,9 +116,6 @@ impl QueueModel for OffByOneQueue {
     }
     fn admission_at(&self, t: u64) -> u64 {
         self.0.admission_at(t)
-    }
-    fn peak(&self) -> usize {
-        self.0.peak()
     }
     fn stall_cycles(&self) -> u64 {
         self.0.stall_cycles()
@@ -202,9 +189,6 @@ fn compare_on_batch(
                 ));
             }
         }
-    }
-    if a.peak() != b.peak() {
-        return Some(format!("peak: {} vs {}", a.peak(), b.peak()));
     }
     if a.stall_cycles() != b.stall_cycles() {
         return Some(format!(
@@ -330,7 +314,6 @@ fn compaction_preserves_results_and_bounds_the_index() {
             peak_events = peak_events.max(compacted.event_count());
         }
         assert_eq!(compacted.stall_cycles(), plain.stall_cycles());
-        assert_eq!(compacted.peak(), plain.peak());
         assert!(compacted.compacted_events() > 0, "compaction never fired");
         assert!(
             peak_events < plain.event_count() / 4,
@@ -351,7 +334,6 @@ fn naive_reference_matches_on_the_documented_cases() {
     let (admitted, occ) = q.push(10, 200);
     assert_eq!((admitted, occ), (60, 2));
     assert_eq!(q.stall_cycles(), 50);
-    assert_eq!(q.peak(), 2);
     assert_eq!(q.entry_count(), 3);
 
     let mut u = NaiveTimedQueue::new(usize::MAX);
@@ -362,7 +344,6 @@ fn naive_reference_matches_on_the_documented_cases() {
     r.push(0, 100);
     r.push(10, 50);
     assert_eq!(r.occupancy_at(20), 2);
-    assert_eq!(r.peak(), 2);
     r.reset();
     assert_eq!(r.occupancy_at(20), 0);
     assert_eq!(r.admissions(), 0);

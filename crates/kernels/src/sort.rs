@@ -22,14 +22,12 @@
 //! the kernel is moderately memory-bound and — like the linear kernels —
 //! exposes the IOMMU translation cost when the page-table walks miss the LLC.
 //!
-//! **Operation order.** The local-sort tiles and the reference both order
-//! values with `sort_total`, i.e. by [`f32::total_cmp`]. The merge passes
-//! compare with `<=`, which agrees with `total_cmp` on inputs without NaNs
-//! or mixed-sign zeros (every input [`Workload::init`] generates). Sorting
-//! moves values without arithmetic, so device results are bit-identical to
-//! the reference.
-
-use std::collections::HashMap;
+//! **Operation order.** Every comparison — the reference, the local-sort
+//! tiles, the merge-path partitions and the merges — orders values by
+//! [`f32::total_cmp`], through its order-preserving `u32` image (`key`).
+//! Equal keys have equal bits, and sorting moves values without arithmetic,
+//! so device results are bit-identical to the reference on every input,
+//! NaNs and signed zeros included.
 
 use sva_cluster::{DeviceKernel, DmaRequest, Tcdm, TileCtx, TileIo};
 use sva_common::rng::DeterministicRng;
@@ -147,33 +145,34 @@ impl Workload for SortWorkload {
     }
 }
 
-/// Sorts `v` ascending under [`f32::total_cmp`] with a least-significant-
-/// digit radix sort (four 8-bit digits) over an order-preserving unsigned
-/// image of each value's bits. Values with equal images have identical
-/// bits, so the result is exactly that of `v.sort_by(f32::total_cmp)`.
-fn sort_total(v: &mut [f32]) {
-    // Negative values flip every bit, the others only the sign bit: the
-    // images then compare as unsigned integers in `total_cmp` order.
-    fn key(x: f32) -> u32 {
-        let bits = x.to_bits();
-        if bits >> 31 == 1 {
-            !bits
-        } else {
-            bits | 1 << 31
-        }
+/// The order-preserving unsigned image of `x` under [`f32::total_cmp`]:
+/// negative values flip every bit, the others only the sign bit, so the
+/// keys compare as unsigned integers in `total_cmp` order. Equal keys have
+/// equal bits.
+fn key(x: f32) -> u32 {
+    let bits = x.to_bits();
+    if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 1 << 31
     }
-    fn value(key: u32) -> f32 {
-        f32::from_bits(if key >> 31 == 1 {
-            key & !(1 << 31)
-        } else {
-            !key
-        })
-    }
+}
 
-    let mut keys: Vec<u32> = v.iter().map(|&x| key(x)).collect();
-    let mut spare = vec![0u32; keys.len()];
+/// The value whose [`key`] is `key`.
+fn value(key: u32) -> f32 {
+    f32::from_bits(if key >> 31 == 1 {
+        key & !(1 << 31)
+    } else {
+        !key
+    })
+}
+
+/// Sorts `keys` ascending with a least-significant-digit radix sort (four
+/// 8-bit digits) that ping-pongs between `keys` and the equally long
+/// `spare`; returns the one holding the result.
+fn radix_sort<'a>(mut keys: &'a mut [u32], mut spare: &'a mut [u32]) -> &'a [u32] {
     let mut counts = [[0usize; 256]; 4];
-    for &k in &keys {
+    for &k in keys.iter() {
         for (digit, count) in counts.iter_mut().enumerate() {
             count[(k >> (8 * digit)) as usize & 0xff] += 1;
         }
@@ -189,16 +188,63 @@ fn sort_total(v: &mut [f32]) {
             *c = start;
             start += len;
         }
-        for &k in &keys {
+        for &k in keys.iter() {
             let slot = &mut count[(k >> (8 * digit)) as usize & 0xff];
             spare[*slot] = k;
             *slot += 1;
         }
         std::mem::swap(&mut keys, &mut spare);
     }
-    for (x, &k) in v.iter_mut().zip(&keys) {
+    keys
+}
+
+/// Sorts `v` ascending under [`f32::total_cmp`] by radix-sorting its keys.
+/// Values with equal keys have identical bits, so the result is exactly
+/// that of `v.sort_by(f32::total_cmp)`.
+fn sort_total(v: &mut [f32]) {
+    let mut keys: Vec<u32> = v.iter().map(|&x| key(x)).collect();
+    let mut spare = vec![0u32; keys.len()];
+    for (x, &k) in v.iter_mut().zip(radix_sort(&mut keys, &mut spare)) {
         *x = value(k);
     }
+}
+
+/// Merges the ascending runs `a` and `b` into `out`, which holds exactly
+/// both. Equal keys are equal values, so ties need no rule: each step
+/// stores the integer `min` and advances one cursor by the comparison's
+/// 0 or 1, which compiles to conditional moves rather than a branch on the
+/// data.
+fn merge_keys(a: &[u32], b: &[u32], out: &mut [u32]) {
+    assert_eq!(a.len() + b.len(), out.len(), "merge output holds both runs");
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out[i + j] = x.min(y);
+        let take_a = usize::from(x <= y);
+        i += take_a;
+        j += 1 - take_a;
+    }
+    let (a_rest, b_rest) = out[i + j..].split_at_mut(a.len() - i);
+    a_rest.copy_from_slice(&a[i..]);
+    b_rest.copy_from_slice(&b[j..]);
+}
+
+/// Reads `keys.len()` values from the TCDM at `offset` as keys.
+fn read_keys(tcdm: &Tcdm, offset: u64, keys: &mut [u32]) -> Result<()> {
+    let src = tcdm.bytes(offset, (keys.len() * 4) as u64)?;
+    for (k, c) in keys.iter_mut().zip(src.chunks_exact(4)) {
+        *k = key(f32::from_le_bytes(c.try_into().expect("4-byte chunk")));
+    }
+    Ok(())
+}
+
+/// Writes the values of `keys` to the TCDM at `offset`.
+fn write_values(tcdm: &mut Tcdm, offset: u64, keys: &[u32]) -> Result<()> {
+    let dst = tcdm.bytes_mut(offset, (keys.len() * 4) as u64)?;
+    for (c, &k) in dst.chunks_exact_mut(4).zip(keys) {
+        c.copy_from_slice(&value(k).to_le_bytes());
+    }
+    Ok(())
 }
 
 /// Device-side two-phase parallel sort.
@@ -206,26 +252,29 @@ struct SortDevice {
     n: usize,
     data: Iova,
     aux: Iova,
-    /// Merge-path partitions per merge tile, computed by the plan pre-pass
-    /// ([`DeviceKernel::plan_tile`]) from the shared functional memory and
-    /// consumed by [`DeviceKernel::tile_io`]/[`DeviceKernel::compute_tile`]:
+    /// Merge-path partitions indexed by merge tile (`tile - chunks`),
+    /// computed by the plan pre-pass ([`DeviceKernel::plan_tile`]) from the
+    /// shared functional memory and consumed by
+    /// [`DeviceKernel::tile_io`]/[`DeviceKernel::compute_tile`]:
     /// `(a_start, a_len, b_start, b_len)` in elements of the source array.
-    ranges: HashMap<usize, (usize, usize, usize, usize)>,
-    /// Host copies of a tile's input runs and output block, reused across
-    /// tiles.
-    runs: Vec<f32>,
-    out: Vec<f32>,
+    ranges: Vec<Option<(usize, usize, usize, usize)>>,
+    /// Keys of a tile's input runs, and of its sorted or merged block,
+    /// reused across tiles; the local sort's radix passes ping-pong between
+    /// the two.
+    keys: Vec<u32>,
+    merged: Vec<u32>,
 }
 
 impl SortDevice {
     fn new(n: usize, data: Iova, aux: Iova) -> Self {
+        let chunks = n / CHUNK;
         Self {
             n,
             data,
             aux,
-            ranges: HashMap::new(),
-            runs: vec![0.0; CHUNK],
-            out: Vec::with_capacity(CHUNK),
+            ranges: vec![None; chunks * chunks.trailing_zeros() as usize],
+            keys: vec![0; CHUNK],
+            merged: vec![0; CHUNK],
         }
     }
 
@@ -262,7 +311,7 @@ impl SortDevice {
         (self.pass_dst(pass - 1), self.pass_dst(pass))
     }
 
-    /// Merge-path partition over arbitrary element accessors: how many
+    /// Merge-path partition over arbitrary key accessors: how many
     /// elements of run A are among the first `k` elements of the merge of
     /// runs A and B.
     fn merge_partition_with<A, B>(
@@ -273,8 +322,8 @@ impl SortDevice {
         k: usize,
     ) -> Result<usize>
     where
-        A: Fn(usize) -> Result<f32>,
-        B: Fn(usize) -> Result<f32>,
+        A: Fn(usize) -> Result<u32>,
+        B: Fn(usize) -> Result<u32>,
     {
         let mut lo = k.saturating_sub(b_len);
         let mut hi = k.min(a_len);
@@ -294,7 +343,8 @@ impl SortDevice {
     /// the reference the functional-memory variant mirrors).
     #[cfg(test)]
     fn merge_partition(a: &[f32], b: &[f32], k: usize) -> usize {
-        Self::merge_partition_with(&|i| Ok(a[i]), a.len(), &|j| Ok(b[j]), b.len(), k)
+        let (a_key, b_key) = (|i: usize| Ok(key(a[i])), |j: usize| Ok(key(b[j])));
+        Self::merge_partition_with(&a_key, a.len(), &b_key, b.len(), k)
             .expect("slice accessors cannot fail")
     }
 
@@ -313,7 +363,7 @@ impl SortDevice {
         let (src, _) = self.pass_arrays(pass);
         let out_start = block * CHUNK;
         let pair_base = out_start / (2 * run_len) * (2 * run_len);
-        let elem = |idx: usize| ctx.read_f32(src + (idx * 4) as u64);
+        let elem = |idx: usize| ctx.read_f32(src + (idx * 4) as u64).map(key);
         let a = |i: usize| elem(pair_base + i);
         let b = |j: usize| elem(pair_base + run_len + j);
         let off = out_start - pair_base;
@@ -333,10 +383,7 @@ impl SortDevice {
     /// executor's responsibility ([`DeviceKernel::plan_tile`] runs before
     /// the first `tile_io` of every tile).
     fn planned_ranges(&self, tile: usize) -> (usize, usize, usize, usize) {
-        *self
-            .ranges
-            .get(&tile)
-            .expect("merge tile was planned via plan_tile before use")
+        self.ranges[tile - self.chunks()].expect("merge tile was planned via plan_tile before use")
     }
 
     /// TCDM layout of one buffer set: run-A segment, run-B segment, output.
@@ -358,11 +405,13 @@ impl DeviceKernel for SortDevice {
 
     fn plan_tile(&mut self, tile: usize, ctx: &TileCtx<'_>) -> Result<()> {
         let (phase, block) = self.decode(tile);
-        if phase == 0 || self.ranges.contains_key(&tile) {
+        if phase == 0 {
             return Ok(());
         }
-        let ranges = self.merge_ranges_from_memory(ctx, phase, block)?;
-        self.ranges.insert(tile, ranges);
+        let merge_tile = tile - self.chunks();
+        if self.ranges[merge_tile].is_none() {
+            self.ranges[merge_tile] = Some(self.merge_ranges_from_memory(ctx, phase, block)?);
+        }
         Ok(())
     }
 
@@ -417,10 +466,9 @@ impl DeviceKernel for SortDevice {
 
         if phase == 0 {
             // Local sort of one chunk.
-            let chunk = &mut self.runs;
-            tcdm.read_f32_slice(a_off, chunk)?;
-            sort_total(chunk);
-            tcdm.write_f32_slice(out_off, chunk)?;
+            read_keys(tcdm, a_off, &mut self.keys)?;
+            let sorted = radix_sort(&mut self.keys, &mut self.merged);
+            write_values(tcdm, out_off, sorted)?;
             let comparisons = (CHUNK as u64) * (CHUNK as f64).log2().ceil() as u64;
             return Ok(cost::sort_local_cost().parallel_region(comparisons));
         }
@@ -435,24 +483,11 @@ impl DeviceKernel for SortDevice {
                 ),
             });
         }
-        let (a, b) = self.runs.split_at_mut(a_len);
-        tcdm.read_f32_slice(a_off, a)?;
-        tcdm.read_f32_slice(b_off, b)?;
-        let out = &mut self.out;
-        out.clear();
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            if a[i] <= b[j] {
-                out.push(a[i]);
-                i += 1;
-            } else {
-                out.push(b[j]);
-                j += 1;
-            }
-        }
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
-        tcdm.write_f32_slice(out_off, out)?;
+        let (a, b) = self.keys.split_at_mut(a_len);
+        read_keys(tcdm, a_off, a)?;
+        read_keys(tcdm, b_off, b)?;
+        merge_keys(a, b, &mut self.merged);
+        write_values(tcdm, out_off, &self.merged)?;
 
         Ok(cost::sort_merge_cost().parallel_region(CHUNK as u64))
     }
@@ -460,7 +495,37 @@ impl DeviceKernel for SortDevice {
 
 #[cfg(test)]
 mod tests {
+    use sva_axi::addrmap::{DRAM_BASE, LLC_BYPASS_OFFSET};
+    use sva_cluster::ClusterExecutor;
+    use sva_common::PhysAddr;
+    use sva_mem::MemorySystem;
+
     use super::*;
+
+    /// Signed zeros, infinities, NaNs of both signs and payloads,
+    /// subnormals and the extremes.
+    fn special_values() -> [f32; 14] {
+        [
+            0.0,
+            -0.0,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7fc0_0001),
+            f32::from_bits(0xffc0_0001),
+            f32::MIN_POSITIVE / 2.0,
+            -f32::MIN_POSITIVE / 2.0,
+            f32::MAX,
+            f32::MIN,
+        ]
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
 
     #[test]
     fn reference_sorts_ascending() {
@@ -477,33 +542,115 @@ mod tests {
         let mut rng = DeterministicRng::new(11);
         let mut values = vec![0.0f32; 3000];
         rng.fill_f32(&mut values, -1.0e6, 1.0e6);
-        // Duplicates, signed zeros, infinities, NaNs of both signs and
-        // payloads, subnormals and the extremes.
+        // Duplicates and special values.
         values.extend_from_within(..200);
-        values.extend_from_slice(&[
-            0.0,
-            -0.0,
-            0.0,
-            -0.0,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-            f32::NAN,
-            -f32::NAN,
-            f32::from_bits(0x7fc0_0001),
-            f32::from_bits(0xffc0_0001),
-            f32::MIN_POSITIVE / 2.0,
-            -f32::MIN_POSITIVE / 2.0,
-            f32::MAX,
-            f32::MIN,
-        ]);
+        values.extend_from_slice(&special_values());
         for len in [0, 1, 2, 17, values.len()] {
             let mut radix = values[..len].to_vec();
             let mut comparison = radix.clone();
             sort_total(&mut radix);
             comparison.sort_by(f32::total_cmp);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&radix), bits(&comparison), "len {len}");
         }
+    }
+
+    /// The merge the key merge replaced: a branchy stable merge.
+    fn stable_merge(a: &[u32], b: &[u32]) -> Vec<u32> {
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            if a[i] <= b[j] {
+                out.push(a[i]);
+                i += 1;
+            } else {
+                out.push(b[j]);
+                j += 1;
+            }
+        }
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+        out
+    }
+
+    #[test]
+    fn key_merge_equals_a_stable_merge() {
+        let mut rng = DeterministicRng::new(3);
+        // Sorted runs over few distinct keys, the extremes among them, so
+        // both runs hold long stretches of duplicates.
+        let mut run = |len: usize| {
+            let mut keys: Vec<u32> = (0..len)
+                .map(|_| match rng.next_below(8) {
+                    0 => 0,
+                    1 => u32::MAX,
+                    _ => (rng.next_below(64) as u32) << 26,
+                })
+                .collect();
+            keys.sort_unstable();
+            keys
+        };
+        let lengths = [
+            (0, 0),
+            (0, CHUNK),
+            (CHUNK, 0),
+            (1, CHUNK - 1),
+            (CHUNK - 1, 1),
+            (7, 3000),
+            (2048, 2048),
+            (3000, 1096),
+        ];
+        for (a_len, b_len) in lengths {
+            let (a, b) = (run(a_len), run(b_len));
+            let mut out = vec![0; a_len + b_len];
+            merge_keys(&a, &b, &mut out);
+            assert_eq!(out, stable_merge(&a, &b), "runs of {a_len} and {b_len}");
+        }
+    }
+
+    #[test]
+    fn key_partitions_split_every_merge_tile_of_a_special_valued_sort() {
+        let n = 65_536;
+        let mut values = vec![0.0f32; n];
+        DeterministicRng::new(5).fill_f32(&mut values, -1.0e6, 1.0e6);
+        let specials = special_values();
+        for (i, x) in values.iter_mut().step_by(37).enumerate() {
+            *x = specials[i % specials.len()];
+        }
+        let mut mem = MemorySystem::default();
+        let (data, aux) = (DRAM_BASE + 0x100_0000, DRAM_BASE + 0x200_0000);
+        let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        mem.write_phys(PhysAddr::new(data), &bytes)
+            .expect("data lies in DRAM");
+        let bus = |addr: u64| Iova::new(addr + LLC_BYPASS_OFFSET);
+        let mut dev = SortDevice::new(n, bus(data), bus(aux));
+        ClusterExecutor::default()
+            .run(&mut mem, None, &mut dev, None)
+            .expect("device sort completes");
+
+        for (merge_tile, ranges) in dev.ranges.iter().enumerate() {
+            let (pass, block) = (1 + merge_tile / dev.chunks(), merge_tile % dev.chunks());
+            let (a_start, a_len, b_start, b_len) = ranges.expect("every merge tile is planned");
+            let run_len = CHUNK << (pass - 1);
+            let a_run = block * CHUNK / (2 * run_len) * (2 * run_len);
+            let b_run = a_run + run_len;
+            assert_eq!(a_len + b_len, CHUNK, "pass {pass} block {block}");
+            assert!(
+                a_run <= a_start && a_start + a_len <= b_run,
+                "pass {pass} block {block}: A range outside its run"
+            );
+            assert!(
+                b_run <= b_start && b_start + b_len <= b_run + run_len,
+                "pass {pass} block {block}: B range outside its run"
+            );
+        }
+        let mut bytes = vec![0u8; n * 4];
+        mem.read_phys(PhysAddr::new(data), &mut bytes)
+            .expect("data lies in DRAM");
+        let sorted: Vec<f32> = bytes
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+            .collect();
+        sort_total(&mut values);
+        assert_eq!(bits(&sorted), bits(&values));
     }
 
     #[test]

@@ -51,29 +51,63 @@ fn run_on_device(wl: &dyn Workload, initial: &[Vec<f32>]) -> Vec<Vec<f32>> {
         .collect()
 }
 
+/// Asserts that every result buffer of `wl` run on the device from
+/// `initial` is `to_bits()`-equal to the reference.
+fn assert_bit_identical(wl: &dyn Workload, initial: &[Vec<f32>], label: &str) {
+    let expected = wl.expected(initial);
+    let actual = run_on_device(wl, initial);
+    for (b, spec) in wl.buffers().iter().enumerate() {
+        if !spec.kind.is_result() {
+            continue;
+        }
+        assert_eq!(actual[b].len(), expected[b].len());
+        let mismatch = actual[b]
+            .iter()
+            .zip(&expected[b])
+            .position(|(a, e)| a.to_bits() != e.to_bits());
+        assert_eq!(
+            mismatch, None,
+            "{label} buffer {}: device differs from the reference",
+            spec.name
+        );
+    }
+}
+
 #[test]
 fn device_results_are_bit_identical_to_the_reference() {
     for kind in KernelKind::ALL {
         for seed in [1, 7] {
             let wl = kind.small_workload();
             let initial = wl.init(&mut DeterministicRng::new(seed));
-            let expected = wl.expected(&initial);
-            let actual = run_on_device(wl.as_ref(), &initial);
-            for (b, spec) in wl.buffers().iter().enumerate() {
-                if !spec.kind.is_result() {
-                    continue;
-                }
-                assert_eq!(actual[b].len(), expected[b].len());
-                let mismatch = actual[b]
-                    .iter()
-                    .zip(&expected[b])
-                    .position(|(a, e)| a.to_bits() != e.to_bits());
-                assert_eq!(
-                    mismatch, None,
-                    "{kind:?} seed {seed} buffer {}: device differs from the reference",
-                    spec.name
-                );
-            }
+            assert_bit_identical(wl.as_ref(), &initial, &format!("{kind:?} seed {seed}"));
         }
     }
+}
+
+/// The sort orders every value by `f32::total_cmp`, so the device matches
+/// the reference on NaNs and mixed-sign zeros too, which a float `<=`
+/// comparison orders differently.
+#[test]
+fn sort_with_special_values_is_bit_identical_to_the_reference() {
+    let specials = [
+        f32::NAN,
+        -f32::NAN,
+        f32::from_bits(0x7fc0_0001),
+        f32::from_bits(0xffc0_0001),
+        f32::from_bits(0x7f80_0001),
+        0.0,
+        -0.0,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::MIN_POSITIVE / 2.0,
+        -f32::MIN_POSITIVE / 2.0,
+        f32::MAX,
+        f32::MIN,
+    ];
+    let wl = KernelKind::Sort.small_workload();
+    let mut initial = wl.init(&mut DeterministicRng::new(1));
+    for (i, x) in initial[0].iter_mut().step_by(29).enumerate() {
+        *x = specials[i % specials.len()];
+    }
+    assert_bit_identical(wl.as_ref(), &initial, "sort with special values");
 }
