@@ -7,9 +7,8 @@
 //! * every burst is capped by the AXI maximum burst length and split at 4 KiB
 //!   page boundaries;
 //! * when the IOMMU translates, every burst presents a translation request
-//!   at its issue time ([`DmaStats::translations`] counts one per burst);
-//!   an IOTLB miss serialises the burst behind a multi-read page-table
-//!   walk, reducing the engine's effective bandwidth;
+//!   at its issue time; an IOTLB miss serialises the burst behind a
+//!   multi-read page-table walk, reducing the engine's effective bandwidth;
 //! * without the IOMMU, bursts address the physically contiguous reserved
 //!   DRAM (or the LLC-bypass window) directly.
 //!
@@ -90,9 +89,6 @@ pub struct DmaStats {
     pub bursts: u64,
     /// Bytes moved in either direction.
     pub bytes: u64,
-    /// Burst addresses translated, one per burst (without an IOMMU the
-    /// translation is the identity and costs nothing).
-    pub translations: u64,
     /// Cycles spent blocked on address translation.
     pub translation_cycles: u64,
     /// Cycles burst issue stalled waiting for a request-queue credit at the
@@ -259,7 +255,6 @@ impl DmaEngine {
                     }
                     None => (burst.addr, Cycles::ZERO),
                 };
-                self.stats.translations += 1;
                 self.stats.translation_cycles += trans.raw();
                 issue_t += trans;
 

@@ -77,7 +77,6 @@ impl KernelRunStats {
             merged.dma.requests += s.dma.requests;
             merged.dma.bursts += s.dma.bursts;
             merged.dma.bytes += s.dma.bytes;
-            merged.dma.translations += s.dma.translations;
             merged.dma.translation_cycles += s.dma.translation_cycles;
             merged.dma.issue_stall_cycles += s.dma.issue_stall_cycles;
             merged.dma.page_faults += s.dma.page_faults;

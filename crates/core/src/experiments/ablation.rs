@@ -9,12 +9,17 @@
 //!   preserve burst bandwidth; the ablation forces DMA through it.
 //! * **Outstanding DMA bursts** — how much the DMA engine's pipelining hides
 //!   memory latency.
+//! * **Double buffering** — how much overlapping DMA with compute saves.
 //! * **Flush-before-map** — Listing 1 flushes the LLC before mapping; the
 //!   ablation skips the flush, which leaves stale dirty lines but also shows
 //!   how much of the mapping cost the flush contributes.
+//!
+//! The first four are lists of labelled [`PlatformConfig`]s, each measured
+//! device-only on a fresh platform by one sweep; flush-before-map runs its
+//! own map-and-flush flow.
 
 use sva_common::{Error, Result};
-use sva_kernels::{KernelKind, Workload};
+use sva_kernels::KernelKind;
 
 use crate::config::{PlatformConfig, SocVariant};
 use crate::offload::OffloadRunner;
@@ -63,19 +68,31 @@ impl AblationResult {
 /// one runner, which prepares the sweep's workload once.
 const SEED: u64 = 0xAB1A7E;
 
-fn measure(
-    runner: &OffloadRunner,
-    config: PlatformConfig,
-    workload: &dyn Workload,
-    label: String,
-) -> Result<AblationPoint> {
-    let mut platform = Platform::new(config)?;
-    let report = runner.run_device_only(&mut platform, workload)?;
-    Ok(AblationPoint {
-        label,
-        total: report.stats.total.raw(),
-        dma_fraction: report.stats.dma_fraction(),
-        avg_ptw_cycles: report.iommu.ptw_time.mean(),
+/// Runs `kernel`'s small workload on a fresh platform per labelled
+/// configuration; `name` titles the result given the workload's name.
+fn sweep(
+    kernel: KernelKind,
+    name: impl FnOnce(&str) -> String,
+    platforms: Vec<(String, PlatformConfig)>,
+) -> Result<AblationResult> {
+    let workload = kernel.small_workload();
+    let runner = OffloadRunner::new(SEED);
+    let points = platforms
+        .into_iter()
+        .map(|(label, config)| {
+            let mut platform = Platform::new(config)?;
+            let report = runner.run_device_only(&mut platform, workload.as_ref())?;
+            Ok(AblationPoint {
+                label,
+                total: report.stats.total.raw(),
+                dma_fraction: report.stats.dma_fraction(),
+                avg_ptw_cycles: report.iommu.ptw_time.mean(),
+            })
+        })
+        .collect::<Result<_>>()?;
+    Ok(AblationResult {
+        name: name(workload.name()),
+        points,
     })
 }
 
@@ -87,26 +104,18 @@ fn measure(
 ///
 /// Propagates platform construction and execution failures.
 pub fn iotlb_size(kernel: KernelKind, latency: u64, sizes: &[usize]) -> Result<AblationResult> {
-    let workload = kernel.small_workload();
-    let runner = OffloadRunner::new(SEED);
-    let mut result = AblationResult {
-        name: format!(
-            "IOTLB capacity sweep ({} @ {latency} cycles, no LLC)",
-            workload.name()
-        ),
-        points: Vec::new(),
-    };
-    for &entries in sizes {
-        let config =
-            PlatformConfig::variant(SocVariant::Iommu, latency).with_iotlb_entries(entries);
-        result.points.push(measure(
-            &runner,
-            config,
-            workload.as_ref(),
-            format!("{entries} IOTLB entries"),
-        )?);
-    }
-    Ok(result)
+    let platforms = sizes
+        .iter()
+        .map(|&entries| {
+            let config = PlatformConfig::iommu_no_llc(latency).with_iotlb_entries(entries);
+            (format!("{entries} IOTLB entries"), config)
+        })
+        .collect();
+    sweep(
+        kernel,
+        |w| format!("IOTLB capacity sweep ({w} @ {latency} cycles, no LLC)"),
+        platforms,
+    )
 }
 
 /// Compares the paper's DMA-bypass design against routing DMA through the
@@ -116,30 +125,16 @@ pub fn iotlb_size(kernel: KernelKind, latency: u64, sizes: &[usize]) -> Result<A
 ///
 /// Propagates platform construction and execution failures.
 pub fn dma_through_llc(kernel: KernelKind, latency: u64) -> Result<AblationResult> {
-    let workload = kernel.small_workload();
-    let runner = OffloadRunner::new(SEED);
-    let mut result = AblationResult {
-        name: format!(
-            "LLC bypass for device DMA ({} @ {latency} cycles)",
-            workload.name()
-        ),
-        points: Vec::new(),
-    };
-    let bypass = PlatformConfig::variant(SocVariant::IommuLlc, latency);
-    result.points.push(measure(
-        &runner,
-        bypass,
-        workload.as_ref(),
-        "DMA bypasses LLC (paper)".to_string(),
-    )?);
-    let through = PlatformConfig::variant(SocVariant::IommuLlc, latency).with_dma_through_llc();
-    result.points.push(measure(
-        &runner,
-        through,
-        workload.as_ref(),
-        "DMA through LLC".to_string(),
-    )?);
-    Ok(result)
+    let bypass = PlatformConfig::iommu_with_llc(latency);
+    let platforms = vec![
+        ("DMA bypasses LLC (paper)".to_string(), bypass.clone()),
+        ("DMA through LLC".to_string(), bypass.with_dma_through_llc()),
+    ];
+    sweep(
+        kernel,
+        |w| format!("LLC bypass for device DMA ({w} @ {latency} cycles)"),
+        platforms,
+    )
 }
 
 /// Sweeps the number of outstanding DMA bursts.
@@ -152,25 +147,18 @@ pub fn dma_outstanding(
     latency: u64,
     depths: &[usize],
 ) -> Result<AblationResult> {
-    let workload = kernel.small_workload();
-    let runner = OffloadRunner::new(SEED);
-    let mut result = AblationResult {
-        name: format!(
-            "Outstanding DMA bursts ({} @ {latency} cycles, baseline platform)",
-            workload.name()
-        ),
-        points: Vec::new(),
-    };
-    for &depth in depths {
-        let config = PlatformConfig::baseline(latency).with_dma_outstanding(depth);
-        result.points.push(measure(
-            &runner,
-            config,
-            workload.as_ref(),
-            format!("{depth} outstanding"),
-        )?);
-    }
-    Ok(result)
+    let platforms = depths
+        .iter()
+        .map(|&depth| {
+            let config = PlatformConfig::baseline(latency).with_dma_outstanding(depth);
+            (format!("{depth} outstanding"), config)
+        })
+        .collect();
+    sweep(
+        kernel,
+        |w| format!("Outstanding DMA bursts ({w} @ {latency} cycles, baseline platform)"),
+        platforms,
+    )
 }
 
 /// Compares double buffering against single buffering on the baseline
@@ -180,25 +168,19 @@ pub fn dma_outstanding(
 ///
 /// Propagates platform construction and execution failures.
 pub fn double_buffering(kernel: KernelKind, latency: u64) -> Result<AblationResult> {
-    let workload = kernel.small_workload();
-    let runner = OffloadRunner::new(SEED);
-    let mut result = AblationResult {
-        name: format!("Double buffering ({} @ {latency} cycles)", workload.name()),
-        points: Vec::new(),
-    };
-    result.points.push(measure(
-        &runner,
-        PlatformConfig::baseline(latency),
-        workload.as_ref(),
-        "double buffered (paper)".to_string(),
-    )?);
-    result.points.push(measure(
-        &runner,
-        PlatformConfig::baseline(latency).with_single_buffering(),
-        workload.as_ref(),
-        "single buffered".to_string(),
-    )?);
-    Ok(result)
+    let double = PlatformConfig::baseline(latency);
+    let platforms = vec![
+        ("double buffered (paper)".to_string(), double.clone()),
+        (
+            "single buffered".to_string(),
+            double.with_single_buffering(),
+        ),
+    ];
+    sweep(
+        kernel,
+        |w| format!("Double buffering ({w} @ {latency} cycles)"),
+        platforms,
+    )
 }
 
 /// Listing 1 flushes the LLC *before* creating the IOVA mappings so the

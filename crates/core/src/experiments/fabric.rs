@@ -1,13 +1,16 @@
-//! Fabric-scaling sweep: cluster count × platform variant × DRAM latency,
-//! plus the global-clock sub-grid (timed host interference × MSHR-style
-//! PTW batching, [`FabricKnobs`]) and the translation sub-grid (two-level
-//! TLB hierarchy × replacement policy × ATS/PRI demand paging,
-//! [`TlbKnobs`] — per-level hit splits and page-request latency
-//! percentiles in every point).
+//! Fabric-scaling sweep: one kernel sharded across N accelerator clusters
+//! that share the IOMMU and the memory fabric.
 //!
-//! This experiment goes beyond the paper: it scales the platform to N
-//! accelerator clusters sharing the IOMMU and the memory fabric, shards one
-//! kernel across them with static block scheduling, and reports
+//! This experiment goes beyond the paper. A point is the [`PlatformConfig`]
+//! it ran on plus what the platform reports: the run's
+//! [`DeviceOnlyReport`] and the fabric's per-initiator, per-channel and
+//! grant-switch accounting. [`run_point`] measures one configuration on a
+//! fresh platform; the `fabric_sweep` binary in `sva_bench` builds the grid
+//! of configurations (cluster count × variant × DRAM latency, plus the QoS,
+//! global-clock, queue-depth and translation sub-grids) and runs it point
+//! by point. [`FabricSweepResult::render`] and
+//! [`FabricSweepResult::to_json`] read every coordinate from a point's
+//! configuration and every number from its reports:
 //!
 //! * the device wall-clock (slowest shard) and its compute/DMA-wait split,
 //! * the run's IOTLB hit rate (entries are tagged per device ID; note that
@@ -21,213 +24,91 @@
 //!   the last shard; see `sva_mem::fabric`), so read per-initiator queue
 //!   cycles as a placement-order-dependent bound, not a fairness split.
 //!
-//! The sweep enables [fabric contention charging]
+//! The sweep's configurations enable [fabric contention charging]
 //! (`sva_mem::fabric::FabricConfig::contention_enabled`), so measured
 //! queueing feeds back into latencies; with one cluster nothing queues and
 //! the numbers equal the paper's single-cluster figures.
-//!
-//! [`run_point`] measures one combination on a fresh platform; the
-//! `fabric_sweep` binary in `sva_bench` builds the grid and runs it point by
-//! point.
 
+use sva_common::{QueueDepths, Result};
+use sva_iommu::IommuConfig;
 use sva_kernels::KernelKind;
+use sva_mem::{ChannelStats, InitiatorSnapshot};
 
 use crate::config::{PlatformConfig, SocVariant};
-use crate::offload::OffloadRunner;
+use crate::offload::{DeviceOnlyReport, OffloadRunner};
 use crate::platform::Platform;
 use crate::report::{percent, sci, TextTable};
-use sva_common::{ArbitrationPolicy, QueueDepths, Result};
-use sva_host::HostTrafficConfig;
+
+/// The component settings a sweep's configurations are built from.
+pub use sva_host::HostTrafficConfig;
 pub use sva_iommu::{TlbHierarchyConfig, TlbLevelConfig};
-use sva_mem::ChannelStats;
 
-/// The global-clock knobs of one measurement point: timed host traffic in
-/// the window and the MSHR-style batched walker. `FabricKnobs::default()`
-/// is the host-idle serial-walker baseline (the PR 1/2 engine).
-#[derive(Copy, Clone, Debug, Default, PartialEq)]
-pub struct FabricKnobs {
-    /// Inject the default timed host-traffic stream into the window.
-    pub host_traffic: bool,
-    /// Enable the MSHR-style batched page-table walker.
-    pub ptw_batching: bool,
-}
-
-impl FabricKnobs {
-    /// Every combination, baseline first.
-    pub const ALL: [FabricKnobs; 4] = [
-        FabricKnobs {
-            host_traffic: false,
-            ptw_batching: false,
-        },
-        FabricKnobs {
-            host_traffic: false,
-            ptw_batching: true,
-        },
-        FabricKnobs {
-            host_traffic: true,
-            ptw_batching: false,
-        },
-        FabricKnobs {
-            host_traffic: true,
-            ptw_batching: true,
-        },
-    ];
-}
-
-/// The translation knobs of one measurement point: the TLB hierarchy and
-/// ATS/PRI demand paging. `TlbKnobs::default()` is the paper prototype's
-/// single IOTLB with faults-are-errors.
-#[derive(Copy, Clone, Debug, Default, PartialEq)]
-pub struct TlbKnobs {
-    /// Translation hierarchy (the default is the prototype's single
-    /// IOTLB, with no L1).
-    pub hierarchy: TlbHierarchyConfig,
-    /// Run with demand paging: no up-front mapping, faults are paged in
-    /// through the page-request loop.
-    pub demand_paging: bool,
-}
-
-impl TlbKnobs {
-    /// Compact label used as the point's `tlb` field (`"single"` without
-    /// an L1, else e.g. `"l1:1x4-lru+l2:8x4-lru"`).
-    pub fn label(&self) -> String {
-        let l2 = self.hierarchy.l2;
-        match self.hierarchy.l1 {
-            None => "single".to_string(),
-            Some(l1) => format!(
-                "l1:{}-{}+l2:{}-{}",
-                l1.org.label(),
-                l1.policy.label(),
-                l2.org.label(),
-                l2.policy.label()
-            ),
-        }
-    }
-}
-
-/// Per-initiator numbers of one measurement point.
-#[derive(Clone, Debug)]
-pub struct InitiatorRow {
-    /// Initiator label (`host`, `ptw`, `dma[3]`, …).
-    pub initiator: String,
-    /// Accesses granted by the fabric.
-    pub accesses: u64,
-    /// Bytes moved.
-    pub bytes: u64,
-    /// Data-bus occupancy attributed to the initiator.
-    pub occupancy_cycles: u64,
-    /// Cross-initiator queueing the initiator observed.
-    pub queue_cycles: u64,
-    /// Accesses that arrived while another initiator held the bus.
-    pub contended_grants: u64,
-    /// Issue stalls at full request queues (zero with unbounded depths).
-    pub issue_stall_cycles: u64,
-    /// Highest request-queue occupancy the initiator observed at admission.
-    pub req_queue_peak: u64,
-    /// Highest response-queue occupancy the initiator observed at a grant.
-    pub rsp_queue_peak: u64,
-}
-
-/// Per-channel numbers of one measurement point.
-#[derive(Clone, Debug)]
-pub struct ChannelRow {
-    /// Channel index.
-    pub channel: usize,
-    /// The channel's fabric-port accounting (see `sva_mem::channels`).
-    pub stats: ChannelStats,
-}
-
-/// One measurement point of the sweep.
+/// One measurement point: the platform it ran on and what it reported.
 #[derive(Clone, Debug)]
 pub struct FabricPoint {
-    /// Kernel measured.
-    pub kernel: String,
-    /// Number of accelerator clusters.
-    pub clusters: usize,
-    /// Platform variant.
-    pub variant: SocVariant,
-    /// DRAM latency (delayer cycles).
-    pub dram_latency: u64,
-    /// Number of DRAM channels.
-    pub channels: usize,
-    /// Arbitration policy label (`round_robin`, `weighted[..]`,
-    /// `fixed_priority`).
-    pub policy: String,
-    /// Channel queue-depth label (`inf` for the unbounded reservation
-    /// model, `req/rsp` for the split-transaction configuration).
-    pub queue_depths: String,
-    /// Request-queue depth (0 encodes unbounded in the JSON schema).
-    pub req_queue_depth: u64,
-    /// Response-queue depth (0 encodes unbounded in the JSON schema).
-    pub rsp_queue_depth: u64,
-    /// Whether the timed host-traffic stream was injected into the window.
-    pub host_traffic: bool,
-    /// Whether the MSHR-style batched walker was enabled.
-    pub ptw_batching: bool,
-    /// Translation-hierarchy label (`"single"` for the prototype IOTLB).
-    pub tlb: String,
-    /// Whether the run cold-started through ATS/PRI demand paging.
-    pub demand_paging: bool,
-    /// Device wall-clock cycles (slowest shard).
-    pub total: u64,
-    /// Aggregate compute cycles across shards.
-    pub compute: u64,
-    /// Aggregate DMA-wait cycles across shards.
-    pub dma_wait: u64,
-    /// Hit rate of the shared IOTLB (the L2 of the hierarchy; 0 when the
-    /// variant has no IOMMU).
-    pub iotlb_hit_rate: f64,
-    /// Aggregate hit rate of the per-device L1 ATCs (0 without an L1).
-    pub atc_hit_rate: f64,
-    /// Page requests accepted into the page-request queue.
-    pub page_requests: u64,
-    /// Page requests dropped at the full queue (overflow ⇒ device backoff).
-    pub page_requests_dropped: u64,
-    /// Page faults serviced by the host (pages paged in on demand).
-    pub faults_serviced: u64,
-    /// Mean page-request service latency in cycles (0 without samples).
-    pub page_req_latency_mean: f64,
-    /// Approximate median page-request service latency.
-    pub page_req_latency_p50: u64,
-    /// Approximate 90th-percentile page-request service latency.
-    pub page_req_latency_p90: u64,
-    /// Approximate 99th-percentile page-request service latency.
-    pub page_req_latency_p99: u64,
-    /// Page-table walks performed.
-    pub ptw_walks: u64,
-    /// PTE reads the walker issued to memory.
-    pub ptw_reads: u64,
-    /// Walk levels served by MSHR coalescing (nonzero only with batching).
-    pub ptw_coalesced_reads: u64,
-    /// Peak live window-record count of the walker's MSHR walk table
-    /// (0 with batching off).
-    pub ptw_walk_table_events_peak: u64,
-    /// Walk-table records folded by watermark compaction at device-window
-    /// boundaries (0 with batching off).
-    pub ptw_walk_table_compacted: u64,
-    /// Peak length of the page-request queue — the most page requests
-    /// pending at once (0 with demand paging off).
-    pub pri_pending_peak: u64,
-    /// Whether the device results matched the host reference.
-    pub verified: bool,
+    /// The configuration the platform was built from.
+    pub config: PlatformConfig,
+    /// The run's device, per-cluster and IOMMU statistics.
+    pub report: DeviceOnlyReport,
+    /// Per-initiator fabric statistics, in registration order.
+    pub initiators: Vec<InitiatorSnapshot>,
+    /// Per-channel DRAM statistics, indexed by channel.
+    pub channels: Vec<ChannelStats>,
     /// Grants whose initiator differed from the previous grant's.
     pub grant_switches: u64,
-    /// Per-initiator fabric statistics.
-    pub initiators: Vec<InitiatorRow>,
-    /// Per-channel DRAM statistics.
-    pub per_channel: Vec<ChannelRow>,
 }
 
 impl FabricPoint {
     /// Total cross-initiator queueing observed at this point.
     pub fn queue_cycles(&self) -> u64 {
-        self.initiators.iter().map(|r| r.queue_cycles).sum()
+        self.initiators.iter().map(|s| s.stats.queue_cycles).sum()
     }
 
     /// Total issue stalls (request-queue backpressure) observed at this
     /// point.
     pub fn issue_stall_cycles(&self) -> u64 {
-        self.initiators.iter().map(|r| r.issue_stall_cycles).sum()
+        self.initiators
+            .iter()
+            .map(|s| s.stats.issue_stall_cycles)
+            .sum()
+    }
+
+    /// The paper variant of the configuration: no IOMMU is the Baseline,
+    /// and an IOMMU runs with or without the LLC.
+    fn variant(&self) -> SocVariant {
+        match (&self.config.iommu, &self.config.mem.llc) {
+            (None, _) => SocVariant::Baseline,
+            (Some(_), None) => SocVariant::Iommu,
+            (Some(_), Some(_)) => SocVariant::IommuLlc,
+        }
+    }
+
+    /// The IOMMU settings, or the prototype's defaults (serial walker,
+    /// single IOTLB, pre-mapped) for a platform without an IOMMU.
+    fn iommu(&self) -> IommuConfig {
+        self.config.iommu.unwrap_or_default()
+    }
+
+    /// Channel queue depths (`usize::MAX` is unbounded).
+    fn depths(&self) -> QueueDepths {
+        let fabric = &self.config.mem.fabric;
+        QueueDepths::bounded(fabric.req_queue_depth, fabric.rsp_queue_depth)
+    }
+
+    /// Compact label of the translation hierarchy: `"single"` without an
+    /// L1, else e.g. `"l1:1x4-lru+l2:8x4-lru"`.
+    fn tlb_label(&self) -> String {
+        let tlb = self.iommu().tlb;
+        match tlb.l1 {
+            None => "single".to_string(),
+            Some(l1) => format!(
+                "l1:{}-{}+l2:{}-{}",
+                l1.org.label(),
+                l1.policy.label(),
+                tlb.l2.org.label(),
+                tlb.l2.policy.label()
+            ),
+        }
     }
 }
 
@@ -239,110 +120,15 @@ pub struct FabricSweepResult {
 }
 
 impl FabricSweepResult {
-    /// Finds the point for a given cluster/variant/latency combination with
-    /// the given channel count and policy label, at the host-idle
-    /// serial-walker baseline knobs.
-    pub fn get_with(
-        &self,
-        clusters: usize,
-        variant: SocVariant,
-        latency: u64,
-        channels: usize,
-        policy: &str,
-    ) -> Option<&FabricPoint> {
-        self.points.iter().find(|p| {
-            p.clusters == clusters
-                && p.variant == variant
-                && p.dram_latency == latency
-                && p.channels == channels
-                && p.policy == policy
-                && p.queue_depths == "inf"
-                && !p.host_traffic
-                && !p.ptw_batching
-                && p.tlb == "single"
-                && !p.demand_paging
-        })
+    /// The point that ran on `config`.
+    pub fn get(&self, config: &PlatformConfig) -> Option<&FabricPoint> {
+        self.points.iter().find(|p| p.config == *config)
     }
 
-    /// Finds the point of the TLB sub-grid for a given cluster count, TLB
-    /// label and demand-paging flag (single channel, round-robin,
-    /// IOMMU+LLC, baseline fabric knobs).
-    pub fn get_tlb(
-        &self,
-        clusters: usize,
-        latency: u64,
-        tlb: &str,
-        demand_paging: bool,
-    ) -> Option<&FabricPoint> {
-        self.points.iter().find(|p| {
-            p.clusters == clusters
-                && p.variant == SocVariant::IommuLlc
-                && p.dram_latency == latency
-                && p.channels == 1
-                && p.policy == "round_robin"
-                && p.queue_depths == "inf"
-                && !p.host_traffic
-                && !p.ptw_batching
-                && p.tlb == tlb
-                && p.demand_paging == demand_paging
-        })
-    }
-
-    /// Finds the point of the queue-depth sub-grid for a given cluster
-    /// count, depth label and knob combination (single channel,
-    /// round-robin, IOMMU+LLC).
-    pub fn get_depths(
-        &self,
-        clusters: usize,
-        latency: u64,
-        depths: &str,
-        knobs: FabricKnobs,
-    ) -> Option<&FabricPoint> {
-        self.points.iter().find(|p| {
-            p.clusters == clusters
-                && p.variant == SocVariant::IommuLlc
-                && p.dram_latency == latency
-                && p.channels == 1
-                && p.policy == "round_robin"
-                && p.queue_depths == depths
-                && p.host_traffic == knobs.host_traffic
-                && p.ptw_batching == knobs.ptw_batching
-                && p.tlb == "single"
-                && !p.demand_paging
-        })
-    }
-
-    /// Finds the point of the host-interference × PTW-batching sub-grid for
-    /// a given cluster count and knob combination (single channel,
-    /// round-robin, IOMMU+LLC).
-    pub fn get_knobs(
-        &self,
-        clusters: usize,
-        latency: u64,
-        knobs: FabricKnobs,
-    ) -> Option<&FabricPoint> {
-        self.points.iter().find(|p| {
-            p.clusters == clusters
-                && p.variant == SocVariant::IommuLlc
-                && p.dram_latency == latency
-                && p.channels == 1
-                && p.policy == "round_robin"
-                && p.queue_depths == "inf"
-                && p.host_traffic == knobs.host_traffic
-                && p.ptw_batching == knobs.ptw_batching
-                && p.tlb == "single"
-                && !p.demand_paging
-        })
-    }
-
-    /// Finds the baseline point (single channel, round-robin) for a given
-    /// cluster/variant/latency combination.
-    pub fn get(&self, clusters: usize, variant: SocVariant, latency: u64) -> Option<&FabricPoint> {
-        self.get_with(clusters, variant, latency, 1, "round_robin")
-    }
-
-    /// Renders the scaling table: one row per point with wall-clock, speedup
-    /// over one cluster, DMA share, IOTLB hit rate and fabric contention.
+    /// Renders the scaling table: one row per point with wall-clock,
+    /// speedup, DMA share, TLB hit rates and fabric contention. The speedup
+    /// is over the sweep's first one-cluster point of the same variant and
+    /// DRAM latency.
     pub fn render(&self) -> String {
         let mut table = TextTable::new(vec![
             "Clusters",
@@ -365,35 +151,42 @@ impl FabricSweepResult {
             "Stall cyc",
             "Switches",
         ]);
+        let pick = |on: bool, yes: &str, no: &str| if on { yes } else { no }.to_string();
         for p in &self.points {
+            let (config, stats, iommu) = (&p.config, &p.report.stats, &p.report.iommu);
+            let total = stats.total.raw();
             let speedup = self
-                .get_with(1, p.variant, p.dram_latency, p.channels, &p.policy)
-                .or_else(|| self.get(1, p.variant, p.dram_latency))
-                .map(|one| one.total as f64 / p.total as f64)
-                .map(|s| format!("{s:.2}x"))
+                .points
+                .iter()
+                .find(|one| {
+                    one.config.num_clusters == 1
+                        && one.variant() == p.variant()
+                        && one.config.mem.dram_latency == config.mem.dram_latency
+                })
+                .map(|one| format!("{:.2}x", one.report.stats.total.raw() as f64 / total as f64))
                 .unwrap_or_else(|| "-".to_string());
-            let dma_share = if p.total == 0 {
+            let dma_share = if total == 0 {
                 0.0
             } else {
-                p.dma_wait as f64 / (p.total as f64 * p.clusters as f64)
+                stats.dma_wait.raw() as f64 / (total as f64 * config.num_clusters as f64)
             };
             table.row(vec![
-                p.clusters.to_string(),
-                p.variant.label().to_string(),
-                p.dram_latency.to_string(),
-                p.channels.to_string(),
-                p.policy.clone(),
-                p.queue_depths.clone(),
-                if p.host_traffic { "noisy" } else { "idle" }.to_string(),
-                if p.ptw_batching { "batched" } else { "serial" }.to_string(),
-                p.tlb.clone(),
-                if p.demand_paging { "demand" } else { "premap" }.to_string(),
-                sci(p.total),
+                config.num_clusters.to_string(),
+                p.variant().label().to_string(),
+                config.mem.dram_latency.raw().to_string(),
+                config.mem.fabric.num_channels.to_string(),
+                config.mem.fabric.policy.label(),
+                p.depths().label(),
+                pick(config.host_traffic.is_some(), "noisy", "idle"),
+                pick(p.iommu().ptw_batching, "batched", "serial"),
+                p.tlb_label(),
+                pick(p.iommu().demand_paging, "demand", "premap"),
+                sci(total),
                 speedup,
                 percent(dma_share),
-                percent(p.atc_hit_rate),
-                percent(p.iotlb_hit_rate),
-                p.faults_serviced.to_string(),
+                percent(iommu.atc.hit_rate()),
+                percent(iommu.iotlb.hit_rate()),
+                iommu.page_requests.serviced.to_string(),
                 p.queue_cycles().to_string(),
                 p.issue_stall_cycles().to_string(),
                 p.grant_switches.to_string(),
@@ -404,7 +197,7 @@ impl FabricSweepResult {
 
     /// Serialises the sweep as JSON, with `meta` between the experiment tag
     /// and the points (hand-rolled; the build is offline and carries no
-    /// serde_json).
+    /// serde_json). A queue depth of 0 encodes unbounded.
     pub fn to_json(&self, meta: &SweepMeta) -> String {
         let timings: Vec<String> = meta
             .points_wallclock_ms
@@ -421,42 +214,47 @@ impl FabricSweepResult {
             let initiators: Vec<String> = p
                 .initiators
                 .iter()
-                .map(|r| {
+                .map(|snap| {
+                    let s = &snap.stats;
                     format!(
                         "{{\"initiator\": \"{}\", \"accesses\": {}, \"bytes\": {}, \
                          \"occupancy_cycles\": {}, \"queue_cycles\": {}, \"contended_grants\": {}, \
                          \"issue_stall_cycles\": {}, \"req_queue_peak\": {}, \"rsp_queue_peak\": {}}}",
-                        r.initiator,
-                        r.accesses,
-                        r.bytes,
-                        r.occupancy_cycles,
-                        r.queue_cycles,
-                        r.contended_grants,
-                        r.issue_stall_cycles,
-                        r.req_queue_peak,
-                        r.rsp_queue_peak
+                        snap.id.label(),
+                        s.accesses(),
+                        s.bytes,
+                        s.occupancy_cycles,
+                        s.queue_cycles,
+                        s.contended_grants,
+                        s.issue_stall_cycles,
+                        s.req_queue_peak,
+                        s.rsp_queue_peak
                     )
                 })
                 .collect();
             let channels: Vec<String> = p
-                .per_channel
+                .channels
                 .iter()
-                .map(|c| {
+                .enumerate()
+                .map(|(channel, c)| {
                     format!(
                         "{{\"channel\": {}, \"grants\": {}, \"bytes\": {}, \
                          \"occupancy_cycles\": {}, \"queue_cycles\": {}, \
                          \"issue_stall_cycles\": {}, \"req_queue_peak\": {}, \"rsp_queue_peak\": {}}}",
-                        c.channel,
-                        c.stats.grants,
-                        c.stats.bytes,
-                        c.stats.occupancy_cycles,
-                        c.stats.queue_cycles,
-                        c.stats.issue_stall_cycles,
-                        c.stats.req_queue_peak,
-                        c.stats.rsp_queue_peak
+                        channel,
+                        c.grants,
+                        c.bytes,
+                        c.occupancy_cycles,
+                        c.queue_cycles,
+                        c.issue_stall_cycles,
+                        c.req_queue_peak,
+                        c.rsp_queue_peak
                     )
                 })
                 .collect();
+            let (config, stats, iommu) = (&p.config, &p.report.stats, &p.report.iommu);
+            let depth = |d: usize| if d == usize::MAX { 0 } else { d };
+            let depths = p.depths();
             out.push_str(&format!(
                 "    {{\"kernel\": \"{}\", \"clusters\": {}, \"variant\": \"{}\", \
                  \"dram_latency\": {}, \"channels\": {}, \"policy\": \"{}\", \
@@ -474,38 +272,38 @@ impl FabricSweepResult {
                  \"pri_pending_peak\": {}, \
                  \"verified\": {}, \"grant_switches\": {}, \
                  \"initiators\": [{}], \"per_channel\": [{}]}}{}\n",
-                p.kernel,
-                p.clusters,
-                p.variant.label(),
-                p.dram_latency,
-                p.channels,
-                p.policy,
-                p.queue_depths,
-                p.req_queue_depth,
-                p.rsp_queue_depth,
-                p.host_traffic,
-                p.ptw_batching,
-                p.tlb,
-                p.demand_paging,
-                p.total,
-                p.compute,
-                p.dma_wait,
-                p.iotlb_hit_rate,
-                p.atc_hit_rate,
-                p.page_requests,
-                p.page_requests_dropped,
-                p.faults_serviced,
-                p.page_req_latency_mean,
-                p.page_req_latency_p50,
-                p.page_req_latency_p90,
-                p.page_req_latency_p99,
-                p.ptw_walks,
-                p.ptw_reads,
-                p.ptw_coalesced_reads,
-                p.ptw_walk_table_events_peak,
-                p.ptw_walk_table_compacted,
-                p.pri_pending_peak,
-                p.verified,
+                p.report.kernel,
+                config.num_clusters,
+                p.variant().label(),
+                config.mem.dram_latency.raw(),
+                config.mem.fabric.num_channels,
+                config.mem.fabric.policy.label(),
+                depths.label(),
+                depth(depths.req),
+                depth(depths.rsp),
+                config.host_traffic.is_some(),
+                p.iommu().ptw_batching,
+                p.tlb_label(),
+                p.iommu().demand_paging,
+                stats.total.raw(),
+                stats.compute.raw(),
+                stats.dma_wait.raw(),
+                iommu.iotlb.hit_rate(),
+                iommu.atc.hit_rate(),
+                iommu.page_requests.requests,
+                iommu.page_requests.dropped,
+                iommu.page_requests.serviced,
+                iommu.page_requests.service_time.mean(),
+                iommu.page_request_p50,
+                iommu.page_request_p90,
+                iommu.page_request_p99,
+                iommu.ptw_walks,
+                iommu.ptw_reads,
+                iommu.ptw_coalesced_reads,
+                iommu.ptw_walk_table_events_peak,
+                iommu.ptw_walk_table_compacted,
+                iommu.page_request_pending_peak,
+                p.report.verified,
                 p.grant_switches,
                 initiators.join(", "),
                 channels.join(", "),
@@ -527,251 +325,126 @@ pub struct SweepMeta {
     pub points_wallclock_ms: Vec<u64>,
 }
 
-/// Measures one (kernel, clusters, variant, latency, channels, policy,
-/// knobs) combination on a fresh platform with fabric-contention charging
-/// enabled.
-///
-/// Under [`ArbitrationPolicy::FixedPriority`] cluster `i` issues at the
-/// policy's priority `i`. The sweep passes ascending priorities, so the
-/// strict ordering is observable: shards are simulated in cluster order,
-/// and first-fit placement already lets the earliest shard reserve first —
-/// ascending priorities let *later* shards outrank those earlier
-/// reservations, which is exactly the part round-robin cannot express
-/// (descending or equal priorities would degenerate to it). The TLB knobs
-/// apply only to variants with an IOMMU.
-///
-/// With [`FabricKnobs::host_traffic`] the default timed host stream is
-/// injected into the measurement window (turning the global-clock engine
-/// on, so host and PTW queueing is charged); with
-/// [`FabricKnobs::ptw_batching`] the walker coalesces concurrent walks in
-/// its MSHR-style walk table. Finite `depths` switch the fabric into the
-/// split-transaction model: full request queues stall initiator issue
-/// (reported per initiator as `issue_stall_cycles`), full response queues
-/// delay grants. [`TlbKnobs`] select the translation hierarchy (per-device
-/// L1 ATC + shared L2 IOTLB with per-level hit splits in the point) and
-/// ATS/PRI demand paging (cold-start page-in with fault-latency
-/// percentiles).
+/// Measures `kind` (its paper or small workload) on a fresh platform built
+/// from `config`, and returns the point with the configuration, the run's
+/// report and the fabric's accounting.
 ///
 /// # Errors
 ///
 /// Propagates platform construction and execution failures.
-#[allow(clippy::too_many_arguments)] // one parameter per sweep dimension
 pub fn run_point(
     kind: KernelKind,
     paper_size: bool,
-    clusters: usize,
-    variant: SocVariant,
-    latency: u64,
-    channels: usize,
-    policy: &ArbitrationPolicy,
-    depths: QueueDepths,
-    knobs: FabricKnobs,
-    tlb: TlbKnobs,
+    config: PlatformConfig,
 ) -> Result<FabricPoint> {
     let workload = if paper_size {
         kind.paper_workload()
     } else {
         kind.small_workload()
     };
-    let mut config = PlatformConfig::variant(variant, latency)
-        .with_clusters(clusters)
-        .with_fabric_contention()
-        .with_memory_channels(channels)
-        .with_arbitration(policy.clone())
-        .with_channel_depths(depths.req, depths.rsp);
-    if knobs.host_traffic {
-        config = config.with_host_traffic(HostTrafficConfig::default());
-    }
-    if knobs.ptw_batching {
-        config = config.with_ptw_batching();
-    }
-    if variant.has_iommu() {
-        config = config.with_tlb_hierarchy(tlb.hierarchy);
-    }
-    if tlb.demand_paging {
-        config = config.with_demand_paging();
-    }
-    let mut platform = Platform::new(config)?;
+    let mut platform = Platform::new(config.clone())?;
     let report = OffloadRunner::new(0xFAB).run_device_only(&mut platform, workload.as_ref())?;
-
-    let initiators = platform
-        .mem
-        .fabric_stats()
-        .into_iter()
-        .map(|snap| InitiatorRow {
-            initiator: snap.id.label(),
-            accesses: snap.stats.accesses(),
-            bytes: snap.stats.bytes,
-            occupancy_cycles: snap.stats.occupancy_cycles,
-            queue_cycles: snap.stats.queue_cycles,
-            contended_grants: snap.stats.contended_grants,
-            issue_stall_cycles: snap.stats.issue_stall_cycles,
-            req_queue_peak: snap.stats.req_queue_peak,
-            rsp_queue_peak: snap.stats.rsp_queue_peak,
-        })
-        .collect();
-
-    let per_channel = platform
-        .mem
-        .channel_stats()
-        .into_iter()
-        .enumerate()
-        .map(|(channel, stats)| ChannelRow { channel, stats })
-        .collect();
-
     Ok(FabricPoint {
-        kernel: workload.name().to_string(),
-        clusters,
-        variant,
-        dram_latency: latency,
-        channels: platform.mem.fabric().channel_count(),
-        policy: policy.label(),
-        queue_depths: depths.label(),
-        req_queue_depth: if depths.req == usize::MAX {
-            0
-        } else {
-            depths.req as u64
-        },
-        rsp_queue_depth: if depths.rsp == usize::MAX {
-            0
-        } else {
-            depths.rsp as u64
-        },
-        host_traffic: knobs.host_traffic,
-        ptw_batching: knobs.ptw_batching,
-        tlb: tlb.label(),
-        demand_paging: tlb.demand_paging,
-        total: report.stats.total.raw(),
-        compute: report.stats.compute.raw(),
-        dma_wait: report.stats.dma_wait.raw(),
-        iotlb_hit_rate: report.iommu.iotlb.hit_rate(),
-        atc_hit_rate: report.iommu.atc.hit_rate(),
-        page_requests: report.iommu.page_requests.requests,
-        page_requests_dropped: report.iommu.page_requests.dropped,
-        faults_serviced: report.iommu.page_requests.serviced,
-        page_req_latency_mean: report.iommu.page_requests.service_time.mean(),
-        page_req_latency_p50: report.iommu.page_request_p50,
-        page_req_latency_p90: report.iommu.page_request_p90,
-        page_req_latency_p99: report.iommu.page_request_p99,
-        ptw_walks: report.iommu.ptw_walks,
-        ptw_reads: report.iommu.ptw_reads,
-        ptw_coalesced_reads: report.iommu.ptw_coalesced_reads,
-        ptw_walk_table_events_peak: report.iommu.ptw_walk_table_events_peak as u64,
-        ptw_walk_table_compacted: report.iommu.ptw_walk_table_compacted,
-        pri_pending_peak: report.iommu.page_request_pending_peak as u64,
-        verified: report.verified,
+        config,
+        report,
+        initiators: platform.mem.fabric_stats(),
+        channels: platform.mem.channel_stats(),
         grant_switches: platform.mem.fabric().grant_switches(),
-        initiators,
-        per_channel,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sva_common::{ArbitrationPolicy, InitiatorId};
 
-    /// One point at the baseline knobs: round-robin, unbounded queues, no
+    /// The sweep's platform at 200 cycles: `clusters` clusters with fabric
+    /// contention charged, one channel, round-robin, unbounded queues, no
     /// host traffic, serial walker, single-level TLB.
-    fn baseline_point(
-        kind: KernelKind,
-        clusters: usize,
-        variant: SocVariant,
-        channels: usize,
-    ) -> FabricPoint {
-        run_point(
-            kind,
-            false,
-            clusters,
-            variant,
-            200,
-            channels,
-            &ArbitrationPolicy::RoundRobin,
-            QueueDepths::UNBOUNDED,
-            FabricKnobs::default(),
-            TlbKnobs::default(),
-        )
-        .unwrap()
+    fn contended(clusters: usize, variant: SocVariant) -> PlatformConfig {
+        PlatformConfig::variant(variant, 200)
+            .with_clusters(clusters)
+            .with_fabric_contention()
+    }
+
+    fn gemm(config: PlatformConfig) -> FabricPoint {
+        run_point(KernelKind::Gemm, false, config).unwrap()
+    }
+
+    /// Summed `field` over the point's DMA initiators.
+    fn dma_sum(p: &FabricPoint, field: impl Fn(&InitiatorSnapshot) -> u64) -> u64 {
+        p.initiators
+            .iter()
+            .filter(|s| matches!(s.id, InitiatorId::Dma { .. }))
+            .map(field)
+            .sum()
     }
 
     #[test]
     fn sweep_scales_and_reports_contention() {
         let points = [1, 2, 4]
-            .map(|n| baseline_point(KernelKind::Gemm, n, SocVariant::IommuLlc, 1))
+            .map(|n| gemm(contended(n, SocVariant::IommuLlc)))
             .to_vec();
         let result = FabricSweepResult { points };
         assert_eq!(result.points.len(), 3);
-        assert!(result.points.iter().all(|p| p.verified));
+        assert!(result.points.iter().all(|p| p.report.verified));
 
-        let one = result.get(1, SocVariant::IommuLlc, 200).unwrap();
-        let four = result.get(4, SocVariant::IommuLlc, 200).unwrap();
-        assert!(four.total < one.total, "sharding must cut wall-clock");
+        let one = result.get(&contended(1, SocVariant::IommuLlc)).unwrap();
+        let four = result.get(&contended(4, SocVariant::IommuLlc)).unwrap();
+        assert!(
+            four.report.stats.total < one.report.stats.total,
+            "sharding must cut wall-clock"
+        );
         // A single DMA stream observes no cross-initiator queueing (its own
         // bursts never conflict with themselves); four overlapping streams
         // must. PTW probes may *record* waits behind DMA occupancy at any
         // cluster count — that accounting is live since the global clock —
         // so the invariant is on the DMA rows.
-        let dma_queue = |p: &FabricPoint| -> u64 {
-            p.initiators
-                .iter()
-                .filter(|r| r.initiator.starts_with("dma"))
-                .map(|r| r.queue_cycles)
-                .sum()
-        };
+        let dma_queue = |p| dma_sum(p, |s| s.stats.queue_cycles);
         assert_eq!(dma_queue(one), 0);
         assert!(dma_queue(four) > 0);
         // One DMA initiator per cluster shows up in the fabric stats.
-        let dma_rows = |p: &FabricPoint| {
-            p.initiators
-                .iter()
-                .filter(|r| r.initiator.starts_with("dma"))
-                .count()
-        };
+        let dma_rows = |p| dma_sum(p, |_| 1);
         assert_eq!(dma_rows(one), 1);
         assert_eq!(dma_rows(four), 4);
     }
 
     #[test]
     fn knob_sub_grid_reports_host_and_walker_effects() {
-        let points: Vec<FabricPoint> = FabricKnobs::ALL
-            .iter()
-            .map(|&knobs| {
-                run_point(
-                    KernelKind::Gemm,
-                    false,
-                    4,
-                    SocVariant::IommuLlc,
-                    200,
-                    1,
-                    &ArbitrationPolicy::RoundRobin,
-                    QueueDepths::UNBOUNDED,
-                    knobs,
-                    TlbKnobs::default(),
-                )
-                .unwrap()
-            })
-            .collect();
-        assert!(points.iter().all(|p| p.verified));
-        let result = FabricSweepResult { points };
-        let base = result.get_knobs(4, 200, FabricKnobs::ALL[0]).unwrap();
-        let batched = result.get_knobs(4, 200, FabricKnobs::ALL[1]).unwrap();
-        let noisy = result.get_knobs(4, 200, FabricKnobs::ALL[2]).unwrap();
-        // Host interference slows the device and shows up in the host row.
-        assert!(noisy.total > base.total, "host traffic must cost cycles");
-        let host_queue = |p: &FabricPoint| {
-            p.initiators
-                .iter()
-                .find(|r| r.initiator == "host_stream")
-                .map(|r| r.queue_cycles)
-                .unwrap_or(0)
+        let base = contended(4, SocVariant::IommuLlc);
+        let noisy = base.clone().with_host_traffic(HostTrafficConfig::default());
+        let configs = [
+            base.clone(),
+            base.clone().with_ptw_batching(),
+            noisy.clone(),
+            noisy.clone().with_ptw_batching(),
+        ];
+        let result = FabricSweepResult {
+            points: configs.iter().cloned().map(gemm).collect(),
         };
-        assert!(host_queue(noisy) > 0, "host stream queues behind DMA");
+        assert!(result.points.iter().all(|p| p.report.verified));
+        let base = &result.points[0];
+        let batched = &result.points[1].report.iommu;
+        let noisy = result.get(&noisy).unwrap();
+        // Host interference slows the device and shows up in the host row.
+        assert!(
+            noisy.report.stats.total > base.report.stats.total,
+            "host traffic must cost cycles"
+        );
+        let host_queue = noisy
+            .initiators
+            .iter()
+            .find(|s| s.id == InitiatorId::HostStream)
+            .map_or(0, |s| s.stats.queue_cycles);
+        assert!(host_queue > 0, "host stream queues behind DMA");
         // The batched walker coalesces and cuts memory reads.
-        assert_eq!(base.ptw_coalesced_reads, 0);
+        let serial = &base.report.iommu;
+        assert_eq!(serial.ptw_coalesced_reads, 0);
         assert!(batched.ptw_coalesced_reads > 0);
-        assert!(batched.ptw_reads < base.ptw_reads);
+        assert!(batched.ptw_reads < serial.ptw_reads);
         assert_eq!(
             batched.ptw_reads + batched.ptw_coalesced_reads,
-            base.ptw_reads,
+            serial.ptw_reads,
             "walk levels conserve between the serial and batched walkers"
         );
         // JSON carries the sub-grid fields.
@@ -783,64 +456,40 @@ mod tests {
 
     #[test]
     fn queue_depth_sub_grid_reports_issue_stalls() {
-        let run_depths = |depths: QueueDepths| {
-            run_point(
-                KernelKind::Gemm,
-                false,
-                4,
-                SocVariant::IommuLlc,
-                200,
-                1,
-                &ArbitrationPolicy::RoundRobin,
-                depths,
-                FabricKnobs {
-                    host_traffic: true,
-                    ptw_batching: true,
-                },
-                TlbKnobs::default(),
-            )
-            .unwrap()
-        };
-        let unbounded = run_depths(QueueDepths::UNBOUNDED);
-        let shallow = run_depths(QueueDepths::bounded(4, 4));
-        assert!(unbounded.verified && shallow.verified);
+        let timed = contended(4, SocVariant::IommuLlc)
+            .with_host_traffic(HostTrafficConfig::default())
+            .with_ptw_batching();
+        let shallow_config = timed.clone().with_channel_depths(4, 4);
+        let unbounded = gemm(timed);
+        let shallow = gemm(shallow_config.clone());
+        assert!(unbounded.report.verified && shallow.report.verified);
         assert_eq!(unbounded.issue_stall_cycles(), 0, "inf depths never stall");
         assert!(
             shallow.issue_stall_cycles() > 0,
             "finite request queues must stall issue under contention"
         );
+        let (deep_total, shallow_total) =
+            (unbounded.report.stats.total, shallow.report.stats.total);
         assert!(
-            shallow.total >= unbounded.total,
-            "backpressure cannot speed the device up: {} vs {}",
-            shallow.total,
-            unbounded.total
+            shallow_total >= deep_total,
+            "backpressure cannot speed the device up: {shallow_total} vs {deep_total}"
         );
-        let dma_stalls: u64 = shallow
-            .initiators
-            .iter()
-            .filter(|r| r.initiator.starts_with("dma"))
-            .map(|r| r.issue_stall_cycles)
-            .sum();
-        assert!(dma_stalls > 0, "DMA issue must observe backpressure");
+        assert!(
+            dma_sum(&shallow, |s| s.stats.issue_stall_cycles) > 0,
+            "DMA issue must observe backpressure"
+        );
         let result = FabricSweepResult {
             points: vec![unbounded, shallow],
         };
-        let point = result
-            .get_depths(
-                4,
-                200,
-                "4/4",
-                FabricKnobs {
-                    host_traffic: true,
-                    ptw_batching: true,
-                },
-            )
-            .expect("depth sub-grid point is addressable");
-        assert_eq!(point.req_queue_depth, 4);
+        assert!(
+            result.get(&shallow_config).is_some(),
+            "depth sub-grid point is addressable"
+        );
         let json = result.to_json(&SweepMeta::default());
         assert!(json.contains("\"queue_depths\": \"inf\""));
         assert!(json.contains("\"queue_depths\": \"4/4\""));
         assert!(json.contains("\"req_queue_depth\": 4"));
+        assert!(json.contains("\"req_queue_depth\": 0"));
         assert!(json.contains("\"issue_stall_cycles\""));
         assert!(json.contains("\"req_queue_peak\""));
     }
@@ -862,63 +511,53 @@ mod tests {
 
     #[test]
     fn tlb_sub_grid_reports_hierarchy_splits_and_demand_paging() {
-        let hierarchy = TlbHierarchyConfig::two_level();
-        let run_tlb = |tlb: TlbKnobs| {
-            run_point(
-                KernelKind::Gemm,
-                false,
-                2,
-                SocVariant::IommuLlc,
-                200,
-                1,
-                &ArbitrationPolicy::RoundRobin,
-                QueueDepths::UNBOUNDED,
-                FabricKnobs::default(),
-                tlb,
-            )
-            .unwrap()
-        };
-        let single = run_tlb(TlbKnobs::default());
-        let hier = run_tlb(TlbKnobs {
-            hierarchy,
-            demand_paging: false,
-        });
-        let demand = run_tlb(TlbKnobs {
-            hierarchy,
-            demand_paging: true,
-        });
-        assert!(single.verified && hier.verified && demand.verified);
+        let single_config = contended(2, SocVariant::IommuLlc);
+        let hier_config = single_config
+            .clone()
+            .with_tlb_hierarchy(TlbHierarchyConfig::two_level());
+        let demand_config = hier_config.clone().with_demand_paging();
+        let single = gemm(single_config.clone());
+        let hier = gemm(hier_config);
+        let demand = gemm(demand_config.clone());
+        assert!(single.report.verified && hier.report.verified && demand.report.verified);
 
-        assert_eq!(single.tlb, "single");
-        assert_eq!(single.atc_hit_rate, 0.0, "no ATC without the hierarchy");
-        assert_eq!(single.faults_serviced, 0);
+        let single_stats = single.report.iommu;
+        assert_eq!(single.tlb_label(), "single");
+        assert_eq!(
+            single_stats.atc.hit_rate(),
+            0.0,
+            "no ATC without the hierarchy"
+        );
+        assert_eq!(single_stats.page_requests.serviced, 0);
 
-        assert!(hier.atc_hit_rate > 0.0, "the hierarchy splits hits into L1");
-        assert_eq!(hier.faults_serviced, 0, "pre-mapped runs never fault");
-
-        assert!(demand.demand_paging);
-        assert!(demand.faults_serviced > 0, "cold start pages in on demand");
-        assert!(demand.page_requests >= demand.faults_serviced);
-        assert!(demand.page_req_latency_p50 > 0);
-        assert!(demand.page_req_latency_p99 >= demand.page_req_latency_p50);
+        let hier_stats = hier.report.iommu;
         assert!(
-            demand.total > hier.total,
-            "demand paging must cost wall-clock: {} vs {}",
-            demand.total,
-            hier.total
+            hier_stats.atc.hit_rate() > 0.0,
+            "the hierarchy splits hits into L1"
+        );
+        assert_eq!(
+            hier_stats.page_requests.serviced, 0,
+            "pre-mapped runs never fault"
+        );
+
+        let demand_stats = demand.report.iommu;
+        let serviced = demand_stats.page_requests.serviced;
+        assert!(serviced > 0, "cold start pages in on demand");
+        assert!(demand_stats.page_requests.requests >= serviced);
+        assert!(demand_stats.page_request_p50 > 0);
+        assert!(demand_stats.page_request_p99 >= demand_stats.page_request_p50);
+        let (hier_total, demand_total) = (hier.report.stats.total, demand.report.stats.total);
+        assert!(
+            demand_total > hier_total,
+            "demand paging must cost wall-clock: {demand_total} vs {hier_total}"
         );
 
         // Points are addressable and the JSON schema carries the fields.
-        let label = hier.tlb.clone();
         let result = FabricSweepResult {
             points: vec![single, hier, demand],
         };
-        assert!(result.get_tlb(2, 200, "single", false).is_some());
-        assert!(result.get_tlb(2, 200, &label, true).is_some());
-        assert!(
-            result.get(2, SocVariant::IommuLlc, 200).is_some(),
-            "the baseline getter still finds the single-level point"
-        );
+        assert!(result.get(&single_config).is_some());
+        assert!(result.get(&demand_config).is_some());
         let json = result.to_json(&SweepMeta::default());
         assert!(json.contains("\"tlb\": \"single\""));
         assert!(json.contains("\"tlb\": \"l1:1x4-lru+l2:8x4-lru\""));
@@ -933,7 +572,8 @@ mod tests {
         let mut points = Vec::new();
         for n in [1, 2] {
             for variant in [SocVariant::Baseline, SocVariant::IommuLlc] {
-                points.push(baseline_point(KernelKind::Axpy, n, variant, 2));
+                let config = contended(n, variant).with_memory_channels(2);
+                points.push(run_point(KernelKind::Axpy, false, config).unwrap());
             }
         }
         let result = FabricSweepResult { points };
@@ -954,8 +594,10 @@ mod tests {
         // The acceptance criterion of the multi-channel backend: at 4
         // clusters, wall-clock is monotonically non-increasing as the DRAM
         // path splits 1 → 2 → 4 ways.
-        let totals =
-            [1, 2, 4].map(|ch| baseline_point(KernelKind::Gemm, 4, SocVariant::IommuLlc, ch).total);
+        let totals = [1, 2, 4].map(|ch| {
+            let config = contended(4, SocVariant::IommuLlc).with_memory_channels(ch);
+            gemm(config).report.stats.total
+        });
         assert!(
             totals[0] >= totals[1] && totals[1] >= totals[2],
             "wall-clock must not grow with channels: {totals:?}"
@@ -969,22 +611,14 @@ mod tests {
             ArbitrationPolicy::Weighted(vec![4, 2, 1, 1]),
             ArbitrationPolicy::FixedPriority(vec![0, 1, 2, 3]),
         ] {
-            let p = run_point(
-                KernelKind::Axpy,
-                false,
-                4,
-                SocVariant::IommuLlc,
-                200,
-                2,
-                &policy,
-                QueueDepths::UNBOUNDED,
-                FabricKnobs::default(),
-                TlbKnobs::default(),
-            )
-            .unwrap();
-            assert!(p.verified, "{policy:?} run must verify");
-            assert_eq!(p.policy, policy.label());
-            assert_eq!(p.per_channel.len(), 2);
+            let config = contended(4, SocVariant::IommuLlc)
+                .with_memory_channels(2)
+                .with_arbitration(policy.clone());
+            let p = run_point(KernelKind::Axpy, false, config).unwrap();
+            assert!(p.report.verified, "{policy:?} run must verify");
+            assert_eq!(p.channels.len(), 2);
+            let json = FabricSweepResult { points: vec![p] }.to_json(&SweepMeta::default());
+            assert!(json.contains(&format!("\"policy\": \"{}\"", policy.label())));
         }
     }
 }

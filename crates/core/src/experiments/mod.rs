@@ -3,8 +3,10 @@
 //! Every paper experiment exposes a `run` function taking explicit
 //! parameters (sweeps, problem sizes) and returning structured results, plus
 //! a `render`-style helper producing the paper-style text table. The `paper`
-//! binary in `sva_bench` prints them all in order; its `fabric_sweep` binary
-//! builds the fabric grid from [`fabric::run_point`].
+//! binary in `sva_bench` prints them all in order. A fabric point is the
+//! [`PlatformConfig`](crate::config::PlatformConfig) it ran on plus the
+//! reports of its run ([`fabric::run_point`]); the grid of configurations
+//! lives in the `fabric_sweep` binary.
 //!
 //! | Module | Paper artefact |
 //! |---|---|

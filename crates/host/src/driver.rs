@@ -53,9 +53,9 @@ const FAULT_SIGNAL_LATENCY: Cycles = Cycles::new(800);
 /// top of the timed page-table touches the handler performs on the fabric.
 const PER_FAULT_CYCLES: Cycles = Cycles::new(1_200);
 
-/// IOMMU device ID of the cluster's DMA traffic that the driver attaches
-/// and invalidates. On a platform with several clusters, cluster `i`
-/// presents `DEVICE_ID + 2·i`.
+/// IOMMU device ID of the cluster's DMA traffic that the driver attaches.
+/// On a platform with several clusters, cluster `i` presents
+/// `DEVICE_ID + 2·i`, attached to the same IO page table.
 pub const DEVICE_ID: u32 = 1;
 
 /// Accounting of a mapping or unmapping operation.
@@ -208,8 +208,10 @@ impl IommuDriver {
 
         // Invalidate the IOTLB so stale translations are never used, then
         // fence. Each command is a couple of uncached MMIO/queue accesses.
+        // Every cluster's data device shares the IO page table, so the
+        // invalidation names no device.
         iommu.process_command(Command::IotlbInvalidate {
-            device_id: Some(DEVICE_ID),
+            device_id: None,
             iova: None,
         });
         iommu.process_command(Command::Fence);
@@ -233,7 +235,7 @@ impl IommuDriver {
     }
 
     /// Removes a mapping created by [`IommuDriver::map_buffer`] and
-    /// invalidates the IOTLB.
+    /// invalidates the IOTLB of every device on the IO page table.
     ///
     /// # Errors
     ///
@@ -262,7 +264,7 @@ impl IommuDriver {
             self.mapped_pages = self.mapped_pages.saturating_sub(1);
         }
         iommu.process_command(Command::IotlbInvalidate {
-            device_id: Some(DEVICE_ID),
+            device_id: None,
             iova: None,
         });
         cpu.execute(MMIO_ACCESS * 2);
@@ -379,6 +381,7 @@ impl PageRequestHandler for FaultServicer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sva_iommu::{IommuConfig, TlbHierarchyConfig};
     use sva_mem::MemSysConfig;
 
     fn setup(
@@ -485,6 +488,62 @@ mod tests {
             .translate_at(&mut mem, 1, handle.iova, false, Cycles::ZERO)
             .is_err());
         assert_eq!(driver.mapped_pages(), 0);
+    }
+
+    /// Every cluster's data device is attached to the driver's IO page
+    /// table, so an unmap must revoke what each of them cached: in the
+    /// shared IOTLB and in every device's private L1.
+    #[test]
+    fn unmap_revokes_the_translations_of_every_device_on_the_table() {
+        let other = DEVICE_ID + 2;
+        for tlb in [
+            TlbHierarchyConfig::default(),
+            TlbHierarchyConfig::two_level(),
+        ] {
+            let (mut mem, mut frames, mut space, mut cpu, _) = setup(200, true);
+            let mut iommu = Iommu::new(IommuConfig {
+                tlb,
+                ..IommuConfig::default()
+            });
+            let va = space
+                .alloc_buffer(&mut mem, &mut frames, 2 * PAGE_SIZE)
+                .unwrap();
+            let mut driver = IommuDriver::default();
+            driver
+                .attach(&mut cpu, &mut mem, &mut iommu, &mut frames, space.pscid())
+                .unwrap();
+            let root = driver.io_table().unwrap().root();
+            iommu
+                .attach_device(&mut mem, &mut frames, other, space.pscid(), root)
+                .unwrap();
+            let (handle, _) = driver
+                .map_buffer(
+                    &mut cpu,
+                    &mut mem,
+                    &mut iommu,
+                    &space,
+                    &mut frames,
+                    va,
+                    2 * PAGE_SIZE,
+                )
+                .unwrap();
+            for device in [DEVICE_ID, other] {
+                iommu
+                    .translate_at(&mut mem, device, handle.iova, false, Cycles::ZERO)
+                    .unwrap();
+            }
+            driver
+                .unmap_buffer(&mut cpu, &mut mem, &mut iommu, handle)
+                .unwrap();
+            for device in [DEVICE_ID, other] {
+                assert!(
+                    iommu
+                        .translate_at(&mut mem, device, handle.iova, false, Cycles::ZERO)
+                        .is_err(),
+                    "device {device} still translates an unmapped page with {tlb:?}"
+                );
+            }
+        }
     }
 
     #[test]

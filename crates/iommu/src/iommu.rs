@@ -193,6 +193,18 @@ pub struct IommuStats {
     pub ptw_walk_table_compacted: u64,
 }
 
+/// The ATS/PRI page-request path of a demand-paging IOMMU.
+#[derive(Clone, Debug)]
+struct PageRequestPath {
+    /// The page-request queue, [`PAGE_REQUEST_ENTRIES`] deep.
+    queue: BoundedQueue<PageRequest>,
+    /// Peak length of the queue over the measurement window.
+    peak: usize,
+    stats: PageRequestStats,
+    /// Service latencies, for the percentiles.
+    latency: Histogram,
+}
+
 /// The RISC-V IOMMU.
 #[derive(Clone, Debug)]
 pub struct Iommu {
@@ -208,13 +220,8 @@ pub struct Iommu {
     ptw: PageTableWalker,
     /// The fault queue, [`FAULT_QUEUE_ENTRIES`] deep.
     faults: BoundedQueue<FaultRecord>,
-    /// The ATS/PRI page-request queue, [`PAGE_REQUEST_ENTRIES`] deep
-    /// (unused with demand paging off).
-    page_requests: BoundedQueue<PageRequest>,
-    /// Peak length of the page-request queue over the measurement window.
-    page_requests_peak: usize,
-    pri: PageRequestStats,
-    pri_hist: Histogram,
+    /// The page-request path, present exactly with demand paging.
+    pri: Option<PageRequestPath>,
     translations: u64,
     translation_cycles: u64,
 }
@@ -232,11 +239,12 @@ impl Iommu {
                 PageTableWalker::new()
             },
             faults: BoundedQueue::new(FAULT_QUEUE_ENTRIES),
-            // The queue stays empty without demand paging.
-            page_requests: BoundedQueue::new(PAGE_REQUEST_ENTRIES),
-            page_requests_peak: 0,
-            pri: PageRequestStats::default(),
-            pri_hist: Histogram::new(PRI_HIST_BUCKET, PRI_HIST_BUCKETS),
+            pri: config.demand_paging.then(|| PageRequestPath {
+                queue: BoundedQueue::new(PAGE_REQUEST_ENTRIES),
+                peak: 0,
+                stats: PageRequestStats::default(),
+                latency: Histogram::new(PRI_HIST_BUCKET, PRI_HIST_BUCKETS),
+            }),
             translations: 0,
             translation_cycles: 0,
             config,
@@ -377,7 +385,7 @@ impl Iommu {
                 .ddt
                 .as_ref()
                 .is_some_and(|ddt| ddt.peek(mem, device_id).is_ok())
-            && !self.probe_access(mem, device_id, iova, is_write)
+            && !can_access(self.ddt.as_ref(), mem, device_id, iova, is_write)
         {
             return Err(Error::IoPageFault { iova, is_write });
         }
@@ -545,28 +553,6 @@ impl Iommu {
         self.config.demand_paging
     }
 
-    /// Untimed probe of whether `device_id` can already perform the given
-    /// access to `iova` without host intervention: the page must be mapped
-    /// in the device's IO page table **and** its leaf must permit the
-    /// access type (a resident read-only page still needs a page request
-    /// for a write — the host services it by upgrading the mapping).
-    fn probe_access(&self, mem: &MemorySystem, device_id: u32, iova: Iova, is_write: bool) -> bool {
-        let Some(ddt) = self.ddt.as_ref() else {
-            return false;
-        };
-        let Ok(ctx) = ddt.peek(mem, device_id) else {
-            return false;
-        };
-        let table = sva_vm::PageTable::from_root(ctx.root_pt);
-        let va = sva_common::VirtAddr::from_iova(iova);
-        match table.walk(mem, va) {
-            Ok(path) => path
-                .leaf()
-                .is_some_and(|pte| pte.is_valid() && pte.permits(is_write)),
-            Err(_) => false,
-        }
-    }
-
     /// Issues a **page-request group** on behalf of `device_id`: one
     /// request per page of `[start, start + len)` the device cannot
     /// already access (unmapped, or mapped without write permission for a
@@ -576,7 +562,8 @@ impl Iommu {
     ///
     /// Returns `(enqueued, dropped)`; a nonzero `dropped` means the queue
     /// overflowed mid-group and the device must back off (the tail pages
-    /// will fault again and re-request).
+    /// will fault again and re-request). Without demand paging the IOMMU
+    /// has no page-request queue, and nothing is enqueued.
     pub fn enqueue_page_requests(
         &mut self,
         mem: &MemorySystem,
@@ -586,6 +573,9 @@ impl Iommu {
         is_write: bool,
         now: Cycles,
     ) -> (u64, u64) {
+        let Some(pri) = self.pri.as_mut() else {
+            return (0, 0);
+        };
         let mut enqueued = 0u64;
         let mut dropped = 0u64;
         let first = start.page_base();
@@ -594,21 +584,21 @@ impl Iommu {
         while page < end {
             // Every pushed request's IOVA is a page base, so a page is
             // pending exactly when a queued request of the device names it.
-            let needed = !self.probe_access(mem, device_id, page, is_write)
-                && !self
-                    .page_requests
+            let needed = !can_access(self.ddt.as_ref(), mem, device_id, page, is_write)
+                && !pri
+                    .queue
                     .iter()
                     .any(|r| r.device_id == device_id && r.iova == page);
             if needed {
-                if self.page_requests.push(PageRequest {
+                if pri.queue.push(PageRequest {
                     device_id,
                     iova: page,
                     is_write,
                     issued_at: now,
                 }) {
-                    self.page_requests_peak = self.page_requests_peak.max(self.page_requests.len());
+                    pri.peak = pri.peak.max(pri.queue.len());
                     enqueued += 1;
-                    self.pri.requests += 1;
+                    pri.stats.requests += 1;
                 } else {
                     // The queue is full; keep scanning so every request of
                     // the group that fails to enqueue is counted — the
@@ -616,7 +606,7 @@ impl Iommu {
                     // overflow-dropped request is not pending and stays
                     // re-requestable.
                     dropped += 1;
-                    self.pri.dropped += 1;
+                    pri.stats.dropped += 1;
                 }
             }
             page += sva_common::PAGE_SIZE;
@@ -626,34 +616,42 @@ impl Iommu {
 
     /// Removes and returns the oldest pending page request (host side).
     pub fn pop_page_request(&mut self) -> Option<PageRequest> {
-        self.page_requests.pop()
+        self.pri.as_mut()?.queue.pop()
     }
 
     /// Number of pending page requests.
     pub fn pending_page_requests(&self) -> usize {
-        self.page_requests.len()
+        self.pri.as_ref().map_or(0, |pri| pri.queue.len())
     }
 
     /// Records one request resolved by the host: issued at `issued`,
     /// completed (group response observed by the device) at `completed`.
-    /// The service latency feeds the latency statistics.
+    /// The service latency feeds the latency statistics. This and the
+    /// other `note_*` records do nothing without demand paging, which
+    /// issues no page requests.
     pub fn note_page_request_serviced(&mut self, issued: Cycles, completed: Cycles) {
-        let latency = completed.saturating_sub(issued);
-        self.pri.serviced += 1;
-        self.pri.service_time.record_cycles(latency);
-        self.pri_hist.record(latency.raw());
+        if let Some(pri) = &mut self.pri {
+            let latency = completed.saturating_sub(issued);
+            pri.stats.serviced += 1;
+            pri.stats.service_time.record_cycles(latency);
+            pri.latency.record(latency.raw());
+        }
     }
 
     /// Records one request the host could not resolve (no backing host
     /// mapping); the device's retry faults again and turns it into a
     /// terminal fault.
     pub fn note_page_request_failed(&mut self) {
-        self.pri.failed += 1;
+        if let Some(pri) = &mut self.pri {
+            pri.stats.failed += 1;
+        }
     }
 
     /// Records the completion of one group response.
     pub fn note_group_response(&mut self) {
-        self.pri.group_responses += 1;
+        if let Some(pri) = &mut self.pri {
+            pri.stats.group_responses += 1;
+        }
     }
 
     /// Purges the walker's in-flight MSHR registers (the host changed the
@@ -708,6 +706,8 @@ impl Iommu {
             atc.hits += s.hits;
             atc.misses += s.misses;
         }
+        let pri = self.pri.as_ref();
+        let percentile = |q| pri.map_or(0, |pri| pri.latency.percentile(q));
         IommuStats {
             translations: self.translations,
             iotlb: self.iotlb.stats(),
@@ -724,11 +724,11 @@ impl Iommu {
             ptw_time: self.ptw.walk_time(),
             translation_cycles: self.translation_cycles,
             fault_records_dropped: self.faults.dropped(),
-            page_requests: self.pri,
-            page_request_p50: self.pri_hist.percentile(0.50),
-            page_request_p90: self.pri_hist.percentile(0.90),
-            page_request_p99: self.pri_hist.percentile(0.99),
-            page_request_pending_peak: self.page_requests_peak,
+            page_requests: pri.map(|pri| pri.stats).unwrap_or_default(),
+            page_request_p50: percentile(0.50),
+            page_request_p90: percentile(0.90),
+            page_request_p99: percentile(0.99),
+            page_request_pending_peak: pri.map_or(0, |pri| pri.peak),
             ptw_walk_table_events_peak: self.ptw.walk_table_events_peak(),
             ptw_walk_table_compacted: self.ptw.walk_table_compacted_events(),
         }
@@ -767,12 +767,14 @@ impl Iommu {
         }
         self.ptw.reset_stats();
         self.faults.reset_dropped();
-        self.page_requests.reset_dropped();
-        // Requests still pending across the window boundary stay pending;
-        // only the peak restarts, at the carried-over length.
-        self.page_requests_peak = self.page_requests.len();
-        self.pri = PageRequestStats::default();
-        self.pri_hist = Histogram::new(PRI_HIST_BUCKET, PRI_HIST_BUCKETS);
+        if let Some(pri) = &mut self.pri {
+            pri.queue.reset_dropped();
+            // Requests still pending across the window boundary stay
+            // pending; only the peak restarts, at the carried-over length.
+            pri.peak = pri.queue.len();
+            pri.stats = PageRequestStats::default();
+            pri.latency = Histogram::new(PRI_HIST_BUCKET, PRI_HIST_BUCKETS);
+        }
         self.translations = 0;
         self.translation_cycles = 0;
     }
@@ -781,6 +783,32 @@ impl Iommu {
 impl Default for Iommu {
     fn default() -> Self {
         Self::new(IommuConfig::default())
+    }
+}
+
+/// Untimed probe of whether `device_id` can already perform the given
+/// access to `iova` without host intervention: the device must have a
+/// context in `ddt`, the page must be mapped in its IO page table **and**
+/// the leaf must permit the access type (a resident read-only page still
+/// needs a page request for a write — the host services it by upgrading
+/// the mapping).
+fn can_access(
+    ddt: Option<&DeviceDirectory>,
+    mem: &MemorySystem,
+    device_id: u32,
+    iova: Iova,
+    is_write: bool,
+) -> bool {
+    let Some(ctx) = ddt.and_then(|ddt| ddt.peek(mem, device_id).ok()) else {
+        return false;
+    };
+    let table = sva_vm::PageTable::from_root(ctx.root_pt);
+    let va = sva_common::VirtAddr::from_iova(iova);
+    match table.walk(mem, va) {
+        Ok(path) => path
+            .leaf()
+            .is_some_and(|pte| pte.is_valid() && pte.permits(is_write)),
+        Err(_) => false,
     }
 }
 

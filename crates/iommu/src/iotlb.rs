@@ -63,12 +63,6 @@ pub struct IoTlb {
     clock: u64,
     stats: HitMiss,
     per_device: Vec<(u32, HitMiss)>,
-    /// Valid-entry count per device, ordered by device ID. Functional
-    /// cache state (not a statistic — survives `reset_stats` with the
-    /// entries it counts): lets a device-scoped invalidation skip the
-    /// whole-array sweep when the device holds no entries, which is the
-    /// common case once many devices share one TLB.
-    per_device_entries: Vec<(u32, usize)>,
     invalidations: u64,
 }
 
@@ -96,7 +90,6 @@ impl IoTlb {
             clock: 0,
             stats: HitMiss::new(),
             per_device: Vec::new(),
-            per_device_entries: Vec::new(),
             invalidations: 0,
         }
     }
@@ -132,27 +125,6 @@ impl IoTlb {
             }
         };
         &mut self.per_device[pos].1
-    }
-
-    /// Adjusts the valid-entry count of `device_id` by one.
-    fn add_device_entry(&mut self, device_id: u32) {
-        match self
-            .per_device_entries
-            .binary_search_by_key(&device_id, |(d, _)| *d)
-        {
-            Ok(pos) => self.per_device_entries[pos].1 += 1,
-            Err(pos) => self.per_device_entries.insert(pos, (device_id, 1)),
-        }
-    }
-
-    fn remove_device_entry(&mut self, device_id: u32) {
-        let pos = self
-            .per_device_entries
-            .binary_search_by_key(&device_id, |(d, _)| *d)
-            .expect("removing an entry of a device that holds none");
-        let count = &mut self.per_device_entries[pos].1;
-        debug_assert!(*count > 0);
-        *count -= 1;
     }
 
     /// Number of entries the TLB can hold (`sets × ways`).
@@ -283,11 +255,9 @@ impl IoTlb {
             Self::touch(policy, &mut self.sets[set_idx], filled, clock);
         } else {
             let victim = self.victim(set_idx);
-            self.remove_device_entry(self.sets[set_idx][victim].entry.device_id);
             self.sets[set_idx][victim] = slot;
             Self::touch(policy, &mut self.sets[set_idx], victim, clock);
         }
-        self.add_device_entry(device_id);
     }
 
     /// Invalidates every entry (the `IOTINVAL.VMA` broadcast the driver
@@ -296,49 +266,22 @@ impl IoTlb {
         for set in &mut self.sets {
             set.clear();
         }
-        self.per_device_entries.clear();
         self.invalidations += 1;
     }
 
-    /// Invalidates all entries belonging to one device. Devices that hold
-    /// no entries (the common case with many devices behind one shared
-    /// TLB) short-circuit on the per-device entry count without sweeping
-    /// the sets; the invalidation is still counted — the command was
-    /// processed either way.
+    /// Invalidates all entries belonging to one device.
     pub fn invalidate_device(&mut self, device_id: u32) {
-        self.invalidations += 1;
-        let held = self
-            .per_device_entries
-            .binary_search_by_key(&device_id, |(d, _)| *d)
-            .map(|pos| self.per_device_entries[pos].1)
-            .unwrap_or(0);
-        if held == 0 {
-            return;
-        }
-        let mut removed = 0usize;
         for set in &mut self.sets {
-            let before = set.len();
             set.retain(|s| s.entry.device_id != device_id);
-            removed += before - set.len();
-            if removed == held {
-                break;
-            }
         }
-        debug_assert_eq!(removed, held, "per-device entry count diverged");
-        for _ in 0..removed {
-            self.remove_device_entry(device_id);
-        }
+        self.invalidations += 1;
     }
 
     /// Invalidates the entry for one page of one device, if present.
     pub fn invalidate_page(&mut self, device_id: u32, iova: Iova) {
         let vpn = iova.page_number();
         let set_idx = self.set_index(device_id, vpn);
-        let before = self.sets[set_idx].len();
         self.sets[set_idx].retain(|s| !(s.entry.device_id == device_id && s.entry.vpn == vpn));
-        if self.sets[set_idx].len() < before {
-            self.remove_device_entry(device_id);
-        }
         self.invalidations += 1;
     }
 
@@ -358,40 +301,6 @@ impl IoTlb {
     /// Per-device hit/miss statistics, ordered by device ID.
     pub fn per_device_stats(&self) -> &[(u32, HitMiss)] {
         &self.per_device
-    }
-
-    /// Number of valid entries currently held by `device_id` (the index
-    /// behind the device-invalidation short-circuit).
-    pub fn device_entries(&self, device_id: u32) -> usize {
-        self.per_device_entries
-            .binary_search_by_key(&device_id, |(d, _)| *d)
-            .map(|pos| self.per_device_entries[pos].1)
-            .unwrap_or(0)
-    }
-
-    /// Checks that the per-device entry counts match the sets exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a count has diverged from the entries it summarises.
-    #[doc(hidden)]
-    pub fn debug_validate_device_entries(&self) {
-        let mut counted: Vec<(u32, usize)> = Vec::new();
-        for set in &self.sets {
-            for s in set {
-                match counted.binary_search_by_key(&s.entry.device_id, |(d, _)| *d) {
-                    Ok(pos) => counted[pos].1 += 1,
-                    Err(pos) => counted.insert(pos, (s.entry.device_id, 1)),
-                }
-            }
-        }
-        let nonzero: Vec<(u32, usize)> = self
-            .per_device_entries
-            .iter()
-            .copied()
-            .filter(|&(_, n)| n > 0)
-            .collect();
-        assert_eq!(nonzero, counted, "per-device entry counts diverged");
     }
 
     /// Number of invalidation operations processed.
@@ -487,51 +396,53 @@ mod tests {
         assert_eq!(tlb.invalidations(), 3);
     }
 
-    /// The per-device entry counts (the index behind the
-    /// `invalidate_device` short-circuit) track fills, in-place updates,
-    /// evictions and every invalidation flavour, and survive a stats
-    /// reset with the entries they count.
+    /// Every membership change — fills, in-place updates, evictions and
+    /// each invalidation flavour — moves exactly the entries it names, and
+    /// a stats reset keeps the entries.
     #[test]
     fn per_device_entry_counts_track_every_membership_change() {
+        let held = |tlb: &IoTlb, device: u32| {
+            tlb.sets
+                .iter()
+                .flatten()
+                .filter(|s| s.entry.device_id == device)
+                .count()
+        };
         let mut tlb = IoTlb::new(4);
         tlb.fill(1, Iova::new(0x1000), 1, entry_flags());
         tlb.fill(1, Iova::new(0x2000), 2, entry_flags());
         tlb.fill(2, Iova::new(0x3000), 3, entry_flags());
         tlb.fill(1, Iova::new(0x1000), 9, entry_flags()); // in-place update
-        assert_eq!(tlb.device_entries(1), 2);
-        assert_eq!(tlb.device_entries(2), 1);
-        assert_eq!(tlb.device_entries(7), 0, "unseen device holds nothing");
-        tlb.debug_validate_device_entries();
+        assert_eq!(held(&tlb, 1), 2);
+        assert_eq!(held(&tlb, 2), 1);
+        assert_eq!(held(&tlb, 7), 0, "unseen device holds nothing");
 
         // Fill to capacity, then one more: the LRU victim (device 1,
-        // page 0x2000 — 0x1000 was refreshed by the update) hands its
-        // count to the filling device.
+        // page 0x2000 — 0x1000 was refreshed by the update) makes room for
+        // the filling device.
         tlb.fill(2, Iova::new(0x4000), 4, entry_flags());
         tlb.fill(3, Iova::new(0x5000), 5, entry_flags());
         assert_eq!(tlb.len(), 4);
-        assert_eq!(tlb.device_entries(1), 1);
-        assert_eq!(tlb.device_entries(3), 1);
-        tlb.debug_validate_device_entries();
+        assert_eq!(held(&tlb, 1), 1);
+        assert!(!tlb.probe(1, Iova::new(0x2000)));
+        assert_eq!(held(&tlb, 3), 1);
 
         // A device-scoped invalidation of an absent device is counted but
         // touches nothing.
         tlb.invalidate_device(7);
         assert_eq!(tlb.len(), 4);
         tlb.invalidate_page(2, Iova::new(0x3000));
-        assert_eq!(tlb.device_entries(2), 1);
+        assert_eq!(held(&tlb, 2), 1);
         tlb.invalidate_device(2);
-        assert_eq!(tlb.device_entries(2), 0);
-        assert!(!tlb.probe(2, Iova::new(0x4000)));
-        tlb.debug_validate_device_entries();
+        assert_eq!(held(&tlb, 2), 0);
+        assert_eq!(tlb.len(), 2, "devices 1 and 3 keep their entries");
 
-        // Counts are functional state: a stats reset keeps them with the
-        // entries; a full invalidation clears both.
+        // Entries are functional state: a stats reset keeps them; a full
+        // invalidation clears them.
         tlb.reset_stats();
-        assert_eq!(tlb.device_entries(1), 1);
-        tlb.debug_validate_device_entries();
+        assert_eq!(held(&tlb, 1), 1);
         tlb.invalidate_all();
-        assert_eq!(tlb.device_entries(1), 0);
-        tlb.debug_validate_device_entries();
+        assert!(tlb.is_empty());
         assert_eq!(tlb.invalidations(), 1, "reset_stats restarted the count");
     }
 

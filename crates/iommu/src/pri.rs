@@ -8,8 +8,9 @@
 //! the pages resident. The pieces of that loop are split across the
 //! workspace the same way the real stack is:
 //!
-//! * the **queue** and its overflow accounting live on the [`crate::Iommu`]
-//!   (a [`crate::queues::BoundedQueue`] of
+//! * the **queue** and its overflow accounting live on the [`crate::Iommu`],
+//!   which builds them only with demand paging (a
+//!   [`crate::queues::BoundedQueue`] of
 //!   [`crate::queues::PAGE_REQUEST_ENTRIES`] [`crate::queues::PageRequest`]s;
 //!   a full queue drops the request, which the device answers with
 //!   [`PAGE_REQUEST_BACKOFF`]);

@@ -31,7 +31,7 @@
 
 use sva_cluster::{DeviceKernel, DmaRequest, Tcdm, TileCtx, TileIo};
 use sva_common::rng::DeterministicRng;
-use sva_common::{Cycles, Error, Iova, Result};
+use sva_common::{Cycles, Iova, Result};
 use sva_host::HostKernelCost;
 
 use crate::cost;
@@ -474,15 +474,7 @@ impl DeviceKernel for SortDevice {
         }
 
         // Merge one output block from the two partitioned input segments.
-        let (_a_start, a_len, _b_start, b_len) = self.planned_ranges(tile);
-        if a_len + b_len != CHUNK {
-            return Err(Error::InvalidConfig {
-                reason: format!(
-                    "merge partition of tile {tile} covers {} elements instead of {CHUNK}",
-                    a_len + b_len
-                ),
-            });
-        }
+        let (_, a_len, _, _) = self.planned_ranges(tile);
         let (a, b) = self.keys.split_at_mut(a_len);
         read_keys(tcdm, a_off, a)?;
         read_keys(tcdm, b_off, b)?;

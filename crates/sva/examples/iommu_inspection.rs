@@ -58,9 +58,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.ptw_time.max()
     );
 
-    // Invalidate the IOTLB the way the driver does after changing mappings.
+    // Invalidate the IOTLB the way the driver does after changing mappings:
+    // for every device, since all of a process's devices share its table.
     iommu.process_command(Command::IotlbInvalidate {
-        device_id: Some(1),
+        device_id: None,
         iova: None,
     });
     println!("\nafter IOTINVAL.VMA the next access walks the tables again:");
