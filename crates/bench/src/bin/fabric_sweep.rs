@@ -38,8 +38,10 @@ use sva_common::{ArbitrationPolicy, Cycles, ReplacementPolicy, TlbOrg};
 use sva_kernels::KernelKind;
 use sva_soc::config::{PlatformConfig, SocVariant};
 use sva_soc::experiments::fabric::{
-    self, FabricSweepResult, HostTrafficConfig, SweepMeta, TlbHierarchyConfig, TlbLevelConfig,
+    FabricSweepResult, HostTrafficConfig, SweepMeta, TlbHierarchyConfig, TlbLevelConfig,
 };
+use sva_soc::experiments::run_point;
+use sva_soc::OffloadRunner;
 
 fn main() {
     let args = Args::from_env("fabric_sweep [--paper|--small] [--out <path>]", true);
@@ -116,12 +118,20 @@ fn main() {
         }
     }
 
+    // One runner for the sweep prepares gemm's inputs once; every point
+    // still runs on a fresh platform.
+    let runner = OffloadRunner::new(0xFAB);
+    let workload = if size.is_paper() {
+        KernelKind::Gemm.paper_workload()
+    } else {
+        KernelKind::Gemm.small_workload()
+    };
     let sweep_start = Instant::now();
     let (points, points_wallclock_ms): (Vec<_>, Vec<_>) = grid
         .into_iter()
         .map(|config| {
             let point_start = Instant::now();
-            let point = fabric::run_point(KernelKind::Gemm, size.is_paper(), config.clone())
+            let point = run_point(&runner, workload.as_ref(), config.clone())
                 .unwrap_or_else(|e| panic!("fabric point {config:?} failed: {e:?}"));
             (point, point_start.elapsed().as_millis() as u64)
         })

@@ -25,7 +25,7 @@ fn main() {
         || {
             let result = kernel_runtime::run(&KernelKind::TABLE2, &latencies, size.is_paper())
                 .expect("table II sweep failed");
-            let text = result.render_table2(&latencies);
+            let text = result.render_table2();
             kernel_sweep = Some(result);
             text
         },
@@ -37,9 +37,7 @@ fn main() {
     // Figure 4: device runtime relative to the baseline for the three
     // variants, with the IOMMU overhead annotations.
     with_banner("Figure 4: kernel execution relative to baseline", || {
-        kernel_sweep
-            .expect("Table II ran the sweep")
-            .render_fig4(&latencies)
+        kernel_sweep.expect("Table II ran the sweep").render_fig4()
     });
 
     fig5(size);

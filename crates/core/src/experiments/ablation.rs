@@ -14,58 +14,48 @@
 //!   ablation skips the flush, which leaves stale dirty lines but also shows
 //!   how much of the mapping cost the flush contributes.
 //!
-//! The first four are lists of labelled [`PlatformConfig`]s, each measured
-//! device-only on a fresh platform by one sweep; flush-before-map runs its
-//! own map-and-flush flow.
+//! Every row is a labelled [`Point`]. The first four ablations are lists of
+//! labelled [`PlatformConfig`]s, each run through one runner by
+//! [`run_point`]. Flush-before-map runs the paper's order through
+//! [`run_point`] too; only its flush-after-mapping row runs its own flow.
 
-use sva_common::{Error, Result};
-use sva_kernels::KernelKind;
+use sva_common::{Error, Iova, Result};
+use sva_kernels::{AxpyWorkload, KernelKind, Workload};
 
-use crate::config::{PlatformConfig, SocVariant};
-use crate::offload::OffloadRunner;
+use super::{run_point, Point};
+use crate::config::PlatformConfig;
+use crate::offload::{DeviceOnlyReport, OffloadRunner};
 use crate::platform::Platform;
-use crate::report::TextTable;
+use crate::report::{percent, TextTable};
 
-/// A generic labelled measurement.
-#[derive(Clone, Debug)]
-pub struct AblationPoint {
-    /// Configuration label.
-    pub label: String,
-    /// Device runtime in cycles.
-    pub total: u64,
-    /// DMA-wait share of the runtime.
-    pub dma_fraction: f64,
-    /// Average page-table-walk cycles (0 when the IOMMU is off).
-    pub avg_ptw_cycles: f64,
-}
-
-/// A set of ablation points.
+/// A set of labelled ablation points.
 #[derive(Clone, Debug, Default)]
 pub struct AblationResult {
     /// What was swept.
     pub name: String,
-    /// The measurements.
-    pub points: Vec<AblationPoint>,
+    /// The measurements, each with its configuration label.
+    pub points: Vec<(String, Point)>,
 }
 
 impl AblationResult {
     /// Renders the ablation as a table.
     pub fn render(&self) -> String {
         let mut table = TextTable::new(vec!["Configuration", "Device cycles", "%DMA", "Avg PTW"]);
-        for p in &self.points {
+        for (label, p) in &self.points {
+            let stats = &p.report.stats;
             table.row(vec![
-                p.label.clone(),
-                p.total.to_string(),
-                format!("{:.1}%", p.dma_fraction * 100.0),
-                format!("{:.1}", p.avg_ptw_cycles),
+                label.clone(),
+                stats.total.raw().to_string(),
+                percent(stats.dma_fraction()),
+                format!("{:.1}", p.report.iommu.ptw_time.mean()),
             ]);
         }
         format!("{}\n{}", self.name, table.render())
     }
 }
 
-/// Input seed of every ablation sweep. Each sweep runs its points through
-/// one runner, which prepares the sweep's workload once.
+/// Input seed of every ablation. Each sweep runs its points through one
+/// runner, which prepares the sweep's workload once.
 const SEED: u64 = 0xAB1A7E;
 
 /// Runs `kernel`'s small workload on a fresh platform per labelled
@@ -79,16 +69,7 @@ fn sweep(
     let runner = OffloadRunner::new(SEED);
     let points = platforms
         .into_iter()
-        .map(|(label, config)| {
-            let mut platform = Platform::new(config)?;
-            let report = runner.run_device_only(&mut platform, workload.as_ref())?;
-            Ok(AblationPoint {
-                label,
-                total: report.stats.total.raw(),
-                dma_fraction: report.stats.dma_fraction(),
-                avg_ptw_cycles: report.iommu.ptw_time.mean(),
-            })
-        })
+        .map(|(label, config)| Ok((label, run_point(&runner, workload.as_ref(), config)?)))
         .collect::<Result<_>>()?;
     Ok(AblationResult {
         name: name(workload.name()),
@@ -186,85 +167,85 @@ pub fn double_buffering(kernel: KernelKind, latency: u64) -> Result<AblationResu
 /// Listing 1 flushes the LLC *before* creating the IOVA mappings so the
 /// freshly written page-table entries stay resident for the IOMMU. This
 /// ablation compares the average page-table-walk latency of the first offload
-/// when the flush happens before mapping (the paper's order) versus after
-/// mapping (which evicts the PTEs again).
+/// when the flush happens before mapping (the paper's order, which is
+/// [`run_point`]'s) versus after mapping (which evicts the PTEs again).
 ///
 /// # Errors
 ///
 /// Propagates platform construction and execution failures.
 pub fn flush_before_map(latency: u64) -> Result<AblationResult> {
-    use sva_kernels::{AxpyWorkload, Workload as _};
-
     let workload = AxpyWorkload::with_elems(16_384);
-    let mut result = AblationResult {
+    let config = PlatformConfig::iommu_with_llc(latency);
+    let runner = OffloadRunner::new(SEED);
+    let paper = run_point(&runner, &workload, config.clone())?;
+    let evicted = run_flushing_after_map(&runner, &workload, config)?;
+    Ok(AblationResult {
         name: format!("LLC flush ordering around create_iommu_mapping (axpy @ {latency} cycles)"),
-        points: Vec::new(),
-    };
+        points: vec![
+            ("flush before mapping (paper, Listing 1)".to_string(), paper),
+            ("flush after mapping (PTEs evicted)".to_string(), evicted),
+        ],
+    })
+}
 
-    for flush_after in [false, true] {
-        let mut p = Platform::new(PlatformConfig::variant(SocVariant::IommuLlc, latency))?;
-        let mut rng = sva_common::rng::DeterministicRng::new(7);
-        let initial = workload.init(&mut rng);
-
-        // Allocate and fill the user buffers.
-        let specs = workload.buffers();
-        let mut vas = Vec::new();
-        for (spec, data) in specs.iter().zip(&initial) {
-            let va = p
-                .space
-                .alloc_buffer(&mut p.mem, &mut p.frames, spec.bytes())?;
-            let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-            p.space.write_virt(&mut p.mem, va, &bytes)?;
-            vas.push((va, spec.bytes()));
-        }
-
-        if !flush_after {
-            // Paper's order (Listing 1): flush, then map.
-            p.cpu.flush_l1();
-            p.mem.flush_llc();
-        }
-        for &(va, bytes) in &vas {
-            p.map_buffer(va, bytes)?;
-        }
-        if flush_after {
-            // Ablation: flush after mapping, evicting the PTE lines.
-            p.cpu.flush_l1();
-            p.mem.flush_llc();
-        }
-        let iommu = p.iommu.as_mut().ok_or(Error::IommuNotPresent)?;
-        iommu.reset_stats();
-
-        let device_ptrs: Vec<sva_common::Iova> = vas
-            .iter()
-            .map(|(va, _)| sva_common::Iova::from_virt(*va))
-            .collect();
-        let mut kernel = workload.device_kernel(&device_ptrs);
-        let stats = p.clusters[0].run(&mut p.mem, Some(&mut *iommu), kernel.as_mut(), None)?;
-        result.points.push(AblationPoint {
-            label: if flush_after {
-                "flush after mapping (PTEs evicted)".to_string()
-            } else {
-                "flush before mapping (paper, Listing 1)".to_string()
-            },
-            total: stats.total.raw(),
-            dma_fraction: stats.dma_fraction(),
-            avg_ptw_cycles: iommu.stats().ptw_time.mean(),
-        });
+/// Runs `workload` like [`run_point`] on a fresh platform built from
+/// `config`, but on the first cluster only and with the caches flushed
+/// after the IOVA mappings are created instead of before, which evicts the
+/// freshly written PTE lines.
+fn run_flushing_after_map(
+    runner: &OffloadRunner,
+    workload: &dyn Workload,
+    config: PlatformConfig,
+) -> Result<Point> {
+    let mut p = Platform::new(config.clone())?;
+    let prepared = runner.prepare(workload);
+    let buffers = runner.allocate_user_buffers(&mut p, workload, &prepared.inputs)?;
+    for buf in &buffers {
+        p.map_buffer(buf.va, buf.bytes)?;
     }
-    Ok(result)
+    p.cpu.flush_l1();
+    p.mem.flush_llc();
+    let iommu = p.iommu.as_mut().ok_or(Error::IommuNotPresent)?;
+    iommu.reset_stats();
+
+    let device_ptrs: Vec<Iova> = buffers.iter().map(|b| Iova::from_virt(b.va)).collect();
+    let mut kernel = workload.device_kernel(&device_ptrs);
+    let stats = p.clusters[0].run(&mut p.mem, Some(iommu), kernel.as_mut(), None)?;
+    let actual = runner.read_back_virtual(&p, workload, &buffers)?;
+    let report = DeviceOnlyReport {
+        kernel: workload.name().to_string(),
+        stats,
+        per_cluster: vec![stats],
+        iommu: p.iommu_stats(),
+        verified: workload.verify(&prepared.expected, &actual).is_ok(),
+    };
+    Ok(Point::new(config, report, &p))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `value` of every row of `result`; every row must verify.
+    fn column<T>(result: &AblationResult, value: impl Fn(&Point) -> T) -> Vec<T> {
+        result
+            .points
+            .iter()
+            .map(|(label, p)| {
+                assert!(p.report.verified, "{label} must verify");
+                value(p)
+            })
+            .collect()
+    }
+
+    fn total(p: &Point) -> u64 {
+        p.report.stats.total.raw()
+    }
+
     #[test]
     fn bigger_iotlb_helps_without_llc() {
         let result = iotlb_size(KernelKind::Gesummv, 1000, &[1, 4, 64]).unwrap();
-        assert_eq!(result.points.len(), 3);
-        let one = result.points[0].total;
-        let four = result.points[1].total;
-        let many = result.points[2].total;
+        let [one, four, many]: [u64; 3] = column(&result, total).try_into().unwrap();
         assert!(
             many <= four && four <= one,
             "{one} >= {four} >= {many} expected"
@@ -275,8 +256,7 @@ mod tests {
     #[test]
     fn dma_bypass_beats_dma_through_llc() {
         let result = dma_through_llc(KernelKind::Heat3d, 600).unwrap();
-        let bypass = result.points[0].total;
-        let through = result.points[1].total;
+        let [bypass, through]: [u64; 2] = column(&result, total).try_into().unwrap();
         assert!(
             bypass < through,
             "bypassing the LLC ({bypass}) should beat DMA through it ({through})"
@@ -286,26 +266,26 @@ mod tests {
     #[test]
     fn more_outstanding_bursts_reduce_runtime() {
         let result = dma_outstanding(KernelKind::Heat3d, 1000, &[1, 4]).unwrap();
-        assert!(result.points[1].total < result.points[0].total);
+        let [one, four]: [u64; 2] = column(&result, total).try_into().unwrap();
+        assert!(four < one);
     }
 
     #[test]
     fn double_buffering_helps() {
         let result = double_buffering(KernelKind::Gesummv, 600).unwrap();
-        assert!(result.points[0].total <= result.points[1].total);
+        let [double, single]: [u64; 2] = column(&result, total).try_into().unwrap();
+        assert!(double <= single);
     }
 
     #[test]
     fn flushing_before_mapping_keeps_walks_fast() {
         let result = flush_before_map(1000).unwrap();
-        let before = &result.points[0];
-        let after = &result.points[1];
+        let walk = |p: &Point| p.report.iommu.ptw_time.mean();
+        let [before, after]: [f64; 2] = column(&result, walk).try_into().unwrap();
         assert!(
-            before.avg_ptw_cycles < after.avg_ptw_cycles,
-            "flushing before mapping ({:.1}) should give faster walks than flushing after ({:.1})",
-            before.avg_ptw_cycles,
-            after.avg_ptw_cycles
+            before < after,
+            "flushing before mapping ({before:.1}) should give faster walks than flushing after ({after:.1})"
         );
-        assert!(before.avg_ptw_cycles < 200.0);
+        assert!(before < 200.0);
     }
 }

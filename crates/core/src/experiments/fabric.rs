@@ -1,16 +1,17 @@
 //! Fabric-scaling sweep: one kernel sharded across N accelerator clusters
 //! that share the IOMMU and the memory fabric.
 //!
-//! This experiment goes beyond the paper. A point is the [`PlatformConfig`]
-//! it ran on plus what the platform reports: the run's
-//! [`DeviceOnlyReport`] and the fabric's per-initiator, per-channel and
-//! grant-switch accounting. [`run_point`] measures one configuration on a
-//! fresh platform; the `fabric_sweep` binary in `sva_bench` builds the grid
-//! of configurations (cluster count × variant × DRAM latency, plus the QoS,
+//! This experiment goes beyond the paper. Its points are
+//! [`Point`]s like every device-only artifact's: the [`PlatformConfig`] a
+//! run used, the run's [`DeviceOnlyReport`](crate::offload::DeviceOnlyReport)
+//! and the fabric's per-initiator, per-channel and grant-switch
+//! accounting. The `fabric_sweep` binary in `sva_bench` builds the grid of
+//! configurations (cluster count × variant × DRAM latency, plus the QoS,
 //! global-clock, queue-depth and translation sub-grids) and runs it point
-//! by point. [`FabricSweepResult::render`] and
-//! [`FabricSweepResult::to_json`] read every coordinate from a point's
-//! configuration and every number from its reports:
+//! by point through [`run_point`](super::run_point).
+//! [`FabricSweepResult::render`] and [`FabricSweepResult::to_json`] read
+//! every coordinate from a point's configuration and every number from its
+//! reports:
 //!
 //! * the device wall-clock (slowest shard) and its compute/DMA-wait split,
 //! * the run's IOTLB hit rate (entries are tagged per device ID; note that
@@ -29,60 +30,20 @@
 //! queueing feeds back into latencies; with one cluster nothing queues and
 //! the numbers equal the paper's single-cluster figures.
 
-use sva_common::{QueueDepths, Result};
+use sva_common::QueueDepths;
 use sva_iommu::IommuConfig;
-use sva_kernels::KernelKind;
-use sva_mem::{ChannelStats, InitiatorSnapshot};
 
-use crate::config::{PlatformConfig, SocVariant};
-use crate::offload::{DeviceOnlyReport, OffloadRunner};
-use crate::platform::Platform;
+use super::Point;
+use crate::config::PlatformConfig;
 use crate::report::{percent, sci, TextTable};
 
 /// The component settings a sweep's configurations are built from.
 pub use sva_host::HostTrafficConfig;
 pub use sva_iommu::{TlbHierarchyConfig, TlbLevelConfig};
 
-/// One measurement point: the platform it ran on and what it reported.
-#[derive(Clone, Debug)]
-pub struct FabricPoint {
-    /// The configuration the platform was built from.
-    pub config: PlatformConfig,
-    /// The run's device, per-cluster and IOMMU statistics.
-    pub report: DeviceOnlyReport,
-    /// Per-initiator fabric statistics, in registration order.
-    pub initiators: Vec<InitiatorSnapshot>,
-    /// Per-channel DRAM statistics, indexed by channel.
-    pub channels: Vec<ChannelStats>,
-    /// Grants whose initiator differed from the previous grant's.
-    pub grant_switches: u64,
-}
-
-impl FabricPoint {
-    /// Total cross-initiator queueing observed at this point.
-    pub fn queue_cycles(&self) -> u64 {
-        self.initiators.iter().map(|s| s.stats.queue_cycles).sum()
-    }
-
-    /// Total issue stalls (request-queue backpressure) observed at this
-    /// point.
-    pub fn issue_stall_cycles(&self) -> u64 {
-        self.initiators
-            .iter()
-            .map(|s| s.stats.issue_stall_cycles)
-            .sum()
-    }
-
-    /// The paper variant of the configuration: no IOMMU is the Baseline,
-    /// and an IOMMU runs with or without the LLC.
-    fn variant(&self) -> SocVariant {
-        match (&self.config.iommu, &self.config.mem.llc) {
-            (None, _) => SocVariant::Baseline,
-            (Some(_), None) => SocVariant::Iommu,
-            (Some(_), Some(_)) => SocVariant::IommuLlc,
-        }
-    }
-
+// The columns of the fabric table and JSON that the configuration holds
+// beyond the paper variant.
+impl Point {
     /// The IOMMU settings, or the prototype's defaults (serial walker,
     /// single IOTLB, pre-mapped) for a platform without an IOMMU.
     fn iommu(&self) -> IommuConfig {
@@ -116,12 +77,12 @@ impl FabricPoint {
 #[derive(Clone, Debug, Default)]
 pub struct FabricSweepResult {
     /// All measurement points.
-    pub points: Vec<FabricPoint>,
+    pub points: Vec<Point>,
 }
 
 impl FabricSweepResult {
     /// The point that ran on `config`.
-    pub fn get(&self, config: &PlatformConfig) -> Option<&FabricPoint> {
+    pub fn get(&self, config: &PlatformConfig) -> Option<&Point> {
         self.points.iter().find(|p| p.config == *config)
     }
 
@@ -325,38 +286,15 @@ pub struct SweepMeta {
     pub points_wallclock_ms: Vec<u64>,
 }
 
-/// Measures `kind` (its paper or small workload) on a fresh platform built
-/// from `config`, and returns the point with the configuration, the run's
-/// report and the fabric's accounting.
-///
-/// # Errors
-///
-/// Propagates platform construction and execution failures.
-pub fn run_point(
-    kind: KernelKind,
-    paper_size: bool,
-    config: PlatformConfig,
-) -> Result<FabricPoint> {
-    let workload = if paper_size {
-        kind.paper_workload()
-    } else {
-        kind.small_workload()
-    };
-    let mut platform = Platform::new(config.clone())?;
-    let report = OffloadRunner::new(0xFAB).run_device_only(&mut platform, workload.as_ref())?;
-    Ok(FabricPoint {
-        config,
-        report,
-        initiators: platform.mem.fabric_stats(),
-        channels: platform.mem.channel_stats(),
-        grant_switches: platform.mem.fabric().grant_switches(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SocVariant;
+    use crate::experiments::run_point;
+    use crate::offload::OffloadRunner;
     use sva_common::{ArbitrationPolicy, InitiatorId};
+    use sva_kernels::KernelKind;
+    use sva_mem::InitiatorSnapshot;
 
     /// The sweep's platform at 200 cycles: `clusters` clusters with fabric
     /// contention charged, one channel, round-robin, unbounded queues, no
@@ -367,12 +305,20 @@ mod tests {
             .with_fabric_contention()
     }
 
-    fn gemm(config: PlatformConfig) -> FabricPoint {
-        run_point(KernelKind::Gemm, false, config).unwrap()
+    /// Runs `kind`'s small workload on `config`; every point must verify.
+    fn point(kind: KernelKind, config: PlatformConfig) -> Point {
+        let workload = kind.small_workload();
+        let p = run_point(&OffloadRunner::new(0xFAB), workload.as_ref(), config).unwrap();
+        assert!(p.report.verified, "{kind:?} on {:?} must verify", p.config);
+        p
+    }
+
+    fn gemm(config: PlatformConfig) -> Point {
+        point(KernelKind::Gemm, config)
     }
 
     /// Summed `field` over the point's DMA initiators.
-    fn dma_sum(p: &FabricPoint, field: impl Fn(&InitiatorSnapshot) -> u64) -> u64 {
+    fn dma_sum(p: &Point, field: impl Fn(&InitiatorSnapshot) -> u64) -> u64 {
         p.initiators
             .iter()
             .filter(|s| matches!(s.id, InitiatorId::Dma { .. }))
@@ -387,7 +333,6 @@ mod tests {
             .to_vec();
         let result = FabricSweepResult { points };
         assert_eq!(result.points.len(), 3);
-        assert!(result.points.iter().all(|p| p.report.verified));
 
         let one = result.get(&contended(1, SocVariant::IommuLlc)).unwrap();
         let four = result.get(&contended(4, SocVariant::IommuLlc)).unwrap();
@@ -422,7 +367,6 @@ mod tests {
         let result = FabricSweepResult {
             points: configs.iter().cloned().map(gemm).collect(),
         };
-        assert!(result.points.iter().all(|p| p.report.verified));
         let base = &result.points[0];
         let batched = &result.points[1].report.iommu;
         let noisy = result.get(&noisy).unwrap();
@@ -462,7 +406,6 @@ mod tests {
         let shallow_config = timed.clone().with_channel_depths(4, 4);
         let unbounded = gemm(timed);
         let shallow = gemm(shallow_config.clone());
-        assert!(unbounded.report.verified && shallow.report.verified);
         assert_eq!(unbounded.issue_stall_cycles(), 0, "inf depths never stall");
         assert!(
             shallow.issue_stall_cycles() > 0,
@@ -519,7 +462,6 @@ mod tests {
         let single = gemm(single_config.clone());
         let hier = gemm(hier_config);
         let demand = gemm(demand_config.clone());
-        assert!(single.report.verified && hier.report.verified && demand.report.verified);
 
         let single_stats = single.report.iommu;
         assert_eq!(single.tlb_label(), "single");
@@ -573,7 +515,7 @@ mod tests {
         for n in [1, 2] {
             for variant in [SocVariant::Baseline, SocVariant::IommuLlc] {
                 let config = contended(n, variant).with_memory_channels(2);
-                points.push(run_point(KernelKind::Axpy, false, config).unwrap());
+                points.push(point(KernelKind::Axpy, config));
             }
         }
         let result = FabricSweepResult { points };
@@ -614,8 +556,7 @@ mod tests {
             let config = contended(4, SocVariant::IommuLlc)
                 .with_memory_channels(2)
                 .with_arbitration(policy.clone());
-            let p = run_point(KernelKind::Axpy, false, config).unwrap();
-            assert!(p.report.verified, "{policy:?} run must verify");
+            let p = point(KernelKind::Axpy, config);
             assert_eq!(p.channels.len(), 2);
             let json = FabricSweepResult { points: vec![p] }.to_json(&SweepMeta::default());
             assert!(json.contains(&format!("\"policy\": \"{}\"", policy.label())));

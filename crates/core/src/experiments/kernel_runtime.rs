@@ -8,91 +8,55 @@
 //! waiting for DMA; Figure 4 reports the same data normalised to the
 //! baseline, with the IOMMU overhead percentage annotated.
 
+use sva_common::Result;
 use sva_kernels::KernelKind;
 
+use super::{run_point, Point};
 use crate::config::{PlatformConfig, SocVariant};
 use crate::offload::OffloadRunner;
-use crate::platform::Platform;
 use crate::report::{percent, sci, TextTable};
-use sva_common::Result;
-
-/// One measurement point.
-#[derive(Clone, Debug)]
-pub struct KernelRuntimePoint {
-    /// Kernel measured.
-    pub kernel: String,
-    /// DRAM latency (delayer cycles).
-    pub dram_latency: u64,
-    /// Platform variant.
-    pub variant: SocVariant,
-    /// Total device cycles.
-    pub total: u64,
-    /// Cycles the cluster waited for DMA.
-    pub dma_wait: u64,
-    /// DMA share of the runtime.
-    pub dma_fraction: f64,
-    /// Whether the device results matched the host reference.
-    pub verified: bool,
-}
 
 /// The full sweep.
 #[derive(Clone, Debug, Default)]
 pub struct KernelRuntimeResult {
-    /// All measurement points.
-    pub points: Vec<KernelRuntimePoint>,
+    /// All measurement points: one per kernel, DRAM latency and variant,
+    /// in that order.
+    pub points: Vec<Point>,
 }
 
 impl KernelRuntimeResult {
-    /// Finds the point for a given combination.
-    pub fn get(
-        &self,
-        kernel: &str,
-        latency: u64,
-        variant: SocVariant,
-    ) -> Option<&KernelRuntimePoint> {
+    /// The point that ran `kernel` on `config`.
+    pub fn get(&self, kernel: &str, config: &PlatformConfig) -> Option<&Point> {
         self.points
             .iter()
-            .find(|p| p.kernel == kernel && p.dram_latency == latency && p.variant == variant)
+            .find(|p| p.report.kernel == kernel && p.config == *config)
     }
 
-    /// Runtime overhead of a variant relative to the baseline at the same
-    /// latency (Figure 4's annotations), as a fraction.
-    pub fn overhead_vs_baseline(
-        &self,
-        kernel: &str,
-        latency: u64,
-        variant: SocVariant,
-    ) -> Option<f64> {
-        let base = self.get(kernel, latency, SocVariant::Baseline)?;
-        let v = self.get(kernel, latency, variant)?;
-        Some(v.total as f64 / base.total as f64 - 1.0)
+    /// Runtime of `point` relative to the baseline that ran its kernel at
+    /// its DRAM latency (Figure 4); the IOMMU overhead is this minus one.
+    pub fn relative_to_baseline(&self, point: &Point) -> Option<f64> {
+        let latency = point.config.mem.dram_latency.raw();
+        let base = self.get(&point.report.kernel, &PlatformConfig::baseline(latency))?;
+        Some(point.report.stats.total.raw() as f64 / base.report.stats.total.raw() as f64)
     }
 
     /// Renders the Table II layout: one block of rows per kernel, one column
     /// per latency, three variant rows (cycles and %DMA).
-    pub fn render_table2(&self, latencies: &[u64]) -> String {
+    pub fn render_table2(&self) -> String {
+        let latencies = distinct(&self.points, |p| p.config.mem.dram_latency.raw());
         let mut header = vec!["Kernel".to_string(), "Config".to_string()];
-        for l in latencies {
+        for l in &latencies {
             header.push(format!("{l} cyc"));
             header.push(format!("%DMA@{l}"));
         }
         let mut table = TextTable::new(header);
-        let kernels: Vec<String> = {
-            let mut seen = Vec::new();
-            for p in &self.points {
-                if !seen.contains(&p.kernel) {
-                    seen.push(p.kernel.clone());
-                }
-            }
-            seen
-        };
-        for kernel in &kernels {
+        for kernel in distinct(&self.points, |p| p.report.kernel.as_str()) {
             for variant in SocVariant::ALL {
-                let mut row = vec![kernel.clone(), variant.label().to_string()];
-                for &l in latencies {
-                    if let Some(p) = self.get(kernel, l, variant) {
-                        row.push(sci(p.total));
-                        row.push(percent(p.dma_fraction));
+                let mut row = vec![kernel.to_string(), variant.label().to_string()];
+                for &l in &latencies {
+                    if let Some(p) = self.get(kernel, &PlatformConfig::variant(variant, l)) {
+                        row.push(sci(p.report.stats.total.raw()));
+                        row.push(percent(p.report.stats.dma_fraction()));
                     } else {
                         row.push("-".to_string());
                         row.push("-".to_string());
@@ -105,8 +69,8 @@ impl KernelRuntimeResult {
     }
 
     /// Renders the Figure 4 layout: runtime relative to the baseline plus the
-    /// overhead annotation for the IOMMU variants.
-    pub fn render_fig4(&self, latencies: &[u64]) -> String {
+    /// overhead annotation for the IOMMU variants, one row per point.
+    pub fn render_fig4(&self) -> String {
         let mut table = TextTable::new(vec![
             "Kernel",
             "Latency",
@@ -114,42 +78,38 @@ impl KernelRuntimeResult {
             "Relative runtime",
             "IOMMU overhead",
         ]);
-        let kernels: Vec<String> = {
-            let mut seen = Vec::new();
-            for p in &self.points {
-                if !seen.contains(&p.kernel) {
-                    seen.push(p.kernel.clone());
-                }
-            }
-            seen
-        };
-        for kernel in &kernels {
-            for &l in latencies {
-                for variant in SocVariant::ALL {
-                    let (Some(p), Some(base)) = (
-                        self.get(kernel, l, variant),
-                        self.get(kernel, l, SocVariant::Baseline),
-                    ) else {
-                        continue;
-                    };
-                    let rel = p.total as f64 / base.total as f64;
-                    let overhead = if variant == SocVariant::Baseline {
-                        "-".to_string()
-                    } else {
-                        percent(rel - 1.0)
-                    };
-                    table.row(vec![
-                        kernel.clone(),
-                        l.to_string(),
-                        variant.label().to_string(),
-                        format!("{rel:.3}"),
-                        overhead,
-                    ]);
-                }
-            }
+        for p in &self.points {
+            let Some(rel) = self.relative_to_baseline(p) else {
+                continue;
+            };
+            let variant = p.variant();
+            let overhead = if variant == SocVariant::Baseline {
+                "-".to_string()
+            } else {
+                percent(rel - 1.0)
+            };
+            table.row(vec![
+                p.report.kernel.clone(),
+                p.config.mem.dram_latency.raw().to_string(),
+                variant.label().to_string(),
+                format!("{rel:.3}"),
+                overhead,
+            ]);
         }
         table.render()
     }
+}
+
+/// The distinct values of `key` over `points`, in order of first
+/// appearance.
+fn distinct<'a, T: PartialEq>(points: &'a [Point], key: impl Fn(&'a Point) -> T) -> Vec<T> {
+    let mut seen = Vec::new();
+    for value in points.iter().map(key) {
+        if !seen.contains(&value) {
+            seen.push(value);
+        }
+    }
+    seen
 }
 
 /// Runs the sweep for the given kernels and latencies.
@@ -165,10 +125,10 @@ pub fn run(
     latencies: &[u64],
     paper_size: bool,
 ) -> Result<KernelRuntimeResult> {
-    let mut result = KernelRuntimeResult::default();
     // One runner for the sweep: each kernel's inputs and reference are
     // prepared once for its latency x variant points.
     let runner = OffloadRunner::new(0xBEEF);
+    let mut points = Vec::new();
     for &kind in kernels {
         let workload = if paper_size {
             kind.paper_workload()
@@ -177,21 +137,12 @@ pub fn run(
         };
         for &latency in latencies {
             for variant in SocVariant::ALL {
-                let mut platform = Platform::new(PlatformConfig::variant(variant, latency))?;
-                let report = runner.run_device_only(&mut platform, workload.as_ref())?;
-                result.points.push(KernelRuntimePoint {
-                    kernel: workload.name().to_string(),
-                    dram_latency: latency,
-                    variant,
-                    total: report.stats.total.raw(),
-                    dma_wait: report.stats.dma_wait.raw(),
-                    dma_fraction: report.stats.dma_fraction(),
-                    verified: report.verified,
-                });
+                let config = PlatformConfig::variant(variant, latency);
+                points.push(run_point(&runner, workload.as_ref(), config)?);
             }
         }
     }
-    Ok(result)
+    Ok(KernelRuntimeResult { points })
 }
 
 #[cfg(test)]
@@ -202,30 +153,38 @@ mod tests {
     fn small_sweep_reproduces_the_papers_shape() {
         let result = run(&[KernelKind::Gemm, KernelKind::Heat3d], &[200, 1000], false).unwrap();
         assert_eq!(result.points.len(), 2 * 2 * 3);
-        assert!(result.points.iter().all(|p| p.verified));
+        assert!(result.points.iter().all(|p| p.report.verified));
+        let at = |kernel, variant, latency| {
+            result
+                .get(kernel, &PlatformConfig::variant(variant, latency))
+                .unwrap()
+        };
+        let dma = |p: &Point| p.report.stats.dma_fraction();
 
         // DMA share grows with latency for the baseline.
         for kernel in ["gemm", "heat3d"] {
-            let low = result.get(kernel, 200, SocVariant::Baseline).unwrap();
-            let high = result.get(kernel, 1000, SocVariant::Baseline).unwrap();
-            assert!(high.dma_fraction >= low.dma_fraction, "{kernel}");
-            assert!(high.total > low.total, "{kernel}");
+            let low = at(kernel, SocVariant::Baseline, 200);
+            let high = at(kernel, SocVariant::Baseline, 1000);
+            assert!(dma(high) >= dma(low), "{kernel}");
+            assert!(high.report.stats.total > low.report.stats.total, "{kernel}");
         }
 
         // heat3d is more memory bound than gemm.
-        let gemm = result.get("gemm", 1000, SocVariant::Baseline).unwrap();
-        let heat = result.get("heat3d", 1000, SocVariant::Baseline).unwrap();
-        assert!(heat.dma_fraction > gemm.dma_fraction);
+        let gemm = at("gemm", SocVariant::Baseline, 1000);
+        let heat = at("heat3d", SocVariant::Baseline, 1000);
+        assert!(dma(heat) > dma(gemm));
 
         // The IOMMU without LLC costs more than with the LLC, which is close
         // to the baseline.
         for kernel in ["gemm", "heat3d"] {
-            let no_llc = result
-                .overhead_vs_baseline(kernel, 1000, SocVariant::Iommu)
-                .unwrap();
-            let with_llc = result
-                .overhead_vs_baseline(kernel, 1000, SocVariant::IommuLlc)
-                .unwrap();
+            let overhead = |variant| {
+                result
+                    .relative_to_baseline(at(kernel, variant, 1000))
+                    .unwrap()
+                    - 1.0
+            };
+            let no_llc = overhead(SocVariant::Iommu);
+            let with_llc = overhead(SocVariant::IommuLlc);
             assert!(no_llc > with_llc, "{kernel}: {no_llc} !> {with_llc}");
             assert!(
                 with_llc < 0.10,
@@ -237,8 +196,9 @@ mod tests {
     #[test]
     fn rendering_contains_all_variants() {
         let result = run(&[KernelKind::Gesummv], &[200], false).unwrap();
-        let t2 = result.render_table2(&[200]);
-        let f4 = result.render_fig4(&[200]);
+        assert!(result.points.iter().all(|p| p.report.verified));
+        let t2 = result.render_table2();
+        let f4 = result.render_fig4();
         for label in ["Baseline", "IOMMU", "IOMMU+LLC"] {
             assert!(t2.contains(label));
             assert!(f4.contains(label));

@@ -7,30 +7,13 @@
 //! the headline claim of Section IV-A: how much faster zero-copy offloading
 //! is than copy-based offloading.
 
-use sva_common::Result;
+use sva_common::{Cycles, Result};
 use sva_kernels::AxpyWorkload;
 
 use crate::config::PlatformConfig;
-use crate::offload::{OffloadMode, OffloadRunner};
+use crate::offload::{OffloadMode, OffloadReport, OffloadRunner};
 use crate::platform::Platform;
 use crate::report::{sci, TextTable};
-
-/// One bar of the figure.
-#[derive(Clone, Debug)]
-pub struct OffloadCase {
-    /// Which offload flow.
-    pub mode: OffloadMode,
-    /// Cycles spent copying or mapping.
-    pub copy_or_map: u64,
-    /// Cycles spent triggering / synchronising the offload.
-    pub offload_overhead: u64,
-    /// Cycles spent computing (device or host).
-    pub compute: u64,
-    /// End-to-end cycles.
-    pub total: u64,
-    /// Whether results verified against the reference.
-    pub verified: bool,
-}
 
 /// The three bars plus derived headline numbers.
 #[derive(Clone, Debug)]
@@ -39,13 +22,13 @@ pub struct OffloadBreakdownResult {
     pub elems: usize,
     /// DRAM latency used.
     pub dram_latency: u64,
-    /// The three cases: host-only, copy, zero-copy.
-    pub cases: Vec<OffloadCase>,
+    /// The reports of the three runs: host-only, copy, zero-copy.
+    pub cases: Vec<OffloadReport>,
 }
 
 impl OffloadBreakdownResult {
-    /// Returns the case for a mode.
-    pub fn case(&self, mode: OffloadMode) -> Option<&OffloadCase> {
+    /// Returns the report of a mode's run.
+    pub fn case(&self, mode: OffloadMode) -> Option<&OffloadReport> {
         self.cases.iter().find(|c| c.mode == mode)
     }
 
@@ -54,7 +37,7 @@ impl OffloadBreakdownResult {
     pub fn zero_copy_speedup(&self) -> Option<f64> {
         let copy = self.case(OffloadMode::CopyOffload)?;
         let zero = self.case(OffloadMode::ZeroCopy)?;
-        Some(1.0 - zero.total as f64 / copy.total as f64)
+        Some(1.0 - zero.total.raw() as f64 / copy.total.raw() as f64)
     }
 
     /// Renders the Figure 2 (left) stacked-bar data as a table.
@@ -70,10 +53,10 @@ impl OffloadBreakdownResult {
         for case in &self.cases {
             table.row(vec![
                 case.mode.label().to_string(),
-                sci(case.copy_or_map),
-                sci(case.offload_overhead),
-                sci(case.compute),
-                sci(case.total),
+                sci(case.copy_or_map.raw()),
+                sci(case.offload_overhead.raw()),
+                sci(compute(case).raw()),
+                sci(case.total.raw()),
                 case.verified.to_string(),
             ]);
         }
@@ -93,6 +76,15 @@ impl OffloadBreakdownResult {
     }
 }
 
+/// Cycles a run spent computing, on the device or on the host.
+fn compute(report: &OffloadReport) -> Cycles {
+    report
+        .device
+        .map(|d| d.total)
+        .or(report.host.map(|h| h.total))
+        .unwrap_or(Cycles::ZERO)
+}
+
 /// Runs the three scenarios for an axpy of `elems` elements at the given
 /// DRAM latency (the paper uses 32 768 elements).
 ///
@@ -101,31 +93,20 @@ impl OffloadBreakdownResult {
 /// Propagates platform construction and execution failures.
 pub fn run(elems: usize, dram_latency: u64) -> Result<OffloadBreakdownResult> {
     let workload = AxpyWorkload::with_elems(elems);
-    let mut cases = Vec::new();
     let runner = OffloadRunner::new(0xF162);
-    for mode in [
+    let cases = [
         OffloadMode::HostOnly,
         OffloadMode::CopyOffload,
         OffloadMode::ZeroCopy,
-    ] {
+    ]
+    .into_iter()
+    .map(|mode| {
         // Each scenario runs on a freshly booted platform of the paper's full
         // configuration (IOMMU + LLC) so caches do not leak state across bars.
         let mut platform = Platform::new(PlatformConfig::iommu_with_llc(dram_latency))?;
-        let report = runner.run(&mut platform, &workload, mode)?;
-        let compute = report
-            .device
-            .map(|d| d.total.raw())
-            .or(report.host.map(|h| h.total.raw()))
-            .unwrap_or(0);
-        cases.push(OffloadCase {
-            mode,
-            copy_or_map: report.copy_or_map.raw(),
-            offload_overhead: report.offload_overhead.raw(),
-            compute,
-            total: report.total.raw(),
-            verified: report.verified,
-        });
-    }
+        runner.run(&mut platform, &workload, mode)
+    })
+    .collect::<Result<_>>()?;
     Ok(OffloadBreakdownResult {
         elems,
         dram_latency,
@@ -148,7 +129,7 @@ mod tests {
         let zero = result.case(OffloadMode::ZeroCopy).unwrap();
 
         // Device compute is faster than host compute (8 PEs vs 1 core).
-        assert!(copy.compute < host.compute);
+        assert!(compute(copy) < compute(host));
         // Mapping is cheaper than copying.
         assert!(zero.copy_or_map < copy.copy_or_map);
         // Zero-copy offloading wins overall.

@@ -13,75 +13,60 @@ use sva_common::Result;
 use sva_host::InterferenceLevel;
 use sva_kernels::AxpyWorkload;
 
+use super::{run_point, Point};
 use crate::config::{PlatformConfig, SocVariant};
 use crate::offload::OffloadRunner;
-use crate::platform::Platform;
 use crate::report::TextTable;
-
-/// One `(latency, llc, interference)` measurement.
-#[derive(Copy, Clone, Debug)]
-pub struct PtwPoint {
-    /// DRAM latency (delayer cycles).
-    pub dram_latency: u64,
-    /// Whether the shared LLC served page-table walks.
-    pub llc: bool,
-    /// Whether the host issued concurrent random traffic.
-    pub interference: bool,
-    /// Average page-table-walk latency in cycles.
-    pub avg_ptw_cycles: f64,
-    /// Number of walks observed.
-    pub walks: u64,
-}
 
 /// The full sweep.
 #[derive(Clone, Debug, Default)]
 pub struct PtwResultSet {
-    /// All measurement points.
-    pub points: Vec<PtwPoint>,
+    /// All measurement points: one per latency, IOMMU variant (without,
+    /// then with the LLC) and host interference level, in that order.
+    pub points: Vec<Point>,
 }
 
 impl PtwResultSet {
-    /// Finds a point.
-    pub fn get(&self, latency: u64, llc: bool, interference: bool) -> Option<&PtwPoint> {
-        self.points
-            .iter()
-            .find(|p| p.dram_latency == latency && p.llc == llc && p.interference == interference)
+    /// The point that ran on `config`.
+    pub fn get(&self, config: &PlatformConfig) -> Option<&Point> {
+        self.points.iter().find(|p| p.config == *config)
     }
 
     /// Average factor by which the LLC reduces the walk time over the sweep
     /// (the paper reports ~15×), host idle.
     pub fn llc_speedup(&self) -> f64 {
-        let mut ratios = Vec::new();
-        for p in self.points.iter().filter(|p| !p.llc && !p.interference) {
-            if let Some(with) = self.get(p.dram_latency, true, false) {
-                if with.avg_ptw_cycles > 0.0 {
-                    ratios.push(p.avg_ptw_cycles / with.avg_ptw_cycles);
-                }
-            }
-        }
-        if ratios.is_empty() {
-            0.0
-        } else {
-            ratios.iter().sum::<f64>() / ratios.len() as f64
-        }
+        mean(self.walk_ratios(PlatformConfig::iommu_no_llc, PlatformConfig::iommu_with_llc))
     }
 
     /// Average slowdown caused by host interference when the LLC is present
     /// (the paper reports ~20 %), as a fraction.
     pub fn interference_slowdown(&self) -> f64 {
-        let mut ratios = Vec::new();
-        for p in self.points.iter().filter(|p| p.llc && p.interference) {
-            if let Some(quiet) = self.get(p.dram_latency, true, false) {
-                if quiet.avg_ptw_cycles > 0.0 {
-                    ratios.push(p.avg_ptw_cycles / quiet.avg_ptw_cycles - 1.0);
-                }
+        let noisy = |latency| {
+            PlatformConfig::iommu_with_llc(latency)
+                .with_interference(InterferenceLevel::RandomTraffic)
+        };
+        mean(
+            self.walk_ratios(noisy, PlatformConfig::iommu_with_llc)
+                .map(|ratio| ratio - 1.0),
+        )
+    }
+
+    /// The average walk time of each point that ran on `of(latency)` over
+    /// that of the point that ran on `base(latency)`, in sweep order,
+    /// skipping latencies whose base point is missing or never walked.
+    fn walk_ratios(
+        &self,
+        of: fn(u64) -> PlatformConfig,
+        base: fn(u64) -> PlatformConfig,
+    ) -> impl Iterator<Item = f64> + '_ {
+        self.points.iter().filter_map(move |p| {
+            let latency = p.config.mem.dram_latency.raw();
+            if p.config != of(latency) {
+                return None;
             }
-        }
-        if ratios.is_empty() {
-            0.0
-        } else {
-            ratios.iter().sum::<f64>() / ratios.len() as f64
-        }
+            let base = self.get(&base(latency))?.report.iommu.ptw_time.mean();
+            (base > 0.0).then(|| p.report.iommu.ptw_time.mean() / base)
+        })
     }
 
     /// Renders the Figure 5 data.
@@ -94,12 +79,22 @@ impl PtwResultSet {
             "Walks",
         ]);
         for p in &self.points {
+            let (config, iommu) = (&p.config, &p.report.iommu);
+            let llc = if config.mem.llc.is_some() {
+                "yes"
+            } else {
+                "no"
+            };
+            let host = match config.interference {
+                InterferenceLevel::Idle => "idle",
+                InterferenceLevel::RandomTraffic => "random",
+            };
             table.row(vec![
-                p.dram_latency.to_string(),
-                if p.llc { "yes" } else { "no" }.to_string(),
-                if p.interference { "random" } else { "idle" }.to_string(),
-                format!("{:.1}", p.avg_ptw_cycles),
-                p.walks.to_string(),
+                config.mem.dram_latency.raw().to_string(),
+                llc.to_string(),
+                host.to_string(),
+                format!("{:.1}", iommu.ptw_time.mean()),
+                iommu.ptw_walks.to_string(),
             ]);
         }
         let mut out = table.render();
@@ -113,6 +108,16 @@ impl PtwResultSet {
     }
 }
 
+/// The mean of `values`, or 0 for none.
+fn mean(values: impl Iterator<Item = f64>) -> f64 {
+    let values: Vec<f64> = values.collect();
+    if values.is_empty() {
+        0.0
+    } else {
+        values.iter().sum::<f64>() / values.len() as f64
+    }
+}
+
 /// Runs the sweep: axpy of `elems` elements, for every latency, with and
 /// without LLC and host interference.
 ///
@@ -121,35 +126,17 @@ impl PtwResultSet {
 /// Propagates platform construction and execution failures.
 pub fn run(elems: usize, latencies: &[u64]) -> Result<PtwResultSet> {
     let workload = AxpyWorkload::with_elems(elems);
-    let mut result = PtwResultSet::default();
     let runner = OffloadRunner::new(0xF165);
+    let mut points = Vec::new();
     for &latency in latencies {
-        for llc in [false, true] {
-            for interference in [false, true] {
-                let variant = if llc {
-                    SocVariant::IommuLlc
-                } else {
-                    SocVariant::Iommu
-                };
-                let level = if interference {
-                    InterferenceLevel::RandomTraffic
-                } else {
-                    InterferenceLevel::Idle
-                };
-                let config = PlatformConfig::variant(variant, latency).with_interference(level);
-                let mut platform = Platform::new(config)?;
-                let report = runner.run_device_only(&mut platform, &workload)?;
-                result.points.push(PtwPoint {
-                    dram_latency: latency,
-                    llc,
-                    interference,
-                    avg_ptw_cycles: report.iommu.ptw_time.mean(),
-                    walks: report.iommu.ptw_walks,
-                });
+        for variant in [SocVariant::Iommu, SocVariant::IommuLlc] {
+            for host in [InterferenceLevel::Idle, InterferenceLevel::RandomTraffic] {
+                let config = PlatformConfig::variant(variant, latency).with_interference(host);
+                points.push(run_point(&runner, &workload, config)?);
             }
         }
     }
-    Ok(result)
+    Ok(PtwResultSet { points })
 }
 
 #[cfg(test)]
@@ -160,10 +147,15 @@ mod tests {
     fn llc_and_interference_shape_matches_figure5() {
         let result = run(16_384, &[600]).unwrap();
         assert_eq!(result.points.len(), 4);
+        assert!(result.points.iter().all(|p| p.report.verified));
+        let walk = |config| {
+            let p = result.get(&config).unwrap();
+            (p.report.iommu.ptw_time.mean(), p.report.iommu.ptw_walks)
+        };
 
-        let no_llc = result.get(600, false, false).unwrap();
-        let with_llc = result.get(600, true, false).unwrap();
-        assert!(no_llc.walks > 0 && with_llc.walks > 0);
+        let (_, no_llc_walks) = walk(PlatformConfig::iommu_no_llc(600));
+        let (with_llc, with_llc_walks) = walk(PlatformConfig::iommu_with_llc(600));
+        assert!(no_llc_walks > 0 && with_llc_walks > 0);
 
         // The LLC reduces the walk time by an order of magnitude and keeps it
         // below ~200 cycles.
@@ -173,14 +165,15 @@ mod tests {
             result.llc_speedup()
         );
         assert!(
-            with_llc.avg_ptw_cycles < 200.0,
-            "avg walk with LLC should stay under 200 cycles, got {:.1}",
-            with_llc.avg_ptw_cycles
+            with_llc < 200.0,
+            "avg walk with LLC should stay under 200 cycles, got {with_llc:.1}"
         );
 
         // Interference slows walks down, both with and without the LLC.
-        let noisy = result.get(600, true, true).unwrap();
-        assert!(noisy.avg_ptw_cycles > with_llc.avg_ptw_cycles);
+        let (noisy, _) = walk(
+            PlatformConfig::iommu_with_llc(600).with_interference(InterferenceLevel::RandomTraffic),
+        );
+        assert!(noisy > with_llc);
         assert!(result.interference_slowdown() > 0.0);
         assert!(result.render().contains("Avg PTW cycles"));
     }

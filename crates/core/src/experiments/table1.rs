@@ -1,14 +1,14 @@
 //! Table I: the benchmark-kernel inventory.
 
-use sva_kernels::KernelSuite;
+use sva_kernels::KernelKind;
 
 use crate::report::TextTable;
 
 /// Renders Table I (kernel, input size, description).
 pub fn render() -> String {
     let mut table = TextTable::new(vec!["Kernel", "Input size", "Description"]);
-    for (name, size, desc) in KernelSuite::table1_rows() {
-        table.row(vec![name, size, desc]);
+    for kind in KernelKind::ALL {
+        table.row(vec![kind.name(), kind.input_size(), kind.description()]);
     }
     table.render()
 }

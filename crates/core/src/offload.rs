@@ -151,13 +151,13 @@ pub struct OffloadRunner {
 /// A workload's generated inputs and result references, kept for the next
 /// run of an equal workload.
 #[derive(Clone)]
-struct Prepared {
+pub(crate) struct Prepared {
     key: WorkloadKey,
     /// The generated contents of each buffer; empty for a buffer generated
     /// all zero, which its fresh frames already hold.
-    inputs: Vec<Vec<f32>>,
+    pub(crate) inputs: Vec<Vec<f32>>,
     /// The reference contents of the result buffers; other entries empty.
-    expected: Vec<Vec<f32>>,
+    pub(crate) expected: Vec<Vec<f32>>,
 }
 
 /// The identity of a workload: its name, params and buffers.
@@ -185,7 +185,7 @@ impl OffloadRunner {
 
     /// The prepared inputs and result references of `workload`, generated
     /// and computed unless the kept entry belongs to an equal workload.
-    fn prepare(&self, workload: &dyn Workload) -> Ref<'_, Prepared> {
+    pub(crate) fn prepare(&self, workload: &dyn Workload) -> Ref<'_, Prepared> {
         let key: WorkloadKey = (workload.name(), workload.params(), workload.buffers());
         let reuse = matches!(&*self.prepared.borrow(), Some(p) if p.key == key);
         if !reuse {
@@ -462,7 +462,7 @@ impl OffloadRunner {
 
     /// Allocates every buffer in user memory and writes its prepared
     /// contents (nothing for an all-zero buffer: its frames are fresh).
-    fn allocate_user_buffers(
+    pub(crate) fn allocate_user_buffers(
         &self,
         platform: &mut Platform,
         workload: &dyn Workload,
@@ -511,7 +511,7 @@ impl OffloadRunner {
     /// Reads the result buffers back from user memory; the entries of
     /// other buffers stay empty, since `Workload::verify` reads only
     /// results.
-    fn read_back_virtual(
+    pub(crate) fn read_back_virtual(
         &self,
         platform: &Platform,
         workload: &dyn Workload,
@@ -782,9 +782,9 @@ impl OffloadRunner {
 
 /// A user buffer allocated for a run.
 #[derive(Copy, Clone, Debug)]
-struct UserBufferAlloc {
-    va: VirtAddr,
-    bytes: u64,
+pub(crate) struct UserBufferAlloc {
+    pub(crate) va: VirtAddr,
+    pub(crate) bytes: u64,
     kind: BufferKind,
 }
 

@@ -381,11 +381,8 @@ impl Iommu {
         now: Cycles,
     ) -> Result<(PhysAddr, Cycles)> {
         if self.config.demand_paging
-            && self
-                .ddt
-                .as_ref()
-                .is_some_and(|ddt| ddt.peek(mem, device_id).is_ok())
-            && !can_access(self.ddt.as_ref(), mem, device_id, iova, is_write)
+            && peek_root(self.ddt.as_ref(), mem, device_id)
+                .is_some_and(|root| !can_access(mem, root, iova, is_write))
         {
             return Err(Error::IoPageFault { iova, is_write });
         }
@@ -576,6 +573,7 @@ impl Iommu {
         let Some(pri) = self.pri.as_mut() else {
             return (0, 0);
         };
+        let root = peek_root(self.ddt.as_ref(), mem, device_id);
         let mut enqueued = 0u64;
         let mut dropped = 0u64;
         let first = start.page_base();
@@ -584,7 +582,7 @@ impl Iommu {
         while page < end {
             // Every pushed request's IOVA is a page base, so a page is
             // pending exactly when a queued request of the device names it.
-            let needed = !can_access(self.ddt.as_ref(), mem, device_id, page, is_write)
+            let needed = !root.is_some_and(|root| can_access(mem, root, page, is_write))
                 && !pri
                     .queue
                     .iter()
@@ -786,23 +784,26 @@ impl Default for Iommu {
     }
 }
 
-/// Untimed probe of whether `device_id` can already perform the given
-/// access to `iova` without host intervention: the device must have a
-/// context in `ddt`, the page must be mapped in its IO page table **and**
-/// the leaf must permit the access type (a resident read-only page still
-/// needs a page request for a write — the host services it by upgrading
-/// the mapping).
-fn can_access(
+/// The root of `device_id`'s IO page table, peeked from the directory
+/// ([`DeviceDirectory::peek`], untimed); `None` without a directory or a
+/// valid context for the device.
+fn peek_root(
     ddt: Option<&DeviceDirectory>,
     mem: &MemorySystem,
     device_id: u32,
-    iova: Iova,
-    is_write: bool,
-) -> bool {
-    let Some(ctx) = ddt.and_then(|ddt| ddt.peek(mem, device_id).ok()) else {
-        return false;
-    };
-    let table = sva_vm::PageTable::from_root(ctx.root_pt);
+) -> Option<PhysAddr> {
+    ddt.and_then(|ddt| ddt.peek(mem, device_id).ok())
+        .map(|ctx| ctx.root_pt)
+}
+
+/// Untimed probe of whether a device whose IO page table is rooted at
+/// `root` ([`peek_root`]) can already perform the given access to `iova`
+/// without host intervention: the page must be mapped **and** the leaf
+/// must permit the access type (a resident read-only page still needs a
+/// page request for a write — the host services it by upgrading the
+/// mapping).
+fn can_access(mem: &MemorySystem, root: PhysAddr, iova: Iova, is_write: bool) -> bool {
+    let table = sva_vm::PageTable::from_root(root);
     let va = sva_common::VirtAddr::from_iova(iova);
     match table.walk(mem, va) {
         Ok(path) => path

@@ -33,5 +33,5 @@ pub use gemm::GemmWorkload;
 pub use gesummv::GesummvWorkload;
 pub use heat3d::Heat3dWorkload;
 pub use sort::SortWorkload;
-pub use suite::{KernelKind, KernelSuite};
+pub use suite::KernelKind;
 pub use workload::{BufferKind, BufferSpec, Workload};

@@ -1,9 +1,9 @@
 //! The benchmark suite registry (Table I of the paper).
 //!
-//! [`KernelSuite`] enumerates the five evaluated kernels with their paper
+//! [`KernelKind`] enumerates the five evaluated kernels with their paper
 //! input sizes and descriptions, and constructs the corresponding
-//! [`Workload`] objects. The experiment harness iterates this registry to
-//! regenerate the tables and figures.
+//! [`Workload`] objects. The experiment harness iterates
+//! [`KernelKind::ALL`] to regenerate the tables and figures.
 
 use crate::axpy::AxpyWorkload;
 use crate::gemm::GemmWorkload;
@@ -103,27 +103,16 @@ impl KernelKind {
     }
 }
 
-/// The whole suite, as a convenience collection.
-#[derive(Clone, Debug, Default)]
-pub struct KernelSuite;
-
-impl KernelSuite {
-    /// Rows of Table I: `(name, input size, description)`.
-    pub fn table1_rows() -> Vec<(&'static str, &'static str, &'static str)> {
-        KernelKind::ALL
-            .iter()
-            .map(|k| (k.name(), k.input_size(), k.description()))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn registry_matches_table1() {
-        let rows = KernelSuite::table1_rows();
+        let rows: Vec<_> = KernelKind::ALL
+            .iter()
+            .map(|k| (k.name(), k.input_size(), k.description()))
+            .collect();
         assert_eq!(rows.len(), 5);
         assert!(rows
             .iter()
