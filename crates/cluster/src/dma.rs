@@ -426,7 +426,8 @@ mod tests {
 
     /// A burst's TCDM range is checked before the burst reaches the
     /// fabric, in both directions: an out-of-range offset fails with
-    /// `TcdmOverflow`, and the failing burst is granted nothing.
+    /// `TcdmOverflow`, and the failing burst is granted nothing. So does an
+    /// offset whose range would pass `u64::MAX`.
     #[test]
     fn out_of_range_tcdm_offset_fails_before_the_fabric() {
         for dir in [Direction::ToTcdm, Direction::FromTcdm] {
@@ -453,6 +454,24 @@ mod tests {
                     Err(Error::TcdmOverflow {
                         requested: 4160,
                         ..
+                    })
+                ),
+                "{dir:?}: {err:?}"
+            );
+            assert_eq!(mem.fabric().grants(), granted, "{dir:?}: no grant");
+            assert_eq!(mem.stats().dma_bursts, 1, "{dir:?}: no burst counted");
+            let wraps = DmaRequest {
+                tcdm_offset: u64::MAX - 63,
+                len: 128,
+                ..req
+            };
+            let err = dma.execute(&mut mem, None, &mut tcdm, &[wraps], Cycles::ZERO, None);
+            assert!(
+                matches!(
+                    err,
+                    Err(Error::TcdmOverflow {
+                        requested: u64::MAX,
+                        available: 4096,
                     })
                 ),
                 "{dir:?}: {err:?}"

@@ -18,7 +18,7 @@ use sva_common::{Cycles, GlobalClock, Result};
 use sva_iommu::{recover_page_faults, Iommu, PageRequestHandler};
 use sva_mem::MemorySystem;
 
-use crate::dma::{DmaEngine, DmaStats};
+use crate::dma::{DmaEngine, DmaRequest, DmaStats};
 use crate::kernel::{DeviceKernel, TileCtx};
 use crate::tcdm::Tcdm;
 
@@ -172,13 +172,12 @@ impl ClusterExecutor {
         // restarts at zero (shards of one offload run concurrently in
         // simulated time).
         self.clock.restart();
-        // Completion time of the input transfers of each tile.
-        let mut input_ready: Vec<Option<Cycles>> = vec![None; n];
 
         // Prefetch the first tile. `dma_free` tracks the completion time of
         // the most recently issued DMA batch; the engine processes batches in
-        // issue order.
-        let mut dma_free = self.plan_and_prefetch(
+        // issue order. A prefetch returns its tile's write-backs, which wait
+        // for the tile's compute: at most two tiles are in flight.
+        let mut current = self.plan_and_prefetch(
             mem,
             iommu.as_deref_mut(),
             kernel,
@@ -187,19 +186,19 @@ impl ClusterExecutor {
             Cycles::ZERO,
             &mut stats.dma_wait,
         )?;
-        input_ready[0] = Some(dma_free);
+        let mut dma_free = current.ready;
 
         for tile in 0..n {
             // Wait for this tile's inputs.
-            let ready = input_ready[tile].expect("inputs of the current tile were issued");
-            if ready > self.clock.now() {
-                stats.dma_wait += ready - self.clock.now();
-                self.clock.advance_to(ready);
+            if current.ready > self.clock.now() {
+                stats.dma_wait += current.ready - self.clock.now();
+                self.clock.advance_to(current.ready);
             }
 
             // Kick off the next tile's inputs so they overlap with compute.
+            let mut next = None;
             if self.config.double_buffer && tile + 1 < n {
-                dma_free = self.plan_and_prefetch(
+                let prefetch = self.plan_and_prefetch(
                     mem,
                     iommu.as_deref_mut(),
                     kernel,
@@ -208,7 +207,8 @@ impl ClusterExecutor {
                     dma_free,
                     &mut stats.dma_wait,
                 )?;
-                input_ready[tile + 1] = Some(dma_free);
+                dma_free = prefetch.ready;
+                next = Some(prefetch);
             }
 
             // Compute the tile.
@@ -218,12 +218,11 @@ impl ClusterExecutor {
 
             // Write back this tile's outputs (overlaps with the next tile's
             // compute when double buffering).
-            let io = kernel.tile_io(tile);
             dma_free = self.dma.execute(
                 mem,
                 iommu.as_deref_mut(),
                 &mut self.tcdm,
-                &io.outputs,
+                &current.outputs,
                 self.clock.now().max(dma_free),
                 pri.as_deref_mut(),
             )?;
@@ -236,7 +235,7 @@ impl ClusterExecutor {
                     self.clock.advance_to(dma_free);
                 }
                 if tile + 1 < n {
-                    dma_free = self.plan_and_prefetch(
+                    let prefetch = self.plan_and_prefetch(
                         mem,
                         iommu.as_deref_mut(),
                         kernel,
@@ -245,8 +244,12 @@ impl ClusterExecutor {
                         dma_free,
                         &mut stats.dma_wait,
                     )?;
-                    input_ready[tile + 1] = Some(dma_free);
+                    dma_free = prefetch.ready;
+                    next = Some(prefetch);
                 }
+            }
+            if let Some(next) = next {
+                current = next;
             }
         }
 
@@ -262,7 +265,8 @@ impl ClusterExecutor {
     }
 
     /// Plans `tile` and issues its input transfers, returning their
-    /// completion time.
+    /// completion time and the tile's write-backs. It is the one
+    /// [`DeviceKernel::tile_io`] call of the tile.
     ///
     /// The kernel's address-generation pre-pass runs on shared functional
     /// memory before the tile's descriptors are first read, through the
@@ -289,7 +293,7 @@ impl ClusterExecutor {
         tile: usize,
         dma_free: Cycles,
         dma_wait: &mut Cycles,
-    ) -> Result<Cycles> {
+    ) -> Result<Prefetched> {
         let device_id = self.dma.device_id();
         let stall = match iommu.as_deref_mut() {
             Some(iommu) => {
@@ -314,15 +318,27 @@ impl ClusterExecutor {
             self.clock.advance(stall);
         }
         let io = kernel.tile_io(tile);
-        self.dma.execute(
+        let ready = self.dma.execute(
             mem,
             iommu,
             &mut self.tcdm,
             &io.inputs,
             self.clock.now().max(dma_free),
             pri,
-        )
+        )?;
+        Ok(Prefetched {
+            ready,
+            outputs: io.outputs,
+        })
     }
+}
+
+/// A tile whose inputs have been issued.
+struct Prefetched {
+    /// When the tile's inputs are in the TCDM.
+    ready: Cycles,
+    /// The tile's write-backs, issued after its compute.
+    outputs: Vec<DmaRequest>,
 }
 
 impl Default for ClusterExecutor {
@@ -335,7 +351,6 @@ impl Default for ClusterExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dma::DmaRequest;
     use crate::kernel::TileIo;
     use sva_axi::addrmap::{DRAM_BASE, LLC_BYPASS_OFFSET};
     use sva_common::{Error, Iova, PhysAddr};

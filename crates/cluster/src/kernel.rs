@@ -137,7 +137,7 @@ pub trait DeviceKernel {
     fn num_tiles(&self) -> usize;
 
     /// Address-generation pre-pass for tile `tile`: called by the executor
-    /// before the first [`DeviceKernel::tile_io`] of that tile, with a
+    /// before the [`DeviceKernel::tile_io`] of that tile, with a
     /// functional view of the shared external memory. Kernels whose
     /// transfer ranges depend on data (sort's merge-path partitions) compute
     /// and cache them here; the default does nothing.
@@ -153,8 +153,11 @@ pub trait DeviceKernel {
 
     /// The DMA transfers of tile `tile`.
     ///
-    /// Implementations alternate TCDM buffers between even and odd tiles so
-    /// the executor can overlap tile `i+1` transfers with tile `i` compute.
+    /// The executor calls it once per tile, right after
+    /// [`DeviceKernel::plan_tile`], and keeps the outputs until the tile's
+    /// compute is done. Implementations alternate TCDM buffers between even
+    /// and odd tiles so the executor can overlap tile `i+1` transfers with
+    /// tile `i` compute.
     fn tile_io(&self, tile: usize) -> TileIo;
 
     /// Computes tile `tile` on the TCDM-resident data and returns the

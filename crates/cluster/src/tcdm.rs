@@ -31,14 +31,16 @@ impl Tcdm {
         self.data.len() as u64
     }
 
-    fn check(&self, offset: u64, len: u64) -> Result<()> {
-        if offset + len > self.capacity() {
-            return Err(Error::TcdmOverflow {
-                requested: offset + len,
+    /// The index range of the `len` bytes at `offset`. A range that ends
+    /// past the capacity, or past `u64::MAX`, is an overflow.
+    fn range(&self, offset: u64, len: u64) -> Result<std::ops::Range<usize>> {
+        match offset.checked_add(len) {
+            Some(end) if end <= self.capacity() => Ok(offset as usize..end as usize),
+            _ => Err(Error::TcdmOverflow {
+                requested: offset.saturating_add(len),
                 available: self.capacity(),
-            });
+            }),
         }
-        Ok(())
     }
 
     /// The `len` bytes at `offset`, for a bus master that reads the TCDM in
@@ -48,8 +50,8 @@ impl Tcdm {
     ///
     /// Returns [`Error::TcdmOverflow`] if the range exceeds the capacity.
     pub fn bytes(&self, offset: u64, len: u64) -> Result<&[u8]> {
-        self.check(offset, len)?;
-        Ok(&self.data[offset as usize..(offset + len) as usize])
+        let range = self.range(offset, len)?;
+        Ok(&self.data[range])
     }
 
     /// The `len` bytes at `offset`, writable in place (the DMA engine reads
@@ -59,8 +61,8 @@ impl Tcdm {
     ///
     /// Returns [`Error::TcdmOverflow`] if the range exceeds the capacity.
     pub fn bytes_mut(&mut self, offset: u64, len: u64) -> Result<&mut [u8]> {
-        self.check(offset, len)?;
-        Ok(&mut self.data[offset as usize..(offset + len) as usize])
+        let range = self.range(offset, len)?;
+        Ok(&mut self.data[range])
     }
 
     /// Reads `buf.len()` bytes at `offset`.
@@ -92,10 +94,7 @@ impl Tcdm {
     ///
     /// Returns [`Error::TcdmOverflow`] if the range exceeds the capacity.
     pub fn read_f32_slice(&self, offset: u64, out: &mut [f32]) -> Result<()> {
-        let bytes = (out.len() * 4) as u64;
-        self.check(offset, bytes)?;
-        let base = offset as usize;
-        let src = &self.data[base..base + out.len() * 4];
+        let src = self.bytes(offset, (out.len() * 4) as u64)?;
         for (v, c) in out.iter_mut().zip(src.chunks_exact(4)) {
             *v = f32::from_le_bytes(c.try_into().expect("4-byte chunk"));
         }
@@ -109,10 +108,7 @@ impl Tcdm {
     ///
     /// Returns [`Error::TcdmOverflow`] if the range exceeds the capacity.
     pub fn write_f32_slice(&mut self, offset: u64, values: &[f32]) -> Result<()> {
-        let bytes = (values.len() * 4) as u64;
-        self.check(offset, bytes)?;
-        let base = offset as usize;
-        let dst = &mut self.data[base..base + values.len() * 4];
+        let dst = self.bytes_mut(offset, (values.len() * 4) as u64)?;
         for (c, v) in dst.chunks_exact_mut(4).zip(values.iter()) {
             c.copy_from_slice(&v.to_le_bytes());
         }
@@ -150,15 +146,17 @@ impl TcdmAllocator {
     ///
     /// Returns [`Error::TcdmOverflow`] if the allocation does not fit.
     pub fn alloc(&mut self, bytes: u64) -> Result<u64> {
-        let base = (self.next + 7) & !7;
-        if base + bytes > self.capacity {
-            return Err(Error::TcdmOverflow {
-                requested: base + bytes,
+        let base = self.next.next_multiple_of(8);
+        match base.checked_add(bytes) {
+            Some(end) if end <= self.capacity => {
+                self.next = end;
+                Ok(base)
+            }
+            _ => Err(Error::TcdmOverflow {
+                requested: base.saturating_add(bytes),
                 available: self.capacity,
-            });
+            }),
         }
-        self.next = base + bytes;
-        Ok(base)
     }
 
     /// Bytes still available.
@@ -202,6 +200,57 @@ mod tests {
         assert!(t.bytes_mut(60, 8).is_err());
         assert_eq!(t.bytes(56, 8).unwrap().len(), 8, "the last 8 bytes fit");
         assert!(t.bytes_mut(64, 0).unwrap().is_empty());
+    }
+
+    /// A range that passes `u64::MAX` is an overflow, not a wrapped index:
+    /// every accessor reports `TcdmOverflow` for it, saturated at
+    /// `u64::MAX`.
+    #[test]
+    fn ranges_past_u64_max_overflow() {
+        let mut t = Tcdm::default();
+        let overflow = |r: Result<()>| {
+            matches!(
+                r,
+                Err(Error::TcdmOverflow {
+                    requested: u64::MAX,
+                    available: DEFAULT_TCDM_BYTES,
+                })
+            )
+        };
+        for offset in [u64::MAX, u64::MAX - 1, u64::MAX - 7] {
+            assert!(overflow(t.bytes(offset, 8).map(drop)), "bytes at {offset}");
+            assert!(
+                overflow(t.bytes_mut(offset, 8).map(drop)),
+                "bytes_mut at {offset}"
+            );
+            assert!(overflow(t.read(offset, &mut [0u8; 8])), "read at {offset}");
+            assert!(overflow(t.write(offset, &[1u8; 8])), "write at {offset}");
+            let mut out = [0f32; 2];
+            assert!(
+                overflow(t.read_f32_slice(offset, &mut out)),
+                "read_f32_slice at {offset}"
+            );
+            assert!(
+                overflow(t.write_f32_slice(offset, &[1.0; 2])),
+                "write_f32_slice at {offset}"
+            );
+        }
+        assert!(overflow(t.bytes(u64::MAX, 2).map(drop)));
+        // Nothing was written.
+        assert!(t
+            .bytes(0, DEFAULT_TCDM_BYTES)
+            .unwrap()
+            .iter()
+            .all(|&b| b == 0));
+        let mut a = TcdmAllocator::new(128);
+        assert!(matches!(
+            a.alloc(u64::MAX),
+            Err(Error::TcdmOverflow {
+                requested: u64::MAX,
+                ..
+            })
+        ));
+        assert_eq!(a.remaining(), 128, "a failed allocation takes nothing");
     }
 
     #[test]

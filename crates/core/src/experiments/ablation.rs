@@ -198,7 +198,7 @@ fn run_flushing_after_map(
     config: PlatformConfig,
 ) -> Result<Point> {
     let mut p = Platform::new(config.clone())?;
-    let prepared = runner.prepare(workload);
+    let prepared = runner.prepare(&mut p, workload);
     let buffers = runner.allocate_user_buffers(&mut p, workload, &prepared.inputs)?;
     for buf in &buffers {
         p.map_buffer(buf.va, buf.bytes)?;

@@ -20,6 +20,7 @@
 
 use std::cell::{Ref, RefCell};
 use std::fmt;
+use std::rc::Rc;
 
 use sva_cluster::{block_partition, KernelRunStats, TileRange};
 use sva_common::rng::DeterministicRng;
@@ -29,6 +30,7 @@ use sva_host::{
 };
 use sva_iommu::{Iommu, IommuStats, PageRequestHandler};
 use sva_kernels::{BufferKind, BufferSpec, Workload};
+use sva_mem::FramePool;
 
 use crate::platform::Platform;
 
@@ -137,10 +139,18 @@ pub struct DeviceOnlyReport {
 ///
 /// The entry holds one workload's generated buffers plus its result
 /// references, 2 MiB for the largest paper kernel (heat3d), until the
-/// runner is dropped or the next workload replaces it. A buffer generated
-/// all zero is not kept and not written: every run places its buffers in
-/// freshly allocated frames, which read as zero (the frame allocators
-/// never hand a frame out twice). The runner is not `Sync`: give each
+/// runner is dropped or the next workload replaces it. It also holds a
+/// [`FramePool`]: every run attaches it to the platform's DRAM store, so a
+/// point takes its DRAM frames from those the platforms before it handed
+/// back when they were dropped, instead of from fresh heap pages. The pool
+/// keeps at most the last dropped platform's frames, and it goes with the
+/// entry, before the next workload's inputs are generated.
+///
+/// A buffer generated all zero is not kept and not written: every run
+/// places its buffers in memory that reads as zero. The frame allocators
+/// never hand a physical frame out twice, so no earlier write on the
+/// platform reached it, and a frame the store materialises reads as zero
+/// whether it is new or recycled. The runner is not `Sync`: give each
 /// thread of a parallel sweep its own.
 #[derive(Clone)]
 pub struct OffloadRunner {
@@ -149,12 +159,14 @@ pub struct OffloadRunner {
 }
 
 /// A workload's generated inputs and result references, kept for the next
-/// run of an equal workload.
+/// run of an equal workload, and the frames its runs recycle.
 #[derive(Clone)]
 pub(crate) struct Prepared {
     key: WorkloadKey,
+    /// Spare DRAM frames of the platforms that ran this workload.
+    frames: Rc<FramePool>,
     /// The generated contents of each buffer; empty for a buffer generated
-    /// all zero, which its fresh frames already hold.
+    /// all zero, whose frames already read as zero.
     pub(crate) inputs: Vec<Vec<f32>>,
     /// The reference contents of the result buffers; other entries empty.
     pub(crate) expected: Vec<Vec<f32>>,
@@ -184,14 +196,23 @@ impl OffloadRunner {
     }
 
     /// The prepared inputs and result references of `workload`, generated
-    /// and computed unless the kept entry belongs to an equal workload.
-    pub(crate) fn prepare(&self, workload: &dyn Workload) -> Ref<'_, Prepared> {
+    /// and computed unless the kept entry belongs to an equal workload, with
+    /// the entry's frame pool attached to `platform`'s DRAM store.
+    pub(crate) fn prepare(
+        &self,
+        platform: &mut Platform,
+        workload: &dyn Workload,
+    ) -> Ref<'_, Prepared> {
         let key: WorkloadKey = (workload.name(), workload.params(), workload.buffers());
         let reuse = matches!(&*self.prepared.borrow(), Some(p) if p.key == key);
         if !reuse {
-            // Free the old entry before building the new one, so the
-            // runner never holds two workloads' data.
+            // Free the old entry, and the platform's hold on its pool,
+            // before building the new one: the runner never holds two
+            // workloads' data, and the old spare frames are freed before
+            // `init` allocates.
             *self.prepared.borrow_mut() = None;
+            let frames = Rc::default();
+            platform.mem.attach_frame_pool(&frames);
             let mut inputs = workload.init(&mut DeterministicRng::new(self.seed));
             let mut expected = workload.expected(&inputs);
             for (reference, spec) in expected.iter_mut().zip(&key.2) {
@@ -206,13 +227,16 @@ impl OffloadRunner {
             }
             *self.prepared.borrow_mut() = Some(Prepared {
                 key,
+                frames,
                 inputs,
                 expected,
             });
         }
-        Ref::map(self.prepared.borrow(), |p| {
+        let prepared = Ref::map(self.prepared.borrow(), |p| {
             p.as_ref().expect("prepared above")
-        })
+        });
+        platform.mem.attach_frame_pool(&prepared.frames);
+        prepared
     }
 
     /// Runs a full application in the given mode and reports the breakdown
@@ -228,7 +252,7 @@ impl OffloadRunner {
         workload: &dyn Workload,
         mode: OffloadMode,
     ) -> Result<OffloadReport> {
-        let prepared = self.prepare(workload);
+        let prepared = self.prepare(platform, workload);
         let buffers = self.allocate_user_buffers(platform, workload, &prepared.inputs)?;
         let expected = &prepared.expected;
         if let Some(stream) = platform.host_traffic.as_mut() {
@@ -256,7 +280,7 @@ impl OffloadRunner {
         platform: &mut Platform,
         workload: &dyn Workload,
     ) -> Result<DeviceOnlyReport> {
-        let prepared = self.prepare(workload);
+        let prepared = self.prepare(platform, workload);
         let (initial, expected) = (&prepared.inputs, &prepared.expected);
         if let Some(stream) = platform.host_traffic.as_mut() {
             stream.reset_stats();
@@ -461,7 +485,7 @@ impl OffloadRunner {
     // ------------------------------------------------------------------
 
     /// Allocates every buffer in user memory and writes its prepared
-    /// contents (nothing for an all-zero buffer: its frames are fresh).
+    /// contents (nothing for an all-zero buffer: its frames read as zero).
     pub(crate) fn allocate_user_buffers(
         &self,
         platform: &mut Platform,

@@ -381,7 +381,7 @@ impl SortDevice {
 
     /// The cached partition of a merge tile; planning the tile is the
     /// executor's responsibility ([`DeviceKernel::plan_tile`] runs before
-    /// the first `tile_io` of every tile).
+    /// the `tile_io` of every tile).
     fn planned_ranges(&self, tile: usize) -> (usize, usize, usize, usize) {
         self.ranges[tile - self.chunks()].expect("merge tile was planned via plan_tile before use")
     }

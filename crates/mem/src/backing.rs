@@ -22,8 +22,25 @@
 //! & friends) take a single-frame fast path whenever the access does not
 //! straddle a frame boundary, which holds for every aligned PTE fetch,
 //! page-table write and kernel element access.
+//!
+//! Frames come from a [`FramePool`], a shared list of spare frames. A store
+//! materialises each new frame from its pool, zero-filled, and allocates
+//! one only when the pool is empty; when it is dropped or cleared it hands
+//! every frame back, and the pool then keeps at most as many spares as the
+//! store held. A store attached to a pool that already holds frames of its
+//! own leaves that many fewer spares in it
+//! ([`SparseMemory::attach_pool`]). Each store starts with a private pool,
+//! which behaves like plain allocation. A sweep that boots one platform
+//! per point attaches one shared pool to each point's DRAM store
+//! ([`crate::MemorySystem::attach_frame_pool`]), so a point reuses the
+//! frames of the point before it instead of faulting fresh heap pages in,
+//! while the spares and the attached store's frames together never
+//! outnumber the larger of the two points. The spares are freed with the
+//! pool.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
+use std::fmt;
+use std::rc::Rc;
 
 use sva_common::{Error, Result, PAGE_SIZE};
 
@@ -50,6 +67,45 @@ type Frame = Box<[u8; FRAME_BYTES]>;
 
 /// The frames of one 2 MiB span; absent (`None`) frames read as zero.
 type Leaf = [Option<Frame>; LEAF_FRAMES];
+
+/// Spare frames shared by the stores attached to it (see the module doc).
+/// A store takes its new frames from here before it allocates, and hands
+/// them all back when it is dropped or cleared.
+#[derive(Default)]
+pub struct FramePool {
+    spare: RefCell<Vec<Frame>>,
+}
+
+impl FramePool {
+    /// Number of spare frames the pool holds.
+    pub fn spare_frames(&self) -> usize {
+        self.spare.borrow().len()
+    }
+
+    /// A zero-filled frame: a spare one while the pool holds any, else a
+    /// freshly allocated one.
+    #[inline(never)]
+    fn take(&self) -> Frame {
+        match self.spare.borrow_mut().pop() {
+            Some(mut frame) => {
+                frame.fill(0);
+                frame
+            }
+            None => vec![0u8; FRAME_BYTES]
+                .into_boxed_slice()
+                .try_into()
+                .expect("frame-sized allocation"),
+        }
+    }
+}
+
+impl fmt::Debug for FramePool {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FramePool")
+            .field("spare_frames", &self.spare_frames())
+            .finish()
+    }
+}
 
 /// The last-frame memo: remembers the presence of the most recently probed
 /// frame so a run of accesses to the same frame (sequential DMA beats,
@@ -83,10 +139,13 @@ pub struct SparseMemory {
     /// Bumped by [`SparseMemory::clear`]; tags [`FrameMemo`] validity.
     generation: u64,
     memo: Cell<FrameMemo>,
+    /// Where new frames come from and where dropped ones go.
+    pool: Rc<FramePool>,
 }
 
 impl SparseMemory {
-    /// Creates a store covering offsets `0..capacity`.
+    /// Creates a store covering offsets `0..capacity`, with a private
+    /// frame pool.
     pub fn new(capacity: u64) -> Self {
         Self {
             leaves: Vec::new(),
@@ -100,7 +159,29 @@ impl SparseMemory {
                 frame: 0,
                 present: false,
             }),
+            pool: Rc::default(),
         }
+    }
+
+    /// Takes new frames from `pool`, and hands every frame back to it on
+    /// drop or [`SparseMemory::clear`], instead of using the current pool.
+    /// Resident frames stay resident; contents do not change.
+    ///
+    /// The pool's spares stand for the frames of the store dropped last,
+    /// and this store holds its resident frames already, so the pool frees
+    /// that many spares: spares and resident frames together never
+    /// outnumber the larger of the two stores.
+    pub fn attach_pool(&mut self, pool: &Rc<FramePool>) {
+        let mut spare = pool.spare.borrow_mut();
+        let keep = spare.len().saturating_sub(self.resident);
+        spare.truncate(keep);
+        drop(spare);
+        self.pool = Rc::clone(pool);
+    }
+
+    /// The pool this store takes its frames from.
+    pub fn pool(&self) -> &Rc<FramePool> {
+        &self.pool
     }
 
     /// Capacity in bytes.
@@ -179,12 +260,7 @@ impl SparseMemory {
                 present: true,
             });
         }
-        &mut slot.get_or_insert_with(|| {
-            vec![0u8; FRAME_BYTES]
-                .into_boxed_slice()
-                .try_into()
-                .expect("frame-sized allocation")
-        })[..]
+        &mut slot.get_or_insert_with(|| self.pool.take())[..]
     }
 
     /// Reads `buf.len()` bytes starting at `offset`.
@@ -352,12 +428,29 @@ impl SparseMemory {
         Ok(())
     }
 
-    /// Drops all contents, returning the store to the all-zero state.
+    /// Drops all contents, returning the store to the all-zero state. The
+    /// frames go back to the pool.
     pub fn clear(&mut self) {
-        self.leaves.clear();
-        self.resident = 0;
+        self.release_frames();
         // Invalidate every outstanding memo wholesale.
         self.generation += 1;
+    }
+
+    /// Hands every resident frame back to the pool, which then keeps at
+    /// most as many spares as the store held, and empties the table.
+    fn release_frames(&mut self) {
+        let keep = self.resident;
+        let mut spare = self.pool.spare.borrow_mut();
+        spare.truncate(keep);
+        for leaf in self.leaves.iter_mut().flatten() {
+            for frame in leaf.iter_mut().filter_map(Option::take) {
+                if spare.len() < keep {
+                    spare.push(frame);
+                }
+            }
+        }
+        self.leaves.clear();
+        self.resident = 0;
     }
 
     /// Checks the store's internal invariants: the resident counter matches
@@ -383,6 +476,12 @@ impl SparseMemory {
                 memo.frame
             );
         }
+    }
+}
+
+impl Drop for SparseMemory {
+    fn drop(&mut self) {
+        self.release_frames();
     }
 }
 

@@ -66,7 +66,7 @@ pub mod llc;
 pub mod spm;
 pub mod system;
 
-pub use backing::SparseMemory;
+pub use backing::{FramePool, SparseMemory};
 pub use cache::{Cache, CacheConfig, CacheOutcome};
 pub use channels::ChannelStats;
 pub use dram::Dram;

@@ -32,6 +32,8 @@
 //! loads and stores and the host-traffic stream use them, because the bytes
 //! they would move are never read.
 
+use std::rc::Rc;
+
 use sva_axi::addrmap::{AddressMap, RegionKind, DRAM_SIZE, L2_SPM_SIZE};
 use sva_axi::txn::beats_for;
 use sva_axi::xbar;
@@ -40,7 +42,7 @@ use sva_common::{
     PortTiming, Result, CACHE_LINE_SIZE,
 };
 
-use crate::backing::SparseMemory;
+use crate::backing::{FramePool, SparseMemory};
 use crate::channels::ChannelStats;
 use crate::dram::{Dram, DramTiming};
 use crate::fabric::{Fabric, FabricConfig, InitiatorSnapshot};
@@ -260,6 +262,19 @@ impl MemorySystem {
     /// The global clock this memory system stamps accesses with.
     pub const fn clock(&self) -> &GlobalClock {
         &self.clock
+    }
+
+    /// Takes the DRAM store's new frames from `pool` and hands them back to
+    /// it when the memory system is dropped (see [`crate::backing`]). The
+    /// scratchpad store keeps its private pool. Contents do not change, and
+    /// new frames read as zero from either pool, so nothing simulated moves.
+    pub fn attach_frame_pool(&mut self, pool: &Rc<FramePool>) {
+        self.dram_store.attach_pool(pool);
+    }
+
+    /// The DRAM contents: resident frames and the pool they come from.
+    pub const fn dram_store(&self) -> &SparseMemory {
+        &self.dram_store
     }
 
     /// Opens a new measurement window: drops every fabric channel's

@@ -20,18 +20,23 @@
 //!
 //! in windows around the offsets the platform uses: the start of DRAM, the
 //! 64 MiB user pool, the 1 GiB reserved pool and the 2 GiB end, and the
-//! whole 1 MiB scratchpad store. It proves the harness has teeth by
-//! catching a store with the stale-memo bug injected ([`StaleMemoStore`]).
+//! whole 1 MiB scratchpad store. The lockstep runs on stores with a private
+//! frame pool and on stores attached to a [`FramePool`] that earlier stores
+//! left full of non-zero frames, where every byte no op wrote must still
+//! read zero. It proves the harness has teeth by catching a store with the
+//! stale-memo bug injected ([`StaleMemoStore`]) and a store whose pool
+//! recycles frames without zero-filling them ([`UnzeroedRecycling`]).
 
 #[path = "reference/backing.rs"]
 mod reference;
 
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 use reference::NaiveSparseMemory;
 use sva_common::rng::DeterministicRng;
 use sva_common::{Result, PAGE_SIZE};
-use sva_mem::SparseMemory;
+use sva_mem::{FramePool, SparseMemory};
 
 const MIB: u64 = 1 << 20;
 
@@ -112,13 +117,45 @@ impl Layout {
     }
 }
 
+/// What the lockstep drives: the two-level store, or a mutant standing in
+/// for it. Reads, accounting and validation go to the store itself.
+trait Store {
+    fn store(&self) -> &SparseMemory;
+    fn write(&mut self, offset: u64, buf: &[u8]) -> Result<()>;
+    fn write_u64(&mut self, offset: u64, value: u64) -> Result<u64>;
+    fn write_f32(&mut self, offset: u64, value: f32) -> Result<()>;
+    fn fill(&mut self, offset: u64, len: u64, value: u8) -> Result<()>;
+    fn clear(&mut self);
+}
+
+impl Store for SparseMemory {
+    fn store(&self) -> &SparseMemory {
+        self
+    }
+    fn write(&mut self, offset: u64, buf: &[u8]) -> Result<()> {
+        SparseMemory::write(self, offset, buf)
+    }
+    fn write_u64(&mut self, offset: u64, value: u64) -> Result<u64> {
+        SparseMemory::write_u64(self, offset, value)
+    }
+    fn write_f32(&mut self, offset: u64, value: f32) -> Result<()> {
+        SparseMemory::write_f32(self, offset, value)
+    }
+    fn fill(&mut self, offset: u64, len: u64, value: u8) -> Result<()> {
+        SparseMemory::fill(self, offset, len, value)
+    }
+    fn clear(&mut self) {
+        SparseMemory::clear(self);
+    }
+}
+
 /// Runs one random operation against both engines and asserts every
 /// observable agrees. Returns a digest contribution so the caller can prove
 /// the sequence actually touched data.
 fn lockstep_op(
     rng: &mut DeterministicRng,
     layout: &Layout,
-    indexed: &mut SparseMemory,
+    indexed: &mut impl Store,
     naive: &mut NaiveSparseMemory,
 ) -> u64 {
     let mut digest = 0u64;
@@ -138,7 +175,7 @@ fn lockstep_op(
             let len = 1 + rng.next_below(200) as usize;
             let mut a = vec![0u8; len];
             let mut b = vec![0xFFu8; len];
-            indexed.read(offset, &mut a).unwrap();
+            indexed.store().read(offset, &mut a).unwrap();
             naive.read(offset, &mut b).unwrap();
             assert_eq!(a, b, "read divergence at offset {offset} len {len}");
             digest = a
@@ -155,7 +192,7 @@ fn lockstep_op(
                     naive.write_u64(offset, v).unwrap()
                 );
             } else {
-                let a = indexed.read_u64(offset).unwrap();
+                let a = indexed.store().read_u64(offset).unwrap();
                 let b = naive.read_u64(offset).unwrap();
                 assert_eq!(a, b, "u64 divergence at offset {offset}");
                 digest = digest.wrapping_mul(31).wrapping_add(a);
@@ -169,7 +206,7 @@ fn lockstep_op(
                 indexed.write_f32(offset, v).unwrap();
                 naive.write_f32(offset, v).unwrap();
             } else {
-                let a = indexed.read_f32(offset).unwrap().to_bits();
+                let a = indexed.store().read_f32(offset).unwrap().to_bits();
                 let b = naive.read_f32(offset).unwrap().to_bits();
                 assert_eq!(a, b, "f32 divergence at offset {offset}");
                 digest = digest.wrapping_mul(31).wrapping_add(a as u64);
@@ -195,11 +232,11 @@ fn lockstep_op(
             let offset = end - rng.next_below(16);
             let len = 32usize;
             let mut buf = vec![0u8; len];
-            assert!(indexed.read(offset, &mut buf).is_err());
+            assert!(indexed.store().read(offset, &mut buf).is_err());
             assert!(naive.read(offset, &mut buf).is_err());
             assert!(indexed.write(offset, &buf).is_err());
             assert!(naive.write(offset, &buf).is_err());
-            assert!(indexed.read_u64(end - 4).is_err());
+            assert!(indexed.store().read_u64(end - 4).is_err());
             assert!(naive.read_u64(end - 4).is_err());
         }
         // Rare clear: resets contents and bumps the indexed generation, so
@@ -211,32 +248,34 @@ fn lockstep_op(
             }
         }
     }
+    let store = indexed.store();
     assert_eq!(
-        indexed.resident_frames(),
+        store.resident_frames(),
         naive.resident_frames(),
         "resident_frames divergence"
     );
     assert_eq!(
-        indexed.resident_bytes(),
+        store.resident_bytes(),
         naive.resident_bytes(),
         "resident_bytes divergence"
     );
-    indexed.debug_validate();
+    store.debug_validate();
     digest
 }
 
-/// Drives `ops` lockstep operations from `seed`; returns the read digest.
-fn run_lockstep(seed: u64, ops: usize, layout: &Layout) -> u64 {
+/// Drives `ops` lockstep operations from `seed` on `indexed`, an empty
+/// store of the layout's capacity; returns the read digest.
+fn run_lockstep(seed: u64, ops: usize, layout: &Layout, indexed: &mut impl Store) -> u64 {
     let mut rng = DeterministicRng::new(seed);
-    let mut indexed = SparseMemory::new(layout.capacity);
     let mut naive = NaiveSparseMemory::new(layout.capacity);
     let mut digest = 0u64;
     for _ in 0..ops {
-        digest = digest.wrapping_add(lockstep_op(&mut rng, layout, &mut indexed, &mut naive));
+        digest = digest.wrapping_add(lockstep_op(&mut rng, layout, indexed, &mut naive));
     }
     // Final sweep: every frame the lockstep can reach must agree
     // byte-for-byte, including frames only one engine might have
     // materialized.
+    let indexed = indexed.store();
     let mut a = vec![0u8; PAGE_SIZE as usize];
     let mut b = vec![0u8; PAGE_SIZE as usize];
     let mut resident = 0;
@@ -254,16 +293,65 @@ fn run_lockstep(seed: u64, ops: usize, layout: &Layout) -> u64 {
     digest
 }
 
+const SEEDS: [u64; 4] = [11, 23, 47, 8191];
+
 #[test]
 fn two_level_store_is_identical_to_naive_reference() {
     for layout in [Layout::dram(), Layout::scratchpad()] {
         let mut total = 0u64;
-        for seed in [11, 23, 47, 8191] {
-            total = total.wrapping_add(run_lockstep(seed, 4000, &layout));
+        for seed in SEEDS {
+            let mut store = SparseMemory::new(layout.capacity);
+            total = total.wrapping_add(run_lockstep(seed, 4000, &layout, &mut store));
         }
         // The digest must be non-zero: a sequence that never read data back
         // would vacuously pass, so prove the suite actually observed contents.
         assert_ne!(total, 0, "lockstep sequences never observed any data");
+    }
+}
+
+/// What a dropped store left in the frames it hands back.
+const STALE: u8 = 0xA5;
+
+/// A pool that an earlier store left full of non-zero frames: one per
+/// frame the layout reaches, every byte [`STALE`].
+fn dirty_pool(layout: &Layout) -> Rc<FramePool> {
+    let pool = Rc::new(FramePool::default());
+    let mut earlier = SparseMemory::new(layout.capacity);
+    earlier.attach_pool(&pool);
+    for frame in layout.frames() {
+        earlier.fill(frame * PAGE_SIZE, PAGE_SIZE, STALE).unwrap();
+    }
+    drop(earlier);
+    assert_eq!(
+        pool.spare_frames(),
+        layout.frames().len(),
+        "every frame kept"
+    );
+    pool
+}
+
+/// A store attached to a pool of dirty frames is as observation-identical
+/// to the reference as a store on fresh frames: bytes no op wrote read
+/// zero, and the resident accounting counts only the frames the store
+/// materialised.
+#[test]
+fn stores_on_recycled_frames_are_identical_to_naive_reference() {
+    for layout in [Layout::dram(), Layout::scratchpad()] {
+        for seed in SEEDS {
+            let pool = dirty_pool(&layout);
+            let mut store = SparseMemory::new(layout.capacity);
+            store.attach_pool(&pool);
+            run_lockstep(seed, 4000, &layout, &mut store);
+            assert!(
+                pool.spare_frames() < layout.frames().len(),
+                "seed {seed}: the store took recycled frames"
+            );
+            // Dropping the store hands its frames back; the pool keeps as
+            // many as the store held.
+            let held = store.resident_frames();
+            drop(store);
+            assert_eq!(pool.spare_frames(), held, "seed {seed}");
+        }
     }
 }
 
@@ -353,6 +441,80 @@ fn lockstep_catches_injected_stale_memo() {
         caught,
         "lockstep suite failed to catch the injected stale-memo bug"
     );
+}
+
+/// The two-level store behind a pool that recycles frames without
+/// zero-filling them: a frame it materialises still holds the bytes a
+/// dropped store left in it ([`STALE`]), under whatever the op writes.
+struct UnzeroedRecycling {
+    store: SparseMemory,
+    /// The frames materialised since the last clear.
+    resident: BTreeSet<u64>,
+}
+
+impl UnzeroedRecycling {
+    /// Materialises every absent frame of `offset..offset + len` with stale
+    /// bytes, as the write that follows would from the faulty pool.
+    fn recycle(&mut self, offset: u64, len: u64) {
+        for frame in offset / PAGE_SIZE..(offset + len).div_ceil(PAGE_SIZE) {
+            if self.resident.insert(frame) {
+                self.store
+                    .fill(frame * PAGE_SIZE, PAGE_SIZE, STALE)
+                    .unwrap();
+            }
+        }
+    }
+}
+
+impl Store for UnzeroedRecycling {
+    fn store(&self) -> &SparseMemory {
+        &self.store
+    }
+    fn write(&mut self, offset: u64, buf: &[u8]) -> Result<()> {
+        if offset.saturating_add(buf.len() as u64) <= self.store.capacity() {
+            self.recycle(offset, buf.len() as u64);
+        }
+        self.store.write(offset, buf)
+    }
+    fn write_u64(&mut self, offset: u64, value: u64) -> Result<u64> {
+        self.recycle(offset, 8);
+        self.store.write_u64(offset, value)
+    }
+    fn write_f32(&mut self, offset: u64, value: f32) -> Result<()> {
+        self.recycle(offset, 4);
+        self.store.write_f32(offset, value)
+    }
+    fn fill(&mut self, offset: u64, len: u64, value: u8) -> Result<()> {
+        // A zero fill materialises nothing, so only a non-zero one recycles.
+        if value != 0 {
+            self.recycle(offset, len);
+        }
+        self.store.fill(offset, len, value)
+    }
+    fn clear(&mut self) {
+        self.resident.clear();
+        self.store.clear();
+    }
+}
+
+/// Teeth for the zero-fill: the lockstep, unchanged, catches a store
+/// whose recycled frames keep a dropped store's bytes.
+#[test]
+fn lockstep_catches_recycling_without_zero_fill() {
+    for layout in [Layout::dram(), Layout::scratchpad()] {
+        let caught = std::panic::catch_unwind(|| {
+            let mut mutant = UnzeroedRecycling {
+                store: SparseMemory::new(layout.capacity),
+                resident: BTreeSet::new(),
+            };
+            run_lockstep(SEEDS[0], 4000, &layout, &mut mutant);
+        })
+        .is_err();
+        assert!(
+            caught,
+            "lockstep suite failed to catch frames recycled without a zero fill"
+        );
+    }
 }
 
 #[test]
