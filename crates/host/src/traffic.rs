@@ -7,8 +7,12 @@
 //! average page-table-walk slowdown of about 20 %. Two models exist:
 //!
 //! * [`HostTrafficStream`] — the first-class model: a paced stream of
-//!   **timed host reads** issued through the fabric port with arrival
-//!   timestamps spanning the device's measurement window. With the
+//!   **timed host reads** issued through the fabric port, `gap` cycles
+//!   apart from the start of the device's measurement window. Its arrivals
+//!   cover the first [`HostTrafficConfig::window`] (`accesses × gap`)
+//!   cycles of that window, plus any issue stalls, not the whole window:
+//!   the default covers 196,608 cycles, and the rest of a longer device
+//!   window runs without host traffic. With the
 //!   global-clock engine on (`FabricConfig::timed_host_ptw`), the stream's
 //!   accesses reserve bus occupancy, so DMA bursts and page-table walks
 //!   queue behind genuine host traffic (and the stream itself queues behind

@@ -75,10 +75,9 @@ impl Workload for AxpyWorkload {
     }
 
     fn expected(&self, initial: &[Vec<f32>]) -> Vec<Vec<f32>> {
-        let x = &initial[0];
         let mut y = initial[1].clone();
-        axpy_into(self.alpha, x, &mut y);
-        vec![x.clone(), y]
+        axpy_into(self.alpha, &initial[0], &mut y);
+        vec![Vec::new(), y]
     }
 
     fn device_kernel(&self, device_ptrs: &[Iova]) -> Box<dyn DeviceKernel> {
@@ -181,7 +180,7 @@ mod tests {
         let init = vec![vec![1.0; 8], vec![3.0; 8]];
         let exp = wl.expected(&init);
         assert_eq!(exp[1], vec![5.0; 8]);
-        assert_eq!(exp[0], vec![1.0; 8]);
+        assert!(exp[0].is_empty(), "the input x is not a result");
     }
 
     #[test]

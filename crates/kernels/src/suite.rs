@@ -161,6 +161,12 @@ mod tests {
                 assert_eq!(buf.len(), spec.elems, "{kind:?} buffer {}", spec.name);
             }
             let expected = wl.expected(&init);
+            // The reference holds the result buffers and nothing else.
+            assert_eq!(expected.len(), init.len(), "{kind:?}");
+            for (entry, spec) in expected.iter().zip(wl.buffers()) {
+                let want = if spec.kind.is_result() { spec.elems } else { 0 };
+                assert_eq!(entry.len(), want, "{kind:?} buffer {}", spec.name);
+            }
             // The reference output must verify against itself.
             wl.verify(&expected, &expected).unwrap();
             // A corrupted result buffer must be rejected.

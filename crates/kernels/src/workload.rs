@@ -91,9 +91,14 @@ pub trait Workload {
     /// not need initialisation get zeros of the right length).
     fn init(&self, rng: &mut DeterministicRng) -> Vec<Vec<f32>>;
 
-    /// Computes the expected final contents of every buffer from the initial
-    /// contents (the host reference implementation). Only the result
-    /// buffers' entries are read; callers may empty the others.
+    /// Computes the expected final contents of the result buffers from the
+    /// initial contents (the host reference implementation).
+    ///
+    /// Returns one entry per buffer, in [`Workload::buffers`]' order. A
+    /// result buffer's entry ([`BufferKind::is_result`]) holds its expected
+    /// contents; every other entry is empty, so the reference holds no
+    /// copy of an input or of scratch storage. Only the result entries are
+    /// read.
     fn expected(&self, initial: &[Vec<f32>]) -> Vec<Vec<f32>>;
 
     /// Builds the device kernel given the device-visible base address of each

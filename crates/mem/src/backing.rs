@@ -213,7 +213,6 @@ impl SparseMemory {
     }
 
     /// The resident frame at `idx`, if any, straight from the table.
-    #[inline]
     fn frame(&self, idx: u64) -> Option<&[u8]> {
         let leaf = self.leaves.get((idx >> LEAF_SHIFT) as usize)?.as_deref()?;
         leaf[(idx & LEAF_MASK) as usize].as_deref().map(|f| &f[..])
@@ -222,7 +221,6 @@ impl SparseMemory {
     /// The resident frame at `idx`, if any, going through the last-frame
     /// memo: a memo hit answers presence without touching the frame table;
     /// a miss probes the table and refreshes the memo.
-    #[inline]
     fn frame_memoized(&self, idx: u64) -> Option<&[u8]> {
         let memo = self.memo.get();
         if memo.generation == self.generation && memo.frame == idx {
@@ -243,7 +241,6 @@ impl SparseMemory {
     /// The frame at `idx`, materialising it (and its leaf, growing the top
     /// level) if absent. Refreshes a memo that recorded this frame as
     /// absent.
-    #[inline]
     fn frame_mut(&mut self, idx: u64) -> &mut [u8] {
         let leaf_idx = (idx >> LEAF_SHIFT) as usize;
         if leaf_idx >= self.leaves.len() {
@@ -268,7 +265,6 @@ impl SparseMemory {
     /// # Errors
     ///
     /// Returns [`Error::OutOfBounds`] if the range exceeds the capacity.
-    #[inline]
     pub fn read(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         self.check_range(offset, buf.len() as u64)?;
         let in_frame = (offset & FRAME_MASK) as usize;
@@ -301,7 +297,6 @@ impl SparseMemory {
     /// # Errors
     ///
     /// Returns [`Error::OutOfBounds`] if the range exceeds the capacity.
-    #[inline]
     pub fn write(&mut self, offset: u64, buf: &[u8]) -> Result<()> {
         self.check_range(offset, buf.len() as u64)?;
         let mut done = 0usize;
@@ -325,7 +320,6 @@ impl SparseMemory {
     /// # Errors
     ///
     /// Returns [`Error::OutOfBounds`] if the range exceeds the capacity.
-    #[inline]
     pub fn read_u64(&self, offset: u64) -> Result<u64> {
         let in_frame = (offset & FRAME_MASK) as usize;
         if in_frame + 8 <= FRAME_BYTES {
@@ -349,7 +343,6 @@ impl SparseMemory {
     /// # Errors
     ///
     /// Returns [`Error::OutOfBounds`] if the range exceeds the capacity.
-    #[inline]
     pub fn write_u64(&mut self, offset: u64, value: u64) -> Result<u64> {
         let in_frame = (offset & FRAME_MASK) as usize;
         if in_frame + 8 <= FRAME_BYTES {
@@ -367,7 +360,6 @@ impl SparseMemory {
     /// # Errors
     ///
     /// Returns [`Error::OutOfBounds`] if the range exceeds the capacity.
-    #[inline]
     pub fn read_f32(&self, offset: u64) -> Result<f32> {
         let in_frame = (offset & FRAME_MASK) as usize;
         if in_frame + 4 <= FRAME_BYTES {
@@ -391,7 +383,6 @@ impl SparseMemory {
     /// # Errors
     ///
     /// Returns [`Error::OutOfBounds`] if the range exceeds the capacity.
-    #[inline]
     pub fn write_f32(&mut self, offset: u64, value: f32) -> Result<()> {
         let in_frame = (offset & FRAME_MASK) as usize;
         if in_frame + 4 <= FRAME_BYTES {
